@@ -16,6 +16,7 @@ from .densemat import (  # noqa: F401
     identity,
     kron,
     partial_trace,
+    permutation_operators,
     random_density,
     random_hermitian,
     random_pure,
@@ -39,6 +40,8 @@ from .broadcast import (  # noqa: F401
     check_axioms,
     classical_bcl,
     cloner,
+    commutant_basis,
+    commutant_projection,
     decoherence,
     family_b_lambda,
     verify_uniqueness,

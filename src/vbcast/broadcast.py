@@ -7,16 +7,22 @@ The canonical broadcaster is the HPTP map
 whose two marginals both reproduce rho.  This module constructs B, the
 optimal-cloner and antisymmetric channels whose affine combination it is,
 the decohered/classical variants, and the one-parameter commutator family
-B_lambda.  ``check_axioms`` measures how far any candidate map is from the
-four defining conditions (broadcasting, covariance, permutation symmetry,
-classical consistency), and ``verify_uniqueness`` certifies numerically
-that those conditions pin down B: the induced linear system on Hermitian
-Choi unknowns has trivial nullspace and B solves the affine part.
+B_lambda, all from closed-form Choi operators.
+
+A map d -> d^2 is covariant exactly when its Choi operator commutes with
+U (x) U (x) Ubar.  By mixed Schur-Weyl duality (the walled Brauer algebra
+B_{2,1}(d); Benkart et al., J. Algebra 166 (1994)) such operators span the
+input-factor partial transposes of the six permutations of three factors.
+``check_axioms`` measures covariance exactly as the distance to that span,
+not by sampling, and ``verify_uniqueness`` solves the other axioms over its
+5 (d = 2) or 6 coefficients.  The dense system on all Hermitian Choi
+unknowns, kept in the tests as a reference, gives the same nullities at
+d = 2, 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,13 +31,12 @@ from .densemat import (
     Operator,
     Rng,
     antisym_projector,
-    haar_unitary,
     identity,
     kron,
     partial_trace,
+    permutation_operators,
     random_density,
     random_pure,
-    swap,
     sym_projector,
     trace_norm,
 )
@@ -43,6 +48,11 @@ def _require_dim(d: int):
         raise ValueError(f"broadcasting maps need dimension >= 2, got {d}")
 
 
+def _transpose_input(c: np.ndarray, d: int) -> np.ndarray:
+    """Partial transpose of an operator on C^d (x) C^d (x) C^d on its last (input) factor."""
+    return c.reshape((d,) * 6).transpose(0, 1, 5, 3, 4, 2).reshape(d**3, d**3)
+
+
 def canonical_b(d: int) -> SuperMap:
     """The virtual broadcasting map rho -> (1/2){rho (x) I, SWAP}."""
     return family_b_lambda(d, 0.0)
@@ -52,41 +62,26 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
     """Commutator deformation (1/2){rho (x) I, S} + i*lam*[rho (x) I, S].
 
     HPTP and trace-preserving for every real lam; permutation-symmetric
-    only at lam = 0.
+    only at lam = 0.  Its Choi is (1/2){Omega_13, S_12} + i*lam*[Omega_13, S_12]
+    with S_12 = P_(12) and Omega_13 = P_(13) partially transposed on the input.
     """
     _require_dim(d)
-    s = swap(d).mat
-    eye = np.eye(d)
-
-    def action(rho: Operator) -> Operator:
-        a = np.kron(rho.mat, eye)
-        return Operator((a @ s + s @ a) / 2 + 1j * lam * (a @ s - s @ a))
-
-    return SuperMap.from_action(d, d * d, action)
+    _, s12, p13, *_ = permutation_operators(d)
+    om13 = _transpose_input(p13.mat, d)
+    left, right = om13 @ s12.mat, s12.mat @ om13
+    return SuperMap(d, d * d, Operator((left + right) / 2 + 1j * lam * (left - right)))
 
 
 def cloner(d: int) -> SuperMap:
     """Optimal universal cloning channel  rho -> 2/(d+1) P+ (I (x) rho) P+."""
     _require_dim(d)
-    p = sym_projector(d).mat
-    eye = np.eye(d)
-
-    def action(rho: Operator) -> Operator:
-        return Operator(2.0 / (d + 1) * (p @ np.kron(eye, rho.mat) @ p))
-
-    return SuperMap.from_action(d, d * d, action)
+    return SuperMap(d, d * d, 2.0 / (d + 1) * choi_projector(d, +1))
 
 
 def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
     _require_dim(d)
-    p = antisym_projector(d).mat
-    eye = np.eye(d)
-
-    def action(rho: Operator) -> Operator:
-        return Operator(2.0 / (d - 1) * (p @ np.kron(eye, rho.mat) @ p))
-
-    return SuperMap.from_action(d, d * d, action)
+    return SuperMap(d, d * d, 2.0 / (d - 1) * choi_projector(d, -1))
 
 
 def choi_projector(d: int, sign: int) -> Operator:
@@ -120,29 +115,81 @@ def _basis_or_identity(d: int, basis: Operator | None) -> np.ndarray:
 
 
 def decoherence(d: int, basis: Operator | None = None) -> SuperMap:
-    """Full decoherence in the given orthonormal basis (columns of ``basis``)."""
+    """Full decoherence in the given orthonormal basis (columns of ``basis``).
+
+    Choi  sum_i |b_i><b_i| (x) |conj b_i><conj b_i|.
+    """
     v = _basis_or_identity(d, basis)
-
-    def action(rho: Operator) -> Operator:
-        diag = np.diagonal(v.conj().T @ rho.mat @ v)
-        return Operator(v @ np.diag(diag) @ v.conj().T)
-
-    return SuperMap.from_action(d, d, action)
+    x = np.einsum("ai,bi->iab", v, v.conj()).reshape(d, d * d)
+    return SuperMap(d, d, Operator(x.T @ x.conj()))
 
 
 def classical_bcl(d: int, basis: Operator | None = None) -> SuperMap:
-    """Classical broadcaster  |b_i><b_j| -> delta_ij |b_i b_i><b_i b_i|."""
+    """Classical broadcaster  |b_i><b_j| -> delta_ij |b_i b_i><b_i b_i|.
+
+    Choi  sum_i |b_i b_i><b_i b_i| (x) |conj b_i><conj b_i|.
+    """
     _require_dim(d)
     v = _basis_or_identity(d, basis)
+    x = np.einsum("ai,bi,ci->iabc", v, v, v.conj()).reshape(d, d**3)
+    return SuperMap(d, d * d, Operator(x.T @ x.conj()))
 
-    def action(rho: Operator) -> Operator:
-        out = np.zeros((d * d, d * d), dtype=np.complex128)
-        for i in range(d):
-            w = np.kron(v[:, i], v[:, i])
-            out += (v[:, i].conj() @ rho.mat @ v[:, i]) * np.outer(w, w.conj())
-        return Operator(out)
 
-    return SuperMap.from_action(d, d * d, action)
+# ---------------------------------------------------------------------------
+# the commutant core
+
+
+def commutant_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the Choi operators covariant under U (x) U (x) Ubar.
+
+    Shape (k, d^3, d^3), orthonormal in <A, B> = Tr[A B].  The basis spans
+    the partial transposes P_sigma^T3 of the six factor permutations; k is
+    5 at d = 2, where the three-factor antisymmetrizer vanishes, and 6 for
+    d >= 3.  The rank is cut on the Gram matrix's spectrum, because the raw
+    operators are linearly dependent at d = 2.
+    """
+    _require_dim(d)
+    q = [_transpose_input(p.mat, d) for p in permutation_operators(d)]
+    # Transpositions are self-adjoint; the two 3-cycles are adjoint to each other.
+    herm = np.stack(q[:4] + [q[4] + q[5], 1j * (q[4] - q[5])])
+    gram = np.einsum("aij,bji->ab", herm, herm).real
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > 1e-10 * vals[-1]
+    return np.einsum("ak,aij->kij", vecs[:, keep] / np.sqrt(vals[keep]), herm)
+
+
+def commutant_projection(choi: Operator, d: int) -> Operator:
+    """Orthogonal projection of a Choi operator on C^d (x) C^d (x) C^d onto the covariant span.
+
+    This is the Haar twirl  Integral W C W+ dU  with W = U (x) U (x) Ubar.
+    """
+    basis = commutant_basis(d)
+    return Operator(np.tensordot(np.einsum("kij,ji->k", basis, choi.mat), basis, axes=1))
+
+
+def _permutation_residual(c: np.ndarray, d: int) -> np.ndarray:
+    """S_12 C S_12 - C: swapping the two outputs must leave the Choi unchanged."""
+    c6 = c.reshape((d,) * 6)
+    return c6.transpose(1, 0, 2, 4, 3, 5) - c6
+
+
+def _classical_residual(c: np.ndarray, d: int) -> np.ndarray:
+    """C[(ab,i),(ab,i)] - delta_{a=b=i}: the Choi diagonal against classical copying.
+
+    These entries are the Choi of (D (x) D) . m . D, and the classical
+    broadcaster's Choi is delta_{a=b=i} there and zero everywhere else.
+    """
+    target = np.zeros((d, d, d))
+    idx = np.arange(d)
+    target[idx, idx, idx] = 1.0
+    return np.diagonal(c).reshape(d, d, d) - target
+
+
+def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
+    """Tr_out1[C] - Omega and Tr_out2[C] - Omega: both marginals are the identity map."""
+    c6 = c.reshape((d,) * 6)
+    om = omega(d).mat.reshape(d, d, d, d)
+    return [np.einsum("pxypuv->xyuv", c6) - om, np.einsum("xpyupv->xyuv", c6) - om]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +205,6 @@ class AxiomReport:
     permutation: float
     classical: float
     n_states: int
-    n_unitaries: int
     seed: int
 
     def max_residual(self) -> float:
@@ -168,28 +214,18 @@ class AxiomReport:
         return self.max_residual() < tol
 
     def to_json(self) -> dict:
-        return {
-            "broadcasting": self.broadcasting,
-            "covariance": self.covariance,
-            "permutation": self.permutation,
-            "classical": self.classical,
-            "n_states": self.n_states,
-            "n_unitaries": self.n_unitaries,
-            "seed": self.seed,
-            "version": __version__,
-        }
+        return {**asdict(self), "version": __version__}
 
 
-def check_axioms(
-    m: SuperMap, n_states: int = 100, n_unitaries: int = 20, rng: Rng | None = None
-) -> AxiomReport:
+def check_axioms(m: SuperMap, n_states: int = 100, rng: Rng | None = None) -> AxiomReport:
     """Measure a candidate broadcaster against the four defining axioms.
 
     Broadcasting is the worst trace-norm distance between either marginal
     and the input over a sample of states (alternating full-rank and pure,
-    since e.g. the optimal cloner's deficit peaks on pure inputs);
-    covariance is sampled over Haar unitaries; permutation symmetry and
-    classical consistency are evaluated exactly on the Choi operator.
+    since e.g. the optimal cloner's deficit peaks on pure inputs).
+    Covariance, permutation symmetry and classical consistency are exact on
+    the Choi operator: covariance is its distance to the commutant span,
+    ``||C - Pi(C)||_max``.
     """
     if rng is None:
         rng = Rng(0)
@@ -197,7 +233,6 @@ def check_axioms(
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
 
-    # Broadcasting: both marginals reproduce the input.
     r_bcast = 0.0
     for k in range(n_states):
         rho = random_pure(d, rng) if k % 2 else random_density(d, rng)
@@ -206,32 +241,13 @@ def check_axioms(
         m2 = partial_trace(out, (d, d), keep="second")
         r_bcast = max(r_bcast, trace_norm(m1 - rho), trace_norm(m2 - rho))
 
-    # Covariance:  m(U rho U+) = (U (x) U) m(rho) (U (x) U)+  on matrix units.
-    r_cov = 0.0
-    for _ in range(n_unitaries):
-        u = haar_unitary(d, rng)
-        pre = SuperMap.from_action(d, d, lambda x, u=u: u @ x @ u.dagger())
-        uu = kron(u, u)
-        post = SuperMap.from_action(d * d, d * d, lambda x, uu=uu: uu @ x @ uu.dagger())
-        delta = m.compose(pre).choi - post.compose(m).choi
-        r_cov = max(r_cov, delta.absmax())
-
-    # Permutation symmetry, exactly on the Choi (SWAP conjugation of outputs).
-    sw = kron(swap(d), identity(d)).mat
-    r_perm = float(np.abs(sw @ m.choi.mat @ sw - m.choi.mat).max())
-
-    # Classical consistency:  (D (x) D) . m . D = B_cl  in the computational basis.
-    dec = decoherence(d)
-    chained = dec.tensor(dec).compose(m).compose(dec)
-    r_cl = (chained.choi - classical_bcl(d).choi).absmax()
-
+    c = m.choi.mat
     return AxiomReport(
         broadcasting=float(r_bcast),
-        covariance=float(r_cov),
-        permutation=r_perm,
-        classical=float(r_cl),
+        covariance=(m.choi - commutant_projection(m.choi, d)).absmax(),
+        permutation=float(np.abs(_permutation_residual(c, d)).max()),
+        classical=float(np.abs(_classical_residual(c, d)).max()),
         n_states=n_states,
-        n_unitaries=n_unitaries,
         seed=rng.seed,
     )
 
@@ -242,14 +258,15 @@ def check_axioms(
 
 @dataclass(frozen=True)
 class UniquenessCertificate:
-    """Numerical certificate that the axioms admit exactly one solution.
+    """Certificate that the axioms admit exactly one solution.
 
-    The axioms are assembled as a real linear system over the d^6 real
-    parameters of a Hermitian Choi operator.  ``nullity`` counts singular
-    values below 1e-8 times the largest; ``singular_value_gap`` is the
-    smallest retained singular value in units of that threshold, and
-    ``candidate_residual`` is the violation of the affine system by the
-    canonical map's Choi.
+    The unknowns are the real coefficients of a Choi operator in the
+    commutant basis, so covariance holds by construction; the broadcasting,
+    permutation and classical residuals are the constraint rows.
+    ``nullity`` counts singular values below 1e-8 times the largest;
+    ``singular_value_gap`` is the smallest retained singular value in units
+    of that threshold, and ``candidate_residual`` is the violation of the
+    affine system by the canonical map's Choi.
     """
 
     constraint_rows: int
@@ -257,123 +274,37 @@ class UniquenessCertificate:
     nullity: int
     candidate_residual: float
     singular_value_gap: float
-    n_unitaries: int
-    seed: int
 
     def to_json(self) -> dict:
-        return {
-            "constraint_rows": self.constraint_rows,
-            "unknowns": self.unknowns,
-            "nullity": self.nullity,
-            "candidate_residual": self.candidate_residual,
-            "singular_value_gap": self.singular_value_gap,
-            "n_unitaries": self.n_unitaries,
-            "seed": self.seed,
-            "version": __version__,
-        }
-
-
-def _coeffs_from_hermitian(c: np.ndarray) -> np.ndarray:
-    """Real coefficient vector of a Hermitian matrix: diagonal, Re(upper), Im(upper)."""
-    iu = np.triu_indices(c.shape[0], k=1)
-    return np.concatenate([np.real(np.diagonal(c)), c[iu].real, c[iu].imag])
-
-
-def _hermitian_basis_stack(n: int) -> np.ndarray:
-    """Basis matrices dual to :func:`_coeffs_from_hermitian`, shape (n^2, n, n)."""
-    iu = np.triu_indices(n, k=1)
-    k = iu[0].size
-    stack = np.zeros((n * n, n, n), dtype=np.complex128)
-    for i in range(n):
-        stack[i, i, i] = 1.0
-    for t in range(k):
-        i, j = iu[0][t], iu[1][t]
-        stack[n + t, i, j] = 1.0
-        stack[n + t, j, i] = 1.0
-        stack[n + k + t, i, j] = 1.0j
-        stack[n + k + t, j, i] = -1.0j
-    return stack
+        return {**asdict(self), "version": __version__}
 
 
 def verify_uniqueness(
-    d: int,
-    n_unitaries: int = 20,
-    rng: Rng | None = None,
-    include_permutation: bool = True,
-    include_classical: bool = True,
+    d: int, include_permutation: bool = True, include_classical: bool = True
 ) -> UniquenessCertificate:
     """Certify that broadcasting + covariance (+ permutation + classical) force B.
 
-    Builds the full real linear system on Hermitian Choi unknowns --
-    broadcasting marginals on a basis, SWAP-conjugation invariance,
-    classical consistency in the computational basis, and covariance under
-    ``n_unitaries`` sampled Haar unitaries -- then reports the nullity of
-    its homogeneous part and the affine residual of the canonical map.
-    The ``include_*`` switches allow dropping axiom groups to exhibit the
-    extra solution families that appear without them.
+    Evaluates the axioms' linear residuals on each commutant basis element,
+    which gives the real system over the 5 or 6 covariant coefficients,
+    then reports the nullity of its homogeneous part and the affine
+    residual of the canonical map.  The ``include_*`` switches allow
+    dropping axiom groups to exhibit the extra solution families that
+    appear without them.
     """
     _require_dim(d)
-    if n_unitaries < 2:
-        raise ValueError("need at least 2 Haar unitaries for a meaningful certificate")
-    if rng is None:
-        rng = Rng(0)
+    basis = commutant_basis(d)
 
-    n = d**3
-    nparam = n * n
-    stack = _hermitian_basis_stack(n)  # (nparam, n, n)
+    def rows(c: np.ndarray) -> np.ndarray:
+        res = _marginal_residuals(c, d)
+        if include_permutation:
+            res.append(_permutation_residual(c, d))
+        if include_classical:
+            res.append(_classical_residual(c, d))
+        flat = np.concatenate([r.ravel() for r in res])
+        return np.concatenate([flat.real, flat.imag])
 
-    blocks: list[np.ndarray] = []  # complex constraint outputs, shape (nparam, m)
-    targets: list[np.ndarray] = []  # affine right-hand sides, shape (m,)
-
-    # Broadcasting: Tr_S1[C] = Omega and Tr_S2[C] = Omega on (leftover (x) input).
-    t6 = stack.reshape(nparam, d, d, d, d, d, d)
-    om = omega(d).mat.reshape(-1)
-    blocks.append(np.einsum("kpxypuv->kxyuv", t6).reshape(nparam, -1))
-    targets.append(om)
-    blocks.append(np.einsum("kxpyupv->kxyuv", t6).reshape(nparam, -1))
-    targets.append(om)
-
-    # Permutation symmetry: SWAP-conjugated Choi equals itself.
-    if include_permutation:
-        sw = np.kron(swap(d).mat, np.eye(d))
-        perm = np.matmul(np.matmul(sw[None, :, :], stack), sw[None, :, :]) - stack
-        blocks.append(perm.reshape(nparam, -1))
-        targets.append(np.zeros(n * n))
-
-    # Classical consistency: the diagonal of m(E_ii) matches the |ii><ii| pattern.
-    # Off-diagonal entries of the decohered chain vanish identically, so only
-    # these d*d^2 coordinates carry information.
-    if include_classical:
-        c4 = stack.reshape(nparam, d * d, d, d * d, d)
-        cl_block = np.empty((nparam, d, d * d), dtype=np.complex128)
-        tgt = np.zeros((d, d * d))
-        for i in range(d):
-            cl_block[:, i, :] = np.einsum("krr->kr", c4[:, :, i, :, i])
-            tgt[i, i * d + i] = 1.0
-        blocks.append(cl_block.reshape(nparam, -1))
-        targets.append(tgt.reshape(-1))
-
-    # Covariance under sampled Haar unitaries: (U (x) U (x) Ubar)-conjugation fixes C.
-    for _ in range(n_unitaries):
-        u = haar_unitary(d, rng).mat
-        w = np.kron(np.kron(u, u), u.conj())
-        cov = np.matmul(np.matmul(w[None, :, :], stack), w.conj().T[None, :, :]) - stack
-        blocks.append(cov.reshape(nparam, -1))
-        targets.append(np.zeros(n * n))
-
-    # Stack real rows: [Re; Im] of every constraint coordinate, columns = unknowns.
-    n_rows = 2 * sum(b.shape[1] for b in blocks)
-    a = np.empty((n_rows, nparam))
-    b_vec = np.empty(n_rows)
-    at = 0
-    for blk, tgt in zip(blocks, targets):
-        m_out = blk.shape[1]
-        a[at : at + m_out] = blk.real.T
-        b_vec[at : at + m_out] = np.asarray(tgt).real
-        at += m_out
-        a[at : at + m_out] = blk.imag.T
-        b_vec[at : at + m_out] = np.asarray(tgt).imag
-        at += m_out
+    offset = rows(np.zeros_like(basis[0]))
+    a = np.stack([rows(e) - offset for e in basis], axis=1)
 
     svals = np.linalg.svd(a, compute_uv=False)
     threshold = 1e-8 * svals[0]
@@ -381,15 +312,13 @@ def verify_uniqueness(
     kept = svals[svals >= threshold]
     gap = float(kept.min() / threshold) if kept.size else 0.0
 
-    c_b = _coeffs_from_hermitian(canonical_b(d).choi.mat)
-    residual = float(np.abs(a @ c_b - b_vec).max())
+    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
+    residual = float(np.abs(a @ coeffs + offset).max())
 
     return UniquenessCertificate(
-        constraint_rows=n_rows,
-        unknowns=nparam,
+        constraint_rows=a.shape[0],
+        unknowns=a.shape[1],
         nullity=nullity,
         candidate_residual=residual,
         singular_value_gap=gap,
-        n_unitaries=n_unitaries,
-        seed=rng.seed,
     )

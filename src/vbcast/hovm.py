@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, Operator, Rng, identity, kron, swap
+from .densemat import DEFAULT_TOL, Operator, Rng, kron, permutation_operators, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
 
@@ -57,42 +57,31 @@ class MomentOperator:
 def moment_operator(d: int, order: int) -> MomentOperator:
     """Exact Haar moment operators for order 1, 2, 3.
 
-    Order 2 is (I + S)/(d(d+1)); order 3 sums all six factor permutations
-    of C^d (x) C^d (x) C^d divided by d(d+1)(d+2), assembled from SWAPs.
+    Order 2 is (I + S)/(d(d+1)); order 3 sums the six factor permutations
+    P_sigma of C^d (x) C^d (x) C^d divided by d(d+1)(d+2).
     """
     if order == 1:
         return MomentOperator(1, Operator(np.eye(d) / d))
-    s = swap(d).mat
     if order == 2:
-        return MomentOperator(2, Operator((np.eye(d * d) + s) / (d * (d + 1))))
+        return MomentOperator(2, Operator((np.eye(d * d) + swap(d).mat) / (d * (d + 1))))
     if order == 3:
-        g12 = np.kron(s, np.eye(d))
-        g23 = np.kron(np.eye(d), s)
-        g13 = g12 @ g23 @ g12
-        odd = g12 + g23 + g13
-        even = g12 @ odd
-        return MomentOperator(3, Operator((odd + even) / (d * (d + 1) * (d + 2))))
+        total = sum(p.mat for p in permutation_operators(d))
+        return MomentOperator(3, Operator(total / (d * (d + 1) * (d + 2))))
     raise ValueError(f"moment operators implemented for orders 1-3, got {order}")
-
-
-def _embed_pair_13(op2: np.ndarray, d: int) -> np.ndarray:
-    """Lift an operator on factors (1,2) of C^d(x)3 to factors (1,3)."""
-    g23 = np.kron(np.eye(d), swap(d).mat)
-    return g23 @ np.kron(op2, np.eye(d)) @ g23
 
 
 def exact_mp_map(d: int) -> SuperMap:
     """The measure-and-prepare average, exactly, via moment operators.
 
     Its Jamiolkowski operator is the third Haar moment of (d+2)psi - I
-    scaled by d/8, expanded into the order-0..3 moments.
+    scaled by d/8, expanded into the order-0..3 moments; the order-2 terms
+    on the three factor pairs sum to (3I + P_(12) + P_(13) + P_(23))/(d(d+1)).
     """
     a = d + 2
-    eye3 = np.eye(d**3)
-    mom2 = moment_operator(d, 2).operator.mat
+    eye3, p12, p13, p23, *_ = (p.mat for p in permutation_operators(d))
     mom3 = moment_operator(d, 3).operator.mat
 
-    j2 = np.kron(mom2, np.eye(d)) + np.kron(np.eye(d), mom2) + _embed_pair_13(mom2, d)
+    j2 = (3 * eye3 + p12 + p13 + p23) / (d * (d + 1))
     j1 = 3.0 / d * eye3
     j = (d / 8.0) * (a**3 * mom3 - a**2 * j2 + a * j1 - eye3)
     return SuperMap.from_jamiolkowski(d, d * d, j)
@@ -100,12 +89,7 @@ def exact_mp_map(d: int) -> SuperMap:
 
 def depolarizing_mp(d: int) -> SuperMap:
     """The fully depolarizing counterpart  rho -> Tr[rho] I/d (x) I/d."""
-    flat = np.eye(d * d) / (d * d)
-
-    def action(x: Operator) -> Operator:
-        return Operator(np.trace(x.mat) * flat)
-
-    return SuperMap.from_action(d, d * d, action)
+    return SuperMap(d, d * d, Operator(np.eye(d**3) / (d * d)))
 
 
 def theorem3_weight(d: int) -> float:

@@ -1,0 +1,129 @@
+"""Dense reference for the uniqueness certificate, without the commutant span.
+
+The unknowns are all d^6 real parameters of a Hermitian Choi operator, and
+covariance enters as sampled constraints under Haar unitaries rather than
+through the commutant basis.  Tests compare its nullities with
+``vbcast.broadcast.verify_uniqueness`` at small d.
+"""
+
+import numpy as np
+
+from vbcast.broadcast import UniquenessCertificate, canonical_b
+from vbcast.densemat import Rng, haar_unitary, swap
+from vbcast.supermap import omega
+
+
+def _coeffs_from_hermitian(c: np.ndarray) -> np.ndarray:
+    """Real coefficient vector of a Hermitian matrix: diagonal, Re(upper), Im(upper)."""
+    iu = np.triu_indices(c.shape[0], k=1)
+    return np.concatenate([np.real(np.diagonal(c)), c[iu].real, c[iu].imag])
+
+
+def _hermitian_basis_stack(n: int) -> np.ndarray:
+    """Basis matrices dual to :func:`_coeffs_from_hermitian`, shape (n^2, n, n)."""
+    iu = np.triu_indices(n, k=1)
+    k = iu[0].size
+    stack = np.zeros((n * n, n, n), dtype=np.complex128)
+    for i in range(n):
+        stack[i, i, i] = 1.0
+    for t in range(k):
+        i, j = iu[0][t], iu[1][t]
+        stack[n + t, i, j] = 1.0
+        stack[n + t, j, i] = 1.0
+        stack[n + k + t, i, j] = 1.0j
+        stack[n + k + t, j, i] = -1.0j
+    return stack
+
+
+def dense_verify_uniqueness(
+    d: int,
+    n_unitaries: int = 20,
+    rng: Rng | None = None,
+    include_permutation: bool = True,
+    include_classical: bool = True,
+) -> UniquenessCertificate:
+    """The full real linear system on Hermitian Choi unknowns.
+
+    Broadcasting marginals on a basis, SWAP-conjugation invariance,
+    classical consistency in the computational basis, and covariance under
+    ``n_unitaries`` sampled Haar unitaries; reports the nullity of its
+    homogeneous part and the affine residual of the canonical map.
+    """
+    if n_unitaries < 2:
+        raise ValueError("need at least 2 Haar unitaries for a meaningful certificate")
+    if rng is None:
+        rng = Rng(0)
+
+    n = d**3
+    nparam = n * n
+    stack = _hermitian_basis_stack(n)  # (nparam, n, n)
+
+    blocks: list[np.ndarray] = []  # complex constraint outputs, shape (nparam, m)
+    targets: list[np.ndarray] = []  # affine right-hand sides, shape (m,)
+
+    # Broadcasting: Tr_S1[C] = Omega and Tr_S2[C] = Omega on (leftover (x) input).
+    t6 = stack.reshape(nparam, d, d, d, d, d, d)
+    om = omega(d).mat.reshape(-1)
+    blocks.append(np.einsum("kpxypuv->kxyuv", t6).reshape(nparam, -1))
+    targets.append(om)
+    blocks.append(np.einsum("kxpyupv->kxyuv", t6).reshape(nparam, -1))
+    targets.append(om)
+
+    # Permutation symmetry: SWAP-conjugated Choi equals itself.
+    if include_permutation:
+        sw = np.kron(swap(d).mat, np.eye(d))
+        perm = np.matmul(np.matmul(sw[None, :, :], stack), sw[None, :, :]) - stack
+        blocks.append(perm.reshape(nparam, -1))
+        targets.append(np.zeros(n * n))
+
+    # Classical consistency: the diagonal of m(E_ii) matches the |ii><ii| pattern.
+    # Off-diagonal entries of the decohered chain vanish identically, so only
+    # these d*d^2 coordinates carry information.
+    if include_classical:
+        c4 = stack.reshape(nparam, d * d, d, d * d, d)
+        cl_block = np.empty((nparam, d, d * d), dtype=np.complex128)
+        tgt = np.zeros((d, d * d))
+        for i in range(d):
+            cl_block[:, i, :] = np.einsum("krr->kr", c4[:, :, i, :, i])
+            tgt[i, i * d + i] = 1.0
+        blocks.append(cl_block.reshape(nparam, -1))
+        targets.append(tgt.reshape(-1))
+
+    # Covariance under sampled Haar unitaries: (U (x) U (x) Ubar)-conjugation fixes C.
+    for _ in range(n_unitaries):
+        u = haar_unitary(d, rng).mat
+        w = np.kron(np.kron(u, u), u.conj())
+        cov = np.matmul(np.matmul(w[None, :, :], stack), w.conj().T[None, :, :]) - stack
+        blocks.append(cov.reshape(nparam, -1))
+        targets.append(np.zeros(n * n))
+
+    # Stack real rows: [Re; Im] of every constraint coordinate, columns = unknowns.
+    n_rows = 2 * sum(b.shape[1] for b in blocks)
+    a = np.empty((n_rows, nparam))
+    b_vec = np.empty(n_rows)
+    at = 0
+    for blk, tgt in zip(blocks, targets):
+        m_out = blk.shape[1]
+        a[at : at + m_out] = blk.real.T
+        b_vec[at : at + m_out] = np.asarray(tgt).real
+        at += m_out
+        a[at : at + m_out] = blk.imag.T
+        b_vec[at : at + m_out] = np.asarray(tgt).imag
+        at += m_out
+
+    svals = np.linalg.svd(a, compute_uv=False)
+    threshold = 1e-8 * svals[0]
+    nullity = int(np.sum(svals < threshold))
+    kept = svals[svals >= threshold]
+    gap = float(kept.min() / threshold) if kept.size else 0.0
+
+    c_b = _coeffs_from_hermitian(canonical_b(d).choi.mat)
+    residual = float(np.abs(a @ c_b - b_vec).max())
+
+    return UniquenessCertificate(
+        constraint_rows=n_rows,
+        unknowns=nparam,
+        nullity=nullity,
+        candidate_residual=residual,
+        singular_value_gap=gap,
+    )

@@ -68,11 +68,11 @@ def test_criterion_01_broadcasting_marginals():
 def test_criterion_02_axioms_and_lambda_family():
     bad = []
     for d in range(2, 6):
-        rep = check_axioms(canonical_b(d), n_states=100, n_unitaries=20, rng=Rng(200 + d))
+        rep = check_axioms(canonical_b(d), n_states=100, rng=Rng(200 + d))
         if not rep.passes(1e-10):
             bad.append(f"B d={d}: {rep.max_residual():.2e}")
     for lam in (0.3, 0.7):
-        rep = check_axioms(family_b_lambda(2, lam), n_states=100, n_unitaries=20, rng=Rng(210))
+        rep = check_axioms(family_b_lambda(2, lam), n_states=100, rng=Rng(210))
         if max(rep.broadcasting, rep.covariance, rep.classical) >= 1e-10:
             bad.append(f"B_lambda {lam}: spurious failure")
         if rep.permutation <= 1e-2:
@@ -88,8 +88,8 @@ def test_criterion_02_axioms_and_lambda_family():
 def test_criterion_03_uniqueness_certificate():
     t0 = time.monotonic()
     bad = []
-    for d in (2, 3):
-        cert = verify_uniqueness(d, n_unitaries=20, rng=Rng(300 + d))
+    for d in range(2, 7):
+        cert = verify_uniqueness(d)
         if cert.nullity != 0:
             bad.append(f"d={d} nullity {cert.nullity}")
         if cert.singular_value_gap < 1e6:
@@ -99,7 +99,7 @@ def test_criterion_03_uniqueness_certificate():
     dt = time.monotonic() - t0
     _finish(
         3,
-        "uniqueness: nullity 0, gap >= 1e6 x threshold, candidate residual < 1e-8 (d=2,3)",
+        "uniqueness: nullity 0, gap >= 1e6 x threshold, candidate residual < 1e-8 (d=2..6)",
         not bad and dt < 600.0,
         "; ".join(bad) or f"certified in {dt:.1f}s",
     )

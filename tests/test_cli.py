@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
-from vbcast.cli import DEFAULT_TOLERANCES, main
+import vbcast
+from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, main
 from vbcast.densemat import Rng
 from vbcast.supermap import random_channel
 
@@ -20,7 +25,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -47,12 +52,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "permutation" in err
 
-    def test_dim_6_skips_uniqueness(self, tmp_path):
+    def test_dim_6_certifies_uniqueness(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "6", "--seed", "0"], tmp_path)
         assert code == 0
         uniq = [c for c in doc["checks"] if c["name"] == "uniqueness"][0]
-        assert "desk-scale limit" in uniq["skipped"]
+        assert uniq["skipped"] is None
         assert uniq["pass"] is True
+        assert uniq["values"]["nullity"] == 0
+        assert uniq["values"]["candidate_residual"] < 1e-8
+        assert uniq["values"]["singular_value_gap"] >= 1e6
 
     def test_tolerance_override_reaches_gates(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "2", "--tol", "axioms=1e-30"], tmp_path)
@@ -176,18 +184,27 @@ class TestDump:
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
 
 
+class TestSchemas:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--dim", "2", "--target", "B_lambda:0.3"],
+            ["diamond", "--dim", "2", "--target", "B"],
+            ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
+            ["dump", "--object", "B", "--dim", "2"],
+        ],
+    )
+    def test_report_validates(self, args, tmp_path):
+        _, doc, _ = run(args, tmp_path)
+        jsonschema.validate(doc, REPORT_SCHEMAS[args[0]])
+
+    def test_cli_import_skips_jsonschema(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(vbcast.__file__)))
+        code = "import sys, vbcast.cli; sys.exit('jsonschema' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 class TestEnvironment:
-    def test_threads_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VBCAST_THREADS", "4")
-        code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
-        assert code == 0
-        assert doc["threads"] == 4
-
-    def test_invalid_threads(self, monkeypatch):
-        monkeypatch.setenv("VBCAST_THREADS", "zebra")
-        assert main(["dump", "--object", "B", "--dim", "2"]) == 2
-        monkeypatch.setenv("VBCAST_THREADS", "0")
-        assert main(["dump", "--object", "B", "--dim", "2"]) == 2
-
     def test_unwritable_out(self):
         assert main(["dump", "--object", "B", "--dim", "2", "--out", "/nonexistent/x.json"]) == 2
