@@ -50,9 +50,11 @@ from .diamond import (  # noqa: F401
     DiamondResult,
     SdpConfig,
     closest_channel_scan,
+    diamond_bracket,
     diamond_lower_search,
     diamond_sdp,
     hptp_upper,
+    jordan_upper,
 )
 from .mcstats import (  # noqa: F401
     MatrixSamplingEstimate,

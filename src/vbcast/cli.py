@@ -1,6 +1,6 @@
 """Command-line interface: verify / diamond / sample / dump.
 
-Reports are single JSON documents with a versioned schema ("schema": 2),
+Reports are single JSON documents with a versioned schema ("schema": 3),
 deterministic for a fixed (flags, seed) pair -- the wall-clock timestamp
 is the only field that varies between identical runs.  Exit codes:
 0 success, 1 verification failure, 2 operational error (bad arguments,
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .densemat import Operator, Rng, eigh, random_density, random_hermitian
-from .supermap import SuperMap
+from .supermap import AffineDecomposition, SuperMap
 from .broadcast import (
     antisym,
     canonical_b,
@@ -32,7 +32,7 @@ from .broadcast import (
     family_b_lambda,
     verify_uniqueness,
 )
-from .diamond import DiamondResult, SdpConfig, diamond_lower_search, diamond_sdp, hptp_upper
+from .diamond import diamond_bracket, hptp_upper
 from .hovm import depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, write_sampling_csv
 from .qsample import estimate_with_trace, overhead, sampler_from_decomposition, write_trace_csv
 from .sot import check_postprocessing_equivalence, check_sot_axioms
@@ -111,7 +111,7 @@ def _supermap_schema():
 
 
 _META = {
-    "schema": {"const": 2},
+    "schema": {"const": 3},
     "version": {"type": "string"},
     "command": {"type": "string"},
     "dim": {"type": "integer"},
@@ -153,15 +153,16 @@ REPORT_SCHEMAS = {
         "properties": {
             **_META,
             "target": {"type": "string"},
-            "value": {"type": ["number", "null"]},
-            "lower_bound": {"type": ["number", "null"]},
-            "upper_bound": {"type": ["number", "null"]},
+            "value": {"type": "number"},
+            "lower_bound": {"type": "number"},
+            "upper_bound": {"type": "number"},
+            "gap": {"type": "number"},
             "iterations": {"type": "integer"},
             "converged": {"type": "boolean"},
             "witness_state": {"anyOf": [_operator_schema(), {"type": "null"}]},
         },
         "required": list(_META)
-        + ["target", "value", "lower_bound", "upper_bound", "iterations", "converged", "witness_state"],
+        + ["target", "value", "lower_bound", "upper_bound", "gap", "iterations", "converged", "witness_state"],
         "additionalProperties": False,
     },
     "sample": {
@@ -193,7 +194,7 @@ REPORT_SCHEMAS = {
 
 def _meta(cfg: RunConfig, command: str) -> dict:
     return {
-        "schema": 2,
+        "schema": 3,
         "version": __version__,
         "command": command,
         "dim": cfg.dim,
@@ -378,8 +379,6 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
     if target == "B-minus-Bplus":
         m = canonical_b(d) - cloner(d)
         half = (d - 1) / 2
-        from .supermap import AffineDecomposition
-
         return m, hptp_upper(AffineDecomposition(half, half, cloner(d), antisym(d)))
     path = target.removeprefix("file:")
     if not os.path.exists(path):
@@ -395,28 +394,21 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
 
 
 def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
-    """Diamond norm of a named map or a Choi JSON file, with bounds."""
+    """Certified diamond-norm bracket of a named map or a Choi JSON file."""
     m, upper = _resolve_diamond_target(cfg, target)
-    sdp = diamond_sdp(m, SdpConfig(tolerance=cfg.tolerances["sdp"]))
-    low = diamond_lower_search(m, restarts=8, rng=Rng(cfg.seed, 5))
-
-    result = DiamondResult(
-        value=sdp.value,
-        lower_bound=low.lower_bound,
-        upper_bound=upper,
-        witness_state=low.witness_state,
-        iterations=sdp.iterations,
-        converged=sdp.converged,
-    )
+    result = diamond_bracket(m, cfg.tolerances["sdp"], Rng(cfg.seed, 5), upper=upper)
     doc = _meta(cfg, "diamond")
     doc.update({"target": target})
     doc.update({k: v for k, v in result.to_json().items() if k != "version"})
     _emit_json(cfg, doc)
 
-    bounds = f"value={sdp.value:.6f} lower={low.lower_bound:.6f} upper={upper}"
-    if not sdp.converged:
+    bounds = (
+        f"value={result.value:.6f} lower={result.lower_bound:.6f} "
+        f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
+    )
+    if not result.converged:
         print(
-            f"SDP did not converge within {sdp.iterations} iterations ({bounds})",
+            f"SDP did not converge within {result.iterations} iterations ({bounds})",
             file=sys.stderr,
         )
         return 2
@@ -569,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", default="B", help="broadcaster to verify (default B)")
 
-    p = sub.add_parser("diamond", help="diamond norm with bounds")
+    p = sub.add_parser("diamond", help="certified diamond-norm bracket")
     common(p)
     p.add_argument("--target", default="B", help="B, B-minus-Bplus, or a supermap JSON path")
 

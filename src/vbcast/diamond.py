@@ -1,16 +1,27 @@
 """Diamond-norm computation for Hermitian-preserving maps.
 
-Three routes, agreeing within tolerance:
+``diamond_bracket`` is the entry point.  It closes a certified bracket
+``lower <= ||m||<> <= upper`` and runs the SDP only when that fails:
 
+* ``jordan_upper`` -- with the Jordan split J = P - N of the input-first
+  Choi, Y0 = Y1 = P + N = |J| is feasible for the dual SDP of Watrous
+  (arXiv:1207.5726), so ``||Tr_out |J|||_inf`` bounds the norm from above.
+  One ``eigh`` of J gives it.  It is tight for B, B - B+ and B_lambda.
+* ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
+  an upper bound because channels have diamond norm one.
 * ``diamond_lower_search`` -- monotone power-iteration ascent over pure
   bipartite inputs of ``||(id (x) m)(omega)||_1``, giving a lower bound
-  plus the witness state that achieves it.
+  plus the witness state that achieves it.  It stops as soon as it comes
+  within the tolerance of the upper bound.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
-  splitting (affine projection / PSD projection / dual update).
-* ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
-  an upper bound because channels have diamond norm one.
+  splitting (affine projection / PSD projection / dual update).  It is
+  the fallback for maps whose bracket stays open, such as differences of
+  random channels.
+
+Both bounds are rounded outward by ``float_slack``, so ``lower <= upper``
+holds despite rounding in the eigendecompositions.
 """
 
 from __future__ import annotations
@@ -23,6 +34,20 @@ from . import __version__
 from .densemat import Operator, Rng, eigh, trace_norm
 from .supermap import AffineDecomposition, SuperMap, apply_right
 
+# ADMM step: penalty sigma of the augmented Lagrangian and over-relaxation alpha in [1, 2).
+ADMM_PENALTY = 1.0
+ADMM_OVER_RELAXATION = 1.6
+
+
+def float_slack(n: int, value: float) -> float:
+    """Rounding allowance of a norm ``value`` computed from n x n eigendecompositions.
+
+    Backward-stable ``eigh`` and the sums after it are exact for a matrix
+    within O(n eps ||.||) of the true one; 16 n eps max(1, |value|) covers
+    that with room to spare (5e-12 at n = 216, value = 6).
+    """
+    return float(16.0 * n * np.finfo(float).eps * max(1.0, abs(value)))
+
 
 @dataclass(frozen=True)
 class SdpConfig:
@@ -30,18 +55,12 @@ class SdpConfig:
 
     tolerance: float = 1e-5
     max_iterations: int = 50000
-    penalty: float = 1.0
-    over_relaxation: float = 1.6
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.penalty > 0:
-            raise ValueError("penalty must be positive")
-        if not 1.0 <= self.over_relaxation < 2.0:
-            raise ValueError("over_relaxation must lie in [1, 2)")
 
 
 @dataclass(frozen=True)
@@ -55,11 +74,19 @@ class DiamondResult:
     iterations: int = 0
     converged: bool = True
 
+    @property
+    def gap(self) -> float | None:
+        """upper_bound - lower_bound, or None while either bound is unset."""
+        if self.lower_bound is None or self.upper_bound is None:
+            return None
+        return self.upper_bound - self.lower_bound
+
     def to_json(self) -> dict:
         return {
             "value": self.value,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
+            "gap": self.gap,
             "witness_state": None if self.witness_state is None else self.witness_state.to_json(),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -72,14 +99,21 @@ class DiamondResult:
 
 
 def diamond_lower_search(
-    m: SuperMap, restarts: int = 32, rng: Rng | None = None, max_steps: int = 200
+    m: SuperMap,
+    restarts: int = 32,
+    rng: Rng | None = None,
+    max_steps: int = 200,
+    stop_at: float = np.inf,
 ) -> DiamondResult:
     """Maximize ||(id (x) m)(|w><w|)||_1 over pure bipartite w.
 
     Each restart alternates between the sign operator Z of the current
     output and the top eigenvector of (id (x) m*)(Z); the objective is
     nondecreasing along the iteration.  The first restart starts from the
-    maximally entangled state, the rest from Haar-random vectors.
+    maximally entangled state, the rest from Haar-random vectors.  The
+    search ends early once the objective reaches ``stop_at``.  The
+    returned lower bound is the best objective rounded down by
+    ``float_slack``.
     """
     if not m.is_hp():
         raise ValueError("diamond_lower_search requires a Hermitian-preserving map")
@@ -115,13 +149,17 @@ def diamond_lower_search(
                 value = max(value, new_value)
                 break
             value = new_value
+            if value >= stop_at:
+                break
 
         if value > best_value:
             best_value = value
             best_witness = Operator(np.outer(w, w.conj()))
+        if best_value >= stop_at:
+            break
 
     return DiamondResult(
-        lower_bound=float(best_value),
+        lower_bound=float(best_value) - float_slack(d_ref * m.d_out, best_value),
         witness_state=best_witness,
         iterations=total_steps,
         converged=True,
@@ -185,8 +223,8 @@ def diamond_sdp(m: SuperMap, config: SdpConfig | None = None) -> DiamondResult:
     q[:n, n:] = r / 2
     q[n:, :n] = r.conj().T / 2
 
-    sigma = config.penalty
-    alpha = config.over_relaxation
+    sigma = ADMM_PENALTY
+    alpha = ADMM_OVER_RELAXATION
 
     s = np.zeros((big, big), dtype=np.complex128)
     u = np.zeros((big, big), dtype=np.complex128)
@@ -213,7 +251,68 @@ def diamond_sdp(m: SuperMap, config: SdpConfig | None = None) -> DiamondResult:
 
 
 # ---------------------------------------------------------------------------
-# upper bound and channel scan
+# upper bounds, the certified bracket and the channel scan
+
+
+def _jordan_abs(r: np.ndarray) -> np.ndarray:
+    """|J| = P + N for the Jordan split J = P - N of a Hermitian J."""
+    vals, vecs = eigh(r, tol=1e-8)
+    v = vecs.mat
+    return (v * np.abs(vals)[np.newaxis, :]) @ v.conj().T
+
+
+def jordan_upper(m: SuperMap) -> float:
+    """||Tr_out |J|||_inf rounded up by ``float_slack``: an upper bound on ||m||<>.
+
+    Y0 = Y1 = |J| is feasible for the dual SDP, since
+    [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]] >= 0,
+    and its objective is ||Tr_out Y0||_inf.
+    """
+    if not m.is_hp(tol=1e-8):
+        raise ValueError("jordan_upper requires a Hermitian-preserving map")
+    y = _jordan_abs(_input_first_choi(m))
+    reduced = np.einsum("iuju->ij", y.reshape(m.d_in, m.d_out, m.d_in, m.d_out))
+    value = float(np.linalg.eigvalsh(reduced)[-1])
+    return value + float_slack(m.d_in * m.d_out, value)
+
+
+def diamond_bracket(
+    m: SuperMap,
+    tolerance: float = 1e-5,
+    rng: Rng | None = None,
+    upper: float | None = None,
+) -> DiamondResult:
+    """Certified bracket lower <= ||m||<> <= upper, with a value inside it.
+
+    ``upper`` is the Jordan bound, or the caller's proven bound (such as
+    ``hptp_upper``) where that is smaller.  The ascent stops once its
+    lower bound is within ``tolerance`` of it.  A bracket that closes to
+    ``tolerance`` reports its midpoint with 0 iterations; otherwise
+    ``diamond_sdp`` runs and its value, clipped into the bracket, is
+    reported with its iteration count and convergence flag.
+    """
+    up = jordan_upper(m)
+    if upper is not None:
+        up = min(up, upper)
+    n = m.d_in * m.d_out
+    low = diamond_lower_search(m, restarts=8, rng=rng, stop_at=up - tolerance + float_slack(n, up))
+    lower = low.lower_bound
+    if up - lower <= tolerance:
+        return DiamondResult(
+            value=(lower + up) / 2,
+            lower_bound=lower,
+            upper_bound=up,
+            witness_state=low.witness_state,
+        )
+    sdp = diamond_sdp(m, SdpConfig(tolerance=tolerance))
+    return DiamondResult(
+        value=min(max(sdp.value, lower), up),
+        lower_bound=lower,
+        upper_bound=up,
+        witness_state=low.witness_state,
+        iterations=sdp.iterations,
+        converged=sdp.converged,
+    )
 
 
 def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
@@ -225,16 +324,17 @@ def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
 
 
 def closest_channel_scan(
-    m: SuperMap, candidates: list[SuperMap], config: SdpConfig | None = None
+    m: SuperMap, candidates: list[SuperMap], tolerance: float = 1e-5
 ) -> list[tuple[int, float]]:
     """Diamond distance from m to each candidate, sorted ascending.
 
-    Returns (candidate index, ||m - candidate||_diamond) pairs; ties break
-    on the original index.
+    Returns (candidate index, ||m - candidate||_diamond) pairs, the
+    distance being the ``diamond_bracket`` value; ties break on the
+    original index.
     """
     gaps = []
     for i, cand in enumerate(candidates):
         if (cand.d_in, cand.d_out) != (m.d_in, m.d_out):
             raise ValueError(f"candidate {i} has mismatched dimensions")
-        gaps.append((i, diamond_sdp(m - cand, config).value))
+        gaps.append((i, diamond_bracket(m - cand, tolerance).value))
     return sorted(gaps, key=lambda t: (t[1], t[0]))

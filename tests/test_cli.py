@@ -10,6 +10,7 @@ import pytest
 import vbcast
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, main
 from vbcast.densemat import Rng
+from vbcast.diamond import float_slack
 from vbcast.supermap import random_channel
 
 
@@ -25,7 +26,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -92,6 +93,16 @@ class TestDiamond:
         assert doc["upper_bound"] == pytest.approx(2.0)
         assert doc["lower_bound"] <= doc["value"] + 1e-4
 
+    def test_closed_bracket_reported(self, tmp_path, capsys):
+        code, doc, _ = run(["diamond", "--dim", "3", "--target", "B"], tmp_path)
+        assert code == 0
+        assert doc["upper_bound"] == 3.0
+        assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+        assert doc["gap"] == doc["upper_bound"] - doc["lower_bound"]
+        assert 0 <= doc["gap"] <= DEFAULT_TOLERANCES["sdp"]
+        assert doc["iterations"] == 0
+        assert "gap=" in capsys.readouterr().err
+
     def test_distance_target(self, tmp_path):
         code, doc, _ = run(["diamond", "--dim", "2", "--target", "B-minus-Bplus"], tmp_path)
         assert code == 0
@@ -103,7 +114,8 @@ class TestDiamond:
         code, doc, _ = run(["diamond", "--dim", "2", "--target", str(path)], tmp_path)
         assert code == 0
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
-        assert doc["upper_bound"] is None
+        # a channel's Choi is PSD, so the Jordan bound is ||Tr_out J||_inf = 1
+        assert 1.0 <= doc["upper_bound"] <= 1.0 + 2 * float_slack(4, 1.0)
 
     def test_missing_file_target(self, tmp_path):
         assert main(["diamond", "--dim", "2", "--target", str(tmp_path / "nope.json")]) == 2

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, haar_unitary, random_density
+import vbcast.diamond
+from vbcast.densemat import Operator, Rng, haar_unitary, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition, SuperMap, random_channel
-from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
+from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
     SdpConfig,
+    _input_first_choi,
+    _jordan_abs,
     closest_channel_scan,
+    diamond_bracket,
     diamond_lower_search,
     diamond_sdp,
+    float_slack,
     hptp_upper,
+    jordan_upper,
 )
 from vbcast.hovm import depolarizing_mp
 
@@ -60,8 +66,6 @@ class TestSdp:
             SdpConfig(tolerance=-1)
         with pytest.raises(ValueError):
             SdpConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SdpConfig(over_relaxation=2.5)
 
     def test_result_json(self):
         res = diamond_sdp(SuperMap.identity(2))
@@ -92,6 +96,82 @@ class TestLowerSearch:
         bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
             diamond_lower_search(bad, restarts=1, rng=Rng(0))
+
+
+def _random_hp_map(d_in, d_out, seed):
+    return SuperMap.from_choi(d_in, d_out, random_hermitian(d_in * d_out, Rng(seed)))
+
+
+class TestJordanUpper:
+    @pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 2), 2), ((2, 4), 3)])
+    def test_dual_point_feasible_and_above_sdp(self, dims, seed):
+        m = _random_hp_map(*dims, seed)
+        j = _input_first_choi(m)
+        y = _jordan_abs(j)
+        block = np.block([[y, -j], [-j.conj().T, y]])
+        assert np.linalg.eigvalsh(block)[0] >= -1e-10
+        assert jordan_upper(m) >= diamond_sdp(m).value - 1e-4
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_channel_bound_is_one(self, d):
+        m = random_channel(d, d, Rng(d))
+        n = d * d
+        assert 1.0 <= jordan_upper(m) <= 1.0 + 2 * float_slack(n, 1.0)
+
+    def test_rejects_non_hp(self):
+        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        with pytest.raises(ValueError):
+            jordan_upper(bad)
+
+
+def _no_admm(*args, **kwargs):
+    raise AssertionError("diamond_sdp ran although the bracket should close")
+
+
+class TestBracket:
+    @pytest.mark.parametrize(
+        "m,exact",
+        [(canonical_b(d), float(d)) for d in (2, 3, 4, 5, 6)]
+        + [(canonical_b(d) - cloner(d), float(d - 1)) for d in (3, 4)]
+        + [(family_b_lambda(4, 0.3), None)],
+        ids=["B2", "B3", "B4", "B5", "B6", "BmBp3", "BmBp4", "Blambda4"],
+    )
+    def test_closes_without_admm(self, m, exact, monkeypatch):
+        monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
+        res = diamond_bracket(m, 1e-5, Rng(0))
+        assert res.iterations == 0 and res.converged
+        assert res.lower_bound <= res.value <= res.upper_bound
+        assert 0 <= res.gap <= 1e-5
+        if exact is not None:
+            assert res.lower_bound <= exact <= res.upper_bound
+
+    @pytest.mark.parametrize("d", (2, 4))
+    def test_decomposition_bound_kept_exact(self, d):
+        res = diamond_bracket(canonical_b(d), upper=hptp_upper(canonical_decomposition(d)))
+        assert res.upper_bound == float(d)
+
+    def test_open_gap_falls_back_to_admm(self):
+        m = random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2))
+        assert jordan_upper(m) - diamond_lower_search(m, restarts=8, rng=Rng(0)).lower_bound > 1e-2
+        res = diamond_bracket(m, 1e-5, Rng(0))
+        assert res.iterations > 0 and res.converged
+        assert res.lower_bound <= res.value <= res.upper_bound
+        # the unclipped SDP value already lies in the bracket up to the solver tolerance
+        raw = diamond_sdp(m).value
+        assert res.lower_bound - 1e-4 <= raw <= res.upper_bound + 1e-4
+        assert res.value == pytest.approx(raw, abs=1e-4)
+
+    def test_ascent_stops_at_target(self):
+        m = canonical_b(3)
+        full = diamond_lower_search(m, restarts=8, rng=Rng(0))
+        early = diamond_lower_search(m, restarts=8, rng=Rng(0), stop_at=3.0 - 1e-5)
+        assert early.iterations < full.iterations
+        assert early.lower_bound == pytest.approx(3.0, abs=1e-5)
+
+    def test_lower_bound_rounded_down(self):
+        res = diamond_lower_search(SuperMap.identity(3), restarts=2, rng=Rng(0))
+        assert res.lower_bound < 1.0
+        assert res.lower_bound == pytest.approx(1.0, abs=float_slack(9, 1.0) * 1.01)
 
 
 class TestUpperAndScan:
