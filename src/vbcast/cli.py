@@ -10,6 +10,7 @@ unreadable files, solver non-convergence).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -207,6 +208,12 @@ def _meta(cfg: RunConfig, command: str) -> dict:
 def _emit_json(cfg: RunConfig, doc: dict):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     _write_text(cfg.out, text)
+
+
+def _emit_csv(cfg: RunConfig, write_csv, rows):
+    buf = io.StringIO()
+    write_csv(buf, rows)
+    _write_text(cfg.out, buf.getvalue())
 
 
 def _write_text(out: str | None, text: str):
@@ -450,11 +457,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
         o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
         est, rows = estimate_with_trace(sampler, rho, o1, o2, n, Rng(cfg.seed, 12))
         if cfg.fmt == "csv":
-            import io
-
-            buf = io.StringIO()
-            write_trace_csv(buf, rows)
-            _write_text(cfg.out, buf.getvalue())
+            _emit_csv(cfg, write_trace_csv, rows)
         else:
             doc = _meta(cfg, "sample")
             doc.update(
@@ -479,11 +482,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
         blocks = sample_mp_blocks(rho, d, n, n_blocks=10, rng=Rng(cfg.seed, 12))
         final = blocks[-1][1]
         if cfg.fmt == "csv":
-            import io
-
-            buf = io.StringIO()
-            write_sampling_csv(buf, blocks)
-            _write_text(cfg.out, buf.getvalue())
+            _emit_csv(cfg, write_sampling_csv, blocks)
         else:
             doc = _meta(cfg, "sample")
             doc.update(

@@ -13,6 +13,13 @@ affine combination  p * M + (1 - p) * M'  with  p = 4(d+1)/(d+2)^2  and M'
 the fully depolarizing map to I/d (x) I/d.  The integral reduces to Haar
 moment operators of order <= 3, so everything here is exact; Monte-Carlo
 sampling of the same integral is provided for cross-checks.
+
+Each Monte-Carlo sample is a weight times rho_psi (x) rho_psi, so a block of
+samples is reduced to its mean and squared deviations by GEMMs over the d^2
+entries of rho_psi, and the (count, d^2, d^2) sample tensor is never built.
+The (ik, ik) and (ik, ki) entries of every sample are real, so the
+imaginary mean and squared deviations there are set to exactly zero
+rather than left at GEMM roundoff.
 """
 
 from __future__ import annotations
@@ -174,22 +181,51 @@ def _check_density(rho: Operator, d: int):
         raise ValueError("rho must be a unit-trace Hermitian matrix")
 
 
-def _sample_chunk(rho: np.ndarray, d: int, count: int, rng: Rng) -> np.ndarray:
-    """Draw `count` samples of Tr[M_psi rho] rho_psi (x) rho_psi, shape (count, d^2, d^2)."""
+MC_CHUNK = 4096  # samples per moment block in mc_mp_apply; memory is O(MC_CHUNK * d^2)
+
+
+def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
+    """Moments (count, mean, m2_re, m2_im) of `count` samples of Tr[M_psi rho] rho_psi (x) rho_psi.
+
+    A sample is w * (rho_psi (x) rho_psi), so with the rho_psi flattened to
+    R = U + iT (count x d^2) the block sum is (w R)^T R and the sums of
+    (Re x)^2 and (Im x)^2 are blocks of one real Gram matrix of
+    G = [U*U, T*T, U*T]; both are permuted from the (ij, kl) layout of
+    R's outer products to the (ik, jl) layout of rho_psi (x) rho_psi.  No
+    (count, d^2, d^2) tensor is built.
+
+    Exact-zero rule: every sample is Hermitian and invariant under swapping
+    its two outputs, so its (ik, ik) and (ik, ki) entries are real.  The
+    GEMMs leave roundoff there, and a zero standard error with a nonzero
+    deviation scores as an infinite z-score, so ``mean.imag`` and ``m2_im``
+    are set to exactly 0 on those 2d^2 - d entries.
+    """
     a = d + 2
     v = rng.gen.standard_normal((count, d)) + 1j * rng.gen.standard_normal((count, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     overlap = np.einsum("ci,ij,cj->c", v.conj(), rho, v).real
     weight = (d / 2.0) * (a * overlap - 1.0)
     proj = np.einsum("ci,cj->cij", v, v.conj())
-    rp = (a * proj - np.eye(d)[np.newaxis]) / 2.0
-    pair = np.einsum("cij,ckl->cikjl", rp, rp).reshape(count, d * d, d * d)
-    return weight[:, np.newaxis, np.newaxis] * pair
+    r = ((a * proj - np.eye(d)[np.newaxis]) / 2.0).reshape(count, d * d)
+    u, t = r.real, r.imag
+    g = np.concatenate([u * u, t * t, u * t], axis=1)
+    gram = ((g.T * weight**2) @ g).reshape(3, d * d, 3, d * d)
+
+    def pair_layout(m: np.ndarray) -> np.ndarray:
+        return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+    mean = pair_layout((weight[:, np.newaxis] * r).T @ r) / count
+    sq_re = pair_layout(gram[0, :, 0] + gram[1, :, 1] - 2.0 * gram[2, :, 2])
+    sq_im = pair_layout(gram[0, :, 1] + gram[1, :, 0] + 2.0 * gram[2, :, 2])
+    m2_re = np.maximum(sq_re - count * mean.real**2, 0.0)
+    m2_im = np.maximum(sq_im - count * mean.imag**2, 0.0)
+    real = np.eye(d * d, dtype=bool) | (swap(d).mat.real != 0)
+    mean.imag[real] = 0.0
+    m2_im[real] = 0.0
+    return count, mean, m2_re, m2_im
 
 
-def mc_mp_apply(
-    rho: Operator, d: int, n_samples: int, rng: Rng, chunk: int = 4096
-) -> MatrixSamplingEstimate:
+def mc_mp_apply(rho: Operator, d: int, n_samples: int, rng: Rng) -> MatrixSamplingEstimate:
     """Monte-Carlo estimate of exact_mp_map(rho) from Haar samples.
 
     Returns the entrywise mean with Welford standard errors and the exact
@@ -201,8 +237,8 @@ def mc_mp_apply(
     acc = MatrixWelford((d * d, d * d))
     left = n_samples
     while left > 0:
-        take = min(chunk, left)
-        acc.update_batch(_sample_chunk(rho.mat, d, take, rng))
+        take = min(MC_CHUNK, left)
+        acc.merge(*_mp_moments(rho.mat, d, take, rng))
         left -= take
     se_re, se_im = acc.stderr()
     return MatrixSamplingEstimate(
@@ -227,7 +263,7 @@ def sample_mp_blocks(
     out = []
     for b in range(1, n_blocks + 1):
         take = per if b < n_blocks else n_samples - per * (n_blocks - 1)
-        acc.update_batch(_sample_chunk(rho.mat, d, take, rng))
+        acc.merge(*_mp_moments(rho.mat, d, take, rng))
         se_re, se_im = acc.stderr()
         out.append(
             (b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact))

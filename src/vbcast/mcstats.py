@@ -2,7 +2,8 @@
 
 Welford-style accumulation of entrywise means and variances for complex
 matrix samples, with pairwise chunk merging so accumulation order does not
-matter beyond float roundoff.  Real and imaginary parts get separate
+matter beyond float roundoff.  Callers that can compute a chunk's moments
+without materialising its samples feed them to ``MatrixWelford.merge``.  Real and imaginary parts get separate
 standard errors, since downstream gates check them separately.
 """
 
@@ -32,18 +33,21 @@ class MatrixWelford:
         bmean = xs.mean(axis=0)
         bm2_re = ((xs.real - bmean.real) ** 2).sum(axis=0)
         bm2_im = ((xs.imag - bmean.imag) ** 2).sum(axis=0)
-        self._merge(k, bmean, bm2_re, bm2_im)
+        self.merge(k, bmean, bm2_re, bm2_im)
 
-    def _merge(self, k, bmean, bm2_re, bm2_im):
-        if self.n == 0:
-            self.n, self.mean, self.m2_re, self.m2_im = k, bmean, bm2_re, bm2_im
+    def merge(self, n: int, mean: np.ndarray, m2_re: np.ndarray, m2_im: np.ndarray):
+        """Merge the moments of n samples: their mean and summed squared deviations (re, im)."""
+        if n == 0:
             return
-        total = self.n + k
-        delta = bmean - self.mean
-        factor = self.n * k / total
-        self.mean = self.mean + delta * (k / total)
-        self.m2_re = self.m2_re + bm2_re + delta.real**2 * factor
-        self.m2_im = self.m2_im + bm2_im + delta.imag**2 * factor
+        if self.n == 0:
+            self.n, self.mean, self.m2_re, self.m2_im = n, mean, m2_re, m2_im
+            return
+        total = self.n + n
+        delta = mean - self.mean
+        factor = self.n * n / total
+        self.mean = self.mean + delta * (n / total)
+        self.m2_re = self.m2_re + m2_re + delta.real**2 * factor
+        self.m2_im = self.m2_im + m2_im + delta.imag**2 * factor
         self.n = total
 
     def stderr(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,42 @@
+"""Materialising reference for the measure-and-prepare Monte-Carlo sampler.
+
+Every sample Tr[M_psi rho] rho_psi (x) rho_psi is built as a full d^2 x d^2
+matrix and the (count, d^2, d^2) stack is fed to ``MatrixWelford``.  It makes
+the same random draws as ``vbcast.hovm.sample_mp_blocks``, so tests compare
+block means, M2 and z-scores with the moment-based sampler.
+"""
+
+import numpy as np
+
+from vbcast.densemat import Operator, Rng
+from vbcast.hovm import exact_mp_map
+from vbcast.mcstats import MatrixSamplingEstimate, MatrixWelford
+
+
+def dense_sample_chunk(rho: np.ndarray, d: int, count: int, rng: Rng) -> np.ndarray:
+    """Draw `count` samples of Tr[M_psi rho] rho_psi (x) rho_psi, shape (count, d^2, d^2)."""
+    a = d + 2
+    v = rng.gen.standard_normal((count, d)) + 1j * rng.gen.standard_normal((count, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    overlap = np.einsum("ci,ij,cj->c", v.conj(), rho, v).real
+    weight = (d / 2.0) * (a * overlap - 1.0)
+    proj = np.einsum("ci,cj->cij", v, v.conj())
+    rp = (a * proj - np.eye(d)[np.newaxis]) / 2.0
+    pair = np.einsum("cij,ckl->cikjl", rp, rp).reshape(count, d * d, d * d)
+    return weight[:, np.newaxis, np.newaxis] * pair
+
+
+def dense_sample_mp_blocks(
+    rho: Operator, d: int, n_samples: int, n_blocks: int, rng: Rng
+) -> list[tuple[int, MatrixSamplingEstimate]]:
+    """Blockwise running estimates, block index starting at 1, as the library returns them."""
+    exact = exact_mp_map(d).apply(rho)
+    acc = MatrixWelford((d * d, d * d))
+    per = n_samples // n_blocks
+    out = []
+    for b in range(1, n_blocks + 1):
+        take = per if b < n_blocks else n_samples - per * (n_blocks - 1)
+        acc.update_batch(dense_sample_chunk(rho.mat, d, take, rng))
+        se_re, se_im = acc.stderr()
+        out.append((b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
+    return out

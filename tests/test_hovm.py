@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from vbcast.densemat import (
     sym_projector,
 )
 from vbcast.hovm import (
+    MC_CHUNK,
     FiniteHOVM,
+    _mp_moments,
     depolarizing_mp,
     exact_mp_map,
     m_psi,
@@ -30,6 +33,9 @@ from vbcast.hovm import (
     verify_theorem3,
     write_sampling_csv,
 )
+from vbcast.mcstats import MatrixWelford
+
+from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -243,3 +249,68 @@ class TestMonteCarlo:
         assert lines[0] == "sample_block,entry_row,entry_col,re_mean,im_mean,re_stderr,im_stderr"
         assert len(lines) == 1 + 2 * 16  # two blocks of 4x4 entries
         assert "np.float64" not in buf.getvalue()
+
+
+def _structurally_real(d):
+    """The (ik, ik) and (ik, ki) entries of a d^2 x d^2 matrix."""
+    return np.eye(d * d, dtype=bool) | (swap(d).mat.real != 0)
+
+
+class TestMomentSampler:
+    """The moment-based sampler against the materialising reference in dense_mp_sampling."""
+
+    @mark.parametrize("d", [2, 3, 6])
+    def test_block_moments_match_reference(self, d):
+        rho = random_density(d, Rng(d, 10))
+        k, mean, m2_re, m2_im = _mp_moments(rho.mat, d, 1000, Rng(d, 12))
+        ref = MatrixWelford((d * d, d * d))
+        ref.update_batch(dense_sample_chunk(rho.mat, d, 1000, Rng(d, 12)))
+        assert k == ref.n == 1000
+        for got, want in ((mean, ref.mean), (m2_re, ref.m2_re), (m2_im, ref.m2_im)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @mark.parametrize("d", [2, 3, 6])
+    def test_structurally_real_entries_are_exact(self, d):
+        real = _structurally_real(d)
+        assert real.sum() == 2 * d * d - d
+        rho = random_density(d, Rng(1, 10))
+        _, mean, _, m2_im = _mp_moments(rho.mat, d, 500, Rng(1, 12))
+        assert not mean.imag[real].any() and not m2_im[real].any()
+        est = sample_mp_blocks(rho, d, 1000, 2, Rng(1, 12))[-1][1]
+        ref = dense_sample_mp_blocks(rho, d, 1000, 2, Rng(1, 12))[-1][1]
+        for e in (est, ref):
+            assert not e.stderr_im[real].any() and not e.mean.mat.imag[real].any()
+            assert (e.stderr_im[~real] > 0).all()
+
+    # the CLI's rho and draws; d = 6 takes 10^4 samples, not the benchmark's 5 * 10^4, to keep the
+    # materialising reference near 0.4 s
+    @mark.parametrize("d,n", [(2, 100000), (3, 100000), (6, 10000)])
+    @mark.parametrize("seed", [1, 2, 3])
+    def test_block_zscores_match_reference(self, d, n, seed):
+        rho = random_density(d, Rng(seed, 10))
+        got = sample_mp_blocks(rho, d, n, 10, Rng(seed, 12))
+        want = dense_sample_mp_blocks(rho, d, n, 10, Rng(seed, 12))
+        for (b, e), (b_ref, e_ref) in zip(got, want):
+            assert b == b_ref and e.n == e_ref.n
+            assert abs(e.max_zscore() - e_ref.max_zscore()) < 1e-9
+            assert np.abs(e.mean.mat - e_ref.mean.mat).max() <= 1e-12 * np.abs(e_ref.mean.mat).max()
+
+    def test_mc_apply_shares_the_block_path(self):
+        rho = random_density(3, Rng(4, 10))
+        n = MC_CHUNK - 1
+        one = mc_mp_apply(rho, 3, n, Rng(4, 12))
+        block = sample_mp_blocks(rho, 3, n, 1, Rng(4, 12))[0][1]
+        assert np.array_equal(one.mean.mat, block.mean.mat)
+        assert np.array_equal(one.stderr_re, block.stderr_re)
+        assert np.array_equal(one.stderr_im, block.stderr_im)
+
+    def test_memory_stays_below_sample_tensor(self):
+        # the (5000, 36, 36) complex sample tensor of one block alone is 104 MB
+        rho = random_density(6, Rng(1, 10))
+        tracemalloc.start()
+        try:
+            sample_mp_blocks(rho, 6, 50000, 10, Rng(1, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -68,3 +68,35 @@ def test_matrix_zero_stderr_handling():
         mean=mean, stderr_re=se, stderr_im=se, n=5, exact=Operator(np.zeros((2, 2)))
     )
     assert other.max_zscore() == np.inf
+
+
+def test_merge_halves_matches_update_batch():
+    rng = Rng(2)
+    xs = rng.gen.standard_normal((301, 4, 4)) + 1j * rng.gen.standard_normal((301, 4, 4))
+    whole = MatrixWelford((4, 4))
+    whole.update_batch(xs)
+    merged = MatrixWelford((4, 4))
+    for half in (xs[:150], xs[150:]):
+        mean = half.mean(axis=0)
+        m2_re = ((half.real - mean.real) ** 2).sum(axis=0)
+        m2_im = ((half.imag - mean.imag) ** 2).sum(axis=0)
+        merged.merge(half.shape[0], mean, m2_re, m2_im)
+    assert merged.n == whole.n == 301
+    assert_allclose(merged.mean, whole.mean, rtol=0, atol=1e-12)
+    assert_allclose(merged.m2_re, whole.m2_re, rtol=1e-12)
+    assert_allclose(merged.m2_im, whole.m2_im, rtol=1e-12)
+
+
+def test_merge_zero_samples_is_noop():
+    acc = MatrixWelford((2, 2))
+    acc.update_batch(np.arange(12, dtype=complex).reshape(3, 2, 2) * (1 + 2j))
+    before = (acc.n, acc.mean.copy(), acc.m2_re.copy(), acc.m2_im.copy())
+    acc.merge(0, np.full((2, 2), 7.0 + 1j), np.ones((2, 2)), np.ones((2, 2)))
+    assert acc.n == before[0]
+    assert np.array_equal(acc.mean, before[1])
+    assert np.array_equal(acc.m2_re, before[2])
+    assert np.array_equal(acc.m2_im, before[3])
+    empty = MatrixWelford((2, 2))
+    empty.merge(0, np.ones((2, 2), dtype=complex), np.ones((2, 2)), np.ones((2, 2)))
+    assert empty.n == 0
+    assert not empty.mean.any() and not empty.m2_re.any() and not empty.m2_im.any()
