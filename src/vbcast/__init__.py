@@ -38,6 +38,7 @@ from .broadcast import (  # noqa: F401
     canonical_b,
     canonical_decomposition,
     check_axioms,
+    choi_axiom_residuals,
     classical_bcl,
     cloner,
     commutant_basis,

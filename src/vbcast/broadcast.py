@@ -196,6 +196,25 @@ def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
 # axiom checking
 
 
+def choi_axiom_residuals(m: SuperMap) -> tuple[float, float, float]:
+    """Exact (covariance, permutation, classical) residuals of a map d -> d^2.
+
+    Each is the largest absolute entry of a linear residual of the Choi
+    operator C: covariance is ``||C - Pi(C)||_max``, permutation symmetry is
+    ``S_12 C S_12 - C``, and classical consistency compares the Choi diagonal
+    with the classical broadcaster's.
+    """
+    d = m.d_in
+    if m.d_out != d * d:
+        raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
+    c = m.choi.mat
+    return (
+        (m.choi - commutant_projection(m.choi, d)).absmax(),
+        float(np.abs(_permutation_residual(c, d)).max()),
+        float(np.abs(_classical_residual(c, d)).max()),
+    )
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Max-absolute-entry residuals of the four broadcasting axioms."""
@@ -224,14 +243,12 @@ def check_axioms(m: SuperMap, n_states: int = 100, rng: Rng | None = None) -> Ax
     and the input over a sample of states (alternating full-rank and pure,
     since e.g. the optimal cloner's deficit peaks on pure inputs).
     Covariance, permutation symmetry and classical consistency are exact on
-    the Choi operator: covariance is its distance to the commutant span,
-    ``||C - Pi(C)||_max``.
+    the Choi operator (:func:`choi_axiom_residuals`).
     """
     if rng is None:
         rng = Rng(0)
+    covariance, permutation, classical = choi_axiom_residuals(m)
     d = m.d_in
-    if m.d_out != d * d:
-        raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
 
     r_bcast = 0.0
     for k in range(n_states):
@@ -241,12 +258,11 @@ def check_axioms(m: SuperMap, n_states: int = 100, rng: Rng | None = None) -> Ax
         m2 = partial_trace(out, (d, d), keep="second")
         r_bcast = max(r_bcast, trace_norm(m1 - rho), trace_norm(m2 - rho))
 
-    c = m.choi.mat
     return AxiomReport(
         broadcasting=float(r_bcast),
-        covariance=(m.choi - commutant_projection(m.choi, d)).absmax(),
-        permutation=float(np.abs(_permutation_residual(c, d)).max()),
-        classical=float(np.abs(_classical_residual(c, d)).max()),
+        covariance=covariance,
+        permutation=permutation,
+        classical=classical,
         n_states=n_states,
         seed=rng.seed,
     )

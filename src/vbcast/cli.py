@@ -325,7 +325,7 @@ def _verify_theorem3(b: SuperMap, cfg: RunConfig):
 
 
 def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
-    srep = check_sot_axioms(b, n_cases=25, rng=Rng(cfg.seed, 3))
+    srep = check_sot_axioms(b)
     values = {
         "covariance": srep.covariance,
         "permutation": srep.permutation,

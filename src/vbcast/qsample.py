@@ -64,63 +64,39 @@ def overhead(s: QuasiSampler) -> float:
     return s.l1_weight
 
 
-def _validate_obs(rho: Operator, o1: Operator, o2: Operator, d: int):
+def _value_table(
+    s: QuasiSampler, rho: Operator, o1: Operator, o2: Operator, shot_noise: bool
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(exact, values, probabilities): the single-draw distribution of the estimator.
+
+    A draw picks component i with probability |w_i| / L and contributes
+    L sign(w_i) times its exact expectation; with ``shot_noise`` the draw
+    ranges over (component, observable eigenvalue) pairs, weighted by the
+    Born rule of the component's output.
+    """
+    d = s.target.d_in
     if rho.rows != d or not rho.is_hermitian(1e-9) or abs(rho.trace() - 1.0) > 1e-9:
         raise ValueError("rho must be a unit-trace Hermitian d x d matrix")
     for o in (o1, o2):
         if o.rows != o.cols or not o.is_hermitian(1e-9):
             raise ValueError("observables must be Hermitian")
-
-
-def estimate_expectation(
-    s: QuasiSampler,
-    rho: Operator,
-    o1: Operator,
-    o2: Operator,
-    n: int,
-    rng: Rng,
-    shot_noise: bool = False,
-) -> SamplingEstimate:
-    """Unbiased estimate of Tr[target(rho) (O1 (x) O2)] from n channel draws.
-
-    In the default mode each draw contributes the exact component
-    expectation (sampling noise from the signed mixture only); with
-    ``shot_noise`` each draw also samples an eigenvalue of the observable
-    from the Born rule of the drawn channel's output.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 draws")
-    d = s.target.d_in
-    _validate_obs(rho, o1, o2, d)
     obs = kron(o1, o2).mat
     exact = float(np.real(np.trace(s.target.apply(rho).mat @ obs)))
 
     weights = np.array([w for w, _ in s.components])
     l1 = np.abs(weights).sum()
     probs = np.abs(weights) / l1
-    signs = np.sign(weights)
+    scales = l1 * np.sign(weights)
     outs = [ch.apply(rho).mat for _, ch in s.components]
 
     if not shot_noise:
-        vals = l1 * signs * np.array([np.real(np.trace(o @ obs)) for o in outs])
-        draws = vals[rng.gen.choice(len(vals), size=n, p=probs)]
-    else:
-        evals, evecs = np.linalg.eigh(obs)
-        # Joint distribution over (component, observable eigenvector).
-        born = np.array(
-            [np.real(np.einsum("ji,jk,ki->i", evecs.conj(), o, evecs)) for o in outs]
-        )
-        born = np.clip(born, 0.0, None)
-        born /= born.sum(axis=1, keepdims=True)
-        joint = (probs[:, np.newaxis] * born).reshape(-1)
-        joint = joint / joint.sum()
-        flat = rng.gen.choice(joint.size, size=n, p=joint)
-        comp, eig = np.divmod(flat, evals.size)
-        draws = l1 * signs[comp] * evals[eig]
-
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / np.sqrt(n))
-    return SamplingEstimate(mean=mean, stderr=stderr, n=n, exact=exact)
+        return exact, scales * np.array([np.real(np.trace(o @ obs)) for o in outs]), probs
+    evals, evecs = np.linalg.eigh(obs)
+    born = np.array([np.real(np.einsum("ji,jk,ki->i", evecs.conj(), o, evecs)) for o in outs])
+    born = np.clip(born, 0.0, None)
+    born /= born.sum(axis=1, keepdims=True)
+    joint = (probs[:, np.newaxis] * born).reshape(-1)
+    return exact, np.outer(scales, evals).reshape(-1), joint / joint.sum()
 
 
 def estimate_with_trace(
@@ -133,35 +109,48 @@ def estimate_with_trace(
     n_checkpoints: int = 20,
     shot_noise: bool = False,
 ) -> tuple[SamplingEstimate, list[tuple[int, float, float]]]:
-    """Like :func:`estimate_expectation`, also returning running (n, mean, stderr) rows."""
+    """Unbiased estimate of Tr[target(rho) (O1 (x) O2)] from n channel draws.
+
+    In the default mode each draw contributes the exact component
+    expectation (sampling noise from the signed mixture only); with
+    ``shot_noise`` each draw also samples an eigenvalue of the observable
+    from the Born rule of the drawn channel's output.  Also returns running
+    (n, mean, stderr) rows at ``n_checkpoints`` evenly spaced draw counts.
+
+    Each segment between checkpoints is drawn by one ``choice`` call -- the
+    index stream equals a single size-n call -- and reduced to per-value
+    counts, so only one segment of draws is held at a time.
+    """
     if n < 2:
         raise ValueError("need at least 2 draws")
-    d = s.target.d_in
-    _validate_obs(rho, o1, o2, d)
-    obs = kron(o1, o2).mat
-    exact = float(np.real(np.trace(s.target.apply(rho).mat @ obs)))
-
-    weights = np.array([w for w, _ in s.components])
-    l1 = np.abs(weights).sum()
-    probs = np.abs(weights) / l1
-    signs = np.sign(weights)
-    outs = [ch.apply(rho).mat for _, ch in s.components]
-    vals = l1 * signs * np.array([np.real(np.trace(o @ obs)) for o in outs])
-    if shot_noise:
-        est = estimate_expectation(s, rho, o1, o2, n, rng, shot_noise=True)
-        return est, [(n, est.mean, est.stderr)]
-    draws = vals[rng.gen.choice(len(vals), size=n, p=probs)]
+    exact, vals, probs = _value_table(s, rho, o1, o2, shot_noise)
 
     marks = sorted({max(2, (n * (k + 1)) // n_checkpoints) for k in range(n_checkpoints)})
-    csum = np.cumsum(draws)
-    csum2 = np.cumsum(draws**2)
+    counts = np.zeros(vals.size)
     rows = []
+    done = 0
     for m in marks:
-        mean = csum[m - 1] / m
-        var = (csum2[m - 1] - m * mean**2) / (m - 1)
-        rows.append((m, float(mean), float(np.sqrt(max(var, 0.0) / m))))
+        draws = rng.gen.choice(vals.size, size=m - done, p=probs)
+        counts += np.bincount(draws, minlength=vals.size)
+        done = m
+        mean = counts @ vals / m
+        var = counts @ (vals - mean) ** 2 / (m - 1)
+        rows.append((m, float(mean), float(np.sqrt(var / m))))
     final = SamplingEstimate(mean=rows[-1][1], stderr=rows[-1][2], n=n, exact=exact)
     return final, rows
+
+
+def estimate_expectation(
+    s: QuasiSampler,
+    rho: Operator,
+    o1: Operator,
+    o2: Operator,
+    n: int,
+    rng: Rng,
+    shot_noise: bool = False,
+) -> SamplingEstimate:
+    """The final estimate of :func:`estimate_with_trace`, with one checkpoint."""
+    return estimate_with_trace(s, rho, o1, o2, n, rng, n_checkpoints=1, shot_noise=shot_noise)[0]
 
 
 def write_trace_csv(fp, rows: list[tuple[int, float, float]]):

@@ -6,10 +6,11 @@ yields the bipartite operator
     E * rho = (id (x) E)( b(rho) )
 
 -- Hermitian, unit trace, generally non-positive -- whose marginals are
-the input rho and the output E(rho).  With b the canonical broadcaster,
-the construction is covariant, permutation-symmetric at E = id, reduces
-to the classical joint distribution for classical channels, and respects
-post-processing in both Schroedinger and Heisenberg pictures.
+the input rho and the output E(rho).  The construction is linear in b, so
+it is covariant, permutation-symmetric at E = id and classical for
+classical channels exactly when b is: ``check_sot_axioms`` reads the three
+residuals from the broadcaster's Choi operator, with no sampling.  It also
+respects post-processing in both Schroedinger and Heisenberg pictures.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import Operator, Rng, haar_unitary, partial_trace, random_density, swap
+from .densemat import Operator, Rng, partial_trace, random_density, random_hermitian
 from .supermap import SuperMap, apply_right, random_channel
-from .broadcast import classical_bcl, decoherence
+from .broadcast import choi_axiom_residuals
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,6 @@ class SotAxiomReport:
     covariance: float
     permutation: float
     classical: float
-    n_cases: int
-    seed: int
 
     def max_residual(self) -> float:
         return max(self.covariance, self.permutation, self.classical)
@@ -72,54 +71,24 @@ class SotAxiomReport:
         return self.max_residual() < tol
 
 
-def check_sot_axioms(b: SuperMap, n_cases: int = 50, rng: Rng | None = None) -> SotAxiomReport:
-    """Sample the covariance, permutation, and classicality axioms of *.
+def check_sot_axioms(b: SuperMap) -> SotAxiomReport:
+    """Exact covariance, permutation and classical residuals of * built on b.
 
-    Covariance conjugates channel and state by independent Haar unitaries;
-    permutation symmetry is checked at E = id by SWAP conjugation; the
-    classical case decoheres a random channel on both sides and compares
-    against the classical star built from B_cl.
+    Over all unitaries U, V, channels E and states rho, each axiom of * is
+    equivalent to one axiom of b, so the residuals are those of
+    :func:`~vbcast.broadcast.choi_axiom_residuals`:
+
+    - Covariance, (U (x) V)(E * rho)(U (x) V)+ = (Ad_V E Ad_U+) * (U rho U+).
+      Substituting E = Ad_V+ E' Ad_U turns it into
+      (id (x) E')[(Ad_U (x) Ad_U) b(rho) - b(U rho U+)] = 0, which holds for
+      every E' (take E' = id) exactly when b is covariant.
+    - Permutation symmetry at E = id, where id * rho = b(rho).
+    - Classical consistency.  With E_cl = D E D for the decoherence D,
+      (D (x) D)(E_cl * D rho) = (id (x) E_cl)[(D (x) D) b D(rho)], which
+      equals (id (x) E_cl)(B_cl(rho)) for every E (take E = id) exactly
+      when (D (x) D) b D = B_cl.
     """
-    if rng is None:
-        rng = Rng(0)
-    d = b.d_in
-
-    r_cov = 0.0
-    r_perm = 0.0
-    r_cl = 0.0
-    dec = decoherence(d)
-    bcl = classical_bcl(d)
-    for _ in range(n_cases):
-        rho = random_density(d, rng)
-        u = haar_unitary(d, rng)
-        v = haar_unitary(d, rng)
-        e = random_channel(d, d, rng)
-
-        # covariance: (U (x) V)(E * rho)(U (x) V)+ = (V E U+) * (U rho U+)
-        ad_u = SuperMap.from_action(d, d, lambda x, u=u: u @ x @ u.dagger())
-        ad_udag = SuperMap.from_action(d, d, lambda x, u=u: u.dagger() @ x @ u)
-        ad_v = SuperMap.from_action(d, d, lambda x, v=v: v @ x @ v.dagger())
-        uv = np.kron(u.mat, v.mat)
-        lhs = uv @ star(e, rho, b).operator.mat @ uv.conj().T
-        e_rot = ad_v.compose(e).compose(ad_udag)
-        rhs = star(e_rot, ad_u.apply(rho), b).operator.mat
-        r_cov = max(r_cov, float(np.abs(lhs - rhs).max()))
-
-        # permutation symmetry at E = id
-        ident = SuperMap.identity(d)
-        t = star(ident, rho, b).operator.mat
-        sw = swap(d).mat
-        r_perm = max(r_perm, float(np.abs(sw @ t @ sw - t).max()))
-
-        # classical consistency for decohered channels
-        e_cl = dec.compose(e).compose(dec)
-        lhs_cl = dec.tensor(dec).apply(star(e_cl, dec.apply(rho), b).operator)
-        rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
-        r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
-
-    return SotAxiomReport(
-        covariance=r_cov, permutation=r_perm, classical=r_cl, n_cases=n_cases, seed=rng.seed
-    )
+    return SotAxiomReport(*choi_axiom_residuals(b))
 
 
 @dataclass(frozen=True)
@@ -132,8 +101,6 @@ class PostprocessingResiduals:
 
 def _random_effect(d: int, rng: Rng) -> Operator:
     """Random Hermitian P with 0 <= P <= I, full spread."""
-    from .densemat import random_hermitian
-
     h = random_hermitian(d, rng).mat
     vals = np.linalg.eigvalsh(h)
     lo, hi = vals[0], vals[-1]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, Operator, Rng, _raw, haar_unitary
+from .densemat import DEFAULT_TOL, Operator, Rng, _raw, haar_unitary, partial_trace
 
 
 def omega(d: int) -> Operator:
@@ -143,8 +143,6 @@ class SuperMap:
 
     def is_tp(self, tol: float = DEFAULT_TOL) -> bool:
         """Trace-preserving:  Tr_out[choi] = I_in."""
-        from .densemat import partial_trace
-
         red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
         return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= tol)
 

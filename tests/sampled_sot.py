@@ -1,0 +1,53 @@
+"""Sampled reference for the state-over-time axioms, without the Choi reduction.
+
+Each case draws a state, Haar unitaries U and V and a random channel E,
+builds Ad_U, Ad_U+ and Ad_V as Choi operators and checks the three axioms
+of E * rho directly.  Tests compare its residuals with the exact
+``vbcast.sot.check_sot_axioms``, which reads them from the broadcaster's
+Choi operator.
+"""
+
+import numpy as np
+
+from vbcast.broadcast import classical_bcl, decoherence
+from vbcast.densemat import Rng, haar_unitary, random_density, swap
+from vbcast.sot import SotAxiomReport, star
+from vbcast.supermap import SuperMap, apply_right, random_channel
+
+
+def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> SotAxiomReport:
+    """Worst covariance, permutation and classical residuals over n_cases draws."""
+    d = b.d_in
+    r_cov = 0.0
+    r_perm = 0.0
+    r_cl = 0.0
+    dec = decoherence(d)
+    bcl = classical_bcl(d)
+    for _ in range(n_cases):
+        rho = random_density(d, rng)
+        u = haar_unitary(d, rng)
+        v = haar_unitary(d, rng)
+        e = random_channel(d, d, rng)
+
+        # covariance: (U (x) V)(E * rho)(U (x) V)+ = (V E U+) * (U rho U+)
+        ad_u = SuperMap.from_action(d, d, lambda x, u=u: u @ x @ u.dagger())
+        ad_udag = SuperMap.from_action(d, d, lambda x, u=u: u.dagger() @ x @ u)
+        ad_v = SuperMap.from_action(d, d, lambda x, v=v: v @ x @ v.dagger())
+        uv = np.kron(u.mat, v.mat)
+        lhs = uv @ star(e, rho, b).operator.mat @ uv.conj().T
+        e_rot = ad_v.compose(e).compose(ad_udag)
+        rhs = star(e_rot, ad_u.apply(rho), b).operator.mat
+        r_cov = max(r_cov, float(np.abs(lhs - rhs).max()))
+
+        # permutation symmetry at E = id
+        t = star(SuperMap.identity(d), rho, b).operator.mat
+        sw = swap(d).mat
+        r_perm = max(r_perm, float(np.abs(sw @ t @ sw - t).max()))
+
+        # classical consistency for decohered channels
+        e_cl = dec.compose(e).compose(dec)
+        lhs_cl = dec.tensor(dec).apply(star(e_cl, dec.apply(rho), b).operator)
+        rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
+        r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
+
+    return SotAxiomReport(covariance=r_cov, permutation=r_perm, classical=r_cl)

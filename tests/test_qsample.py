@@ -142,6 +142,44 @@ def test_trace_rows():
     assert abs(est.zscore()) < 5.0
 
 
+@mark.parametrize("shot_noise", (False, True))
+def test_trace_matches_materialised_draws(shot_noise):
+    # one size-n draw and its running mean/stderr, the pre-count formulation
+    d = 2
+    s = canonical_sampler(d)
+    rng = Rng(38)
+    rho = random_density(d, rng)
+    o1 = random_hermitian(d, rng)
+    o2 = random_hermitian(d, rng)
+    n = 3000
+    est, rows = estimate_with_trace(
+        s, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
+    )
+    assert len(rows) == 7 and rows[-1][0] == n
+
+    weights = np.array([w for w, _ in s.components])
+    l1 = np.abs(weights).sum()
+    obs = np.kron(o1.mat, o2.mat)
+    outs = [ch.apply(rho).mat for _, ch in s.components]
+    gen = Rng(39).gen
+    if shot_noise:
+        evals, evecs = np.linalg.eigh(obs)
+        born = np.array([np.real(np.diag(evecs.conj().T @ o @ evecs)) for o in outs])
+        born = np.clip(born, 0.0, None)
+        born /= born.sum(axis=1, keepdims=True)
+        joint = (np.abs(weights)[:, None] / l1 * born).reshape(-1)
+        comp, eig = np.divmod(gen.choice(joint.size, size=n, p=joint / joint.sum()), evals.size)
+        draws = l1 * np.sign(weights)[comp] * evals[eig]
+    else:
+        vals = l1 * np.sign(weights) * np.array([np.real(np.trace(o @ obs)) for o in outs])
+        draws = vals[gen.choice(vals.size, size=n, p=np.abs(weights) / l1)]
+    for m, mean, stderr in rows:
+        assert mean == pytest.approx(draws[:m].mean(), abs=1e-12)
+        assert stderr == pytest.approx(draws[:m].std(ddof=1) / np.sqrt(m), abs=1e-12)
+    final = estimate_expectation(s, rho, o1, o2, n, Rng(39), shot_noise=shot_noise)
+    assert (final.mean, final.stderr, final.n) == (est.mean, est.stderr, n)
+
+
 def test_trace_csv():
     s = canonical_sampler(2)
     rho = random_density(2, Rng(34))

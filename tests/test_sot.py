@@ -1,12 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from pytest import mark, raises
 
+from vbcast import densemat, sot
 from vbcast.densemat import Rng, basis_state, eigh, identity, random_density, random_pure, swap
 from vbcast.supermap import SuperMap, apply_left, random_channel
-from vbcast.broadcast import canonical_b, family_b_lambda
+from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import check_postprocessing_equivalence, check_sot_axioms, star
+
+from sampled_sot import sampled_sot_axioms
 
 
 class TestStar:
@@ -51,23 +56,86 @@ class TestStar:
             star(SuperMap.identity(2), random_density(2, Rng(0)), SuperMap.identity(2))
 
 
+SOT_AXIOMS = ("covariance", "permutation", "classical")
+
+
+def reference_maps(d):
+    return {
+        "B": canonical_b(d),
+        "B_lambda:0.3": family_b_lambda(d, 0.3),
+        "B+": cloner(d),
+        "B_cl": classical_bcl(d),
+        "random": random_channel(d, d * d, Rng(7)),
+    }
+
+
 class TestAxioms:
     @mark.parametrize("d", (2, 3, 4))
     def test_canonical_broadcaster_passes(self, d):
-        rep = check_sot_axioms(canonical_b(d), n_cases=20, rng=Rng(d))
+        rep = check_sot_axioms(canonical_b(d))
         assert rep.passes(1e-10)
 
     def test_family_fails_permutation(self):
-        rep = check_sot_axioms(family_b_lambda(2, 0.5), n_cases=20, rng=Rng(1))
+        rep = check_sot_axioms(family_b_lambda(2, 0.5))
         assert rep.permutation > 0.05
         assert rep.covariance < 1e-10
         assert rep.classical < 1e-10
         assert not rep.passes(1e-10)
 
+    @mark.parametrize("d", (2, 3))
+    def test_non_covariant_maps_fail_covariance(self, d):
+        assert check_sot_axioms(classical_bcl(d)).covariance > 1e-2
+        assert check_sot_axioms(random_channel(d, d * d, Rng(d))).covariance > 1e-2
+
+    @mark.parametrize("d", (2, 3))
+    def test_cloner_fails_classical(self, d):
+        rep = check_sot_axioms(cloner(d))
+        assert rep.classical > 1e-2
+        assert rep.covariance < 1e-10
+        assert rep.permutation < 1e-10
+
     def test_report_fields(self):
-        rep = check_sot_axioms(canonical_b(2), n_cases=5, rng=Rng(2))
-        assert rep.n_cases == 5
-        assert rep.max_residual() >= 0.0
+        rep = check_sot_axioms(canonical_b(2))
+        assert tuple(f.name for f in fields(rep)) == SOT_AXIOMS
+        assert all(isinstance(getattr(rep, name), float) for name in SOT_AXIOMS)
+        assert rep.max_residual() == max(getattr(rep, name) for name in SOT_AXIOMS)
+
+    def test_rejects_non_broadcaster(self):
+        with raises(ValueError):
+            check_sot_axioms(SuperMap.identity(2))
+
+    @mark.parametrize("d", (2, 3))
+    def test_equals_broadcaster_choi_residuals(self, d):
+        for m in reference_maps(d).values():
+            rep = check_axioms(m, n_states=2, rng=Rng(0))
+            srep = check_sot_axioms(m)
+            assert (srep.covariance, srep.permutation, srep.classical) == (
+                rep.covariance,
+                rep.permutation,
+                rep.classical,
+            )
+
+    @mark.parametrize("d", (2, 3))
+    def test_matches_sampled_reference(self, d):
+        # exact and sampled residuals agree on which axioms hold
+        for name, m in reference_maps(d).items():
+            exact = check_sot_axioms(m)
+            sampled = sampled_sot_axioms(m, n_cases=25, rng=Rng(40 + d))
+            for axiom in SOT_AXIOMS:
+                a, s = getattr(exact, axiom), getattr(sampled, axiom)
+                assert (a < 1e-10 and s < 1e-10) or (a > 1e-2 and s > 1e-2), (name, axiom, a, s)
+
+    def test_no_sampling(self, monkeypatch):
+        b = canonical_b(6)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("state-over-time axioms must not sample")
+
+        monkeypatch.setattr(sot, "haar_unitary", fail, raising=False)
+        monkeypatch.setattr(densemat, "haar_unitary", fail)
+        monkeypatch.setattr(SuperMap, "from_action", fail)
+        monkeypatch.setattr(SuperMap, "compose", fail)
+        assert check_sot_axioms(b).passes(1e-10)
 
 
 class TestPostprocessing:
