@@ -38,7 +38,6 @@ from .broadcast import (  # noqa: F401
     canonical_b,
     canonical_decomposition,
     check_axioms,
-    choi_axiom_residuals,
     classical_bcl,
     cloner,
     commutant_basis,
@@ -73,7 +72,6 @@ from .hovm import (  # noqa: F401
     verify_theorem3,
 )
 from .sot import (  # noqa: F401
-    SotAxiomReport,
     StateOverTime,
     check_postprocessing_equivalence,
     check_sot_axioms,

@@ -278,7 +278,7 @@ def _expected_spectrum(d: int) -> np.ndarray:
 
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):
-    rep = check_axioms(b, n_states=100, rng=Rng(cfg.seed, 1))
+    rep = check_axioms(b)
     values = {
         "broadcasting": rep.broadcasting,
         "covariance": rep.covariance,
@@ -331,7 +331,8 @@ def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
         "permutation": srep.permutation,
         "classical": srep.classical,
     }
-    return srep.passes(cfg.tolerances["sot"]), values, f"max={srep.max_residual():.3e}"
+    worst = max(values.values())
+    return worst < cfg.tolerances["sot"], values, f"max={worst:.3e}"
 
 
 def _verify_sot_postprocessing(b: SuperMap, cfg: RunConfig):

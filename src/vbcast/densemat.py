@@ -279,16 +279,21 @@ def _ginibre(d: int, rng: Rng, cols: int | None = None) -> np.ndarray:
     return g / np.sqrt(2)
 
 
-def haar_unitary(d: int, rng: Rng) -> Operator:
-    """Haar-random unitary via QR of a complex Ginibre matrix.
+def _haar_qr(z: np.ndarray) -> np.ndarray:
+    """Q factor of a Ginibre matrix with R's diagonal made positive.
 
-    The R factor's diagonal is phase-normalized to be positive, which
-    makes the QR output Haar-distributed rather than merely unitary.
+    The phase fix makes the columns Haar-distributed rather than merely
+    orthonormal.  The thin QR of a matrix's leading columns gives the same
+    columns as the full QR.
     """
-    z = _ginibre(d, rng)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return Operator(q * phases[np.newaxis, :])
+    return q * phases[np.newaxis, :]
+
+
+def haar_unitary(d: int, rng: Rng) -> Operator:
+    """Haar-random unitary via the phase-fixed QR of a complex Ginibre matrix."""
+    return Operator(_haar_qr(_ginibre(d, rng)))
 
 
 def random_density(d: int, rng: Rng) -> Operator:

@@ -7,10 +7,10 @@ yields the bipartite operator
 
 -- Hermitian, unit trace, generally non-positive -- whose marginals are
 the input rho and the output E(rho).  The construction is linear in b, so
-it is covariant, permutation-symmetric at E = id and classical for
-classical channels exactly when b is: ``check_sot_axioms`` reads the three
-residuals from the broadcaster's Choi operator, with no sampling.  It also
-respects post-processing in both Schroedinger and Heisenberg pictures.
+each of its axioms holds exactly when the same axiom holds for b:
+``check_sot_axioms`` returns the broadcaster's exact axiom report, with no
+sampling.  It also respects post-processing in both Schroedinger and
+Heisenberg pictures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .densemat import Operator, Rng, partial_trace, random_density, random_hermitian
 from .supermap import SuperMap, apply_right, random_channel
-from .broadcast import choi_axiom_residuals
+from .broadcast import AxiomReport, check_axioms
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,11 @@ def star(e: SuperMap, rho: Operator, b: SuperMap) -> StateOverTime:
     return StateOverTime(operator=op, d1=d, d2=e.d_out, channel=e, input_state=rho)
 
 
-@dataclass(frozen=True)
-class SotAxiomReport:
-    """Max-absolute-entry residuals of the state-over-time axioms."""
-
-    covariance: float
-    permutation: float
-    classical: float
-
-    def max_residual(self) -> float:
-        return max(self.covariance, self.permutation, self.classical)
-
-    def passes(self, tol: float) -> bool:
-        return self.max_residual() < tol
-
-
-def check_sot_axioms(b: SuperMap) -> SotAxiomReport:
-    """Exact covariance, permutation and classical residuals of * built on b.
+def check_sot_axioms(b: SuperMap) -> AxiomReport:
+    """Exact axiom residuals of * built on b: those of :func:`~vbcast.broadcast.check_axioms`.
 
     Over all unitaries U, V, channels E and states rho, each axiom of * is
-    equivalent to one axiom of b, so the residuals are those of
-    :func:`~vbcast.broadcast.choi_axiom_residuals`:
+    equivalent to the same axiom of b:
 
     - Covariance, (U (x) V)(E * rho)(U (x) V)+ = (Ad_V E Ad_U+) * (U rho U+).
       Substituting E = Ad_V+ E' Ad_U turns it into
@@ -87,8 +71,11 @@ def check_sot_axioms(b: SuperMap) -> SotAxiomReport:
       (D (x) D)(E_cl * D rho) = (id (x) E_cl)[(D (x) D) b D(rho)], which
       equals (id (x) E_cl)(B_cl(rho)) for every E (take E = id) exactly
       when (D (x) D) b D = B_cl.
+    - Broadcasting.  For trace-preserving E, Tr_2 (id (x) E) X = Tr_2 X and
+      Tr_1 (id (x) E) X = E(Tr_1 X), so the marginals of E * rho are rho and
+      E(rho) for every E exactly when b broadcasts.
     """
-    return SotAxiomReport(*choi_axiom_residuals(b))
+    return check_axioms(b)
 
 
 @dataclass(frozen=True)

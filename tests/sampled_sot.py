@@ -11,11 +11,11 @@ import numpy as np
 
 from vbcast.broadcast import classical_bcl, decoherence
 from vbcast.densemat import Rng, haar_unitary, random_density, swap
-from vbcast.sot import SotAxiomReport, star
+from vbcast.sot import star
 from vbcast.supermap import SuperMap, apply_right, random_channel
 
 
-def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> SotAxiomReport:
+def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:
     """Worst covariance, permutation and classical residuals over n_cases draws."""
     d = b.d_in
     r_cov = 0.0
@@ -50,4 +50,4 @@ def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> SotAxiomReport:
         rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
         r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
 
-    return SotAxiomReport(covariance=r_cov, permutation=r_perm, classical=r_cl)
+    return {"covariance": r_cov, "permutation": r_perm, "classical": r_cl}

@@ -68,11 +68,11 @@ def test_criterion_01_broadcasting_marginals():
 def test_criterion_02_axioms_and_lambda_family():
     bad = []
     for d in range(2, 6):
-        rep = check_axioms(canonical_b(d), n_states=100, rng=Rng(200 + d))
+        rep = check_axioms(canonical_b(d))
         if not rep.passes(1e-10):
             bad.append(f"B d={d}: {rep.max_residual():.2e}")
     for lam in (0.3, 0.7):
-        rep = check_axioms(family_b_lambda(2, lam), n_states=100, rng=Rng(210))
+        rep = check_axioms(family_b_lambda(2, lam))
         if max(rep.broadcasting, rep.covariance, rep.classical) >= 1e-10:
             bad.append(f"B_lambda {lam}: spurious failure")
         if rep.permutation <= 1e-2:

@@ -83,6 +83,17 @@ class TestVerify:
         b.pop("timestamp")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("target", ("B", "B_lambda:0.3"))
+    def test_axiom_values_ignore_seed(self, target, tmp_path):
+        # both axiom checks are exact, so no seed reaches them
+        docs = [
+            run(["verify", "--dim", "2", "--target", target, "--seed", seed], tmp_path, f"{seed}.json")[1]
+            for seed in ("0", "5")
+        ]
+        for name in ("broadcast_axioms", "sot_axioms"):
+            a, b = ([c["values"] for c in doc["checks"] if c["name"] == name][0] for doc in docs)
+            assert a == b, name
+
 
 class TestDiamond:
     def test_canonical_map(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from pytest import mark, raises
 
-from vbcast import densemat, sot
+from vbcast import broadcast, densemat, sot
 from vbcast.densemat import Rng, basis_state, eigh, identity, random_density, random_pure, swap
 from vbcast.supermap import SuperMap, apply_left, random_channel
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
@@ -56,7 +56,8 @@ class TestStar:
             star(SuperMap.identity(2), random_density(2, Rng(0)), SuperMap.identity(2))
 
 
-SOT_AXIOMS = ("covariance", "permutation", "classical")
+AXIOMS = ("broadcasting", "covariance", "permutation", "classical")
+SOT_AXIOMS = AXIOMS[1:]
 
 
 def reference_maps(d):
@@ -96,9 +97,9 @@ class TestAxioms:
 
     def test_report_fields(self):
         rep = check_sot_axioms(canonical_b(2))
-        assert tuple(f.name for f in fields(rep)) == SOT_AXIOMS
-        assert all(isinstance(getattr(rep, name), float) for name in SOT_AXIOMS)
-        assert rep.max_residual() == max(getattr(rep, name) for name in SOT_AXIOMS)
+        assert tuple(f.name for f in fields(rep)) == AXIOMS
+        assert all(isinstance(getattr(rep, name), float) for name in AXIOMS)
+        assert rep.max_residual() == max(getattr(rep, name) for name in AXIOMS)
 
     def test_rejects_non_broadcaster(self):
         with raises(ValueError):
@@ -107,13 +108,7 @@ class TestAxioms:
     @mark.parametrize("d", (2, 3))
     def test_equals_broadcaster_choi_residuals(self, d):
         for m in reference_maps(d).values():
-            rep = check_axioms(m, n_states=2, rng=Rng(0))
-            srep = check_sot_axioms(m)
-            assert (srep.covariance, srep.permutation, srep.classical) == (
-                rep.covariance,
-                rep.permutation,
-                rep.classical,
-            )
+            assert check_sot_axioms(m) == check_axioms(m)
 
     @mark.parametrize("d", (2, 3))
     def test_matches_sampled_reference(self, d):
@@ -122,19 +117,22 @@ class TestAxioms:
             exact = check_sot_axioms(m)
             sampled = sampled_sot_axioms(m, n_cases=25, rng=Rng(40 + d))
             for axiom in SOT_AXIOMS:
-                a, s = getattr(exact, axiom), getattr(sampled, axiom)
+                a, s = getattr(exact, axiom), sampled[axiom]
                 assert (a < 1e-10 and s < 1e-10) or (a > 1e-2 and s > 1e-2), (name, axiom, a, s)
 
     def test_no_sampling(self, monkeypatch):
         b = canonical_b(6)
 
         def fail(*args, **kwargs):
-            raise AssertionError("state-over-time axioms must not sample")
+            raise AssertionError("axiom checks must not sample")
 
-        monkeypatch.setattr(sot, "haar_unitary", fail, raising=False)
-        monkeypatch.setattr(densemat, "haar_unitary", fail)
+        for name in ("haar_unitary", "random_pure", "random_density", "trace_norm"):
+            monkeypatch.setattr(densemat, name, fail)
+            monkeypatch.setattr(broadcast, name, fail, raising=False)
+            monkeypatch.setattr(sot, name, fail, raising=False)
         monkeypatch.setattr(SuperMap, "from_action", fail)
         monkeypatch.setattr(SuperMap, "compose", fail)
+        assert check_axioms(b).passes(1e-10)
         assert check_sot_axioms(b).passes(1e-10)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, identity, kron, random_density, random_hermitian, swap
+from vbcast.densemat import Operator, Rng, haar_unitary, identity, kron, random_density, random_hermitian, swap
 from vbcast.supermap import (
     AffineDecomposition,
     SuperMap,
@@ -74,6 +74,18 @@ def test_random_channel_is_cptp():
         out = m.apply(rho)
         assert out.is_psd()
         assert out.trace() == pytest.approx(1.0)
+
+
+def test_random_channel_is_leading_haar_columns():
+    # the thin QR of the leading columns equals those columns of the full Haar unitary
+    for d_in, d_out in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        rng, ref_rng = Rng(d_in + 10 * d_out), Rng(d_in + 10 * d_out)
+        m = random_channel(d_in, d_out, rng)
+        v = haar_unitary(d_out * d_out * d_in, ref_rng).mat[:, :d_in]
+        kraus = v.reshape(d_out, d_in * d_out, d_in).transpose(1, 0, 2)
+        want = np.einsum("eui,evj->uivj", kraus, kraus.conj()).reshape(d_out * d_in, d_out * d_in)
+        assert_allclose(m.choi.mat, want, atol=1e-14)
+        assert rng.gen.standard_normal() == ref_rng.gen.standard_normal()
 
 
 def test_compose_matches_sequential_apply():
