@@ -23,6 +23,7 @@ tests as a reference, gives the same nullities at d = 2, 3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,7 @@ def classical_bcl(d: int, basis: Operator | None = None) -> SuperMap:
 # the commutant core
 
 
+@functools.cache
 def commutant_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the Choi operators covariant under U (x) U (x) Ubar.
 
@@ -141,7 +143,8 @@ def commutant_basis(d: int) -> np.ndarray:
     the partial transposes P_sigma^T3 of the six factor permutations; k is
     5 at d = 2, where the three-factor antisymmetrizer vanishes, and 6 for
     d >= 3.  The rank is cut on the Gram matrix's spectrum, because the raw
-    operators are linearly dependent at d = 2.
+    operators are linearly dependent at d = 2.  Built once per d; the
+    returned array is shared and read-only.
     """
     _require_dim(d)
     q = [_transpose_input(p.mat, d) for p in permutation_operators(d)]
@@ -150,7 +153,9 @@ def commutant_basis(d: int) -> np.ndarray:
     gram = np.einsum("aij,bji->ab", herm, herm).real
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > 1e-10 * vals[-1]
-    return np.einsum("ak,aij->kij", vecs[:, keep] / np.sqrt(vals[keep]), herm)
+    basis = np.einsum("ak,aij->kij", vecs[:, keep] / np.sqrt(vals[keep]), herm)
+    basis.flags.writeable = False
+    return basis
 
 
 def commutant_projection(choi: Operator, d: int) -> Operator:

@@ -205,9 +205,31 @@ def _meta(cfg: RunConfig, command: str) -> dict:
     }
 
 
+_JSON_SCALARS = {float, int, bool, str, type(None)}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for string-keyed dicts.
+
+    The indented layout is written here and every flat list of scalars goes
+    to the C encoder in one call, because ``indent`` alone would force the
+    pure-Python encoder onto every matrix entry.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_dumps(x, inner) for x in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(cfg: RunConfig, doc: dict):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write_text(cfg.out, text)
+    _write_text(cfg.out, _dumps(doc) + "\n")
 
 
 def _emit_csv(cfg: RunConfig, write_csv, rows):

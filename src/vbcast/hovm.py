@@ -14,20 +14,24 @@ the fully depolarizing map to I/d (x) I/d.  The integral reduces to Haar
 moment operators of order <= 3, so everything here is exact; Monte-Carlo
 sampling of the same integral is provided for cross-checks.
 
-Each Monte-Carlo sample is a weight times rho_psi (x) rho_psi, so a block of
-samples is reduced to its mean and squared deviations by GEMMs over the d^2
-entries of rho_psi, and the (count, d^2, d^2) sample tensor is never built.
-The (ik, ik) and (ik, ki) entries of every sample are real, so the
-imaginary mean and squared deviations there are set to exactly zero
-rather than left at GEMM roundoff.
+Each Monte-Carlo sample is a weight times rho_psi (x) rho_psi, and the
+Hermitian rho_psi has d^2 real coordinates (Re on i <= j, Im on i < j).  A
+block of samples is reduced to two real Gram matrices over those
+coordinates, one for the mean and one for the squared deviations, and both
+are gathered with signs into the d^2 x d^2 layout; the (count, d^2, d^2)
+sample tensor is never built.  The (ik, ik) and (ik, ki) entries of every
+sample are real, so the imaginary mean and squared deviations there are
+set to exactly zero rather than left at GEMM roundoff.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .broadcast import canonical_b
 from .densemat import DEFAULT_TOL, Operator, Rng, kron, permutation_operators, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
@@ -106,8 +110,6 @@ def theorem3_weight(d: int) -> float:
 
 def verify_theorem3(d: int) -> float:
     """Max-entry residual of  C(B) = p C(M) + (1-p) C(M')."""
-    from .broadcast import canonical_b
-
     p = theorem3_weight(d)
     mix = p * exact_mp_map(d) + (1.0 - p) * depolarizing_mp(d)
     return (canonical_b(d).choi - mix.choi).absmax()
@@ -184,15 +186,51 @@ def _check_density(rho: Operator, d: int):
 MC_CHUNK = 4096  # samples per moment block in mc_mp_apply; memory is O(MC_CHUNK * d^2)
 
 
+@functools.cache
+def _moment_layout(d: int):
+    """Gather maps from the Hermitian coordinates of rho_psi to rho_psi (x) rho_psi, built once per d.
+
+    rho_psi[i, j] = u[p] + 1j s t[q], with u = Re rho_psi on i <= j,
+    t = Im rho_psi on i < j, (p, q) the places of the pair {i, j} in them
+    and s = +1, -1, 0 for i < j, i > j, i = j.  Entry (ik, jl) of the
+    d^2 x d^2 layout multiplies rho_psi[i, j] by rho_psi[k, l]; for both
+    factors, per entry, the maps give the column of u in h = [u, t] and in
+    g = [u^2, t^2, u t on i < j], the column of t in both, the column of u t
+    in g, and s.  Where s = 0 the t and u t columns are 0, a valid column
+    that s multiplies away.  Also returned: the triangle indices and the
+    mask of the 2d^2 - d structurally real entries.
+    """
+    nu = d * (d + 1) // 2
+    rows, cols = np.triu_indices(d)
+    off = rows != cols
+    ucol = np.zeros((d, d), dtype=np.intp)
+    ucol[rows, cols] = ucol[cols, rows] = np.arange(nu)
+    tcol = np.zeros((d, d), dtype=np.intp)
+    tcol[rows[off], cols[off]] = tcol[cols[off], rows[off]] = nu + np.arange(nu - d)
+    xcol = np.where(tcol > 0, tcol + nu - d, 0)
+    idx = np.arange(d)
+    sign = np.sign(idx[np.newaxis, :] - idx[:, np.newaxis]).astype(float)
+    i, k, j, l = np.indices((d,) * 4).reshape(4, d * d, d * d)
+    per_factor = (ucol, tcol, xcol, sign)
+    maps = tuple(m[i, j] for m in per_factor) + tuple(m[k, l] for m in per_factor)
+    real = np.eye(d * d, dtype=bool) | (swap(d).mat.real != 0)
+    for arr in (rows, cols, off, real, *maps):
+        arr.flags.writeable = False
+    return rows, cols, off, maps, real
+
+
 def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     """Moments (count, mean, m2_re, m2_im) of `count` samples of Tr[M_psi rho] rho_psi (x) rho_psi.
 
-    A sample is w * (rho_psi (x) rho_psi), so with the rho_psi flattened to
-    R = U + iT (count x d^2) the block sum is (w R)^T R and the sums of
-    (Re x)^2 and (Im x)^2 are blocks of one real Gram matrix of
-    G = [U*U, T*T, U*T]; both are permuted from the (ij, kl) layout of
-    R's outer products to the (ik, jl) layout of rho_psi (x) rho_psi.  No
-    (count, d^2, d^2) tensor is built.
+    A sample is w * (rho_psi (x) rho_psi), and the Hermitian rho_psi holds d^2
+    real coordinates: u = Re rho_psi on i <= j and t = Im rho_psi on i < j,
+    taken straight from the pair products v_i conj(v_j).  Every entry of a
+    sample is w rho_psi[i, j] rho_psi[k, l], so the block sums are signed
+    gathers (``_moment_layout``) of two real Gram matrices: the mean from
+    K = (w h)^T h over h = [u, t] (d^2 columns), and the sums of (Re x)^2
+    and (Im x)^2 from g^T g over g = w [u^2, t^2, u t on i < j]
+    ((3d^2 - d)/2 columns).  No (count, d^2, d^2) tensor and no complex
+    GEMM is formed.
 
     Exact-zero rule: every sample is Hermitian and invariant under swapping
     its two outputs, so its (ik, ik) and (ik, ki) entries are real.  The
@@ -201,25 +239,29 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     are set to exactly 0 on those 2d^2 - d entries.
     """
     a = d + 2
+    rows, cols, off, (u1, t1, x1, s1, u2, t2, x2, s2), real = _moment_layout(d)
     v = rng.gen.standard_normal((count, d)) + 1j * rng.gen.standard_normal((count, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     overlap = np.einsum("ci,ij,cj->c", v.conj(), rho, v).real
     weight = (d / 2.0) * (a * overlap - 1.0)
-    proj = np.einsum("ci,cj->cij", v, v.conj())
-    r = ((a * proj - np.eye(d)[np.newaxis]) / 2.0).reshape(count, d * d)
-    u, t = r.real, r.imag
-    g = np.concatenate([u * u, t * t, u * t], axis=1)
-    gram = ((g.T * weight**2) @ g).reshape(3, d * d, 3, d * d)
+    pair = (a / 2.0) * (v[:, rows] * v[:, cols].conj())
+    u = pair.real
+    u[:, ~off] -= 0.5
+    t = pair.imag[:, off]
+    h = np.concatenate([u, t], axis=1)
+    k = (weight[:, np.newaxis] * h).T @ h
+    g = weight[:, np.newaxis] * np.concatenate([u * u, t * t, u[:, off] * t], axis=1)
+    gram = g.T @ g
 
-    def pair_layout(m: np.ndarray) -> np.ndarray:
-        return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-    mean = pair_layout((weight[:, np.newaxis] * r).T @ r) / count
-    sq_re = pair_layout(gram[0, :, 0] + gram[1, :, 1] - 2.0 * gram[2, :, 2])
-    sq_im = pair_layout(gram[0, :, 1] + gram[1, :, 0] + 2.0 * gram[2, :, 2])
+    s12 = s1 * s2
+    mean = np.empty((d * d, d * d), dtype=np.complex128)
+    mean.real = (k[u1, u2] - s12 * k[t1, t2]) / count
+    mean.imag = (s2 * k[u1, t2] + s1 * k[t1, u2]) / count
+    cross = 2.0 * s12 * gram[x1, x2]
+    sq_re = gram[u1, u2] + s12 * s12 * gram[t1, t2] - cross
+    sq_im = s2 * s2 * gram[u1, t2] + s1 * s1 * gram[t1, u2] + cross
     m2_re = np.maximum(sq_re - count * mean.real**2, 0.0)
     m2_im = np.maximum(sq_im - count * mean.imag**2, 0.0)
-    real = np.eye(d * d, dtype=bool) | (swap(d).mat.real != 0)
     mean.imag[real] = 0.0
     m2_im[real] = 0.0
     return count, mean, m2_re, m2_im

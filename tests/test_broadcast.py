@@ -287,6 +287,13 @@ class TestCommutant:
         assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
         assert_allclose(basis, basis.conj().transpose(0, 2, 1), atol=1e-14)
 
+    def test_basis_built_once_and_read_only(self):
+        basis = commutant_basis(3)
+        assert commutant_basis(3) is basis
+        assert not basis.flags.writeable
+        with raises(ValueError):
+            basis[0, 0, 0] = 1.0
+
     @mark.parametrize("d", (2, 3))
     def test_projection_is_haar_twirl_fixed_point(self, d):
         # covariant Chois are fixed, and the projection of any Choi is covariant

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import vbcast
-from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, main
+from vbcast import cli
+from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, _dumps, main
 from vbcast.densemat import Rng
 from vbcast.diamond import float_slack
 from vbcast.supermap import random_channel
@@ -226,6 +227,51 @@ class TestSchemas:
         code = "import sys, vbcast.cli; sys.exit('jsonschema' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+class TestReportWriter:
+    """The report writer lays reports out exactly as json.dumps(doc, sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--dim", "2", "--target", "B"],
+            ["verify", "--dim", "2", "--target", "B_lambda:0.3"],
+            ["diamond", "--dim", "3"],
+            ["sample", "--dim", "2", "--object", "B", "--n", "1000", "--format", "json"],
+            ["sample", "--dim", "2", "--object", "M", "--n", "1000", "--format", "json"],
+            ["dump", "--dim", "3", "--object", "B"],
+            ["dump", "--dim", "2", "--object", "M"],
+        ],
+    )
+    def test_reports_byte_identical(self, args, tmp_path, monkeypatch):
+        docs = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda cfg, doc: (docs.append(doc), emit(cfg, doc)))
+        _, _, out = run(args, tmp_path)
+        assert len(docs) == 1
+        assert out.read_text() == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            [[]],
+            [[], {}, [[]]],
+            {"b": {}, "a": []},
+            [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1e-300],
+            [1, True, False, None, 2.5, "x", np.float64(0.1)],
+            {"b": [1, [2, {"c": None}]], "a": [[1.5], []], "c": (3, 4)},
+            {"caf\u00e9": ["\u00fc", "\u2603 snow"]},
+            "\u00e9t\u00e9",
+            float("nan"),
+            3,
+            None,
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 class TestEnvironment:

@@ -259,7 +259,7 @@ def _structurally_real(d):
 class TestMomentSampler:
     """The moment-based sampler against the materialising reference in dense_mp_sampling."""
 
-    @mark.parametrize("d", [2, 3, 6])
+    @mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_block_moments_match_reference(self, d):
         rho = random_density(d, Rng(d, 10))
         k, mean, m2_re, m2_im = _mp_moments(rho.mat, d, 1000, Rng(d, 12))
@@ -269,7 +269,7 @@ class TestMomentSampler:
         for got, want in ((mean, ref.mean), (m2_re, ref.m2_re), (m2_im, ref.m2_im)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @mark.parametrize("d", [2, 3, 6])
+    @mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_structurally_real_entries_are_exact(self, d):
         real = _structurally_real(d)
         assert real.sum() == 2 * d * d - d
