@@ -48,7 +48,6 @@ from .broadcast import (  # noqa: F401
 )
 from .diamond import (  # noqa: F401
     DiamondResult,
-    SdpConfig,
     closest_channel_scan,
     diamond_bracket,
     diamond_lower_search,

@@ -34,7 +34,9 @@ from .broadcast import (
     verify_uniqueness,
 )
 from .diamond import diamond_bracket, hptp_upper
-from .hovm import depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, write_sampling_csv
+from .hovm import (
+    depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
+)
 from .qsample import estimate_with_trace, overhead, sampler_from_decomposition, write_trace_csv
 from .sot import check_postprocessing_equivalence, check_sot_axioms
 
@@ -339,11 +341,9 @@ def _verify_spectral(b: SuperMap, cfg: RunConfig):
 
 
 def _verify_theorem3(b: SuperMap, cfg: RunConfig):
-    d = cfg.dim
-    p = theorem3_weight(d)
-    mix = p * exact_mp_map(d) + (1.0 - p) * depolarizing_mp(d)
-    t3_res = (b.choi - mix.choi).absmax()
-    return t3_res < cfg.tolerances["theorem3"], {"residual": t3_res, "weight": p}, f"residual={t3_res:.3e}"
+    t3_res = verify_theorem3(b)
+    values = {"residual": t3_res, "weight": theorem3_weight(b.d_in)}
+    return t3_res < cfg.tolerances["theorem3"], values, f"residual={t3_res:.3e}"
 
 
 def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
@@ -426,7 +426,7 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
 def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     """Certified diamond-norm bracket of a named map or a Choi JSON file."""
     m, upper = _resolve_diamond_target(cfg, target)
-    result = diamond_bracket(m, cfg.tolerances["sdp"], Rng(cfg.seed, 5), upper=upper)
+    result = diamond_bracket(m, cfg.tolerances["sdp"], upper=upper)
     doc = _meta(cfg, "diamond")
     doc.update({"target": target})
     doc.update({k: v for k, v in result.to_json().items() if k != "version"})

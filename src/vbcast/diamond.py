@@ -1,7 +1,7 @@
 """Diamond-norm computation for Hermitian-preserving maps.
 
 ``diamond_bracket`` is the entry point.  It closes a certified bracket
-``lower <= ||m||<> <= upper`` and runs the SDP only when that fails:
+``lower <= ||m||<> <= upper`` and reports its midpoint:
 
 * ``jordan_upper`` -- with the Jordan split J = P - N of the input-first
   Choi, Y0 = Y1 = P + N = |J| is feasible for the dual SDP of Watrous
@@ -9,18 +9,18 @@
   One ``eigh`` of J gives it.  It is tight for B, B - B+ and B_lambda.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
   an upper bound because channels have diamond norm one.
-* ``diamond_lower_search`` -- monotone power-iteration ascent over pure
-  bipartite inputs of ``||(id (x) m)(omega)||_1``, giving a lower bound
-  plus the witness state that achieves it.  It stops as soon as it comes
-  within the tolerance of the upper bound.
+* ``diamond_lower_search`` -- monotone power-iteration ascent from the
+  maximally entangled input of ``||(id (x) m)(omega)||_1``, giving a lower
+  bound plus the witness state that achieves it.  It stops as soon as it
+  comes within the tolerance of the upper bound.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
-  splitting (affine projection / PSD projection / dual update).  It is
-  the fallback for maps whose bracket stays open, such as differences of
-  random channels.
+  splitting (affine projection / PSD projection / dual update) that stops
+  once the bracket certified by its dual variable and PSD iterate closes.
+  It serves maps the bounds above leave open, such as channel differences.
 
-Both bounds are rounded outward by ``float_slack``, so ``lower <= upper``
+Every bound is rounded outward by ``float_slack``, so ``lower <= upper``
 holds despite rounding in the eigendecompositions.
 """
 
@@ -31,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .densemat import Operator, Rng, eigh, trace_norm
+from .densemat import Operator, eigh, trace_norm
 from .supermap import AffineDecomposition, SuperMap, apply_right
 
 # ADMM step: penalty sigma of the augmented Lagrangian and over-relaxation alpha in [1, 2).
 ADMM_PENALTY = 1.0
 ADMM_OVER_RELAXATION = 1.6
+ADMM_MAX_ITERATIONS = 50000
+# ADMM steps per certified bracket; one certificate costs about as much as a step.
+ADMM_CERTIFY_EVERY = 8
+ASCENT_MAX_STEPS = 200
 
 
 def float_slack(n: int, value: float) -> float:
@@ -47,20 +51,6 @@ def float_slack(n: int, value: float) -> float:
     that with room to spare (5e-12 at n = 216, value = 6).
     """
     return float(16.0 * n * np.finfo(float).eps * max(1.0, abs(value)))
-
-
-@dataclass(frozen=True)
-class SdpConfig:
-    """Knobs for the ADMM diamond-norm solver."""
-
-    tolerance: float = 1e-5
-    max_iterations: int = 50000
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,71 +88,42 @@ class DiamondResult:
 # lower bound: power-iteration ascent over pure bipartite inputs
 
 
-def diamond_lower_search(
-    m: SuperMap,
-    restarts: int = 32,
-    rng: Rng | None = None,
-    max_steps: int = 200,
-    stop_at: float = np.inf,
-) -> DiamondResult:
+def diamond_lower_search(m: SuperMap, stop_at: float = np.inf) -> DiamondResult:
     """Maximize ||(id (x) m)(|w><w|)||_1 over pure bipartite w.
 
-    Each restart alternates between the sign operator Z of the current
-    output and the top eigenvector of (id (x) m*)(Z); the objective is
-    nondecreasing along the iteration.  The first restart starts from the
-    maximally entangled state, the rest from Haar-random vectors.  The
-    search ends early once the objective reaches ``stop_at``.  The
-    returned lower bound is the best objective rounded down by
-    ``float_slack``.
+    Starting from the maximally entangled state, the ascent alternates
+    between the sign operator Z of the current output and the top
+    eigenvector of (id (x) m*)(Z); the objective is nondecreasing along
+    the iteration.  It ends when the objective stops rising, reaches
+    ``stop_at``, or after ``ASCENT_MAX_STEPS`` steps.  The returned lower
+    bound is the objective rounded down by ``float_slack``.
     """
     if not m.is_hp():
         raise ValueError("diamond_lower_search requires a Hermitian-preserving map")
-    if rng is None:
-        rng = Rng(0)
     d_ref = m.d_in
     adj = m.hs_adjoint()
 
-    best_value = -np.inf
-    best_witness = None
-    total_steps = 0
-
-    for trial in range(restarts):
-        if trial == 0:
-            w = np.eye(d_ref, dtype=np.complex128).reshape(-1) / np.sqrt(d_ref)
-        else:
-            w = rng.gen.standard_normal(d_ref * m.d_in) + 1j * rng.gen.standard_normal(
-                d_ref * m.d_in
-            )
-            w = w / np.linalg.norm(w)
-
-        value = -np.inf
-        for _ in range(max_steps):
-            total_steps += 1
-            t = apply_right(m, Operator(np.outer(w, w.conj())), d_left=d_ref)
-            vals, vecs = eigh(t, tol=1e-7)
-            new_value = float(np.abs(vals).sum())
-            z = Operator((vecs.mat * np.sign(vals)[np.newaxis, :]) @ vecs.mat.conj().T)
-            a = apply_right(adj, z, d_left=d_ref)
-            avals, avecs = eigh(a, tol=1e-7)
-            w = avecs.mat[:, 0]
-            if new_value <= value + 1e-12:
-                value = max(value, new_value)
-                break
-            value = new_value
-            if value >= stop_at:
-                break
-
-        if value > best_value:
-            best_value = value
-            best_witness = Operator(np.outer(w, w.conj()))
-        if best_value >= stop_at:
+    w = np.eye(d_ref, dtype=np.complex128).reshape(-1) / np.sqrt(d_ref)
+    value = -np.inf
+    for steps in range(1, ASCENT_MAX_STEPS + 1):
+        t = apply_right(m, Operator(np.outer(w, w.conj())), d_left=d_ref)
+        vals, vecs = eigh(t, tol=1e-7)
+        new_value = float(np.abs(vals).sum())
+        z = Operator((vecs.mat * np.sign(vals)[np.newaxis, :]) @ vecs.mat.conj().T)
+        a = apply_right(adj, z, d_left=d_ref)
+        avals, avecs = eigh(a, tol=1e-7)
+        w = avecs.mat[:, 0]
+        if new_value <= value + 1e-12:
+            value = max(value, new_value)
+            break
+        value = new_value
+        if value >= stop_at:
             break
 
     return DiamondResult(
-        lower_bound=float(best_value) - float_slack(d_ref * m.d_out, best_value),
-        witness_state=best_witness,
-        iterations=total_steps,
-        converged=True,
+        lower_bound=float(value) - float_slack(d_ref * m.d_out, value),
+        witness_state=Operator(np.outer(w, w.conj())),
+        iterations=steps,
     )
 
 
@@ -178,6 +139,11 @@ def _input_first_choi(m: SuperMap) -> np.ndarray:
     return r4.reshape(n, n).copy()
 
 
+def _trace_out(blk: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Partial trace over the output factor of a (d_in d_out)-square block."""
+    return np.einsum("iuju->ij", blk.reshape(d_in, d_out, d_in, d_out))
+
+
 def _project_affine(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Orthogonal projection onto Hermitian block matrices with diagonal
     blocks of the form rho (x) I_out, Tr[rho] = 1."""
@@ -186,7 +152,7 @@ def _project_affine(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     out = v.copy()
     for b in (0, 1):
         blk = v[b * n : (b + 1) * n, b * n : (b + 1) * n]
-        rho = np.einsum("iuju->ij", blk.reshape(d_in, d_out, d_in, d_out)) / d_out
+        rho = _trace_out(blk, d_in, d_out) / d_out
         rho = rho + np.eye(d_in) * ((1.0 - np.trace(rho).real) / d_in)
         out[b * n : (b + 1) * n, b * n : (b + 1) * n] = np.einsum(
             "ij,uv->iujv", rho, np.eye(d_out)
@@ -201,16 +167,55 @@ def _project_psd(v: np.ndarray) -> np.ndarray:
     return (vecs * pos[np.newaxis, :]) @ vecs.conj().T
 
 
-def diamond_sdp(m: SuperMap, config: SdpConfig | None = None) -> DiamondResult:
-    """Diamond norm of a Hermitian-preserving map via ADMM.
+def _dual_upper(r: np.ndarray, u: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
+    """Upper bound on the SDP, and its dual point Z, from any Hermitian u.
+
+    Z = -sigma u with its off-diagonal blocks set to -R/2, -R^dag/2 and
+    shifted by t I, t = max(0, -lambda_min), is PSD.  For every feasible M,
+    <Q, M> <= <Q + Z, M> = Tr[(Tr_out Z00) rho0] + Tr[(Tr_out Z11) rho1],
+    so the sum of the top eigenvalues of the two reduced diagonal blocks
+    bounds the norm; ``jordan_upper`` is Z = [[|J|, -J], [-J, |J|]] / 2.
+    """
+    n = d_in * d_out
+    z = -ADMM_PENALTY * (u + u.conj().T) / 2
+    z[:n, n:] = -r / 2
+    z[n:, :n] = -r.conj().T / 2
+    z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * np.eye(2 * n)
+    blocks = (z[:n, :n], z[n:, n:])
+    value = sum(float(np.linalg.eigvalsh(_trace_out(b, d_in, d_out))[-1]) for b in blocks)
+    return value + float_slack(2 * n, value), z
+
+
+def _reference_lower(r: np.ndarray, s: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
+    """Lower bound and its input vec A from the PSD iterate s of an ADMM step.
+
+    rho, the mean reduced diagonal block of s clipped to PSD and
+    normalised, gives A = sqrt(rho) with ||vec A|| = 1, so
+    ||(A (x) I) R (A (x) I)||_1 = ||(id (x) m)(vec A vec A^dag)||_1 <= ||m||<>.
+    """
+    n = d_in * d_out
+    rho = _trace_out(s[:n, :n] + s[n:, n:], d_in, d_out)
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    a = (vecs * np.sqrt(vals / vals.sum())[np.newaxis, :]) @ vecs.conj().T
+    a_big = np.kron(a, np.eye(d_out))
+    value = trace_norm(a_big @ r @ a_big)
+    return value - float_slack(n, value), a.reshape(-1)
+
+
+def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
+    """Certified diamond-norm bracket of a Hermitian-preserving map via ADMM.
 
     Splits the SDP into an affine part (block structure, unit-trace
     reference states, linear objective) and a PSD cone part, coupled by a
-    scaled dual variable; stops when primal and dual residuals both fall
-    below the configured tolerance.
+    scaled dual variable.  Every ``ADMM_CERTIFY_EVERY`` steps certify an
+    upper bound from the dual variable (``_dual_upper``) and a lower bound
+    with its witness from the PSD iterate (``_reference_lower``).  The best
+    bracket is reported by its midpoint once its gap is <= ``tolerance``,
+    or with ``converged=False`` after ``ADMM_MAX_ITERATIONS`` steps.
     """
-    if config is None:
-        config = SdpConfig()
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     if not m.is_hp(tol=1e-8):
         raise ValueError("diamond_sdp requires a Hermitian-preserving map")
 
@@ -228,26 +233,30 @@ def diamond_sdp(m: SuperMap, config: SdpConfig | None = None) -> DiamondResult:
 
     s = np.zeros((big, big), dtype=np.complex128)
     u = np.zeros((big, big), dtype=np.complex128)
-    m_var = np.zeros((big, big), dtype=np.complex128)
 
-    converged = False
+    lower, upper, witness = -np.inf, np.inf, None
     iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        m_var = _project_affine(s - u + q / sigma, d_in, d_out)
-        m_relaxed = alpha * m_var + (1 - alpha) * s
-        s_new = _project_psd(m_relaxed + u)
-        u = u + m_relaxed - s_new
+    while iterations < ADMM_MAX_ITERATIONS and upper - lower > tolerance:
+        for _ in range(ADMM_CERTIFY_EVERY):
+            m_var = _project_affine(s - u + q / sigma, d_in, d_out)
+            m_relaxed = alpha * m_var + (1 - alpha) * s
+            s = _project_psd(m_relaxed + u)
+            u = u + m_relaxed - s
+        iterations += ADMM_CERTIFY_EVERY
 
-        primal = float(np.linalg.norm(m_var - s_new))
-        dual = float(sigma * np.linalg.norm(s_new - s))
-        s = s_new
-        if primal <= config.tolerance and dual <= config.tolerance:
-            converged = True
-            break
+        upper = min(upper, _dual_upper(r, u, d_in, d_out)[0])
+        low, vec_a = _reference_lower(r, s, d_in, d_out)
+        if low > lower:
+            lower, witness = low, vec_a
 
-    value = float(np.real(np.vdot(q, m_var)))
-    return DiamondResult(value=value, iterations=iterations, converged=converged)
+    return DiamondResult(
+        value=(lower + upper) / 2,
+        lower_bound=lower,
+        upper_bound=upper,
+        witness_state=Operator(np.outer(witness, witness.conj())),
+        iterations=iterations,
+        converged=upper - lower <= tolerance,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,48 +279,40 @@ def jordan_upper(m: SuperMap) -> float:
     """
     if not m.is_hp(tol=1e-8):
         raise ValueError("jordan_upper requires a Hermitian-preserving map")
-    y = _jordan_abs(_input_first_choi(m))
-    reduced = np.einsum("iuju->ij", y.reshape(m.d_in, m.d_out, m.d_in, m.d_out))
+    reduced = _trace_out(_jordan_abs(_input_first_choi(m)), m.d_in, m.d_out)
     value = float(np.linalg.eigvalsh(reduced)[-1])
     return value + float_slack(m.d_in * m.d_out, value)
 
 
-def diamond_bracket(
-    m: SuperMap,
-    tolerance: float = 1e-5,
-    rng: Rng | None = None,
-    upper: float | None = None,
-) -> DiamondResult:
-    """Certified bracket lower <= ||m||<> <= upper, with a value inside it.
+def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = None) -> DiamondResult:
+    """Certified bracket lower <= ||m||<> <= upper, reporting its midpoint.
 
     ``upper`` is the Jordan bound, or the caller's proven bound (such as
     ``hptp_upper``) where that is smaller.  The ascent stops once its
-    lower bound is within ``tolerance`` of it.  A bracket that closes to
-    ``tolerance`` reports its midpoint with 0 iterations; otherwise
-    ``diamond_sdp`` runs and its value, clipped into the bracket, is
-    reported with its iteration count and convergence flag.
+    lower bound is within ``tolerance`` of it; a bracket closed that way
+    has 0 iterations.  Otherwise ``diamond_sdp`` runs, and the bracket is
+    the larger lower and the smaller upper bound of the two, with the SDP's
+    iteration count; it is ``converged`` when its gap is <= ``tolerance``.
     """
     up = jordan_upper(m)
     if upper is not None:
         up = min(up, upper)
     n = m.d_in * m.d_out
-    low = diamond_lower_search(m, restarts=8, rng=rng, stop_at=up - tolerance + float_slack(n, up))
-    lower = low.lower_bound
-    if up - lower <= tolerance:
-        return DiamondResult(
-            value=(lower + up) / 2,
-            lower_bound=lower,
-            upper_bound=up,
-            witness_state=low.witness_state,
-        )
-    sdp = diamond_sdp(m, SdpConfig(tolerance=tolerance))
+    low = diamond_lower_search(m, stop_at=up - tolerance + float_slack(n, up))
+    lower, witness, iterations = low.lower_bound, low.witness_state, 0
+    if up - lower > tolerance:
+        sdp = diamond_sdp(m, tolerance)
+        if sdp.lower_bound > lower:
+            lower, witness = sdp.lower_bound, sdp.witness_state
+        up = min(up, sdp.upper_bound)
+        iterations = sdp.iterations
     return DiamondResult(
-        value=min(max(sdp.value, lower), up),
+        value=(lower + up) / 2,
         lower_bound=lower,
         upper_bound=up,
-        witness_state=low.witness_state,
-        iterations=sdp.iterations,
-        converged=sdp.converged,
+        witness_state=witness,
+        iterations=iterations,
+        converged=up - lower <= tolerance,
     )
 
 

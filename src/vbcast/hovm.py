@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broadcast import canonical_b
 from .densemat import DEFAULT_TOL, Operator, Rng, kron, permutation_operators, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
@@ -108,11 +107,12 @@ def theorem3_weight(d: int) -> float:
     return 4.0 * (d + 1) / (d + 2) ** 2
 
 
-def verify_theorem3(d: int) -> float:
-    """Max-entry residual of  C(B) = p C(M) + (1-p) C(M')."""
+def verify_theorem3(b: SuperMap) -> float:
+    """Max-entry residual of  C(b) = p C(M) + (1-p) C(M')  at d = b.d_in."""
+    d = b.d_in
     p = theorem3_weight(d)
     mix = p * exact_mp_map(d) + (1.0 - p) * depolarizing_mp(d)
-    return (canonical_b(d).choi - mix.choi).absmax()
+    return (b.choi - mix.choi).absmax()
 
 
 # ---------------------------------------------------------------------------

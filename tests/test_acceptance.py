@@ -159,7 +159,7 @@ def test_criterion_05_diamond_norms():
     if ranking[1][1] - ranking[0][1] <= 1e-3:
         bad.append(f"scan margin {ranking[1][1] - ranking[0][1]:.2e}")
     for d in (2, 3):
-        low = diamond_lower_search(canonical_b(d), restarts=32, rng=Rng(510 + d))
+        low = diamond_lower_search(canonical_b(d))
         if abs(low.lower_bound - d) >= 1e-6:
             bad.append(f"ascent d={d}: {low.lower_bound:.8f}")
     _finish(
@@ -179,7 +179,7 @@ def test_criterion_06_theorem3_and_moments():
     t0 = time.monotonic()
     bad = []
     for d in range(2, 6):
-        res = verify_theorem3(d)
+        res = verify_theorem3(canonical_b(d))
         if res >= 1e-10:
             bad.append(f"theorem3 d={d}: {res:.2e}")
     if abs(theorem3_weight(2) - 0.75) > 1e-15 or abs(theorem3_weight(3) - 0.64) > 1e-15:

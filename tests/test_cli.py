@@ -129,6 +129,22 @@ class TestDiamond:
         # a channel's Choi is PSD, so the Jordan bound is ||Tr_out J||_inf = 1
         assert 1.0 <= doc["upper_bound"] <= 1.0 + 2 * float_slack(4, 1.0)
 
+    def test_open_gap_file_target_certified(self, tmp_path):
+        # the bracket of a channel difference stays open until ADMM certifies it
+        path = tmp_path / "diff.json"
+        path.write_text(json.dumps((random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2))).to_json()))
+        docs = []
+        for seed in ("0", "5"):
+            args = ["diamond", "--dim", "2", "--target", f"file:{path}", "--seed", seed]
+            code, doc, _ = run(args, tmp_path, f"{seed}.json")
+            assert code == 0
+            assert doc["iterations"] > 0
+            assert doc["gap"] <= DEFAULT_TOLERANCES["sdp"]
+            assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+            docs.append({k: v for k, v in doc.items() if k not in ("seed", "timestamp")})
+        # diamond draws no random numbers, so the seed does not reach the report
+        assert docs[0] == docs[1]
+
     def test_missing_file_target(self, tmp_path):
         assert main(["diamond", "--dim", "2", "--target", str(tmp_path / "nope.json")]) == 2
 

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vbcast.diamond
-from vbcast.densemat import Operator, Rng, haar_unitary, random_density, random_hermitian
-from vbcast.supermap import AffineDecomposition, SuperMap, random_channel
+from vbcast.densemat import Operator, Rng, haar_unitary, random_density, random_hermitian, trace_norm
+from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, random_channel
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
-    SdpConfig,
+    _dual_upper,
     _input_first_choi,
     _jordan_abs,
     closest_channel_scan,
@@ -23,28 +23,46 @@ from vbcast.diamond import (
 from vbcast.hovm import depolarizing_mp
 
 
+def _assert_certified(res, exact):
+    assert res.converged and res.iterations > 0
+    assert res.lower_bound <= exact <= res.upper_bound
+    assert 0 <= res.gap <= 1e-5
+    assert res.value == (res.lower_bound + res.upper_bound) / 2
+
+
 class TestSdp:
     def test_identity_map(self):
         res = diamond_sdp(SuperMap.identity(2))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-4)
+        _assert_certified(res, 1.0)
 
     def test_random_channel_norm_one(self):
         res = diamond_sdp(random_channel(2, 3, Rng(1)))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-4)
+        _assert_certified(res, 1.0)
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_canonical_broadcaster(self, d):
         res = diamond_sdp(canonical_b(d))
         assert res.converged
         assert res.value == pytest.approx(d, abs=1e-4)
+        _assert_certified(res, float(d))
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_distance_to_cloner(self, d):
         res = diamond_sdp(canonical_b(d) - cloner(d))
         assert res.converged
         assert res.value == pytest.approx(d - 1, abs=1e-4)
+        _assert_certified(res, float(d - 1))
+
+    def test_distance_to_depolarizing(self):
+        # the bracket closes at 5/2 without ADMM; the SDP must certify the same value
+        m = canonical_b(2) - depolarizing_mp(2)
+        closed = diamond_bracket(m, 1e-5)
+        assert closed.iterations == 0 and closed.value == pytest.approx(2.5, abs=1e-12)
+        _assert_certified(diamond_sdp(m), 2.5)
 
     def test_unitary_conjugation_invariance(self):
         m = canonical_b(2)
@@ -63,9 +81,7 @@ class TestSdp:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SdpConfig(tolerance=-1)
-        with pytest.raises(ValueError):
-            SdpConfig(max_iterations=0)
+            diamond_sdp(SuperMap.identity(2), tolerance=-1)
 
     def test_result_json(self):
         res = diamond_sdp(SuperMap.identity(2))
@@ -77,17 +93,17 @@ class TestSdp:
 class TestLowerSearch:
     @pytest.mark.parametrize("d", (2, 3))
     def test_reaches_exact_value_on_b(self, d):
-        res = diamond_lower_search(canonical_b(d), restarts=32, rng=Rng(0))
+        res = diamond_lower_search(canonical_b(d))
         assert res.lower_bound == pytest.approx(d, abs=1e-6)
 
     def test_lower_bounds_the_sdp(self):
         m = canonical_b(2) - cloner(2)
-        low = diamond_lower_search(m, restarts=8, rng=Rng(1)).lower_bound
+        low = diamond_lower_search(m).lower_bound
         up = diamond_sdp(m).value
         assert low <= up + 1e-4
 
     def test_witness_is_density(self):
-        res = diamond_lower_search(canonical_b(2), restarts=4, rng=Rng(2))
+        res = diamond_lower_search(canonical_b(2))
         w = res.witness_state
         assert w.is_psd()
         assert w.trace() == pytest.approx(1.0)
@@ -95,7 +111,7 @@ class TestLowerSearch:
     def test_rejects_non_hp(self):
         bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
-            diamond_lower_search(bad, restarts=1, rng=Rng(0))
+            diamond_lower_search(bad)
 
 
 def _random_hp_map(d_in, d_out, seed):
@@ -111,6 +127,20 @@ class TestJordanUpper:
         block = np.block([[y, -j], [-j.conj().T, y]])
         assert np.linalg.eigvalsh(block)[0] >= -1e-10
         assert jordan_upper(m) >= diamond_sdp(m).value - 1e-4
+
+    @pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 2), 2), ((2, 4), 3)])
+    def test_admm_dual_point_feasible_and_above_ascent(self, dims, seed):
+        # the certificate holds for any Hermitian dual variable, not only ADMM's
+        m = _random_hp_map(*dims, seed)
+        n = m.d_in * m.d_out
+        r = _input_first_choi(m)
+        u = random_hermitian(2 * n, Rng(seed + 10)).mat
+        bound, z = _dual_upper(r, u, m.d_in, m.d_out)
+        assert np.linalg.eigvalsh(z)[0] >= -1e-10
+        assert_allclose(z[:n, n:], -r / 2, atol=0)
+        assert_allclose(z[n:, :n], -r.conj().T / 2, atol=0)
+        assert bound >= diamond_lower_search(m).lower_bound
+        assert bound >= diamond_sdp(m).lower_bound
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_channel_bound_is_one(self, d):
@@ -128,6 +158,17 @@ def _no_admm(*args, **kwargs):
     raise AssertionError("diamond_sdp ran although the bracket should close")
 
 
+def _assert_open_gap_closed(m):
+    assert jordan_upper(m) - diamond_lower_search(m).lower_bound > 1e-2
+    res = diamond_bracket(m, 1e-5)
+    assert res.iterations > 0 and res.converged
+    assert 0 <= res.gap <= 1e-5
+    assert res.lower_bound <= res.value <= res.upper_bound
+    assert res.value == (res.lower_bound + res.upper_bound) / 2
+    # the witness attains the lower bound
+    assert trace_norm(apply_right(m, res.witness_state, d_left=m.d_in)) >= res.lower_bound
+
+
 class TestBracket:
     @pytest.mark.parametrize(
         "m,exact",
@@ -138,7 +179,7 @@ class TestBracket:
     )
     def test_closes_without_admm(self, m, exact, monkeypatch):
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
-        res = diamond_bracket(m, 1e-5, Rng(0))
+        res = diamond_bracket(m, 1e-5)
         assert res.iterations == 0 and res.converged
         assert res.lower_bound <= res.value <= res.upper_bound
         assert 0 <= res.gap <= 1e-5
@@ -151,25 +192,26 @@ class TestBracket:
         assert res.upper_bound == float(d)
 
     def test_open_gap_falls_back_to_admm(self):
-        m = random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2))
-        assert jordan_upper(m) - diamond_lower_search(m, restarts=8, rng=Rng(0)).lower_bound > 1e-2
-        res = diamond_bracket(m, 1e-5, Rng(0))
-        assert res.iterations > 0 and res.converged
-        assert res.lower_bound <= res.value <= res.upper_bound
-        # the unclipped SDP value already lies in the bracket up to the solver tolerance
-        raw = diamond_sdp(m).value
-        assert res.lower_bound - 1e-4 <= raw <= res.upper_bound + 1e-4
-        assert res.value == pytest.approx(raw, abs=1e-4)
+        _assert_open_gap_closed(random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2)))
+
+    @pytest.mark.parametrize(
+        "m",
+        [random_channel(d, d, Rng(1)) - random_channel(d, d, Rng(2)) for d in (3, 4)]
+        + [canonical_b(2) - random_channel(2, 4, Rng(500))],
+        ids=["channels3", "channels4", "BmScan0"],
+    )
+    def test_closes_open_gaps(self, m):
+        _assert_open_gap_closed(m)
 
     def test_ascent_stops_at_target(self):
         m = canonical_b(3)
-        full = diamond_lower_search(m, restarts=8, rng=Rng(0))
-        early = diamond_lower_search(m, restarts=8, rng=Rng(0), stop_at=3.0 - 1e-5)
+        full = diamond_lower_search(m)
+        early = diamond_lower_search(m, stop_at=3.0 - 1e-5)
         assert early.iterations < full.iterations
         assert early.lower_bound == pytest.approx(3.0, abs=1e-5)
 
     def test_lower_bound_rounded_down(self):
-        res = diamond_lower_search(SuperMap.identity(3), restarts=2, rng=Rng(0))
+        res = diamond_lower_search(SuperMap.identity(3))
         assert res.lower_bound < 1.0
         assert res.lower_bound == pytest.approx(1.0, abs=float_slack(9, 1.0) * 1.01)
 

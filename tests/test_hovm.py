@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from pytest import mark, raises
+from vbcast.broadcast import canonical_b
 
 from vbcast.densemat import (
     Operator,
@@ -158,7 +159,7 @@ class TestExactMpMap:
 
     @mark.parametrize("d", (2, 3, 4, 5))
     def test_theorem3_residual(self, d):
-        assert verify_theorem3(d) < 1e-10
+        assert verify_theorem3(canonical_b(d)) < 1e-10
 
     def test_theorem3_weights(self):
         assert theorem3_weight(2) == pytest.approx(0.75)
