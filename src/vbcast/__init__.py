@@ -50,7 +50,6 @@ from .diamond import (  # noqa: F401
     DiamondResult,
     closest_channel_scan,
     diamond_bracket,
-    diamond_lower_search,
     diamond_sdp,
     hptp_upper,
     jordan_upper,
@@ -62,7 +61,6 @@ from .mcstats import (  # noqa: F401
 )
 from .hovm import (  # noqa: F401
     FiniteHOVM,
-    MomentOperator,
     depolarizing_mp,
     exact_mp_map,
     mc_mp_apply,

@@ -162,7 +162,7 @@ REPORT_SCHEMAS = {
             "gap": {"type": "number"},
             "iterations": {"type": "integer"},
             "converged": {"type": "boolean"},
-            "witness_state": {"anyOf": [_operator_schema(), {"type": "null"}]},
+            "witness_state": _operator_schema(),
         },
         "required": list(_META)
         + ["target", "value", "lower_bound", "upper_bound", "gap", "iterations", "converged", "witness_state"],
@@ -418,7 +418,7 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
     try:
         with open(path) as fp:
             m = SuperMap.from_json(json.load(fp))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load supermap from {path}: {exc}") from None
     return m, None
 
@@ -426,10 +426,13 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
 def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     """Certified diamond-norm bracket of a named map or a Choi JSON file."""
     m, upper = _resolve_diamond_target(cfg, target)
-    result = diamond_bracket(m, cfg.tolerances["sdp"], upper=upper)
+    try:
+        result = diamond_bracket(m, cfg.tolerances["sdp"], upper=upper)
+    except ValueError as exc:
+        raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
     doc.update({"target": target})
-    doc.update({k: v for k, v in result.to_json().items() if k != "version"})
+    doc.update(result.to_json())
     _emit_json(cfg, doc)
 
     bounds = (

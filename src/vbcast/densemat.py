@@ -130,11 +130,6 @@ def _raw(x) -> np.ndarray:
     return x.mat if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)
 
 
-def asop(x) -> Operator:
-    """Coerce array-likes to Operator; Operators pass through unchanged."""
-    return x if isinstance(x, Operator) else Operator(x)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

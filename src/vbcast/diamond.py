@@ -5,14 +5,17 @@
 
 * ``jordan_upper`` -- with the Jordan split J = P - N of the input-first
   Choi, Y0 = Y1 = P + N = |J| is feasible for the dual SDP of Watrous
-  (arXiv:1207.5726), so ``||Tr_out |J|||_inf`` bounds the norm from above.
-  One ``eigh`` of J gives it.  It is tight for B, B - B+ and B_lambda.
+  (arXiv:1207.5726), so ``||K||_inf`` with K = Tr_out |J| bounds the norm
+  from above.  One ``eigh`` of J gives it.  It is tight for B, B - B+ and
+  B_lambda.
+* the reference-state lower bound -- when the Jordan bound is tight,
+  complementary slackness puts an optimal primal reference state on the
+  top eigenspace of K, so the bracket takes rho0, the normalised projector
+  onto that eigenspace, and bounds the norm from below by
+  ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For covariant maps K is a multiple of I and w is
+  the maximally entangled input; for CP maps |J| = J and rho0 is optimal.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
   an upper bound because channels have diamond norm one.
-* ``diamond_lower_search`` -- monotone power-iteration ascent from the
-  maximally entangled input of ``||(id (x) m)(omega)||_1``, giving a lower
-  bound plus the witness state that achieves it.  It stops as soon as it
-  comes within the tolerance of the upper bound.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .densemat import Operator, eigh, trace_norm
-from .supermap import AffineDecomposition, SuperMap, apply_right
+from .supermap import AffineDecomposition, SuperMap
 
 # ADMM step: penalty sigma of the augmented Lagrangian and over-relaxation alpha in [1, 2).
 ADMM_PENALTY = 1.0
@@ -40,7 +42,6 @@ ADMM_OVER_RELAXATION = 1.6
 ADMM_MAX_ITERATIONS = 50000
 # ADMM steps per certified bracket; one certificate costs about as much as a step.
 ADMM_CERTIFY_EVERY = 8
-ASCENT_MAX_STEPS = 200
 
 
 def float_slack(n: int, value: float) -> float:
@@ -55,20 +56,17 @@ def float_slack(n: int, value: float) -> float:
 
 @dataclass(frozen=True)
 class DiamondResult:
-    """Outcome of a diamond-norm computation; unset fields are None."""
+    """A certified bracket lower <= ||m||<> <= upper, its midpoint and its witness."""
 
-    value: float | None = None
-    lower_bound: float | None = None
-    upper_bound: float | None = None
-    witness_state: Operator | None = None
-    iterations: int = 0
-    converged: bool = True
+    value: float
+    lower_bound: float
+    upper_bound: float
+    witness_state: Operator
+    iterations: int
+    converged: bool
 
     @property
-    def gap(self) -> float | None:
-        """upper_bound - lower_bound, or None while either bound is unset."""
-        if self.lower_bound is None or self.upper_bound is None:
-            return None
+    def gap(self) -> float:
         return self.upper_bound - self.lower_bound
 
     def to_json(self) -> dict:
@@ -77,54 +75,10 @@ class DiamondResult:
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
             "gap": self.gap,
-            "witness_state": None if self.witness_state is None else self.witness_state.to_json(),
+            "witness_state": self.witness_state.to_json(),
             "iterations": self.iterations,
             "converged": self.converged,
-            "version": __version__,
         }
-
-
-# ---------------------------------------------------------------------------
-# lower bound: power-iteration ascent over pure bipartite inputs
-
-
-def diamond_lower_search(m: SuperMap, stop_at: float = np.inf) -> DiamondResult:
-    """Maximize ||(id (x) m)(|w><w|)||_1 over pure bipartite w.
-
-    Starting from the maximally entangled state, the ascent alternates
-    between the sign operator Z of the current output and the top
-    eigenvector of (id (x) m*)(Z); the objective is nondecreasing along
-    the iteration.  It ends when the objective stops rising, reaches
-    ``stop_at``, or after ``ASCENT_MAX_STEPS`` steps.  The returned lower
-    bound is the objective rounded down by ``float_slack``.
-    """
-    if not m.is_hp():
-        raise ValueError("diamond_lower_search requires a Hermitian-preserving map")
-    d_ref = m.d_in
-    adj = m.hs_adjoint()
-
-    w = np.eye(d_ref, dtype=np.complex128).reshape(-1) / np.sqrt(d_ref)
-    value = -np.inf
-    for steps in range(1, ASCENT_MAX_STEPS + 1):
-        t = apply_right(m, Operator(np.outer(w, w.conj())), d_left=d_ref)
-        vals, vecs = eigh(t, tol=1e-7)
-        new_value = float(np.abs(vals).sum())
-        z = Operator((vecs.mat * np.sign(vals)[np.newaxis, :]) @ vecs.mat.conj().T)
-        a = apply_right(adj, z, d_left=d_ref)
-        avals, avecs = eigh(a, tol=1e-7)
-        w = avecs.mat[:, 0]
-        if new_value <= value + 1e-12:
-            value = max(value, new_value)
-            break
-        value = new_value
-        if value >= stop_at:
-            break
-
-    return DiamondResult(
-        lower_bound=float(value) - float_slack(d_ref * m.d_out, value),
-        witness_state=Operator(np.outer(w, w.conj())),
-        iterations=steps,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +140,13 @@ def _dual_upper(r: np.ndarray, u: np.ndarray, d_in: int, d_out: int) -> tuple[fl
     return value + float_slack(2 * n, value), z
 
 
-def _reference_lower(r: np.ndarray, s: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
-    """Lower bound and its input vec A from the PSD iterate s of an ADMM step.
+def _reference_lower(r: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
+    """Lower bound and its input vec A from a candidate reference state rho.
 
-    rho, the mean reduced diagonal block of s clipped to PSD and
-    normalised, gives A = sqrt(rho) with ||vec A|| = 1, so
-    ||(A (x) I) R (A (x) I)||_1 = ||(id (x) m)(vec A vec A^dag)||_1 <= ||m||<>.
+    rho, clipped to PSD and normalised, gives A = sqrt(rho) with ||vec A|| = 1,
+    so ||(A (x) I) R (A (x) I)||_1 = ||(id (x) m)(vec A vec A^dag)||_1 <= ||m||<>.
     """
     n = d_in * d_out
-    rho = _trace_out(s[:n, :n] + s[n:, n:], d_in, d_out)
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
     a = (vecs * np.sqrt(vals / vals.sum())[np.newaxis, :]) @ vecs.conj().T
@@ -210,9 +162,10 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     reference states, linear objective) and a PSD cone part, coupled by a
     scaled dual variable.  Every ``ADMM_CERTIFY_EVERY`` steps certify an
     upper bound from the dual variable (``_dual_upper``) and a lower bound
-    with its witness from the PSD iterate (``_reference_lower``).  The best
-    bracket is reported by its midpoint once its gap is <= ``tolerance``,
-    or with ``converged=False`` after ``ADMM_MAX_ITERATIONS`` steps.
+    with its witness from the reference state Tr_out(s00 + s11) of the PSD
+    iterate (``_reference_lower``).  The best bracket is reported by its
+    midpoint once its gap is <= ``tolerance``, or with ``converged=False``
+    after ``ADMM_MAX_ITERATIONS`` steps.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -245,7 +198,8 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
         iterations += ADMM_CERTIFY_EVERY
 
         upper = min(upper, _dual_upper(r, u, d_in, d_out)[0])
-        low, vec_a = _reference_lower(r, s, d_in, d_out)
+        rho = _trace_out(s[:n, :n] + s[n:, n:], d_in, d_out)
+        low, vec_a = _reference_lower(r, rho, d_in, d_out)
         if low > lower:
             lower, witness = low, vec_a
 
@@ -270,6 +224,24 @@ def _jordan_abs(r: np.ndarray) -> np.ndarray:
     return (v * np.abs(vals)[np.newaxis, :]) @ v.conj().T
 
 
+def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Jordan upper bound, the reference state it suggests, and R.
+
+    K = Tr_out |J| is reduced from one ``eigh`` of the input-first Choi R = J;
+    one ``eigh`` of K gives the bound lambda_max(K), rounded up by
+    ``float_slack``, and rho0, the normalised projector onto the eigenvectors
+    of K within that slack of lambda_max.
+    """
+    if not m.is_hp(tol=1e-8):
+        raise ValueError("the Jordan bound requires a Hermitian-preserving map")
+    r = _input_first_choi(m)
+    vals, vecs = np.linalg.eigh(_trace_out(_jordan_abs(r), m.d_in, m.d_out))
+    top = float(vals[-1])
+    slack = float_slack(m.d_in * m.d_out, top)
+    v = vecs[:, vals >= top - slack]
+    return top + slack, (v @ v.conj().T) / v.shape[1], r
+
+
 def jordan_upper(m: SuperMap) -> float:
     """||Tr_out |J|||_inf rounded up by ``float_slack``: an upper bound on ||m||<>.
 
@@ -277,29 +249,25 @@ def jordan_upper(m: SuperMap) -> float:
     [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]] >= 0,
     and its objective is ||Tr_out Y0||_inf.
     """
-    if not m.is_hp(tol=1e-8):
-        raise ValueError("jordan_upper requires a Hermitian-preserving map")
-    reduced = _trace_out(_jordan_abs(_input_first_choi(m)), m.d_in, m.d_out)
-    value = float(np.linalg.eigvalsh(reduced)[-1])
-    return value + float_slack(m.d_in * m.d_out, value)
+    return _jordan_certificate(m)[0]
 
 
 def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = None) -> DiamondResult:
     """Certified bracket lower <= ||m||<> <= upper, reporting its midpoint.
 
     ``upper`` is the Jordan bound, or the caller's proven bound (such as
-    ``hptp_upper``) where that is smaller.  The ascent stops once its
-    lower bound is within ``tolerance`` of it; a bracket closed that way
-    has 0 iterations.  Otherwise ``diamond_sdp`` runs, and the bracket is
-    the larger lower and the smaller upper bound of the two, with the SDP's
-    iteration count; it is ``converged`` when its gap is <= ``tolerance``.
+    ``hptp_upper``) where that is smaller.  The lower bound and its witness
+    come from the reference state on the top eigenspace of Tr_out |J|; a
+    bracket closed that way has 0 iterations.  Otherwise ``diamond_sdp``
+    runs, and the bracket is the larger lower and the smaller upper bound
+    of the two, with the SDP's iteration count; it is ``converged`` when
+    its gap is <= ``tolerance``.
     """
-    up = jordan_upper(m)
+    up, rho0, r = _jordan_certificate(m)
     if upper is not None:
         up = min(up, upper)
-    n = m.d_in * m.d_out
-    low = diamond_lower_search(m, stop_at=up - tolerance + float_slack(n, up))
-    lower, witness, iterations = low.lower_bound, low.witness_state, 0
+    lower, vec_a = _reference_lower(r, rho0, m.d_in, m.d_out)
+    witness, iterations = Operator(np.outer(vec_a, vec_a.conj())), 0
     if up - lower > tolerance:
         sdp = diamond_sdp(m, tolerance)
         if sdp.lower_bound > lower:

@@ -56,27 +56,19 @@ def m_psi(psi: Operator, d: int) -> Operator:
     return Operator(d * rho_psi(psi, d).mat)
 
 
-@dataclass(frozen=True)
-class MomentOperator:
-    """A Haar moment  Integral psi^(x)k d psi  together with its order."""
-
-    order: int
-    operator: Operator
-
-
-def moment_operator(d: int, order: int) -> MomentOperator:
-    """Exact Haar moment operators for order 1, 2, 3.
+def moment_operator(d: int, order: int) -> Operator:
+    """Exact Haar moment operators  Integral psi^(x)k d psi  for order k = 1, 2, 3.
 
     Order 2 is (I + S)/(d(d+1)); order 3 sums the six factor permutations
     P_sigma of C^d (x) C^d (x) C^d divided by d(d+1)(d+2).
     """
     if order == 1:
-        return MomentOperator(1, Operator(np.eye(d) / d))
+        return Operator(np.eye(d) / d)
     if order == 2:
-        return MomentOperator(2, Operator((np.eye(d * d) + swap(d).mat) / (d * (d + 1))))
+        return Operator((np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
     if order == 3:
         total = sum(p.mat for p in permutation_operators(d))
-        return MomentOperator(3, Operator(total / (d * (d + 1) * (d + 2))))
+        return Operator(total / (d * (d + 1) * (d + 2)))
     raise ValueError(f"moment operators implemented for orders 1-3, got {order}")
 
 
@@ -89,7 +81,7 @@ def exact_mp_map(d: int) -> SuperMap:
     """
     a = d + 2
     eye3, p12, p13, p23, *_ = (p.mat for p in permutation_operators(d))
-    mom3 = moment_operator(d, 3).operator.mat
+    mom3 = moment_operator(d, 3).mat
 
     j2 = (3 * eye3 + p12 + p13 + p23) / (d * (d + 1))
     j1 = 3.0 / d * eye3

@@ -31,7 +31,7 @@ from vbcast.densemat import (
     random_hermitian,
     random_pure,
 )
-from vbcast.diamond import closest_channel_scan, diamond_lower_search, diamond_sdp
+from vbcast.diamond import closest_channel_scan, diamond_bracket, diamond_sdp
 from vbcast.hovm import depolarizing_mp, moment_operator, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_expectation, overhead, sampler_from_decomposition
@@ -159,12 +159,12 @@ def test_criterion_05_diamond_norms():
     if ranking[1][1] - ranking[0][1] <= 1e-3:
         bad.append(f"scan margin {ranking[1][1] - ranking[0][1]:.2e}")
     for d in (2, 3):
-        low = diamond_lower_search(canonical_b(d))
-        if abs(low.lower_bound - d) >= 1e-6:
-            bad.append(f"ascent d={d}: {low.lower_bound:.8f}")
+        low = diamond_bracket(canonical_b(d))
+        if abs(low.lower_bound - d) >= 1e-6 or low.iterations != 0:
+            bad.append(f"bracket d={d}: {low.lower_bound:.8f} after {low.iterations} iterations")
     _finish(
         5,
-        "SDP hits d and d-1; scan ranks cloner first; ascent reaches d",
+        "SDP hits d and d-1; scan ranks cloner first; bracket lower bound is d with 0 iterations",
         not bad,
         "; ".join(bad) or f"SDP times {', '.join(f'{t:.1f}s' for t in times)}",
     )
@@ -201,7 +201,7 @@ def test_criterion_06_theorem3_and_moments():
                 )
             )
         for order, acc in ((2, acc2), (3, acc3)):
-            delta = acc.mean - moment_operator(d, order).operator.mat
+            delta = acc.mean - moment_operator(d, order).mat
             se_re, se_im = acc.stderr()
             z = max(
                 (np.abs(delta.real) / np.maximum(se_re, 1e-30)).max(),

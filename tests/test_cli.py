@@ -10,9 +10,9 @@ import pytest
 import vbcast
 from vbcast import cli
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, _dumps, main
-from vbcast.densemat import Rng
+from vbcast.densemat import Operator, Rng
 from vbcast.diamond import float_slack
-from vbcast.supermap import random_channel
+from vbcast.supermap import SuperMap, random_channel
 
 
 def run(args, tmp_path, name="out.json"):
@@ -147,6 +147,19 @@ class TestDiamond:
 
     def test_missing_file_target(self, tmp_path):
         assert main(["diamond", "--dim", "2", "--target", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_object_file_target(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["diamond", "--dim", "2", "--target", f"file:{path}"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load supermap")
+
+    def test_non_hp_file_target(self, tmp_path, capsys):
+        path = tmp_path / "triu.json"
+        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        path.write_text(json.dumps(bad.to_json()))
+        assert main(["diamond", "--dim", "2", "--target", f"file:{path}"]) == 2
+        assert "Hermitian-preserving" in capsys.readouterr().err
 
 
 class TestSample:

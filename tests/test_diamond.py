@@ -1,4 +1,4 @@
-"""Diamond-norm SDP, ascent lower bounds, and the closest-channel scan."""
+"""Diamond-norm SDP, the certified bracket and its bounds, and the closest-channel scan."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,12 @@ from vbcast.diamond import (
     _jordan_abs,
     closest_channel_scan,
     diamond_bracket,
-    diamond_lower_search,
     diamond_sdp,
     float_slack,
     hptp_upper,
     jordan_upper,
 )
-from vbcast.hovm import depolarizing_mp
+from vbcast.hovm import depolarizing_mp, exact_mp_map
 
 
 def _assert_certified(res, exact):
@@ -90,28 +89,45 @@ class TestSdp:
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
 
 
+def _max_entangled(d):
+    w = np.eye(d).reshape(-1) / np.sqrt(d)
+    return np.outer(w, w)
+
+
+def _sandwich(d, seed):
+    """X -> E(K X K^dag) for a channel E and a Ginibre K: CP, neither trace-preserving nor covariant."""
+    rng = Rng(seed)
+    k = Operator(rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d)))
+    pre = SuperMap.from_action(d, d, lambda x: k @ x @ k.dagger())
+    return random_channel(d, d, rng).compose(pre)
+
+
 class TestLowerSearch:
+    """The bracket's reference-state lower bound and its witness."""
+
     @pytest.mark.parametrize("d", (2, 3))
     def test_reaches_exact_value_on_b(self, d):
-        res = diamond_lower_search(canonical_b(d))
+        res = diamond_bracket(canonical_b(d))
         assert res.lower_bound == pytest.approx(d, abs=1e-6)
 
     def test_lower_bounds_the_sdp(self):
         m = canonical_b(2) - cloner(2)
-        low = diamond_lower_search(m).lower_bound
+        low = diamond_bracket(m).lower_bound
         up = diamond_sdp(m).value
         assert low <= up + 1e-4
 
     def test_witness_is_density(self):
-        res = diamond_lower_search(canonical_b(2))
+        m = _sandwich(3, 7)
+        res = diamond_bracket(m)
         w = res.witness_state
         assert w.is_psd()
         assert w.trace() == pytest.approx(1.0)
+        assert trace_norm(apply_right(m, w, d_left=m.d_in)) >= res.lower_bound
 
     def test_rejects_non_hp(self):
         bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
-            diamond_lower_search(bad)
+            diamond_bracket(bad)
 
 
 def _random_hp_map(d_in, d_out, seed):
@@ -139,7 +155,7 @@ class TestJordanUpper:
         assert np.linalg.eigvalsh(z)[0] >= -1e-10
         assert_allclose(z[:n, n:], -r / 2, atol=0)
         assert_allclose(z[n:, :n], -r.conj().T / 2, atol=0)
-        assert bound >= diamond_lower_search(m).lower_bound
+        assert bound >= diamond_bracket(m).lower_bound
         assert bound >= diamond_sdp(m).lower_bound
 
     @pytest.mark.parametrize("d", (2, 3))
@@ -159,8 +175,8 @@ def _no_admm(*args, **kwargs):
 
 
 def _assert_open_gap_closed(m):
-    assert jordan_upper(m) - diamond_lower_search(m).lower_bound > 1e-2
     res = diamond_bracket(m, 1e-5)
+    assert jordan_upper(m) - res.upper_bound > 1e-2
     assert res.iterations > 0 and res.converged
     assert 0 <= res.gap <= 1e-5
     assert res.lower_bound <= res.value <= res.upper_bound
@@ -174,8 +190,9 @@ class TestBracket:
         "m,exact",
         [(canonical_b(d), float(d)) for d in (2, 3, 4, 5, 6)]
         + [(canonical_b(d) - cloner(d), float(d - 1)) for d in (3, 4)]
-        + [(family_b_lambda(4, 0.3), None)],
-        ids=["B2", "B3", "B4", "B5", "B6", "BmBp3", "BmBp4", "Blambda4"],
+        + [(family_b_lambda(4, 0.3), None), (exact_mp_map(3) - canonical_b(3), None)]
+        + [(depolarizing_mp(3) - cloner(3), None), (_sandwich(3, 7), None)],
+        ids=["B2", "B3", "B4", "B5", "B6", "BmBp3", "BmBp4", "Blambda4", "MmB3", "MpmBp3", "sandwich3"],
     )
     def test_closes_without_admm(self, m, exact, monkeypatch):
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
@@ -185,6 +202,9 @@ class TestBracket:
         assert 0 <= res.gap <= 1e-5
         if exact is not None:
             assert res.lower_bound <= exact <= res.upper_bound
+        if m.d_out == m.d_in**2:
+            # the d -> d^2 maps here are U (x) U (x) conj(U)-covariant: the maximally entangled input is optimal
+            assert_allclose(res.witness_state.mat, _max_entangled(m.d_in), atol=1e-12)
 
     @pytest.mark.parametrize("d", (2, 4))
     def test_decomposition_bound_kept_exact(self, d):
@@ -203,15 +223,9 @@ class TestBracket:
     def test_closes_open_gaps(self, m):
         _assert_open_gap_closed(m)
 
-    def test_ascent_stops_at_target(self):
-        m = canonical_b(3)
-        full = diamond_lower_search(m)
-        early = diamond_lower_search(m, stop_at=3.0 - 1e-5)
-        assert early.iterations < full.iterations
-        assert early.lower_bound == pytest.approx(3.0, abs=1e-5)
-
     def test_lower_bound_rounded_down(self):
-        res = diamond_lower_search(SuperMap.identity(3))
+        res = diamond_bracket(SuperMap.identity(3))
+        assert res.iterations == 0
         assert res.lower_bound < 1.0
         assert res.lower_bound == pytest.approx(1.0, abs=float_slack(9, 1.0) * 1.01)
 

@@ -70,11 +70,11 @@ TETRAHEDRON = [
 class TestMomentOperators:
     @mark.parametrize("d", (2, 3, 4))
     def test_first(self, d):
-        assert_allclose(moment_operator(d, 1).operator.mat, np.eye(d) / d)
+        assert_allclose(moment_operator(d, 1).mat, np.eye(d) / d)
 
     @mark.parametrize("d", (2, 3, 4))
     def test_second(self, d):
-        mom2 = moment_operator(d, 2).operator
+        mom2 = moment_operator(d, 2)
         assert_allclose(mom2.mat, (np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
         assert mom2.trace() == pytest.approx(1.0)
         assert mom2.is_psd()
@@ -83,7 +83,7 @@ class TestMomentOperators:
 
     @mark.parametrize("d", (2, 3))
     def test_third_permutation_invariant(self, d):
-        mom3 = moment_operator(d, 3).operator.mat
+        mom3 = moment_operator(d, 3).mat
         g12 = np.kron(swap(d).mat, np.eye(d))
         g23 = np.kron(np.eye(d), swap(d).mat)
         for g in (g12, g23, g12 @ g23, g23 @ g12, g12 @ g23 @ g12):
@@ -94,8 +94,8 @@ class TestMomentOperators:
     @mark.parametrize("d", (2, 3))
     def test_third_collapses_to_second(self, d):
         # tracing out one factor of the third moment leaves the second
-        mom3 = Operator(moment_operator(d, 3).operator.mat)
-        mom2 = moment_operator(d, 2).operator
+        mom3 = moment_operator(d, 3)
+        mom2 = moment_operator(d, 2)
         red = partial_trace(mom3, (d * d, d), keep="first")
         assert_allclose(red.mat, mom2.mat, atol=1e-13)
 
@@ -113,7 +113,7 @@ class TestMomentOperators:
                 vecs[k] = random_pure_vector(d, rng)
             pair = np.einsum("ci,cj->cij", vecs, vecs.conj())
             acc.update_batch(np.einsum("cij,ckl->cikjl", pair, pair).reshape(count, d * d, d * d))
-        delta = acc.mean - moment_operator(d, 2).operator.mat
+        delta = acc.mean - moment_operator(d, 2).mat
         se_re, se_im = acc.stderr()
         z_re = np.abs(delta.real) / np.maximum(se_re, 1e-30)
         z_im = np.abs(delta.imag) / np.maximum(se_im, 1e-30)
