@@ -70,7 +70,6 @@ from .hovm import (  # noqa: F401
 )
 from .sot import (  # noqa: F401
     StateOverTime,
-    check_postprocessing_equivalence,
     check_sot_axioms,
     star,
 )

@@ -76,10 +76,6 @@ class SuperMap:
         return cls(d_in, d_out, Operator(c4.reshape(n, n)))
 
     @classmethod
-    def from_choi(cls, d_in: int, d_out: int, choi) -> "SuperMap":
-        return cls(d_in, d_out, choi if isinstance(choi, Operator) else Operator(choi))
-
-    @classmethod
     def from_jamiolkowski(cls, d_in: int, d_out: int, j) -> "SuperMap":
         """Inverse of :meth:`jamiolkowski`."""
         jm = _raw(j)

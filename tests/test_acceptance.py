@@ -35,8 +35,10 @@ from vbcast.diamond import closest_channel_scan, diamond_bracket, diamond_sdp
 from vbcast.hovm import depolarizing_mp, moment_operator, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_expectation, overhead, sampler_from_decomposition
-from vbcast.sot import check_postprocessing_equivalence, check_sot_axioms, star
+from vbcast.sot import check_sot_axioms, star
 from vbcast.supermap import SuperMap, random_channel
+
+from sampled_postprocessing import check_postprocessing_equivalence
 
 
 def _finish(num, title, ok, detail):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vbcast
-from vbcast import cli
+from vbcast import cli, densemat, sot, supermap
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, _dumps, main
 from vbcast.densemat import Operator, Rng
 from vbcast.diamond import float_slack
@@ -27,7 +27,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -37,7 +37,6 @@ class TestVerify:
             "spectral_decomposition",
             "theorem3",
             "sot_axioms",
-            "sot_postprocessing",
         ]
         uniq = doc["checks"][1]
         assert uniq["skipped"] is None
@@ -85,15 +84,22 @@ class TestVerify:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     @pytest.mark.parametrize("target", ("B", "B_lambda:0.3"))
-    def test_axiom_values_ignore_seed(self, target, tmp_path):
-        # both axiom checks are exact, so no seed reaches them
+    def test_axiom_values_ignore_seed(self, target, tmp_path, monkeypatch):
+        # every check is exact and verify draws no random numbers, so no seed reaches the report
+        def fail(*args, **kwargs):
+            raise AssertionError("verify must not draw random numbers")
+
+        for module in (densemat, supermap, sot, cli):
+            for name in ("random_channel", "random_density", "random_hermitian"):
+                monkeypatch.setattr(module, name, fail, raising=False)
+        monkeypatch.setattr(cli, "Rng", fail)
         docs = [
             run(["verify", "--dim", "2", "--target", target, "--seed", seed], tmp_path, f"{seed}.json")[1]
             for seed in ("0", "5")
         ]
-        for name in ("broadcast_axioms", "sot_axioms"):
-            a, b = ([c["values"] for c in doc["checks"] if c["name"] == name][0] for doc in docs)
-            assert a == b, name
+        a, b = ([(c["name"], c["values"]) for c in doc["checks"]] for doc in docs)
+        assert a == b
+        assert [doc["seed"] for doc in docs] == [0, 5]
 
 
 class TestDiamond:
@@ -156,7 +162,7 @@ class TestDiamond:
 
     def test_non_hp_file_target(self, tmp_path, capsys):
         path = tmp_path / "triu.json"
-        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        bad = SuperMap(2, 2, Operator(np.triu(np.ones((4, 4)))))
         path.write_text(json.dumps(bad.to_json()))
         assert main(["diamond", "--dim", "2", "--target", f"file:{path}"]) == 2
         assert "Hermitian-preserving" in capsys.readouterr().err
@@ -205,6 +211,15 @@ class TestSample:
 
     def test_unknown_object(self):
         assert main(["sample", "--object", "Q", "--dim", "2", "--n", "100"]) == 2
+
+    def test_mp_needs_two_samples_per_block(self, tmp_path, capsys):
+        # 10 blocks of at least 2 samples: too few is an operational error, not a failed verification
+        for n in ("5", "19"):
+            assert main(["sample", "--object", "M", "--dim", "2", "--n", n]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        code, doc, _ = run(["sample", "--object", "M", "--dim", "2", "--n", "20", "--format", "json"], tmp_path)
+        assert code == 0
+        assert doc["n"] == 20
 
 
 class TestDump:

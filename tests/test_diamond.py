@@ -74,7 +74,7 @@ class TestSdp:
         assert a == pytest.approx(b, abs=5e-4)
 
     def test_rejects_non_hp(self):
-        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        bad = SuperMap(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
             diamond_sdp(bad)
 
@@ -125,13 +125,13 @@ class TestLowerSearch:
         assert trace_norm(apply_right(m, w, d_left=m.d_in)) >= res.lower_bound
 
     def test_rejects_non_hp(self):
-        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        bad = SuperMap(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
             diamond_bracket(bad)
 
 
 def _random_hp_map(d_in, d_out, seed):
-    return SuperMap.from_choi(d_in, d_out, random_hermitian(d_in * d_out, Rng(seed)))
+    return SuperMap(d_in, d_out, random_hermitian(d_in * d_out, Rng(seed)))
 
 
 class TestJordanUpper:
@@ -165,7 +165,7 @@ class TestJordanUpper:
         assert 1.0 <= jordan_upper(m) <= 1.0 + 2 * float_slack(n, 1.0)
 
     def test_rejects_non_hp(self):
-        bad = SuperMap.from_choi(2, 2, Operator(np.triu(np.ones((4, 4)))))
+        bad = SuperMap(2, 2, Operator(np.triu(np.ones((4, 4)))))
         with pytest.raises(ValueError):
             jordan_upper(bad)
 

@@ -9,8 +9,9 @@ from vbcast import broadcast, densemat, sot
 from vbcast.densemat import Rng, basis_state, eigh, identity, random_density, random_pure, swap
 from vbcast.supermap import SuperMap, apply_left, random_channel
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
-from vbcast.sot import check_postprocessing_equivalence, check_sot_axioms, star
+from vbcast.sot import check_sot_axioms, star
 
+from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms
 
 

@@ -46,7 +46,7 @@ def test_from_action_roundtrip():
     m = SuperMap.from_action(d, d, lambda x: Operator(u @ x.mat @ u.conj().T))
     rho = random_density(d, Rng(1))
     assert_allclose(m.apply(rho).mat, u @ rho.mat @ u.conj().T, atol=1e-14)
-    again = SuperMap.from_choi(d, d, m.choi)
+    again = SuperMap(d, d, m.choi)
     assert_allclose(again.choi.mat, m.choi.mat)
 
 
