@@ -12,14 +12,12 @@ from .densemat import (  # noqa: F401
     Operator,
     Rng,
     eigh,
-    haar_unitary,
     identity,
     kron,
     partial_trace,
     permutation_operators,
     random_density,
     random_hermitian,
-    random_pure,
     swap,
     trace_norm,
 )
@@ -29,7 +27,6 @@ from .supermap import (  # noqa: F401
     apply_left,
     apply_right,
     omega,
-    random_channel,
 )
 from .broadcast import (  # noqa: F401
     AxiomReport,
@@ -48,7 +45,6 @@ from .broadcast import (  # noqa: F401
 )
 from .diamond import (  # noqa: F401
     DiamondResult,
-    closest_channel_scan,
     diamond_bracket,
     diamond_sdp,
     hptp_upper,
@@ -60,10 +56,8 @@ from .mcstats import (  # noqa: F401
     SamplingEstimate,
 )
 from .hovm import (  # noqa: F401
-    FiniteHOVM,
     depolarizing_mp,
     exact_mp_map,
-    mc_mp_apply,
     moment_operator,
     theorem3_weight,
     verify_theorem3,
@@ -73,10 +67,4 @@ from .sot import (  # noqa: F401
     check_sot_axioms,
     star,
 )
-from .qsample import (  # noqa: F401
-    QuasiSampler,
-    estimate_expectation,
-    estimate_with_trace,
-    overhead,
-    sampler_from_decomposition,
-)
+from .qsample import estimate_with_trace  # noqa: F401

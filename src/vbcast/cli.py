@@ -37,7 +37,7 @@ from .diamond import diamond_bracket, hptp_upper
 from .hovm import (
     depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
 )
-from .qsample import estimate_with_trace, overhead, sampler_from_decomposition, write_trace_csv
+from .qsample import estimate_with_trace, write_trace_csv
 from .sot import check_sot_axioms
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
@@ -478,9 +478,10 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
     rho = random_density(d, Rng(cfg.seed, 10))
 
     if object_name == "B":
-        sampler = sampler_from_decomposition(canonical_decomposition(d))
+        dec = canonical_decomposition(d)
+        l1_overhead = hptp_upper(dec)
         o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
-        est, rows = estimate_with_trace(sampler, rho, o1, o2, n, Rng(cfg.seed, 12))
+        est, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(cfg.seed, 12))
         if cfg.fmt == "csv":
             _emit_csv(cfg, write_trace_csv, rows)
         else:
@@ -494,7 +495,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
                         "mean": est.mean,
                         "stderr": est.stderr,
                         "exact": est.exact,
-                        "l1_overhead": overhead(sampler),
+                        "l1_overhead": l1_overhead,
                         "zscore": est.zscore(),
                     },
                 }
@@ -606,6 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.fmt == "csv" and args.cmd != "sample":
+            raise CliError(f"--format csv is only supported by sample; {args.cmd} writes JSON")
         fmt = args.fmt if args.fmt is not None else ("csv" if args.cmd == "sample" else "json")
         cfg = RunConfig(
             dim=args.dim,

@@ -138,17 +138,6 @@ def identity(d: int) -> Operator:
     return Operator(np.eye(d))
 
 
-def zeros(rows: int, cols: int | None = None) -> Operator:
-    return Operator(np.zeros((rows, cols if cols is not None else rows)))
-
-
-def basis_state(d: int, i: int) -> Operator:
-    """Projector |i><i| onto a computational basis state."""
-    m = np.zeros((d, d))
-    m[i, i] = 1.0
-    return Operator(m)
-
-
 def swap(d: int) -> Operator:
     """SWAP on C^d (x) C^d:  sum_ij |i><j| (x) |j><i|."""
     s = np.zeros((d * d, d * d))
@@ -245,8 +234,8 @@ def trace_norm(o) -> float:
 class Rng:
     """Seeded random stream; identical (seed, stream) pairs reproduce draws exactly.
 
-    The only stateful object in the library.  Parallel work is given
-    independent streams via :meth:`substream` rather than sharing one Rng.
+    The only stateful object in the library.  Each independent draw (the
+    sampled state, the observables, the sampler) takes its own ``stream``.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -255,40 +244,13 @@ class Rng:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, i: int) -> "Rng":
-        """Independent child stream, deterministic in (seed, stream, i)."""
-        child = Rng.__new__(Rng)
-        child.seed = self.seed
-        child.stream = self.stream
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, int(i)))
-        child.gen = np.random.Generator(np.random.PCG64(ss))
-        return child
-
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def _ginibre(d: int, rng: Rng, cols: int | None = None) -> np.ndarray:
-    n = cols if cols is not None else d
-    g = rng.gen.standard_normal((d, n)) + 1j * rng.gen.standard_normal((d, n))
+def _ginibre(d: int, rng: Rng) -> np.ndarray:
+    g = rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
     return g / np.sqrt(2)
-
-
-def _haar_qr(z: np.ndarray) -> np.ndarray:
-    """Q factor of a Ginibre matrix with R's diagonal made positive.
-
-    The phase fix makes the columns Haar-distributed rather than merely
-    orthonormal.  The thin QR of a matrix's leading columns gives the same
-    columns as the full QR.
-    """
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases[np.newaxis, :]
-
-
-def haar_unitary(d: int, rng: Rng) -> Operator:
-    """Haar-random unitary via the phase-fixed QR of a complex Ginibre matrix."""
-    return Operator(_haar_qr(_ginibre(d, rng)))
 
 
 def random_density(d: int, rng: Rng) -> Operator:
@@ -296,19 +258,6 @@ def random_density(d: int, rng: Rng) -> Operator:
     g = _ginibre(d, rng)
     w = g @ g.conj().T
     return Operator(w / np.trace(w).real)
-
-
-def random_pure(d: int, rng: Rng) -> Operator:
-    """Haar-random rank-1 projector |psi><psi|."""
-    v = rng.gen.standard_normal(d) + 1j * rng.gen.standard_normal(d)
-    v = v / np.linalg.norm(v)
-    return Operator(np.outer(v, v.conj()))
-
-
-def random_pure_vector(d: int, rng: Rng) -> np.ndarray:
-    """Haar-random unit vector (the ket behind random_pure)."""
-    v = rng.gen.standard_normal(d) + 1j * rng.gen.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def random_hermitian(d: int, rng: Rng) -> Operator:

@@ -15,7 +15,8 @@
   ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For covariant maps K is a multiple of I and w is
   the maximally entangled input; for CP maps |J| = J and rho0 is optimal.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
-  an upper bound because channels have diamond norm one.
+  an upper bound because channels have diamond norm one; the same check
+  validates the quasi-sampler's split and gives its overhead.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
@@ -214,7 +215,7 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
 
 
 # ---------------------------------------------------------------------------
-# upper bounds, the certified bracket and the channel scan
+# upper bounds and the certified bracket
 
 
 def _jordan_abs(r: np.ndarray) -> np.ndarray:
@@ -285,25 +286,22 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
 
 
 def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
-    """lambda_plus + lambda_minus; valid since channels have diamond norm 1."""
-    for part, name in ((decomposition.map_plus, "plus"), (decomposition.map_minus, "minus")):
+    """lambda_plus + lambda_minus of a validated split; channels have diamond norm 1.
+
+    This one check serves both the diamond bound and the quasi-sampler, whose
+    l1 overhead is the same number.  It raises ``ValueError`` unless both
+    weights are non-negative and not both zero, the parts share their
+    dimensions, and both parts are CPTP within ``tol``.
+    """
+    lp, lm = float(decomposition.lambda_plus), float(decomposition.lambda_minus)
+    if not (lp >= 0 and lm >= 0):
+        raise ValueError(f"decomposition weights must be non-negative, got {lp} and {lm}")
+    if lp + lm == 0:
+        raise ValueError("all-zero weights cannot represent a map")
+    plus, minus = decomposition.map_plus, decomposition.map_minus
+    if (plus.d_in, plus.d_out) != (minus.d_in, minus.d_out):
+        raise ValueError("decomposition parts have different dimensions")
+    for part, name in ((plus, "plus"), (minus, "minus")):
         if not (part.is_cp(tol) and part.is_tp(tol)):
             raise ValueError(f"decomposition {name}-part is not CPTP within {tol}")
-    return float(decomposition.lambda_plus + decomposition.lambda_minus)
-
-
-def closest_channel_scan(
-    m: SuperMap, candidates: list[SuperMap], tolerance: float = 1e-5
-) -> list[tuple[int, float]]:
-    """Diamond distance from m to each candidate, sorted ascending.
-
-    Returns (candidate index, ||m - candidate||_diamond) pairs, the
-    distance being the ``diamond_bracket`` value; ties break on the
-    original index.
-    """
-    gaps = []
-    for i, cand in enumerate(candidates):
-        if (cand.d_in, cand.d_out) != (m.d_in, m.d_out):
-            raise ValueError(f"candidate {i} has mismatched dimensions")
-        gaps.append((i, diamond_bracket(m - cand, tolerance).value))
-    return sorted(gaps, key=lambda t: (t[1], t[0]))
+    return lp + lm

@@ -11,8 +11,8 @@ form an operator-valued measure whose measure-and-prepare average
 is a virtual broadcaster up to depolarizing noise: the canonical B is the
 affine combination  p * M + (1 - p) * M'  with  p = 4(d+1)/(d+2)^2  and M'
 the fully depolarizing map to I/d (x) I/d.  The integral reduces to Haar
-moment operators of order <= 3, so everything here is exact; Monte-Carlo
-sampling of the same integral is provided for cross-checks.
+moment operators of order <= 3, so everything here is exact; blockwise
+Monte-Carlo sampling of the same integral (``sample_mp_blocks``) checks it.
 
 Each Monte-Carlo sample is a weight times rho_psi (x) rho_psi, and the
 Hermitian rho_psi has d^2 real coordinates (Re on i <= j, Im on i < j).  A
@@ -27,33 +27,12 @@ set to exactly zero rather than left at GEMM roundoff.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, Operator, Rng, kron, permutation_operators, swap
+from .densemat import Operator, Rng, permutation_operators, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
-
-
-def _check_pure(psi: Operator, d: int, tol: float = DEFAULT_TOL):
-    if psi.rows != d or psi.cols != d:
-        raise ValueError(f"psi must be {d}x{d}, got {psi.rows}x{psi.cols}")
-    if not psi.is_hermitian(tol):
-        raise ValueError("psi must be Hermitian")
-    if abs(psi.trace() - 1.0) > tol or np.abs(psi.mat @ psi.mat - psi.mat).max() > tol:
-        raise ValueError("psi must be a rank-1 projector")
-
-
-def rho_psi(psi: Operator, d: int) -> Operator:
-    """Virtual state (1/2)[(d+2) psi - I]; trace 1, one negative eigenvalue."""
-    _check_pure(psi, d)
-    return Operator(((d + 2) * psi.mat - np.eye(d)) / 2)
-
-
-def m_psi(psi: Operator, d: int) -> Operator:
-    """Measure density d * rho_psi; integrates to I over Haar psi."""
-    return Operator(d * rho_psi(psi, d).mat)
 
 
 def moment_operator(d: int, order: int) -> Operator:
@@ -108,63 +87,6 @@ def verify_theorem3(b: SuperMap) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite measures
-
-
-@dataclass(frozen=True)
-class FiniteHOVM:
-    """Finite operator-valued measure: effects summing to I, trace-1 preparations.
-
-    Preparations may be virtual (non-positive) states; only hermiticity and
-    unit trace are required.
-    """
-
-    effects: tuple[Operator, ...]
-    preparations: tuple[Operator, ...]
-
-    def __post_init__(self):
-        if len(self.effects) != len(self.preparations):
-            raise ValueError("effects and preparations must pair up")
-        if not self.effects:
-            raise ValueError("measure must have at least one outcome")
-        d = self.effects[0].rows
-        total = np.zeros((d, d), dtype=np.complex128)
-        for e in self.effects:
-            if not e.is_hermitian(1e-10):
-                raise ValueError("effects must be Hermitian")
-            total += e.mat
-        if np.abs(total - np.eye(d)).max() > 1e-10:
-            raise ValueError("effects must sum to the identity within 1e-10")
-        for p in self.preparations:
-            if not p.is_hermitian(1e-10) or abs(p.trace() - 1.0) > 1e-10:
-                raise ValueError("preparations must be Hermitian with unit trace")
-
-    @classmethod
-    def from_pure_states(cls, d: int, psis: list[Operator]) -> "FiniteHOVM":
-        """Equal-weight measure over pure states; valid iff they average to I/d."""
-        effects = tuple(Operator(m_psi(psi, d).mat / len(psis)) for psi in psis)
-        preps = tuple(kron(rho_psi(psi, d), rho_psi(psi, d)) for psi in psis)
-        return cls(effects, preps)
-
-    def weights(self, rho: Operator) -> np.ndarray:
-        """Outcome weights Tr[effect_k rho]; sum to Tr[rho]."""
-        return np.array([float(np.real(np.trace(e.mat @ rho.mat))) for e in self.effects])
-
-    def as_supermap(self) -> SuperMap:
-        """The induced measure-and-prepare map."""
-        d = self.effects[0].rows
-        d_out = self.preparations[0].rows
-
-        def action(x: Operator) -> Operator:
-            out = np.zeros((d_out, d_out), dtype=np.complex128)
-            for e, p in zip(self.effects, self.preparations):
-                out += np.trace(e.mat @ x.mat) * p.mat
-            return Operator(out)
-
-        return SuperMap.from_action(d, d_out, action)
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo sampling of the measure-and-prepare integral
 
 
@@ -173,9 +95,6 @@ def _check_density(rho: Operator, d: int):
         raise ValueError(f"rho must be {d}x{d}")
     if not rho.is_hermitian(1e-9) or abs(rho.trace() - 1.0) > 1e-9:
         raise ValueError("rho must be a unit-trace Hermitian matrix")
-
-
-MC_CHUNK = 4096  # samples per moment block in mc_mp_apply; memory is O(MC_CHUNK * d^2)
 
 
 @functools.cache
@@ -257,31 +176,6 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     mean.imag[real] = 0.0
     m2_im[real] = 0.0
     return count, mean, m2_re, m2_im
-
-
-def mc_mp_apply(rho: Operator, d: int, n_samples: int, rng: Rng) -> MatrixSamplingEstimate:
-    """Monte-Carlo estimate of exact_mp_map(rho) from Haar samples.
-
-    Returns the entrywise mean with Welford standard errors and the exact
-    map output as reference.
-    """
-    _check_density(rho, d)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    acc = MatrixWelford((d * d, d * d))
-    left = n_samples
-    while left > 0:
-        take = min(MC_CHUNK, left)
-        acc.merge(*_mp_moments(rho.mat, d, take, rng))
-        left -= take
-    se_re, se_im = acc.stderr()
-    return MatrixSamplingEstimate(
-        mean=Operator(acc.mean),
-        stderr_re=se_re,
-        stderr_im=se_im,
-        n=acc.n,
-        exact=exact_mp_map(d).apply(rho),
-    )
 
 
 def sample_mp_blocks(

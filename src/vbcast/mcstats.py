@@ -2,9 +2,10 @@
 
 Welford-style accumulation of entrywise means and variances for complex
 matrix samples, with pairwise chunk merging so accumulation order does not
-matter beyond float roundoff.  Callers that can compute a chunk's moments
-without materialising its samples feed them to ``MatrixWelford.merge``.  Real and imaginary parts get separate
-standard errors, since downstream gates check them separately.
+matter beyond float roundoff.  Callers compute a chunk's moments without
+materialising its samples and feed them to ``MatrixWelford.merge``.  Real
+and imaginary parts get separate standard errors, since downstream gates
+check them separately.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ class MatrixWelford:
         self.mean = np.zeros(shape, dtype=np.complex128)
         self.m2_re = np.zeros(shape)
         self.m2_im = np.zeros(shape)
-
-    def update_batch(self, xs: np.ndarray):
-        """Merge a batch of samples, shape (k, rows, cols)."""
-        k = xs.shape[0]
-        if k == 0:
-            return
-        bmean = xs.mean(axis=0)
-        bm2_re = ((xs.real - bmean.real) ** 2).sum(axis=0)
-        bm2_im = ((xs.imag - bmean.imag) ** 2).sum(axis=0)
-        self.merge(k, bmean, bm2_re, bm2_im)
 
     def merge(self, n: int, mean: np.ndarray, m2_re: np.ndarray, m2_im: np.ndarray):
         """Merge the moments of n samples: their mean and summed squared deviations (re, im)."""

@@ -1,71 +1,26 @@
-"""Quasi-probability simulation of HPTP maps from CPTP decompositions.
+"""Quasi-probability simulation of an HPTP map from its CPTP decomposition.
 
-An HPTP map written as  sum_i w_i E_i  with signed weights and physical
-channels can be estimated by sampling channel i with probability
-|w_i| / L, L = sum |w_i|, and reweighting outcomes by L * sign(w_i).
-Estimates of  Tr[m(rho) (O1 (x) O2)]  are unbiased with standard
-deviation bounded by L * ||O1 (x) O2||_inf per shot -- so L (the
-"overhead") is the simulation cost of virtuality.
+An ``AffineDecomposition``  lambda_plus * plus - lambda_minus * minus  is a
+signed mixture with weights (lambda_plus, -lambda_minus).  Drawing channel
+i with probability |w_i| / L, L = lambda_plus + lambda_minus, and
+reweighting its outcome by L * sign(w_i) estimates
+Tr[m(rho) (O1 (x) O2)]  without bias, with standard deviation bounded by
+L * ||O1 (x) O2||_inf per shot -- so L (the "overhead") is the simulation
+cost of virtuality.  ``diamond.hptp_upper`` checks that both parts are
+CPTP and returns L, which also bounds the map's diamond norm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densemat import Operator, Rng, kron
 from .mcstats import SamplingEstimate
-from .supermap import AffineDecomposition, SuperMap
-
-
-@dataclass(frozen=True)
-class QuasiSampler:
-    """Signed mixture of channels reproducing a target HPTP map."""
-
-    components: tuple[tuple[float, SuperMap], ...]
-    target: SuperMap
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("sampler needs at least one component")
-        weights = np.array([w for w, _ in self.components])
-        if np.abs(weights).sum() < 1e-14:
-            raise ValueError("all-zero weights cannot represent a map")
-        recon = np.zeros_like(self.target.choi.mat)
-        for w, ch in self.components:
-            if (ch.d_in, ch.d_out) != (self.target.d_in, self.target.d_out):
-                raise ValueError("component dimensions do not match the target")
-            if not (ch.is_cp(1e-8) and ch.is_tp(1e-8)):
-                raise ValueError("components must be CPTP within 1e-8")
-            recon = recon + w * ch.choi.mat
-        err = float(np.abs(recon - self.target.choi.mat).max())
-        if err > 1e-10:
-            raise ValueError(f"weights do not reconstruct the target Choi (residual {err:.2e})")
-
-    @property
-    def l1_weight(self) -> float:
-        return float(sum(abs(w) for w, _ in self.components))
-
-
-def sampler_from_decomposition(dec: AffineDecomposition) -> QuasiSampler:
-    """Sampler for lambda_plus * plus - lambda_minus * minus."""
-    return QuasiSampler(
-        components=(
-            (float(dec.lambda_plus), dec.map_plus),
-            (-float(dec.lambda_minus), dec.map_minus),
-        ),
-        target=dec.combined(),
-    )
-
-
-def overhead(s: QuasiSampler) -> float:
-    """The l1 sampling overhead L."""
-    return s.l1_weight
+from .supermap import AffineDecomposition
 
 
 def _value_table(
-    s: QuasiSampler, rho: Operator, o1: Operator, o2: Operator, shot_noise: bool
+    dec: AffineDecomposition, rho: Operator, o1: Operator, o2: Operator, shot_noise: bool
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(exact, values, probabilities): the single-draw distribution of the estimator.
 
@@ -74,20 +29,21 @@ def _value_table(
     ranges over (component, observable eigenvalue) pairs, weighted by the
     Born rule of the component's output.
     """
-    d = s.target.d_in
+    target = dec.combined()
+    d = target.d_in
     if rho.rows != d or not rho.is_hermitian(1e-9) or abs(rho.trace() - 1.0) > 1e-9:
         raise ValueError("rho must be a unit-trace Hermitian d x d matrix")
     for o in (o1, o2):
         if o.rows != o.cols or not o.is_hermitian(1e-9):
             raise ValueError("observables must be Hermitian")
     obs = kron(o1, o2).mat
-    exact = float(np.real(np.trace(s.target.apply(rho).mat @ obs)))
+    exact = float(np.real(np.trace(target.apply(rho).mat @ obs)))
 
-    weights = np.array([w for w, _ in s.components])
+    weights = np.array([float(dec.lambda_plus), -float(dec.lambda_minus)])
     l1 = np.abs(weights).sum()
     probs = np.abs(weights) / l1
     scales = l1 * np.sign(weights)
-    outs = [ch.apply(rho).mat for _, ch in s.components]
+    outs = [ch.apply(rho).mat for ch in (dec.map_plus, dec.map_minus)]
 
     if not shot_noise:
         return exact, scales * np.array([np.real(np.trace(o @ obs)) for o in outs]), probs
@@ -100,7 +56,7 @@ def _value_table(
 
 
 def estimate_with_trace(
-    s: QuasiSampler,
+    dec: AffineDecomposition,
     rho: Operator,
     o1: Operator,
     o2: Operator,
@@ -109,13 +65,15 @@ def estimate_with_trace(
     n_checkpoints: int = 20,
     shot_noise: bool = False,
 ) -> tuple[SamplingEstimate, list[tuple[int, float, float]]]:
-    """Unbiased estimate of Tr[target(rho) (O1 (x) O2)] from n channel draws.
+    """Unbiased estimate of Tr[dec.combined()(rho) (O1 (x) O2)] from n channel draws.
 
     In the default mode each draw contributes the exact component
     expectation (sampling noise from the signed mixture only); with
     ``shot_noise`` each draw also samples an eigenvalue of the observable
     from the Born rule of the drawn channel's output.  Also returns running
     (n, mean, stderr) rows at ``n_checkpoints`` evenly spaced draw counts.
+    The components are (lambda_plus, plus) and (-lambda_minus, minus), in
+    that order; ``diamond.hptp_upper`` validates ``dec`` beforehand.
 
     Each segment between checkpoints is drawn by one ``choice`` call -- the
     index stream equals a single size-n call -- and reduced to per-value
@@ -123,7 +81,7 @@ def estimate_with_trace(
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
-    exact, vals, probs = _value_table(s, rho, o1, o2, shot_noise)
+    exact, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
 
     marks = sorted({max(2, (n * (k + 1)) // n_checkpoints) for k in range(n_checkpoints)})
     counts = np.zeros(vals.size)
@@ -138,19 +96,6 @@ def estimate_with_trace(
         rows.append((m, float(mean), float(np.sqrt(var / m))))
     final = SamplingEstimate(mean=rows[-1][1], stderr=rows[-1][2], n=n, exact=exact)
     return final, rows
-
-
-def estimate_expectation(
-    s: QuasiSampler,
-    rho: Operator,
-    o1: Operator,
-    o2: Operator,
-    n: int,
-    rng: Rng,
-    shot_noise: bool = False,
-) -> SamplingEstimate:
-    """The final estimate of :func:`estimate_with_trace`, with one checkpoint."""
-    return estimate_with_trace(s, rho, o1, o2, n, rng, n_checkpoints=1, shot_noise=shot_noise)[0]
 
 
 def write_trace_csv(fp, rows: list[tuple[int, float, float]]):

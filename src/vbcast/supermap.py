@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, Operator, Rng, _ginibre, _haar_qr, _raw, partial_trace
+from .densemat import DEFAULT_TOL, Operator, _raw, partial_trace
 
 
 def omega(d: int) -> Operator:
@@ -203,23 +203,6 @@ def apply_left(m: SuperMap, x, d_right: int) -> Operator:
     out4 = np.einsum("uivj,iajb->uavb", m._c4(), x4)
     k = m.d_out * d_right
     return Operator(out4.reshape(k, k))
-
-
-def random_channel(d_in: int, d_out: int, rng: Rng) -> SuperMap:
-    """Haar-random CPTP map via a Stinespring isometry.
-
-    The isometry V: C^d_in -> C^d_out (x) C^d_env with d_env = d_in*d_out is
-    the phase-fixed QR of the first d_in columns of a square Ginibre draw,
-    i.e. the first d_in columns of the Haar unitary ``haar_unitary`` builds
-    from the same draw; the channel traces out the environment.
-    """
-    d_env = d_in * d_out
-    v = _haar_qr(_ginibre(d_out * d_env, rng)[:, :d_in])
-    # Kraus operators indexed by the environment basis.
-    kraus = v.reshape(d_out, d_env, d_in).transpose(1, 0, 2)
-    c4 = np.einsum("eui,evj->uivj", kraus, kraus.conj())
-    n = d_out * d_in
-    return SuperMap(d_in, d_out, Operator(c4.reshape(n, n)))
 
 
 @dataclass(frozen=True)

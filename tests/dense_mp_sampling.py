@@ -1,9 +1,10 @@
 """Materialising reference for the measure-and-prepare Monte-Carlo sampler.
 
 Every sample Tr[M_psi rho] rho_psi (x) rho_psi is built as a full d^2 x d^2
-matrix and the (count, d^2, d^2) stack is fed to ``MatrixWelford``.  It makes
-the same random draws as ``vbcast.hovm.sample_mp_blocks``, so tests compare
-block means, M2 and z-scores with the moment-based sampler.
+matrix and the (count, d^2, d^2) stack is merged into a ``MatrixWelford`` by
+``update_batch``.  It makes the same random draws as
+``vbcast.hovm.sample_mp_blocks``, so tests compare block means, M2 and
+z-scores with the moment-based sampler.
 """
 
 import numpy as np
@@ -11,6 +12,17 @@ import numpy as np
 from vbcast.densemat import Operator, Rng
 from vbcast.hovm import exact_mp_map
 from vbcast.mcstats import MatrixSamplingEstimate, MatrixWelford
+
+
+def update_batch(acc: MatrixWelford, xs: np.ndarray):
+    """Merge a batch of samples, shape (k, rows, cols), into ``acc``."""
+    k = xs.shape[0]
+    if k == 0:
+        return
+    bmean = xs.mean(axis=0)
+    bm2_re = ((xs.real - bmean.real) ** 2).sum(axis=0)
+    bm2_im = ((xs.imag - bmean.imag) ** 2).sum(axis=0)
+    acc.merge(k, bmean, bm2_re, bm2_im)
 
 
 def dense_sample_chunk(rho: np.ndarray, d: int, count: int, rng: Rng) -> np.ndarray:
@@ -36,7 +48,7 @@ def dense_sample_mp_blocks(
     out = []
     for b in range(1, n_blocks + 1):
         take = per if b < n_blocks else n_samples - per * (n_blocks - 1)
-        acc.update_batch(dense_sample_chunk(rho.mat, d, take, rng))
+        update_batch(acc, dense_sample_chunk(rho.mat, d, take, rng))
         se_re, se_im = acc.stderr()
         out.append((b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
     return out

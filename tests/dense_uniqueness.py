@@ -9,8 +9,10 @@ through the commutant basis.  Tests compare its nullities with
 import numpy as np
 
 from vbcast.broadcast import UniquenessCertificate, canonical_b
-from vbcast.densemat import Rng, haar_unitary, swap
+from vbcast.densemat import Rng, swap
 from vbcast.supermap import omega
+
+from random_fixtures import haar_unitary
 
 
 def _coeffs_from_hermitian(c: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ compare it with the exact ``vbcast.broadcast.check_axioms``, which reads
 the marginal residuals from the Choi operator.
 """
 
-from vbcast.densemat import Rng, partial_trace, random_density, random_pure, trace_norm
+from vbcast.densemat import Rng, partial_trace, random_density, trace_norm
 from vbcast.supermap import SuperMap
+
+from random_fixtures import random_pure
 
 
 def sampled_broadcasting(m: SuperMap, n_states: int, rng: Rng) -> float:

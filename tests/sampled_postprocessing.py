@@ -13,7 +13,9 @@ import numpy as np
 
 from vbcast.densemat import Operator, Rng, partial_trace, random_density, random_hermitian
 from vbcast.sot import star
-from vbcast.supermap import SuperMap, apply_right, random_channel
+from vbcast.supermap import SuperMap, apply_right
+
+from random_fixtures import random_channel
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ Choi operator.
 import numpy as np
 
 from vbcast.broadcast import classical_bcl, decoherence
-from vbcast.densemat import Rng, haar_unitary, random_density, swap
+from vbcast.densemat import Rng, random_density, swap
 from vbcast.sot import star
-from vbcast.supermap import SuperMap, apply_right, random_channel
+from vbcast.supermap import SuperMap, apply_right
+
+from random_fixtures import haar_unitary, random_channel
 
 
 def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:

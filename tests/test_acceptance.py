@@ -29,15 +29,17 @@ from vbcast.densemat import (
     partial_trace,
     random_density,
     random_hermitian,
-    random_pure,
 )
-from vbcast.diamond import closest_channel_scan, diamond_bracket, diamond_sdp
+from vbcast.diamond import diamond_bracket, diamond_sdp, hptp_upper
 from vbcast.hovm import depolarizing_mp, moment_operator, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
-from vbcast.qsample import estimate_expectation, overhead, sampler_from_decomposition
+from vbcast.qsample import estimate_with_trace
 from vbcast.sot import check_sot_axioms, star
-from vbcast.supermap import SuperMap, random_channel
+from vbcast.supermap import SuperMap
 
+from channel_scan import closest_channel_scan
+from dense_mp_sampling import update_batch
+from random_fixtures import random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 
 
@@ -196,11 +198,12 @@ def test_criterion_06_theorem3_and_moments():
             vecs = _haar_pure_batch(d, count, rng)
             pair = np.einsum("ci,cj->cij", vecs, vecs.conj())
             two = np.einsum("cij,ckl->cikjl", pair, pair).reshape(count, d * d, d * d)
-            acc2.update_batch(two)
-            acc3.update_batch(
+            update_batch(acc2, two)
+            update_batch(
+                acc3,
                 np.einsum("cij,ckl->cikjl", two.reshape(count, d * d, d * d), pair).reshape(
                     count, d**3, d**3
-                )
+                ),
             )
         for order, acc in ((2, acc2), (3, acc3)):
             delta = acc.mean - moment_operator(d, order).mat
@@ -280,10 +283,10 @@ def test_criterion_08_states_over_time():
 def test_criterion_09_quasi_sampler():
     bad = []
     for d in (2, 3, 4, 5):
-        if overhead(sampler_from_decomposition(canonical_decomposition(d))) != float(d):
+        if hptp_upper(canonical_decomposition(d)) != float(d):
             bad.append(f"overhead d={d}")
     d = 2
-    s = sampler_from_decomposition(canonical_decomposition(d))
+    dec = canonical_decomposition(d)
     rng = Rng(900)
     states = [random_density(d, rng) for _ in range(3)]
     obs = [(random_hermitian(d, rng), random_hermitian(d, rng)) for _ in range(3)]
@@ -291,11 +294,11 @@ def test_criterion_09_quasi_sampler():
     for rho in states:
         for o1, o2 in obs:
             stream += 1
-            est = estimate_expectation(s, rho, o1, o2, 100000, Rng(901, stream=stream))
+            est = estimate_with_trace(dec, rho, o1, o2, 100000, Rng(901, stream=stream), n_checkpoints=1)[0]
             if abs(est.zscore()) >= 5.0:
                 bad.append(f"grid z={est.zscore():.2f}")
-    a = estimate_expectation(s, states[0], obs[0][0], obs[0][1], 100000, Rng(902))
-    b = estimate_expectation(s, states[0], obs[0][0], obs[0][1], 400000, Rng(903))
+    a = estimate_with_trace(dec, states[0], obs[0][0], obs[0][1], 100000, Rng(902), n_checkpoints=1)[0]
+    b = estimate_with_trace(dec, states[0], obs[0][0], obs[0][1], 400000, Rng(903), n_checkpoints=1)[0]
     ratio = a.stderr / b.stderr
     if not (2.0 * 0.85 < ratio < 2.0 * 1.15):
         bad.append(f"scaling ratio {ratio:.3f}")

@@ -6,19 +6,16 @@ from pytest import mark, raises
 from vbcast.densemat import (
     Operator,
     Rng,
-    basis_state,
     eigh,
-    haar_unitary,
     identity,
     kron,
     partial_trace,
     permutation_operators,
     random_density,
-    random_pure,
     swap,
     trace_norm,
 )
-from vbcast.supermap import SuperMap, omega, random_channel
+from vbcast.supermap import SuperMap, omega
 from vbcast.broadcast import (
     antisym,
     canonical_b,
@@ -36,6 +33,7 @@ from vbcast.broadcast import (
 from vbcast.hovm import exact_mp_map
 
 from dense_uniqueness import dense_verify_uniqueness
+from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
 
 

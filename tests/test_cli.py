@@ -12,7 +12,9 @@ from vbcast import cli, densemat, sot, supermap
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, _dumps, main
 from vbcast.densemat import Operator, Rng
 from vbcast.diamond import float_slack
-from vbcast.supermap import SuperMap, random_channel
+from vbcast.supermap import SuperMap
+
+from random_fixtures import random_channel
 
 
 def run(args, tmp_path, name="out.json"):
@@ -212,6 +214,31 @@ class TestSample:
     def test_unknown_object(self):
         assert main(["sample", "--object", "Q", "--dim", "2", "--n", "100"]) == 2
 
+    # mean, stderr and exact of `sample --object B` at n = 1e4, seed 1, recorded once; any change of
+    # the draw order or the arithmetic of the quasi-sampler shows here
+    @pytest.mark.parametrize(
+        "dim,obs,want",
+        [
+            ("2", "zz", (1.0058666666666667, 0.00580726916064488, 1.0)),
+            ("3", "random", (1.190159663000144, 0.005201333625918038, 1.1934256346082397)),
+        ],
+    )
+    def test_seeded_stream_pinned(self, dim, obs, want, tmp_path):
+        args = ["sample", "--dim", dim, "--obs", obs, "--n", "10000", "--seed", "1", "--format", "json"]
+        code, doc, _ = run(args, tmp_path)
+        assert code == 0
+        got = doc["result"]
+        for key, value in zip(("mean", "stderr", "exact"), want):
+            assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+
+    def test_seeded_csv_stream_pinned(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["sample", "--dim", "2", "--n", "10000", "--seed", "1", "--out", str(out)]) == 0
+        n, mean, stderr = out.read_text().strip().split("\n")[-1].split(",")
+        assert int(n) == 10000
+        assert abs(float(mean) - 1.0058666666666667) <= 1e-12
+        assert abs(float(stderr) - 0.00580726916064488) <= 1e-12
+
     def test_mp_needs_two_samples_per_block(self, tmp_path, capsys):
         # 10 blocks of at least 2 samples: too few is an operational error, not a failed verification
         for n in ("5", "19"):
@@ -250,6 +277,25 @@ class TestDump:
 
     def test_bad_lambda(self):
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
+
+
+class TestFormat:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--dim", "2"],
+            ["diamond", "--dim", "2", "--target", "B"],
+            ["dump", "--dim", "2", "--object", "B"],
+        ],
+    )
+    def test_csv_only_for_sample(self, args, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(args + ["--format", "csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--format csv" in err
+        assert not out.exists()
+        code, doc, _ = run(args + ["--format", "json"], tmp_path)
+        assert code == 0 and doc["command"] == args[0]
 
 
 class TestSchemas:

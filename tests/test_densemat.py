@@ -7,21 +7,18 @@ from vbcast.densemat import (
     Operator,
     Rng,
     antisym_projector,
-    basis_state,
     eigh,
-    haar_unitary,
     identity,
     kron,
     partial_trace,
     random_density,
     random_hermitian,
-    random_pure,
-    random_pure_vector,
     swap,
     sym_projector,
     trace_norm,
-    zeros,
 )
+
+from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros
 
 dims = (2, 3, 4, 5)
 
@@ -183,8 +180,8 @@ class TestRandom:
 
     def test_substream_independent(self):
         r = Rng(9)
-        a = r.substream(0).gen.standard_normal(4)
-        b = r.substream(1).gen.standard_normal(4)
+        a = substream(r, 0).gen.standard_normal(4)
+        b = substream(r, 1).gen.standard_normal(4)
         assert np.abs(a - b).max() > 1e-3
 
     @mark.parametrize("d", dims)

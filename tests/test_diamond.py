@@ -5,14 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vbcast.diamond
-from vbcast.densemat import Operator, Rng, haar_unitary, random_density, random_hermitian, trace_norm
-from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, random_channel
+from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
+from vbcast.supermap import AffineDecomposition, SuperMap, apply_right
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
     _dual_upper,
     _input_first_choi,
     _jordan_abs,
-    closest_channel_scan,
     diamond_bracket,
     diamond_sdp,
     float_slack,
@@ -20,6 +19,9 @@ from vbcast.diamond import (
     jordan_upper,
 )
 from vbcast.hovm import depolarizing_mp, exact_mp_map
+
+from channel_scan import closest_channel_scan
+from random_fixtures import haar_unitary, random_channel
 
 
 def _assert_certified(res, exact):
@@ -240,6 +242,20 @@ class TestUpperAndScan:
         dec = AffineDecomposition(1.0, 0.0, b, cloner(2))
         with pytest.raises(ValueError):
             hptp_upper(dec)
+
+    @pytest.mark.parametrize("weights", [(1.0, -0.5), (-0.5, 1.0), (-1.5, -0.5), (float("nan"), 0.5)])
+    def test_hptp_upper_rejects_negative_weights(self, weights):
+        # a negative weight makes lambda_plus + lambda_minus no upper bound: B+ - 0.5 B- has norm 1.5
+        with pytest.raises(ValueError, match="non-negative"):
+            hptp_upper(AffineDecomposition(*weights, cloner(2), antisym(2)))
+
+    def test_hptp_upper_rejects_all_zero_weights(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            hptp_upper(AffineDecomposition(0.0, 0.0, cloner(2), antisym(2)))
+
+    def test_hptp_upper_rejects_dim_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            hptp_upper(AffineDecomposition(1.0, 1.0, cloner(2), random_channel(3, 9, Rng(0))))
 
     def test_scan_ranks_cloner_first(self):
         d = 2

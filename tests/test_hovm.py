@@ -10,25 +10,18 @@ from vbcast.broadcast import canonical_b
 from vbcast.densemat import (
     Operator,
     Rng,
-    basis_state,
     eigh,
     identity,
     partial_trace,
     random_density,
-    random_pure,
     swap,
     sym_projector,
 )
 from vbcast.hovm import (
-    MC_CHUNK,
-    FiniteHOVM,
     _mp_moments,
     depolarizing_mp,
     exact_mp_map,
-    m_psi,
-    mc_mp_apply,
     moment_operator,
-    rho_psi,
     sample_mp_blocks,
     theorem3_weight,
     verify_theorem3,
@@ -36,7 +29,9 @@ from vbcast.hovm import (
 )
 from vbcast.mcstats import MatrixWelford
 
-from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks
+from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, update_batch
+from finite_hovm import FiniteHOVM, m_psi, rho_psi
+from random_fixtures import basis_state, random_pure, random_pure_vector
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -100,9 +95,6 @@ class TestMomentOperators:
         assert_allclose(red.mat, mom2.mat, atol=1e-13)
 
     def test_monte_carlo_agreement(self):
-        from vbcast.densemat import random_pure_vector
-        from vbcast.mcstats import MatrixWelford
-
         d, n = 2, 20000
         rng = Rng(13)
         acc = MatrixWelford((d * d, d * d))
@@ -112,7 +104,7 @@ class TestMomentOperators:
             for k in range(count):
                 vecs[k] = random_pure_vector(d, rng)
             pair = np.einsum("ci,cj->cij", vecs, vecs.conj())
-            acc.update_batch(np.einsum("cij,ckl->cikjl", pair, pair).reshape(count, d * d, d * d))
+            update_batch(acc, np.einsum("cij,ckl->cikjl", pair, pair).reshape(count, d * d, d * d))
         delta = acc.mean - moment_operator(d, 2).mat
         se_re, se_im = acc.stderr()
         z_re = np.abs(delta.real) / np.maximum(se_re, 1e-30)
@@ -209,27 +201,27 @@ class TestFiniteHOVM:
 
 class TestMonteCarlo:
     def test_unbiased(self):
-        est = mc_mp_apply(random_density(2, Rng(3)), 2, 20000, Rng(4))
+        est = sample_mp_blocks(random_density(2, Rng(3)), 2, 20000, 10, Rng(4))[-1][1]
         assert est.n == 20000
         assert est.max_zscore() < 5.0
 
     def test_deterministic(self):
         rho = random_density(2, Rng(5))
-        a = mc_mp_apply(rho, 2, 500, Rng(6))
-        b = mc_mp_apply(rho, 2, 500, Rng(6))
+        a = sample_mp_blocks(rho, 2, 500, 10, Rng(6))[-1][1]
+        b = sample_mp_blocks(rho, 2, 500, 10, Rng(6))[-1][1]
         assert_allclose(a.mean.mat, b.mean.mat)
 
     def test_stderr_shrinks(self):
         rho = random_density(2, Rng(7))
-        small = mc_mp_apply(rho, 2, 2000, Rng(8))
-        large = mc_mp_apply(rho, 2, 32000, Rng(8))
+        small = sample_mp_blocks(rho, 2, 2000, 10, Rng(8))[-1][1]
+        large = sample_mp_blocks(rho, 2, 32000, 10, Rng(8))[-1][1]
         assert large.stderr_re.max() < small.stderr_re.max()
 
     def test_input_validation(self):
         with raises(ValueError):
-            mc_mp_apply(random_density(2, Rng(0)), 2, 1, Rng(0))
+            sample_mp_blocks(random_density(2, Rng(0)), 2, 1, 1, Rng(0))
         with raises(ValueError):
-            mc_mp_apply(identity(2), 2, 100, Rng(0))  # trace 2
+            sample_mp_blocks(identity(2), 2, 100, 10, Rng(0))  # trace 2
 
     def test_blocks_cumulative(self):
         blocks = sample_mp_blocks(random_density(2, Rng(9)), 2, 1000, n_blocks=4, rng=Rng(10))
@@ -265,7 +257,7 @@ class TestMomentSampler:
         rho = random_density(d, Rng(d, 10))
         k, mean, m2_re, m2_im = _mp_moments(rho.mat, d, 1000, Rng(d, 12))
         ref = MatrixWelford((d * d, d * d))
-        ref.update_batch(dense_sample_chunk(rho.mat, d, 1000, Rng(d, 12)))
+        update_batch(ref, dense_sample_chunk(rho.mat, d, 1000, Rng(d, 12)))
         assert k == ref.n == 1000
         for got, want in ((mean, ref.mean), (m2_re, ref.m2_re), (m2_im, ref.m2_im)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -295,15 +287,6 @@ class TestMomentSampler:
             assert b == b_ref and e.n == e_ref.n
             assert abs(e.max_zscore() - e_ref.max_zscore()) < 1e-9
             assert np.abs(e.mean.mat - e_ref.mean.mat).max() <= 1e-12 * np.abs(e_ref.mean.mat).max()
-
-    def test_mc_apply_shares_the_block_path(self):
-        rho = random_density(3, Rng(4, 10))
-        n = MC_CHUNK - 1
-        one = mc_mp_apply(rho, 3, n, Rng(4, 12))
-        block = sample_mp_blocks(rho, 3, n, 1, Rng(4, 12))[0][1]
-        assert np.array_equal(one.mean.mat, block.mean.mat)
-        assert np.array_equal(one.stderr_re, block.stderr_re)
-        assert np.array_equal(one.stderr_im, block.stderr_im)
 
     def test_memory_stays_below_sample_tensor(self):
         # the (5000, 36, 36) complex sample tensor of one block alone is 104 MB

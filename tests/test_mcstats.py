@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from vbcast.densemat import Operator, Rng
 from vbcast.mcstats import MatrixSamplingEstimate, MatrixWelford, SamplingEstimate
 
+from dense_mp_sampling import update_batch
+
 
 def test_welford_matches_direct_formulas():
     rng = Rng(1)
@@ -12,7 +14,7 @@ def test_welford_matches_direct_formulas():
     acc = MatrixWelford((3, 3))
     # uneven chunking must not change the result
     for lo, hi in ((0, 7), (7, 200), (200, 201), (201, 500)):
-        acc.update_batch(xs[lo:hi])
+        update_batch(acc, xs[lo:hi])
     assert acc.n == 500
     assert_allclose(acc.mean, xs.mean(axis=0), atol=1e-12)
     se_re, se_im = acc.stderr()
@@ -22,13 +24,13 @@ def test_welford_matches_direct_formulas():
 
 def test_welford_empty_batch_is_noop():
     acc = MatrixWelford((2, 2))
-    acc.update_batch(np.zeros((0, 2, 2), dtype=complex))
+    update_batch(acc, np.zeros((0, 2, 2), dtype=complex))
     assert acc.n == 0
 
 
 def test_stderr_needs_two_samples():
     acc = MatrixWelford((2, 2))
-    acc.update_batch(np.ones((1, 2, 2), dtype=complex))
+    update_batch(acc, np.ones((1, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
         acc.stderr()
 
@@ -74,7 +76,7 @@ def test_merge_halves_matches_update_batch():
     rng = Rng(2)
     xs = rng.gen.standard_normal((301, 4, 4)) + 1j * rng.gen.standard_normal((301, 4, 4))
     whole = MatrixWelford((4, 4))
-    whole.update_batch(xs)
+    update_batch(whole, xs)
     merged = MatrixWelford((4, 4))
     for half in (xs[:150], xs[150:]):
         mean = half.mean(axis=0)
@@ -89,7 +91,7 @@ def test_merge_halves_matches_update_batch():
 
 def test_merge_zero_samples_is_noop():
     acc = MatrixWelford((2, 2))
-    acc.update_batch(np.arange(12, dtype=complex).reshape(3, 2, 2) * (1 + 2j))
+    update_batch(acc, np.arange(12, dtype=complex).reshape(3, 2, 2) * (1 + 2j))
     before = (acc.n, acc.mean.copy(), acc.m2_re.copy(), acc.m2_im.copy())
     acc.merge(0, np.full((2, 2), 7.0 + 1j), np.ones((2, 2)), np.ones((2, 2)))
     assert acc.n == before[0]

@@ -5,66 +5,54 @@ import pytest
 from pytest import mark, raises
 
 from vbcast.densemat import Rng, identity, random_density, random_hermitian
-from vbcast.supermap import AffineDecomposition, random_channel
+from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
-from vbcast.qsample import (
-    QuasiSampler,
-    estimate_expectation,
-    estimate_with_trace,
-    overhead,
-    sampler_from_decomposition,
-    write_trace_csv,
-)
+from vbcast.diamond import hptp_upper
+from vbcast.qsample import estimate_with_trace, write_trace_csv
+
+from random_fixtures import random_channel
 
 
-def canonical_sampler(d):
-    return sampler_from_decomposition(canonical_decomposition(d))
+def estimate(dec, rho, o1, o2, n, rng, shot_noise=False):
+    """The final estimate of a one-checkpoint run."""
+    return estimate_with_trace(dec, rho, o1, o2, n, rng, n_checkpoints=1, shot_noise=shot_noise)[0]
 
 
 @mark.parametrize("d", (2, 3, 4, 5))
 def test_overhead_is_exactly_d(d):
-    assert overhead(canonical_sampler(d)) == pytest.approx(d, abs=1e-14)
-
-
-def test_rejects_wrong_weights():
-    d = 2
-    with raises(ValueError):
-        QuasiSampler(
-            components=((2.0, cloner(d)), (-0.5, antisym(d))),
-            target=canonical_b(d),
-        )
+    assert hptp_upper(canonical_decomposition(d)) == pytest.approx(d, abs=1e-14)
 
 
 def test_rejects_non_cptp_component():
     d = 2
     with raises(ValueError):
-        QuasiSampler(components=((1.0, canonical_b(d)),), target=canonical_b(d))
+        hptp_upper(AffineDecomposition(1.0, 0.0, canonical_b(d), cloner(d)))
 
 
 def test_rejects_empty_and_zero():
-    with raises(ValueError):
-        QuasiSampler(components=(), target=canonical_b(2))
+    # a split always has two parts, so the empty mixture is the all-zero one
     dec = canonical_decomposition(2)
     with raises(ValueError):
-        QuasiSampler(
-            components=((0.0, dec.map_plus), (0.0, dec.map_minus)),
-            target=0.0 * canonical_b(2),
-        )
+        hptp_upper(AffineDecomposition(0.0, 0.0, dec.map_plus, dec.map_minus))
 
 
 def test_rejects_dim_mismatch():
+    dec = AffineDecomposition(1.0, 0.0, cloner(2), random_channel(3, 9, Rng(0)))
     with raises(ValueError):
-        QuasiSampler(components=((1.0, random_channel(3, 9, Rng(0))),), target=canonical_b(2))
+        hptp_upper(dec)
+    rho = random_density(2, Rng(0))
+    with raises(ValueError):
+        estimate_with_trace(dec, rho, identity(2), identity(2), 100, Rng(0))
 
 
 def test_estimator_unbiased():
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(21)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    est = estimate_expectation(s, rho, o1, o2, 40000, Rng(22))
+    est = estimate(dec, rho, o1, o2, 40000, Rng(22))
     assert abs(est.zscore()) < 5.0
     # the correlator identity fixes the exact value
     want = float(np.real(np.trace(rho.mat @ o1.mat @ o2.mat)))
@@ -73,12 +61,12 @@ def test_estimator_unbiased():
 
 def test_shot_noise_mode_unbiased():
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(23)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    est = estimate_expectation(s, rho, o1, o2, 40000, Rng(24), shot_noise=True)
+    est = estimate(dec, rho, o1, o2, 40000, Rng(24), shot_noise=True)
     assert abs(est.zscore()) < 5.0
 
 
@@ -86,55 +74,55 @@ def test_single_shot_values_bounded_by_overhead():
     # |estimate per draw| <= L * ||O1 (x) O2||_inf, so the sample stderr
     # after n draws is at most L*||O||/sqrt(n-1)
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(25)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
     norm = np.abs(np.linalg.eigvalsh(np.kron(o1.mat, o2.mat))).max()
     n = 2000
-    est = estimate_expectation(s, rho, o1, o2, n, Rng(26), shot_noise=True)
-    assert est.stderr <= overhead(s) * norm / np.sqrt(n - 1) + 1e-12
+    est = estimate(dec, rho, o1, o2, n, Rng(26), shot_noise=True)
+    assert est.stderr <= hptp_upper(dec) * norm / np.sqrt(n - 1) + 1e-12
 
 
 def test_stderr_scales_as_inverse_sqrt_n():
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(27)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    a = estimate_expectation(s, rho, o1, o2, 20000, Rng(28))
-    b = estimate_expectation(s, rho, o1, o2, 80000, Rng(29))
+    a = estimate(dec, rho, o1, o2, 20000, Rng(28))
+    b = estimate(dec, rho, o1, o2, 80000, Rng(29))
     ratio = a.stderr / b.stderr
     assert 2.0 * 0.85 < ratio < 2.0 * 1.15
 
 
 def test_deterministic():
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rho = random_density(d, Rng(30))
     o = identity(d)
-    a = estimate_expectation(s, rho, o, o, 1000, Rng(31))
-    b = estimate_expectation(s, rho, o, o, 1000, Rng(31))
+    a = estimate(dec, rho, o, o, 1000, Rng(31))
+    b = estimate(dec, rho, o, o, 1000, Rng(31))
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_needs_two_draws():
-    s = canonical_sampler(2)
+    dec = canonical_decomposition(2)
     rho = random_density(2, Rng(0))
     with raises(ValueError):
-        estimate_expectation(s, rho, identity(2), identity(2), 1, Rng(0))
+        estimate(dec, rho, identity(2), identity(2), 1, Rng(0))
 
 
 def test_trace_rows():
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(32)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    est, rows = estimate_with_trace(s, rho, o1, o2, 5000, Rng(33), n_checkpoints=10)
+    est, rows = estimate_with_trace(dec, rho, o1, o2, 5000, Rng(33), n_checkpoints=10)
     ns = [m for m, _, _ in rows]
     assert ns == sorted(ns)
     assert ns[-1] == 5000
@@ -146,21 +134,21 @@ def test_trace_rows():
 def test_trace_matches_materialised_draws(shot_noise):
     # one size-n draw and its running mean/stderr, the pre-count formulation
     d = 2
-    s = canonical_sampler(d)
+    dec = canonical_decomposition(d)
     rng = Rng(38)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
     n = 3000
     est, rows = estimate_with_trace(
-        s, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
+        dec, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
     )
     assert len(rows) == 7 and rows[-1][0] == n
 
-    weights = np.array([w for w, _ in s.components])
+    weights = np.array([dec.lambda_plus, -dec.lambda_minus])
     l1 = np.abs(weights).sum()
     obs = np.kron(o1.mat, o2.mat)
-    outs = [ch.apply(rho).mat for _, ch in s.components]
+    outs = [ch.apply(rho).mat for ch in (dec.map_plus, dec.map_minus)]
     gen = Rng(39).gen
     if shot_noise:
         evals, evecs = np.linalg.eigh(obs)
@@ -176,14 +164,14 @@ def test_trace_matches_materialised_draws(shot_noise):
     for m, mean, stderr in rows:
         assert mean == pytest.approx(draws[:m].mean(), abs=1e-12)
         assert stderr == pytest.approx(draws[:m].std(ddof=1) / np.sqrt(m), abs=1e-12)
-    final = estimate_expectation(s, rho, o1, o2, n, Rng(39), shot_noise=shot_noise)
+    final = estimate(dec, rho, o1, o2, n, Rng(39), shot_noise=shot_noise)
     assert (final.mean, final.stderr, final.n) == (est.mean, est.stderr, n)
 
 
 def test_trace_csv():
-    s = canonical_sampler(2)
+    dec = canonical_decomposition(2)
     rho = random_density(2, Rng(34))
-    _, rows = estimate_with_trace(s, rho, identity(2), identity(2), 100, Rng(35), n_checkpoints=5)
+    _, rows = estimate_with_trace(dec, rho, identity(2), identity(2), 100, Rng(35), n_checkpoints=5)
     buf = io.StringIO()
     write_trace_csv(buf, rows)
     lines = buf.getvalue().strip().split("\n")
@@ -195,8 +183,7 @@ def test_general_decomposition_sampler():
     # sampler built from any valid two-channel split, not just the canonical one
     d = 2
     dec = AffineDecomposition(1.0, 0.0, cloner(d), antisym(d))
-    s = sampler_from_decomposition(dec)
-    assert overhead(s) == pytest.approx(1.0)
+    assert hptp_upper(dec) == pytest.approx(1.0)
     rho = random_density(d, Rng(36))
-    est = estimate_expectation(s, rho, identity(d), identity(d), 100, Rng(37))
+    est = estimate(dec, rho, identity(d), identity(d), 100, Rng(37))
     assert est.mean == pytest.approx(1.0)  # TP target, identity observable

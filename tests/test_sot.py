@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast import broadcast, densemat, sot
-from vbcast.densemat import Rng, basis_state, eigh, identity, random_density, random_pure, swap
-from vbcast.supermap import SuperMap, apply_left, random_channel
+from vbcast.densemat import Rng, eigh, identity, random_density, swap
+from vbcast.supermap import SuperMap, apply_left
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import check_sot_axioms, star
 
+from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms
 
@@ -127,7 +128,7 @@ class TestAxioms:
         def fail(*args, **kwargs):
             raise AssertionError("axiom checks must not sample")
 
-        for name in ("haar_unitary", "random_pure", "random_density", "trace_norm"):
+        for name in ("random_density", "random_hermitian", "trace_norm"):
             monkeypatch.setattr(densemat, name, fail)
             monkeypatch.setattr(broadcast, name, fail, raising=False)
             monkeypatch.setattr(sot, name, fail, raising=False)

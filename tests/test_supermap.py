@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, haar_unitary, identity, kron, random_density, random_hermitian, swap
+from vbcast.densemat import Operator, Rng, identity, kron, random_density, random_hermitian, swap
 from vbcast.supermap import (
     AffineDecomposition,
     SuperMap,
     apply_left,
     apply_right,
     omega,
-    random_channel,
 )
+
+from random_fixtures import haar_unitary, random_channel
 
 
 def test_omega():
