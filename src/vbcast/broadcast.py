@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import (
-    Operator,
-    antisym_projector,
-    identity,
-    kron,
-    permutation_operators,
-    sym_projector,
-)
+from .densemat import S3, Operator
 from .supermap import AffineDecomposition, SuperMap, omega
 
 
@@ -44,9 +37,27 @@ def _require_dim(d: int):
         raise ValueError(f"broadcasting maps need dimension >= 2, got {d}")
 
 
-def _transpose_input(c: np.ndarray, d: int) -> np.ndarray:
-    """Partial transpose of an operator on C^d (x) C^d (x) C^d on its last (input) factor."""
-    return c.reshape((d,) * 6).transpose(0, 1, 5, 3, 4, 2).reshape(d**3, d**3)
+@functools.cache
+def commutant_table(d: int) -> np.ndarray:
+    """The permutations of ``S3`` transposed on the input factor: (6, d^3, d^3), int8, read-only."""
+    _require_dim(d)
+    table = np.zeros((6,) + (d,) * 6, dtype=np.int8)
+    i = np.indices((d, d, d)).reshape(3, -1)
+    for k, s in enumerate(S3):  # P_sigma^T3 is 1 at row (i_s0, i_s1, i_2), column (i_0, i_1, i_s2)
+        table[k, i[s[0]], i[s[1]], i[2], i[0], i[1], i[s[2]]] = 1
+    table.flags.writeable = False
+    return table.reshape(6, d**3, d**3)
+
+
+def covariant_map(d: int, coeffs) -> SuperMap:
+    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] commutant_table(d)[k]."""
+    _require_dim(d)
+    if len(coeffs) != 6:
+        raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
+    choi = np.zeros((d**3, d**3), dtype=np.complex128)
+    for c, term in zip(coeffs, commutant_table(d)):
+        choi += c * term
+    return SuperMap(d, d * d, Operator(choi))
 
 
 def canonical_b(d: int) -> SuperMap:
@@ -61,38 +72,19 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
     only at lam = 0.  Its Choi is (1/2){Omega_13, S_12} + i*lam*[Omega_13, S_12]
     with S_12 = P_(12) and Omega_13 = P_(13) partially transposed on the input.
     """
-    _require_dim(d)
-    _, s12, p13, *_ = permutation_operators(d)
-    om13 = _transpose_input(p13.mat, d)
-    left, right = om13 @ s12.mat, s12.mat @ om13
-    return SuperMap(d, d * d, Operator((left + right) / 2 + 1j * lam * (left - right)))
+    return covariant_map(d, (0, 0, 0, 0, 0.5 - 1j * lam, 0.5 + 1j * lam))
 
 
 def cloner(d: int) -> SuperMap:
     """Optimal universal cloning channel  rho -> 2/(d+1) P+ (I (x) rho) P+."""
     _require_dim(d)
-    return SuperMap(d, d * d, 2.0 / (d + 1) * choi_projector(d, +1))
+    return covariant_map(d, np.array([0, 0, 1, 1, 1, 1]) / (2 * (d + 1)))
 
 
 def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
     _require_dim(d)
-    return SuperMap(d, d * d, 2.0 / (d - 1) * choi_projector(d, -1))
-
-
-def choi_projector(d: int, sign: int) -> Operator:
-    """Sandwich operator (P_s (x) I)(I (x) Omega)(P_s (x) I) behind the Choi of B_s.
-
-    These satisfy Bhat_s Bhat_s = (d + s)/2 * Bhat_s and Bhat_+ Bhat_- = 0,
-    and the cloner Chois are 2/(d + s) * Bhat_s.
-    """
-    _require_dim(d)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    p = sym_projector(d) if sign > 0 else antisym_projector(d)
-    pw = kron(p, identity(d)).mat
-    mid = kron(identity(d), omega(d)).mat
-    return Operator(pw @ mid @ pw)
+    return covariant_map(d, np.array([0, 0, 1, 1, -1, -1]) / (2 * (d - 1)))
 
 
 def canonical_decomposition(d: int) -> AffineDecomposition:
@@ -146,10 +138,9 @@ def commutant_basis(d: int) -> np.ndarray:
     operators are linearly dependent at d = 2.  Built once per d; the
     returned array is shared and read-only.
     """
-    _require_dim(d)
-    q = [_transpose_input(p.mat, d) for p in permutation_operators(d)]
+    q = commutant_table(d).astype(np.complex128)
     # Transpositions are self-adjoint; the two 3-cycles are adjoint to each other.
-    herm = np.stack(q[:4] + [q[4] + q[5], 1j * (q[4] - q[5])])
+    herm = np.stack([*q[:4], q[4] + q[5], 1j * (q[4] - q[5])])
     gram = np.einsum("aij,bji->ab", herm, herm).real
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > 1e-10 * vals[-1]

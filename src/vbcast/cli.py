@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .qsample import estimate_with_trace, write_trace_csv
 from .sot import check_sot_axioms
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
-SCHEMA = 4
+SCHEMA = 5
 
 DEFAULT_TOLERANCES = {
     "axioms": 1e-10,
@@ -49,7 +50,6 @@ DEFAULT_TOLERANCES = {
     "spectral": 1e-10,
     "eigenvalues": 1e-8,
     "theorem3": 1e-10,
-    "sot": 1e-8,
     "sdp": 1e-5,
 }
 
@@ -266,9 +266,12 @@ def _status(ok: bool, name: str, detail: str = ""):
 
 def _parse_lambda(name: str) -> float:
     try:
-        return float(name.split(":", 1)[1])
+        lam = float(name.split(":", 1)[1])
     except (IndexError, ValueError):
         raise CliError(f"cannot parse lambda from {name!r}; expected B_lambda:<float>") from None
+    if not math.isfinite(lam):
+        raise CliError(f"lambda must be finite, got {name!r}")
+    return lam
 
 
 OBJECT_NAMES = ["B", "B+", "B-", "B_cl", "D", "M", "Mprime", "B_lambda:<x>"]
@@ -357,7 +360,7 @@ def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
         "classical": srep.classical,
     }
     worst = max(values.values())
-    return worst < cfg.tolerances["sot"], values, f"max={worst:.3e}"
+    return worst < cfg.tolerances["axioms"], values, f"max={worst:.3e}"
 
 
 # The verification battery, in report order; each check returns (pass, values, status detail).
@@ -470,14 +473,19 @@ def _parse_observables(obs: str, d: int, rng: Rng) -> tuple[Operator, Operator]:
 MP_BLOCKS = 10
 
 
-def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_name: str = "B") -> int:
-    """Quasi-probability (object B) or measure-and-prepare (object M) sampling."""
+def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, object_name: str = "B") -> int:
+    """Quasi-probability (object B) or measure-and-prepare (object M) sampling.
+
+    ``observable`` defaults to ``zz`` for object B; object M estimates a
+    whole matrix and takes none.
+    """
     if n < 2:
         raise CliError(f"--n must be at least 2, got {n}")
     d = cfg.dim
     rho = random_density(d, Rng(cfg.seed, 10))
 
     if object_name == "B":
+        observable = "zz" if observable is None else observable
         dec = canonical_decomposition(d)
         l1_overhead = hptp_upper(dec)
         o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
@@ -505,6 +513,8 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
         return 0
 
     if object_name == "M":
+        if observable is not None:
+            raise CliError("--obs applies to --object B only; --object M estimates the whole output matrix")
         if n < 2 * MP_BLOCKS:
             raise CliError(f"--object M needs --n of at least {2 * MP_BLOCKS} ({MP_BLOCKS} blocks of 2), got {n}")
         blocks = sample_mp_blocks(rho, d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
@@ -516,7 +526,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str = "zz", object_na
             doc.update(
                 {
                     "object": "M",
-                    "observable": observable,
+                    "observable": "zz",  # unused by M; kept so the report layout stays fixed
                     "n": n,
                     "result": {"max_zscore": final.max_zscore(), "n_blocks": float(MP_BLOCKS)},
                 }
@@ -596,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--object", dest="object_name", default="B", help="B (quasi-prob) or M (Haar MC)")
     p.add_argument("--n", type=int, default=10000, help="number of samples")
-    p.add_argument("--obs", default="zz", help="two Pauli letters or 'random'")
+    p.add_argument("--obs", default=None, help="two Pauli letters or 'random' (object B only; default zz)")
 
     p = sub.add_parser("dump", help="write Choi/Jamiolkowski JSON of a named map")
     common(p)

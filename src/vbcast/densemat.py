@@ -164,16 +164,6 @@ def permutation_operators(d: int) -> tuple[Operator, ...]:
     return tuple(Operator(eye.transpose(*perm, 3).reshape(n, n)) for perm in S3)
 
 
-def sym_projector(d: int) -> Operator:
-    """Projector onto the symmetric subspace of C^d (x) C^d."""
-    return Operator((np.eye(d * d) + swap(d).mat) / 2)
-
-
-def antisym_projector(d: int) -> Operator:
-    """Projector onto the antisymmetric subspace of C^d (x) C^d."""
-    return Operator((np.eye(d * d) - swap(d).mat) / 2)
-
-
 # ---------------------------------------------------------------------------
 # tensor calculus
 

@@ -30,6 +30,7 @@ import functools
 
 import numpy as np
 
+from .broadcast import covariant_map
 from .densemat import Operator, Rng, permutation_operators, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
@@ -57,20 +58,18 @@ def exact_mp_map(d: int) -> SuperMap:
     Its Jamiolkowski operator is the third Haar moment of (d+2)psi - I
     scaled by d/8, expanded into the order-0..3 moments; the order-2 terms
     on the three factor pairs sum to (3I + P_(12) + P_(13) + P_(23))/(d(d+1)).
+    Each moment weighs a cycle type alike, so the same six coefficients build the Choi.
     """
     a = d + 2
-    eye3, p12, p13, p23, *_ = (p.mat for p in permutation_operators(d))
-    mom3 = moment_operator(d, 3).mat
-
-    j2 = (3 * eye3 + p12 + p13 + p23) / (d * (d + 1))
-    j1 = 3.0 / d * eye3
-    j = (d / 8.0) * (a**3 * mom3 - a**2 * j2 + a * j1 - eye3)
-    return SuperMap.from_jamiolkowski(d, d * d, j)
+    m3 = np.full(6, 1.0 / (d * (d + 1) * (d + 2)))
+    j2 = np.array([3, 1, 1, 1, 0, 0]) / (d * (d + 1))
+    e0 = np.array([1, 0, 0, 0, 0, 0])
+    return covariant_map(d, (d / 8.0) * (a**3 * m3 - a**2 * j2 + (3 * a / d - 1) * e0))
 
 
 def depolarizing_mp(d: int) -> SuperMap:
     """The fully depolarizing counterpart  rho -> Tr[rho] I/d (x) I/d."""
-    return SuperMap(d, d * d, Operator(np.eye(d**3) / (d * d)))
+    return covariant_map(d, np.array([1, 0, 0, 0, 0, 0]) / (d * d))
 
 
 def theorem3_weight(d: int) -> float:

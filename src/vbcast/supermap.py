@@ -9,9 +9,6 @@ Conventions (fixed across the library):
 * The Jamiolkowski form lives on ``C^d_in (x) C^d_out`` and equals
   ``sum_ij E_ij (x) m(E_ji)``, i.e. ``(id (x) m)`` applied to the SWAP of the
   doubled input space.  For the identity map it *is* SWAP.
-
-Both orderings occur in closed-form expressions downstream, so conversion
-helpers are provided and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -73,17 +70,6 @@ class SuperMap:
                 c4[:, i, :, j] = out
                 e[i, j] = 0.0
         n = d_out * d_in
-        return cls(d_in, d_out, Operator(c4.reshape(n, n)))
-
-    @classmethod
-    def from_jamiolkowski(cls, d_in: int, d_out: int, j) -> "SuperMap":
-        """Inverse of :meth:`jamiolkowski`."""
-        jm = _raw(j)
-        n = d_in * d_out
-        if jm.shape != (n, n):
-            raise ValueError(f"jamiolkowski operator must be {n}x{n}, got {jm.shape}")
-        j4 = jm.reshape(d_in, d_out, d_in, d_out)
-        c4 = j4.transpose(1, 2, 3, 0)
         return cls(d_in, d_out, Operator(c4.reshape(n, n)))
 
     @classmethod

@@ -16,7 +16,6 @@ from vbcast.broadcast import (
     canonical_b,
     canonical_decomposition,
     check_axioms,
-    choi_projector,
     cloner,
     family_b_lambda,
     verify_uniqueness,
@@ -38,6 +37,7 @@ from vbcast.sot import check_sot_axioms, star
 from vbcast.supermap import SuperMap
 
 from channel_scan import closest_channel_scan
+from dense_covariant import choi_projector
 from dense_mp_sampling import update_batch
 from random_fixtures import random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,17 +23,19 @@ from vbcast.broadcast import (
     canonical_b,
     canonical_decomposition,
     check_axioms,
-    choi_projector,
     classical_bcl,
     cloner,
     commutant_basis,
     commutant_projection,
+    commutant_table,
+    covariant_map,
     decoherence,
     family_b_lambda,
     verify_uniqueness,
 )
-from vbcast.hovm import exact_mp_map
+from vbcast.hovm import depolarizing_mp, exact_mp_map
 
+from dense_covariant import choi_projector, dense_b_lambda, dense_mp_choi
 from dense_uniqueness import dense_verify_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
@@ -83,8 +87,12 @@ class TestCanonicalB:
         assert not b.is_cp()
 
     def test_rejects_dim_one(self):
-        with raises(ValueError):
-            canonical_b(1)
+        # the dimension is checked before any coefficient arithmetic can divide by d - 1
+        builds = (canonical_b, cloner, antisym, lambda d: covariant_map(d, [1, 0, 0, 0, 0, 0]))
+        for build in builds:
+            with warnings.catch_warnings(), raises(ValueError):
+                warnings.simplefilter("error")
+                build(1)
 
 
 class TestFamily:
@@ -160,10 +168,6 @@ class TestDecomposition:
         # rescaled projectors are exactly the cloner/antisymmetrizer Chois
         assert_allclose((2.0 / (d + 1) * bp).mat, cloner(d).choi.mat, atol=1e-12)
         assert_allclose((2.0 / (d - 1) * bm).mat, antisym(d).choi.mat, atol=1e-12)
-
-    def test_choi_projector_bad_sign(self):
-        with raises(ValueError):
-            choi_projector(2, 0)
 
 
 class TestDecoherence:
@@ -286,16 +290,41 @@ class TestCommutant:
         assert_allclose(basis, basis.conj().transpose(0, 2, 1), atol=1e-14)
 
     def test_basis_built_once_and_read_only(self):
-        basis = commutant_basis(3)
-        assert commutant_basis(3) is basis
-        assert not basis.flags.writeable
-        with raises(ValueError):
-            basis[0, 0, 0] = 1.0
+        for build in (commutant_basis, commutant_table):
+            shared = build(3)
+            assert build(3) is shared
+            assert not shared.flags.writeable
+            with raises(ValueError):
+                shared[0, 0, 0] = 1
+        assert commutant_table(3).dtype == np.int8
+        assert commutant_table(3).shape == (6, 27, 27)
+
+    @mark.parametrize("d", range(2, 7))
+    def test_table_coefficients_match_paper_formulas(self, d):
+        # each constructor's six coefficients against the dense product or moment sum it stands for
+        pairs = (
+            (canonical_b(d), dense_b_lambda(d, 0.0)),
+            (family_b_lambda(d, 0.3), dense_b_lambda(d, 0.3)),
+            (family_b_lambda(d, -0.7), dense_b_lambda(d, -0.7)),
+            (cloner(d), (2 / (d + 1) * choi_projector(d, +1)).mat),
+            (antisym(d), (2 / (d - 1) * choi_projector(d, -1)).mat),
+            (depolarizing_mp(d), np.eye(d**3) / d**2),
+        )
+        for m, ref in pairs:
+            assert np.array_equal(m.choi.mat, ref)
+        assert np.abs(exact_mp_map(d).choi.mat - dense_mp_choi(d)).max() <= 1e-15
+
+    @mark.parametrize("coeffs", ([], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]))
+    def test_covariant_map_needs_six_coefficients(self, coeffs):
+        with raises(ValueError, match="6 coefficients"):
+            covariant_map(3, coeffs)
 
     @mark.parametrize("d", (2, 3))
     def test_projection_is_haar_twirl_fixed_point(self, d):
         # covariant Chois are fixed, and the projection of any Choi is covariant
-        for m in (canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d)):
+        for m in (
+            canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d), depolarizing_mp(d)
+        ):
             assert (m.choi - commutant_projection(m.choi, d)).absmax() < 1e-13
         proj = commutant_projection(random_channel(d, d * d, Rng(d)).choi, d).mat
         u = haar_unitary(d, Rng(70 + d)).mat

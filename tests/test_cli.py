@@ -17,10 +17,19 @@ from vbcast.supermap import SuperMap
 from random_fixtures import random_channel
 
 
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}, which is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that fails on the NaN / Infinity tokens Python's encoder writes for non-finite floats."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
-    doc = json.loads(out.read_text()) if out.exists() and name.endswith(".json") else None
+    doc = strict_loads(out.read_text()) if out.exists() and name.endswith(".json") else None
     return code, doc, out
 
 
@@ -29,7 +38,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -55,6 +64,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "permutation" in err
 
+    def test_tiny_deformation_fails_both_axiom_checks(self, tmp_path):
+        # sot_axioms reports broadcast_axioms' own residuals, so the one axioms gate judges both
+        code, doc, _ = run(["verify", "--dim", "2", "--target", "B_lambda:1e-9"], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in doc["checks"]}
+        axioms, sot_axioms = checks["broadcast_axioms"], checks["sot_axioms"]
+        assert not axioms["pass"] and not sot_axioms["pass"]
+        assert sot_axioms["values"]["permutation"] == axioms["values"]["permutation"] > DEFAULT_TOLERANCES["axioms"]
+
+    @pytest.mark.parametrize("command", ("verify", "dump"))
+    @pytest.mark.parametrize("lam", ("nan", "inf", "-inf"))
+    def test_non_finite_lambda_rejected(self, command, lam, tmp_path, capsys):
+        # a NaN or infinite lambda would write NaN tokens; run() parses any report strictly
+        flag = "--target" if command == "verify" else "--object"
+        code, _, out = run([command, "--dim", "2", flag, f"B_lambda:{lam}"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_dim_6_certifies_uniqueness(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "6", "--seed", "0"], tmp_path)
         assert code == 0
@@ -70,9 +98,12 @@ class TestVerify:
         assert code == 1
         assert doc["tolerances"]["axioms"] == 1e-30
 
-    def test_unknown_tolerance_name(self, tmp_path):
-        code = main(["verify", "--dim", "2", "--tol", "nope=1"])
-        assert code == 2
+    def test_unknown_tolerance_name(self, tmp_path, capsys):
+        # sot_axioms shares the axioms gate, so "sot" names no tolerance
+        for pair in ("nope=1", "sot=1e-8"):
+            code = main(["verify", "--dim", "2", "--tol", pair])
+            assert code == 2
+            assert "known: " in capsys.readouterr().err
 
     def test_bad_dim(self):
         assert main(["verify", "--dim", "7"]) == 2
@@ -247,6 +278,17 @@ class TestSample:
         code, doc, _ = run(["sample", "--object", "M", "--dim", "2", "--n", "20", "--format", "json"], tmp_path)
         assert code == 0
         assert doc["n"] == 20
+
+    @pytest.mark.parametrize("obs", ("zz", "random", "nonsense"))
+    def test_mp_rejects_obs(self, obs, tmp_path, capsys):
+        # M's blocks use no observable, so an explicit --obs is an error rather than a report field
+        args = ["sample", "--object", "M", "--dim", "2", "--n", "100", "--format", "json"]
+        code, _, out = run(args + ["--obs", obs], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        code, doc, _ = run(args, tmp_path)
+        assert code == 0 and doc["observable"] == "zz"
 
 
 class TestDump:

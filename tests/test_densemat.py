@@ -6,7 +6,6 @@ from pytest import mark, raises
 from vbcast.densemat import (
     Operator,
     Rng,
-    antisym_projector,
     eigh,
     identity,
     kron,
@@ -14,10 +13,10 @@ from vbcast.densemat import (
     random_density,
     random_hermitian,
     swap,
-    sym_projector,
     trace_norm,
 )
 
+from dense_covariant import antisym_projector, sym_projector
 from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros
 
 dims = (2, 3, 4, 5)

@@ -15,7 +15,6 @@ from vbcast.densemat import (
     partial_trace,
     random_density,
     swap,
-    sym_projector,
 )
 from vbcast.hovm import (
     _mp_moments,
@@ -29,6 +28,7 @@ from vbcast.hovm import (
 )
 from vbcast.mcstats import MatrixWelford
 
+from dense_covariant import sym_projector
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
