@@ -15,7 +15,6 @@ from .densemat import (  # noqa: F401
     identity,
     kron,
     partial_trace,
-    permutation_operators,
     random_density,
     random_hermitian,
     swap,
@@ -58,7 +57,6 @@ from .mcstats import (  # noqa: F401
 from .hovm import (  # noqa: F401
     depolarizing_mp,
     exact_mp_map,
-    moment_operator,
     theorem3_weight,
     verify_theorem3,
 )

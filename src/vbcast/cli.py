@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -75,126 +75,62 @@ class RunConfig:
     def __post_init__(self):
         if not 2 <= self.dim <= 6:
             raise CliError(f"--dim must be between 2 and 6, got {self.dim}")
-        if self.fmt not in ("json", "csv"):
-            raise CliError(f"--format must be json or csv, got {self.fmt}")
         for name in self.tolerances:
             if name not in DEFAULT_TOLERANCES:
                 raise CliError(f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        self.tolerances = merged
+        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
 
 # ---------------------------------------------------------------------------
 # report schemas (JSON Schema; the tests validate reports against them)
 
 
-def _operator_schema():
-    return {
-        "type": "object",
-        "properties": {
-            "rows": {"type": "integer"},
-            "cols": {"type": "integer"},
-            "re": {"type": "array"},
-            "im": {"type": "array"},
-        },
-        "required": ["rows", "cols", "re", "im"],
-        "additionalProperties": False,
-    }
+_BOOL = {"type": "boolean"}
+_INT = {"type": "integer"}
+_NUM = {"type": "number"}
+_STR = {"type": "string"}
+_NUMBERS = {"type": "object", "additionalProperties": _NUM}
 
 
-def _supermap_schema():
-    return {
-        "type": "object",
-        "properties": {
-            "d_in": {"type": "integer"},
-            "d_out": {"type": "integer"},
-            "choi": _operator_schema(),
-        },
-        "required": ["d_in", "d_out", "choi"],
-        "additionalProperties": False,
-    }
+def _record(**fields) -> dict:
+    """JSON Schema of an object that holds exactly ``fields``, each required."""
+    return {"type": "object", "properties": fields, "required": list(fields), "additionalProperties": False}
 
 
-_META = {
-    "schema": {"const": SCHEMA},
-    "version": {"type": "string"},
-    "command": {"type": "string"},
-    "dim": {"type": "integer"},
-    "seed": {"type": "integer"},
-    "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
-    "timestamp": {"type": "string"},
-}
+_OPERATOR = _record(rows=_INT, cols=_INT, re={"type": "array"}, im={"type": "array"})
+_META = dict(
+    schema={"const": SCHEMA}, version=_STR, command=_STR, dim=_INT, seed=_INT, tolerances=_NUMBERS, timestamp=_STR
+)
 
 REPORT_SCHEMAS = {
-    "verify": {
-        "type": "object",
-        "properties": {
-            **_META,
-            "target": {"type": "string"},
-            "pass": {"type": "boolean"},
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "name": {"type": "string"},
-                        "pass": {"type": "boolean"},
-                        "skipped": {"type": "null"},
-                        "values": {
-                            "type": "object",
-                            "additionalProperties": {"type": "number"},
-                        },
-                    },
-                    "required": ["name", "pass", "skipped", "values"],
-                    "additionalProperties": False,
-                },
-            },
+    "verify": _record(
+        **_META,
+        target=_STR,
+        **{"pass": _BOOL},
+        checks={
+            "type": "array",
+            "items": _record(name=_STR, **{"pass": _BOOL}, skipped={"type": "null"}, values=_NUMBERS),
         },
-        "required": list(_META) + ["target", "pass", "checks"],
-        "additionalProperties": False,
-    },
-    "diamond": {
-        "type": "object",
-        "properties": {
-            **_META,
-            "target": {"type": "string"},
-            "value": {"type": "number"},
-            "lower_bound": {"type": "number"},
-            "upper_bound": {"type": "number"},
-            "gap": {"type": "number"},
-            "iterations": {"type": "integer"},
-            "converged": {"type": "boolean"},
-            "witness_state": _operator_schema(),
-        },
-        "required": list(_META)
-        + ["target", "value", "lower_bound", "upper_bound", "gap", "iterations", "converged", "witness_state"],
-        "additionalProperties": False,
-    },
-    "sample": {
-        "type": "object",
-        "properties": {
-            **_META,
-            "object": {"type": "string"},
-            "observable": {"type": "string"},
-            "n": {"type": "integer"},
-            "result": {"type": "object", "additionalProperties": {"type": "number"}},
-        },
-        "required": list(_META) + ["object", "observable", "n", "result"],
-        "additionalProperties": False,
-    },
-    "dump": {
-        "type": "object",
-        "properties": {
-            **_META,
-            "object": {"type": "string"},
-            "supermap": _supermap_schema(),
-            "jamiolkowski": _operator_schema(),
-            "eigenvalues": {"type": "array", "items": {"type": "number"}},
-        },
-        "required": list(_META) + ["object", "supermap", "jamiolkowski", "eigenvalues"],
-        "additionalProperties": False,
-    },
+    ),
+    "diamond": _record(
+        **_META,
+        target=_STR,
+        value=_NUM,
+        lower_bound=_NUM,
+        upper_bound=_NUM,
+        gap=_NUM,
+        iterations=_INT,
+        converged=_BOOL,
+        witness_state=_OPERATOR,
+    ),
+    "sample": _record(**_META, object=_STR, observable=_STR, n=_INT, result=_NUMBERS),
+    "dump": _record(
+        **_META,
+        object=_STR,
+        supermap=_record(d_in=_INT, d_out=_INT, choi=_OPERATOR),
+        jamiolkowski=_OPERATOR,
+        eigenvalues={"type": "array", "items": _NUM},
+    ),
 }
 
 
@@ -212,13 +148,17 @@ def _meta(cfg: RunConfig, command: str) -> dict:
 
 _JSON_SCALARS = {float, int, bool, str, type(None)}
 
+# Written in place of an infinite value: JSON has no token for one.
+_UNBOUNDED = 1e300
+
 
 def _dumps(obj, pad: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for string-keyed dicts.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for string-keyed dicts of finite values.
 
     The indented layout is written here and every flat list of scalars goes
     to the C encoder in one call, because ``indent`` alone would force the
-    pure-Python encoder onto every matrix entry.
+    pure-Python encoder onto every matrix entry.  No report holds a token
+    that is not JSON: +-inf is written as +-1e300, and a NaN raises CliError.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
@@ -226,21 +166,32 @@ def _dumps(obj, pad: str = "") -> str:
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _JSON_SCALARS:
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            body = _encode(obj, (",\n" + inner, ": "))[1:-1]
         else:
             body = (",\n" + inner).join(_dumps(x, inner) for x in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
+    return _encode(obj)
+
+
+def _encode(obj, separators=None) -> str:
+    """One scalar or flat list of scalars; the values are scanned only when one is not finite."""
+    try:
+        return json.dumps(obj, separators=separators, allow_nan=False)
+    except ValueError:
+        values = [_finite(x) for x in obj] if isinstance(obj, (list, tuple)) else _finite(obj)
+        return json.dumps(values, separators=separators)
+
+
+def _finite(x):
+    if not isinstance(x, float) or math.isfinite(x):
+        return x
+    if math.isnan(x):
+        raise CliError("the report holds a NaN, which JSON cannot represent; no report written")
+    return math.copysign(_UNBOUNDED, x)
 
 
 def _emit_json(cfg: RunConfig, doc: dict):
     _write_text(cfg.out, _dumps(doc) + "\n")
-
-
-def _emit_csv(cfg: RunConfig, write_csv, rows):
-    buf = io.StringIO()
-    write_csv(buf, rows)
-    _write_text(cfg.out, buf.getvalue())
 
 
 def _write_text(out: str | None, text: str):
@@ -274,32 +225,42 @@ def _parse_lambda(name: str) -> float:
     return lam
 
 
-OBJECT_NAMES = ["B", "B+", "B-", "B_cl", "D", "M", "Mprime", "B_lambda:<x>"]
+# The named constructors of dump, sample and verify.  Each entry reads the
+# module-level name when called, so a wrapper bound over that name (the
+# benchmark's span tracer) sees the construction.
+OBJECTS = {
+    "B": lambda d: canonical_b(d),
+    "B+": lambda d: cloner(d),
+    "B-": lambda d: antisym(d),
+    "B_cl": lambda d: classical_bcl(d),
+    "D": lambda d: decoherence(d),
+    "M": lambda d: exact_mp_map(d),
+    "Mprime": lambda d: depolarizing_mp(d),
+}
 
 
 def build_object(name: str, d: int) -> SuperMap:
-    """Named constructors exposed by dump/sample/verify."""
-    table = {
-        "B": canonical_b,
-        "B+": cloner,
-        "Bplus": cloner,
-        "B-": antisym,
-        "Bminus": antisym,
-        "B_cl": classical_bcl,
-        "D": decoherence,
-        "M": exact_mp_map,
-        "Mprime": depolarizing_mp,
-        "M'": depolarizing_mp,
-    }
-    if name in table:
-        return table[name](d)
+    """The map ``name`` at dimension d: a key of ``OBJECTS`` or ``B_lambda:<x>``."""
+    if name in OBJECTS:
+        return OBJECTS[name](d)
     if name.startswith("B_lambda:"):
         return family_b_lambda(d, _parse_lambda(name))
-    raise CliError(f"unknown object {name!r}; valid names: {', '.join(OBJECT_NAMES)}")
+    raise CliError(f"unknown object {name!r}; valid names: {', '.join(OBJECTS)}, B_lambda:<x>")
 
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+# Hermiticity gate of a Choi whose spectrum a report holds.
+_HP_TOL = 1e-8
+
+
+def _choi_spectrum(m: SuperMap) -> np.ndarray | None:
+    """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
+    if not m.is_hp(_HP_TOL):
+        return None
+    return eigh(m.choi, _HP_TOL)[0]
 
 
 def _expected_spectrum(d: int) -> np.ndarray:
@@ -309,12 +270,7 @@ def _expected_spectrum(d: int) -> np.ndarray:
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):
     rep = check_axioms(b)
-    values = {
-        "broadcasting": rep.broadcasting,
-        "covariance": rep.covariance,
-        "permutation": rep.permutation,
-        "classical": rep.classical,
-    }
+    values = asdict(rep)
     worst = max(values, key=values.get)
     return rep.passes(cfg.tolerances["axioms"]), values, f"worst: {worst} = {values[worst]:.3e}"
 
@@ -334,15 +290,10 @@ def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
 def _verify_spectral(b: SuperMap, cfg: RunConfig):
     d = cfg.dim
     dec_res = (b.choi - canonical_decomposition(d).combined().choi).absmax()
-    eig_res = float("inf")
-    if b.is_hp(1e-8):
-        vals, _ = eigh(b.choi)
-        eig_res = float(np.abs(vals - _expected_spectrum(d)).max())
+    vals = _choi_spectrum(b)
+    eig_res = float("inf") if vals is None else float(np.abs(vals - _expected_spectrum(d)).max())
     ok = dec_res < cfg.tolerances["spectral"] and eig_res < cfg.tolerances["eigenvalues"]
-    values = {
-        "decomposition_residual": dec_res,
-        "eigenvalue_residual": eig_res if np.isfinite(eig_res) else 1e300,
-    }
+    values = {"decomposition_residual": dec_res, "eigenvalue_residual": eig_res}
     return ok, values, f"residual={dec_res:.3e}"
 
 
@@ -353,12 +304,8 @@ def _verify_theorem3(b: SuperMap, cfg: RunConfig):
 
 
 def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
-    srep = check_sot_axioms(b)
-    values = {
-        "covariance": srep.covariance,
-        "permutation": srep.permutation,
-        "classical": srep.classical,
-    }
+    values = asdict(check_sot_axioms(b))
+    del values["broadcasting"]  # reported once, under broadcast_axioms
     worst = max(values.values())
     return worst < cfg.tolerances["axioms"], values, f"max={worst:.3e}"
 
@@ -384,13 +331,12 @@ def cmd_verify(cfg: RunConfig, target: str = "B") -> int:
         checks.append({"name": name, "pass": bool(ok), "skipped": None, "values": values})
         _status(ok, name, detail)
 
-    all_pass = all(c["pass"] for c in checks)
+    failing = [c["name"] for c in checks if not c["pass"]]
     doc = _meta(cfg, "verify")
-    doc.update({"target": target, "pass": bool(all_pass), "checks": checks})
+    doc.update({"target": target, "pass": not failing, "checks": checks})
     _emit_json(cfg, doc)
 
-    if not all_pass:
-        failing = [c["name"] for c in checks if not c["pass"]]
+    if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0
@@ -410,14 +356,14 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
         return m, hptp_upper(AffineDecomposition(half, half, cloner(d), antisym(d)))
     path = target.removeprefix("file:")
     if not os.path.exists(path):
-        raise CliError(
-            f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file"
-        )
+        raise CliError(f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file")
     try:
         with open(path) as fp:
             m = SuperMap.from_json(json.load(fp))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load supermap from {path}: {exc}") from None
+    if m.d_in != d:
+        raise CliError(f"diamond target {target!r} has input dimension {m.d_in}, but --dim is {d}")
     return m, None
 
 
@@ -429,8 +375,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     except ValueError as exc:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
-    doc.update({"target": target})
-    doc.update(result.to_json())
+    doc.update(target=target, **result.to_json())
     _emit_json(cfg, doc)
 
     bounds = (
@@ -438,10 +383,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        print(
-            f"SDP did not converge within {result.iterations} iterations ({bounds})",
-            file=sys.stderr,
-        )
+        print(f"SDP did not converge within {result.iterations} iterations ({bounds})", file=sys.stderr)
         return 2
     _status(True, "diamond", bounds)
     return 0
@@ -487,55 +429,37 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
     if object_name == "B":
         observable = "zz" if observable is None else observable
         dec = canonical_decomposition(d)
-        l1_overhead = hptp_upper(dec)
         o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
         est, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(cfg.seed, 12))
-        if cfg.fmt == "csv":
-            _emit_csv(cfg, write_trace_csv, rows)
-        else:
-            doc = _meta(cfg, "sample")
-            doc.update(
-                {
-                    "object": "B",
-                    "observable": observable,
-                    "n": n,
-                    "result": {
-                        "mean": est.mean,
-                        "stderr": est.stderr,
-                        "exact": est.exact,
-                        "l1_overhead": l1_overhead,
-                        "zscore": est.zscore(),
-                    },
-                }
-            )
-            _emit_json(cfg, doc)
-        _status(True, "sample", f"mean={est.mean:.6f} exact={est.exact:.6f} z={est.zscore():.2f}")
-        return 0
-
-    if object_name == "M":
+        write_csv = write_trace_csv
+        result = dict(
+            mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=hptp_upper(dec), zscore=est.zscore()
+        )
+        detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={est.zscore():.2f}"
+    elif object_name == "M":
         if observable is not None:
             raise CliError("--obs applies to --object B only; --object M estimates the whole output matrix")
         if n < 2 * MP_BLOCKS:
             raise CliError(f"--object M needs --n of at least {2 * MP_BLOCKS} ({MP_BLOCKS} blocks of 2), got {n}")
-        blocks = sample_mp_blocks(rho, d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
-        final = blocks[-1][1]
-        if cfg.fmt == "csv":
-            _emit_csv(cfg, write_sampling_csv, blocks)
-        else:
-            doc = _meta(cfg, "sample")
-            doc.update(
-                {
-                    "object": "M",
-                    "observable": "zz",  # unused by M; kept so the report layout stays fixed
-                    "n": n,
-                    "result": {"max_zscore": final.max_zscore(), "n_blocks": float(MP_BLOCKS)},
-                }
-            )
-            _emit_json(cfg, doc)
-        _status(True, "sample", f"max_z={final.max_zscore():.2f} over {final.n} samples")
-        return 0
+        rows = sample_mp_blocks(rho, d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
+        final = rows[-1][1]
+        write_csv = write_sampling_csv
+        observable = "zz"  # unused by M; kept so the report layout stays fixed
+        result = {"max_zscore": final.max_zscore(), "n_blocks": float(MP_BLOCKS)}
+        detail = f"max_z={final.max_zscore():.2f} over {final.n} samples"
+    else:
+        raise CliError(f"sampling supports --object B or M, got {object_name!r}")
 
-    raise CliError(f"sampling supports --object B or M, got {object_name!r}")
+    if cfg.fmt == "csv":
+        buf = io.StringIO()
+        write_csv(buf, rows)
+        _write_text(cfg.out, buf.getvalue())
+    else:
+        doc = _meta(cfg, "sample")
+        doc.update({"object": object_name, "observable": observable, "n": n, "result": result})
+        _emit_json(cfg, doc)
+    _status(True, "sample", detail)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +469,10 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
 def cmd_dump(cfg: RunConfig, object_name: str) -> int:
     """Write Choi/Jamiolkowski JSON of a named constructor."""
     m = build_object(object_name, cfg.dim)
-    if m.is_hp(1e-8):
-        vals, _ = eigh(m.choi)
-        eigenvalues = [float(v) for v in vals]
-    else:
-        eigenvalues = []
+    vals = _choi_spectrum(m)
     doc = _meta(cfg, "dump")
-    doc.update(
-        {
-            "object": object_name,
-            "supermap": m.to_json(),
-            "jamiolkowski": m.jamiolkowski().to_json(),
-            "eigenvalues": eigenvalues,
-        }
-    )
+    doc.update(object=object_name, supermap=m.to_json(), jamiolkowski=m.jamiolkowski().to_json())
+    doc["eigenvalues"] = [] if vals is None else vals.tolist()
     _emit_json(cfg, doc)
     return 0
 
@@ -620,13 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.fmt == "csv" and args.cmd != "sample":
             raise CliError(f"--format csv is only supported by sample; {args.cmd} writes JSON")
         fmt = args.fmt if args.fmt is not None else ("csv" if args.cmd == "sample" else "json")
-        cfg = RunConfig(
-            dim=args.dim,
-            seed=args.seed,
-            tolerances=_parse_tol(args.tol),
-            out=args.out,
-            fmt=fmt,
-        )
+        cfg = RunConfig(dim=args.dim, seed=args.seed, tolerances=_parse_tol(args.tol), out=args.out, fmt=fmt)
         if args.cmd == "verify":
             return cmd_verify(cfg, target=args.target)
         if args.cmd == "diamond":

@@ -153,17 +153,6 @@ def swap(d: int) -> Operator:
 S3 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
 
 
-def permutation_operators(d: int) -> tuple[Operator, ...]:
-    """The factor permutations P_sigma of C^d (x) C^d (x) C^d, in the order of ``S3``.
-
-    P_sigma |i_0 i_1 i_2> = |i_sigma(0) i_sigma(1) i_sigma(2)>, so P_(12) is
-    SWAP (x) I and P_(13) exchanges the outer factors.
-    """
-    n = d**3
-    eye = np.eye(n).reshape(d, d, d, n)
-    return tuple(Operator(eye.transpose(*perm, 3).reshape(n, n)) for perm in S3)
-
-
 # ---------------------------------------------------------------------------
 # tensor calculus
 

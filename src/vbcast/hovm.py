@@ -31,29 +31,13 @@ import functools
 import numpy as np
 
 from .broadcast import covariant_map
-from .densemat import Operator, Rng, permutation_operators, swap
+from .densemat import Operator, Rng, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap
 
 
-def moment_operator(d: int, order: int) -> Operator:
-    """Exact Haar moment operators  Integral psi^(x)k d psi  for order k = 1, 2, 3.
-
-    Order 2 is (I + S)/(d(d+1)); order 3 sums the six factor permutations
-    P_sigma of C^d (x) C^d (x) C^d divided by d(d+1)(d+2).
-    """
-    if order == 1:
-        return Operator(np.eye(d) / d)
-    if order == 2:
-        return Operator((np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
-    if order == 3:
-        total = sum(p.mat for p in permutation_operators(d))
-        return Operator(total / (d * (d + 1) * (d + 2)))
-    raise ValueError(f"moment operators implemented for orders 1-3, got {order}")
-
-
 def exact_mp_map(d: int) -> SuperMap:
-    """The measure-and-prepare average, exactly, via moment operators.
+    """The measure-and-prepare average, exactly, from the Haar moments.
 
     Its Jamiolkowski operator is the third Haar moment of (d+2)psi - I
     scaled by d/8, expanded into the order-0..3 moments; the order-2 terms

@@ -2,14 +2,41 @@
 
 The library builds every U (x) U (x) Ubar-covariant Choi from six
 coefficients over ``vbcast.broadcast.commutant_table``; the tests compare
-those against the products and moment sums below.
+those against the products and moment sums below, which are built from the
+dense factor permutations and Haar moment operators defined here.
 """
 
 import numpy as np
 
-from vbcast.densemat import Operator, identity, kron, permutation_operators, swap
-from vbcast.hovm import moment_operator
+from vbcast.densemat import S3, Operator, identity, kron, swap
 from vbcast.supermap import omega
+
+
+def permutation_operators(d: int) -> tuple[Operator, ...]:
+    """The factor permutations P_sigma of C^d (x) C^d (x) C^d, in the order of ``S3``.
+
+    P_sigma |i_0 i_1 i_2> = |i_sigma(0) i_sigma(1) i_sigma(2)>, so P_(12) is
+    SWAP (x) I and P_(13) exchanges the outer factors.
+    """
+    n = d**3
+    eye = np.eye(n).reshape(d, d, d, n)
+    return tuple(Operator(eye.transpose(*perm, 3).reshape(n, n)) for perm in S3)
+
+
+def moment_operator(d: int, order: int) -> Operator:
+    """Exact Haar moment operators  Integral psi^(x)k d psi  for order k = 1, 2, 3.
+
+    Order 2 is (I + S)/(d(d+1)); order 3 sums the six factor permutations
+    P_sigma of C^d (x) C^d (x) C^d divided by d(d+1)(d+2).
+    """
+    if order == 1:
+        return Operator(np.eye(d) / d)
+    if order == 2:
+        return Operator((np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
+    if order == 3:
+        total = sum(p.mat for p in permutation_operators(d))
+        return Operator(total / (d * (d + 1) * (d + 2)))
+    raise ValueError(f"moment operators implemented for orders 1-3, got {order}")
 
 
 def sym_projector(d: int) -> Operator:

@@ -30,14 +30,14 @@ from vbcast.densemat import (
     random_hermitian,
 )
 from vbcast.diamond import diamond_bracket, diamond_sdp, hptp_upper
-from vbcast.hovm import depolarizing_mp, moment_operator, theorem3_weight, verify_theorem3
+from vbcast.hovm import depolarizing_mp, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_with_trace
 from vbcast.sot import check_sot_axioms, star
 from vbcast.supermap import SuperMap
 
 from channel_scan import closest_channel_scan
-from dense_covariant import choi_projector
+from dense_covariant import choi_projector, moment_operator
 from dense_mp_sampling import update_batch
 from random_fixtures import random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence

@@ -12,7 +12,6 @@ from vbcast.densemat import (
     identity,
     kron,
     partial_trace,
-    permutation_operators,
     random_density,
     swap,
     trace_norm,
@@ -35,7 +34,7 @@ from vbcast.broadcast import (
 )
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
-from dense_covariant import choi_projector, dense_b_lambda, dense_mp_choi
+from dense_covariant import choi_projector, dense_b_lambda, dense_mp_choi, permutation_operators
 from dense_uniqueness import dense_verify_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting

@@ -9,7 +9,8 @@ import pytest
 
 import vbcast
 from vbcast import cli, densemat, sot, supermap
-from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, _dumps, main
+from vbcast.broadcast import canonical_b, cloner
+from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng
 from vbcast.diamond import float_slack
 from vbcast.supermap import SuperMap
@@ -82,6 +83,30 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_overflowing_residuals_write_no_report(self, tmp_path, capsys):
+        # a finite lambda this large overflows the residuals to inf and NaN; a NaN has no JSON form
+        with pytest.warns(RuntimeWarning):
+            code, _, out = run(["verify", "--dim", "2", "--target", "B_lambda:1e308"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
+
+    def test_one_hermiticity_gate_for_the_spectrum(self, tmp_path, monkeypatch):
+        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate and is then diagonalised under that gate too
+        def skewed(d):
+            choi = canonical_b(d).choi.mat.copy()
+            choi[0, 1] += 5e-9
+            return SuperMap(d, d * d, Operator(choi))
+
+        monkeypatch.setattr(cli, "canonical_b", skewed)
+        code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
+        assert code == 0
+        np.testing.assert_allclose(doc["eigenvalues"], [1.5, 1.5, 0, 0, 0, 0, -0.5, -0.5], atol=1e-8)
+        code, doc, _ = run(["verify", "--dim", "2"], tmp_path)
+        spectral = doc["checks"][2]
+        assert code == 1 and spectral["name"] == "spectral_decomposition" and not spectral["pass"]
+        assert spectral["values"]["eigenvalue_residual"] < 1e-8
 
     def test_dim_6_certifies_uniqueness(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "6", "--seed", "0"], tmp_path)
@@ -184,6 +209,15 @@ class TestDiamond:
         # diamond draws no random numbers, so the seed does not reach the report
         assert docs[0] == docs[1]
 
+    def test_file_target_must_match_dim(self, tmp_path, capsys):
+        path = tmp_path / "cloner_d3.json"
+        path.write_text(json.dumps(cloner(3).to_json()))
+        code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "input dimension 3" in err and "--dim is 2" in err
+        assert not out.exists()
+
     def test_missing_file_target(self, tmp_path):
         assert main(["diamond", "--dim", "2", "--target", str(tmp_path / "nope.json")]) == 2
 
@@ -234,6 +268,13 @@ class TestSample:
         assert code == 0
         header = out.read_text().split("\n", 1)[0]
         assert header.startswith("sample_block,entry_row,entry_col")
+
+    def test_unbounded_zscore_written_as_sentinel(self, tmp_path):
+        # both draws hit one component, so the stderr is 0 and the z-score infinite; JSON has no Infinity
+        code, doc, _ = run(["sample", "--dim", "2", "--n", "2", "--seed", "1", "--format", "json"], tmp_path)
+        assert code == 0
+        assert doc["result"]["stderr"] == 0.0
+        assert doc["result"]["zscore"] == 1e300
 
     def test_pauli_obs_needs_qubits(self):
         assert main(["sample", "--dim", "3", "--obs", "zz", "--n", "100"]) == 2
@@ -317,6 +358,13 @@ class TestDump:
         for name in ("B+", "B-", "B_cl", "Mprime"):
             assert name in err
 
+    @pytest.mark.parametrize("alias", ("Bplus", "Bminus", "M'"))
+    def test_no_aliases(self, alias, capsys):
+        assert main(["dump", "--object", alias, "--dim", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown object {alias!r}; valid names: B, B+, B-, B_cl, D, M, Mprime, B_lambda:<x>\n"
+        )
+
     def test_bad_lambda(self):
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
 
@@ -340,6 +388,17 @@ class TestFormat:
         assert code == 0 and doc["command"] == args[0]
 
 
+def _closed_records(doc, schema):
+    """Every object in ``doc`` whose schema admits exactly its listed fields."""
+    if schema.get("additionalProperties") is False:
+        yield doc
+        for key, sub in schema["properties"].items():
+            yield from _closed_records(doc[key], sub)
+    elif "items" in schema:
+        for item in doc:
+            yield from _closed_records(item, schema["items"])
+
+
 class TestSchemas:
     @pytest.mark.parametrize(
         "args",
@@ -348,11 +407,45 @@ class TestSchemas:
             ["diamond", "--dim", "2", "--target", "B"],
             ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
             ["dump", "--object", "B", "--dim", "2"],
+            ["sample", "--object", "M", "--dim", "2", "--n", "100", "--format", "json"],
+            ["dump", "--object", "B_cl", "--dim", "2"],
+            ["dump", "--object", "D", "--dim", "2"],
+            ["diamond", "--dim", "2", "--target", "file:{channel}"],
+            ["verify", "--dim", "2"],
         ],
     )
     def test_report_validates(self, args, tmp_path):
-        _, doc, _ = run(args, tmp_path)
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        _, doc, _ = run([a.format(channel=channel) for a in args], tmp_path)
         jsonschema.validate(doc, REPORT_SCHEMAS[args[0]])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--dim", "2"],
+            ["diamond", "--dim", "2"],
+            ["sample", "--dim", "2", "--n", "100", "--format", "json"],
+            ["dump", "--object", "B", "--dim", "2"],
+        ],
+    )
+    def test_exactly_the_schema_fields(self, args, tmp_path):
+        # every closed object of a report, nested ones too, fails with one key missing or one key extra
+        _, doc, _ = run(args, tmp_path)
+        schema = REPORT_SCHEMAS[args[0]]
+        records = list(_closed_records(doc, schema))
+        assert records[0] is doc
+        for record in records:
+            for key in list(record):
+                value = record.pop(key)
+                with pytest.raises(jsonschema.ValidationError, match="required"):
+                    jsonschema.validate(doc, schema)
+                record[key] = value
+            record["extra"] = 0
+            with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
+                jsonschema.validate(doc, schema)
+            del record["extra"]
+        jsonschema.validate(doc, schema)
 
     def test_cli_import_skips_jsonschema(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(vbcast.__file__)))
@@ -392,7 +485,7 @@ class TestReportWriter:
             [[]],
             [[], {}, [[]]],
             {"b": {}, "a": []},
-            [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1e-300],
+            [float("inf"), float("-inf"), 0.0, -0.0, 1e-300],
             [1, True, False, None, 2.5, "x", np.float64(0.1)],
             {"b": [1, [2, {"c": None}]], "a": [[1.5], []], "c": (3, 4)},
             {"caf\u00e9": ["\u00fc", "\u2603 snow"]},
@@ -400,10 +493,20 @@ class TestReportWriter:
             float("nan"),
             3,
             None,
+            [1.0, float("nan")],
+            {"a": [{"b": float("nan")}]},
+            [[0.5], [np.float64("nan")]],
+            {"a": float("inf"), "b": [np.float64("-inf"), 1.0]},
         ],
     )
     def test_edge_cases(self, obj):
-        assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        # json.dumps's layout, except that JSON has no NaN or Infinity: +-inf is written as +-1e300
+        want = json.dumps(obj, sort_keys=True, indent=2)
+        if "NaN" in want:
+            with pytest.raises(CliError, match="NaN"):
+                _dumps(obj)
+        else:
+            assert _dumps(obj) == want.replace("Infinity", "1e+300")
 
 
 class TestEnvironment:

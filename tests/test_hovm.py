@@ -20,7 +20,6 @@ from vbcast.hovm import (
     _mp_moments,
     depolarizing_mp,
     exact_mp_map,
-    moment_operator,
     sample_mp_blocks,
     theorem3_weight,
     verify_theorem3,
@@ -28,7 +27,7 @@ from vbcast.hovm import (
 )
 from vbcast.mcstats import MatrixWelford
 
-from dense_covariant import sym_projector
+from dense_covariant import moment_operator, sym_projector
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
