@@ -18,6 +18,12 @@ import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
+# No CLI operand exceeds d^3 x d^3 = 216 x 216 (--dim <= 6).  At that size a
+# second BLAS thread saves no wall time, spins CPU after every call, and makes
+# seeded reports depend on the core count through the order of threaded
+# reductions.  Set before numpy loads BLAS; a thread count the caller chose wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -215,13 +221,19 @@ def _status(ok: bool, name: str, detail: str = ""):
 # object registry
 
 
+# Largest |lambda| of B_lambda.  Every verify and dump value stays finite up
+# to 1e306 at d = 2..6 (1e307 overflows verify at d = 6); the bound keeps six
+# orders of magnitude of that margin.
+_MAX_LAMBDA = 1e300
+
+
 def _parse_lambda(name: str) -> float:
     try:
         lam = float(name.split(":", 1)[1])
     except (IndexError, ValueError):
         raise CliError(f"cannot parse lambda from {name!r}; expected B_lambda:<float>") from None
-    if not math.isfinite(lam):
-        raise CliError(f"lambda must be finite, got {name!r}")
+    if not abs(lam) <= _MAX_LAMBDA:  # also false for NaN
+        raise CliError(f"lambda must be finite with |lambda| <= {_MAX_LAMBDA:g}, got {name!r}")
     return lam
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,17 @@ def _reject_constant(token):
 def strict_loads(text):
     """json.loads that fails on the NaN / Infinity tokens Python's encoder writes for non-finite floats."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def _child_env(**preset):
+    """Environment of a child interpreter that imports this checkout's vbcast.
+
+    OPENBLAS_NUM_THREADS is removed first: importing ``vbcast.cli`` in this
+    process set it here too.  ``preset`` adds variables back.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vbcast.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": src, **preset}
 
 
 def run(args, tmp_path, name="out.json"):
@@ -85,12 +97,29 @@ class TestVerify:
         assert not out.exists()
 
     def test_overflowing_residuals_write_no_report(self, tmp_path, capsys):
-        # a finite lambda this large overflows the residuals to inf and NaN; a NaN has no JSON form
-        with pytest.warns(RuntimeWarning):
-            code, _, out = run(["verify", "--dim", "2", "--target", "B_lambda:1e308"], tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
-        assert not out.exists()
+        # a finite lambda past the bound (1e308 overflows the residuals to inf and NaN) is rejected before any work
+        for lam in (repr(math.nextafter(1e300, math.inf)), "-1e301", "1e308"):
+            for command, flag in (("verify", "--target"), ("dump", "--object")):
+                code, _, out = run([command, "--dim", "2", flag, f"B_lambda:{lam}"], tmp_path)
+                assert code == 2
+                want = f"error: lambda must be finite with |lambda| <= 1e+300, got 'B_lambda:{lam}'\n"
+                assert capsys.readouterr().err == want
+                assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("verify", "dump"))
+    @pytest.mark.parametrize("dim", (2, 6))
+    @pytest.mark.parametrize("lam", ("1e300", "-1e300"))
+    def test_largest_lambda_stays_finite(self, command, dim, lam, tmp_path, monkeypatch):
+        # at the bound no value overflows: a RuntimeWarning would fail the test, and no inf reaches the writer
+        docs = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda cfg, doc: (docs.append(doc), emit(cfg, doc)))
+        flag = "--target" if command == "verify" else "--object"
+        code, _, _ = run([command, "--dim", str(dim), flag, f"B_lambda:{lam}"], tmp_path)
+        assert code == (1 if command == "verify" else 0)
+        assert all(math.isfinite(x) for x in _floats(docs[0]))
+        if command == "verify":
+            assert docs[0]["checks"][0]["values"]["permutation"] == pytest.approx(2e300)
 
     def test_one_hermiticity_gate_for_the_spectrum(self, tmp_path, monkeypatch):
         # a Choi 5e-9 away from Hermitian passes the 1e-8 gate and is then diagonalised under that gate too
@@ -388,6 +417,17 @@ class TestFormat:
         assert code == 0 and doc["command"] == args[0]
 
 
+def _floats(obj):
+    """Every float in a report document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for x in obj:
+            yield from _floats(x)
+    elif isinstance(obj, float):
+        yield obj
+
+
 def _closed_records(doc, schema):
     """Every object in ``doc`` whose schema admits exactly its listed fields."""
     if schema.get("additionalProperties") is False:
@@ -448,10 +488,8 @@ class TestSchemas:
         jsonschema.validate(doc, schema)
 
     def test_cli_import_skips_jsonschema(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(vbcast.__file__)))
         code = "import sys, vbcast.cli; sys.exit('jsonschema' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
 
 
 class TestReportWriter:
@@ -512,3 +550,30 @@ class TestReportWriter:
 class TestEnvironment:
     def test_unwritable_out(self):
         assert main(["dump", "--object", "B", "--dim", "2", "--out", "/nonexistent/x.json"]) == 2
+
+
+class TestBlasThreads:
+    """The CLI process runs BLAS on one thread unless the caller chose a count."""
+
+    @pytest.mark.parametrize("preset, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_thread_count(self, preset, want):
+        code = "import os, vbcast.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        env = _child_env(**preset)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want + "\n"
+
+    def test_report_does_not_depend_on_the_default(self, tmp_path):
+        # threaded BLAS sums in a core-count-dependent order; the default must be the one-thread report
+        texts = []
+        for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"dump{len(texts)}.json"
+            argv = [sys.executable, "-m", "vbcast.cli", "dump", "--dim", "6", "--object", "B", "--out", str(out)]
+            assert subprocess.run(argv, env=_child_env(**preset), timeout=120).returncode == 0
+            texts.append([line for line in out.read_text().splitlines() if '"timestamp":' not in line])
+        assert texts[0] == texts[1]
+
+    def test_package_import_loads_no_numpy(self):
+        # the package init stays lean, so vbcast.cli sets the thread count before numpy loads BLAS
+        code = "import sys, vbcast; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
