@@ -13,12 +13,20 @@ A map d -> d^2 is covariant exactly when its Choi operator commutes with
 U (x) U (x) Ubar.  By mixed Schur-Weyl duality (the walled Brauer algebra
 B_{2,1}(d); Benkart et al., J. Algebra 166 (1994)) such operators span the
 input-factor partial transposes of the six permutations of three factors.
+Those six 0/1 matrices are the cached int8 ``commutant_table``.  Their
+Gram matrix is the integer  Tr[P_s^T P_t] = d^c(t s^-1), c counting
+cycles, so the span's orthonormal Hermitian basis is a 6 x k coefficient
+frame (k = 5 at d = 2, 6 above) and no dense basis is ever built.
 ``check_axioms`` reads all four axioms from the Choi operator, with no
-sampling: covariance as the distance to that span, and broadcasting,
+sampling: covariance as the distance to that span, whose projection needs
+only the six overlaps of the Choi with the table, and broadcasting,
 permutation symmetry and classical consistency as linear residuals.
-``verify_uniqueness`` solves those three over the span's 5 (d = 2) or 6
-coefficients.  The dense system on all Hermitian Choi unknowns, kept in the
-tests as a reference, gives the same nullities at d = 2, 3.
+``verify_uniqueness`` solves those three over the span's k coefficients:
+it evaluates the residuals on the six table elements, reduces those
+columns to their 6 x 6 triangular QR factor R, and takes the singular
+values of R times the frame.  The dense system on all Hermitian Choi
+unknowns, kept in the tests as a reference, gives the same nullities at
+d = 2, 3.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ def canonical_b(d: int) -> SuperMap:
     return family_b_lambda(d, 0.0)
 
 
+def _b_lambda_coeffs(lam: float) -> tuple:
+    return (0, 0, 0, 0, 0.5 - 1j * lam, 0.5 + 1j * lam)
+
+
 def family_b_lambda(d: int, lam: float) -> SuperMap:
     """Commutator deformation (1/2){rho (x) I, S} + i*lam*[rho (x) I, S].
 
@@ -72,7 +84,7 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
     only at lam = 0.  Its Choi is (1/2){Omega_13, S_12} + i*lam*[Omega_13, S_12]
     with S_12 = P_(12) and Omega_13 = P_(13) partially transposed on the input.
     """
-    return covariant_map(d, (0, 0, 0, 0, 0.5 - 1j * lam, 0.5 + 1j * lam))
+    return covariant_map(d, _b_lambda_coeffs(lam))
 
 
 def cloner(d: int) -> SuperMap:
@@ -127,35 +139,53 @@ def classical_bcl(d: int, basis: Operator | None = None) -> SuperMap:
 # the commutant core
 
 
-@functools.cache
-def commutant_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of the Choi operators covariant under U (x) U (x) Ubar.
+def _cycles(p: tuple[int, ...]) -> int:
+    """Number of cycles of a permutation of three factors."""
+    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
 
-    Shape (k, d^3, d^3), orthonormal in <A, B> = Tr[A B].  The basis spans
-    the partial transposes P_sigma^T3 of the six factor permutations; k is
-    5 at d = 2, where the three-factor antisymmetrizer vanishes, and 6 for
-    d >= 3.  The rank is cut on the Gram matrix's spectrum, because the raw
-    operators are linearly dependent at d = 2.  Built once per d; the
-    returned array is shared and read-only.
+
+def commutant_gram(d: int) -> np.ndarray:
+    """Gram matrix  Tr[P_s^T P_t] = d^c(t s^-1)  of the table elements, c counting cycles: (6, 6), float.
+
+    Partial transposition preserves the Hilbert-Schmidt product, and
+    P_s^T P_t fixes the basis states whose labels agree on each cycle.
     """
-    q = commutant_table(d).astype(np.complex128)
-    # Transpositions are self-adjoint; the two 3-cycles are adjoint to each other.
-    herm = np.stack([*q[:4], q[4] + q[5], 1j * (q[4] - q[5])])
-    gram = np.einsum("aij,bji->ab", herm, herm).real
+    _require_dim(d)
+    cycles = [_cycles(tuple(t[s.index(i)] for i in range(3))) for s in S3 for t in S3]
+    return np.power(float(d), cycles).reshape(6, 6)
+
+
+@functools.cache
+def commutant_frame(d: int) -> np.ndarray:
+    """Coefficients W over the table of an orthonormal Hermitian basis  E_k = sum_j W[j, k] P_j^T3.
+
+    Shape (6, k), complex, read-only; k is 5 at d = 2, where the
+    three-factor antisymmetrizer vanishes, and 6 for d >= 3.  The basis
+    orthonormalises the Hermitian elements  P_0..P_3, P_4 + P_5 and
+    i(P_4 - P_5)  (the two 3-cycles are adjoint to each other) through
+    their Gram matrix, whose spectrum cuts the rank.
+    """
+    herm = np.eye(6, dtype=np.complex128)  # row a: the table coefficients of Hermitian element a
+    herm[4, 5], herm[5, 4], herm[5, 5] = 1, 1j, -1j
+    gram = (herm.conj() @ commutant_gram(d) @ herm.T).real
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > 1e-10 * vals[-1]
-    basis = np.einsum("ak,aij->kij", vecs[:, keep] / np.sqrt(vals[keep]), herm)
-    basis.flags.writeable = False
-    return basis
+    frame = herm.T @ (vecs[:, keep] / np.sqrt(vals[keep]))
+    frame.flags.writeable = False
+    return frame
 
 
 def commutant_projection(choi: Operator, d: int) -> Operator:
     """Orthogonal projection of a Choi operator on C^d (x) C^d (x) C^d onto the covariant span.
 
     This is the Haar twirl  Integral W C W+ dU  with W = U (x) U (x) Ubar.
+    Each overlap  <P_j^T3, C>  sums C over the d^3 entries where table
+    element j is 1; the frame turns the six overlaps into coefficients.
     """
-    basis = commutant_basis(d)
-    return Operator(np.tensordot(np.einsum("kij,ji->k", basis, choi.mat), basis, axes=1))
+    flat = choi.mat.ravel()
+    overlaps = np.array([flat[np.flatnonzero(t)].sum() for t in commutant_table(d).reshape(6, -1)])
+    frame = commutant_frame(d)
+    return covariant_map(d, frame @ (frame.conj().T @ overlaps)).choi
 
 
 def _permutation_residual(c: np.ndarray, d: int) -> np.ndarray:
@@ -181,6 +211,16 @@ def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
     c6 = c.reshape((d,) * 6)
     om = omega(d).mat.reshape(d, d, d, d)
     return [np.einsum("pxypuv->xyuv", c6) - om, np.einsum("xpyupv->xyuv", c6) - om]
+
+
+def _residual_rows(c: np.ndarray, d: int, include_permutation: bool, include_classical: bool) -> np.ndarray:
+    """The marginal, then permutation and classical residuals of the Choi c, as one flat vector."""
+    res = _marginal_residuals(c, d)
+    if include_permutation:
+        res.append(_permutation_residual(c, d))
+    if include_classical:
+        res.append(_classical_residual(c, d))
+    return np.concatenate([r.ravel() for r in res])
 
 
 # ---------------------------------------------------------------------------
@@ -254,40 +294,36 @@ def verify_uniqueness(
 ) -> UniquenessCertificate:
     """Certify that broadcasting + covariance (+ permutation + classical) force B.
 
-    Evaluates the axioms' linear residuals on each commutant basis element,
-    which gives the real system over the 5 or 6 covariant coefficients,
-    then reports the nullity of its homogeneous part and the affine
-    residual of the canonical map.  The ``include_*`` switches allow
+    Evaluates the axioms' linear residuals on each table element, which
+    through ``commutant_frame`` gives the real system over the 5 or 6
+    covariant coefficients, then reports the nullity of its homogeneous
+    part and the affine residual of the canonical map, read from B's own
+    six coefficients.  The ``include_*`` switches allow
     dropping axiom groups to exhibit the extra solution families that
     appear without them.
     """
     _require_dim(d)
-    basis = commutant_basis(d)
+    table = commutant_table(d)
+    # The targets and the table elements are real, so every residual column is real.
+    offset = _residual_rows(np.zeros(table.shape[1:]), d, include_permutation, include_classical).real
+    cols = np.empty((offset.size, 6))
+    for k, t in enumerate(table):
+        cols[:, k] = _residual_rows(t.astype(float), d, include_permutation, include_classical).real - offset
+    residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max())
 
-    def rows(c: np.ndarray) -> np.ndarray:
-        res = _marginal_residuals(c, d)
-        if include_permutation:
-            res.append(_permutation_residual(c, d))
-        if include_classical:
-            res.append(_classical_residual(c, d))
-        flat = np.concatenate([r.ravel() for r in res])
-        return np.concatenate([flat.real, flat.imag])
-
-    offset = rows(np.zeros_like(basis[0]))
-    a = np.stack([rows(e) - offset for e in basis], axis=1)
-
-    svals = np.linalg.svd(a, compute_uv=False)
+    # The real system [cols Re W; cols Im W] over the frame coefficients has
+    # the singular values of [R Re W; R Im W], R the triangular factor of cols.
+    r = np.linalg.qr(cols[cols.any(axis=1)], mode="r")
+    frame = commutant_frame(d)
+    svals = np.linalg.svd(np.concatenate([r @ frame.real, r @ frame.imag]), compute_uv=False)
     threshold = 1e-8 * svals[0]
     nullity = int(np.sum(svals < threshold))
     kept = svals[svals >= threshold]
     gap = float(kept.min() / threshold) if kept.size else 0.0
 
-    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
-    residual = float(np.abs(a @ coeffs + offset).max())
-
     return UniquenessCertificate(
-        constraint_rows=a.shape[0],
-        unknowns=a.shape[1],
+        constraint_rows=2 * offset.size,
+        unknowns=frame.shape[1],
         nullity=nullity,
         candidate_residual=residual,
         singular_value_gap=gap,

@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .densemat import Operator, Rng, eigh, random_density, random_hermitian
+from .densemat import Operator, Rng, random_density, random_hermitian
 from .supermap import AffineDecomposition, SuperMap
 from .broadcast import (
     antisym,
@@ -272,7 +272,7 @@ def _choi_spectrum(m: SuperMap) -> np.ndarray | None:
     """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
     if not m.is_hp(_HP_TOL):
         return None
-    return eigh(m.choi, _HP_TOL)[0]
+    return np.linalg.eigvalsh(m.choi.mat)[::-1]
 
 
 def _expected_spectrum(d: int) -> np.ndarray:

@@ -75,21 +75,25 @@ def estimate_with_trace(
     The components are (lambda_plus, plus) and (-lambda_minus, minus), in
     that order; ``diamond.hptp_upper`` validates ``dec`` beforehand.
 
-    Each segment between checkpoints is drawn by one ``choice`` call -- the
-    index stream equals a single size-n call -- and reduced to per-value
-    counts, so only one segment of draws is held at a time.
+    Each segment between checkpoints draws the uniforms that one ``choice``
+    call with ``p=probs`` draws -- the stream equals a single size-n call --
+    and counts them against the cumulative distribution, so value j counts
+    #(u < cdf[j]) - #(u < cdf[j-1]) and only one segment of uniforms is
+    held at a time.
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
     exact, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
     marks = sorted({max(2, (n * (k + 1)) // n_checkpoints) for k in range(n_checkpoints)})
     counts = np.zeros(vals.size)
     rows = []
     done = 0
     for m in marks:
-        draws = rng.gen.choice(vals.size, size=m - done, p=probs)
-        counts += np.bincount(draws, minlength=vals.size)
+        u = rng.gen.random(m - done)
+        counts += np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
         done = m
         mean = counts @ vals / m
         var = counts @ (vals - mean) ** 2 / (m - 1)

@@ -3,11 +3,17 @@
 The library builds every U (x) U (x) Ubar-covariant Choi from six
 coefficients over ``vbcast.broadcast.commutant_table``; the tests compare
 those against the products and moment sums below, which are built from the
-dense factor permutations and Haar moment operators defined here.
+dense factor permutations and Haar moment operators defined here.  The
+dense orthonormal basis of the covariant span, its projection and the
+uniqueness system evaluated on it are the references for the library's
+six-coefficient versions.
 """
+
+import functools
 
 import numpy as np
 
+from vbcast.broadcast import UniquenessCertificate, _residual_rows, canonical_b, commutant_table
 from vbcast.densemat import S3, Operator, identity, kron, swap
 from vbcast.supermap import omega
 
@@ -75,3 +81,60 @@ def dense_mp_choi(d: int) -> np.ndarray:
     j2 = (3 * eye3 + p12 + p13 + p23) / (d * (d + 1))
     j = (d / 8.0) * (a**3 * moment_operator(d, 3).mat - a**2 * j2 + 3.0 * a / d * eye3 - eye3)
     return j.reshape(d, d * d, d, d * d).transpose(1, 2, 3, 0).reshape(d**3, d**3)
+
+
+@functools.cache
+def commutant_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the Choi operators covariant under U (x) U (x) Ubar.
+
+    Shape (k, d^3, d^3), orthonormal in <A, B> = Tr[A B].  The basis spans
+    the partial transposes P_sigma^T3 of the six factor permutations; k is
+    5 at d = 2, where the three-factor antisymmetrizer vanishes, and 6 for
+    d >= 3.  The rank is cut on the Gram matrix's spectrum, because the raw
+    operators are linearly dependent at d = 2.  Built once per d; the
+    returned array is shared and read-only.
+    """
+    q = commutant_table(d).astype(np.complex128)
+    # Transpositions are self-adjoint; the two 3-cycles are adjoint to each other.
+    herm = np.stack([*q[:4], q[4] + q[5], 1j * (q[4] - q[5])])
+    gram = np.einsum("aij,bji->ab", herm, herm).real
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > 1e-10 * vals[-1]
+    basis = np.einsum("ak,aij->kij", vecs[:, keep] / np.sqrt(vals[keep]), herm)
+    basis.flags.writeable = False
+    return basis
+
+
+def dense_commutant_projection(choi: Operator, d: int) -> Operator:
+    """The projection onto the covariant span, summed over the dense basis."""
+    basis = commutant_basis(d)
+    return Operator(np.tensordot(np.einsum("kij,ji->k", basis, choi.mat), basis, axes=1))
+
+
+def dense_basis_uniqueness(
+    d: int, include_permutation: bool = True, include_classical: bool = True
+) -> UniquenessCertificate:
+    """The uniqueness system with each dense basis element's residuals as one column."""
+
+    def rows(c: np.ndarray) -> np.ndarray:
+        flat = _residual_rows(c, d, include_permutation, include_classical)
+        return np.concatenate([flat.real, flat.imag])
+
+    basis = commutant_basis(d)
+    offset = rows(np.zeros_like(basis[0]))
+    a = np.stack([rows(e) - offset for e in basis], axis=1)
+
+    svals = np.linalg.svd(a, compute_uv=False)
+    threshold = 1e-8 * svals[0]
+    nullity = int(np.sum(svals < threshold))
+    kept = svals[svals >= threshold]
+    gap = float(kept.min() / threshold) if kept.size else 0.0
+
+    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
+    return UniquenessCertificate(
+        constraint_rows=a.shape[0],
+        unknowns=a.shape[1],
+        nullity=nullity,
+        candidate_residual=float(np.abs(a @ coeffs + offset).max()),
+        singular_value_gap=gap,
+    )

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from vbcast.densemat import (
     kron,
     partial_trace,
     random_density,
+    random_hermitian,
     swap,
     trace_norm,
 )
@@ -24,7 +26,8 @@ from vbcast.broadcast import (
     check_axioms,
     classical_bcl,
     cloner,
-    commutant_basis,
+    commutant_frame,
+    commutant_gram,
     commutant_projection,
     commutant_table,
     covariant_map,
@@ -34,7 +37,15 @@ from vbcast.broadcast import (
 )
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
-from dense_covariant import choi_projector, dense_b_lambda, dense_mp_choi, permutation_operators
+from dense_covariant import (
+    choi_projector,
+    commutant_basis,
+    dense_b_lambda,
+    dense_basis_uniqueness,
+    dense_commutant_projection,
+    dense_mp_choi,
+    permutation_operators,
+)
 from dense_uniqueness import dense_verify_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
@@ -313,6 +324,29 @@ class TestCommutant:
             assert np.array_equal(m.choi.mat, ref)
         assert np.abs(exact_mp_map(d).choi.mat - dense_mp_choi(d)).max() <= 1e-15
 
+    @mark.parametrize("d", range(2, 7))
+    def test_gram_closed_form_matches_table(self, d):
+        # Tr[P_s^T P_t] = d^c(t s^-1) against the count of shared nonzero entries
+        flat = commutant_table(d).reshape(6, -1).astype(np.int64)
+        gram = commutant_gram(d)
+        assert np.array_equal(gram, flat @ flat.T)
+        assert np.linalg.matrix_rank(gram) == (5 if d == 2 else 6)
+
+    @mark.parametrize("d", range(2, 7))
+    def test_frame_expands_to_dense_basis(self, d):
+        frame = commutant_frame(d)
+        assert not frame.flags.writeable
+        assert_allclose(np.tensordot(frame.T, commutant_table(d), axes=1), commutant_basis(d), atol=1e-14)
+
+    @mark.parametrize("d", range(2, 7))
+    def test_projection_matches_dense_basis(self, d):
+        maps = [canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d), depolarizing_mp(d)]
+        chois = [m.choi for m in maps] + [classical_bcl(d).choi, random_hermitian(d**3, Rng(80 + d))]
+        if d <= 4:  # random_channel draws a square Ginibre matrix of side d^5: 1 GB at d = 6
+            chois.append(random_channel(d, d * d, Rng(80 + d)).choi)
+        for choi in chois:
+            assert (commutant_projection(choi, d) - dense_commutant_projection(choi, d)).absmax() <= 1e-13
+
     @mark.parametrize("coeffs", ([], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]))
     def test_covariant_map_needs_six_coefficients(self, coeffs):
         with raises(ValueError, match="6 coefficients"):
@@ -377,3 +411,30 @@ class TestUniqueness:
             assert dense.nullity == reduced.nullity == want
             assert reduced.candidate_residual < 1e-12 and dense.candidate_residual < 1e-8
         assert dense.unknowns == d**6  # 2**6 Hermitian parameters at d = 2
+
+    @mark.parametrize("d", range(2, 7))
+    def test_matches_dense_basis_certificate(self, d):
+        for perm in (True, False):
+            for cl in (True, False):
+                got = verify_uniqueness(d, include_permutation=perm, include_classical=cl)
+                want = dense_basis_uniqueness(d, include_permutation=perm, include_classical=cl)
+                assert (got.nullity, got.constraint_rows, got.unknowns) == (
+                    want.nullity, want.constraint_rows, want.unknowns
+                )
+                assert got.singular_value_gap == pytest.approx(want.singular_value_gap, rel=1e-12)
+                assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
+
+
+class TestMemory:
+    @mark.parametrize(
+        "run", [lambda: check_axioms(canonical_b(6)), lambda: verify_uniqueness(6)], ids=["axioms", "uniqueness"]
+    )
+    def test_peak_stays_below_dense_basis(self, run):
+        # a dense (6, 216, 216) complex basis is 4.5 MB, and building one took three arrays of that size
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -491,6 +491,25 @@ class TestSchemas:
         code = "import sys, vbcast.cli; sys.exit('jsonschema' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
 
+    def test_commands_skip_numpy_ma(self, tmp_path):
+        # numpy.ma costs a lazy import of tens of milliseconds, and no command needs it
+        argvs = [
+            ["verify", "--dim", "2", "--target", "B"],
+            ["diamond", "--dim", "2"],
+            ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
+            ["dump", "--dim", "2", "--object", "B"],
+        ]
+        code = (
+            "import sys\n"
+            "from vbcast.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            f"    main(argv + ['--out', {str(tmp_path / 'out.json')!r}])\n"
+            "    if 'numpy.ma' in sys.modules:\n"
+            "        sys.exit(argv[0] + ' imported numpy.ma')\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
 
 class TestReportWriter:
     """The report writer lays reports out exactly as json.dumps(doc, sort_keys=True, indent=2)."""

@@ -8,7 +8,7 @@ from vbcast.densemat import Rng, identity, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
 from vbcast.diamond import hptp_upper
-from vbcast.qsample import estimate_with_trace, write_trace_csv
+from vbcast.qsample import _value_table, estimate_with_trace, write_trace_csv
 
 from random_fixtures import random_channel
 
@@ -166,6 +166,25 @@ def test_trace_matches_materialised_draws(shot_noise):
         assert stderr == pytest.approx(draws[:m].std(ddof=1) / np.sqrt(m), abs=1e-12)
     final = estimate(dec, rho, o1, o2, n, Rng(39), shot_noise=shot_noise)
     assert (final.mean, final.stderr, final.n) == (est.mean, est.stderr, n)
+
+
+@mark.parametrize("d", (2, 6))
+@mark.parametrize("shot_noise", (False, True))
+def test_counts_match_choice_bincount(d, shot_noise):
+    # the cdf counts of each segment against Generator.choice's indices reduced by bincount
+    dec = canonical_decomposition(d)
+    rng = Rng(41)
+    rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
+    _, rows = estimate_with_trace(dec, rho, o1, o2, 20000, Rng(42), n_checkpoints=5, shot_noise=shot_noise)
+    _, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
+    assert vals.size == (2 * d * d if shot_noise else 2)
+    gen = Rng(42).gen
+    counts = np.zeros(vals.size)
+    done = 0
+    for m, mean, _ in rows:
+        counts += np.bincount(gen.choice(vals.size, size=m - done, p=probs), minlength=vals.size)
+        done = m
+        assert mean == counts @ vals / m
 
 
 def test_trace_csv():
