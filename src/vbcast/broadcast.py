@@ -9,63 +9,46 @@ optimal-cloner and antisymmetric channels whose affine combination it is,
 the decohered/classical variants, and the one-parameter commutator family
 B_lambda, all from closed-form Choi operators.
 
-A map d -> d^2 is covariant exactly when its Choi operator commutes with
-U (x) U (x) Ubar.  By mixed Schur-Weyl duality (the walled Brauer algebra
-B_{2,1}(d); Benkart et al., J. Algebra 166 (1994)) such operators span the
-input-factor partial transposes of the six permutations of three factors.
-Those six 0/1 matrices are the cached int8 ``commutant_table``.  Their
-Gram matrix is the integer  Tr[P_s^T P_t] = d^c(t s^-1), c counting
-cycles, so the span's orthonormal Hermitian basis is a 6 x k coefficient
-frame (k = 5 at d = 2, 6 above) and no dense basis is ever built.
-``check_axioms`` reads all four axioms from the Choi operator, with no
-sampling: covariance as the distance to that span, whose projection needs
-only the six overlaps of the Choi with the table, and broadcasting,
-permutation symmetry and classical consistency as linear residuals.
-``verify_uniqueness`` solves those three over the span's k coefficients:
-it evaluates the residuals on the six table elements, reduces those
-columns to their 6 x 6 triangular QR factor R, and takes the singular
-values of R times the frame.  The dense system on all Hermitian Choi
-unknowns, kept in the tests as a reference, gives the same nullities at
-d = 2, 3.
+Covariant maps are six coefficients over the table of partially
+transposed factor permutations (``vbcast.supermap``).  The orthonormal
+Hermitian basis of their span is a 6 x k coefficient frame (k = 5 at
+d = 2, 6 above), from the integer Gram matrix
+Tr[P_s^T P_t] = d^c(t s^-1), c counting cycles, so no dense basis is
+ever built.  ``check_axioms`` reads all four axioms exactly, with no
+sampling.  On a covariant map, covariance is 0 by construction, and each
+linear residual (both marginals, permutation symmetry, classical
+consistency) takes one value per equality pattern of its labels
+(``_axiom_patterns``), so its largest entry is a maximum over at most 203
+rows of six numbers.  On a dense map, covariance is the distance to the
+span, whose projection needs only the six overlaps of the Choi with the
+table, and the residuals are taken entry by entry.
+``verify_uniqueness`` solves the three linear axioms over the span's k
+coefficients: it QR-factors the pattern rows, each weighted by the square
+root of its number of entries, which gives the Gram matrix, and so the
+singular values, of the full residual system on the six table elements;
+that dense system is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densemat import S3, Operator
-from .supermap import AffineDecomposition, SuperMap, omega
-
-
-def _require_dim(d: int):
-    if d < 2:
-        raise ValueError(f"broadcasting maps need dimension >= 2, got {d}")
-
-
-@functools.cache
-def commutant_table(d: int) -> np.ndarray:
-    """The permutations of ``S3`` transposed on the input factor: (6, d^3, d^3), int8, read-only."""
-    _require_dim(d)
-    table = np.zeros((6,) + (d,) * 6, dtype=np.int8)
-    i = np.indices((d, d, d)).reshape(3, -1)
-    for k, s in enumerate(S3):  # P_sigma^T3 is 1 at row (i_s0, i_s1, i_2), column (i_0, i_1, i_s2)
-        table[k, i[s[0]], i[s[1]], i[2], i[0], i[1], i[s[2]]] = 1
-    table.flags.writeable = False
-    return table.reshape(6, d**3, d**3)
-
-
-def covariant_map(d: int, coeffs) -> SuperMap:
-    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] commutant_table(d)[k]."""
-    _require_dim(d)
-    if len(coeffs) != 6:
-        raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
-    choi = np.zeros((d**3, d**3), dtype=np.complex128)
-    for c, term in zip(coeffs, commutant_table(d)):
-        choi += c * term
-    return SuperMap(d, d * d, Operator(choi))
+from .supermap import (
+    AffineDecomposition,
+    SuperMap,
+    _cycles,
+    _require_dim,
+    commutant_table,
+    covariant_map,
+    equality_patterns,
+    omega,
+    table_entries,
+)
 
 
 def canonical_b(d: int) -> SuperMap:
@@ -139,11 +122,6 @@ def classical_bcl(d: int, basis: Operator | None = None) -> SuperMap:
 # the commutant core
 
 
-def _cycles(p: tuple[int, ...]) -> int:
-    """Number of cycles of a permutation of three factors."""
-    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
-
-
 def commutant_gram(d: int) -> np.ndarray:
     """Gram matrix  Tr[P_s^T P_t] = d^c(t s^-1)  of the table elements, c counting cycles: (6, 6), float.
 
@@ -213,14 +191,53 @@ def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
     return [np.einsum("pxypuv->xyuv", c6) - om, np.einsum("xpyupv->xyuv", c6) - om]
 
 
-def _residual_rows(c: np.ndarray, d: int, include_permutation: bool, include_classical: bool) -> np.ndarray:
-    """The marginal, then permutation and classical residuals of the Choi c, as one flat vector."""
-    res = _marginal_residuals(c, d)
-    if include_permutation:
-        res.append(_permutation_residual(c, d))
-    if include_classical:
-        res.append(_classical_residual(c, d))
-    return np.concatenate([r.ravel() for r in res])
+@functools.cache
+def _axiom_patterns(d: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each axiom residual of a covariant Choi as (rows, target, count) over the patterns that occur at d.
+
+    On count[j] entries the residual of  C = sum_k x_k P_k^T3  equals
+    rows[j] @ x - target[j], and those entries cover it; rows are (n, 6)
+    float.  A marginal entry sums the traced label over the k groups of its
+    other four labels' pattern and over d - k new values, which all give
+    one pattern.  Permutation symmetry compares each pattern with the one
+    that swaps the two outputs; classical consistency reads the diagonal
+    patterns (a, b, i, a, b, i).  Keys: "marginal1", "marginal2",
+    "permutation", "classical"; the arrays are shared and read-only.
+    """
+    _require_dim(d)
+    quad = equality_patterns(4)  # labels (x, y, u, v) of the marginal entry (xy, uv)
+    k4 = quad.max(axis=1) + 1
+    x, y, u, v = quad.T
+    marginals = []
+    for traced in ((0, 3), (1, 4)):  # the positions of out1 and out1', or of out2 and out2'
+        rows = np.zeros((len(quad), 6))
+        for p in range(5):
+            labels = np.empty((len(quad), 6), dtype=np.intp)
+            labels[:, traced] = p
+            labels[:, [i for i in range(6) if i not in traced]] = quad
+            rows += np.where(p < k4, 1.0, np.where(p == k4, d - k4, 0.0))[:, np.newaxis] * table_entries(labels)
+        marginals.append((rows, ((x == y) & (u == v)).astype(float), k4))
+
+    six = equality_patterns(6)
+    perm = table_entries(six[:, [1, 0, 2, 4, 3, 5]]) - table_entries(six)
+    tri = equality_patterns(3)
+    a, b, i = tri.T
+    classical = table_entries(tri[:, [0, 1, 2, 0, 1, 2]]), ((a == b) & (b == i)).astype(float), tri.max(axis=1) + 1
+    systems = {
+        "marginal1": marginals[0],
+        "marginal2": marginals[1],
+        "permutation": (perm, np.zeros(len(six)), six.max(axis=1) + 1),
+        "classical": classical,
+    }
+    out = {}
+    for name, (rows, target, groups) in systems.items():
+        count = np.array([math.perm(d, int(g)) for g in groups])
+        keep = count > 0
+        arrays = rows[keep], target[keep], count[keep]
+        for arr in arrays:
+            arr.flags.writeable = False
+        out[name] = arrays
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +273,17 @@ def check_axioms(m: SuperMap) -> AxiomReport:
     d = m.d_in
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
+    if m.coeffs is not None:
+        worst = {
+            name: float(np.abs(rows @ m.coeffs - target).max())
+            for name, (rows, target, _) in _axiom_patterns(d).items()
+        }
+        return AxiomReport(
+            broadcasting=max(worst["marginal1"], worst["marginal2"]),
+            covariance=0.0,
+            permutation=worst["permutation"],
+            classical=worst["classical"],
+        )
     c = m.choi.mat
     return AxiomReport(
         broadcasting=max(float(np.abs(r).max()) for r in _marginal_residuals(c, d)),
@@ -294,26 +322,26 @@ def verify_uniqueness(
 ) -> UniquenessCertificate:
     """Certify that broadcasting + covariance (+ permutation + classical) force B.
 
-    Evaluates the axioms' linear residuals on each table element, which
-    through ``commutant_frame`` gives the real system over the 5 or 6
-    covariant coefficients, then reports the nullity of its homogeneous
-    part and the affine residual of the canonical map, read from B's own
-    six coefficients.  The ``include_*`` switches allow
-    dropping axiom groups to exhibit the extra solution families that
-    appear without them.
+    Reads the axioms' linear residuals on the six table elements off their
+    equality patterns (``_axiom_patterns``), which through
+    ``commutant_frame`` gives the real system over the 5 or 6 covariant
+    coefficients, then reports the nullity of its homogeneous part and the
+    affine residual of the canonical map, read from B's own six
+    coefficients.  ``constraint_rows`` counts the rows of the full real
+    system, 2 (2d^4 + d^6 + d^3) with every axiom included.  The
+    ``include_*`` switches allow dropping axiom groups to exhibit the extra
+    solution families that appear without them.
     """
-    _require_dim(d)
-    table = commutant_table(d)
-    # The targets and the table elements are real, so every residual column is real.
-    offset = _residual_rows(np.zeros(table.shape[1:]), d, include_permutation, include_classical).real
-    cols = np.empty((offset.size, 6))
-    for k, t in enumerate(table):
-        cols[:, k] = _residual_rows(t.astype(float), d, include_permutation, include_classical).real - offset
-    residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max())
+    systems = _axiom_patterns(d)
+    names = ["marginal1", "marginal2"] + ["permutation"] * include_permutation + ["classical"] * include_classical
+    rows, target, count = (np.concatenate(parts) for parts in zip(*(systems[n] for n in names)))
+    residual = float(np.abs(rows @ np.real(_b_lambda_coeffs(0.0)) - target).max())
 
-    # The real system [cols Re W; cols Im W] over the frame coefficients has
-    # the singular values of [R Re W; R Im W], R the triangular factor of cols.
-    r = np.linalg.qr(cols[cols.any(axis=1)], mode="r")
+    # Row j stands for count[j] equal rows of the residual system on the six
+    # table elements; weighting it by sqrt(count[j]) keeps that system's Gram
+    # matrix, so its triangular factor R up to row signs.  The real system
+    # over the frame coefficients has the singular values of [R Re W; R Im W].
+    r = np.linalg.qr(np.sqrt(count)[:, np.newaxis] * rows, mode="r")
     frame = commutant_frame(d)
     svals = np.linalg.svd(np.concatenate([r @ frame.real, r @ frame.imag]), compute_uv=False)
     threshold = 1e-8 * svals[0]
@@ -322,7 +350,7 @@ def verify_uniqueness(
     gap = float(kept.min() / threshold) if kept.size else 0.0
 
     return UniquenessCertificate(
-        constraint_rows=2 * offset.size,
+        constraint_rows=2 * int(count.sum()),
         unknowns=frame.shape[1],
         nullity=nullity,
         candidate_residual=residual,

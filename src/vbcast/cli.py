@@ -272,7 +272,7 @@ def _choi_spectrum(m: SuperMap) -> np.ndarray | None:
     """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
     if not m.is_hp(_HP_TOL):
         return None
-    return np.linalg.eigvalsh(m.choi.mat)[::-1]
+    return m.spectrum()
 
 
 def _expected_spectrum(d: int) -> np.ndarray:
@@ -301,7 +301,7 @@ def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
 
 def _verify_spectral(b: SuperMap, cfg: RunConfig):
     d = cfg.dim
-    dec_res = (b.choi - canonical_decomposition(d).combined().choi).absmax()
+    dec_res = (b - canonical_decomposition(d).combined()).choi_absmax()
     vals = _choi_spectrum(b)
     eig_res = float("inf") if vals is None else float(np.abs(vals - _expected_spectrum(d)).max())
     ok = dec_res < cfg.tolerances["spectral"] and eig_res < cfg.tolerances["eigenvalues"]
@@ -500,9 +500,12 @@ def _parse_tol(pairs: list[str]) -> dict:
             raise CliError(f"--tol expects name=value, got {pair!r}")
         name, _, raw = pair.partition("=")
         try:
-            out[name] = float(raw)
+            value = float(raw)
         except ValueError:
             raise CliError(f"--tol {name} needs a numeric value, got {raw!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"--tol {name} must be finite and positive, got {raw!r}")
+        out[name] = value
     return out
 
 

@@ -12,8 +12,11 @@
   complementary slackness puts an optimal primal reference state on the
   top eigenspace of K, so the bracket takes rho0, the normalised projector
   onto that eigenspace, and bounds the norm from below by
-  ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For covariant maps K is a multiple of I and w is
-  the maximally entangled input; for CP maps |J| = J and rho0 is optimal.
+  ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For CP maps
+  |J| = J and rho0 is optimal.  For covariant maps K = ||C||_1/d I and w is
+  the maximally entangled input, so both bounds equal ||C||_1/d and are
+  read off the closed-form spectrum of the six coefficients, with no
+  ``eigh`` and no d^3 x d^3 array.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
   an upper bound because channels have diamond norm one; the same check
   validates the quasi-sampler's split and gives its overhead.
@@ -253,21 +256,42 @@ def jordan_upper(m: SuperMap) -> float:
     return _jordan_certificate(m)[0]
 
 
+def _covariant_bounds(m: SuperMap) -> tuple[float, float, np.ndarray]:
+    """The Jordan bound, the reference-state lower bound and its input vec A of a covariant map.
+
+    Tr_out |J| commutes with every Ubar, so it is ||C||_1 / d times I: the
+    Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
+    lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  The
+    trace norm sums the closed-form spectrum, and both bounds are rounded
+    outward by ``float_slack``.
+    """
+    if not m.is_hp(tol=1e-8):
+        raise ValueError("the Jordan bound requires a Hermitian-preserving map")
+    d = m.d_in
+    norm = float(np.abs(m.spectrum()).sum()) / d
+    slack = float_slack(d * m.d_out, norm)
+    return norm + slack, norm - slack, np.eye(d).reshape(-1) / np.sqrt(d)
+
+
 def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = None) -> DiamondResult:
     """Certified bracket lower <= ||m||<> <= upper, reporting its midpoint.
 
     ``upper`` is the Jordan bound, or the caller's proven bound (such as
     ``hptp_upper``) where that is smaller.  The lower bound and its witness
     come from the reference state on the top eigenspace of Tr_out |J|; a
-    bracket closed that way has 0 iterations.  Otherwise ``diamond_sdp``
-    runs, and the bracket is the larger lower and the smaller upper bound
-    of the two, with the SDP's iteration count; it is ``converged`` when
-    its gap is <= ``tolerance``.
+    bracket closed that way has 0 iterations.  A covariant map reads both
+    bounds off its spectrum (``_covariant_bounds``), with no ``eigh``.
+    Otherwise ``diamond_sdp`` runs, and the bracket is the larger lower and
+    the smaller upper bound of the two, with the SDP's iteration count; it
+    is ``converged`` when its gap is <= ``tolerance``.
     """
-    up, rho0, r = _jordan_certificate(m)
+    if m.coeffs is not None:
+        up, lower, vec_a = _covariant_bounds(m)
+    else:
+        up, rho0, r = _jordan_certificate(m)
+        lower, vec_a = _reference_lower(r, rho0, m.d_in, m.d_out)
     if upper is not None:
         up = min(up, upper)
-    lower, vec_a = _reference_lower(r, rho0, m.d_in, m.d_out)
     witness, iterations = Operator(np.outer(vec_a, vec_a.conj())), 0
     if up - lower > tolerance:
         sdp = diamond_sdp(m, tolerance)
@@ -291,7 +315,8 @@ def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
     This one check serves both the diamond bound and the quasi-sampler, whose
     l1 overhead is the same number.  It raises ``ValueError`` unless both
     weights are non-negative and not both zero, the parts share their
-    dimensions, and both parts are CPTP within ``tol``.
+    dimensions, and both parts are CPTP within ``tol``; covariant parts are
+    tested on their closed-form spectrum.
     """
     lp, lm = float(decomposition.lambda_plus), float(decomposition.lambda_minus)
     if not (lp >= 0 and lm >= 0):

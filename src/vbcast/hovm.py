@@ -30,10 +30,9 @@ import functools
 
 import numpy as np
 
-from .broadcast import covariant_map
 from .densemat import Operator, Rng, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
-from .supermap import SuperMap
+from .supermap import SuperMap, covariant_map
 
 
 def exact_mp_map(d: int) -> SuperMap:
@@ -66,7 +65,7 @@ def verify_theorem3(b: SuperMap) -> float:
     d = b.d_in
     p = theorem3_weight(d)
     mix = p * exact_mp_map(d) + (1.0 - p) * depolarizing_mp(d)
-    return (b.choi - mix.choi).absmax()
+    return (b - mix).choi_absmax()
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +182,20 @@ def sample_mp_blocks(
 
 
 def write_sampling_csv(fp, blocks: list[tuple[int, MatrixSamplingEstimate]]):
-    """CSV rows (sample_block, entry_row, entry_col, re_mean, im_mean, re_stderr, im_stderr)."""
+    """CSV rows (sample_block, entry_row, entry_col, re_mean, im_mean, re_stderr, im_stderr).
+
+    Each block's four matrices are converted to Python floats once, and its
+    rows are written with one join.
+    """
     fp.write("sample_block,entry_row,entry_col,re_mean,im_mean,re_stderr,im_stderr\n")
     for b, est in blocks:
         m = est.mean.mat
-        for r in range(m.shape[0]):
-            for c in range(m.shape[1]):
-                fp.write(
-                    f"{b},{r},{c},{float(m[r, c].real)!r},{float(m[r, c].imag)!r},"
-                    f"{float(est.stderr_re[r, c])!r},{float(est.stderr_im[r, c])!r}\n"
-                )
+        cols = m.shape[1]
+        parts = (m.real, m.imag, est.stderr_re, est.stderr_im)
+        cells = zip(*(np.ravel(a).tolist() for a in parts))
+        fp.write(
+            "".join(
+                f"{b},{k // cols},{k % cols},{re!r},{im!r},{se_re!r},{se_im!r}\n"
+                for k, (re, im, se_re, se_im) in enumerate(cells)
+            )
+        )

@@ -9,15 +9,30 @@ Conventions (fixed across the library):
 * The Jamiolkowski form lives on ``C^d_in (x) C^d_out`` and equals
   ``sum_ij E_ij (x) m(E_ji)``, i.e. ``(id (x) m)`` applied to the SWAP of the
   doubled input space.  For the identity map it *is* SWAP.
+
+A map d -> d^2 is covariant, (U (x) U) m(rho) (U (x) U)+ = m(U rho U+), exactly
+when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
+(the walled Brauer algebra B_{2,1}(d); Benkart et al., J. Algebra 166
+(1994)) such Chois are the combinations  sum_k x_k P_k^T3  of the six factor
+permutations of ``S3`` transposed on the input factor, the cached int8
+``commutant_table``.  ``covariant_map`` keeps a map as those six
+coefficients: sums, differences and scalar multiples stay six
+coefficients, and the d^3 x d^3 Choi is built only when something reads it.
+Each entry of such a Choi depends only on which of its six labels
+(out1, out2, in; out1', out2', in') are equal, so the largest entry, the
+Hermiticity and trace-preservation tests and any linear residual are read
+off the at most 203 equality patterns (``equality_patterns``), and the
+spectrum has the closed form of ``covariant_spectrum``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, Operator, _raw, partial_trace
+from .densemat import DEFAULT_TOL, S3, Operator, _raw, partial_trace
 
 
 def omega(d: int) -> Operator:
@@ -30,23 +45,51 @@ def omega(d: int) -> Operator:
 
 
 class SuperMap:
-    """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator."""
+    """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
-    __slots__ = ("d_in", "d_out", "choi")
+    Give either the Choi, or for a covariant map d -> d^2 the six
+    coefficients ``coeffs`` over ``commutant_table(d)``; a dense map has
+    ``coeffs`` None.  A covariant map builds its Choi on the first read of
+    ``choi`` and keeps it.
+    """
 
-    def __init__(self, d_in: int, d_out: int, choi: Operator):
-        choi = choi if isinstance(choi, Operator) else Operator(choi)
-        n = d_out * d_in
-        if choi.rows != n or choi.cols != n:
-            raise ValueError(
-                f"choi must be {n}x{n} for d_in={d_in}, d_out={d_out}, got {choi.rows}x{choi.cols}"
-            )
+    __slots__ = ("d_in", "d_out", "coeffs", "_choi")
+
+    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None):
+        if (choi is None) == (coeffs is None):
+            raise ValueError("give a SuperMap either its Choi or its six covariant coefficients")
+        if coeffs is not None:
+            _require_dim(d_in)
+            if d_out != d_in * d_in:
+                raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
+            if len(coeffs) != 6:
+                raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
+            coeffs = np.array(coeffs, dtype=np.complex128)
+            coeffs.flags.writeable = False
+        else:
+            choi = choi if isinstance(choi, Operator) else Operator(choi)
+            n = d_out * d_in
+            if choi.rows != n or choi.cols != n:
+                raise ValueError(
+                    f"choi must be {n}x{n} for d_in={d_in}, d_out={d_out}, got {choi.rows}x{choi.cols}"
+                )
         object.__setattr__(self, "d_in", int(d_in))
         object.__setattr__(self, "d_out", int(d_out))
-        object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_choi", choi)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMap is immutable")
+
+    @property
+    def choi(self) -> Operator:
+        """The Choi operator; a covariant map builds it from its coefficients on the first read."""
+        if self._choi is None:
+            choi = np.zeros((self.d_out * self.d_in,) * 2, dtype=np.complex128)
+            for c, term in zip(self.coeffs, commutant_table(self.d_in)):
+                choi += c * term
+            object.__setattr__(self, "_choi", Operator(choi))
+        return self._choi
 
     def _c4(self) -> np.ndarray:
         """Choi as a 4-tensor indexed [out, in, out', in']."""
@@ -115,18 +158,44 @@ class SuperMap:
 
     # -- predicates ---------------------------------------------------------
 
+    def choi_absmax(self) -> float:
+        """Largest absolute entry of the Choi."""
+        if self.coeffs is None:
+            return self.choi.absmax()
+        return _pattern_absmax(self.d_in, self.coeffs)
+
+    def spectrum(self) -> np.ndarray:
+        """Descending eigenvalues of the Choi, taken as Hermitian (``eigvalsh`` reads its lower triangle)."""
+        if self.coeffs is None:
+            return np.linalg.eigvalsh(self.choi.mat)[::-1]
+        return covariant_spectrum(self.d_in, self.coeffs)
+
     def is_hp(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian-preserving, i.e. Hermitian Choi."""
-        return self.choi.is_hermitian(tol)
+        """Hermitian-preserving, i.e. Hermitian Choi.
+
+        The Choi's adjoint has the coefficients conj(x_s^-1); only the two
+        3-cycles are not their own inverses.
+        """
+        if self.coeffs is None:
+            return bool(self.choi.is_hermitian(tol))
+        return _pattern_absmax(self.d_in, self.coeffs - self.coeffs[[0, 1, 2, 3, 5, 4]].conj()) <= tol
 
     def is_cp(self, tol: float = DEFAULT_TOL) -> bool:
         """Completely positive, i.e. PSD Choi."""
-        return self.choi.is_psd(tol)
+        return bool(self.is_hp(tol) and self.spectrum()[-1] >= -tol)
 
     def is_tp(self, tol: float = DEFAULT_TOL) -> bool:
-        """Trace-preserving:  Tr_out[choi] = I_in."""
-        red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
-        return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= tol)
+        """Trace-preserving:  Tr_out[choi] = I_in.
+
+        A covariant Choi's Tr_out commutes with every Ubar, so it is
+        Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
+        """
+        if self.coeffs is None:
+            red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
+            return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= tol)
+        d = self.d_in
+        trace = self.coeffs @ np.power(float(d), [_cycles(s) for s in S3])
+        return bool(abs(trace / d - 1) <= tol)
 
     # -- linear structure ---------------------------------------------------
 
@@ -136,18 +205,26 @@ class SuperMap:
 
     def __add__(self, other: "SuperMap") -> "SuperMap":
         self._check_same_dims(other)
+        if self.coeffs is not None and other.coeffs is not None:
+            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs + other.coeffs)
         return SuperMap(self.d_in, self.d_out, self.choi + other.choi)
 
     def __sub__(self, other: "SuperMap") -> "SuperMap":
         self._check_same_dims(other)
+        if self.coeffs is not None and other.coeffs is not None:
+            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs - other.coeffs)
         return SuperMap(self.d_in, self.d_out, self.choi - other.choi)
 
     def __mul__(self, scalar) -> "SuperMap":
+        if self.coeffs is not None:
+            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs * scalar)
         return SuperMap(self.d_in, self.d_out, self.choi * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SuperMap":
+        if self.coeffs is not None:
+            return SuperMap(self.d_in, self.d_out, coeffs=-self.coeffs)
         return SuperMap(self.d_in, self.d_out, -self.choi)
 
     def __repr__(self):
@@ -161,6 +238,99 @@ class SuperMap:
     @classmethod
     def from_json(cls, obj: dict) -> "SuperMap":
         return cls(obj["d_in"], obj["d_out"], Operator.from_json(obj["choi"]))
+
+
+# ---------------------------------------------------------------------------
+# covariant maps d -> d^2 as six coefficients
+
+
+def _require_dim(d: int):
+    if d < 2:
+        raise ValueError(f"maps d -> d^2 need dimension >= 2, got {d}")
+
+
+@functools.cache
+def commutant_table(d: int) -> np.ndarray:
+    """The permutations of ``S3`` transposed on the input factor: (6, d^3, d^3), int8, read-only."""
+    _require_dim(d)
+    table = np.zeros((6,) + (d,) * 6, dtype=np.int8)
+    i = np.indices((d, d, d)).reshape(3, -1)
+    for k, s in enumerate(S3):  # P_sigma^T3 is 1 at row (i_s0, i_s1, i_2), column (i_0, i_1, i_s2)
+        table[k, i[s[0]], i[s[1]], i[2], i[0], i[1], i[s[2]]] = 1
+    table.flags.writeable = False
+    return table.reshape(6, d**3, d**3)
+
+
+def covariant_map(d: int, coeffs) -> SuperMap:
+    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] commutant_table(d)[k]."""
+    return SuperMap(d, d * d, coeffs=coeffs)
+
+
+def _cycles(p: tuple[int, ...]) -> int:
+    """Number of cycles of a permutation of three factors."""
+    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
+
+
+@functools.cache
+def equality_patterns(n: int) -> np.ndarray:
+    """Every equality pattern of n labels, each labelled by first occurrence: (Bell(n), n) int, read-only.
+
+    Row (0, 0, 1) stands for the label triples whose first two labels are
+    equal and differ from the third.  A pattern with k groups occurs
+    d(d-1)...(d-k+1) times among the d^n label tuples (``math.perm(d, k)``).
+    """
+    patterns = [()]
+    for _ in range(n):
+        patterns = [p + (v,) for p in patterns for v in range(max(p, default=-1) + 2)]
+    patterns = np.array(patterns, dtype=np.intp)
+    patterns.flags.writeable = False
+    return patterns
+
+
+def table_entries(labels: np.ndarray) -> np.ndarray:
+    """Entries of the six table elements at Choi positions with the given labels: (..., 6), float.
+
+    ``labels`` (..., 6) name (out1, out2, in, out1', out2', in').  Element s
+    is 1 where (out1, out2, in') = (i_s0, i_s1, i_s2) for
+    (i_0, i_1, i_2) = (out1', out2', in), and 0 elsewhere.
+    """
+    i = labels[..., [3, 4, 2]]
+    hits = [
+        (labels[..., 0] == i[..., s[0]]) & (labels[..., 1] == i[..., s[1]]) & (labels[..., 5] == i[..., s[2]])
+        for s in S3
+    ]
+    return np.stack(hits, axis=-1).astype(float)
+
+
+def _pattern_absmax(d: int, coeffs) -> float:
+    """Largest absolute entry of  sum_k coeffs[k] P_k^T3: its largest value on a pattern that occurs at d."""
+    labels = equality_patterns(6)
+    return float(np.abs(table_entries(labels[labels.max(axis=1) < d]) @ coeffs).max())
+
+
+def covariant_spectrum(d: int, coeffs) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian  C = sum_k coeffs[k] P_k^T3, in closed form: (d^3,), float.
+
+    The four table elements that move the input factor map every vector
+    into the span of  E1 v = v (x) Omega_23  and  E2 v = (swap_12 E1) v,
+    2d dimensions with Gram matrix [[d, 1], [1, d]] (x) I.  On that span C
+    acts as a 2 x 2 block (x) I; in the orthonormal basis
+    (E1 +- E2) / sqrt(2 (d +- 1)) the block is Hermitian, and each of its two
+    eigenvalues has multiplicity d.  Modulo the span, C acts as
+    x_id I + x_(12) SWAP_12, with eigenvalues x_id +- x_(12) of multiplicities
+    d^2 (d +- 1)/2 - d.
+    """
+    x = np.asarray(coeffs)
+    # Column a holds the (E1, E2) coordinates of C E_a.
+    block = np.array(
+        [[x[0] + d * x[3] + x[4], x[1] + x[3] + d * x[4]], [x[1] + x[2] + d * x[5], x[0] + d * x[2] + x[5]]]
+    )
+    q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    scale = np.sqrt([d + 1.0, d - 1.0])
+    pair = np.linalg.eigvalsh(scale[:, np.newaxis] * (q @ block @ q) / scale[np.newaxis, :])
+    counts = [d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d]
+    vals = np.repeat([x[0].real + x[1].real, x[0].real - x[1].real, *pair], counts)
+    return np.sort(vals)[::-1]
 
 
 # ---------------------------------------------------------------------------

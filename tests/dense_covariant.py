@@ -1,7 +1,7 @@
 """Dense references for the covariant Chois, written as the paper's formulas.
 
 The library builds every U (x) U (x) Ubar-covariant Choi from six
-coefficients over ``vbcast.broadcast.commutant_table``; the tests compare
+coefficients over ``vbcast.supermap.commutant_table``; the tests compare
 those against the products and moment sums below, which are built from the
 dense factor permutations and Haar moment operators defined here.  The
 dense orthonormal basis of the covariant span, its projection and the
@@ -13,9 +13,11 @@ import functools
 
 import numpy as np
 
-from vbcast.broadcast import UniquenessCertificate, _residual_rows, canonical_b, commutant_table
+from vbcast.broadcast import UniquenessCertificate, canonical_b
 from vbcast.densemat import S3, Operator, identity, kron, swap
-from vbcast.supermap import omega
+from vbcast.supermap import commutant_table, omega
+
+from dense_uniqueness import residual_rows
 
 
 def permutation_operators(d: int) -> tuple[Operator, ...]:
@@ -117,7 +119,7 @@ def dense_basis_uniqueness(
     """The uniqueness system with each dense basis element's residuals as one column."""
 
     def rows(c: np.ndarray) -> np.ndarray:
-        flat = _residual_rows(c, d, include_permutation, include_classical)
+        flat = residual_rows(c, d, include_permutation, include_classical)
         return np.concatenate([flat.real, flat.imag])
 
     basis = commutant_basis(d)

@@ -4,7 +4,9 @@ Every sample Tr[M_psi rho] rho_psi (x) rho_psi is built as a full d^2 x d^2
 matrix and the (count, d^2, d^2) stack is merged into a ``MatrixWelford`` by
 ``update_batch``.  It makes the same random draws as
 ``vbcast.hovm.sample_mp_blocks``, so tests compare block means, M2 and
-z-scores with the moment-based sampler.
+z-scores with the moment-based sampler.  ``entrywise_sampling_csv`` is the
+CSV writer that formats one numpy scalar at a time, the reference for
+``vbcast.hovm.write_sampling_csv``.
 """
 
 import numpy as np
@@ -52,3 +54,16 @@ def dense_sample_mp_blocks(
         se_re, se_im = acc.stderr()
         out.append((b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
     return out
+
+
+def entrywise_sampling_csv(fp, blocks: list[tuple[int, MatrixSamplingEstimate]]):
+    """CSV rows (sample_block, entry_row, entry_col, re_mean, im_mean, re_stderr, im_stderr), one write per entry."""
+    fp.write("sample_block,entry_row,entry_col,re_mean,im_mean,re_stderr,im_stderr\n")
+    for b, est in blocks:
+        m = est.mean.mat
+        for r in range(m.shape[0]):
+            for c in range(m.shape[1]):
+                fp.write(
+                    f"{b},{r},{c},{float(m[r, c].real)!r},{float(m[r, c].imag)!r},"
+                    f"{float(est.stderr_re[r, c])!r},{float(est.stderr_im[r, c])!r}\n"
+                )

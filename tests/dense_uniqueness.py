@@ -1,18 +1,74 @@
-"""Dense reference for the uniqueness certificate, without the commutant span.
+"""Dense references for the uniqueness certificate.
 
-The unknowns are all d^6 real parameters of a Hermitian Choi operator, and
-covariance enters as sampled constraints under Haar unitaries rather than
-through the commutant basis.  Tests compare its nullities with
-``vbcast.broadcast.verify_uniqueness`` at small d.
+``table_column_uniqueness`` evaluates every residual entry on the six
+table elements, one column of length 2d^4 + d^6 + d^3 each, and QR-factors
+those columns; ``vbcast.broadcast.verify_uniqueness`` reads the same system
+off the equality patterns of the labels, and the tests compare the two at
+d = 2..6.  ``dense_verify_uniqueness`` goes without the commutant span:
+the unknowns are all d^6 real parameters of a Hermitian Choi operator, and
+covariance enters as sampled constraints under Haar unitaries.  Tests
+compare its nullities at small d.
 """
 
 import numpy as np
 
-from vbcast.broadcast import UniquenessCertificate, canonical_b
+from vbcast.broadcast import (
+    UniquenessCertificate,
+    _b_lambda_coeffs,
+    _classical_residual,
+    _marginal_residuals,
+    _permutation_residual,
+    canonical_b,
+    commutant_frame,
+)
 from vbcast.densemat import Rng, swap
-from vbcast.supermap import omega
+from vbcast.supermap import commutant_table, omega
 
 from random_fixtures import haar_unitary
+
+
+def residual_rows(c: np.ndarray, d: int, include_permutation: bool, include_classical: bool) -> np.ndarray:
+    """The marginal, then permutation and classical residuals of the Choi c, as one flat vector."""
+    res = _marginal_residuals(c, d)
+    if include_permutation:
+        res.append(_permutation_residual(c, d))
+    if include_classical:
+        res.append(_classical_residual(c, d))
+    return np.concatenate([r.ravel() for r in res])
+
+
+def table_column_uniqueness(
+    d: int, include_permutation: bool = True, include_classical: bool = True
+) -> UniquenessCertificate:
+    """The uniqueness certificate from the dense residual columns of the six table elements.
+
+    The columns are QR-factored to a 6 x 6 R, and the singular values of
+    [R Re W; R Im W], W the coefficient frame, are those of the full real
+    system over the frame coefficients.
+    """
+    table = commutant_table(d)
+    # The targets and the table elements are real, so every residual column is real.
+    offset = residual_rows(np.zeros(table.shape[1:]), d, include_permutation, include_classical).real
+    cols = np.empty((offset.size, 6))
+    for k, t in enumerate(table):
+        cols[:, k] = residual_rows(t.astype(float), d, include_permutation, include_classical).real - offset
+    residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max())
+
+    r = np.linalg.qr(cols[cols.any(axis=1)], mode="r")
+    frame = commutant_frame(d)
+    svals = np.linalg.svd(np.concatenate([r @ frame.real, r @ frame.imag]), compute_uv=False)
+    threshold = 1e-8 * svals[0]
+    nullity = int(np.sum(svals < threshold))
+    kept = svals[svals >= threshold]
+    gap = float(kept.min() / threshold) if kept.size else 0.0
+
+    return UniquenessCertificate(
+        constraint_rows=2 * offset.size,
+        unknowns=frame.shape[1],
+        nullity=nullity,
+        candidate_residual=residual,
+        singular_value_gap=gap,
+    )
 
 
 def _coeffs_from_hermitian(c: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ reproducible.
 
 import numpy as np
 
-from vbcast.densemat import Operator, Rng, _ginibre
+from vbcast.densemat import Operator, Rng
 from vbcast.supermap import SuperMap
 
 
@@ -34,6 +34,12 @@ def substream(rng: Rng, i: int) -> Rng:
     return child
 
 
+def ginibre_columns(rows: int, cols: int, rng: Rng) -> np.ndarray:
+    """A rows x cols complex Ginibre matrix, real part drawn first (as ``vbcast.densemat`` draws a square one)."""
+    g = rng.gen.standard_normal((rows, cols)) + 1j * rng.gen.standard_normal((rows, cols))
+    return g / np.sqrt(2)
+
+
 def _haar_qr(z: np.ndarray) -> np.ndarray:
     """Q factor of a Ginibre matrix with R's diagonal made positive.
 
@@ -48,7 +54,7 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(d: int, rng: Rng) -> Operator:
     """Haar-random unitary via the phase-fixed QR of a complex Ginibre matrix."""
-    return Operator(_haar_qr(_ginibre(d, rng)))
+    return Operator(_haar_qr(ginibre_columns(d, d, rng)))
 
 
 def random_pure(d: int, rng: Rng) -> Operator:
@@ -68,12 +74,12 @@ def random_channel(d_in: int, d_out: int, rng: Rng) -> SuperMap:
     """Haar-random CPTP map via a Stinespring isometry.
 
     The isometry V: C^d_in -> C^d_out (x) C^d_env with d_env = d_in*d_out is
-    the phase-fixed QR of the first d_in columns of a square Ginibre draw,
-    i.e. the first d_in columns of the Haar unitary ``haar_unitary`` builds
-    from the same draw; the channel traces out the environment.
+    the phase-fixed QR of a Ginibre draw of only d_in columns, which are the
+    leading columns of a Haar unitary on C^d_out (x) C^d_env; the channel
+    traces out the environment.
     """
     d_env = d_in * d_out
-    v = _haar_qr(_ginibre(d_out * d_env, rng)[:, :d_in])
+    v = _haar_qr(ginibre_columns(d_out * d_env, d_in, rng))
     # Kraus operators indexed by the environment basis.
     kraus = v.reshape(d_out, d_env, d_in).transpose(1, 0, 2)
     c4 = np.einsum("eui,evj->uivj", kraus, kraus.conj())

@@ -10,6 +10,8 @@ one of these names breaks a traced benchmark run with ``KeyError`` or
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +54,19 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert (vbcast.hovm.sample_mp_blocks, vbcast.qsample.estimate_with_trace) == before
+
+
+def test_tracer_installs_after_bare_cli_import():
+    # the tracer reads every module in MODULES from sys.modules; the other tests here import them all first
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    code = (
+        "import importlib.util, sys\n"
+        "import vbcast.cli\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {os.path.join(BENCH, 'spans.py')!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "spans.Tracer().install()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr

@@ -46,7 +46,7 @@ from dense_covariant import (
     dense_mp_choi,
     permutation_operators,
 )
-from dense_uniqueness import dense_verify_uniqueness
+from dense_uniqueness import dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
 
@@ -342,8 +342,7 @@ class TestCommutant:
     def test_projection_matches_dense_basis(self, d):
         maps = [canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d), depolarizing_mp(d)]
         chois = [m.choi for m in maps] + [classical_bcl(d).choi, random_hermitian(d**3, Rng(80 + d))]
-        if d <= 4:  # random_channel draws a square Ginibre matrix of side d^5: 1 GB at d = 6
-            chois.append(random_channel(d, d * d, Rng(80 + d)).choi)
+        chois.append(random_channel(d, d * d, Rng(80 + d)).choi)
         for choi in chois:
             assert (commutant_projection(choi, d) - dense_commutant_projection(choi, d)).absmax() <= 1e-13
 
@@ -414,15 +413,17 @@ class TestUniqueness:
 
     @mark.parametrize("d", range(2, 7))
     def test_matches_dense_basis_certificate(self, d):
+        # against the dense basis system and the dense residual columns of the six table elements
         for perm in (True, False):
             for cl in (True, False):
                 got = verify_uniqueness(d, include_permutation=perm, include_classical=cl)
-                want = dense_basis_uniqueness(d, include_permutation=perm, include_classical=cl)
-                assert (got.nullity, got.constraint_rows, got.unknowns) == (
-                    want.nullity, want.constraint_rows, want.unknowns
-                )
-                assert got.singular_value_gap == pytest.approx(want.singular_value_gap, rel=1e-12)
-                assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
+                for reference in (dense_basis_uniqueness, table_column_uniqueness):
+                    want = reference(d, include_permutation=perm, include_classical=cl)
+                    assert (got.nullity, got.constraint_rows, got.unknowns) == (
+                        want.nullity, want.constraint_rows, want.unknowns
+                    )
+                    assert got.singular_value_gap == pytest.approx(want.singular_value_gap, rel=1e-12)
+                    assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
 
 
 class TestMemory:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -148,9 +149,23 @@ class TestVerify:
         assert uniq["values"]["singular_value_gap"] >= 1e6
 
     def test_tolerance_override_reaches_gates(self, tmp_path):
-        code, doc, _ = run(["verify", "--dim", "2", "--tol", "axioms=1e-30"], tmp_path)
+        # B's axiom residuals are exactly 0, so the gate is shown on B_lambda:1e-20 (permutation residual 2e-20)
+        target = ["verify", "--dim", "2", "--target", "B_lambda:1e-20"]
+        assert run(target, tmp_path)[0] == 0
+        code, doc, _ = run(target + ["--tol", "axioms=1e-30"], tmp_path)
         assert code == 1
         assert doc["tolerances"]["axioms"] == 1e-30
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["broadcast_axioms", "sot_axioms"]
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "0", "-1e-8", "1e-400"))
+    @pytest.mark.parametrize("command", ("verify", "diamond"))
+    def test_tolerance_must_be_finite_and_positive(self, command, value, tmp_path, capsys):
+        # a NaN gate fails every check, and an infinite one passes any bracket as converged
+        name = "axioms" if command == "verify" else "sdp"
+        code, _, out = run([command, "--dim", "2", "--tol", f"{name}={value}"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --tol {name} must be finite and positive, got {value!r}\n"
+        assert not out.exists()
 
     def test_unknown_tolerance_name(self, tmp_path, capsys):
         # sot_axioms shares the axioms gate, so "sot" names no tolerance
@@ -564,6 +579,28 @@ class TestReportWriter:
                 _dumps(obj)
         else:
             assert _dumps(obj) == want.replace("Infinity", "1e+300")
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (["verify", "--target", "B"], 0),
+            (["verify", "--target", "B_lambda:0.3"], 1),
+            (["diamond", "--target", "B"], 0),
+            (["diamond", "--target", "B-minus-Bplus"], 0),
+        ],
+    )
+    def test_covariant_targets_build_no_dense_choi(self, args, want, tmp_path):
+        # one 216 x 216 complex array is 0.75 MB; building and factoring the dense Choi peaked at 6.0 MB
+        tracemalloc.start()
+        try:
+            code = main(args + ["--dim", "6", "--out", str(tmp_path / "out.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == want
+        assert peak < 216 * 216 * 16
 
 
 class TestEnvironment:

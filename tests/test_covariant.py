@@ -1,0 +1,142 @@
+"""Covariant maps as six coefficients, against the dense Choi they stand for.
+
+Every read that a covariant map answers from its coefficients -- spectrum,
+largest entry, the HP / CP / TP tests, the axiom residuals and the diamond
+bracket -- is compared with the same read of a dense copy of its Choi, at
+d = 2..6.  The uniqueness certificate is compared with its dense references
+in ``test_broadcast.py``.
+"""
+
+import math
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+from pytest import mark
+
+from vbcast.broadcast import antisym, canonical_b, check_axioms, cloner, family_b_lambda
+from vbcast.densemat import Rng
+from vbcast.diamond import diamond_bracket
+from vbcast.hovm import depolarizing_mp, exact_mp_map
+from vbcast.supermap import (
+    SuperMap,
+    commutant_table,
+    covariant_map,
+    covariant_spectrum,
+    equality_patterns,
+    table_entries,
+)
+
+DIMS = range(2, 7)
+
+
+def _random_hermitian_coeffs(d, i):
+    """x_id..x_(23) real and the two 3-cycles' coefficients conjugate: a Hermitian Choi."""
+    g = Rng(90 + d, i).gen.standard_normal(6)
+    return covariant_map(d, [g[0], g[1], g[2], g[3], g[4] + 1j * g[5], g[4] - 1j * g[5]])
+
+
+def covariant_maps(d):
+    maps = {
+        "B": canonical_b(d),
+        "B+": cloner(d),
+        "B-": antisym(d),
+        "B_lambda:0.3": family_b_lambda(d, 0.3),
+        "M": exact_mp_map(d),
+        "Mprime": depolarizing_mp(d),
+        "M-B": exact_mp_map(d) - canonical_b(d),
+    }
+    maps.update({f"random{i}": _random_hermitian_coeffs(d, i) for i in range(3)})
+    return maps
+
+
+def dense(m):
+    """The same map held as its Choi."""
+    return SuperMap(m.d_in, m.d_out, m.choi)
+
+
+class TestPatterns:
+    def test_bell_numbers(self):
+        assert [len(equality_patterns(n)) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
+
+    @mark.parametrize("d", DIMS)
+    def test_pattern_counts_cover_every_entry(self, d):
+        groups = equality_patterns(6).max(axis=1) + 1
+        assert sum(math.perm(d, int(k)) for k in groups) == d**6
+
+    @mark.parametrize("d", (2, 3))
+    def test_table_entries_match_table(self, d):
+        labels = np.indices((d,) * 6).reshape(6, -1).T
+        assert np.array_equal(table_entries(labels).T, commutant_table(d).reshape(6, -1))
+
+
+class TestCovariantForm:
+    def test_choi_built_once_on_first_read(self):
+        m = canonical_b(3)
+        assert m._choi is None and not m.coeffs.flags.writeable
+        assert m.choi is m.choi
+
+    def test_needs_exactly_one_form(self):
+        with pytest.raises(ValueError, match="either"):
+            SuperMap(2, 4)
+        with pytest.raises(ValueError, match="either"):
+            SuperMap(2, 4, canonical_b(2).choi, coeffs=canonical_b(2).coeffs)
+        with pytest.raises(ValueError, match="d -> d\\^2"):
+            SuperMap(2, 3, coeffs=np.zeros(6))
+
+    @mark.parametrize("d", (2, 4))
+    def test_linear_structure_stays_covariant(self, d):
+        a, b = exact_mp_map(d), family_b_lambda(d, 0.3)
+        for got, want in (
+            (a + b, a.choi.mat + b.choi.mat),
+            (a - b, a.choi.mat - b.choi.mat),
+            (-a, -a.choi.mat),
+            (2.5 * a, 2.5 * a.choi.mat),
+            (a * 1j, a.choi.mat * 1j),
+        ):
+            assert got.coeffs is not None
+            assert_allclose(got.choi.mat, want, atol=1e-14)
+        mixed = a + dense(b)
+        assert mixed.coeffs is None
+        assert_allclose(mixed.choi.mat, a.choi.mat + b.choi.mat, atol=1e-14)
+
+    @mark.parametrize("d", DIMS)
+    def test_spectrum_matches_eigvalsh(self, d):
+        for name, m in covariant_maps(d).items():
+            assert_allclose(m.spectrum(), np.linalg.eigvalsh(m.choi.mat)[::-1], atol=1e-10, err_msg=name)
+            assert_allclose(m.spectrum(), covariant_spectrum(d, m.coeffs), atol=0)
+
+    @mark.parametrize("d", DIMS)
+    def test_predicates_and_absmax_match_dense(self, d):
+        skew = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 1e-3j])  # the 3-cycles' coefficients not conjugate
+        off_tp = covariant_map(d, [1.5e-9 / d**2, 0, 0, 0, 0.5, 0.5])  # Tr_out C = (1 + 1.5e-9) I
+        for name, m in {**covariant_maps(d), "skew": skew, "off_tp": off_tp}.items():
+            ref = dense(m)
+            assert m.choi_absmax() == pytest.approx(ref.choi_absmax(), abs=1e-14), name
+            for tol in (1e-9, 2e-9, 1e-2):
+                assert (m.is_hp(tol), m.is_cp(tol), m.is_tp(tol)) == (ref.is_hp(tol), ref.is_cp(tol), ref.is_tp(tol))
+        assert not skew.is_hp() and skew.is_hp(1e-2)
+        assert not off_tp.is_tp(1e-9) and off_tp.is_tp(2e-9)
+        assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
+
+
+class TestAgainstDense:
+    @mark.parametrize("d", DIMS)
+    def test_axiom_residuals(self, d):
+        for name, m in covariant_maps(d).items():
+            got, want = asdict(check_axioms(m)), asdict(check_axioms(dense(m)))
+            assert got["covariance"] == 0.0
+            for axiom in got:
+                assert got[axiom] == pytest.approx(want[axiom], abs=1e-12), (name, axiom)
+
+    @mark.parametrize("d", DIMS)
+    def test_diamond_bracket_matches_jordan_path(self, d):
+        for name, m in covariant_maps(d).items():
+            got, want = diamond_bracket(m), diamond_bracket(dense(m))
+            assert got.iterations == want.iterations == 0 and got.converged
+            for field in ("value", "lower_bound", "upper_bound"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), (name, field)
+            assert_allclose(got.witness_state.mat, want.witness_state.mat, atol=1e-12)
+            # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map
+            assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum() / d, abs=1e-12)

@@ -214,7 +214,8 @@ class TestBracket:
         assert res.upper_bound == float(d)
 
     def test_open_gap_falls_back_to_admm(self):
-        _assert_open_gap_closed(random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2)))
+        # seeds 1, 2 draw a pair whose Jordan bound is only 0.0035 loose, short of an open gap
+        _assert_open_gap_closed(random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)))
 
     @pytest.mark.parametrize(
         "m",

@@ -28,7 +28,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
-from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, update_batch
+from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
 
@@ -241,6 +241,16 @@ class TestMonteCarlo:
         assert lines[0] == "sample_block,entry_row,entry_col,re_mean,im_mean,re_stderr,im_stderr"
         assert len(lines) == 1 + 2 * 16  # two blocks of 4x4 entries
         assert "np.float64" not in buf.getvalue()
+
+    @mark.parametrize("d", (2, 3, 6))
+    def test_csv_matches_entrywise_writer(self, d):
+        # the CLI's rho and draws; every entry, block and stderr, byte for byte
+        blocks = sample_mp_blocks(random_density(d, Rng(1, 10)), d, 2000, n_blocks=10, rng=Rng(1, 12))
+        got, want = io.StringIO(), io.StringIO()
+        write_sampling_csv(got, blocks)
+        entrywise_sampling_csv(want, blocks)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().count("\n") == 1 + 10 * d**4
 
 
 def _structurally_real(d):

@@ -11,7 +11,7 @@ from vbcast.supermap import (
     omega,
 )
 
-from random_fixtures import haar_unitary, random_channel
+from random_fixtures import _haar_qr, ginibre_columns, random_channel
 
 
 def test_omega():
@@ -72,11 +72,14 @@ def test_random_channel_is_cptp():
 
 
 def test_random_channel_is_leading_haar_columns():
-    # the thin QR of the leading columns equals those columns of the full Haar unitary
+    # the thin QR of the drawn columns equals those columns of the full Haar QR of any square
+    # Ginibre matrix that starts with them, and the draw takes only those columns from the stream
     for d_in, d_out in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         rng, ref_rng = Rng(d_in + 10 * d_out), Rng(d_in + 10 * d_out)
         m = random_channel(d_in, d_out, rng)
-        v = haar_unitary(d_out * d_out * d_in, ref_rng).mat[:, :d_in]
+        n = d_out * d_out * d_in
+        z = np.concatenate([ginibre_columns(n, d_in, ref_rng), ginibre_columns(n, n - d_in, Rng(0))], axis=1)
+        v = _haar_qr(z)[:, :d_in]
         kraus = v.reshape(d_out, d_in * d_out, d_in).transpose(1, 0, 2)
         want = np.einsum("eui,evj->uivj", kraus, kraus.conj()).reshape(d_out * d_in, d_out * d_in)
         assert_allclose(m.choi.mat, want, atol=1e-14)
