@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,8 +244,7 @@ def _axiom_patterns(d: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarra
 # axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Max-absolute-entry residuals of the four broadcasting axioms.
 
     Each is the largest absolute entry of a linear residual of the Choi
@@ -297,8 +296,7 @@ def check_axioms(m: SuperMap) -> AxiomReport:
 # uniqueness certificate
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
+class UniquenessCertificate(NamedTuple):
     """Certificate that the axioms admit exactly one solution.
 
     The unknowns are the real coefficients of a Choi operator in the

@@ -15,8 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 # No CLI operand exceeds d^3 x d^3 = 216 x 216 (--dim <= 6).  At that size a
 # second BLAS thread saves no wall time, spins CPU after every call, and makes
@@ -40,7 +40,7 @@ from .broadcast import (
     family_b_lambda,
     verify_uniqueness,
 )
-from .diamond import diamond_bracket, hptp_upper
+from .diamond import diamond_bracket, gap_floor, hptp_upper
 from .hovm import (
     depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
 )
@@ -68,23 +68,14 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by every command."""
+class RunConfig(NamedTuple):
+    """Run parameters shared by every command, as ``main`` validated them."""
 
-    dim: int = 2
-    seed: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    out: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not 2 <= self.dim <= 6:
-            raise CliError(f"--dim must be between 2 and 6, got {self.dim}")
-        for name in self.tolerances:
-            if name not in DEFAULT_TOLERANCES:
-                raise CliError(f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}")
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
+    dim: int
+    seed: int
+    tolerances: dict
+    out: str | None
+    fmt: str
 
 
 # ---------------------------------------------------------------------------
@@ -152,48 +143,93 @@ def _meta(cfg: RunConfig, command: str) -> dict:
     }
 
 
-_JSON_SCALARS = {float, int, bool, str, type(None)}
-
 # Written in place of an infinite value: JSON has no token for one.
 _UNBOUNDED = 1e300
+_NAN_ERROR = "the report holds a NaN, which JSON cannot represent; no report written"
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for string-keyed dicts of finite values.
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with each ndarray taken as its ``.tolist()``, byte for byte.
 
-    The indented layout is written here and every flat list of scalars goes
-    to the C encoder in one call, because ``indent`` alone would force the
-    pure-Python encoder onto every matrix entry.  No report holds a token
-    that is not JSON: +-inf is written as +-1e300, and a NaN raises CliError.
+    The indented layout is written here, and the document's parts are
+    gathered in one list and joined once.  A float64 array formats each of
+    its distinct values once (``_array_tokens``) and joins each innermost row
+    of their strings, so a covariant Choi, with at most 203 distinct entries,
+    costs 203 ``repr`` calls, not one per entry.  No report holds a token that
+    is not JSON: +-inf is written as +-1e300, and a NaN raises CliError.
     """
+    parts = []
+    _write(obj, "", parts)
+    return "".join(parts)
+
+
+def _write(obj, pad: str, parts: list):
     inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _JSON_SCALARS:
-            body = _encode(obj, (",\n" + inner, ": "))[1:-1]
-        else:
-            body = (",\n" + inner).join(_dumps(x, inner) for x in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return _encode(obj)
+    if isinstance(obj, np.ndarray):
+        _write_rows(_array_tokens(obj), pad, parts)
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(f"{sep}{json.dumps(key)}: ")
+            _write(value, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[\n" + inner
+        for value in obj:
+            parts.append(sep)
+            _write(value, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "]")
+    else:
+        parts.append(json.dumps(_finite(obj)))
 
 
-def _encode(obj, separators=None) -> str:
-    """One scalar or flat list of scalars; the values are scanned only when one is not finite."""
-    try:
-        return json.dumps(obj, separators=separators, allow_nan=False)
-    except ValueError:
-        values = [_finite(x) for x in obj] if isinstance(obj, (list, tuple)) else _finite(obj)
-        return json.dumps(values, separators=separators)
+def _array_tokens(arr: np.ndarray) -> np.ndarray:
+    """The JSON token of every entry of a float64 array, as an object array of its shape.
+
+    ``np.unique`` runs on the int64 view of the bits, which keeps -0.0 apart
+    from 0.0, and each distinct value is formatted once, as ``json.dumps``
+    formats a float: its ``repr``.
+    """
+    if arr.dtype != np.float64:
+        raise TypeError(f"the report writer takes float64 arrays, got {arr.dtype}")
+    bits = np.ascontiguousarray(arr).view(np.int64).ravel()
+    keys, inverse = np.unique(bits, return_inverse=True)
+    values = keys.view(np.float64)
+    if np.isnan(values).any():
+        raise CliError(_NAN_ERROR)
+    values = np.where(np.isinf(values), np.copysign(_UNBOUNDED, values), values)
+    tokens = np.array([repr(x) for x in values.tolist()], dtype=object)
+    return tokens[inverse].reshape(arr.shape)
+
+
+def _write_rows(tokens: np.ndarray, pad: str, parts: list):
+    inner = pad + "  "
+    if len(tokens) == 0:
+        parts.append("[]")
+    elif tokens.ndim == 1:
+        parts.append("[\n" + inner + (",\n" + inner).join(tokens.tolist()) + "\n" + pad + "]")
+    else:
+        sep = "[\n" + inner
+        for row in tokens:
+            parts.append(sep)
+            _write_rows(row, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + "]")
 
 
 def _finite(x):
     if not isinstance(x, float) or math.isfinite(x):
         return x
     if math.isnan(x):
-        raise CliError("the report holds a NaN, which JSON cannot represent; no report written")
+        raise CliError(_NAN_ERROR)
     return math.copysign(_UNBOUNDED, x)
+
+
+def _operator_doc(op: Operator) -> dict:
+    """``Operator.to_json``'s fields, with the real and imaginary parts left as arrays for ``_dumps``."""
+    return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
 
 
 def _emit_json(cfg: RunConfig, doc: dict):
@@ -282,7 +318,7 @@ def _expected_spectrum(d: int) -> np.ndarray:
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):
     rep = check_axioms(b)
-    values = asdict(rep)
+    values = rep._asdict()
     worst = max(values, key=values.get)
     return rep.passes(cfg.tolerances["axioms"]), values, f"worst: {worst} = {values[worst]:.3e}"
 
@@ -316,7 +352,7 @@ def _verify_theorem3(b: SuperMap, cfg: RunConfig):
 
 
 def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
-    values = asdict(check_sot_axioms(b))
+    values = check_sot_axioms(b)._asdict()
     del values["broadcasting"]  # reported once, under broadcast_axioms
     worst = max(values.values())
     return worst < cfg.tolerances["axioms"], values, f"max={worst:.3e}"
@@ -387,7 +423,8 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     except ValueError as exc:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
-    doc.update(target=target, **result.to_json())
+    doc.update(target=target, **result._asdict(), gap=result.gap)
+    doc["witness_state"] = _operator_doc(result.witness_state)
     _emit_json(cfg, doc)
 
     bounds = (
@@ -395,7 +432,12 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        print(f"SDP did not converge within {result.iterations} iterations ({bounds})", file=sys.stderr)
+        tol, floor = cfg.tolerances["sdp"], gap_floor(m, result.lower_bound, upper)
+        if tol < floor:
+            message = f"--tol sdp={tol:g} is below the bracket's rounding floor {floor:.3e}; no SDP run"
+            print(f"{message} ({bounds})", file=sys.stderr)
+        else:
+            print(f"SDP did not converge within {result.iterations} iterations ({bounds})", file=sys.stderr)
         return 2
     _status(True, "diamond", bounds)
     return 0
@@ -483,8 +525,9 @@ def cmd_dump(cfg: RunConfig, object_name: str) -> int:
     m = build_object(object_name, cfg.dim)
     vals = _choi_spectrum(m)
     doc = _meta(cfg, "dump")
-    doc.update(object=object_name, supermap=m.to_json(), jamiolkowski=m.jamiolkowski().to_json())
-    doc["eigenvalues"] = [] if vals is None else vals.tolist()
+    supermap = {"d_in": m.d_in, "d_out": m.d_out, "choi": _operator_doc(m.choi)}
+    doc.update(object=object_name, supermap=supermap, jamiolkowski=_operator_doc(m.jamiolkowski()))
+    doc["eigenvalues"] = [] if vals is None else vals
     _emit_json(cfg, doc)
     return 0
 
@@ -494,7 +537,8 @@ def cmd_dump(cfg: RunConfig, object_name: str) -> int:
 
 
 def _parse_tol(pairs: list[str]) -> dict:
-    out = {}
+    """The default tolerances with each NAME=VALUE pair applied."""
+    out = dict(DEFAULT_TOLERANCES)
     for pair in pairs:
         if "=" not in pair:
             raise CliError(f"--tol expects name=value, got {pair!r}")
@@ -505,6 +549,8 @@ def _parse_tol(pairs: list[str]) -> dict:
             raise CliError(f"--tol {name} needs a numeric value, got {raw!r}") from None
         if not (math.isfinite(value) and value > 0):
             raise CliError(f"--tol {name} must be finite and positive, got {raw!r}")
+        if name not in DEFAULT_TOLERANCES:
+            raise CliError(f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}")
         out[name] = value
     return out
 
@@ -549,7 +595,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.fmt == "csv" and args.cmd != "sample":
             raise CliError(f"--format csv is only supported by sample; {args.cmd} writes JSON")
         fmt = args.fmt if args.fmt is not None else ("csv" if args.cmd == "sample" else "json")
-        cfg = RunConfig(dim=args.dim, seed=args.seed, tolerances=_parse_tol(args.tol), out=args.out, fmt=fmt)
+        tolerances = _parse_tol(args.tol)
+        if not 2 <= args.dim <= 6:
+            raise CliError(f"--dim must be between 2 and 6, got {args.dim}")
+        if args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got '{args.seed}'")
+        cfg = RunConfig(dim=args.dim, seed=args.seed, tolerances=tolerances, out=args.out, fmt=fmt)
         if args.cmd == "verify":
             return cmd_verify(cfg, target=args.target)
         if args.cmd == "diamond":

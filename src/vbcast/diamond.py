@@ -28,12 +28,14 @@
   It serves maps the bounds above leave open, such as channel differences.
 
 Every bound is rounded outward by ``float_slack``, so ``lower <= upper``
-holds despite rounding in the eigendecompositions.
+holds despite rounding in the eigendecompositions.  That rounding also sets
+``gap_floor``, the narrowest bracket any certificate can reach; below it
+``diamond_bracket`` runs no ADMM.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +60,7 @@ def float_slack(n: int, value: float) -> float:
     return float(16.0 * n * np.finfo(float).eps * max(1.0, abs(value)))
 
 
-@dataclass(frozen=True)
-class DiamondResult:
+class DiamondResult(NamedTuple):
     """A certified bracket lower <= ||m||<> <= upper, its midpoint and its witness."""
 
     value: float
@@ -273,6 +274,19 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, np.ndarray]:
     return norm + slack, norm - slack, np.eye(d).reshape(-1) / np.sqrt(d)
 
 
+def gap_floor(m: SuperMap, lower: float, upper: float | None = None) -> float:
+    """The narrowest bracket of m that any certificate can reach once its lower bound is ``lower``.
+
+    Each certified lower bound is a value v' <= ||m||<> rounded down by
+    ``float_slack(n, v')``, and a lower bound that improves on ``lower`` has
+    v' > ``lower``, so every bracket is at least ``float_slack(n, lower)``
+    wide.  Each upper bound certified here is rounded up by as much again;
+    only a caller's proven ``upper`` carries no slack.
+    """
+    slack = float_slack(m.d_in * m.d_out, max(lower, 0.0))
+    return slack if upper is not None else 2 * slack
+
+
 def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = None) -> DiamondResult:
     """Certified bracket lower <= ||m||<> <= upper, reporting its midpoint.
 
@@ -283,7 +297,9 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
     bounds off its spectrum (``_covariant_bounds``), with no ``eigh``.
     Otherwise ``diamond_sdp`` runs, and the bracket is the larger lower and
     the smaller upper bound of the two, with the SDP's iteration count; it
-    is ``converged`` when its gap is <= ``tolerance``.
+    is ``converged`` when its gap is <= ``tolerance``.  A ``tolerance``
+    below ``gap_floor`` can never be met, so the SDP is not run and the
+    bracket is reported unconverged with 0 iterations.
     """
     if m.coeffs is not None:
         up, lower, vec_a = _covariant_bounds(m)
@@ -293,7 +309,7 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
     if upper is not None:
         up = min(up, upper)
     witness, iterations = Operator(np.outer(vec_a, vec_a.conj())), 0
-    if up - lower > tolerance:
+    if gap_floor(m, lower, upper) <= tolerance < up - lower:
         sdp = diamond_sdp(m, tolerance)
         if sdp.lower_bound > lower:
             lower, witness = sdp.lower_bound, sdp.witness_state

@@ -117,13 +117,16 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
 
     A sample is w * (rho_psi (x) rho_psi), and the Hermitian rho_psi holds d^2
     real coordinates: u = Re rho_psi on i <= j and t = Im rho_psi on i < j,
-    taken straight from the pair products v_i conj(v_j).  Every entry of a
-    sample is w rho_psi[i, j] rho_psi[k, l], so the block sums are signed
-    gathers (``_moment_layout``) of two real Gram matrices: the mean from
-    K = (w h)^T h over h = [u, t] (d^2 columns), and the sums of (Re x)^2
-    and (Im x)^2 from g^T g over g = w [u^2, t^2, u t on i < j]
-    ((3d^2 - d)/2 columns).  No (count, d^2, d^2) tensor and no complex
-    GEMM is formed.
+    taken straight from the pair products v_i conj(v_j) into one
+    preallocated h = [u, t].  Every entry of a sample is
+    w rho_psi[i, j] rho_psi[k, l], so the block sums are signed gathers
+    (``_moment_layout``) of two real Gram matrices: the mean from
+    K = (w h)^T h (d^2 columns), and the sums of (Re x)^2 and (Im x)^2 from
+    g^T g over g = [(w h) h, (w u on i < j) t] = w [u^2, t^2, u t on i < j]
+    ((3d^2 - d)/2 columns), which reuses the w h that K needs.  The weight's
+    overlap Tr[psi rho] is a row sum of (v rho^T) conj(v), the one complex
+    product, of a (count, d) by a (d, d) matrix.  No (count, d^2, d^2)
+    tensor is formed.
 
     Exact-zero rule: every sample is Hermitian and invariant under swapping
     its two outputs, so its (ik, ik) and (ik, ki) entries are real.  The
@@ -133,17 +136,22 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     """
     a = d + 2
     rows, cols, off, (u1, t1, x1, s1, u2, t2, x2, s2), real = _moment_layout(d)
+    nu, dd = rows.size, d * d
     v = rng.gen.standard_normal((count, d)) + 1j * rng.gen.standard_normal((count, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    overlap = np.einsum("ci,ij,cj->c", v.conj(), rho, v).real
+    overlap = ((v @ rho.T) * v.conj()).real.sum(axis=1)
     weight = (d / 2.0) * (a * overlap - 1.0)
     pair = (a / 2.0) * (v[:, rows] * v[:, cols].conj())
-    u = pair.real
+    h = np.empty((count, dd))
+    u, t = h[:, :nu], h[:, nu:]
+    u[...] = pair.real
     u[:, ~off] -= 0.5
-    t = pair.imag[:, off]
-    h = np.concatenate([u, t], axis=1)
-    k = (weight[:, np.newaxis] * h).T @ h
-    g = weight[:, np.newaxis] * np.concatenate([u * u, t * t, u[:, off] * t], axis=1)
+    t[...] = pair.imag[:, off]
+    wh = weight[:, np.newaxis] * h
+    k = wh.T @ h
+    g = np.empty((count, dd + nu - d))
+    np.multiply(wh, h, out=g[:, :dd])
+    np.multiply(wh[:, :nu][:, off], t, out=g[:, dd:])
     gram = g.T @ g
 
     s12 = s1 * s2

@@ -10,7 +10,7 @@ check them separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class MatrixWelford:
         return np.sqrt(self.m2_re * scale), np.sqrt(self.m2_im * scale)
 
 
-@dataclass(frozen=True)
-class SamplingEstimate:
+class SamplingEstimate(NamedTuple):
     """Scalar Monte-Carlo estimate with its standard error and exact reference."""
 
     mean: float
@@ -71,8 +70,7 @@ class SamplingEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n": self.n, "exact": self.exact}
 
 
-@dataclass(frozen=True)
-class MatrixSamplingEstimate:
+class MatrixSamplingEstimate(NamedTuple):
     """Entrywise Monte-Carlo estimate of a matrix, with per-entry errors."""
 
     mean: Operator

@@ -15,15 +15,14 @@ construction for every b, so it needs no check here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .densemat import Operator, partial_trace
 from .supermap import SuperMap, apply_right
 from .broadcast import AxiomReport, check_axioms
 
 
-@dataclass(frozen=True)
-class StateOverTime:
+class StateOverTime(NamedTuple):
     """Bipartite operator over (input system, output system)."""
 
     operator: Operator

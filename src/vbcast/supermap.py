@@ -21,14 +21,15 @@ coefficients, and the d^3 x d^3 Choi is built only when something reads it.
 Each entry of such a Choi depends only on which of its six labels
 (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
 Hermiticity and trace-preservation tests and any linear residual are read
-off the at most 203 equality patterns (``equality_patterns``), and the
-spectrum has the closed form of ``covariant_spectrum``.
+off the at most 203 equality patterns (``equality_patterns``), the
+spectrum has the closed form of ``covariant_spectrum``, and ``apply`` sums
+the six terms' actions on a d x d input (``_covariant_apply``) in O(d^4).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,10 +123,12 @@ class SuperMap:
     # -- action -------------------------------------------------------------
 
     def apply(self, x) -> Operator:
-        """Evaluate the map:  Tr_in[choi (I_out (x) x^T)]."""
+        """Evaluate the map:  Tr_in[choi (I_out (x) x^T)]; a covariant map reads its six coefficients."""
         xm = _raw(x)
         if xm.shape != (self.d_in, self.d_in):
             raise ValueError(f"input must be {self.d_in}x{self.d_in}, got {xm.shape}")
+        if self.coeffs is not None:
+            return Operator(_covariant_apply(self.coeffs, xm))
         return Operator(np.einsum("uivj,ij->uv", self._c4(), xm))
 
     def compose(self, other: "SuperMap") -> "SuperMap":
@@ -302,6 +305,23 @@ def table_entries(labels: np.ndarray) -> np.ndarray:
     return np.stack(hits, axis=-1).astype(float)
 
 
+def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] Tr_in[P_k^T3 (I (x) x^T)] for a d x d input x: (d^2, d^2), complex.
+
+    In ``S3`` order the six terms act on x as Tr[x] I, Tr[x] SWAP, x (x) I,
+    I (x) x, (I (x) x) SWAP and (x (x) I) SWAP, and right multiplication by
+    SWAP swaps the two column factors.
+    """
+    d = x.shape[0]
+    eye, tr = np.eye(d), np.trace(x)
+    x_i, i_x = np.kron(x, eye), np.kron(eye, x)
+    left = coeffs[2] * x_i + coeffs[3] * i_x
+    right = coeffs[4] * i_x + coeffs[5] * x_i
+    left[np.diag_indices(d * d)] += coeffs[0] * tr
+    right[np.diag_indices(d * d)] += coeffs[1] * tr
+    return left + right.reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+
+
 def _pattern_absmax(d: int, coeffs) -> float:
     """Largest absolute entry of  sum_k coeffs[k] P_k^T3: its largest value on a pattern that occurs at d."""
     labels = equality_patterns(6)
@@ -361,8 +381,7 @@ def apply_left(m: SuperMap, x, d_right: int) -> Operator:
     return Operator(out4.reshape(k, k))
 
 
-@dataclass(frozen=True)
-class AffineDecomposition:
+class AffineDecomposition(NamedTuple):
     """HPTP map written as lambda_plus * plus - lambda_minus * minus with CPTP parts."""
 
     lambda_plus: float

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import jsonschema
@@ -178,6 +179,22 @@ class TestVerify:
         assert main(["verify", "--dim", "7"]) == 2
         assert main(["verify", "--dim", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify"],
+            ["diamond"],
+            ["sample", "--object", "M", "--n", "100"],
+            ["dump", "--object", "B"],
+        ],
+    )
+    def test_negative_seed_rejected(self, args, tmp_path, capsys):
+        # numpy's SeedSequence rejects negative entropy; sample crashed with a traceback and exit 1
+        code, _, out = run(args + ["--dim", "2", "--seed", "-1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got '-1'\n"
+        assert not out.exists()
+
     def test_deterministic_reports(self, tmp_path):
         _, a, _ = run(["verify", "--dim", "2", "--seed", "5"], tmp_path, "a.json")
         _, b, _ = run(["verify", "--dim", "2", "--seed", "5"], tmp_path, "b.json")
@@ -222,6 +239,22 @@ class TestDiamond:
         assert 0 <= doc["gap"] <= DEFAULT_TOLERANCES["sdp"]
         assert doc["iterations"] == 0
         assert "gap=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ("B", "file:{channel}"))
+    def test_tolerance_below_rounding_floor(self, target, tmp_path, capsys):
+        # no bracket is narrower than its bounds' outward rounding; ADMM once ran 50000 iterations (9 s) here
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        start = time.perf_counter()
+        args = ["diamond", "--dim", "2", "--target", target.format(channel=channel), "--tol", "sdp=1e-20"]
+        code, doc, _ = run(args, tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert doc["converged"] is False and doc["iterations"] == 0
+        assert doc["lower_bound"] <= doc["upper_bound"]
+        err = capsys.readouterr().err
+        assert err.startswith("--tol sdp=1e-20 is below the bracket's rounding floor ")
+        assert "no SDP run" in err
 
     def test_distance_target(self, tmp_path):
         code, doc, _ = run(["diamond", "--dim", "2", "--target", "B-minus-Bplus"], tmp_path)
@@ -506,6 +539,12 @@ class TestSchemas:
         code = "import sys, vbcast.cli; sys.exit('jsonschema' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
 
+    def test_cli_import_skips_dataclasses(self):
+        # the records are NamedTuples: a @dataclass costs about 1 ms to create, and dataclasses imports copy
+        code = "import sys, vbcast.cli; sys.exit(sorted({'dataclasses', 'copy'} & set(sys.modules)) or 0)"
+        res = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+
     def test_commands_skip_numpy_ma(self, tmp_path):
         # numpy.ma costs a lazy import of tens of milliseconds, and no command needs it
         argvs = [
@@ -526,6 +565,31 @@ class TestSchemas:
         assert res.returncode == 0, res.stderr
 
 
+def _as_lists(obj):
+    """obj with every ndarray replaced by its ``.tolist()``: the document json.dumps can write."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+def _random_array(rng, shape, kind):
+    """A float64 array of one kind of values: few distinct, all distinct, or special."""
+    if kind == "few":
+        return np.asarray(rng.choice([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0], size=shape))
+    if kind == "distinct":
+        return np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape))
+    special = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300, 1e-300, 2.5]
+    if kind == "inf":
+        special += [np.inf, -np.inf]
+    if kind == "nan":
+        special += [np.nan]
+    return np.asarray(rng.choice(special, size=shape))
+
+
 class TestReportWriter:
     """The report writer lays reports out exactly as json.dumps(doc, sort_keys=True, indent=2)."""
 
@@ -535,19 +599,49 @@ class TestReportWriter:
             ["verify", "--dim", "2", "--target", "B"],
             ["verify", "--dim", "2", "--target", "B_lambda:0.3"],
             ["diamond", "--dim", "3"],
+            ["diamond", "--dim", "2", "--target", "file:{channel}"],
             ["sample", "--dim", "2", "--object", "B", "--n", "1000", "--format", "json"],
             ["sample", "--dim", "2", "--object", "M", "--n", "1000", "--format", "json"],
-            ["dump", "--dim", "3", "--object", "B"],
-            ["dump", "--dim", "2", "--object", "M"],
+        ]
+        + [
+            ["dump", "--dim", str(d), "--object", name]
+            for name in (*cli.OBJECTS, "B_lambda:0.3")
+            for d in range(2, 7)
         ],
     )
     def test_reports_byte_identical(self, args, tmp_path, monkeypatch):
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
         docs = []
         emit = cli._emit_json
         monkeypatch.setattr(cli, "_emit_json", lambda cfg, doc: (docs.append(doc), emit(cfg, doc)))
-        _, _, out = run(args, tmp_path)
+        _, _, out = run([a.format(channel=channel) for a in args], tmp_path)
         assert len(docs) == 1
-        assert out.read_text() == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+        assert out.read_text() == json.dumps(_as_lists(docs[0]), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arrays_match_json_dumps(self, seed):
+        # seeded documents of arrays in nested dicts and lists, against json.dumps of their .tolist()
+        rng = np.random.default_rng(seed)
+        shapes = [(0,), (1,), (7,), (0, 3), (3, 0), (1, 1), (4, 5), (2, 3, 2)]
+        kinds = ["few", "distinct", "special", "inf"] + ["nan"] * (seed % 4 == 3)
+        doc = {"meta": {"n": seed, "name": "x"}, "rows": []}
+        for i in range(6):
+            shape = shapes[rng.integers(len(shapes))]
+            kind = kinds[rng.integers(len(kinds))]
+            arr = _random_array(rng, shape, kind)
+            doc[f"a{i}"] = {"re": arr, "size": arr.size}
+            doc["rows"].append([arr, float(i)])
+        want = json.dumps(_as_lists(doc), sort_keys=True, indent=2)
+        if "NaN" in want:
+            with pytest.raises(CliError, match="NaN"):
+                _dumps(doc)
+        else:
+            assert _dumps(doc) == want.replace("Infinity", "1e+300")
+
+    def test_array_must_be_float64(self):
+        with pytest.raises(TypeError, match="float64"):
+            _dumps({"a": np.arange(3)})
 
     @pytest.mark.parametrize(
         "obj",
@@ -601,6 +695,23 @@ class TestMemory:
             tracemalloc.stop()
         assert code == want
         assert peak < 216 * 216 * 16
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dim", "2", "--object", "B"],
+            ["--dim", "6", "--object", "B", "--obs", "random"],
+            ["--dim", "6", "--object", "M"],
+        ],
+    )
+    def test_sample_reads_no_choi(self, args, tmp_path, monkeypatch):
+        # every map sample uses is covariant, and apply reads its six coefficients
+        def fail(m):
+            raise AssertionError("sample read a dense Choi")
+
+        monkeypatch.setattr(SuperMap, "choi", property(fail))
+        argv = ["sample", "--n", "1000", "--format", "json", "--out", str(tmp_path / "out.json")]
+        assert main(argv + args) == 0
 
 
 class TestEnvironment:

@@ -1,14 +1,13 @@
 """Covariant maps as six coefficients, against the dense Choi they stand for.
 
 Every read that a covariant map answers from its coefficients -- spectrum,
-largest entry, the HP / CP / TP tests, the axiom residuals and the diamond
-bracket -- is compared with the same read of a dense copy of its Choi, at
+largest entry, the HP / CP / TP tests, ``apply``, the axiom residuals and the
+diamond bracket -- is compared with the same read of a dense copy of its Choi, at
 d = 2..6.  The uniqueness certificate is compared with its dense references
 in ``test_broadcast.py``.
 """
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,6 +48,10 @@ def covariant_maps(d):
     }
     maps.update({f"random{i}": _random_hermitian_coeffs(d, i) for i in range(3)})
     return maps
+
+
+def _complex_gaussian(rng, *shape):
+    return rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
 
 
 def dense(m):
@@ -123,9 +126,23 @@ class TestCovariantForm:
 
 class TestAgainstDense:
     @mark.parametrize("d", DIMS)
+    def test_apply(self, d):
+        # covariant apply sums six O(d^4) terms; the reference is the dense Tr_in[C (I (x) X^T)]
+        rng = Rng(70 + d)
+        maps = {name: covariant_maps(d)[name] for name in ("B", "B+", "B-", "B_lambda:0.3", "M", "Mprime")}
+        maps.update({f"complex{i}": covariant_map(d, _complex_gaussian(rng, 6)) for i in range(3)})
+        x = _complex_gaussian(rng, d, d)
+        inputs = {"hermitian": x + x.conj().T, "non-hermitian": x}
+        for name, m in maps.items():
+            c4 = m.choi.mat.reshape(d * d, d, d * d, d)
+            for kind, xm in inputs.items():
+                want = np.einsum("uivj,ij->uv", c4, xm)
+                assert_allclose(m.apply(xm).mat, want, rtol=0, atol=1e-12, err_msg=f"{name} {kind}")
+
+    @mark.parametrize("d", DIMS)
     def test_axiom_residuals(self, d):
         for name, m in covariant_maps(d).items():
-            got, want = asdict(check_axioms(m)), asdict(check_axioms(dense(m)))
+            got, want = check_axioms(m)._asdict(), check_axioms(dense(m))._asdict()
             assert got["covariance"] == 0.0
             for axiom in got:
                 assert got[axiom] == pytest.approx(want[axiom], abs=1e-12), (name, axiom)

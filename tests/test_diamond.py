@@ -15,6 +15,7 @@ from vbcast.diamond import (
     diamond_bracket,
     diamond_sdp,
     float_slack,
+    gap_floor,
     hptp_upper,
     jordan_upper,
 )
@@ -225,6 +226,38 @@ class TestBracket:
     )
     def test_closes_open_gaps(self, m):
         _assert_open_gap_closed(m)
+
+    @pytest.mark.parametrize(
+        "m,upper",
+        [
+            (canonical_b(2), None),
+            (canonical_b(2), 2.0),
+            (SuperMap(4, 16, canonical_b(4).choi), None),
+            (random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)), None),
+        ],
+        ids=["B2", "B2-proven-upper", "dense-B4", "channels2"],
+    )
+    def test_gap_floor_bounds_every_bracket(self, m, upper):
+        # a bracket run to its tightest tolerance is still at least gap_floor wide
+        res = diamond_bracket(m, 1e-9, upper=upper)
+        assert res.gap >= gap_floor(m, res.lower_bound, upper) > 0
+
+    @pytest.mark.parametrize("m", [canonical_b(2), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))])
+    def test_tolerance_below_floor_skips_admm(self, m, monkeypatch):
+        monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
+        res = diamond_bracket(m, 1e-20)
+        assert res.iterations == 0 and not res.converged
+        assert 1e-20 < gap_floor(m, res.lower_bound) <= res.gap
+
+    def test_floor_doubles_without_proven_upper(self, monkeypatch):
+        # both certified bounds of a dense map carry float_slack, so 1.5 slacks are out of reach too
+        m = random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))
+        monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
+        lower = diamond_bracket(m, 1e-20).lower_bound
+        slack = float_slack(m.d_in * m.d_out, lower)
+        assert gap_floor(m, lower) == 2 * gap_floor(m, lower, upper=1.0) == 2 * slack
+        res = diamond_bracket(m, 1.5 * slack)
+        assert res.iterations == 0 and not res.converged
 
     def test_lower_bound_rounded_down(self):
         res = diamond_bracket(SuperMap.identity(3))
