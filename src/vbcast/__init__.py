@@ -13,6 +13,32 @@ measure-and-prepare map), ``sot`` (states over time), ``qsample``
 (quasi-probability sampling), ``mcstats`` (streaming statistics) and
 ``cli`` (the ``vbcast`` command).  Importing the package imports no numpy,
 so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.
+
+The submodules bind ``np`` through ``_lazy_numpy``, so numpy loads only
+when a command starts dense work (a dense Choi, ``diamond``, ``sample``,
+``dump``).  A covariant map's axiom residuals, spectrum and uniqueness
+certificate are standard-library arithmetic on its six coefficients, so
+``verify`` on a covariant target never executes numpy.
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def _lazy_numpy():
+    """numpy as a module whose import runs on its first attribute read.
+
+    The module goes into ``sys.modules`` at once, and ``LazyLoader`` loads
+    it in place, so later ``import numpy`` statements get the same object.
+    If numpy is already imported, that module is returned.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = importlib.util.module_from_spec(spec)
+        sys.modules["numpy"] = np
+        spec.loader.exec_module(np)
+    return np

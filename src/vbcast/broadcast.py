@@ -10,23 +10,23 @@ the decohered/classical variants, and the one-parameter commutator family
 B_lambda, all from closed-form Choi operators.
 
 Covariant maps are six coefficients over the table of partially
-transposed factor permutations (``vbcast.supermap``).  The orthonormal
-Hermitian basis of their span is a 6 x k coefficient frame (k = 5 at
-d = 2, 6 above), from the integer Gram matrix
-Tr[P_s^T P_t] = d^c(t s^-1), c counting cycles, so no dense basis is
+transposed factor permutations (``vbcast.supermap``).  Their Hermitian
+part is spanned by six Hermitian table combinations with the integer Gram
+matrix built from Tr[P_s^T P_t] = d^c(t s^-1), c counting cycles; its rank
+k (5 at d = 2, 6 above) is the dimension of the span, so no dense basis is
 ever built.  ``check_axioms`` reads all four axioms exactly, with no
 sampling.  On a covariant map, covariance is 0 by construction, and each
 linear residual (both marginals, permutation symmetry, classical
 consistency) takes one value per equality pattern of its labels
-(``_axiom_patterns``), so its largest entry is a maximum over at most 203
-rows of six numbers.  On a dense map, covariance is the distance to the
-span, whose projection needs only the six overlaps of the Choi with the
-table, and the residuals are taken entry by entry.
-``verify_uniqueness`` solves the three linear axioms over the span's k
-coefficients: it QR-factors the pattern rows, each weighted by the square
-root of its number of entries, which gives the Gram matrix, and so the
-singular values, of the full residual system on the six table elements;
-that dense system is kept in the tests as the reference.
+(``_axiom_patterns``): an integer row of six numbers, an integer target
+and a count, so its largest entry is a maximum over at most 203 rows,
+computed with the standard library alone.  On a dense map, covariance is
+the distance to the span, whose projection needs only the six overlaps of
+the Choi with the table, and the residuals are taken entry by entry.
+``verify_uniqueness`` solves the linear axioms over the span's real
+coordinates exactly: the nullity is k minus the rank of the integer
+pattern system, both ranks taken by fraction-free integer elimination.
+The dense residual system is kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import S3, Operator
 from .supermap import (
     AffineDecomposition,
@@ -49,6 +48,8 @@ from .supermap import (
     omega,
     table_entries,
 )
+
+np = _lazy_numpy()
 
 
 def canonical_b(d: int) -> SuperMap:
@@ -73,13 +74,13 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
 def cloner(d: int) -> SuperMap:
     """Optimal universal cloning channel  rho -> 2/(d+1) P+ (I (x) rho) P+."""
     _require_dim(d)
-    return covariant_map(d, np.array([0, 0, 1, 1, 1, 1]) / (2 * (d + 1)))
+    return covariant_map(d, [c / (2 * (d + 1)) for c in (0, 0, 1, 1, 1, 1)])
 
 
 def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
     _require_dim(d)
-    return covariant_map(d, np.array([0, 0, 1, 1, -1, -1]) / (2 * (d - 1)))
+    return covariant_map(d, [c / (2 * (d - 1)) for c in (0, 0, 1, 1, -1, -1)])
 
 
 def canonical_decomposition(d: int) -> AffineDecomposition:
@@ -87,50 +88,90 @@ def canonical_decomposition(d: int) -> AffineDecomposition:
     return AffineDecomposition((d + 1) / 2, (d - 1) / 2, cloner(d), antisym(d))
 
 
-def _basis_or_identity(d: int, basis: Operator | None) -> np.ndarray:
-    if basis is None:
-        return np.eye(d, dtype=np.complex128)
-    if basis.rows != d or basis.cols != d:
-        raise ValueError(f"basis must be {d}x{d}, got {basis.rows}x{basis.cols}")
-    if not basis.is_unitary():
-        raise ValueError("basis must be unitary")
-    return basis.mat
+def decoherence(d: int) -> SuperMap:
+    """Full decoherence in the computational basis:  Choi  sum_i |i><i| (x) |i><i|."""
+    choi = np.zeros((d * d, d * d))
+    diag = np.arange(d) * (d + 1)
+    choi[diag, diag] = 1.0
+    return SuperMap(d, d, Operator(choi))
 
 
-def decoherence(d: int, basis: Operator | None = None) -> SuperMap:
-    """Full decoherence in the given orthonormal basis (columns of ``basis``).
-
-    Choi  sum_i |b_i><b_i| (x) |conj b_i><conj b_i|.
-    """
-    v = _basis_or_identity(d, basis)
-    x = np.einsum("ai,bi->iab", v, v.conj()).reshape(d, d * d)
-    return SuperMap(d, d, Operator(x.T @ x.conj()))
-
-
-def classical_bcl(d: int, basis: Operator | None = None) -> SuperMap:
-    """Classical broadcaster  |b_i><b_j| -> delta_ij |b_i b_i><b_i b_i|.
-
-    Choi  sum_i |b_i b_i><b_i b_i| (x) |conj b_i><conj b_i|.
-    """
+def classical_bcl(d: int) -> SuperMap:
+    """Classical broadcaster  |i><j| -> delta_ij |ii><ii|:  Choi  sum_i |ii><ii| (x) |i><i|."""
     _require_dim(d)
-    v = _basis_or_identity(d, basis)
-    x = np.einsum("ai,bi,ci->iabc", v, v, v.conj()).reshape(d, d**3)
-    return SuperMap(d, d * d, Operator(x.T @ x.conj()))
+    choi = np.zeros((d**3, d**3))
+    diag = np.arange(d) * (d * d + d + 1)
+    choi[diag, diag] = 1.0
+    return SuperMap(d, d * d, Operator(choi))
 
 
 # ---------------------------------------------------------------------------
 # the commutant core
 
 
-def commutant_gram(d: int) -> np.ndarray:
-    """Gram matrix  Tr[P_s^T P_t] = d^c(t s^-1)  of the table elements, c counting cycles: (6, 6), float.
+def commutant_gram(d: int) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix  Tr[P_s^T P_t] = d^c(t s^-1)  of the table elements, c counting cycles: 6 x 6 ints.
 
     Partial transposition preserves the Hilbert-Schmidt product, and
     P_s^T P_t fixes the basis states whose labels agree on each cycle.
     """
     _require_dim(d)
-    cycles = [_cycles(tuple(t[s.index(i)] for i in range(3))) for s in S3 for t in S3]
-    return np.power(float(d), cycles).reshape(6, 6)
+    return tuple(tuple(d ** _cycles(tuple(t[s.index(i)] for i in range(3))) for t in S3) for s in S3)
+
+
+# Real and imaginary parts of the table coefficients of the six Hermitian
+# elements P_id, P_(12), P_(13), P_(23), P_c1 + P_c2 and i(P_c1 - P_c2); the
+# two 3-cycles c1, c2 are adjoint to each other.
+_HERMITIAN_RE = (
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 1),
+    (0, 0, 0, 0, 0, 0),
+)
+_HERMITIAN_IM = ((0,) * 6,) * 5 + ((0, 0, 0, 0, 1, -1),)
+
+
+def _hermitian_gram(d: int) -> list[list[int]]:
+    """Hilbert-Schmidt Gram matrix  Tr[h_a h_b]  of the six Hermitian elements: 6 x 6 ints."""
+    g = commutant_gram(d)
+    parts = list(zip(_HERMITIAN_RE, _HERMITIAN_IM))
+    return [
+        [sum((ra[s] * rb[t] + ia[s] * ib[t]) * g[s][t] for s in range(6) for t in range(6)) for rb, ib in parts]
+        for ra, ia in parts
+    ]
+
+
+def _primitive(row) -> tuple[int, ...] | None:
+    """The integer row divided by the gcd of its entries, leading entry positive; None for a zero row."""
+    lead = next((v for v in row if v), 0)
+    if not lead:
+        return None
+    g = math.gcd(*row) * (1 if lead > 0 else -1)
+    return tuple(v // g for v in row)
+
+
+def _exact_rank(rows) -> int:
+    """Rank over the rationals of integer rows, by fraction-free Gaussian elimination.
+
+    Row operations  pivot[col] * row - row[col] * pivot  keep the rows
+    integer and the rank exact.  Rows are kept primitive in a set, so
+    repeated and parallel rows are eliminated once, and each step updates
+    only the rows that have an entry in the pivot's column.
+    """
+    rest = {_primitive(row) for row in rows} - {None}
+    rank = 0
+    while rest:
+        pivot = rest.pop()
+        col = next(j for j, v in enumerate(pivot) if v)
+        rest = {
+            _primitive([pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]) if row[col] else row
+            for row in rest
+        }
+        rest.discard(None)
+        rank += 1
+    return rank
 
 
 @functools.cache
@@ -139,14 +180,11 @@ def commutant_frame(d: int) -> np.ndarray:
 
     Shape (6, k), complex, read-only; k is 5 at d = 2, where the
     three-factor antisymmetrizer vanishes, and 6 for d >= 3.  The basis
-    orthonormalises the Hermitian elements  P_0..P_3, P_4 + P_5 and
-    i(P_4 - P_5)  (the two 3-cycles are adjoint to each other) through
-    their Gram matrix, whose spectrum cuts the rank.
+    orthonormalises the six Hermitian elements through their Gram matrix,
+    whose spectrum cuts the rank.
     """
-    herm = np.eye(6, dtype=np.complex128)  # row a: the table coefficients of Hermitian element a
-    herm[4, 5], herm[5, 4], herm[5, 5] = 1, 1j, -1j
-    gram = (herm.conj() @ commutant_gram(d) @ herm.T).real
-    vals, vecs = np.linalg.eigh(gram)
+    herm = np.array(_HERMITIAN_RE) + 1j * np.array(_HERMITIAN_IM)
+    vals, vecs = np.linalg.eigh(np.array(_hermitian_gram(d), dtype=float))
     keep = vals > 1e-10 * vals[-1]
     frame = herm.T @ (vecs[:, keep] / np.sqrt(vals[keep]))
     frame.flags.writeable = False
@@ -192,52 +230,49 @@ def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
 
 
 @functools.cache
-def _axiom_patterns(d: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each axiom residual of a covariant Choi as (rows, target, count) over the patterns that occur at d.
+def _axiom_patterns(d: int) -> dict[str, tuple[tuple[tuple[int, ...], int, int], ...]]:
+    """Each axiom residual of a covariant Choi as (row, target, count) triples over the patterns that occur at d.
 
-    On count[j] entries the residual of  C = sum_k x_k P_k^T3  equals
-    rows[j] @ x - target[j], and those entries cover it; rows are (n, 6)
-    float.  A marginal entry sums the traced label over the k groups of its
-    other four labels' pattern and over d - k new values, which all give
-    one pattern.  Permutation symmetry compares each pattern with the one
-    that swaps the two outputs; classical consistency reads the diagonal
+    On count entries the residual of  C = sum_k x_k P_k^T3  equals
+    row . x - target, and those entries cover it; rows are six ints, and
+    patterns with the same row and target are merged into one triple.  A
+    marginal entry sums the traced label over the k groups of its other
+    four labels' pattern and over d - k new values, which all give one
+    pattern.  Permutation symmetry compares each pattern with the one that
+    swaps the two outputs; classical consistency reads the diagonal
     patterns (a, b, i, a, b, i).  Keys: "marginal1", "marginal2",
-    "permutation", "classical"; the arrays are shared and read-only.
+    "permutation", "classical".
     """
     _require_dim(d)
-    quad = equality_patterns(4)  # labels (x, y, u, v) of the marginal entry (xy, uv)
-    k4 = quad.max(axis=1) + 1
-    x, y, u, v = quad.T
-    marginals = []
-    for traced in ((0, 3), (1, 4)):  # the positions of out1 and out1', or of out2 and out2'
-        rows = np.zeros((len(quad), 6))
-        for p in range(5):
-            labels = np.empty((len(quad), 6), dtype=np.intp)
-            labels[:, traced] = p
-            labels[:, [i for i in range(6) if i not in traced]] = quad
-            rows += np.where(p < k4, 1.0, np.where(p == k4, d - k4, 0.0))[:, np.newaxis] * table_entries(labels)
-        marginals.append((rows, ((x == y) & (u == v)).astype(float), k4))
+    systems = {"marginal1": [], "marginal2": [], "permutation": [], "classical": []}
+    for x, y, u, v in equality_patterns(4):  # labels of the marginal entry (xy, uv)
+        k = max(x, y, u, v) + 1
+        weights = [1] * k + [d - k]  # the traced label p runs over the k groups, then d - k new values
+        first = [(p, x, y, p, u, v) for p in range(k + 1)]
+        second = [(x, p, y, u, p, v) for p in range(k + 1)]
+        for name, labels in (("marginal1", first), ("marginal2", second)):
+            entries = [table_entries(lab) for lab in labels]
+            row = tuple(sum(w * e[j] for w, e in zip(weights, entries)) for j in range(6))
+            systems[name].append((row, int(x == y and u == v), k))
+    for six in equality_patterns(6):
+        o1, o2, i, o1p, o2p, ip = six
+        row = tuple(a - b for a, b in zip(table_entries((o2, o1, i, o2p, o1p, ip)), table_entries(six)))
+        systems["permutation"].append((row, 0, max(six) + 1))
+    for a, b, i in equality_patterns(3):
+        systems["classical"].append((table_entries((a, b, i, a, b, i)), int(a == b == i), max(a, b, i) + 1))
 
-    six = equality_patterns(6)
-    perm = table_entries(six[:, [1, 0, 2, 4, 3, 5]]) - table_entries(six)
-    tri = equality_patterns(3)
-    a, b, i = tri.T
-    classical = table_entries(tri[:, [0, 1, 2, 0, 1, 2]]), ((a == b) & (b == i)).astype(float), tri.max(axis=1) + 1
-    systems = {
-        "marginal1": marginals[0],
-        "marginal2": marginals[1],
-        "permutation": (perm, np.zeros(len(six)), six.max(axis=1) + 1),
-        "classical": classical,
-    }
     out = {}
-    for name, (rows, target, groups) in systems.items():
-        count = np.array([math.perm(d, int(g)) for g in groups])
-        keep = count > 0
-        arrays = rows[keep], target[keep], count[keep]
-        for arr in arrays:
-            arr.flags.writeable = False
-        out[name] = arrays
+    for name, triples in systems.items():
+        merged = {}
+        for row, target, groups in triples:
+            merged[row, target] = merged.get((row, target), 0) + math.perm(d, groups)
+        out[name] = tuple((row, target, count) for (row, target), count in merged.items() if count)
     return out
+
+
+def _dot(row, x) -> complex:
+    """row . x, skipping the zero entries of the integer row."""
+    return sum(r * c for r, c in zip(row, x) if r)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +309,8 @@ def check_axioms(m: SuperMap) -> AxiomReport:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
     if m.coeffs is not None:
         worst = {
-            name: float(np.abs(rows @ m.coeffs - target).max())
-            for name, (rows, target, _) in _axiom_patterns(d).items()
+            name: float(max(abs(_dot(row, m.coeffs) - target) for row, target, _ in triples))
+            for name, triples in _axiom_patterns(d).items()
         }
         return AxiomReport(
             broadcasting=max(worst["marginal1"], worst["marginal2"]),
@@ -299,58 +334,56 @@ def check_axioms(m: SuperMap) -> AxiomReport:
 class UniquenessCertificate(NamedTuple):
     """Certificate that the axioms admit exactly one solution.
 
-    The unknowns are the real coefficients of a Choi operator in the
-    commutant basis, so covariance holds by construction; the broadcasting,
-    permutation and classical residuals are the constraint rows.
-    ``nullity`` counts singular values below 1e-8 times the largest;
-    ``singular_value_gap`` is the smallest retained singular value in units
-    of that threshold, and ``candidate_residual`` is the violation of the
-    affine system by the canonical map's Choi.
+    The unknowns are the real coordinates of a Hermitian Choi operator in
+    the covariant span, so covariance holds by construction; the included
+    broadcasting, permutation and classical residuals are the constraint
+    rows.  ``unknowns`` is the dimension of the span, ``rank`` the rank of
+    the homogeneous system over it, and ``nullity`` their difference, all
+    exact; ``candidate_residual`` is the violation of the affine system by
+    the canonical map's Choi.
     """
 
     constraint_rows: int
     unknowns: int
+    rank: int
     nullity: int
     candidate_residual: float
-    singular_value_gap: float
 
 
 def verify_uniqueness(
-    d: int, include_permutation: bool = True, include_classical: bool = True
+    d: int, include_broadcasting: bool = True, include_permutation: bool = True, include_classical: bool = True
 ) -> UniquenessCertificate:
-    """Certify that broadcasting + covariance (+ permutation + classical) force B.
+    """Certify that broadcasting + covariance + permutation + classical consistency force B.
 
-    Reads the axioms' linear residuals on the six table elements off their
-    equality patterns (``_axiom_patterns``), which through
-    ``commutant_frame`` gives the real system over the 5 or 6 covariant
-    coefficients, then reports the nullity of its homogeneous part and the
-    affine residual of the canonical map, read from B's own six
-    coefficients.  ``constraint_rows`` counts the rows of the full real
-    system, 2 (2d^4 + d^6 + d^3) with every axiom included.  The
-    ``include_*`` switches allow dropping axiom groups to exhibit the extra
-    solution families that appear without them.
+    Reads the included axioms' linear residuals on the six table elements
+    off their equality patterns (``_axiom_patterns``).  A Hermitian
+    covariant Choi is  sum_a y_a h_a  over the six Hermitian elements h_a
+    with real y, so each pattern row r gives the two integer rows
+    Re(r . h_a) and Im(r . h_a) over y.  The span has dimension
+    k = rank(Gram of the h_a), and the solutions of the homogeneous system
+    form a space of dimension  nullity = k - rank(rows), since the 6 - k
+    dependencies among the h_a solve every row.  Both ranks are exact.
+    ``constraint_rows`` counts the rows of the full real system,
+    2 (2d^4 + d^6 + d^3) with every axiom included; ``candidate_residual``
+    is read from B's own six coefficients.  The ``include_*`` switches drop
+    axiom groups to exhibit the solution families that appear without them.
     """
     systems = _axiom_patterns(d)
-    names = ["marginal1", "marginal2"] + ["permutation"] * include_permutation + ["classical"] * include_classical
-    rows, target, count = (np.concatenate(parts) for parts in zip(*(systems[n] for n in names)))
-    residual = float(np.abs(rows @ np.real(_b_lambda_coeffs(0.0)) - target).max())
-
-    # Row j stands for count[j] equal rows of the residual system on the six
-    # table elements; weighting it by sqrt(count[j]) keeps that system's Gram
-    # matrix, so its triangular factor R up to row signs.  The real system
-    # over the frame coefficients has the singular values of [R Re W; R Im W].
-    r = np.linalg.qr(np.sqrt(count)[:, np.newaxis] * rows, mode="r")
-    frame = commutant_frame(d)
-    svals = np.linalg.svd(np.concatenate([r @ frame.real, r @ frame.imag]), compute_uv=False)
-    threshold = 1e-8 * svals[0]
-    nullity = int(np.sum(svals < threshold))
-    kept = svals[svals >= threshold]
-    gap = float(kept.min() / threshold) if kept.size else 0.0
-
+    names = (
+        ["marginal1", "marginal2"] * include_broadcasting
+        + ["permutation"] * include_permutation
+        + ["classical"] * include_classical
+    )
+    triples = [t for name in names for t in systems[name]]
+    b = _b_lambda_coeffs(0.0)
+    residual = float(max((abs(_dot(row, b) - target) for row, target, _ in triples), default=0.0))
+    rows = [[_dot(row, h) for h in part] for row, _, _ in triples for part in (_HERMITIAN_RE, _HERMITIAN_IM)]
+    unknowns = _exact_rank(_hermitian_gram(d))
+    rank = _exact_rank(rows)
     return UniquenessCertificate(
-        constraint_rows=2 * int(count.sum()),
-        unknowns=frame.shape[1],
-        nullity=nullity,
+        constraint_rows=2 * sum(count for _, _, count in triples),
+        unknowns=unknowns,
+        rank=rank,
+        nullity=unknowns - rank,
         candidate_residual=residual,
-        singular_value_gap=gap,
     )

@@ -24,9 +24,7 @@ from typing import NamedTuple
 # reductions.  Set before numpy loads BLAS; a thread count the caller chose wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
 from .supermap import AffineDecomposition, SuperMap
 from .broadcast import (
@@ -47,8 +45,10 @@ from .hovm import (
 from .qsample import estimate_with_trace, write_trace_csv
 from .sot import check_sot_axioms
 
+np = _lazy_numpy()
+
 # Report schema version; bumped whenever a report's fields or the verify battery change.
-SCHEMA = 5
+SCHEMA = 6
 
 DEFAULT_TOLERANCES = {
     "axioms": 1e-10,
@@ -165,9 +165,7 @@ def _dumps(obj) -> str:
 
 def _write(obj, pad: str, parts: list):
     inner = pad + "  "
-    if isinstance(obj, np.ndarray):
-        _write_rows(_array_tokens(obj), pad, parts)
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict) and obj:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
             parts.append(f"{sep}{json.dumps(key)}: ")
@@ -181,8 +179,10 @@ def _write(obj, pad: str, parts: list):
             _write(value, inner, parts)
             sep = ",\n" + inner
         parts.append("\n" + pad + "]")
+    elif obj is None or isinstance(obj, (str, int, float, dict, list, tuple)) or not isinstance(obj, np.ndarray):
+        parts.append(json.dumps(_finite(obj)))  # np is read last, so a document of plain values loads no numpy
     else:
-        parts.append(json.dumps(_finite(obj)))
+        _write_rows(_array_tokens(obj), pad, parts)
 
 
 def _array_tokens(arr: np.ndarray) -> np.ndarray:
@@ -304,16 +304,16 @@ def build_object(name: str, d: int) -> SuperMap:
 _HP_TOL = 1e-8
 
 
-def _choi_spectrum(m: SuperMap) -> np.ndarray | None:
+def _choi_spectrum(m: SuperMap) -> list[float] | None:
     """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
     if not m.is_hp(_HP_TOL):
         return None
     return m.spectrum()
 
 
-def _expected_spectrum(d: int) -> np.ndarray:
-    vals = [(d + 1) / 2] * d + [0.0] * (d**3 - 2 * d) + [-(d - 1) / 2] * d
-    return np.array(sorted(vals, reverse=True))
+def _expected_spectrum(d: int) -> list[float]:
+    """B's Choi spectrum, descending: (d+1)/2 and -(d-1)/2, d times each, and zeros."""
+    return [(d + 1) / 2] * d + [0.0] * (d**3 - 2 * d) + [-(d - 1) / 2] * d
 
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):
@@ -328,8 +328,9 @@ def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
     ok = cert.nullity == 0 and cert.candidate_residual < cfg.tolerances["uniqueness_residual"]
     values = {
         "nullity": float(cert.nullity),
+        "rank": float(cert.rank),
+        "unknowns": float(cert.unknowns),
         "candidate_residual": cert.candidate_residual,
-        "singular_value_gap": cert.singular_value_gap,
         "constraint_rows": float(cert.constraint_rows),
     }
     return ok, values, f"nullity={cert.nullity} residual={cert.candidate_residual:.3e}"
@@ -339,7 +340,7 @@ def _verify_spectral(b: SuperMap, cfg: RunConfig):
     d = cfg.dim
     dec_res = (b - canonical_decomposition(d).combined()).choi_absmax()
     vals = _choi_spectrum(b)
-    eig_res = float("inf") if vals is None else float(np.abs(vals - _expected_spectrum(d)).max())
+    eig_res = float("inf") if vals is None else max(abs(v - w) for v, w in zip(vals, _expected_spectrum(d)))
     ok = dec_res < cfg.tolerances["spectral"] and eig_res < cfg.tolerances["eigenvalues"]
     values = {"decomposition_residual": dec_res, "eigenvalue_residual": eig_res}
     return ok, values, f"residual={dec_res:.3e}"
@@ -448,10 +449,10 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
 
 
 _PAULI = {
-    "i": np.eye(2),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]]),
-    "z": np.diag([1.0, -1.0]).astype(complex),
+    "i": [[1, 0], [0, 1]],
+    "x": [[0, 1], [1, 0]],
+    "y": [[0, -1j], [1j, 0]],
+    "z": [[1, 0], [0, -1]],
 }
 
 

@@ -9,7 +9,9 @@ eigensolver with a descending-eigenvalue convention, and a seeded
 
 from __future__ import annotations
 
-import numpy as np
+from . import _lazy_numpy
+
+np = _lazy_numpy()
 
 # Default tolerance for algebraic predicates (hermiticity, unitarity, ...).
 DEFAULT_TOL = 1e-9
@@ -19,7 +21,7 @@ class Operator:
     """Immutable dense complex matrix with dimension metadata.
 
     Thin wrapper over a read-only ``complex128`` ndarray.  Arithmetic
-    (``+``, ``-``, scalar ``*``, ``@``) returns new operators; the raw
+    (``+``, ``-``, scalar ``*``) returns new operators; the raw
     array is available as ``.mat`` for numerics-heavy code.
     """
 
@@ -47,16 +49,6 @@ class Operator:
     def cols(self) -> int:
         return self._mat.shape[1]
 
-    @property
-    def dim(self) -> int:
-        """Side length of a square operator."""
-        if self.rows != self.cols:
-            raise ValueError(f"operator is {self.rows}x{self.cols}, not square")
-        return self.rows
-
-    def dagger(self) -> "Operator":
-        return Operator(self._mat.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self._mat))
 
@@ -66,12 +58,6 @@ class Operator:
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.rows == self.cols and np.abs(self._mat - self._mat.conj().T).max() <= tol
-
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self.rows
-        return np.abs(self._mat.conj().T @ self._mat - np.eye(d)).max() <= tol
 
     def is_psd(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian with spectrum bounded below by ``-tol``."""
@@ -88,19 +74,10 @@ class Operator:
     def __sub__(self, other):
         return Operator(self._mat - _raw(other))
 
-    def __neg__(self):
-        return Operator(-self._mat)
-
     def __mul__(self, scalar):
         return Operator(self._mat * scalar)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Operator(self._mat / scalar)
-
-    def __matmul__(self, other):
-        return Operator(self._mat @ _raw(other))
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"

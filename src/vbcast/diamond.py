@@ -3,11 +3,12 @@
 ``diamond_bracket`` is the entry point.  It closes a certified bracket
 ``lower <= ||m||<> <= upper`` and reports its midpoint:
 
-* ``jordan_upper`` -- with the Jordan split J = P - N of the input-first
-  Choi, Y0 = Y1 = P + N = |J| is feasible for the dual SDP of Watrous
-  (arXiv:1207.5726), so ``||K||_inf`` with K = Tr_out |J| bounds the norm
-  from above.  One ``eigh`` of J gives it.  It is tight for B, B - B+ and
-  B_lambda.
+* the Jordan upper bound (``_jordan_certificate``) -- with the Jordan
+  split J = P - N of the input-first Choi, Y0 = Y1 = P + N = |J| is
+  feasible for the dual SDP of Watrous (arXiv:1207.5726), since
+  [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]],
+  so ``||K||_inf`` with K = Tr_out |J| bounds the norm from above.  One
+  ``eigh`` of J gives it.  It is tight for B, B - B+ and B_lambda.
 * the reference-state lower bound -- when the Jordan bound is tight,
   complementary slackness puts an optimal primal reference state on the
   top eigenspace of K, so the bracket takes rho0, the normalised projector
@@ -37,10 +38,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import Operator, eigh, trace_norm
 from .supermap import AffineDecomposition, SuperMap
+
+np = _lazy_numpy()
 
 # ADMM step: penalty sigma of the augmented Lagrangian and over-relaxation alpha in [1, 2).
 ADMM_PENALTY = 1.0
@@ -133,7 +135,7 @@ def _dual_upper(r: np.ndarray, u: np.ndarray, d_in: int, d_out: int) -> tuple[fl
     shifted by t I, t = max(0, -lambda_min), is PSD.  For every feasible M,
     <Q, M> <= <Q + Z, M> = Tr[(Tr_out Z00) rho0] + Tr[(Tr_out Z11) rho1],
     so the sum of the top eigenvalues of the two reduced diagonal blocks
-    bounds the norm; ``jordan_upper`` is Z = [[|J|, -J], [-J, |J|]] / 2.
+    bounds the norm; the Jordan bound is Z = [[|J|, -J], [-J, |J|]] / 2.
     """
     n = d_in * d_out
     z = -ADMM_PENALTY * (u + u.conj().T) / 2
@@ -245,16 +247,6 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     slack = float_slack(m.d_in * m.d_out, top)
     v = vecs[:, vals >= top - slack]
     return top + slack, (v @ v.conj().T) / v.shape[1], r
-
-
-def jordan_upper(m: SuperMap) -> float:
-    """||Tr_out |J|||_inf rounded up by ``float_slack``: an upper bound on ||m||<>.
-
-    Y0 = Y1 = |J| is feasible for the dual SDP, since
-    [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]] >= 0,
-    and its objective is ||Tr_out Y0||_inf.
-    """
-    return _jordan_certificate(m)[0]
 
 
 def _covariant_bounds(m: SuperMap) -> tuple[float, float, np.ndarray]:

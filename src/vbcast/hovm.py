@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import Operator, Rng, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap, covariant_map
+
+np = _lazy_numpy()
 
 
 def exact_mp_map(d: int) -> SuperMap:
@@ -44,15 +45,15 @@ def exact_mp_map(d: int) -> SuperMap:
     Each moment weighs a cycle type alike, so the same six coefficients build the Choi.
     """
     a = d + 2
-    m3 = np.full(6, 1.0 / (d * (d + 1) * (d + 2)))
-    j2 = np.array([3, 1, 1, 1, 0, 0]) / (d * (d + 1))
-    e0 = np.array([1, 0, 0, 0, 0, 0])
-    return covariant_map(d, (d / 8.0) * (a**3 * m3 - a**2 * j2 + (3 * a / d - 1) * e0))
+    m3 = 1.0 / (d * (d + 1) * (d + 2))
+    j2 = [c / (d * (d + 1)) for c in (3, 1, 1, 1, 0, 0)]
+    e0 = (1, 0, 0, 0, 0, 0)
+    return covariant_map(d, [(d / 8.0) * (a**3 * m3 - a**2 * j + (3 * a / d - 1) * e) for j, e in zip(j2, e0)])
 
 
 def depolarizing_mp(d: int) -> SuperMap:
     """The fully depolarizing counterpart  rho -> Tr[rho] I/d (x) I/d."""
-    return covariant_map(d, np.array([1, 0, 0, 0, 0, 0]) / (d * d))
+    return covariant_map(d, [c / (d * d) for c in (1, 0, 0, 0, 0, 0)])
 
 
 def theorem3_weight(d: int) -> float:

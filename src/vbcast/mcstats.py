@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import Operator
+
+np = _lazy_numpy()
 
 
 class MatrixWelford:
@@ -65,9 +66,6 @@ class SamplingEstimate(NamedTuple):
         if self.stderr == 0.0:
             return 0.0 if delta < 1e-12 else np.inf
         return delta / self.stderr
-
-    def to_json(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "n": self.n, "exact": self.exact}
 
 
 class MatrixSamplingEstimate(NamedTuple):

@@ -12,11 +12,12 @@ CPTP and returns L, which also bounds the map's diamond norm.
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import Operator, Rng, kron
 from .mcstats import SamplingEstimate
 from .supermap import AffineDecomposition
+
+np = _lazy_numpy()
 
 
 def _value_table(

@@ -16,24 +16,28 @@ when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
 (1994)) such Chois are the combinations  sum_k x_k P_k^T3  of the six factor
 permutations of ``S3`` transposed on the input factor, the cached int8
 ``commutant_table``.  ``covariant_map`` keeps a map as those six
-coefficients: sums, differences and scalar multiples stay six
-coefficients, and the d^3 x d^3 Choi is built only when something reads it.
-Each entry of such a Choi depends only on which of its six labels
-(out1, out2, in; out1', out2', in') are equal, so the largest entry, the
-Hermiticity and trace-preservation tests and any linear residual are read
-off the at most 203 equality patterns (``equality_patterns``), the
-spectrum has the closed form of ``covariant_spectrum``, and ``apply`` sums
-the six terms' actions on a d x d input (``_covariant_apply``) in O(d^4).
+coefficients, a tuple of Python complex numbers: sums, differences and
+scalar multiples stay six coefficients, and the d^3 x d^3 Choi is built
+only when something reads it.  Each entry of such a Choi depends only on
+which of its six labels (out1, out2, in; out1', out2', in') are equal, so
+the largest entry, the Hermiticity and trace-preservation tests and any
+linear residual are read off the at most 203 equality patterns
+(``equality_patterns``), and the spectrum has the closed form of
+``covariant_spectrum``.  Those reads are standard-library arithmetic on
+integer tuples and touch no numpy.  ``apply`` sums the six terms' actions
+on a d x d input (``_covariant_apply``) in O(d^4).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy_numpy
 from .densemat import DEFAULT_TOL, S3, Operator, _raw, partial_trace
+
+np = _lazy_numpy()
 
 
 def omega(d: int) -> Operator:
@@ -49,9 +53,9 @@ class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
     Give either the Choi, or for a covariant map d -> d^2 the six
-    coefficients ``coeffs`` over ``commutant_table(d)``; a dense map has
-    ``coeffs`` None.  A covariant map builds its Choi on the first read of
-    ``choi`` and keeps it.
+    coefficients ``coeffs`` over ``commutant_table(d)``, kept as a tuple of
+    Python complex numbers; a dense map has ``coeffs`` None.  A covariant
+    map builds its Choi on the first read of ``choi`` and keeps it.
     """
 
     __slots__ = ("d_in", "d_out", "coeffs", "_choi")
@@ -65,8 +69,7 @@ class SuperMap:
                 raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
             if len(coeffs) != 6:
                 raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
-            coeffs = np.array(coeffs, dtype=np.complex128)
-            coeffs.flags.writeable = False
+            coeffs = tuple(complex(c) for c in coeffs)
         else:
             choi = choi if isinstance(choi, Operator) else Operator(choi)
             n = d_out * d_in
@@ -96,30 +99,6 @@ class SuperMap:
         """Choi as a 4-tensor indexed [out, in, out', in']."""
         return self.choi.mat.reshape(self.d_out, self.d_in, self.d_out, self.d_in)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_action(cls, d_in: int, d_out: int, action) -> "SuperMap":
-        """Build the Choi by evaluating ``action`` on every matrix unit E_ij."""
-        c4 = np.zeros((d_out, d_in, d_out, d_in), dtype=np.complex128)
-        e = np.zeros((d_in, d_in), dtype=np.complex128)
-        for i in range(d_in):
-            for j in range(d_in):
-                e[i, j] = 1.0
-                out = _raw(action(Operator(e)))
-                if out.shape != (d_out, d_out):
-                    raise ValueError(
-                        f"action returned shape {out.shape}, expected ({d_out}, {d_out})"
-                    )
-                c4[:, i, :, j] = out
-                e[i, j] = 0.0
-        n = d_out * d_in
-        return cls(d_in, d_out, Operator(c4.reshape(n, n)))
-
-    @classmethod
-    def identity(cls, d: int) -> "SuperMap":
-        return cls(d, d, omega(d))
-
     # -- action -------------------------------------------------------------
 
     def apply(self, x) -> Operator:
@@ -130,29 +109,6 @@ class SuperMap:
         if self.coeffs is not None:
             return Operator(_covariant_apply(self.coeffs, xm))
         return Operator(np.einsum("uivj,ij->uv", self._c4(), xm))
-
-    def compose(self, other: "SuperMap") -> "SuperMap":
-        """self after other:  (self . other)(x) = self(other(x))."""
-        if other.d_out != self.d_in:
-            raise ValueError(
-                f"cannot compose: inner dims {other.d_out} (out) vs {self.d_in} (in)"
-            )
-        c4 = np.einsum("ukvl,kilj->uivj", self._c4(), other._c4())
-        n = self.d_out * other.d_in
-        return SuperMap(other.d_in, self.d_out, Operator(c4.reshape(n, n)))
-
-    def tensor(self, other: "SuperMap") -> "SuperMap":
-        """Tensor product map, self on the first factor."""
-        c8 = np.einsum("uivj,apbq->uaipvbjq", self._c4(), other._c4())
-        d_in = self.d_in * other.d_in
-        d_out = self.d_out * other.d_out
-        return SuperMap(d_in, d_out, Operator(c8.reshape(d_out * d_in, d_out * d_in)))
-
-    def hs_adjoint(self) -> "SuperMap":
-        """Adjoint with respect to <A, B> = Tr[A^dag B]."""
-        c4 = self._c4().conj().transpose(1, 0, 3, 2)
-        n = self.d_in * self.d_out
-        return SuperMap(self.d_out, self.d_in, Operator(c4.reshape(n, n)))
 
     def jamiolkowski(self) -> Operator:
         j4 = self._c4().transpose(3, 0, 1, 2)
@@ -167,10 +123,10 @@ class SuperMap:
             return self.choi.absmax()
         return _pattern_absmax(self.d_in, self.coeffs)
 
-    def spectrum(self) -> np.ndarray:
+    def spectrum(self) -> list[float]:
         """Descending eigenvalues of the Choi, taken as Hermitian (``eigvalsh`` reads its lower triangle)."""
         if self.coeffs is None:
-            return np.linalg.eigvalsh(self.choi.mat)[::-1]
+            return np.linalg.eigvalsh(self.choi.mat)[::-1].tolist()
         return covariant_spectrum(self.d_in, self.coeffs)
 
     def is_hp(self, tol: float = DEFAULT_TOL) -> bool:
@@ -181,7 +137,9 @@ class SuperMap:
         """
         if self.coeffs is None:
             return bool(self.choi.is_hermitian(tol))
-        return _pattern_absmax(self.d_in, self.coeffs - self.coeffs[[0, 1, 2, 3, 5, 4]].conj()) <= tol
+        x = self.coeffs
+        adjoint = (x[0], x[1], x[2], x[3], x[5], x[4])
+        return _pattern_absmax(self.d_in, [a - b.conjugate() for a, b in zip(x, adjoint)]) <= tol
 
     def is_cp(self, tol: float = DEFAULT_TOL) -> bool:
         """Completely positive, i.e. PSD Choi."""
@@ -197,8 +155,8 @@ class SuperMap:
             red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
             return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= tol)
         d = self.d_in
-        trace = self.coeffs @ np.power(float(d), [_cycles(s) for s in S3])
-        return bool(abs(trace / d - 1) <= tol)
+        trace = sum(c * float(d) ** _cycles(s) for c, s in zip(self.coeffs, S3))
+        return abs(trace / d - 1) <= tol
 
     # -- linear structure ---------------------------------------------------
 
@@ -209,26 +167,21 @@ class SuperMap:
     def __add__(self, other: "SuperMap") -> "SuperMap":
         self._check_same_dims(other)
         if self.coeffs is not None and other.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs + other.coeffs)
+            return SuperMap(self.d_in, self.d_out, coeffs=[a + b for a, b in zip(self.coeffs, other.coeffs)])
         return SuperMap(self.d_in, self.d_out, self.choi + other.choi)
 
     def __sub__(self, other: "SuperMap") -> "SuperMap":
         self._check_same_dims(other)
         if self.coeffs is not None and other.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs - other.coeffs)
+            return SuperMap(self.d_in, self.d_out, coeffs=[a - b for a, b in zip(self.coeffs, other.coeffs)])
         return SuperMap(self.d_in, self.d_out, self.choi - other.choi)
 
     def __mul__(self, scalar) -> "SuperMap":
         if self.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=self.coeffs * scalar)
+            return SuperMap(self.d_in, self.d_out, coeffs=[c * scalar for c in self.coeffs])
         return SuperMap(self.d_in, self.d_out, self.choi * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SuperMap":
-        if self.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=-self.coeffs)
-        return SuperMap(self.d_in, self.d_out, -self.choi)
 
     def __repr__(self):
         return f"SuperMap(d_in={self.d_in}, d_out={self.d_out})"
@@ -275,34 +228,39 @@ def _cycles(p: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def equality_patterns(n: int) -> np.ndarray:
-    """Every equality pattern of n labels, each labelled by first occurrence: (Bell(n), n) int, read-only.
+def equality_patterns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every equality pattern of n labels, each labelled by first occurrence: Bell(n) tuples of n ints.
 
-    Row (0, 0, 1) stands for the label triples whose first two labels are
-    equal and differ from the third.  A pattern with k groups occurs
-    d(d-1)...(d-k+1) times among the d^n label tuples (``math.perm(d, k)``).
+    Pattern (0, 0, 1) stands for the label triples whose first two labels
+    are equal and differ from the third.  A pattern with k groups
+    (``max(pattern) + 1``) occurs d(d-1)...(d-k+1) times among the d^n
+    label tuples (``math.perm(d, k)``).
     """
     patterns = [()]
     for _ in range(n):
         patterns = [p + (v,) for p in patterns for v in range(max(p, default=-1) + 2)]
-    patterns = np.array(patterns, dtype=np.intp)
-    patterns.flags.writeable = False
-    return patterns
+    return tuple(patterns)
 
 
-def table_entries(labels: np.ndarray) -> np.ndarray:
-    """Entries of the six table elements at Choi positions with the given labels: (..., 6), float.
+def table_entries(labels) -> tuple[int, ...]:
+    """Entries of the six table elements at the Choi position with the given labels: six 0/1 ints.
 
-    ``labels`` (..., 6) name (out1, out2, in, out1', out2', in').  Element s
-    is 1 where (out1, out2, in') = (i_s0, i_s1, i_s2) for
+    ``labels`` name (out1, out2, in, out1', out2', in').  Element s is 1
+    where (out1, out2, in') = (i_s0, i_s1, i_s2) for
     (i_0, i_1, i_2) = (out1', out2', in), and 0 elsewhere.
     """
-    i = labels[..., [3, 4, 2]]
-    hits = [
-        (labels[..., 0] == i[..., s[0]]) & (labels[..., 1] == i[..., s[1]]) & (labels[..., 5] == i[..., s[2]])
-        for s in S3
-    ]
-    return np.stack(hits, axis=-1).astype(float)
+    out1, out2, inp, out1p, out2p, inp_p = labels
+    i = (out1p, out2p, inp)
+    return tuple(int(out1 == i[s[0]] and out2 == i[s[1]] and inp_p == i[s[2]]) for s in S3)
+
+
+@functools.cache
+def _entry_supports(d: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct sets of table elements that are 1 together at some Choi entry, at dimension d."""
+    supports = {
+        tuple(k for k, e in enumerate(table_entries(p)) if e) for p in equality_patterns(6) if max(p) < d
+    }
+    return tuple(sorted(supports))
 
 
 def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
@@ -323,34 +281,35 @@ def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
 
 
 def _pattern_absmax(d: int, coeffs) -> float:
-    """Largest absolute entry of  sum_k coeffs[k] P_k^T3: its largest value on a pattern that occurs at d."""
-    labels = equality_patterns(6)
-    return float(np.abs(table_entries(labels[labels.max(axis=1) < d]) @ coeffs).max())
+    """Largest absolute entry of  sum_k coeffs[k] P_k^T3: an entry sums the coefficients of its support."""
+    return float(max(abs(sum(coeffs[k] for k in support)) for support in _entry_supports(d)))
 
 
-def covariant_spectrum(d: int, coeffs) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian  C = sum_k coeffs[k] P_k^T3, in closed form: (d^3,), float.
+def covariant_spectrum(d: int, coeffs) -> list[float]:
+    """Descending eigenvalues of the Hermitian  C = sum_k coeffs[k] P_k^T3, in closed form: d^3 floats.
 
     The four table elements that move the input factor map every vector
     into the span of  E1 v = v (x) Omega_23  and  E2 v = (swap_12 E1) v,
     2d dimensions with Gram matrix [[d, 1], [1, d]] (x) I.  On that span C
     acts as a 2 x 2 block (x) I; in the orthonormal basis
-    (E1 +- E2) / sqrt(2 (d +- 1)) the block is Hermitian, and each of its two
-    eigenvalues has multiplicity d.  Modulo the span, C acts as
-    x_id I + x_(12) SWAP_12, with eigenvalues x_id +- x_(12) of multiplicities
-    d^2 (d +- 1)/2 - d.
+    (E1 +- E2) / sqrt(2 (d +- 1)) the block is Hermitian, with diagonal
+    p, r and lower entry q, so its two eigenvalues
+    (p + r)/2 +- sqrt(((p - r)/2)^2 + |q|^2) each have multiplicity d.
+    Modulo the span, C acts as x_id I + x_(12) SWAP_12, with eigenvalues
+    x_id +- x_(12) of multiplicities d^2 (d +- 1)/2 - d.
     """
-    x = np.asarray(coeffs)
+    x = coeffs
     # Column a holds the (E1, E2) coordinates of C E_a.
-    block = np.array(
-        [[x[0] + d * x[3] + x[4], x[1] + x[3] + d * x[4]], [x[1] + x[2] + d * x[5], x[0] + d * x[2] + x[5]]]
-    )
-    q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    scale = np.sqrt([d + 1.0, d - 1.0])
-    pair = np.linalg.eigvalsh(scale[:, np.newaxis] * (q @ block @ q) / scale[np.newaxis, :])
-    counts = [d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d]
-    vals = np.repeat([x[0].real + x[1].real, x[0].real - x[1].real, *pair], counts)
-    return np.sort(vals)[::-1]
+    b00, b01 = x[0] + d * x[3] + x[4], x[1] + x[3] + d * x[4]
+    b10, b11 = x[1] + x[2] + d * x[5], x[0] + d * x[2] + x[5]
+    # The block in the basis E1 +- E2, then scaled by sqrt(d +- 1) to the orthonormal one.
+    p = (b00 + b01 + b10 + b11).real / 2
+    r = (b00 - b01 - b10 + b11).real / 2
+    q = math.sqrt((d - 1) / (d + 1)) * abs(b00 + b01 - b10 - b11) / 2
+    root = math.hypot((p - r) / 2, q)
+    values = (x[0].real + x[1].real, x[0].real - x[1].real, (p + r) / 2 + root, (p + r) / 2 - root)
+    counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
+    return [v for v, n in sorted(zip(values, counts), key=lambda vn: vn[0], reverse=True) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +325,6 @@ def apply_right(m: SuperMap, x, d_left: int) -> Operator:
     x4 = xm.reshape(d_left, m.d_in, d_left, m.d_in)
     out4 = np.einsum("uivj,aibj->aubv", m._c4(), x4)
     k = d_left * m.d_out
-    return Operator(out4.reshape(k, k))
-
-
-def apply_left(m: SuperMap, x, d_right: int) -> Operator:
-    """(m (x) id_right)(x) for x on C^d_in (x) C^d_right."""
-    xm = _raw(x)
-    n = m.d_in * d_right
-    if xm.shape != (n, n):
-        raise ValueError(f"input must be {n}x{n}, got {xm.shape}")
-    x4 = xm.reshape(m.d_in, d_right, m.d_in, d_right)
-    out4 = np.einsum("uivj,iajb->uavb", m._c4(), x4)
-    k = m.d_out * d_right
     return Operator(out4.reshape(k, k))
 
 

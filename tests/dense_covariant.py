@@ -17,7 +17,7 @@ from vbcast.broadcast import UniquenessCertificate, canonical_b
 from vbcast.densemat import S3, Operator, identity, kron, swap
 from vbcast.supermap import commutant_table, omega
 
-from dense_uniqueness import residual_rows
+from dense_uniqueness import residual_rows, svd_rank
 
 
 def permutation_operators(d: int) -> tuple[Operator, ...]:
@@ -114,29 +114,23 @@ def dense_commutant_projection(choi: Operator, d: int) -> Operator:
 
 
 def dense_basis_uniqueness(
-    d: int, include_permutation: bool = True, include_classical: bool = True
+    d: int, include_broadcasting: bool = True, include_permutation: bool = True, include_classical: bool = True
 ) -> UniquenessCertificate:
     """The uniqueness system with each dense basis element's residuals as one column."""
 
     def rows(c: np.ndarray) -> np.ndarray:
-        flat = residual_rows(c, d, include_permutation, include_classical)
+        flat = residual_rows(c, d, include_broadcasting, include_permutation, include_classical)
         return np.concatenate([flat.real, flat.imag])
 
     basis = commutant_basis(d)
     offset = rows(np.zeros_like(basis[0]))
     a = np.stack([rows(e) - offset for e in basis], axis=1)
-
-    svals = np.linalg.svd(a, compute_uv=False)
-    threshold = 1e-8 * svals[0]
-    nullity = int(np.sum(svals < threshold))
-    kept = svals[svals >= threshold]
-    gap = float(kept.min() / threshold) if kept.size else 0.0
-
+    rank = svd_rank(a)
     coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
     return UniquenessCertificate(
         constraint_rows=a.shape[0],
         unknowns=a.shape[1],
-        nullity=nullity,
-        candidate_residual=float(np.abs(a @ coeffs + offset).max()),
-        singular_value_gap=gap,
+        rank=rank,
+        nullity=a.shape[1] - rank,
+        candidate_residual=float(np.abs(a @ coeffs + offset).max(initial=0.0)),
     )

@@ -3,8 +3,10 @@
 ``table_column_uniqueness`` evaluates every residual entry on the six
 table elements, one column of length 2d^4 + d^6 + d^3 each, and QR-factors
 those columns; ``vbcast.broadcast.verify_uniqueness`` reads the same system
-off the equality patterns of the labels, and the tests compare the two at
-d = 2..6.  ``dense_verify_uniqueness`` goes without the commutant span:
+off the equality patterns of the labels and takes its ranks exactly, and
+the tests compare the two at d = 2..6 for every subset of the axioms.
+Here ranks are numerical: singular values at or above 1e-8 times the
+largest (``svd_rank``).  ``dense_verify_uniqueness`` goes without the commutant span:
 the unknowns are all d^6 real parameters of a Hermitian Choi operator, and
 covariance enters as sampled constraints under Haar unitaries.  Tests
 compare its nullities at small d.
@@ -27,47 +29,53 @@ from vbcast.supermap import commutant_table, omega
 from random_fixtures import haar_unitary
 
 
-def residual_rows(c: np.ndarray, d: int, include_permutation: bool, include_classical: bool) -> np.ndarray:
-    """The marginal, then permutation and classical residuals of the Choi c, as one flat vector."""
-    res = _marginal_residuals(c, d)
+def svd_rank(a: np.ndarray) -> int:
+    """Numerical rank: the singular values at or above 1e-8 times the largest."""
+    if a.size == 0:
+        return 0
+    svals = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(svals >= 1e-8 * svals[0])) if svals[0] > 0 else 0
+
+
+def residual_rows(
+    c: np.ndarray, d: int, include_broadcasting: bool, include_permutation: bool, include_classical: bool
+) -> np.ndarray:
+    """The marginal, permutation and classical residuals of the Choi c that are included, as one flat vector."""
+    res = _marginal_residuals(c, d) if include_broadcasting else []
     if include_permutation:
         res.append(_permutation_residual(c, d))
     if include_classical:
         res.append(_classical_residual(c, d))
-    return np.concatenate([r.ravel() for r in res])
+    return np.concatenate([r.ravel() for r in res]) if res else np.zeros(0)
 
 
 def table_column_uniqueness(
-    d: int, include_permutation: bool = True, include_classical: bool = True
+    d: int, include_broadcasting: bool = True, include_permutation: bool = True, include_classical: bool = True
 ) -> UniquenessCertificate:
     """The uniqueness certificate from the dense residual columns of the six table elements.
 
-    The columns are QR-factored to a 6 x 6 R, and the singular values of
-    [R Re W; R Im W], W the coefficient frame, are those of the full real
-    system over the frame coefficients.
+    The columns are QR-factored to a 6 x 6 R, and [R Re W; R Im W], W the
+    coefficient frame, has the singular values, so the rank, of the full
+    real system over the frame coefficients.
     """
+    switches = (include_broadcasting, include_permutation, include_classical)
     table = commutant_table(d)
     # The targets and the table elements are real, so every residual column is real.
-    offset = residual_rows(np.zeros(table.shape[1:]), d, include_permutation, include_classical).real
+    offset = residual_rows(np.zeros(table.shape[1:]), d, *switches).real
     cols = np.empty((offset.size, 6))
     for k, t in enumerate(table):
-        cols[:, k] = residual_rows(t.astype(float), d, include_permutation, include_classical).real - offset
-    residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max())
+        cols[:, k] = residual_rows(t.astype(float), d, *switches).real - offset
+    residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max(initial=0.0))
 
     r = np.linalg.qr(cols[cols.any(axis=1)], mode="r")
     frame = commutant_frame(d)
-    svals = np.linalg.svd(np.concatenate([r @ frame.real, r @ frame.imag]), compute_uv=False)
-    threshold = 1e-8 * svals[0]
-    nullity = int(np.sum(svals < threshold))
-    kept = svals[svals >= threshold]
-    gap = float(kept.min() / threshold) if kept.size else 0.0
-
+    rank = svd_rank(np.concatenate([r @ frame.real, r @ frame.imag]))
     return UniquenessCertificate(
         constraint_rows=2 * offset.size,
         unknowns=frame.shape[1],
-        nullity=nullity,
+        rank=rank,
+        nullity=frame.shape[1] - rank,
         candidate_residual=residual,
-        singular_value_gap=gap,
     )
 
 
@@ -97,15 +105,17 @@ def dense_verify_uniqueness(
     d: int,
     n_unitaries: int = 20,
     rng: Rng | None = None,
+    include_broadcasting: bool = True,
     include_permutation: bool = True,
     include_classical: bool = True,
 ) -> UniquenessCertificate:
     """The full real linear system on Hermitian Choi unknowns.
 
-    Broadcasting marginals on a basis, SWAP-conjugation invariance,
-    classical consistency in the computational basis, and covariance under
-    ``n_unitaries`` sampled Haar unitaries; reports the nullity of its
-    homogeneous part and the affine residual of the canonical map.
+    Broadcasting marginals on a basis, SWAP-conjugation invariance and
+    classical consistency in the computational basis, each where included,
+    and covariance under ``n_unitaries`` sampled Haar unitaries; reports
+    the rank and nullity of its homogeneous part and the affine residual of
+    the canonical map.
     """
     if n_unitaries < 2:
         raise ValueError("need at least 2 Haar unitaries for a meaningful certificate")
@@ -120,12 +130,13 @@ def dense_verify_uniqueness(
     targets: list[np.ndarray] = []  # affine right-hand sides, shape (m,)
 
     # Broadcasting: Tr_S1[C] = Omega and Tr_S2[C] = Omega on (leftover (x) input).
-    t6 = stack.reshape(nparam, d, d, d, d, d, d)
-    om = omega(d).mat.reshape(-1)
-    blocks.append(np.einsum("kpxypuv->kxyuv", t6).reshape(nparam, -1))
-    targets.append(om)
-    blocks.append(np.einsum("kxpyupv->kxyuv", t6).reshape(nparam, -1))
-    targets.append(om)
+    if include_broadcasting:
+        t6 = stack.reshape(nparam, d, d, d, d, d, d)
+        om = omega(d).mat.reshape(-1)
+        blocks.append(np.einsum("kpxypuv->kxyuv", t6).reshape(nparam, -1))
+        targets.append(om)
+        blocks.append(np.einsum("kxpyupv->kxyuv", t6).reshape(nparam, -1))
+        targets.append(om)
 
     # Permutation symmetry: SWAP-conjugated Choi equals itself.
     if include_permutation:
@@ -169,19 +180,14 @@ def dense_verify_uniqueness(
         b_vec[at : at + m_out] = np.asarray(tgt).imag
         at += m_out
 
-    svals = np.linalg.svd(a, compute_uv=False)
-    threshold = 1e-8 * svals[0]
-    nullity = int(np.sum(svals < threshold))
-    kept = svals[svals >= threshold]
-    gap = float(kept.min() / threshold) if kept.size else 0.0
-
+    rank = svd_rank(a)
     c_b = _coeffs_from_hermitian(canonical_b(d).choi.mat)
     residual = float(np.abs(a @ c_b - b_vec).max())
 
     return UniquenessCertificate(
         constraint_rows=n_rows,
         unknowns=nparam,
-        nullity=nullity,
+        rank=rank,
+        nullity=nparam - rank,
         candidate_residual=residual,
-        singular_value_gap=gap,
     )

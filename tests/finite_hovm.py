@@ -13,6 +13,8 @@ import numpy as np
 from vbcast.densemat import DEFAULT_TOL, Operator, kron
 from vbcast.supermap import SuperMap
 
+from dense_maps import from_action
+
 
 def _check_pure(psi: Operator, d: int, tol: float = DEFAULT_TOL):
     if psi.rows != d or psi.cols != d:
@@ -84,4 +86,4 @@ class FiniteHOVM:
                 out += np.trace(e.mat @ x.mat) * p.mat
             return Operator(out)
 
-        return SuperMap.from_action(d, d_out, action)
+        return from_action(d, d_out, action)

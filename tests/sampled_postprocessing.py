@@ -15,6 +15,7 @@ from vbcast.densemat import Operator, Rng, partial_trace, random_density, random
 from vbcast.sot import star
 from vbcast.supermap import SuperMap, apply_right
 
+from dense_maps import compose, hs_adjoint
 from random_fixtures import random_channel
 
 
@@ -57,13 +58,13 @@ def check_postprocessing_equivalence(
         f = random_channel(d, d, rng)
         p = _random_effect(d, rng)
 
-        fe = f.compose(e)
+        fe = compose(f, e)
         lhs = star_fn(fe, rho)
         mid = star_fn(e, rho)
         rhs = apply_right(f, mid, d_left=d)
         r_comp = max(r_comp, float(np.abs(lhs.mat - rhs.mat).max()))
 
-        fstar_p = f.hs_adjoint().apply(p)
+        fstar_p = hs_adjoint(f).apply(p)
         heis = partial_trace(
             Operator(mid.mat @ np.kron(np.eye(d), fstar_p.mat)), (d, d), keep="first"
         )

@@ -14,6 +14,7 @@ from vbcast.densemat import Rng, random_density, swap
 from vbcast.sot import star
 from vbcast.supermap import SuperMap, apply_right
 
+from dense_maps import compose, conjugate, dagger, from_action, identity_map, tensor
 from random_fixtures import haar_unitary, random_channel
 
 
@@ -32,23 +33,23 @@ def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:
         e = random_channel(d, d, rng)
 
         # covariance: (U (x) V)(E * rho)(U (x) V)+ = (V E U+) * (U rho U+)
-        ad_u = SuperMap.from_action(d, d, lambda x, u=u: u @ x @ u.dagger())
-        ad_udag = SuperMap.from_action(d, d, lambda x, u=u: u.dagger() @ x @ u)
-        ad_v = SuperMap.from_action(d, d, lambda x, v=v: v @ x @ v.dagger())
+        ad_u = from_action(d, d, lambda x, u=u: conjugate(u, x))
+        ad_udag = from_action(d, d, lambda x, u=u: conjugate(dagger(u), x))
+        ad_v = from_action(d, d, lambda x, v=v: conjugate(v, x))
         uv = np.kron(u.mat, v.mat)
         lhs = uv @ star(e, rho, b).operator.mat @ uv.conj().T
-        e_rot = ad_v.compose(e).compose(ad_udag)
+        e_rot = compose(compose(ad_v, e), ad_udag)
         rhs = star(e_rot, ad_u.apply(rho), b).operator.mat
         r_cov = max(r_cov, float(np.abs(lhs - rhs).max()))
 
         # permutation symmetry at E = id
-        t = star(SuperMap.identity(d), rho, b).operator.mat
+        t = star(identity_map(d), rho, b).operator.mat
         sw = swap(d).mat
         r_perm = max(r_perm, float(np.abs(sw @ t @ sw - t).max()))
 
         # classical consistency for decohered channels
-        e_cl = dec.compose(e).compose(dec)
-        lhs_cl = dec.tensor(dec).apply(star(e_cl, dec.apply(rho), b).operator)
+        e_cl = compose(compose(dec, e), dec)
+        lhs_cl = tensor(dec, dec).apply(star(e_cl, dec.apply(rho), b).operator)
         rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
         r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
 

@@ -34,11 +34,12 @@ from vbcast.hovm import depolarizing_mp, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_with_trace
 from vbcast.sot import check_sot_axioms, star
-from vbcast.supermap import SuperMap
 
 from channel_scan import closest_channel_scan
 from dense_covariant import choi_projector, moment_operator
+from dense_maps import identity_map
 from dense_mp_sampling import update_batch
+from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 
@@ -96,14 +97,17 @@ def test_criterion_03_uniqueness_certificate():
         cert = verify_uniqueness(d)
         if cert.nullity != 0:
             bad.append(f"d={d} nullity {cert.nullity}")
-        if cert.singular_value_gap < 1e6:
-            bad.append(f"d={d} gap {cert.singular_value_gap:.2e}")
+        if cert.rank != cert.unknowns:
+            bad.append(f"d={d} rank {cert.rank} of {cert.unknowns}")
+        dense = table_column_uniqueness(d)
+        if (cert.nullity, cert.unknowns) != (dense.nullity, dense.unknowns):
+            bad.append(f"d={d} dense reference nullity {dense.nullity} of {dense.unknowns}")
         if cert.candidate_residual >= 1e-8:
             bad.append(f"d={d} residual {cert.candidate_residual:.2e}")
     dt = time.monotonic() - t0
     _finish(
         3,
-        "uniqueness: nullity 0, gap >= 1e6 x threshold, candidate residual < 1e-8 (d=2..6)",
+        "uniqueness: exact nullity 0 and full rank, as the dense reference, candidate residual < 1e-8 (d=2..6)",
         not bad and dt < 600.0,
         "; ".join(bad) or f"certified in {dt:.1f}s",
     )
@@ -126,9 +130,9 @@ def test_criterion_04_spectral_decomposition():
             bad.append(f"d={d} spectrum {eig_res:.2e}")
         bp, bm = choi_projector(d, +1), choi_projector(d, -1)
         for name, res2 in (
-            ("B+B+", (bp @ bp - (d + 1) / 2 * bp).absmax()),
-            ("B-B-", (bm @ bm - (d - 1) / 2 * bm).absmax()),
-            ("B+B-", (bp @ bm).absmax()),
+            ("B+B+", np.abs(bp.mat @ bp.mat - (d + 1) / 2 * bp.mat).max()),
+            ("B-B-", np.abs(bm.mat @ bm.mat - (d - 1) / 2 * bm.mat).max()),
+            ("B+B-", np.abs(bp.mat @ bm.mat).max()),
         ):
             if res2 >= 1e-10:
                 bad.append(f"d={d} {name} {res2:.2e}")
@@ -268,7 +272,7 @@ def test_criterion_08_states_over_time():
         if max(post.composition, post.heisenberg) >= 1e-10:
             bad.append(f"postprocessing d={d}")
         psi = random_pure(d, Rng(830 + d))
-        vals, _ = eigh(star(SuperMap.identity(d), psi, b).operator)
+        vals, _ = eigh(star(identity_map(d), psi, b).operator)
         neg = vals[vals < -1e-10]
         if abs(neg.sum() + (d - 1) / 2) >= 1e-10:
             bad.append(f"negativity d={d}: {neg.sum():.6f}")

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -18,8 +19,9 @@ from vbcast.densemat import (
     swap,
     trace_norm,
 )
-from vbcast.supermap import SuperMap, omega
+from vbcast.supermap import omega
 from vbcast.broadcast import (
+    _exact_rank,
     antisym,
     canonical_b,
     canonical_decomposition,
@@ -46,6 +48,7 @@ from dense_covariant import (
     dense_mp_choi,
     permutation_operators,
 )
+from dense_maps import compose, conjugate, dagger, decoherence_in, from_action, hs_adjoint, tensor
 from dense_uniqueness import dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
@@ -172,9 +175,9 @@ class TestDecomposition:
     def test_projector_identities(self, d):
         bp = choi_projector(d, +1)
         bm = choi_projector(d, -1)
-        assert_allclose((bp @ bp).mat, ((d + 1) / 2 * bp).mat, atol=1e-12)
-        assert_allclose((bm @ bm).mat, ((d - 1) / 2 * bm).mat, atol=1e-12)
-        assert (bp @ bm).absmax() < 1e-12
+        assert_allclose(bp.mat @ bp.mat, ((d + 1) / 2 * bp).mat, atol=1e-12)
+        assert_allclose(bm.mat @ bm.mat, ((d - 1) / 2 * bm).mat, atol=1e-12)
+        assert np.abs(bp.mat @ bm.mat).max() < 1e-12
         # rescaled projectors are exactly the cloner/antisymmetrizer Chois
         assert_allclose((2.0 / (d + 1) * bp).mat, cloner(d).choi.mat, atol=1e-12)
         assert_allclose((2.0 / (d - 1) * bm).mat, antisym(d).choi.mat, atol=1e-12)
@@ -188,20 +191,21 @@ class TestDecoherence:
 
     def test_idempotent_self_adjoint(self):
         m = decoherence(4)
-        assert_allclose(m.compose(m).choi.mat, m.choi.mat, atol=1e-13)
-        assert_allclose(m.hs_adjoint().choi.mat, m.choi.mat, atol=1e-13)
+        assert_allclose(compose(m, m).choi.mat, m.choi.mat, atol=1e-13)
+        assert_allclose(hs_adjoint(m).choi.mat, m.choi.mat, atol=1e-13)
 
     def test_rotated_basis(self):
+        assert np.array_equal(decoherence_in(identity(3)).choi.mat, decoherence(3).choi.mat)
         u = haar_unitary(3, Rng(5))
-        m = decoherence(3, basis=u)
+        m = decoherence_in(u)
         rho = random_density(3, Rng(6))
-        conj = u.dagger() @ rho @ u
-        want = u.mat @ np.diag(np.diag(conj.mat)) @ u.dagger().mat
+        conj = conjugate(dagger(u), rho)
+        want = u.mat @ np.diag(np.diag(conj.mat)) @ u.mat.conj().T
         assert_allclose(m.apply(rho).mat, want, atol=1e-13)
 
     def test_rejects_nonunitary_basis(self):
         with raises(ValueError):
-            decoherence(2, basis=Operator([[1, 0], [0, 2]]))
+            decoherence_in(Operator([[1, 0], [0, 2]]))
 
 
 class TestClassicalBcl:
@@ -272,7 +276,7 @@ class TestCheckAxiomsCovariance:
         # the Choi-diagonal reading equals the (D (x) D) . m . D chain against B_cl
         dec = decoherence(d)
         for m in (canonical_b(d), cloner(d), family_b_lambda(d, 0.4), random_channel(d, d * d, Rng(d))):
-            chained = dec.tensor(dec).compose(m).compose(dec)
+            chained = compose(compose(tensor(dec, dec), m), dec)
             want = (chained.choi - classical_bcl(d).choi).absmax()
             assert check_axioms(m).classical == pytest.approx(want, abs=1e-14)
 
@@ -374,7 +378,7 @@ class TestCommutant:
             a = np.kron(rho.mat, eye)
             return Operator((a @ s + s @ a) / 2 + 1j * lam * (a @ s - s @ a))
 
-        ref = SuperMap.from_action(d, d * d, action)
+        ref = from_action(d, d * d, action)
         assert_allclose(family_b_lambda(d, lam).choi.mat, ref.choi.mat, atol=1e-14)
 
 
@@ -383,8 +387,18 @@ class TestUniqueness:
         cert = verify_uniqueness(2)
         assert cert.nullity == 0
         assert cert.candidate_residual < 1e-8
-        assert cert.singular_value_gap >= 1e6
-        assert cert.unknowns == 5
+        assert cert.rank == cert.unknowns == 5
+        assert cert.nullity == table_column_uniqueness(2).nullity
+
+    def test_exact_rank_matches_numerical_rank(self):
+        # integer rows spanning a random lattice of known dimension, with repeats and rational dependencies
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            basis = rng.integers(-3, 4, size=(rng.integers(1, 7), 6))
+            rows = (rng.integers(-4, 5, size=(rng.integers(1, 12), len(basis))) @ basis).tolist()
+            assert _exact_rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))
+        assert _exact_rank([]) == _exact_rank([[0] * 6]) == 0
+        assert _exact_rank([[2, 4, 0, 0, 0, 0], [-1, -2, 0, 0, 0, 0], [0, 0, 3, 0, 0, 1]]) == 2
 
     def test_dropping_permutation_opens_a_direction(self):
         cert = verify_uniqueness(2, include_permutation=False)
@@ -414,16 +428,27 @@ class TestUniqueness:
     @mark.parametrize("d", range(2, 7))
     def test_matches_dense_basis_certificate(self, d):
         # against the dense basis system and the dense residual columns of the six table elements
-        for perm in (True, False):
-            for cl in (True, False):
-                got = verify_uniqueness(d, include_permutation=perm, include_classical=cl)
-                for reference in (dense_basis_uniqueness, table_column_uniqueness):
-                    want = reference(d, include_permutation=perm, include_classical=cl)
-                    assert (got.nullity, got.constraint_rows, got.unknowns) == (
-                        want.nullity, want.constraint_rows, want.unknowns
-                    )
-                    assert got.singular_value_gap == pytest.approx(want.singular_value_gap, rel=1e-12)
-                    assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
+        for bc, perm, cl in itertools.product((True, False), repeat=3):
+            got = verify_uniqueness(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+            for reference in (dense_basis_uniqueness, table_column_uniqueness):
+                want = reference(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+                assert (got.nullity, got.rank, got.constraint_rows, got.unknowns) == (
+                    want.nullity, want.rank, want.constraint_rows, want.unknowns
+                ), (bc, perm, cl)
+                assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
+
+    @mark.parametrize("d", range(2, 7))
+    def test_axiom_subset_nullities(self, d):
+        # nullity over the covariant span of each subset of broadcasting (B), permutation (P) and classical (C)
+        want = {
+            "": 6, "C": 1, "P": 4, "PC": 0, "B": 3, "BC": 1, "BP": 2, "BPC": 0,
+        } if d > 2 else {
+            "": 5, "C": 1, "P": 3, "PC": 0, "B": 2, "BC": 1, "BP": 1, "BPC": 0,
+        }
+        for bc, perm, cl in itertools.product((True, False), repeat=3):
+            name = "B" * bc + "P" * perm + "C" * cl
+            got = verify_uniqueness(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+            assert got.nullity == got.unknowns - got.rank == want[name], name
 
 
 class TestMemory:

@@ -18,6 +18,7 @@ from vbcast.densemat import Operator, Rng
 from vbcast.diamond import float_slack
 from vbcast.supermap import SuperMap
 
+from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
 
 
@@ -53,7 +54,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -147,7 +148,8 @@ class TestVerify:
         assert uniq["pass"] is True
         assert uniq["values"]["nullity"] == 0
         assert uniq["values"]["candidate_residual"] < 1e-8
-        assert uniq["values"]["singular_value_gap"] >= 1e6
+        assert uniq["values"]["rank"] == uniq["values"]["unknowns"] == 6
+        assert uniq["values"]["nullity"] == table_column_uniqueness(6).nullity
 
     def test_tolerance_override_reaches_gates(self, tmp_path):
         # B's axiom residuals are exactly 0, so the gate is shown on B_lambda:1e-20 (permutation residual 2e-20)
@@ -744,3 +746,70 @@ class TestBlasThreads:
         # the package init stays lean, so vbcast.cli sets the thread count before numpy loads BLAS
         code = "import sys, vbcast; sys.exit('numpy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+
+
+def _main_in_child(argv: list[str]) -> str:
+    """``main(argv)`` in a fresh interpreter, reported as 'exit <code>, numpy loaded: <whether numpy._core is>'."""
+    code = (
+        "import sys\n"
+        "from vbcast.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "sys.exit(f'exit {rc}, numpy loaded: {\"numpy._core\" in sys.modules}')\n"
+    )
+    return _run_child(code).stderr.splitlines()[-1]
+
+
+class TestLazyNumpy:
+    """numpy's import runs only when a command starts dense work."""
+
+    def test_cli_import_runs_no_numpy(self):
+        res = _run_child("import sys, vbcast.cli; sys.exit('numpy._core' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["verify", "--dim", "2", "--target", "B"], 0),
+            (["verify", "--dim", "6", "--target", "B"], 0),
+            (["verify", "--dim", "2", "--target", "B_lambda:0.3"], 1),
+        ],
+    )
+    def test_covariant_verify_runs_no_numpy(self, argv, want, tmp_path):
+        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")]) == f"exit {want}, numpy loaded: False"
+        assert json.loads((tmp_path / "out.json").read_text())["pass"] is (want == 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dim", "2", "--target", "B_cl"],
+            ["diamond", "--dim", "2"],
+            ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
+            ["dump", "--dim", "2", "--object", "B"],
+        ],
+    )
+    def test_dense_commands_load_numpy(self, argv, tmp_path):
+        want = 1 if argv[-1] == "B_cl" else 0  # the classical broadcaster is not covariant
+        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")]) == f"exit {want}, numpy loaded: True"
+        assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_one_numpy_module(self, numpy_first):
+        imports = ["import numpy", "import vbcast.cli"]
+        code = "\n".join(
+            [
+                "import sys, types",
+                *(imports if numpy_first else imports[::-1]),
+                "assert numpy.ones(2).sum() == 2.0",
+                "mods = [sys.modules[name] for name in list(sys.modules) if name.startswith('vbcast.')]",
+                "ids = {id(m.np) for m in mods if hasattr(m, 'np')} | {id(numpy), id(sys.modules['numpy'])}",
+                "assert len(ids) == 1, ids",
+                "assert type(numpy) is types.ModuleType",
+                "assert numpy.linalg.eigvalsh(numpy.eye(2)).tolist() == [1.0, 1.0]",
+            ]
+        )
+        res = _run_child(code)
+        assert res.returncode == 0, res.stderr

@@ -65,19 +65,19 @@ class TestPatterns:
 
     @mark.parametrize("d", DIMS)
     def test_pattern_counts_cover_every_entry(self, d):
-        groups = equality_patterns(6).max(axis=1) + 1
-        assert sum(math.perm(d, int(k)) for k in groups) == d**6
+        assert sum(math.perm(d, max(p) + 1) for p in equality_patterns(6)) == d**6
 
     @mark.parametrize("d", (2, 3))
     def test_table_entries_match_table(self, d):
-        labels = np.indices((d,) * 6).reshape(6, -1).T
-        assert np.array_equal(table_entries(labels).T, commutant_table(d).reshape(6, -1))
+        labels = np.indices((d,) * 6).reshape(6, -1).T.tolist()
+        assert np.array_equal(np.array([table_entries(l) for l in labels]).T, commutant_table(d).reshape(6, -1))
 
 
 class TestCovariantForm:
     def test_choi_built_once_on_first_read(self):
         m = canonical_b(3)
-        assert m._choi is None and not m.coeffs.flags.writeable
+        assert m._choi is None and isinstance(m.coeffs, tuple)
+        assert all(type(c) is complex for c in m.coeffs)
         assert m.choi is m.choi
 
     def test_needs_exactly_one_form(self):
@@ -94,7 +94,6 @@ class TestCovariantForm:
         for got, want in (
             (a + b, a.choi.mat + b.choi.mat),
             (a - b, a.choi.mat - b.choi.mat),
-            (-a, -a.choi.mat),
             (2.5 * a, 2.5 * a.choi.mat),
             (a * 1j, a.choi.mat * 1j),
         ):

@@ -17,6 +17,7 @@ from vbcast.densemat import (
 )
 
 from dense_covariant import antisym_projector, sym_projector
+from dense_maps import conjugate, dagger, is_unitary
 from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros
 
 dims = (2, 3, 4, 5)
@@ -27,7 +28,6 @@ class TestOperator:
         o = Operator([[1, 2], [3, 4]])
         assert o.mat.dtype == np.complex128
         assert o.rows == o.cols == 2
-        assert o.dim == 2
 
     def test_immutable(self):
         o = identity(2)
@@ -37,8 +37,6 @@ class TestOperator:
     def test_nonsquare_allowed(self):
         o = Operator(np.ones((4, 2)))
         assert o.rows == 4 and o.cols == 2
-        with raises(ValueError):
-            o.dim  # noqa: B018
 
     def test_arithmetic(self):
         a = Operator([[1, 0], [0, 2]])
@@ -46,17 +44,15 @@ class TestOperator:
         assert_allclose((a + b).mat, [[1, 1], [1, 2]])
         assert_allclose((a - b).mat, [[1, -1], [-1, 2]])
         assert_allclose((2.5 * a).mat, (a * 2.5).mat)
-        assert_allclose((-a).mat, [[-1, 0], [0, -2]])
-        assert_allclose((a @ b).mat, [[0, 1], [2, 0]])
 
     def test_dagger_trace(self):
         o = Operator([[1j, 2], [0, 3]])
-        assert_allclose(o.dagger().mat, [[-1j, 0], [2, 3]])
+        assert_allclose(dagger(o).mat, [[-1j, 0], [2, 3]])
         assert o.trace() == pytest.approx(3 + 1j)
 
     def test_predicates(self):
         assert identity(3).is_hermitian()
-        assert identity(3).is_unitary()
+        assert is_unitary(identity(3))
         assert identity(3).is_psd()
         assert not Operator([[0, 1], [0, 0]]).is_hermitian()
         assert not Operator([[1, 0], [0, -1]]).is_psd()
@@ -80,13 +76,13 @@ class TestKronSwap:
         rng = Rng(d)
         a, b = random_hermitian(d, rng), random_hermitian(d, rng)
         s = swap(d)
-        assert_allclose((s @ kron(a, b) @ s).mat, kron(b, a).mat, atol=1e-13)
+        assert_allclose(s.mat @ kron(a, b).mat @ s.mat, kron(b, a).mat, atol=1e-13)
 
     @mark.parametrize("d", dims)
     def test_swap_involution(self, d):
         s = swap(d)
-        assert_allclose((s @ s).mat, np.eye(d * d))
-        assert s.is_hermitian() and s.is_unitary()
+        assert_allclose(s.mat @ s.mat, np.eye(d * d))
+        assert s.is_hermitian() and is_unitary(s)
 
     def test_swap_qubit_spectrum(self):
         vals, _ = eigh(swap(2))
@@ -96,9 +92,9 @@ class TestKronSwap:
     def test_projector_resolution(self, d):
         p, q = sym_projector(d), antisym_projector(d)
         assert_allclose((p + q).mat, np.eye(d * d), atol=1e-13)
-        assert_allclose((p @ p).mat, p.mat, atol=1e-13)
-        assert_allclose((q @ q).mat, q.mat, atol=1e-13)
-        assert_allclose((p @ q).mat, np.zeros((d * d, d * d)), atol=1e-13)
+        assert_allclose(p.mat @ p.mat, p.mat, atol=1e-13)
+        assert_allclose(q.mat @ q.mat, q.mat, atol=1e-13)
+        assert_allclose(p.mat @ q.mat, np.zeros((d * d, d * d)), atol=1e-13)
         assert p.trace().real == pytest.approx(d * (d + 1) / 2)
         assert q.trace().real == pytest.approx(d * (d - 1) / 2)
 
@@ -186,7 +182,7 @@ class TestRandom:
     @mark.parametrize("d", dims)
     def test_haar_unitary_is_unitary(self, d):
         u = haar_unitary(d, Rng(d))
-        assert u.is_unitary()
+        assert is_unitary(u)
 
     def test_haar_first_moment(self):
         # averaging U e_00 U^dag over the Haar measure gives I/d
@@ -196,7 +192,7 @@ class TestRandom:
         acc = np.zeros((d, d), dtype=complex)
         for _ in range(n):
             u = haar_unitary(d, rng)
-            acc += (u @ e @ u.dagger()).mat
+            acc += conjugate(u, e).mat
         assert np.abs(acc / n - np.eye(d) / d).max() < 0.05
 
     @mark.parametrize("d", dims)
@@ -208,7 +204,7 @@ class TestRandom:
     @mark.parametrize("d", dims)
     def test_random_pure(self, d):
         psi = random_pure(d, Rng(d + 2))
-        assert_allclose((psi @ psi).mat, psi.mat, atol=1e-12)
+        assert_allclose(psi.mat @ psi.mat, psi.mat, atol=1e-12)
         assert psi.trace() == pytest.approx(1.0)
         v = random_pure_vector(d, Rng(d + 2))
         assert np.linalg.norm(v) == pytest.approx(1.0)

@@ -12,17 +12,28 @@ from vbcast.diamond import (
     _dual_upper,
     _input_first_choi,
     _jordan_abs,
+    _jordan_certificate,
     diamond_bracket,
     diamond_sdp,
     float_slack,
     gap_floor,
     hptp_upper,
-    jordan_upper,
 )
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
 from channel_scan import closest_channel_scan
+from dense_maps import compose, conjugate, from_action, identity_map, tensor
 from random_fixtures import haar_unitary, random_channel
+
+
+def jordan_upper(m):
+    """||Tr_out |J|||_inf rounded up by ``float_slack``: an upper bound on ||m||<>.
+
+    Y0 = Y1 = |J| is feasible for the dual SDP, since
+    [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]] >= 0,
+    and its objective is ||Tr_out Y0||_inf.
+    """
+    return _jordan_certificate(m)[0]
 
 
 def _assert_certified(res, exact):
@@ -34,7 +45,7 @@ def _assert_certified(res, exact):
 
 class TestSdp:
     def test_identity_map(self):
-        res = diamond_sdp(SuperMap.identity(2))
+        res = diamond_sdp(identity_map(2))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-4)
         _assert_certified(res, 1.0)
@@ -70,10 +81,10 @@ class TestSdp:
         m = canonical_b(2)
         u = haar_unitary(2, Rng(2))
         v = haar_unitary(4, Rng(3))
-        pre = SuperMap.from_action(2, 2, lambda x: u @ x @ u.dagger())
-        post = SuperMap.from_action(4, 4, lambda x: v @ x @ v.dagger())
+        pre = from_action(2, 2, lambda x: conjugate(u, x))
+        post = from_action(4, 4, lambda x: conjugate(v, x))
         a = diamond_sdp(m).value
-        b = diamond_sdp(post.compose(m).compose(pre)).value
+        b = diamond_sdp(compose(compose(post, m), pre)).value
         assert a == pytest.approx(b, abs=5e-4)
 
     def test_rejects_non_hp(self):
@@ -83,10 +94,10 @@ class TestSdp:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            diamond_sdp(SuperMap.identity(2), tolerance=-1)
+            diamond_sdp(identity_map(2), tolerance=-1)
 
     def test_result_json(self):
-        res = diamond_sdp(SuperMap.identity(2))
+        res = diamond_sdp(identity_map(2))
         doc = res.to_json()
         assert doc["converged"] is True
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
@@ -101,8 +112,8 @@ def _sandwich(d, seed):
     """X -> E(K X K^dag) for a channel E and a Ginibre K: CP, neither trace-preserving nor covariant."""
     rng = Rng(seed)
     k = Operator(rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d)))
-    pre = SuperMap.from_action(d, d, lambda x: k @ x @ k.dagger())
-    return random_channel(d, d, rng).compose(pre)
+    pre = from_action(d, d, lambda x: conjugate(k, x))
+    return compose(random_channel(d, d, rng), pre)
 
 
 class TestLowerSearch:
@@ -260,7 +271,7 @@ class TestBracket:
         assert res.iterations == 0 and not res.converged
 
     def test_lower_bound_rounded_down(self):
-        res = diamond_bracket(SuperMap.identity(3))
+        res = diamond_bracket(identity_map(3))
         assert res.iterations == 0
         assert res.lower_bound < 1.0
         assert res.lower_bound == pytest.approx(1.0, abs=float_slack(9, 1.0) * 1.01)
@@ -315,9 +326,9 @@ def test_pinching_contracts_diamond_distance():
 
     d = 2
     diff = canonical_b(d) - cloner(d)
-    pinch = decoherence(d).tensor(decoherence(d))
+    pinch = tensor(decoherence(d), decoherence(d))
     before = diamond_sdp(diff).value
-    after = diamond_sdp(pinch.compose(diff)).value
+    after = diamond_sdp(compose(pinch, diff)).value
     assert after <= before + 1e-4
 
 

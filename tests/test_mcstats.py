@@ -46,11 +46,6 @@ def test_scalar_zscore():
         SamplingEstimate(mean=1.0, stderr=0.1, n=10).zscore()
 
 
-def test_scalar_json():
-    doc = SamplingEstimate(mean=0.5, stderr=0.1, n=9, exact=0.4).to_json()
-    assert doc == {"mean": 0.5, "stderr": 0.1, "n": 9, "exact": 0.4}
-
-
 def test_matrix_max_zscore():
     mean = Operator([[1.0, 0.0], [0.0, 1.0]])
     exact = Operator([[1.0, 0.0], [0.0, 0.9]])

@@ -5,10 +5,10 @@ from pytest import mark, raises
 
 from vbcast import broadcast, densemat, sot
 from vbcast.densemat import Rng, eigh, identity, random_density, swap
-from vbcast.supermap import SuperMap, apply_left
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import check_sot_axioms, star
 
+from dense_maps import apply_left, identity_map
 from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms
@@ -17,7 +17,7 @@ from sampled_sot import sampled_sot_axioms
 class TestStar:
     def test_identity_on_maximally_mixed(self):
         # id * (I/2) is the qubit pseudo-density operator SWAP/2
-        out = star(SuperMap.identity(2), identity(2) * 0.5, canonical_b(2))
+        out = star(identity_map(2), identity(2) * 0.5, canonical_b(2))
         assert_allclose(out.operator.mat, swap(2).mat / 2, atol=1e-14)
 
     @mark.parametrize("d", (2, 3, 4))
@@ -36,14 +36,14 @@ class TestStar:
     def test_negativity_on_pure_input(self, d):
         # id * psi has d-1 eigenvalues -1/2; total negative weight -(d-1)/2
         psi = random_pure(d, Rng(d + 2))
-        out = star(SuperMap.identity(d), psi, canonical_b(d))
+        out = star(identity_map(d), psi, canonical_b(d))
         vals, _ = eigh(out.operator)
         neg = vals[vals < -1e-10]
         assert_allclose(neg, -0.5 * np.ones(d - 1), atol=1e-10)
         assert neg.sum() == pytest.approx(-(d - 1) / 2, abs=1e-10)
 
     def test_qubit_pure_spectrum(self):
-        out = star(SuperMap.identity(2), basis_state(2, 0), canonical_b(2))
+        out = star(identity_map(2), basis_state(2, 0), canonical_b(2))
         vals, _ = eigh(out.operator)
         assert_allclose(vals, [1.0, 0.5, 0.0, -0.5], atol=1e-12)
 
@@ -51,9 +51,9 @@ class TestStar:
         with raises(ValueError):
             star(random_channel(3, 3, Rng(0)), random_density(2, Rng(0)), canonical_b(2))
         with raises(ValueError):
-            star(SuperMap.identity(2), random_density(3, Rng(0)), canonical_b(2))
+            star(identity_map(2), random_density(3, Rng(0)), canonical_b(2))
         with raises(ValueError):
-            star(SuperMap.identity(2), random_density(2, Rng(0)), SuperMap.identity(2))
+            star(identity_map(2), random_density(2, Rng(0)), identity_map(2))
 
 
 AXIOMS = ("broadcasting", "covariance", "permutation", "classical")
@@ -103,7 +103,7 @@ class TestAxioms:
 
     def test_rejects_non_broadcaster(self):
         with raises(ValueError):
-            check_sot_axioms(SuperMap.identity(2))
+            check_sot_axioms(identity_map(2))
 
     @mark.parametrize("d", (2, 3))
     def test_equals_broadcaster_choi_residuals(self, d):
@@ -130,8 +130,6 @@ class TestAxioms:
             monkeypatch.setattr(densemat, name, fail)
             monkeypatch.setattr(broadcast, name, fail, raising=False)
             monkeypatch.setattr(sot, name, fail, raising=False)
-        monkeypatch.setattr(SuperMap, "from_action", fail)
-        monkeypatch.setattr(SuperMap, "compose", fail)
         assert check_axioms(b).passes(1e-10)
         assert check_sot_axioms(b).passes(1e-10)
 
