@@ -32,11 +32,14 @@ def _lazy_numpy():
 
     The module goes into ``sys.modules`` at once, and ``LazyLoader`` loads
     it in place, so later ``import numpy`` statements get the same object.
-    If numpy is already imported, that module is returned.
+    If numpy is already imported, that module is returned; if it is not
+    installed, this raises the usual ``ModuleNotFoundError``.
     """
     np = sys.modules.get("numpy")
     if np is None:
         spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
         spec.loader = importlib.util.LazyLoader(spec.loader)
         np = importlib.util.module_from_spec(spec)
         sys.modules["numpy"] = np

@@ -179,14 +179,16 @@ def commutant_frame(d: int) -> np.ndarray:
     """Coefficients W over the table of an orthonormal Hermitian basis  E_k = sum_j W[j, k] P_j^T3.
 
     Shape (6, k), complex, read-only; k is 5 at d = 2, where the
-    three-factor antisymmetrizer vanishes, and 6 for d >= 3.  The basis
-    orthonormalises the six Hermitian elements through their Gram matrix,
-    whose spectrum cuts the rank.
+    three-factor antisymmetrizer vanishes, and 6 for d >= 3: the exact rank
+    of the six Hermitian elements' Gram matrix, as in ``verify_uniqueness``.
+    The basis orthonormalises those elements through the Gram matrix's k
+    largest eigenpairs.
     """
+    gram = _hermitian_gram(d)
+    k = _exact_rank(gram)
     herm = np.array(_HERMITIAN_RE) + 1j * np.array(_HERMITIAN_IM)
-    vals, vecs = np.linalg.eigh(np.array(_hermitian_gram(d), dtype=float))
-    keep = vals > 1e-10 * vals[-1]
-    frame = herm.T @ (vecs[:, keep] / np.sqrt(vals[keep]))
+    vals, vecs = np.linalg.eigh(np.array(gram, dtype=float))
+    frame = herm.T @ (vecs[:, -k:] / np.sqrt(vals[-k:]))
     frame.flags.writeable = False
     return frame
 

@@ -382,6 +382,18 @@ class TestCommutant:
         assert_allclose(family_b_lambda(d, lam).choi.mat, ref.choi.mat, atol=1e-14)
 
 
+# nullity over the covariant span of each subset of the broadcasting (B), permutation (P) and classical (C) axioms
+SUBSET_NULLITIES = {"": 6, "C": 1, "P": 4, "PC": 0, "B": 3, "BC": 1, "BP": 2, "BPC": 0}
+QUBIT_SUBSET_NULLITIES = {"": 5, "C": 1, "P": 3, "PC": 0, "B": 2, "BC": 1, "BP": 1, "BPC": 0}
+
+
+def axiom_subsets():
+    """(name, switches) for each of the eight subsets of the three axiom groups."""
+    for bc, perm, cl in itertools.product((True, False), repeat=3):
+        name = "B" * bc + "P" * perm + "C" * cl
+        yield name, dict(include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+
+
 class TestUniqueness:
     def test_qubit_certificate(self):
         cert = verify_uniqueness(2)
@@ -412,42 +424,34 @@ class TestUniqueness:
         "d, n_unitaries, nullities",
         # 4 Haar unitaries already fix the covariant span at d = 3; each extra one
         # adds 1458 rows to a 729-column SVD that dominates the suite's runtime.
-        [(2, 20, (0, 1, 1, 2)), (3, 4, (0, 1, 2, 3))],
+        [(2, 20, QUBIT_SUBSET_NULLITIES), (3, 4, SUBSET_NULLITIES)],
     )
     def test_matches_dense_reference(self, d, n_unitaries, nullities):
-        switches = ((True, True), (False, True), (True, False), (False, False))
-        for (perm, cl), want in zip(switches, nullities):
-            dense = dense_verify_uniqueness(
-                d, n_unitaries, Rng(d), include_permutation=perm, include_classical=cl
-            )
-            reduced = verify_uniqueness(d, include_permutation=perm, include_classical=cl)
-            assert dense.nullity == reduced.nullity == want
+        # every axiom subset, against all d^6 Hermitian parameters with covariance sampled
+        for name, switches in axiom_subsets():
+            dense = dense_verify_uniqueness(d, n_unitaries, Rng(d), **switches)
+            reduced = verify_uniqueness(d, **switches)
+            assert dense.nullity == reduced.nullity == nullities[name], name
             assert reduced.candidate_residual < 1e-12 and dense.candidate_residual < 1e-8
         assert dense.unknowns == d**6  # 2**6 Hermitian parameters at d = 2
 
     @mark.parametrize("d", range(2, 7))
     def test_matches_dense_basis_certificate(self, d):
         # against the dense basis system and the dense residual columns of the six table elements
-        for bc, perm, cl in itertools.product((True, False), repeat=3):
-            got = verify_uniqueness(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+        for name, switches in axiom_subsets():
+            got = verify_uniqueness(d, **switches)
             for reference in (dense_basis_uniqueness, table_column_uniqueness):
-                want = reference(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+                want = reference(d, **switches)
                 assert (got.nullity, got.rank, got.constraint_rows, got.unknowns) == (
                     want.nullity, want.rank, want.constraint_rows, want.unknowns
-                ), (bc, perm, cl)
+                ), name
                 assert got.candidate_residual <= 1e-14 and want.candidate_residual < 1e-12
 
     @mark.parametrize("d", range(2, 7))
     def test_axiom_subset_nullities(self, d):
-        # nullity over the covariant span of each subset of broadcasting (B), permutation (P) and classical (C)
-        want = {
-            "": 6, "C": 1, "P": 4, "PC": 0, "B": 3, "BC": 1, "BP": 2, "BPC": 0,
-        } if d > 2 else {
-            "": 5, "C": 1, "P": 3, "PC": 0, "B": 2, "BC": 1, "BP": 1, "BPC": 0,
-        }
-        for bc, perm, cl in itertools.product((True, False), repeat=3):
-            name = "B" * bc + "P" * perm + "C" * cl
-            got = verify_uniqueness(d, include_broadcasting=bc, include_permutation=perm, include_classical=cl)
+        want = SUBSET_NULLITIES if d > 2 else QUBIT_SUBSET_NULLITIES
+        for name, switches in axiom_subsets():
+            got = verify_uniqueness(d, **switches)
             assert got.nullity == got.unknowns - got.rank == want[name], name
 
 

@@ -813,3 +813,19 @@ class TestLazyNumpy:
         )
         res = _run_child(code)
         assert res.returncode == 0, res.stderr
+
+    def test_missing_numpy_raises_module_not_found(self):
+        # None in sys.modules hides an installed numpy from find_spec and from the import system alike
+        code = "\n".join(
+            [
+                "import sys",
+                "sys.modules['numpy'] = None",
+                "try:",
+                "    import vbcast.cli",
+                "except ModuleNotFoundError as exc:",
+                "    sys.exit(exc.name != 'numpy')",
+                "sys.exit(2)",
+            ]
+        )
+        res = _run_child(code)
+        assert res.returncode == 0, res.stderr
