@@ -10,23 +10,22 @@ the decohered/classical variants, and the one-parameter commutator family
 B_lambda, all from closed-form Choi operators.
 
 Covariant maps are six coefficients over the table of partially
-transposed factor permutations (``vbcast.supermap``).  Their Hermitian
-part is spanned by six Hermitian table combinations with the integer Gram
-matrix built from Tr[P_s^T P_t] = d^c(t s^-1), c counting cycles; its rank
-k (5 at d = 2, 6 above) is the dimension of the span, so no dense basis is
-ever built.  ``check_axioms`` reads all four axioms exactly, with no
-sampling.  On a covariant map, covariance is 0 by construction, and each
-linear residual (both marginals, permutation symmetry, classical
-consistency) takes one value per equality pattern of its labels
-(``_axiom_patterns``): an integer row of six numbers, an integer target
-and a count, so its largest entry is a maximum over at most 203 rows,
-computed with the standard library alone.  On a dense map, covariance is
-the distance to the span, whose projection needs only the six overlaps of
-the Choi with the table, and the residuals are taken entry by entry.
-``verify_uniqueness`` solves the linear axioms over the span's real
-coordinates exactly: the nullity is k minus the rank of the integer
-pattern system, both ranks taken by fraction-free integer elimination.
-The dense residual system is kept in the tests as the reference.
+transposed factor permutations (``vbcast.supermap``).  Their span is
+described by one integer Gram matrix, Tr[P_s^T P_t] = d^c(t s^-1) with c
+counting cycles; its rank k (5 at d = 2, 6 above) is the dimension of
+the span, so no dense basis is ever built.  ``check_axioms`` reads all
+four axioms exactly, with no sampling.  On a covariant map, covariance is
+0 by construction, and each linear residual (both marginals, permutation
+symmetry, classical consistency) takes one value per equality pattern of
+its labels (``_axiom_patterns``): an integer row of six numbers, an
+integer target and a count, so its largest entry is a maximum over at
+most 203 rows, computed with the standard library alone.  On a dense map,
+covariance is the distance to the span, whose projection solves the Gram
+against the Choi's six overlaps with the table, and the residuals are
+taken entry by entry.  ``verify_uniqueness`` ranks the integer pattern
+rows over the six coefficients: the nullity is k minus that rank, both
+ranks taken by fraction-free integer elimination.  The dense residual
+system is kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -119,30 +118,6 @@ def commutant_gram(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(d ** _cycles(tuple(t[s.index(i)] for i in range(3))) for t in S3) for s in S3)
 
 
-# Real and imaginary parts of the table coefficients of the six Hermitian
-# elements P_id, P_(12), P_(13), P_(23), P_c1 + P_c2 and i(P_c1 - P_c2); the
-# two 3-cycles c1, c2 are adjoint to each other.
-_HERMITIAN_RE = (
-    (1, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0),
-    (0, 0, 1, 0, 0, 0),
-    (0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 1, 1),
-    (0, 0, 0, 0, 0, 0),
-)
-_HERMITIAN_IM = ((0,) * 6,) * 5 + ((0, 0, 0, 0, 1, -1),)
-
-
-def _hermitian_gram(d: int) -> list[list[int]]:
-    """Hilbert-Schmidt Gram matrix  Tr[h_a h_b]  of the six Hermitian elements: 6 x 6 ints."""
-    g = commutant_gram(d)
-    parts = list(zip(_HERMITIAN_RE, _HERMITIAN_IM))
-    return [
-        [sum((ra[s] * rb[t] + ia[s] * ib[t]) * g[s][t] for s in range(6) for t in range(6)) for rb, ib in parts]
-        for ra, ia in parts
-    ]
-
-
 def _primitive(row) -> tuple[int, ...] | None:
     """The integer row divided by the gcd of its entries, leading entry positive; None for a zero row."""
     lead = next((v for v in row if v), 0)
@@ -174,36 +149,24 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-@functools.cache
-def commutant_frame(d: int) -> np.ndarray:
-    """Coefficients W over the table of an orthonormal Hermitian basis  E_k = sum_j W[j, k] P_j^T3.
-
-    Shape (6, k), complex, read-only; k is 5 at d = 2, where the
-    three-factor antisymmetrizer vanishes, and 6 for d >= 3: the exact rank
-    of the six Hermitian elements' Gram matrix, as in ``verify_uniqueness``.
-    The basis orthonormalises those elements through the Gram matrix's k
-    largest eigenpairs.
-    """
-    gram = _hermitian_gram(d)
-    k = _exact_rank(gram)
-    herm = np.array(_HERMITIAN_RE) + 1j * np.array(_HERMITIAN_IM)
-    vals, vecs = np.linalg.eigh(np.array(gram, dtype=float))
-    frame = herm.T @ (vecs[:, -k:] / np.sqrt(vals[-k:]))
-    frame.flags.writeable = False
-    return frame
-
-
 def commutant_projection(choi: Operator, d: int) -> Operator:
     """Orthogonal projection of a Choi operator on C^d (x) C^d (x) C^d onto the covariant span.
 
     This is the Haar twirl  Integral W C W+ dU  with W = U (x) U (x) Ubar.
     Each overlap  <P_j^T3, C>  sums C over the d^3 entries where table
-    element j is 1; the frame turns the six overlaps into coefficients.
+    element j is 1, and the coefficients x solve  Gram x = overlaps.  With
+    k the Gram's rank, the first k table elements are independent: at
+    d = 2 the one dependency is the antisymmetrizer, whose six signs are
+    all nonzero, so any five elements are.  So the leading k x k block is
+    solved against the first k overlaps and the rest of x is zero.
     """
     flat = choi.mat.ravel()
     overlaps = np.array([flat[np.flatnonzero(t)].sum() for t in commutant_table(d).reshape(6, -1)])
-    frame = commutant_frame(d)
-    return covariant_map(d, frame @ (frame.conj().T @ overlaps)).choi
+    gram = commutant_gram(d)
+    k = _exact_rank(gram)
+    x = np.zeros(6, dtype=complex)
+    x[:k] = np.linalg.solve(np.array(gram, dtype=float)[:k, :k], overlaps[:k])
+    return covariant_map(d, x).choi
 
 
 def _permutation_residual(c: np.ndarray, d: int) -> np.ndarray:
@@ -336,13 +299,14 @@ def check_axioms(m: SuperMap) -> AxiomReport:
 class UniquenessCertificate(NamedTuple):
     """Certificate that the axioms admit exactly one solution.
 
-    The unknowns are the real coordinates of a Hermitian Choi operator in
-    the covariant span, so covariance holds by construction; the included
+    The unknowns are the six complex coefficients of a Choi operator over
+    the table, so covariance holds by construction; the included
     broadcasting, permutation and classical residuals are the constraint
-    rows.  ``unknowns`` is the dimension of the span, ``rank`` the rank of
-    the homogeneous system over it, and ``nullity`` their difference, all
-    exact; ``candidate_residual`` is the violation of the affine system by
-    the canonical map's Choi.
+    rows.  ``unknowns`` is the dimension of the covariant span, ``rank``
+    the rank of the homogeneous system over the coefficients, and
+    ``nullity`` their difference, the dimension of the span's homogeneous
+    solutions, all exact; ``candidate_residual`` is the violation of the
+    affine system by the canonical map's coefficients, also exact.
     """
 
     constraint_rows: int
@@ -358,17 +322,21 @@ def verify_uniqueness(
     """Certify that broadcasting + covariance + permutation + classical consistency force B.
 
     Reads the included axioms' linear residuals on the six table elements
-    off their equality patterns (``_axiom_patterns``).  A Hermitian
-    covariant Choi is  sum_a y_a h_a  over the six Hermitian elements h_a
-    with real y, so each pattern row r gives the two integer rows
-    Re(r . h_a) and Im(r . h_a) over y.  The span has dimension
-    k = rank(Gram of the h_a), and the solutions of the homogeneous system
-    form a space of dimension  nullity = k - rank(rows), since the 6 - k
-    dependencies among the h_a solve every row.  Both ranks are exact.
+    off their equality patterns (``_axiom_patterns``): each pattern row r
+    gives  r . x, one residual entry of the Choi  sum_j x_j P_j^T3.  The
+    span has dimension k = rank(``commutant_gram``), and its homogeneous
+    solutions have dimension  nullity = k - rank(rows).  Two facts make
+    this the count over Hermitian Chois.  The 6 - k coefficient vectors
+    that give the zero operator lie in the null space of the rows, because
+    each row evaluates an entry of that operator.  And the solutions are
+    closed under the adjoint, because every axiom target is Hermitian, so
+    their complex dimension is the real dimension of their Hermitian part.
+    Both ranks are exact, by fraction-free integer elimination.
     ``constraint_rows`` counts the rows of the full real system,
     2 (2d^4 + d^6 + d^3) with every axiom included; ``candidate_residual``
-    is read from B's own six coefficients.  The ``include_*`` switches drop
-    axiom groups to exhibit the solution families that appear without them.
+    multiplies the integer rows by B's half-integer coefficients, so it is
+    exact.  The ``include_*`` switches drop axiom groups to exhibit the
+    solution families that appear without them.
     """
     systems = _axiom_patterns(d)
     names = (
@@ -379,9 +347,8 @@ def verify_uniqueness(
     triples = [t for name in names for t in systems[name]]
     b = _b_lambda_coeffs(0.0)
     residual = float(max((abs(_dot(row, b) - target) for row, target, _ in triples), default=0.0))
-    rows = [[_dot(row, h) for h in part] for row, _, _ in triples for part in (_HERMITIAN_RE, _HERMITIAN_IM)]
-    unknowns = _exact_rank(_hermitian_gram(d))
-    rank = _exact_rank(rows)
+    unknowns = _exact_rank(commutant_gram(d))
+    rank = _exact_rank([row for row, _, _ in triples])
     return UniquenessCertificate(
         constraint_rows=2 * sum(count for _, _, count in triples),
         unknowns=unknowns,

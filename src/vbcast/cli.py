@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import AffineDecomposition, SuperMap
+from .supermap import HP_TOL, AffineDecomposition, SuperMap
 from .broadcast import (
     antisym,
     canonical_b,
@@ -48,11 +48,10 @@ from .sot import check_sot_axioms
 np = _lazy_numpy()
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
-SCHEMA = 6
+SCHEMA = 7
 
 DEFAULT_TOLERANCES = {
     "axioms": 1e-10,
-    "uniqueness_residual": 1e-8,
     "spectral": 1e-10,
     "eigenvalues": 1e-8,
     "theorem3": 1e-10,
@@ -300,13 +299,9 @@ def build_object(name: str, d: int) -> SuperMap:
 # verify
 
 
-# Hermiticity gate of a Choi whose spectrum a report holds.
-_HP_TOL = 1e-8
-
-
 def _choi_spectrum(m: SuperMap) -> list[float] | None:
     """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
-    if not m.is_hp(_HP_TOL):
+    if not m.is_hp(HP_TOL):
         return None
     return m.spectrum()
 
@@ -325,7 +320,7 @@ def _verify_axioms(b: SuperMap, cfg: RunConfig):
 
 def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
     cert = verify_uniqueness(cfg.dim)
-    ok = cert.nullity == 0 and cert.candidate_residual < cfg.tolerances["uniqueness_residual"]
+    ok = cert.nullity == 0 and cert.candidate_residual == 0.0
     values = {
         "nullity": float(cert.nullity),
         "rank": float(cert.rank),

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import _lazy_numpy
 from .densemat import Operator, eigh, trace_norm
-from .supermap import AffineDecomposition, SuperMap
+from .supermap import HP_TOL, AffineDecomposition, SuperMap
 
 np = _lazy_numpy()
 
@@ -176,7 +176,7 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    if not m.is_hp(tol=1e-8):
+    if not m.is_hp(HP_TOL):
         raise ValueError("diamond_sdp requires a Hermitian-preserving map")
 
     d_in, d_out = m.d_in, m.d_out
@@ -226,7 +226,7 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
 
 def _jordan_abs(r: np.ndarray) -> np.ndarray:
     """|J| = P + N for the Jordan split J = P - N of a Hermitian J."""
-    vals, vecs = eigh(r, tol=1e-8)
+    vals, vecs = eigh(r, tol=HP_TOL)
     v = vecs.mat
     return (v * np.abs(vals)[np.newaxis, :]) @ v.conj().T
 
@@ -239,7 +239,7 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     ``float_slack``, and rho0, the normalised projector onto the eigenvectors
     of K within that slack of lambda_max.
     """
-    if not m.is_hp(tol=1e-8):
+    if not m.is_hp(HP_TOL):
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     r = _input_first_choi(m)
     vals, vecs = np.linalg.eigh(_trace_out(_jordan_abs(r), m.d_in, m.d_out))
@@ -258,7 +258,7 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, np.ndarray]:
     trace norm sums the closed-form spectrum, and both bounds are rounded
     outward by ``float_slack``.
     """
-    if not m.is_hp(tol=1e-8):
+    if not m.is_hp(HP_TOL):
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
     norm = float(np.abs(m.spectrum()).sum()) / d

@@ -49,6 +49,10 @@ def omega(d: int) -> Operator:
     return Operator(m)
 
 
+# Hermiticity gate (``SuperMap.is_hp``) of a Choi that a bound or a reported spectrum reads as Hermitian.
+HP_TOL = 1e-8
+
+
 class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 

@@ -1,7 +1,7 @@
 """Dense references for the uniqueness certificate.
 
 ``table_column_uniqueness`` evaluates every residual entry on the six
-table elements, one column of length 2d^4 + d^6 + d^3 each, and QR-factors
+table elements, one column of length 2d^4 + d^6 + d^3 each, and ranks
 those columns; ``vbcast.broadcast.verify_uniqueness`` reads the same system
 off the equality patterns of the labels and takes its ranks exactly, and
 the tests compare the two at d = 2..6 for every subset of the axioms.
@@ -21,7 +21,6 @@ from vbcast.broadcast import (
     _marginal_residuals,
     _permutation_residual,
     canonical_b,
-    commutant_frame,
 )
 from vbcast.densemat import Rng, swap
 from vbcast.supermap import commutant_table, omega
@@ -54,9 +53,9 @@ def table_column_uniqueness(
 ) -> UniquenessCertificate:
     """The uniqueness certificate from the dense residual columns of the six table elements.
 
-    The columns are QR-factored to a 6 x 6 R, and [R Re W; R Im W], W the
-    coefficient frame, has the singular values, so the rank, of the full
-    real system over the frame coefficients.
+    The unknowns are the numerical rank of the dense table's Gram matrix,
+    the dimension of its span; the rank is that of the real residual
+    columns, which is their rank over the six complex coefficients.
     """
     switches = (include_broadcasting, include_permutation, include_classical)
     table = commutant_table(d)
@@ -67,14 +66,14 @@ def table_column_uniqueness(
         cols[:, k] = residual_rows(t.astype(float), d, *switches).real - offset
     residual = float(np.abs(cols @ np.real(_b_lambda_coeffs(0.0)) + offset).max(initial=0.0))
 
-    r = np.linalg.qr(cols[cols.any(axis=1)], mode="r")
-    frame = commutant_frame(d)
-    rank = svd_rank(np.concatenate([r @ frame.real, r @ frame.imag]))
+    flat = table.reshape(6, -1).astype(float)
+    unknowns = svd_rank(flat @ flat.T)
+    rank = svd_rank(cols)
     return UniquenessCertificate(
         constraint_rows=2 * offset.size,
-        unknowns=frame.shape[1],
+        unknowns=unknowns,
         rank=rank,
-        nullity=frame.shape[1] - rank,
+        nullity=unknowns - rank,
         candidate_residual=residual,
     )
 

@@ -102,12 +102,12 @@ def test_criterion_03_uniqueness_certificate():
         dense = table_column_uniqueness(d)
         if (cert.nullity, cert.unknowns) != (dense.nullity, dense.unknowns):
             bad.append(f"d={d} dense reference nullity {dense.nullity} of {dense.unknowns}")
-        if cert.candidate_residual >= 1e-8:
+        if cert.candidate_residual != 0.0:
             bad.append(f"d={d} residual {cert.candidate_residual:.2e}")
     dt = time.monotonic() - t0
     _finish(
         3,
-        "uniqueness: exact nullity 0 and full rank, as the dense reference, candidate residual < 1e-8 (d=2..6)",
+        "uniqueness: exact nullity 0 and full rank, as the dense reference, candidate residual exactly 0 (d=2..6)",
         not bad and dt < 600.0,
         "; ".join(bad) or f"certified in {dt:.1f}s",
     )

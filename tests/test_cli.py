@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -54,7 +55,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -147,7 +148,7 @@ class TestVerify:
         assert uniq["skipped"] is None
         assert uniq["pass"] is True
         assert uniq["values"]["nullity"] == 0
-        assert uniq["values"]["candidate_residual"] < 1e-8
+        assert uniq["values"]["candidate_residual"] == 0.0
         assert uniq["values"]["rank"] == uniq["values"]["unknowns"] == 6
         assert uniq["values"]["nullity"] == table_column_uniqueness(6).nullity
 
@@ -171,11 +172,11 @@ class TestVerify:
         assert not out.exists()
 
     def test_unknown_tolerance_name(self, tmp_path, capsys):
-        # sot_axioms shares the axioms gate, so "sot" names no tolerance
-        for pair in ("nope=1", "sot=1e-8"):
+        # sot_axioms shares the axioms gate, so "sot" names no tolerance; the uniqueness gate is exact
+        for pair in ("nope=1", "sot=1e-8", "uniqueness_residual=1"):
             code = main(["verify", "--dim", "2", "--tol", pair])
             assert code == 2
-            assert "known: " in capsys.readouterr().err
+            assert f"known: {sorted(DEFAULT_TOLERANCES)}" in capsys.readouterr().err
 
     def test_bad_dim(self):
         assert main(["verify", "--dim", "7"]) == 2
@@ -565,6 +566,21 @@ class TestSchemas:
         )
         res = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+class TestReadme:
+    def test_tolerance_table_matches_defaults(self):
+        with open(README) as fp:
+            table = fp.read().split("\n### Default tolerance table\n", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (\S+) \|$", table, re.M)
+        assert [(name, float(value)) for name, value in rows] == list(DEFAULT_TOLERANCES.items())
+
+    def test_schema_matches_cli(self):
+        with open(README) as fp:
+            assert {int(n) for n in re.findall(r'"schema": (\d+)', fp.read())} == {cli.SCHEMA}
 
 
 def _as_lists(obj):
