@@ -38,7 +38,7 @@ from .broadcast import (
     family_b_lambda,
     verify_uniqueness,
 )
-from .diamond import diamond_bracket, gap_floor, hptp_upper
+from .diamond import DiamondResult, diamond_bracket, gap_floor, hptp_upper
 from .hovm import (
     depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
 )
@@ -231,6 +231,22 @@ def _operator_doc(op: Operator) -> dict:
     return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
 
 
+def _witness_doc(result: DiamondResult) -> dict:
+    """``_operator_doc`` of the witness state w w^dag of a diamond bracket.
+
+    A list w holds real floats (the covariant maximally entangled input), so
+    each entry is a product of two of them, the one ``np.outer`` forms, and
+    the imaginary part is 0.0: no numpy loads.  An ndarray w is complex and
+    goes through ``witness_state``'s ``np.outer``, because numpy's complex
+    multiply can round differently from Python's ``a * b.conjugate()``.
+    """
+    w = result.witness
+    if not isinstance(w, list):
+        return _operator_doc(result.witness_state)
+    n = len(w)
+    return {"rows": n, "cols": n, "re": [[a * b for b in w] for a in w], "im": [[0.0] * n for _ in w]}
+
+
 def _emit_json(cfg: RunConfig, doc: dict):
     _write_text(cfg.out, _dumps(doc) + "\n")
 
@@ -395,9 +411,8 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
     if target == "B":
         return canonical_b(d), hptp_upper(canonical_decomposition(d))
     if target == "B-minus-Bplus":
-        m = canonical_b(d) - cloner(d)
-        half = (d - 1) / 2
-        return m, hptp_upper(AffineDecomposition(half, half, cloner(d), antisym(d)))
+        plus, half = cloner(d), (d - 1) / 2
+        return canonical_b(d) - plus, hptp_upper(AffineDecomposition(half, half, plus, antisym(d)))
     path = target.removeprefix("file:")
     if not os.path.exists(path):
         raise CliError(f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file")
@@ -420,7 +435,8 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
     doc.update(target=target, **result._asdict(), gap=result.gap)
-    doc["witness_state"] = _operator_doc(result.witness_state)
+    doc["witness_state"] = _witness_doc(result)
+    del doc["witness"]
     _emit_json(cfg, doc)
 
     bounds = (

@@ -17,7 +17,8 @@
   |J| = J and rho0 is optimal.  For covariant maps K = ||C||_1/d I and w is
   the maximally entangled input, so both bounds equal ||C||_1/d and are
   read off the closed-form spectrum of the six coefficients, with no
-  ``eigh`` and no d^3 x d^3 array.
+  ``eigh``, no d^3 x d^3 array and no numpy: the bounds, their slack and
+  the witness input are standard-library floats.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
   an upper bound because channels have diamond norm one; the same check
   validates the quasi-sampler's split and gives its overhead.
@@ -32,10 +33,16 @@ Every bound is rounded outward by ``float_slack``, so ``lower <= upper``
 holds despite rounding in the eigendecompositions.  That rounding also sets
 ``gap_floor``, the narrowest bracket any certificate can reach; below it
 ``diamond_bracket`` runs no ADMM.
+
+A ``DiamondResult`` carries its witness as the unit input vector vec A: a
+list of floats on the covariant path, an ndarray otherwise.  The witness
+state vec A vec A^dag is built only when ``witness_state`` is read.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 from . import _lazy_numpy
@@ -57,24 +64,32 @@ def float_slack(n: int, value: float) -> float:
 
     Backward-stable ``eigh`` and the sums after it are exact for a matrix
     within O(n eps ||.||) of the true one; 16 n eps max(1, |value|) covers
-    that with room to spare (5e-12 at n = 216, value = 6).
+    that with room to spare (5e-12 at n = 216, value = 6).  The machine
+    epsilon is ``sys.float_info.epsilon``, the double ``np.finfo(float).eps``
+    holds, so the allowance needs no numpy.
     """
-    return float(16.0 * n * np.finfo(float).eps * max(1.0, abs(value)))
+    return float(16.0 * n * sys.float_info.epsilon * max(1.0, abs(value)))
 
 
 class DiamondResult(NamedTuple):
-    """A certified bracket lower <= ||m||<> <= upper, its midpoint and its witness."""
+    """A certified bracket lower <= ||m||<> <= upper, its midpoint and its witness input vec A."""
 
     value: float
     lower_bound: float
     upper_bound: float
-    witness_state: Operator
+    witness: list | np.ndarray
     iterations: int
     converged: bool
 
     @property
     def gap(self) -> float:
         return self.upper_bound - self.lower_bound
+
+    @property
+    def witness_state(self) -> Operator:
+        """The witness state vec A vec A^dag; building it loads numpy."""
+        w = np.asarray(self.witness)
+        return Operator(np.outer(w, w.conj()))
 
     def to_json(self) -> dict:
         return {
@@ -214,7 +229,7 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
         value=(lower + upper) / 2,
         lower_bound=lower,
         upper_bound=upper,
-        witness_state=Operator(np.outer(witness, witness.conj())),
+        witness=witness,
         iterations=iterations,
         converged=upper - lower <= tolerance,
     )
@@ -249,21 +264,25 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     return top + slack, (v @ v.conj().T) / v.shape[1], r
 
 
-def _covariant_bounds(m: SuperMap) -> tuple[float, float, np.ndarray]:
+def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     """The Jordan bound, the reference-state lower bound and its input vec A of a covariant map.
 
     Tr_out |J| commutes with every Ubar, so it is ||C||_1 / d times I: the
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
     lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  The
-    trace norm sums the closed-form spectrum, and both bounds are rounded
-    outward by ``float_slack``.
+    trace norm sums the closed-form spectrum with ``math.fsum``, both bounds
+    are rounded outward by ``float_slack``, and vec A is a list of floats:
+    1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp(HP_TOL):
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
-    norm = float(np.abs(m.spectrum()).sum()) / d
+    norm = math.fsum(map(abs, m.spectrum())) / d
     slack = float_slack(d * m.d_out, norm)
-    return norm + slack, norm - slack, np.eye(d).reshape(-1) / np.sqrt(d)
+    entry = 1.0 / math.sqrt(d)
+    vec_a = [0.0] * (d * d)
+    vec_a[:: d + 1] = [entry] * d
+    return norm + slack, norm - slack, vec_a
 
 
 def gap_floor(m: SuperMap, lower: float, upper: float | None = None) -> float:
@@ -294,24 +313,24 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
     bracket is reported unconverged with 0 iterations.
     """
     if m.coeffs is not None:
-        up, lower, vec_a = _covariant_bounds(m)
+        up, lower, witness = _covariant_bounds(m)
     else:
         up, rho0, r = _jordan_certificate(m)
-        lower, vec_a = _reference_lower(r, rho0, m.d_in, m.d_out)
+        lower, witness = _reference_lower(r, rho0, m.d_in, m.d_out)
     if upper is not None:
         up = min(up, upper)
-    witness, iterations = Operator(np.outer(vec_a, vec_a.conj())), 0
+    iterations = 0
     if gap_floor(m, lower, upper) <= tolerance < up - lower:
         sdp = diamond_sdp(m, tolerance)
         if sdp.lower_bound > lower:
-            lower, witness = sdp.lower_bound, sdp.witness_state
+            lower, witness = sdp.lower_bound, sdp.witness
         up = min(up, sdp.upper_bound)
         iterations = sdp.iterations
     return DiamondResult(
         value=(lower + up) / 2,
         lower_bound=lower,
         upper_bound=up,
-        witness_state=witness,
+        witness=witness,
         iterations=iterations,
         converged=up - lower <= tolerance,
     )

@@ -13,10 +13,10 @@ import pytest
 
 import vbcast
 from vbcast import cli, densemat, sot, supermap
-from vbcast.broadcast import canonical_b, cloner
+from vbcast.broadcast import canonical_b, cloner, family_b_lambda
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng
-from vbcast.diamond import float_slack
+from vbcast.diamond import diamond_bracket, float_slack
 from vbcast.supermap import SuperMap
 
 from dense_uniqueness import table_column_uniqueness
@@ -657,6 +657,22 @@ class TestReportWriter:
         else:
             assert _dumps(doc) == want.replace("Infinity", "1e+300")
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_covariant_witness_lists_match_arrays(self, d):
+        # the covariant witness is expanded in Python; np.outer of the same input writes the same bytes
+        res = diamond_bracket(canonical_b(d))
+        listed = cli._witness_doc(res)
+        assert isinstance(listed["re"], list) and isinstance(listed["im"], list)
+        e = np.eye(d).reshape(-1) / np.sqrt(d)
+        arrays = cli._operator_doc(Operator(np.outer(e, e)))
+        assert _dumps({"witness_state": listed}) == _dumps({"witness_state": arrays})
+
+    def test_dense_witness_keeps_np_outer(self):
+        # numpy's complex multiply rounds this complex witness differently from Python's a * b.conjugate()
+        res = diamond_bracket(SuperMap(4, 16, family_b_lambda(4, 0.3).choi))
+        w = res.witness
+        assert _dumps(cli._witness_doc(res)) == _dumps(cli._operator_doc(Operator(np.outer(w, w.conj()))))
+
     def test_array_must_be_float64(self):
         with pytest.raises(TypeError, match="float64"):
             _dumps({"a": np.arange(3)})
@@ -768,19 +784,27 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
 
 
-def _main_in_child(argv: list[str]) -> str:
-    """``main(argv)`` in a fresh interpreter, reported as 'exit <code>, numpy loaded: <whether numpy._core is>'."""
+def _main_in_child(argv: list[str]) -> list[str]:
+    """The standard-error lines of ``main(argv)`` in a fresh interpreter.
+
+    The last line reports 'exit <code>, numpy loaded: <whether numpy._core is>'.
+    """
     code = (
         "import sys\n"
         "from vbcast.cli import main\n"
         f"rc = main({argv!r})\n"
         "sys.exit(f'exit {rc}, numpy loaded: {\"numpy._core\" in sys.modules}')\n"
     )
-    return _run_child(code).stderr.splitlines()[-1]
+    return _run_child(code).stderr.splitlines()
 
 
 class TestLazyNumpy:
-    """numpy's import runs only when a command starts dense work."""
+    """numpy's import runs only when a command starts dense work.
+
+    ``verify`` and ``diamond`` on a covariant target (B, B_lambda,
+    B-minus-Bplus) never execute it; a ``file:`` diamond target, ``sample``
+    and ``dump`` do.
+    """
 
     def test_cli_import_runs_no_numpy(self):
         res = _run_child("import sys, vbcast.cli; sys.exit('numpy._core' in sys.modules)")
@@ -795,21 +819,44 @@ class TestLazyNumpy:
         ],
     )
     def test_covariant_verify_runs_no_numpy(self, argv, want, tmp_path):
-        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")]) == f"exit {want}, numpy loaded: False"
+        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: False"
         assert json.loads((tmp_path / "out.json").read_text())["pass"] is (want == 0)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["diamond", "--dim", "2", "--target", "B"], 0),
+            (["diamond", "--dim", "6", "--target", "B"], 0),
+            (["diamond", "--dim", "3", "--target", "B-minus-Bplus"], 0),
+            (["diamond", "--dim", "2", "--tol", "sdp=1e-20"], 2),
+        ],
+    )
+    def test_covariant_diamond_runs_no_numpy(self, argv, want, tmp_path):
+        out = tmp_path / "out.json"
+        *lines, last = _main_in_child(argv + ["--out", str(out)])
+        assert last == f"exit {want}, numpy loaded: False"
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REPORT_SCHEMAS["diamond"])
+        assert doc["converged"] is (want == 0)
+        if want == 2:
+            assert "is below the bracket's rounding floor" in lines[-1]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--dim", "2", "--target", "B_cl"],
-            ["diamond", "--dim", "2"],
+            ["diamond", "--dim", "2", "--target", "file:{choi}"],
             ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
             ["dump", "--dim", "2", "--object", "B"],
         ],
     )
     def test_dense_commands_load_numpy(self, argv, tmp_path):
+        # B read back from its Choi file is a dense map, so the diamond bracket takes the Jordan path
+        choi = tmp_path / "choi.json"
+        choi.write_text(json.dumps(canonical_b(2).to_json()))
+        argv = [a.format(choi=choi) for a in argv]
         want = 1 if argv[-1] == "B_cl" else 0  # the classical broadcaster is not covariant
-        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")]) == f"exit {want}, numpy loaded: True"
+        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: True"
         assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
     @pytest.mark.parametrize("numpy_first", [True, False])

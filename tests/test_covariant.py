@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from pytest import mark
 
 from vbcast.broadcast import antisym, canonical_b, check_axioms, cloner, family_b_lambda
@@ -153,6 +153,9 @@ class TestAgainstDense:
             assert got.iterations == want.iterations == 0 and got.converged
             for field in ("value", "lower_bound", "upper_bound"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), (name, field)
-            assert_allclose(got.witness_state.mat, want.witness_state.mat, atol=1e-12)
+            # the covariant witness is the maximally entangled input exactly; the dense path's is close to it
+            e = np.eye(d).reshape(-1) / np.sqrt(d)
+            assert_array_equal(got.witness_state.mat, np.outer(e, e))
+            assert_allclose(want.witness_state.mat, np.outer(e, e), atol=1e-12)
             # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map
             assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum() / d, abs=1e-12)

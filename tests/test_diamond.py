@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import vbcast.diamond
 from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
@@ -218,7 +218,21 @@ class TestBracket:
             assert res.lower_bound <= exact <= res.upper_bound
         if m.d_out == m.d_in**2:
             # the d -> d^2 maps here are U (x) U (x) conj(U)-covariant: the maximally entangled input is optimal
-            assert_allclose(res.witness_state.mat, _max_entangled(m.d_in), atol=1e-12)
+            assert_array_equal(res.witness_state.mat, _max_entangled(m.d_in))
+
+    @pytest.mark.parametrize("target", ("B", "B-minus-Bplus"))
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    def test_covariant_bracket_pinned(self, d, target):
+        # the closed-form bracket, against numpy's sum of the spectrum and numpy's machine epsilon
+        m = canonical_b(d) if target == "B" else canonical_b(d) - cloner(d)
+        res = diamond_bracket(m)
+        norm = float(np.abs(np.array(m.spectrum())).sum()) / d
+        slack = float(16.0 * d**3 * np.finfo(float).eps * max(1.0, abs(norm)))
+        assert norm == pytest.approx(d if target == "B" else d - 1, abs=1e-14)
+        assert (res.lower_bound, res.upper_bound) == (norm - slack, norm + slack)
+        assert res.value == (res.lower_bound + res.upper_bound) / 2
+        assert res.witness == (np.eye(d).reshape(-1) / np.sqrt(d)).tolist()
+        assert_array_equal(res.witness_state.mat, _max_entangled(d))
 
     @pytest.mark.parametrize("d", (2, 4))
     def test_decomposition_bound_kept_exact(self, d):
@@ -318,6 +332,11 @@ class TestUpperAndScan:
     def test_scan_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             closest_channel_scan(canonical_b(2), [random_channel(3, 9, Rng(0))])
+
+
+@pytest.mark.parametrize("n, value", [(4, 0.0), (8, 1.0), (27, -2.5), (64, 3.0), (216, 6.0), (216, 1e300)])
+def test_float_slack_matches_numpy_eps(n, value):
+    assert float_slack(n, value) == float(16.0 * n * np.finfo(float).eps * max(1.0, abs(value)))
 
 
 def test_pinching_contracts_diamond_distance():
