@@ -5,6 +5,10 @@ deterministic for a fixed (flags, seed) pair -- the wall-clock timestamp
 is the only field that varies between identical runs.  Exit codes:
 0 success, 1 verification failure, 2 operational error (bad arguments,
 unreadable files, solver non-convergence).
+
+This module also owns the Choi JSON layout of a map, ``{d_in, d_out, choi}``
+with the Choi as ``{rows, cols, re, im}``: ``_supermap_doc`` writes it for
+``dump`` and ``_read_supermap`` reads it back for ``diamond --target file:``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import HP_TOL, AffineDecomposition, SuperMap
+from .supermap import AffineDecomposition, SuperMap
 from .broadcast import (
     antisym,
     canonical_b,
@@ -227,8 +231,25 @@ def _finite(x):
 
 
 def _operator_doc(op: Operator) -> dict:
-    """``Operator.to_json``'s fields, with the real and imaginary parts left as arrays for ``_dumps``."""
+    """An operator as {rows, cols, re, im}, its row-major real and imaginary parts left as arrays for ``_dumps``."""
     return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
+
+
+def _supermap_doc(m: SuperMap) -> dict:
+    """A map as {d_in, d_out, choi}: ``dump`` writes this layout and ``diamond --target file:`` reads it back."""
+    return {"d_in": m.d_in, "d_out": m.d_out, "choi": _operator_doc(m.choi)}
+
+
+def _read_supermap(doc) -> SuperMap:
+    """The map of a loaded ``_supermap_doc``; a malformed document raises KeyError, TypeError or ValueError."""
+    for field in ("d_in", "d_out"):
+        if type(doc[field]) is not int or doc[field] < 1:  # a JSON true loads as a bool, which is an int
+            raise ValueError(f"{field} must be a positive integer, got {json.dumps(doc[field])}")
+    choi = doc["choi"]
+    re, im = np.array(choi["re"], dtype=float), np.array(choi["im"], dtype=float)
+    if re.shape != (choi["rows"], choi["cols"]) or im.shape != re.shape:
+        raise ValueError("operator JSON has inconsistent dimensions")
+    return SuperMap(doc["d_in"], doc["d_out"], Operator(re + 1j * im))
 
 
 def _witness_doc(result: DiamondResult) -> dict:
@@ -317,7 +338,7 @@ def build_object(name: str, d: int) -> SuperMap:
 
 def _choi_spectrum(m: SuperMap) -> list[float] | None:
     """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
-    if not m.is_hp(HP_TOL):
+    if not m.is_hp():
         return None
     return m.spectrum()
 
@@ -418,7 +439,7 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
         raise CliError(f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file")
     try:
         with open(path) as fp:
-            m = SuperMap.from_json(json.load(fp))
+            m = _read_supermap(json.load(fp))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load supermap from {path}: {exc}") from None
     if m.d_in != d:
@@ -537,8 +558,7 @@ def cmd_dump(cfg: RunConfig, object_name: str) -> int:
     m = build_object(object_name, cfg.dim)
     vals = _choi_spectrum(m)
     doc = _meta(cfg, "dump")
-    supermap = {"d_in": m.d_in, "d_out": m.d_out, "choi": _operator_doc(m.choi)}
-    doc.update(object=object_name, supermap=supermap, jamiolkowski=_operator_doc(m.jamiolkowski()))
+    doc.update(object=object_name, supermap=_supermap_doc(m), jamiolkowski=_operator_doc(m.jamiolkowski()))
     doc["eigenvalues"] = [] if vals is None else vals
     _emit_json(cfg, doc)
     return 0

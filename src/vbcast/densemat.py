@@ -5,6 +5,9 @@ immutable :class:`Operator` wrapper around a complex matrix, Kronecker
 products and partial traces for two-factor tensor spaces, a Hermitian
 eigensolver with a descending-eigenvalue convention, and a seeded
 :class:`Rng` that is the only stateful object in the library.
+
+The operator predicates and the input check ``check_density`` gate at
+``DEFAULT_TOL``; an operator's JSON layout belongs to ``cli``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from . import _lazy_numpy
 
 np = _lazy_numpy()
 
-# Default tolerance for algebraic predicates (hermiticity, unitarity, ...).
+# Gate of the operator predicates and of the input checks (``check_density``).
 DEFAULT_TOL = 1e-9
 
 
@@ -82,29 +85,16 @@ class Operator:
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Row-major JSON form: {"rows", "cols", "re", "im"}."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "re": self._mat.real.tolist(),
-            "im": self._mat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Operator":
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-        if re.shape != (obj["rows"], obj["cols"]) or im.shape != re.shape:
-            raise ValueError("operator JSON has inconsistent dimensions")
-        return cls(re + 1j * im)
-
 
 def _raw(x) -> np.ndarray:
     """Unwrap an Operator or pass an ndarray through."""
     return x.mat if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)
+
+
+def check_density(rho: Operator, d: int):
+    """Raise ``ValueError`` unless rho is a d x d Hermitian matrix of unit trace, within ``DEFAULT_TOL``."""
+    if rho.rows != d or not rho.is_hermitian() or abs(rho.trace() - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"rho must be a unit-trace Hermitian {d}x{d} matrix")
 
 
 # ---------------------------------------------------------------------------

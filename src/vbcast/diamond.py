@@ -20,8 +20,9 @@
   ``eigh``, no d^3 x d^3 array and no numpy: the bounds, their slack and
   the witness input are standard-library floats.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
-  an upper bound because channels have diamond norm one; the same check
-  validates the quasi-sampler's split and gives its overhead.
+  an upper bound because channels have diamond norm one; the same check,
+  at the map gate ``HP_TOL``, validates the quasi-sampler's split and gives
+  its overhead.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
@@ -36,7 +37,8 @@ holds despite rounding in the eigendecompositions.  That rounding also sets
 
 A ``DiamondResult`` carries its witness as the unit input vector vec A: a
 list of floats on the covariant path, an ndarray otherwise.  The witness
-state vec A vec A^dag is built only when ``witness_state`` is read.
+state vec A vec A^dag is built only when ``witness_state`` is read, and
+the ``diamond`` report of ``cli`` writes it.
 """
 
 from __future__ import annotations
@@ -90,17 +92,6 @@ class DiamondResult(NamedTuple):
         """The witness state vec A vec A^dag; building it loads numpy."""
         w = np.asarray(self.witness)
         return Operator(np.outer(w, w.conj()))
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "gap": self.gap,
-            "witness_state": self.witness_state.to_json(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    if not m.is_hp(HP_TOL):
+    if not m.is_hp():
         raise ValueError("diamond_sdp requires a Hermitian-preserving map")
 
     d_in, d_out = m.d_in, m.d_out
@@ -254,7 +245,7 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     ``float_slack``, and rho0, the normalised projector onto the eigenvectors
     of K within that slack of lambda_max.
     """
-    if not m.is_hp(HP_TOL):
+    if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     r = _input_first_choi(m)
     vals, vecs = np.linalg.eigh(_trace_out(_jordan_abs(r), m.d_in, m.d_out))
@@ -274,7 +265,7 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     are rounded outward by ``float_slack``, and vec A is a list of floats:
     1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
-    if not m.is_hp(HP_TOL):
+    if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
     norm = math.fsum(map(abs, m.spectrum())) / d
@@ -336,14 +327,14 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
     )
 
 
-def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
+def hptp_upper(decomposition: AffineDecomposition) -> float:
     """lambda_plus + lambda_minus of a validated split; channels have diamond norm 1.
 
     This one check serves both the diamond bound and the quasi-sampler, whose
     l1 overhead is the same number.  It raises ``ValueError`` unless both
     weights are non-negative and not both zero, the parts share their
-    dimensions, and both parts are CPTP within ``tol``; covariant parts are
-    tested on their closed-form spectrum.
+    dimensions, and both parts are CPTP within ``HP_TOL``; covariant parts
+    are tested on their closed-form spectrum.
     """
     lp, lm = float(decomposition.lambda_plus), float(decomposition.lambda_minus)
     if not (lp >= 0 and lm >= 0):
@@ -354,6 +345,6 @@ def hptp_upper(decomposition: AffineDecomposition, tol: float = 1e-8) -> float:
     if (plus.d_in, plus.d_out) != (minus.d_in, minus.d_out):
         raise ValueError("decomposition parts have different dimensions")
     for part, name in ((plus, "plus"), (minus, "minus")):
-        if not (part.is_cp(tol) and part.is_tp(tol)):
-            raise ValueError(f"decomposition {name}-part is not CPTP within {tol}")
+        if not (part.is_cp() and part.is_tp()):
+            raise ValueError(f"decomposition {name}-part is not CPTP within HP_TOL = {HP_TOL:g}")
     return lp + lm

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 
 from . import _lazy_numpy
-from .densemat import Operator, Rng, swap
+from .densemat import Operator, Rng, check_density, swap
 from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap, covariant_map
 
@@ -71,13 +71,6 @@ def verify_theorem3(b: SuperMap) -> float:
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo sampling of the measure-and-prepare integral
-
-
-def _check_density(rho: Operator, d: int):
-    if rho.rows != d or rho.cols != d:
-        raise ValueError(f"rho must be {d}x{d}")
-    if not rho.is_hermitian(1e-9) or abs(rho.trace() - 1.0) > 1e-9:
-        raise ValueError("rho must be a unit-trace Hermitian matrix")
 
 
 @functools.cache
@@ -173,7 +166,7 @@ def sample_mp_blocks(
     rho: Operator, d: int, n_samples: int, n_blocks: int, rng: Rng
 ) -> list[tuple[int, MatrixSamplingEstimate]]:
     """Blockwise running estimates (for CSV traces); block index starts at 1."""
-    _check_density(rho, d)
+    check_density(rho, d)
     if n_blocks < 1 or n_samples < 2 * n_blocks:
         raise ValueError("need at least 2 samples per block")
     exact = exact_mp_map(d).apply(rho)

@@ -13,11 +13,14 @@ CPTP and returns L, which also bounds the map's diamond norm.
 from __future__ import annotations
 
 from . import _lazy_numpy
-from .densemat import Operator, Rng, kron
+from .densemat import Operator, Rng, check_density, kron
 from .mcstats import SamplingEstimate
 from .supermap import AffineDecomposition
 
 np = _lazy_numpy()
+
+# Most uniforms held at once (8 MB) by ``estimate_with_trace``.
+DRAW_CHUNK = 1 << 20
 
 
 def _value_table(
@@ -32,10 +35,9 @@ def _value_table(
     """
     target = dec.combined()
     d = target.d_in
-    if rho.rows != d or not rho.is_hermitian(1e-9) or abs(rho.trace() - 1.0) > 1e-9:
-        raise ValueError("rho must be a unit-trace Hermitian d x d matrix")
+    check_density(rho, d)
     for o in (o1, o2):
-        if o.rows != o.cols or not o.is_hermitian(1e-9):
+        if not o.is_hermitian():
             raise ValueError("observables must be Hermitian")
     obs = kron(o1, o2).mat
     exact = float(np.real(np.trace(target.apply(rho).mat @ obs)))
@@ -79,8 +81,9 @@ def estimate_with_trace(
     Each segment between checkpoints draws the uniforms that one ``choice``
     call with ``p=probs`` draws -- the stream equals a single size-n call --
     and counts them against the cumulative distribution, so value j counts
-    #(u < cdf[j]) - #(u < cdf[j-1]) and only one segment of uniforms is
-    held at a time.
+    #(u < cdf[j]) - #(u < cdf[j-1]).  The uniforms are drawn in chunks of at
+    most ``DRAW_CHUNK``, which consecutive ``random`` calls continue as one
+    stream, so memory does not grow with n.
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
@@ -93,9 +96,10 @@ def estimate_with_trace(
     rows = []
     done = 0
     for m in marks:
-        u = rng.gen.random(m - done)
-        counts += np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
-        done = m
+        while done < m:
+            u = rng.gen.random(min(m - done, DRAW_CHUNK))
+            counts += np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
+            done += u.size
         mean = counts @ vals / m
         var = counts @ (vals - mean) ** 2 / (m - 1)
         rows.append((m, float(mean), float(np.sqrt(var / m))))

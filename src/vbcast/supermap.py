@@ -26,6 +26,9 @@ linear residual are read off the at most 203 equality patterns
 ``covariant_spectrum``.  Those reads are standard-library arithmetic on
 integer tuples and touch no numpy.  ``apply`` sums the six terms' actions
 on a d x d input (``_covariant_apply``) in O(d^4).
+
+``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
+the map predicates; a map's Choi JSON layout belongs to ``cli``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from typing import NamedTuple
 
 from . import _lazy_numpy
-from .densemat import DEFAULT_TOL, S3, Operator, _raw, partial_trace
+from .densemat import S3, Operator, _raw, partial_trace
 
 np = _lazy_numpy()
 
@@ -49,7 +52,7 @@ def omega(d: int) -> Operator:
     return Operator(m)
 
 
-# Hermiticity gate (``SuperMap.is_hp``) of a Choi that a bound or a reported spectrum reads as Hermitian.
+# The gate of ``SuperMap.is_hp``, ``is_cp`` and ``is_tp``: the one tolerance of the map predicates.
 HP_TOL = 1e-8
 
 
@@ -133,34 +136,34 @@ class SuperMap:
             return np.linalg.eigvalsh(self.choi.mat)[::-1].tolist()
         return covariant_spectrum(self.d_in, self.coeffs)
 
-    def is_hp(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian-preserving, i.e. Hermitian Choi.
+    def is_hp(self) -> bool:
+        """Hermitian-preserving, i.e. Hermitian Choi within ``HP_TOL``.
 
         The Choi's adjoint has the coefficients conj(x_s^-1); only the two
         3-cycles are not their own inverses.
         """
         if self.coeffs is None:
-            return bool(self.choi.is_hermitian(tol))
+            return bool(self.choi.is_hermitian(HP_TOL))
         x = self.coeffs
         adjoint = (x[0], x[1], x[2], x[3], x[5], x[4])
-        return _pattern_absmax(self.d_in, [a - b.conjugate() for a, b in zip(x, adjoint)]) <= tol
+        return _pattern_absmax(self.d_in, [a - b.conjugate() for a, b in zip(x, adjoint)]) <= HP_TOL
 
-    def is_cp(self, tol: float = DEFAULT_TOL) -> bool:
-        """Completely positive, i.e. PSD Choi."""
-        return bool(self.is_hp(tol) and self.spectrum()[-1] >= -tol)
+    def is_cp(self) -> bool:
+        """Completely positive, i.e. PSD Choi within ``HP_TOL``."""
+        return bool(self.is_hp() and self.spectrum()[-1] >= -HP_TOL)
 
-    def is_tp(self, tol: float = DEFAULT_TOL) -> bool:
-        """Trace-preserving:  Tr_out[choi] = I_in.
+    def is_tp(self) -> bool:
+        """Trace-preserving:  Tr_out[choi] = I_in within ``HP_TOL``.
 
         A covariant Choi's Tr_out commutes with every Ubar, so it is
         Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
         """
         if self.coeffs is None:
             red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
-            return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= tol)
+            return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= HP_TOL)
         d = self.d_in
         trace = sum(c * float(d) ** _cycles(s) for c, s in zip(self.coeffs, S3))
-        return abs(trace / d - 1) <= tol
+        return abs(trace / d - 1) <= HP_TOL
 
     # -- linear structure ---------------------------------------------------
 
@@ -189,15 +192,6 @@ class SuperMap:
 
     def __repr__(self):
         return f"SuperMap(d_in={self.d_in}, d_out={self.d_out})"
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"d_in": self.d_in, "d_out": self.d_out, "choi": self.choi.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SuperMap":
-        return cls(obj["d_in"], obj["d_out"], Operator.from_json(obj["choi"]))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,11 @@ class TestCheckAxiomsCovariance:
             rep = check_axioms(m)
             assert rep.covariance > 1e-2
 
+    @mark.parametrize("d", range(2, 7))
+    def test_classical_broadcaster_covariance(self, d):
+        # 1/2, 7/10, 4/5, 6/7, 25/28; the dense projection is one ulp off the correctly rounded value at d = 5, 6
+        assert check_axioms(classical_bcl(d)).covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15)
+
     @mark.parametrize("d", (2, 3))
     def test_classical_matches_decohered_chain(self, d):
         # the Choi-diagonal reading equals the (D (x) D) . m . D chain against B_cl

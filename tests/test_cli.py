@@ -43,6 +43,11 @@ def _child_env(**preset):
     return {**env, "PYTHONPATH": src, **preset}
 
 
+def write_supermap(path, m):
+    """Write m to path in the Choi JSON layout that ``dump`` writes and ``diamond --target file:`` reads."""
+    path.write_text(_dumps(cli._supermap_doc(m)))
+
+
 def run(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -69,6 +74,15 @@ class TestVerify:
         uniq = doc["checks"][1]
         assert uniq["skipped"] is None
         assert uniq["values"]["nullity"] == 0
+
+    @pytest.mark.parametrize("d", (2, 6))
+    def test_classical_broadcaster_covariance(self, d, tmp_path):
+        code, doc, _ = run(["verify", "--dim", str(d), "--target", "B_cl"], tmp_path)
+        assert code == 1 and doc["pass"] is False
+        checks = {c["name"]: c for c in doc["checks"]}
+        for name in ("broadcast_axioms", "sot_axioms"):
+            covariance = checks[name]["values"]["covariance"]
+            assert covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15), name
 
     def test_corrupted_fixture_names_permutation(self, tmp_path, capsys):
         code, doc, _ = run(["verify", "--dim", "2", "--target", "B_lambda:0.3"], tmp_path)
@@ -247,7 +261,7 @@ class TestDiamond:
     def test_tolerance_below_rounding_floor(self, target, tmp_path, capsys):
         # no bracket is narrower than its bounds' outward rounding; ADMM once ran 50000 iterations (9 s) here
         channel = tmp_path / "channel.json"
-        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        write_supermap(channel, random_channel(2, 2, Rng(7)))
         start = time.perf_counter()
         args = ["diamond", "--dim", "2", "--target", target.format(channel=channel), "--tol", "sdp=1e-20"]
         code, doc, _ = run(args, tmp_path)
@@ -266,7 +280,7 @@ class TestDiamond:
 
     def test_file_target_channel(self, tmp_path):
         path = tmp_path / "chan.json"
-        path.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        write_supermap(path, random_channel(2, 2, Rng(7)))
         code, doc, _ = run(["diamond", "--dim", "2", "--target", str(path)], tmp_path)
         assert code == 0
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
@@ -276,7 +290,7 @@ class TestDiamond:
     def test_open_gap_file_target_certified(self, tmp_path):
         # the bracket of a channel difference stays open until ADMM certifies it
         path = tmp_path / "diff.json"
-        path.write_text(json.dumps((random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2))).to_json()))
+        write_supermap(path, random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2)))
         docs = []
         for seed in ("0", "5"):
             args = ["diamond", "--dim", "2", "--target", f"file:{path}", "--seed", seed]
@@ -291,7 +305,7 @@ class TestDiamond:
 
     def test_file_target_must_match_dim(self, tmp_path, capsys):
         path = tmp_path / "cloner_d3.json"
-        path.write_text(json.dumps(cloner(3).to_json()))
+        write_supermap(path, cloner(3))
         code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
@@ -310,9 +324,51 @@ class TestDiamond:
     def test_non_hp_file_target(self, tmp_path, capsys):
         path = tmp_path / "triu.json"
         bad = SuperMap(2, 2, Operator(np.triu(np.ones((4, 4)))))
-        path.write_text(json.dumps(bad.to_json()))
+        write_supermap(path, bad)
         assert main(["diamond", "--dim", "2", "--target", f"file:{path}"]) == 2
         assert "Hermitian-preserving" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ("d_in", "d_out"))
+    @pytest.mark.parametrize("value", ("true", "2.5", "0", '"2"'))
+    def test_file_target_dimensions_are_positive_integers(self, field, value, tmp_path, capsys):
+        # "d_in": 2.5 once got as far as the shape check: "choi must be 10.0x10.0 for d_in=2.5"
+        path = tmp_path / "bad.json"
+        doc = json.loads(_dumps(cli._supermap_doc(random_channel(2, 2, Rng(7)))))
+        doc[field] = json.loads(value)
+        path.write_text(json.dumps(doc))
+        code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: cannot load supermap from {path}: {field} must be a positive integer, got {value}\n"
+        )
+
+
+class TestSupermapLayout:
+    """``_supermap_doc`` and ``_read_supermap`` are the one writer and reader of the Choi JSON layout."""
+
+    @staticmethod
+    def assert_bit_identical(got, m):
+        assert (got.d_in, got.d_out) == (m.d_in, m.d_out)
+        assert got.choi.mat.tobytes() == m.choi.mat.tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("name", ("B", "B_cl", "D", "M"))
+    def test_named_maps_round_trip(self, name, d):
+        m = cli.build_object(name, d)
+        doc = cli._supermap_doc(m)
+        self.assert_bit_identical(cli._read_supermap(doc), m)
+        self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(doc))), m)
+
+    def test_random_channel_round_trip(self):
+        m = random_channel(2, 4, Rng(60))
+        self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(cli._supermap_doc(m)))), m)
+
+    @pytest.mark.parametrize("part", ("re", "im"))
+    def test_bad_shape(self, part):
+        doc = json.loads(_dumps(cli._supermap_doc(random_channel(2, 2, Rng(0)))))
+        doc["choi"][part] = [[1.0]]
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            cli._read_supermap(doc)
 
 
 class TestSample:
@@ -507,7 +563,7 @@ class TestSchemas:
     )
     def test_report_validates(self, args, tmp_path):
         channel = tmp_path / "channel.json"
-        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        write_supermap(channel, random_channel(2, 2, Rng(7)))
         _, doc, _ = run([a.format(channel=channel) for a in args], tmp_path)
         jsonschema.validate(doc, REPORT_SCHEMAS[args[0]])
 
@@ -629,7 +685,7 @@ class TestReportWriter:
     )
     def test_reports_byte_identical(self, args, tmp_path, monkeypatch):
         channel = tmp_path / "channel.json"
-        channel.write_text(json.dumps(random_channel(2, 2, Rng(7)).to_json()))
+        write_supermap(channel, random_channel(2, 2, Rng(7)))
         docs = []
         emit = cli._emit_json
         monkeypatch.setattr(cli, "_emit_json", lambda cfg, doc: (docs.append(doc), emit(cfg, doc)))
@@ -853,7 +909,7 @@ class TestLazyNumpy:
     def test_dense_commands_load_numpy(self, argv, tmp_path):
         # B read back from its Choi file is a dense map, so the diamond bracket takes the Jordan path
         choi = tmp_path / "choi.json"
-        choi.write_text(json.dumps(canonical_b(2).to_json()))
+        write_supermap(choi, canonical_b(2))
         argv = [a.format(choi=choi) for a in argv]
         want = 1 if argv[-1] == "B_cl" else 0  # the classical broadcaster is not covariant
         assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: True"

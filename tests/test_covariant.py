@@ -19,6 +19,7 @@ from vbcast.densemat import Rng
 from vbcast.diamond import diamond_bracket
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 from vbcast.supermap import (
+    HP_TOL,
     SuperMap,
     commutant_table,
     covariant_map,
@@ -111,15 +112,18 @@ class TestCovariantForm:
 
     @mark.parametrize("d", DIMS)
     def test_predicates_and_absmax_match_dense(self, d):
-        skew = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 1e-3j])  # the 3-cycles' coefficients not conjugate
-        off_tp = covariant_map(d, [1.5e-9 / d**2, 0, 0, 0, 0.5, 0.5])  # Tr_out C = (1 + 1.5e-9) I
-        for name, m in {**covariant_maps(d), "skew": skew, "off_tp": off_tp}.items():
+        # on either side of the one gate HP_TOL: skew's 3-cycle coefficients miss conjugacy by
+        # t HP_TOL in C - C^dag (their sum, at the all-equal entry), and off_tp has Tr_out C = (1 + t HP_TOL) I
+        maps = covariant_maps(d)
+        for t in (0.5, 2.0):
+            maps[f"skew{t}"] = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 0.5j * t * HP_TOL])
+            maps[f"off_tp{t}"] = covariant_map(d, [t * HP_TOL / d**2, 0, 0, 0, 0.5, 0.5])
+        for name, m in maps.items():
             ref = dense(m)
             assert m.choi_absmax() == pytest.approx(ref.choi_absmax(), abs=1e-14), name
-            for tol in (1e-9, 2e-9, 1e-2):
-                assert (m.is_hp(tol), m.is_cp(tol), m.is_tp(tol)) == (ref.is_hp(tol), ref.is_cp(tol), ref.is_tp(tol))
-        assert not skew.is_hp() and skew.is_hp(1e-2)
-        assert not off_tp.is_tp(1e-9) and off_tp.is_tp(2e-9)
+            assert (m.is_hp(), m.is_cp(), m.is_tp()) == (ref.is_hp(), ref.is_cp(), ref.is_tp()), name
+        assert maps["skew0.5"].is_hp() and not maps["skew2.0"].is_hp()
+        assert maps["off_tp0.5"].is_tp() and not maps["off_tp2.0"].is_tp()
         assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
 
 

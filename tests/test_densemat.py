@@ -57,18 +57,6 @@ class TestOperator:
         assert not Operator([[0, 1], [0, 0]]).is_hermitian()
         assert not Operator([[1, 0], [0, -1]]).is_psd()
 
-    def test_json_roundtrip(self):
-        rng = Rng(11)
-        o = random_hermitian(3, rng) + 1j * Operator(np.eye(3))
-        back = Operator.from_json(o.to_json())
-        assert_allclose(back.mat, o.mat)
-
-    def test_json_bad_shape(self):
-        doc = identity(2).to_json()
-        doc["re"] = [[1.0]]
-        with raises(ValueError):
-            Operator.from_json(doc)
-
 
 class TestKronSwap:
     @mark.parametrize("d", dims)

@@ -96,12 +96,6 @@ class TestSdp:
         with pytest.raises(ValueError):
             diamond_sdp(identity_map(2), tolerance=-1)
 
-    def test_result_json(self):
-        res = diamond_sdp(identity_map(2))
-        doc = res.to_json()
-        assert doc["converged"] is True
-        assert doc["value"] == pytest.approx(1.0, abs=1e-4)
-
 
 def _max_entangled(d):
     w = np.eye(d).reshape(-1) / np.sqrt(d)

@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from vbcast.densemat import Rng, identity, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
 from vbcast.diamond import hptp_upper
-from vbcast.qsample import _value_table, estimate_with_trace, write_trace_csv
+from vbcast.qsample import DRAW_CHUNK, _value_table, estimate_with_trace, write_trace_csv
 
 from random_fixtures import random_channel
 
@@ -185,6 +186,25 @@ def test_counts_match_choice_bincount(d, shot_noise):
         counts += np.bincount(gen.choice(vals.size, size=m - done, p=probs), minlength=vals.size)
         done = m
         assert mean == counts @ vals / m
+
+
+def test_segments_drawn_in_bounded_chunks():
+    # a segment once drew all of its uniforms at once: 197.5 MB peak RSS for sample --n 2e8
+    dec = canonical_decomposition(2)
+    rng = Rng(43)
+    rho, o1, o2 = random_density(2, rng), random_hermitian(2, rng), random_hermitian(2, rng)
+    n = 2 * DRAW_CHUNK + 3
+    sizes = []
+    recorded = Rng(44)
+    gen = recorded.gen
+    recorded.gen = SimpleNamespace(random=lambda size: (sizes.append(size), gen.random(size))[1])
+    _, rows = estimate_with_trace(dec, rho, o1, o2, n, recorded, n_checkpoints=1)
+    assert max(sizes) == DRAW_CHUNK and sum(sizes) == n
+    # consecutive draws continue one stream, so the chunks count what one size-n choice draws
+    _, vals, probs = _value_table(dec, rho, o1, o2, False)
+    counts = np.zeros(vals.size)
+    counts += np.bincount(Rng(44).gen.choice(vals.size, size=n, p=probs), minlength=vals.size)
+    assert len(rows) == 1 and rows[0][1] == counts @ vals / n
 
 
 def test_trace_csv():

@@ -85,7 +85,7 @@ class TestAxioms:
 
     @mark.parametrize("d", (2, 3))
     def test_non_covariant_maps_fail_covariance(self, d):
-        assert check_sot_axioms(classical_bcl(d)).covariance > 1e-2
+        assert check_sot_axioms(classical_bcl(d)).covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15)
         assert check_sot_axioms(random_channel(d, d * d, Rng(d))).covariance > 1e-2
 
     @mark.parametrize("d", (2, 3))

@@ -166,13 +166,6 @@ def test_arithmetic_dim_mismatch():
         random_channel(2, 2, Rng(0)) + random_channel(3, 3, Rng(0))
 
 
-def test_json_roundtrip():
-    m = random_channel(2, 4, Rng(60))
-    back = SuperMap.from_json(m.to_json())
-    assert back.d_in == 2 and back.d_out == 4
-    assert_allclose(back.choi.mat, m.choi.mat)
-
-
 def test_choi_shape_validation():
     with pytest.raises(ValueError):
         SuperMap(2, 2, identity(5))
