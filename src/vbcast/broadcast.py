@@ -41,11 +41,11 @@ from .supermap import (
     SuperMap,
     _cycles,
     _require_dim,
-    commutant_table,
     covariant_map,
     equality_patterns,
     omega,
     table_entries,
+    table_support,
 )
 
 np = _lazy_numpy()
@@ -154,14 +154,16 @@ def commutant_projection(choi: Operator, d: int) -> Operator:
 
     This is the Haar twirl  Integral W C W+ dU  with W = U (x) U (x) Ubar.
     Each overlap  <P_j^T3, C>  sums C over the d^3 entries where table
-    element j is 1, and the coefficients x solve  Gram x = overlaps.  With
-    k the Gram's rank, the first k table elements are independent: at
-    d = 2 the one dependency is the antisymmetrizer, whose six signs are
-    all nonzero, so any five elements are.  So the leading k x k block is
-    solved against the first k overlaps and the rest of x is zero.
+    element j is 1, in the ascending order of ``table_support``, and the
+    coefficients x solve  Gram x = overlaps.  With k the Gram's rank, the
+    first k table elements are independent: at d = 2 the one dependency is
+    the antisymmetrizer, whose six signs are all nonzero, so any five
+    elements are.  So the leading k x k block is solved against the first
+    k overlaps and the rest of x is zero.
     """
     flat = choi.mat.ravel()
-    overlaps = np.array([flat[np.flatnonzero(t)].sum() for t in commutant_table(d).reshape(6, -1)])
+    support = table_support(d)
+    overlaps = np.array([flat[[pos for pos, mask in support if mask >> j & 1]].sum() for j in range(6)])
     gram = commutant_gram(d)
     k = _exact_rank(gram)
     x = np.zeros(6, dtype=complex)

@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import AffineDecomposition, SuperMap
+from .supermap import AffineDecomposition, SuperMap, covariant_entries
 from .broadcast import (
     antisym,
     canonical_b,
@@ -155,20 +155,35 @@ def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` with each ndarray taken as its ``.tolist()``, byte for byte.
 
     The indented layout is written here, and the document's parts are
-    gathered in one list and joined once.  A float64 array formats each of
-    its distinct values once (``_array_tokens``) and joins each innermost row
-    of their strings, so a covariant Choi, with at most 203 distinct entries,
-    costs 203 ``repr`` calls, not one per entry.  No report holds a token that
-    is not JSON: +-inf is written as +-1e300, and a NaN raises CliError.
+    gathered in one list and joined once.  An array is written from its
+    ``_Indexed`` form: each distinct value is formatted once, and each
+    innermost row of their strings is joined, so a covariant Choi, with at
+    most 203 distinct entries, costs 203 ``repr`` calls, not one per entry.
+    No report holds a token that is not JSON: +-inf is written as +-1e300,
+    and a NaN raises CliError.
     """
     parts = []
     _write(obj, "", parts)
     return "".join(parts)
 
 
+class _Indexed(NamedTuple):
+    """An array of floats as its distinct values and nested rows of indices into them.
+
+    ``_dumps`` writes it as the nested list of the values the rows index.
+    ``_indexed`` takes a float64 ndarray to this form; ``_map_operator_doc``
+    lays a covariant Choi out in it directly.
+    """
+
+    values: list
+    rows: list
+
+
 def _write(obj, pad: str, parts: list):
     inner = pad + "  "
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, _Indexed):  # ahead of the tuples, which it is one of
+        _write_rows(obj.rows, [repr(_finite(x)) for x in obj.values], pad, parts)
+    elif isinstance(obj, dict) and obj:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
             parts.append(f"{sep}{json.dumps(key)}: ")
@@ -185,44 +200,40 @@ def _write(obj, pad: str, parts: list):
     elif obj is None or isinstance(obj, (str, int, float, dict, list, tuple)) or not isinstance(obj, np.ndarray):
         parts.append(json.dumps(_finite(obj)))  # np is read last, so a document of plain values loads no numpy
     else:
-        _write_rows(_array_tokens(obj), pad, parts)
+        _write(_indexed(obj), pad, parts)
 
 
-def _array_tokens(arr: np.ndarray) -> np.ndarray:
-    """The JSON token of every entry of a float64 array, as an object array of its shape.
+def _indexed(arr: np.ndarray) -> _Indexed:
+    """A float64 array as its ``_Indexed`` form.
 
     ``np.unique`` runs on the int64 view of the bits, which keeps -0.0 apart
-    from 0.0, and each distinct value is formatted once, as ``json.dumps``
-    formats a float: its ``repr``.
+    from 0.0, so each distinct value is one entry of ``values``.
     """
     if arr.dtype != np.float64:
         raise TypeError(f"the report writer takes float64 arrays, got {arr.dtype}")
     bits = np.ascontiguousarray(arr).view(np.int64).ravel()
     keys, inverse = np.unique(bits, return_inverse=True)
-    values = keys.view(np.float64)
-    if np.isnan(values).any():
-        raise CliError(_NAN_ERROR)
-    values = np.where(np.isinf(values), np.copysign(_UNBOUNDED, values), values)
-    tokens = np.array([repr(x) for x in values.tolist()], dtype=object)
-    return tokens[inverse].reshape(arr.shape)
+    return _Indexed(keys.view(np.float64).tolist(), inverse.reshape(arr.shape).tolist())
 
 
-def _write_rows(tokens: np.ndarray, pad: str, parts: list):
+def _write_rows(rows: list, tokens: list[str], pad: str, parts: list):
+    """Nested rows of indices into ``tokens``, written as the nested JSON list of those tokens."""
     inner = pad + "  "
-    if len(tokens) == 0:
+    if not rows:
         parts.append("[]")
-    elif tokens.ndim == 1:
-        parts.append("[\n" + inner + (",\n" + inner).join(tokens.tolist()) + "\n" + pad + "]")
+    elif isinstance(rows[0], int):
+        parts.append("[\n" + inner + (",\n" + inner).join(map(tokens.__getitem__, rows)) + "\n" + pad + "]")
     else:
         sep = "[\n" + inner
-        for row in tokens:
+        for row in rows:
             parts.append(sep)
-            _write_rows(row, inner, parts)
+            _write_rows(row, tokens, inner, parts)
             sep = ",\n" + inner
         parts.append("\n" + pad + "]")
 
 
 def _finite(x):
+    """x with +-inf as +-1e300; a NaN raises CliError.  A float's JSON token is its ``repr``."""
     if not isinstance(x, float) or math.isfinite(x):
         return x
     if math.isnan(x):
@@ -235,9 +246,34 @@ def _operator_doc(op: Operator) -> dict:
     return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
 
 
+def _map_operator_doc(m: SuperMap, jamiolkowski: bool = False) -> dict:
+    """m's Choi, or its Jamiolkowski operator, as an ``_operator_doc``.
+
+    A covariant m's operator is laid out from ``covariant_entries``, with
+    no ndarray: its parts are ``_Indexed`` over the distinct entries, 0j at
+    index 0, and each nonzero position takes its own index.  The
+    Jamiolkowski operator moves each position, by
+    J[(in', out), (in, out')] = C[(out, in), (out', in')].
+    """
+    if m.coeffs is None:
+        return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
+    d, d_out = m.d_in, m.d_out
+    n = d * d_out
+    values, entries = covariant_entries(d, m.coeffs)
+    rows = [[0] * n for _ in range(n)]
+    for pos, index in entries:
+        row, col = divmod(pos, n)
+        if jamiolkowski:
+            (out, inp), (out_p, inp_p) = divmod(row, d), divmod(col, d)
+            row, col = inp_p * d_out + out, inp * d_out + out_p
+        rows[row][col] = index
+    re, im = [v.real for v in values], [v.imag for v in values]
+    return {"rows": n, "cols": n, "re": _Indexed(re, rows), "im": _Indexed(im, rows)}
+
+
 def _supermap_doc(m: SuperMap) -> dict:
     """A map as {d_in, d_out, choi}: ``dump`` writes this layout and ``diamond --target file:`` reads it back."""
-    return {"d_in": m.d_in, "d_out": m.d_out, "choi": _operator_doc(m.choi)}
+    return {"d_in": m.d_in, "d_out": m.d_out, "choi": _map_operator_doc(m)}
 
 
 def _read_supermap(doc) -> SuperMap:
@@ -249,6 +285,8 @@ def _read_supermap(doc) -> SuperMap:
     re, im = np.array(choi["re"], dtype=float), np.array(choi["im"], dtype=float)
     if re.shape != (choi["rows"], choi["cols"]) or im.shape != re.shape:
         raise ValueError("operator JSON has inconsistent dimensions")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # Python's json loads NaN, Infinity and -Infinity
+        raise ValueError("choi entries must be finite, got NaN or Infinity")
     return SuperMap(doc["d_in"], doc["d_out"], Operator(re + 1j * im))
 
 
@@ -558,7 +596,7 @@ def cmd_dump(cfg: RunConfig, object_name: str) -> int:
     m = build_object(object_name, cfg.dim)
     vals = _choi_spectrum(m)
     doc = _meta(cfg, "dump")
-    doc.update(object=object_name, supermap=_supermap_doc(m), jamiolkowski=_operator_doc(m.jamiolkowski()))
+    doc.update(object=object_name, supermap=_supermap_doc(m), jamiolkowski=_map_operator_doc(m, jamiolkowski=True))
     doc["eigenvalues"] = [] if vals is None else vals
     _emit_json(cfg, doc)
     return 0

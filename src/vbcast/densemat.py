@@ -6,8 +6,9 @@ products and partial traces for two-factor tensor spaces, a Hermitian
 eigensolver with a descending-eigenvalue convention, and a seeded
 :class:`Rng` that is the only stateful object in the library.
 
-The operator predicates and the input check ``check_density`` gate at
-``DEFAULT_TOL``; an operator's JSON layout belongs to ``cli``.
+The operator predicate ``is_hermitian``, ``eigh``'s Hermiticity check and
+the input check ``check_density`` gate at ``DEFAULT_TOL``; an operator's
+JSON layout belongs to ``cli``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import _lazy_numpy
 
 np = _lazy_numpy()
 
-# Gate of the operator predicates and of the input checks (``check_density``).
+# Gate of ``is_hermitian``, ``eigh`` and the input checks (``check_density``).
 DEFAULT_TOL = 1e-9
 
 
@@ -61,13 +62,6 @@ class Operator:
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.rows == self.cols and np.abs(self._mat - self._mat.conj().T).max() <= tol
-
-    def is_psd(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian with spectrum bounded below by ``-tol``."""
-        if not self.is_hermitian(tol):
-            return False
-        evals = np.linalg.eigvalsh(self._mat)
-        return bool(evals.min() >= -tol)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -154,15 +148,15 @@ def partial_trace(o, dims: tuple[int, int], keep: str) -> Operator:
 # spectra
 
 
-def eigh(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Operator]:
+def eigh(h) -> tuple[np.ndarray, Operator]:
     """Eigendecomposition of a Hermitian operator, eigenvalues descending.
 
     Returns (values, vectors) with values real in descending order and
     vectors unitary, columns matching values:  h = V diag(values) V^dag.
-    Raises on non-Hermitian input.
+    Raises on input that is not Hermitian within ``DEFAULT_TOL``.
     """
     m = _raw(h)
-    if m.shape[0] != m.shape[1] or np.abs(m - m.conj().T).max() > tol:
+    if m.shape[0] != m.shape[1] or np.abs(m - m.conj().T).max() > DEFAULT_TOL:
         raise ValueError("eigh requires a Hermitian operator")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), Operator(vecs[:, ::-1])

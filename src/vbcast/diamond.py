@@ -48,7 +48,7 @@ import sys
 from typing import NamedTuple
 
 from . import _lazy_numpy
-from .densemat import Operator, eigh, trace_norm
+from .densemat import Operator, trace_norm
 from .supermap import HP_TOL, AffineDecomposition, SuperMap
 
 np = _lazy_numpy()
@@ -231,9 +231,14 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
 
 
 def _jordan_abs(r: np.ndarray) -> np.ndarray:
-    """|J| = P + N for the Jordan split J = P - N of a Hermitian J."""
-    vals, vecs = eigh(r, tol=HP_TOL)
-    v = vecs.mat
+    """|J| = P + N for the Jordan split J = P - N of a Hermitian J, which ``is_hp`` gated.
+
+    The eigenpairs run in descending order, with C-contiguous vectors: the
+    rounding of the product, and so the bytes of a ``file:`` report, depend
+    on that order and layout.
+    """
+    vals, vecs = np.linalg.eigh(r)
+    vals, v = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
     return (v * np.abs(vals)[np.newaxis, :]) @ v.conj().T
 
 

@@ -14,18 +14,22 @@ A map d -> d^2 is covariant, (U (x) U) m(rho) (U (x) U)+ = m(U rho U+), exactly
 when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
 (the walled Brauer algebra B_{2,1}(d); Benkart et al., J. Algebra 166
 (1994)) such Chois are the combinations  sum_k x_k P_k^T3  of the six factor
-permutations of ``S3`` transposed on the input factor, the cached int8
-``commutant_table``.  ``covariant_map`` keeps a map as those six
-coefficients, a tuple of Python complex numbers: sums, differences and
-scalar multiples stay six coefficients, and the d^3 x d^3 Choi is built
-only when something reads it.  Each entry of such a Choi depends only on
-which of its six labels (out1, out2, in; out1', out2', in') are equal, so
-the largest entry, the Hermiticity and trace-preservation tests and any
-linear residual are read off the at most 203 equality patterns
-(``equality_patterns``), and the spectrum has the closed form of
-``covariant_spectrum``.  Those reads are standard-library arithmetic on
-integer tuples and touch no numpy.  ``apply`` sums the six terms' actions
-on a d x d input (``_covariant_apply``) in O(d^4).
+permutations of ``S3`` transposed on the input factor, the table elements.
+``covariant_map`` keeps a map as those six coefficients, a tuple of Python
+complex numbers: sums, differences and scalar multiples stay six
+coefficients.  ``table_support`` lists the at most 6 d^3 nonzero positions
+of the d^3 x d^3 table with the elements that are 1 at each, and
+``covariant_entries`` expands the coefficients over it with the standard
+library.  That one expansion fills the dense Choi, built only when
+something reads it, and the Choi and Jamiolkowski operators that ``dump``
+writes.  Each entry of such a Choi depends only on which of its six labels
+(out1, out2, in; out1', out2', in') are equal, so the largest entry, the
+Hermiticity and trace-preservation tests and any linear residual are read
+off the at most 203 equality patterns (``equality_patterns``), and the
+spectrum has the closed form of ``covariant_spectrum``.  Those reads are
+standard-library arithmetic on integer tuples and touch no numpy.
+``apply`` sums the six terms' actions on a d x d input
+(``_covariant_apply``) in O(d^4).
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
 the map predicates; a map's Choi JSON layout belongs to ``cli``.
@@ -34,6 +38,7 @@ the map predicates; a map's Choi JSON layout belongs to ``cli``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -60,9 +65,10 @@ class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
     Give either the Choi, or for a covariant map d -> d^2 the six
-    coefficients ``coeffs`` over ``commutant_table(d)``, kept as a tuple of
+    coefficients ``coeffs`` of the table elements, kept as a tuple of
     Python complex numbers; a dense map has ``coeffs`` None.  A covariant
-    map builds its Choi on the first read of ``choi`` and keeps it.
+    map fills its Choi from ``covariant_entries`` on the first read of
+    ``choi`` and keeps it.
     """
 
     __slots__ = ("d_in", "d_out", "coeffs", "_choi")
@@ -94,12 +100,13 @@ class SuperMap:
 
     @property
     def choi(self) -> Operator:
-        """The Choi operator; a covariant map builds it from its coefficients on the first read."""
+        """The Choi operator; a covariant map fills it from ``covariant_entries`` on the first read."""
         if self._choi is None:
-            choi = np.zeros((self.d_out * self.d_in,) * 2, dtype=np.complex128)
-            for c, term in zip(self.coeffs, commutant_table(self.d_in)):
-                choi += c * term
-            object.__setattr__(self, "_choi", Operator(choi))
+            values, entries = covariant_entries(self.d_in, self.coeffs)
+            positions, indices = zip(*entries)
+            choi = np.zeros((self.d_out * self.d_in) ** 2, dtype=np.complex128)
+            choi[list(positions)] = np.array(values)[list(indices)]
+            object.__setattr__(self, "_choi", Operator(choi.reshape(self.d_out * self.d_in, -1)))
         return self._choi
 
     def _c4(self) -> np.ndarray:
@@ -204,19 +211,49 @@ def _require_dim(d: int):
 
 
 @functools.cache
-def commutant_table(d: int) -> np.ndarray:
-    """The permutations of ``S3`` transposed on the input factor: (6, d^3, d^3), int8, read-only."""
+def table_support(d: int) -> tuple[tuple[int, int], ...]:
+    """Each nonzero position of the d^3 x d^3 table with the bit mask of the elements that are 1 there.
+
+    Positions are row-major flat indices, in ascending order; bit k of a
+    mask stands for ``S3[k]``.  Element s is 1 at row (i_s0, i_s1, i_2) and
+    column (i_0, i_1, i_s2) for each of the d^3 label triples (i_0, i_1, i_2).
+    """
     _require_dim(d)
-    table = np.zeros((6,) + (d,) * 6, dtype=np.int8)
-    i = np.indices((d, d, d)).reshape(3, -1)
-    for k, s in enumerate(S3):  # P_sigma^T3 is 1 at row (i_s0, i_s1, i_2), column (i_0, i_1, i_s2)
-        table[k, i[s[0]], i[s[1]], i[2], i[0], i[1], i[s[2]]] = 1
-    table.flags.writeable = False
-    return table.reshape(6, d**3, d**3)
+    n = d**3
+    masks = {}
+    for i in itertools.product(range(d), repeat=3):
+        col = (i[0] * d + i[1]) * d
+        for k, s in enumerate(S3):
+            pos = ((i[s[0]] * d + i[s[1]]) * d + i[2]) * n + col + i[s[2]]
+            masks[pos] = masks.get(pos, 0) | 1 << k
+    return tuple(sorted(masks.items()))
+
+
+def covariant_entries(d: int, coeffs) -> tuple[list[complex], list[tuple[int, int]]]:
+    """The Choi  sum_k coeffs[k] P_k^T3  as its distinct entries and its nonzero positions.
+
+    Returns (values, entries): ``values[0]`` is the 0j of every position
+    that ``table_support`` leaves out, one value follows per distinct mask,
+    and ``entries`` pairs each position of ``table_support(d)`` with the
+    index of its value.  A mask's value is 0j plus its coefficients, added
+    left to right in ``S3`` order: bit for bit the entry that adding each
+    coeffs[k] P_k^T3 in turn into a zero complex array forms.
+    """
+    values, index, entries = [0j], {}, []
+    for pos, mask in table_support(d):
+        if mask not in index:
+            value = 0j
+            for k in range(6):
+                if mask >> k & 1:
+                    value += coeffs[k]
+            index[mask] = len(values)
+            values.append(value)
+        entries.append((pos, index[mask]))
+    return values, entries
 
 
 def covariant_map(d: int, coeffs) -> SuperMap:
-    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] commutant_table(d)[k]."""
+    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] P_k^T3, k indexing ``S3``."""
     return SuperMap(d, d * d, coeffs=coeffs)
 
 

@@ -1,23 +1,41 @@
 """Dense references for the covariant Chois, written as the paper's formulas.
 
 The library builds every U (x) U (x) Ubar-covariant Choi from six
-coefficients over ``vbcast.supermap.commutant_table``; the tests compare
-those against the products and moment sums below, which are built from the
-dense factor permutations and Haar moment operators defined here.  The
-dense orthonormal basis of the covariant span, its projection and the
-uniqueness system evaluated on it are the references for the library's
-six-coefficient versions.
+coefficients over the partially transposed factor permutations, expanded
+over ``vbcast.supermap.table_support``; the tests compare those against
+``commutant_table``, the dense int8 table of the six, and against the
+products and moment sums below, which are built from the dense factor
+permutations and Haar moment operators defined here.  The dense orthonormal
+basis of the covariant span and its projection are the references for the
+library's six-coefficient versions.
 """
 
 import functools
 
 import numpy as np
 
-from vbcast.broadcast import UniquenessCertificate, canonical_b
 from vbcast.densemat import S3, Operator, identity, kron, swap
-from vbcast.supermap import commutant_table, omega
+from vbcast.supermap import _require_dim, omega
 
-from dense_uniqueness import residual_rows, svd_rank
+
+@functools.cache
+def commutant_table(d: int) -> np.ndarray:
+    """The permutations of ``S3`` transposed on the input factor: (6, d^3, d^3), int8, read-only."""
+    _require_dim(d)
+    table = np.zeros((6,) + (d,) * 6, dtype=np.int8)
+    i = np.indices((d, d, d)).reshape(3, -1)
+    for k, s in enumerate(S3):  # P_sigma^T3 is 1 at row (i_s0, i_s1, i_2), column (i_0, i_1, i_s2)
+        table[k, i[s[0]], i[s[1]], i[2], i[0], i[1], i[s[2]]] = 1
+    table.flags.writeable = False
+    return table.reshape(6, d**3, d**3)
+
+
+def table_sum_choi(d: int, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] commutant_table(d)[k], summed term by term into a zero complex array."""
+    choi = np.zeros((d**3, d**3), dtype=np.complex128)
+    for c, term in zip(coeffs, commutant_table(d)):
+        choi += c * term
+    return choi
 
 
 def permutation_operators(d: int) -> tuple[Operator, ...]:
@@ -111,26 +129,3 @@ def dense_commutant_projection(choi: Operator, d: int) -> Operator:
     """The projection onto the covariant span, summed over the dense basis."""
     basis = commutant_basis(d)
     return Operator(np.tensordot(np.einsum("kij,ji->k", basis, choi.mat), basis, axes=1))
-
-
-def dense_basis_uniqueness(
-    d: int, include_broadcasting: bool = True, include_permutation: bool = True, include_classical: bool = True
-) -> UniquenessCertificate:
-    """The uniqueness system with each dense basis element's residuals as one column."""
-
-    def rows(c: np.ndarray) -> np.ndarray:
-        flat = residual_rows(c, d, include_broadcasting, include_permutation, include_classical)
-        return np.concatenate([flat.real, flat.imag])
-
-    basis = commutant_basis(d)
-    offset = rows(np.zeros_like(basis[0]))
-    a = np.stack([rows(e) - offset for e in basis], axis=1)
-    rank = svd_rank(a)
-    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
-    return UniquenessCertificate(
-        constraint_rows=a.shape[0],
-        unknowns=a.shape[1],
-        rank=rank,
-        nullity=a.shape[1] - rank,
-        candidate_residual=float(np.abs(a @ coeffs + offset).max(initial=0.0)),
-    )

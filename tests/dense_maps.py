@@ -2,7 +2,8 @@
 
 Maps built from their action on matrix units, the identity map,
 composition, tensor products, Hilbert-Schmidt adjoints, action on the left
-factor of a product space, and decoherence in a chosen orthonormal basis.
+factor of a product space, decoherence in a chosen orthonormal basis, and
+the unitarity and positivity tests of an operator.
 No ``vbcast`` command needs them, so they live here, on top of the
 library's ``SuperMap`` and ``Operator``.
 """
@@ -82,6 +83,11 @@ def is_unitary(o: Operator, tol: float = DEFAULT_TOL) -> bool:
     if o.rows != o.cols:
         return False
     return np.abs(o.mat.conj().T @ o.mat - np.eye(o.rows)).max() <= tol
+
+
+def is_psd(o: Operator, tol: float = DEFAULT_TOL) -> bool:
+    """Hermitian with spectrum bounded below by ``-tol``."""
+    return bool(o.is_hermitian(tol) and np.linalg.eigvalsh(o.mat).min() >= -tol)
 
 
 def decoherence_in(basis: Operator) -> SuperMap:

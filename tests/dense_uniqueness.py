@@ -9,7 +9,8 @@ Here ranks are numerical: singular values at or above 1e-8 times the
 largest (``svd_rank``).  ``dense_verify_uniqueness`` goes without the commutant span:
 the unknowns are all d^6 real parameters of a Hermitian Choi operator, and
 covariance enters as sampled constraints under Haar unitaries.  Tests
-compare its nullities at small d.
+compare its nullities at small d.  ``dense_basis_uniqueness`` ranks the
+same residuals on the dense orthonormal basis of the covariant span.
 """
 
 import numpy as np
@@ -23,8 +24,9 @@ from vbcast.broadcast import (
     canonical_b,
 )
 from vbcast.densemat import Rng, swap
-from vbcast.supermap import commutant_table, omega
+from vbcast.supermap import omega
 
+from dense_covariant import commutant_basis, commutant_table
 from random_fixtures import haar_unitary
 
 
@@ -189,4 +191,27 @@ def dense_verify_uniqueness(
         rank=rank,
         nullity=nparam - rank,
         candidate_residual=residual,
+    )
+
+
+def dense_basis_uniqueness(
+    d: int, include_broadcasting: bool = True, include_permutation: bool = True, include_classical: bool = True
+) -> UniquenessCertificate:
+    """The uniqueness system with each dense basis element's residuals as one column."""
+
+    def rows(c: np.ndarray) -> np.ndarray:
+        flat = residual_rows(c, d, include_broadcasting, include_permutation, include_classical)
+        return np.concatenate([flat.real, flat.imag])
+
+    basis = commutant_basis(d)
+    offset = rows(np.zeros_like(basis[0]))
+    a = np.stack([rows(e) - offset for e in basis], axis=1)
+    rank = svd_rank(a)
+    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
+    return UniquenessCertificate(
+        constraint_rows=a.shape[0],
+        unknowns=a.shape[1],
+        rank=rank,
+        nullity=a.shape[1] - rank,
+        candidate_residual=float(np.abs(a @ coeffs + offset).max(initial=0.0)),
     )

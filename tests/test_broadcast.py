@@ -30,7 +30,6 @@ from vbcast.broadcast import (
     cloner,
     commutant_gram,
     commutant_projection,
-    commutant_table,
     covariant_map,
     decoherence,
     family_b_lambda,
@@ -41,14 +40,14 @@ from vbcast.hovm import depolarizing_mp, exact_mp_map
 from dense_covariant import (
     choi_projector,
     commutant_basis,
+    commutant_table,
     dense_b_lambda,
-    dense_basis_uniqueness,
     dense_commutant_projection,
     dense_mp_choi,
     permutation_operators,
 )
 from dense_maps import compose, conjugate, dagger, decoherence_in, from_action, hs_adjoint, tensor
-from dense_uniqueness import dense_verify_uniqueness, table_column_uniqueness
+from dense_uniqueness import dense_basis_uniqueness, dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -328,6 +329,23 @@ class TestDiamond:
         assert main(["diamond", "--dim", "2", "--target", f"file:{path}"]) == 2
         assert "Hermitian-preserving" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part", ("re", "im"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_file_target(self, part, value, tmp_path, capsys):
+        # Python's json loads NaN and +-Infinity; a NaN once failed as "requires a Hermitian-preserving map",
+        # and an inf also printed numpy's RuntimeWarning
+        path = tmp_path / "non_finite.json"
+        doc = json.loads(_dumps(cli._supermap_doc(canonical_b(2))))
+        doc["choi"][part][1][2] = value
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: cannot load supermap from {path}: choi entries must be finite, got NaN or Infinity\n"
+        )
+
     @pytest.mark.parametrize("field", ("d_in", "d_out"))
     @pytest.mark.parametrize("value", ("true", "2.5", "0", '"2"'))
     def test_file_target_dimensions_are_positive_integers(self, field, value, tmp_path, capsys):
@@ -356,7 +374,7 @@ class TestSupermapLayout:
     def test_named_maps_round_trip(self, name, d):
         m = cli.build_object(name, d)
         doc = cli._supermap_doc(m)
-        self.assert_bit_identical(cli._read_supermap(doc), m)
+        self.assert_bit_identical(cli._read_supermap(_as_lists(doc)), m)
         self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(doc))), m)
 
     def test_random_channel_round_trip(self):
@@ -468,6 +486,11 @@ class TestSample:
         assert code == 0 and doc["observable"] == "zz"
 
 
+COVARIANT_OBJECTS = (
+    "B", "B+", "B-", "M", "Mprime", "B_lambda:0.3", "B_lambda:1e300", "B_lambda:-1e-12", "B_lambda:-0.0"
+)
+
+
 class TestDump:
     def test_canonical_eigenvalues(self, tmp_path):
         code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
@@ -503,6 +526,27 @@ class TestDump:
 
     def test_bad_lambda(self):
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("name", COVARIANT_OBJECTS)
+    def test_covariant_dump_matches_dense_choi(self, name, d):
+        # the expansion's operators write the bytes of the ndarray Choi and its jamiolkowski()
+        m = cli.build_object(name, d)
+        want = {
+            "supermap": {"d_in": m.d_in, "d_out": m.d_out, "choi": cli._operator_doc(m.choi)},
+            "jamiolkowski": cli._operator_doc(m.jamiolkowski()),
+        }
+        got = {"supermap": cli._supermap_doc(m), "jamiolkowski": cli._map_operator_doc(m, jamiolkowski=True)}
+        assert isinstance(got["jamiolkowski"]["re"], cli._Indexed)
+        assert _dumps(got) == _dumps(want)
+
+    @pytest.mark.parametrize("name", COVARIANT_OBJECTS)
+    def test_covariant_dump_reads_no_choi(self, name, tmp_path, monkeypatch):
+        def fail(m):
+            raise AssertionError("dump read a dense Choi")
+
+        monkeypatch.setattr(SuperMap, "choi", property(fail))
+        assert run(["dump", "--object", name, "--dim", "3"], tmp_path)[0] == 0
 
 
 class TestFormat:
@@ -640,14 +684,23 @@ class TestReadme:
 
 
 def _as_lists(obj):
-    """obj with every ndarray replaced by its ``.tolist()``: the document json.dumps can write."""
+    """obj with every ndarray replaced by its ``.tolist()``, and every ``_Indexed`` by the values its rows pick.
+
+    The result is the document json.dumps can write.
+    """
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, cli._Indexed):
+        return _picked(obj.rows, obj.values)
     if isinstance(obj, dict):
         return {k: _as_lists(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_as_lists(v) for v in obj]
     return obj
+
+
+def _picked(rows, values):
+    return [values[r] if isinstance(r, int) else _picked(r, values) for r in rows]
 
 
 def _random_array(rng, shape, kind):
@@ -857,9 +910,9 @@ def _main_in_child(argv: list[str]) -> list[str]:
 class TestLazyNumpy:
     """numpy's import runs only when a command starts dense work.
 
-    ``verify`` and ``diamond`` on a covariant target (B, B_lambda,
-    B-minus-Bplus) never execute it; a ``file:`` diamond target, ``sample``
-    and ``dump`` do.
+    ``verify``, ``diamond`` and ``dump`` on a covariant map (B, B+, B-, M,
+    Mprime, B_lambda, B-minus-Bplus) never execute it; a ``file:`` diamond
+    target, ``sample`` and ``dump`` of a dense map (B_cl, D) do.
     """
 
     def test_cli_import_runs_no_numpy(self):
@@ -897,13 +950,22 @@ class TestLazyNumpy:
         if want == 2:
             assert "is below the bracket's rounding floor" in lines[-1]
 
+    @pytest.mark.parametrize("d", (2, 6))
+    @pytest.mark.parametrize("name", ("B", "M", "B_lambda:0.3"))
+    def test_covariant_dump_runs_no_numpy(self, name, d, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["dump", "--dim", str(d), "--object", name, "--out", str(out)]
+        assert _main_in_child(argv)[-1] == "exit 0, numpy loaded: False"
+        doc = json.loads(out.read_text())
+        assert doc["object"] == name and doc["jamiolkowski"]["rows"] == d**3
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--dim", "2", "--target", "B_cl"],
             ["diamond", "--dim", "2", "--target", "file:{choi}"],
             ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
-            ["dump", "--dim", "2", "--object", "B"],
+            ["dump", "--dim", "2", "--object", "B_cl"],
         ],
     )
     def test_dense_commands_load_numpy(self, argv, tmp_path):
@@ -911,7 +973,7 @@ class TestLazyNumpy:
         choi = tmp_path / "choi.json"
         write_supermap(choi, canonical_b(2))
         argv = [a.format(choi=choi) for a in argv]
-        want = 1 if argv[-1] == "B_cl" else 0  # the classical broadcaster is not covariant
+        want = 1 if argv[0] == "verify" else 0  # the classical broadcaster is not covariant
         assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: True"
         assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 

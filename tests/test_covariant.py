@@ -21,12 +21,14 @@ from vbcast.hovm import depolarizing_mp, exact_mp_map
 from vbcast.supermap import (
     HP_TOL,
     SuperMap,
-    commutant_table,
     covariant_map,
     covariant_spectrum,
     equality_patterns,
     table_entries,
+    table_support,
 )
+
+from dense_covariant import commutant_table, table_sum_choi
 
 DIMS = range(2, 7)
 
@@ -73,6 +75,14 @@ class TestPatterns:
         labels = np.indices((d,) * 6).reshape(6, -1).T.tolist()
         assert np.array_equal(np.array([table_entries(l) for l in labels]).T, commutant_table(d).reshape(6, -1))
 
+    @mark.parametrize("d", DIMS)
+    def test_table_support_matches_table(self, d):
+        support = table_support(d)
+        positions = [pos for pos, _ in support]
+        assert positions == sorted(set(positions)) and len(support) <= 6 * d**3
+        for k, term in enumerate(commutant_table(d).reshape(6, -1)):
+            assert [pos for pos, mask in support if mask >> k & 1] == np.flatnonzero(term).tolist()
+
 
 class TestCovariantForm:
     def test_choi_built_once_on_first_read(self):
@@ -80,6 +90,14 @@ class TestCovariantForm:
         assert m._choi is None and isinstance(m.coeffs, tuple)
         assert all(type(c) is complex for c in m.coeffs)
         assert m.choi is m.choi
+
+    @mark.parametrize("d", DIMS)
+    def test_choi_is_the_table_sum_bit_for_bit(self, d):
+        # the expansion adds each entry's coefficients left to right, as choi += c * term does
+        maps = covariant_maps(d)
+        maps.update({f"B_lambda:{lam}": family_b_lambda(d, lam) for lam in (1e300, -1e300, -1e-12, -0.0)})
+        for name, m in maps.items():
+            assert m.choi.mat.tobytes() == table_sum_choi(d, m.coeffs).tobytes(), name
 
     def test_needs_exactly_one_form(self):
         with pytest.raises(ValueError, match="either"):

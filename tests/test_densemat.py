@@ -17,7 +17,7 @@ from vbcast.densemat import (
 )
 
 from dense_covariant import antisym_projector, sym_projector
-from dense_maps import conjugate, dagger, is_unitary
+from dense_maps import conjugate, dagger, is_psd, is_unitary
 from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros
 
 dims = (2, 3, 4, 5)
@@ -53,9 +53,9 @@ class TestOperator:
     def test_predicates(self):
         assert identity(3).is_hermitian()
         assert is_unitary(identity(3))
-        assert identity(3).is_psd()
+        assert is_psd(identity(3))
         assert not Operator([[0, 1], [0, 0]]).is_hermitian()
-        assert not Operator([[1, 0], [0, -1]]).is_psd()
+        assert not is_psd(Operator([[1, 0], [0, -1]]))
 
 
 class TestKronSwap:
@@ -186,7 +186,7 @@ class TestRandom:
     @mark.parametrize("d", dims)
     def test_random_density(self, d):
         rho = random_density(d, Rng(d + 1))
-        assert rho.is_psd()
+        assert is_psd(rho)
         assert rho.trace() == pytest.approx(1.0)
 
     @mark.parametrize("d", dims)

@@ -22,7 +22,7 @@ from vbcast.diamond import (
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
 from channel_scan import closest_channel_scan
-from dense_maps import compose, conjugate, from_action, identity_map, tensor
+from dense_maps import compose, conjugate, from_action, identity_map, is_psd, tensor
 from random_fixtures import haar_unitary, random_channel
 
 
@@ -128,7 +128,7 @@ class TestLowerSearch:
         m = _sandwich(3, 7)
         res = diamond_bracket(m)
         w = res.witness_state
-        assert w.is_psd()
+        assert is_psd(w)
         assert w.trace() == pytest.approx(1.0)
         assert trace_norm(apply_right(m, w, d_left=m.d_in)) >= res.lower_bound
 

@@ -28,6 +28,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
+from dense_maps import is_psd
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
@@ -71,7 +72,7 @@ class TestMomentOperators:
         mom2 = moment_operator(d, 2)
         assert_allclose(mom2.mat, (np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
         assert mom2.trace() == pytest.approx(1.0)
-        assert mom2.is_psd()
+        assert is_psd(mom2)
         p = sym_projector(d).mat
         assert_allclose(p @ mom2.mat @ p, mom2.mat, atol=1e-13)
 

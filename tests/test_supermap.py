@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from vbcast.densemat import Operator, Rng, identity, kron, random_density, random_hermitian, swap
 from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, omega
 
-from dense_maps import apply_left, compose, from_action, hs_adjoint, identity_map, tensor
+from dense_maps import apply_left, compose, from_action, hs_adjoint, identity_map, is_psd, tensor
 from random_fixtures import _haar_qr, ginibre_columns, random_channel
 
 
@@ -62,7 +62,7 @@ def test_random_channel_is_cptp():
         assert m.is_tp(), (d_in, d_out)
         rho = random_density(d_in, Rng(0))
         out = m.apply(rho)
-        assert out.is_psd()
+        assert is_psd(out)
         assert out.trace() == pytest.approx(1.0)
 
 
