@@ -10,22 +10,19 @@ the decohered/classical variants, and the one-parameter commutator family
 B_lambda, all from closed-form Choi operators.
 
 Covariant maps are six coefficients over the table of partially
-transposed factor permutations (``vbcast.supermap``).  Their span is
-described by one integer Gram matrix, Tr[P_s^T P_t] = d^c(t s^-1) with c
-counting cycles; its rank k (5 at d = 2, 6 above) is the dimension of
-the span, so no dense basis is ever built.  ``check_axioms`` reads all
-four axioms exactly, with no sampling.  On a covariant map, covariance is
-0 by construction, and each linear residual (both marginals, permutation
-symmetry, classical consistency) takes one value per equality pattern of
-its labels (``_axiom_patterns``): an integer row of six numbers, an
-integer target and a count, so its largest entry is a maximum over at
-most 203 rows, computed with the standard library alone.  On a dense map,
-covariance is the distance to the span, whose projection solves the Gram
-against the Choi's six overlaps with the table, and the residuals are
-taken entry by entry.  ``verify_uniqueness`` ranks the integer pattern
-rows over the six coefficients: the nullity is k minus that rank, both
-ranks taken by fraction-free integer elimination.  The dense residual
-system is kept in the tests as the reference.
+transposed factor permutations (``vbcast.supermap``); the classical
+broadcaster is a pattern map, 1 where its six Choi labels are all equal.
+The covariant span is described by one integer Gram matrix,
+Tr[P_s^T P_t] = d^c(t s^-1) with c counting cycles; its rank k (5 at
+d = 2, 6 above) is the dimension of the span.  ``check_axioms`` reads the
+four axioms of a covariant or pattern map exactly, with no sampling and no
+numpy: the Choi's value on each equality pattern of its labels is an
+integer over one power-of-two denominator, each linear residual is a set
+of integer rows over the patterns (``_axiom_patterns``), and covariance is
+the distance to the span, projected by the Gram's leading block in
+integers.  A dense map has no exact path; its residuals are the tests'
+reference.  ``verify_uniqueness`` ranks the same pattern rows, taken on
+the six coefficients, by fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -40,12 +37,10 @@ from .supermap import (
     AffineDecomposition,
     SuperMap,
     _cycles,
+    _pattern_table,
     _require_dim,
     covariant_map,
     equality_patterns,
-    omega,
-    table_entries,
-    table_support,
 )
 
 np = _lazy_numpy()
@@ -96,12 +91,8 @@ def decoherence(d: int) -> SuperMap:
 
 
 def classical_bcl(d: int) -> SuperMap:
-    """Classical broadcaster  |i><j| -> delta_ij |ii><ii|:  Choi  sum_i |ii><ii| (x) |i><i|."""
-    _require_dim(d)
-    choi = np.zeros((d**3, d**3))
-    diag = np.arange(d) * (d * d + d + 1)
-    choi[diag, diag] = 1.0
-    return SuperMap(d, d * d, Operator(choi))
+    """Classical broadcaster  |i><j| -> delta_ij |ii><ii|:  Choi 1 where all six labels are equal, 0 elsewhere."""
+    return SuperMap(d, d * d, patterns={(0, 0, 0, 0, 0, 0): 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -149,66 +140,43 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-def commutant_projection(choi: Operator, d: int) -> Operator:
-    """Orthogonal projection of a Choi operator on C^d (x) C^d (x) C^d onto the covariant span.
+@functools.cache
+def _gram_inverse(d: int) -> tuple[int, list[list[int]]]:
+    """(det, adj) of the leading k x k block of ``commutant_gram``, k its rank.
 
-    This is the Haar twirl  Integral W C W+ dU  with W = U (x) U (x) Ubar.
-    Each overlap  <P_j^T3, C>  sums C over the d^3 entries where table
-    element j is 1, in the ascending order of ``table_support``, and the
-    coefficients x solve  Gram x = overlaps.  With k the Gram's rank, the
-    first k table elements are independent: at d = 2 the one dependency is
-    the antisymmetrizer, whose six signs are all nonzero, so any five
-    elements are.  So the leading k x k block is solved against the first
-    k overlaps and the rest of x is zero.
+    The first k table elements are independent (at d = 2 the one
+    dependency, the antisymmetrizer, has six nonzero signs), so the block is
+    positive definite: fraction-free Gauss-Jordan (Bareiss) elimination of
+    [block | I] needs no pivot search, divides exactly and ends at [det I | adj].
     """
-    flat = choi.mat.ravel()
-    support = table_support(d)
-    overlaps = np.array([flat[[pos for pos, mask in support if mask >> j & 1]].sum() for j in range(6)])
     gram = commutant_gram(d)
     k = _exact_rank(gram)
-    x = np.zeros(6, dtype=complex)
-    x[:k] = np.linalg.solve(np.array(gram, dtype=float)[:k, :k], overlaps[:k])
-    return covariant_map(d, x).choi
+    m, prev = [list(row[:k]) + [int(i == j) for j in range(k)] for i, row in enumerate(gram[:k])], 1
+    for i in range(k):
+        pivot = m[i]
+        m = [row if row is pivot else [(pivot[i] * a - row[i] * b) // prev for a, b in zip(row, pivot)] for row in m]
+        prev = m[i][i]
+    return prev, [row[k:] for row in m]
 
 
-def _permutation_residual(c: np.ndarray, d: int) -> np.ndarray:
-    """S_12 C S_12 - C: swapping the two outputs must leave the Choi unchanged."""
-    c6 = c.reshape((d,) * 6)
-    return c6.transpose(1, 0, 2, 4, 3, 5) - c6
-
-
-def _classical_residual(c: np.ndarray, d: int) -> np.ndarray:
-    """C[(ab,i),(ab,i)] - delta_{a=b=i}: the Choi diagonal against classical copying.
-
-    These entries are the Choi of (D (x) D) . m . D, and the classical
-    broadcaster's Choi is delta_{a=b=i} there and zero everywhere else.
-    """
-    target = np.zeros((d, d, d))
-    idx = np.arange(d)
-    target[idx, idx, idx] = 1.0
-    return np.diagonal(c).reshape(d, d, d) - target
-
-
-def _marginal_residuals(c: np.ndarray, d: int) -> list[np.ndarray]:
-    """Tr_out1[C] - Omega and Tr_out2[C] - Omega: both marginals are the identity map."""
-    c6 = c.reshape((d,) * 6)
-    om = omega(d).mat.reshape(d, d, d, d)
-    return [np.einsum("pxypuv->xyuv", c6) - om, np.einsum("xpyupv->xyuv", c6) - om]
+def _canonical(labels) -> tuple[int, ...]:
+    """The equality pattern of a label tuple: its labels renumbered by first occurrence."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
 
 
 @functools.cache
-def _axiom_patterns(d: int) -> dict[str, tuple[tuple[tuple[int, ...], int, int], ...]]:
-    """Each axiom residual of a covariant Choi as (row, target, count) triples over the patterns that occur at d.
+def _axiom_patterns(d: int) -> dict[str, tuple]:
+    """Each axiom residual of a Choi as (row, target, count) triples over the patterns that occur at d.
 
-    On count entries the residual of  C = sum_k x_k P_k^T3  equals
-    row . x - target, and those entries cover it; rows are six ints, and
-    patterns with the same row and target are merged into one triple.  A
-    marginal entry sums the traced label over the k groups of its other
-    four labels' pattern and over d - k new values, which all give one
-    pattern.  Permutation symmetry compares each pattern with the one that
-    swaps the two outputs; classical consistency reads the diagonal
-    patterns (a, b, i, a, b, i).  Keys: "marginal1", "marginal2",
-    "permutation", "classical".
+    A row is a tuple of (pattern, int weight) pairs: on the count Choi
+    entries it stands for, the residual is  sum weight * C[pattern] - target,
+    and the triples cover the residual.  A marginal entry sums the traced
+    label over the k groups of its other four labels' pattern and over
+    d - k new values, which all give one pattern.  Permutation symmetry
+    compares each pattern with its swap of the two outputs (an empty row
+    where they agree); classical consistency reads the diagonal patterns
+    (a, b, i, a, b, i).  Keys: marginal1, marginal2, permutation, classical.
     """
     _require_dim(d)
     systems = {"marginal1": [], "marginal2": [], "permutation": [], "classical": []}
@@ -218,28 +186,66 @@ def _axiom_patterns(d: int) -> dict[str, tuple[tuple[tuple[int, ...], int, int],
         first = [(p, x, y, p, u, v) for p in range(k + 1)]
         second = [(x, p, y, u, p, v) for p in range(k + 1)]
         for name, labels in (("marginal1", first), ("marginal2", second)):
-            entries = [table_entries(lab) for lab in labels]
-            row = tuple(sum(w * e[j] for w, e in zip(weights, entries)) for j in range(6))
-            systems[name].append((row, int(x == y and u == v), k))
-    for six in equality_patterns(6):
+            row = tuple((_canonical(lab), w) for lab, w in zip(labels, weights) if w)
+            systems[name].append((row, int(x == y and u == v), math.perm(d, k)))
+    for six, count, _ in _pattern_table(d):
         o1, o2, i, o1p, o2p, ip = six
-        row = tuple(a - b for a, b in zip(table_entries((o2, o1, i, o2p, o1p, ip)), table_entries(six)))
-        systems["permutation"].append((row, 0, max(six) + 1))
+        swapped = _canonical((o2, o1, i, o2p, o1p, ip))
+        systems["permutation"].append((((swapped, 1), (six, -1)) if swapped != six else (), 0, count))
     for a, b, i in equality_patterns(3):
-        systems["classical"].append((table_entries((a, b, i, a, b, i)), int(a == b == i), max(a, b, i) + 1))
-
-    out = {}
-    for name, triples in systems.items():
-        merged = {}
-        for row, target, groups in triples:
-            merged[row, target] = merged.get((row, target), 0) + math.perm(d, groups)
-        out[name] = tuple((row, target, count) for (row, target), count in merged.items() if count)
-    return out
+        systems["classical"].append(((((a, b, i, a, b, i), 1),), int(a == b == i), math.perm(d, max(a, b, i) + 1)))
+    return {name: tuple(t for t in triples if t[2]) for name, triples in systems.items()}  # count 0: k > d
 
 
-def _dot(row, x) -> complex:
-    """row . x, skipping the zero entries of the integer row."""
-    return sum(r * c for r, c in zip(row, x) if r)
+def _exact_values(m: SuperMap) -> tuple[int, dict, dict]:
+    """m's Choi on each pattern that occurs at d, as (den, re, im): integer numerators over one den.
+
+    Every float is a dyadic rational (``float.as_integer_ratio``), so a
+    power of two holds all of m's coefficients or pattern values; a
+    covariant map's value on a pattern sums its coefficients over the
+    pattern's table support.  A value that is not finite raises.
+    """
+    given = m.coeffs if m.coeffs is not None else tuple(m.patterns.values())
+    ratios = [part.as_integer_ratio() for c in given for part in (c.real, c.imag)]
+    den = max((q for _, q in ratios), default=1)
+    nums = [n * (den // q) for n, q in ratios]
+    table = _pattern_table(m.d_in)
+    if m.coeffs is not None:
+        return den, *({p: sum(part[j] for j in support) for p, _, support in table} for part in (nums[::2], nums[1::2]))
+    return den, *({p: 0 for p, _, _ in table} | dict(zip(m.patterns, part)) for part in (nums[::2], nums[1::2]))
+
+
+def _twirl_residuals(d: int, values: dict) -> list[int]:
+    """det (C - Pi(C)) on each pattern that occurs at d, for one real part of C, Pi the projection onto the span.
+
+    Pi(C) = sum_j x_j P_j^T3 solves  Gram x = overlaps, where overlap j
+    sums C over the entries where table element j is 1.  Only the leading
+    k x k block is solved and the rest of x is zero, so det x = adj . overlaps.
+    """
+    det, adj = _gram_inverse(d)
+    overlaps = [0] * 6
+    for p, count, support in _pattern_table(d):
+        for j in support:
+            overlaps[j] += count * values[p]
+    x = [sum(a * o for a, o in zip(row, overlaps)) for row in adj] + [0] * (6 - len(adj))
+    return [det * values[p] - sum(x[j] for j in support) for p, _, support in _pattern_table(d)]
+
+
+def _largest(residuals, den: int) -> float:
+    """The largest |re + i im| / den over pairs of integer numerators, as one float; 0.0 for none.
+
+    The pair is picked exactly, on re^2 + im^2.  A real or imaginary one is
+    rounded once, by int/int true division, which raises OverflowError past
+    the float range; one with both parts is the ``math.hypot`` of the two.
+    """
+    re, im = max(residuals, key=lambda z: z[0] * z[0] + z[1] * z[1], default=(0, 0))
+    return math.hypot(re / den, im / den) if re and im else abs(re or im) / den
+
+
+def _worst(rows, den: int, re: dict, im: dict) -> float:
+    """Largest  |sum weight * C[pattern] - target|  over (row, target, count) triples, C from ``_exact_values``."""
+    pairs = ((sum(w * re[p] for p, w in row) - t * den, sum(w * im[p] for p, w in row)) for row, t, _ in rows)
+    return _largest(pairs, den)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +276,23 @@ class AxiomReport(NamedTuple):
 
 
 def check_axioms(m: SuperMap) -> AxiomReport:
-    """Measure a candidate broadcaster d -> d^2 exactly against the four defining axioms."""
+    """Measure a candidate broadcaster d -> d^2 exactly against the four defining axioms.
+
+    m must be a covariant or a pattern map, whose Choi is read off its
+    equality patterns; a dense map raises ValueError.
+    """
     d = m.d_in
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
-    if m.coeffs is not None:
-        worst = {
-            name: float(max(abs(_dot(row, m.coeffs) - target) for row, target, _ in triples))
-            for name, triples in _axiom_patterns(d).items()
-        }
-        return AxiomReport(
-            broadcasting=max(worst["marginal1"], worst["marginal2"]),
-            covariance=0.0,
-            permutation=worst["permutation"],
-            classical=worst["classical"],
-        )
-    c = m.choi.mat
+    if m.coeffs is None and m.patterns is None:
+        raise ValueError("check_axioms reads a covariant or pattern map, not a dense Choi")
+    den, re, im = _exact_values(m)
+    systems = _axiom_patterns(d)
     return AxiomReport(
-        broadcasting=max(float(np.abs(r).max()) for r in _marginal_residuals(c, d)),
-        covariance=(m.choi - commutant_projection(m.choi, d)).absmax(),
-        permutation=float(np.abs(_permutation_residual(c, d)).max()),
-        classical=float(np.abs(_classical_residual(c, d)).max()),
+        broadcasting=max(_worst(systems["marginal1"], den, re, im), _worst(systems["marginal2"], den, re, im)),
+        covariance=_largest(zip(_twirl_residuals(d, re), _twirl_residuals(d, im)), _gram_inverse(d)[0] * den),
+        permutation=_worst(systems["permutation"], den, re, im),
+        classical=_worst(systems["classical"], den, re, im),
     )
 
 
@@ -323,21 +325,20 @@ def verify_uniqueness(
 ) -> UniquenessCertificate:
     """Certify that broadcasting + covariance + permutation + classical consistency force B.
 
-    Reads the included axioms' linear residuals on the six table elements
-    off their equality patterns (``_axiom_patterns``): each pattern row r
-    gives  r . x, one residual entry of the Choi  sum_j x_j P_j^T3.  The
-    span has dimension k = rank(``commutant_gram``), and its homogeneous
-    solutions have dimension  nullity = k - rank(rows).  Two facts make
-    this the count over Hermitian Chois.  The 6 - k coefficient vectors
-    that give the zero operator lie in the null space of the rows, because
-    each row evaluates an entry of that operator.  And the solutions are
-    closed under the adjoint, because every axiom target is Hermitian, so
-    their complex dimension is the real dimension of their Hermitian part.
-    Both ranks are exact, by fraction-free integer elimination.
-    ``constraint_rows`` counts the rows of the full real system,
-    2 (2d^4 + d^6 + d^3) with every axiom included; ``candidate_residual``
-    multiplies the integer rows by B's half-integer coefficients, so it is
-    exact.  The ``include_*`` switches drop axiom groups to exhibit the
+    Takes the included axioms' pattern rows (``_axiom_patterns``) on the
+    six table elements: each gives a row r of six ints, and r . x is one
+    residual entry of the Choi  sum_j x_j P_j^T3.  The span has dimension
+    k = rank(``commutant_gram``), and its homogeneous solutions have
+    dimension  nullity = k - rank(rows).  Two facts make this the count
+    over Hermitian Chois.  The 6 - k coefficient vectors that give the zero
+    operator lie in the null space of the rows, because each row evaluates
+    an entry of that operator.  And the solutions are closed under the
+    adjoint, because every axiom target is Hermitian, so their complex
+    dimension is the real dimension of their Hermitian part.  Both ranks
+    are exact, by fraction-free integer elimination.  ``constraint_rows``
+    counts the rows of the full real system, 2 (2d^4 + d^6 + d^3) with
+    every axiom included; ``candidate_residual`` evaluates the rows on B,
+    exactly.  The ``include_*`` switches drop axiom groups to exhibit the
     solution families that appear without them.
     """
     systems = _axiom_patterns(d)
@@ -347,14 +348,19 @@ def verify_uniqueness(
         + ["classical"] * include_classical
     )
     triples = [t for name in names for t in systems[name]]
-    b = _b_lambda_coeffs(0.0)
-    residual = float(max((abs(_dot(row, b) - target) for row, target, _ in triples), default=0.0))
     unknowns = _exact_rank(commutant_gram(d))
-    rank = _exact_rank([row for row, _, _ in triples])
+    supports, rows = {p: support for p, _, support in _pattern_table(d)}, set()
+    for row, _, _ in triples:  # the pattern row on the table: sum weight * table_entries(pattern)
+        on_table = [0] * 6
+        for p, w in row:
+            for j in supports[p]:
+                on_table[j] += w
+        rows.add(tuple(on_table))
+    rank = _exact_rank(rows)
     return UniquenessCertificate(
         constraint_rows=2 * sum(count for _, _, count in triples),
         unknowns=unknowns,
         rank=rank,
         nullity=unknowns - rank,
-        candidate_residual=residual,
+        candidate_residual=_worst(triples, *_exact_values(canonical_b(d))),
     )

@@ -331,9 +331,10 @@ def _status(ok: bool, name: str, detail: str = ""):
 # object registry
 
 
-# Largest |lambda| of B_lambda.  Every verify and dump value stays finite up
-# to 1e306 at d = 2..6 (1e307 overflows verify at d = 6); the bound keeps six
-# orders of magnitude of that margin.
+# Largest |lambda| of B_lambda.  Every verify and dump value is finite up to 1e307 at
+# d = 2..6; from 9e307 the exact permutation residual 2|lambda| is past the float range,
+# where check_axioms raises OverflowError rather than return inf.  The bound keeps seven
+# orders of magnitude of margin.
 _MAX_LAMBDA = 1e300
 
 

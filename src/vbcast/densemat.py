@@ -1,14 +1,13 @@
-"""Dense complex linear algebra: operators, tensor calculus, spectra, seeded randomness.
+"""Dense complex linear algebra: operators, tensor calculus, the trace norm, seeded randomness.
 
 Everything downstream is built on the small vocabulary defined here: an
 immutable :class:`Operator` wrapper around a complex matrix, Kronecker
-products and partial traces for two-factor tensor spaces, a Hermitian
-eigensolver with a descending-eigenvalue convention, and a seeded
-:class:`Rng` that is the only stateful object in the library.
+products and partial traces for two-factor tensor spaces, the trace norm,
+and a seeded :class:`Rng` that is the only stateful object in the library.
 
-The operator predicate ``is_hermitian``, ``eigh``'s Hermiticity check and
-the input check ``check_density`` gate at ``DEFAULT_TOL``; an operator's
-JSON layout belongs to ``cli``.
+The operator predicate ``is_hermitian`` and the input check
+``check_density`` gate at ``DEFAULT_TOL``; an operator's JSON layout
+belongs to ``cli``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from . import _lazy_numpy
 
 np = _lazy_numpy()
 
-# Gate of ``is_hermitian``, ``eigh`` and the input checks (``check_density``).
+# Gate of ``is_hermitian`` and the input checks (``check_density``).
 DEFAULT_TOL = 1e-9
 
 
@@ -145,21 +144,7 @@ def partial_trace(o, dims: tuple[int, int], keep: str) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# spectra
-
-
-def eigh(h) -> tuple[np.ndarray, Operator]:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending.
-
-    Returns (values, vectors) with values real in descending order and
-    vectors unitary, columns matching values:  h = V diag(values) V^dag.
-    Raises on input that is not Hermitian within ``DEFAULT_TOL``.
-    """
-    m = _raw(h)
-    if m.shape[0] != m.shape[1] or np.abs(m - m.conj().T).max() > DEFAULT_TOL:
-        raise ValueError("eigh requires a Hermitian operator")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), Operator(vecs[:, ::-1])
+# norms
 
 
 def trace_norm(o) -> float:

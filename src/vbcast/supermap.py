@@ -24,12 +24,13 @@ library.  That one expansion fills the dense Choi, built only when
 something reads it, and the Choi and Jamiolkowski operators that ``dump``
 writes.  Each entry of such a Choi depends only on which of its six labels
 (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
-Hermiticity and trace-preservation tests and any linear residual are read
-off the at most 203 equality patterns (``equality_patterns``), and the
-spectrum has the closed form of ``covariant_spectrum``.  Those reads are
-standard-library arithmetic on integer tuples and touch no numpy.
+Hermiticity and trace-preservation tests and the axiom residuals are read
+off the at most 203 equality patterns (``equality_patterns``, ``_pattern_table``),
+and the spectrum has the closed form of ``covariant_spectrum``.  Those reads
+are standard-library arithmetic on integer tuples and touch no numpy.
 ``apply`` sums the six terms' actions on a d x d input
-(``_covariant_apply``) in O(d^4).
+(``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
+value per pattern; only its axiom residuals are read off the patterns.
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
 the map predicates; a map's Choi JSON layout belongs to ``cli``.
@@ -48,15 +49,6 @@ from .densemat import S3, Operator, _raw, partial_trace
 np = _lazy_numpy()
 
 
-def omega(d: int) -> Operator:
-    """Unnormalized maximally entangled operator sum_ij |ii><jj| on C^d (x) C^d."""
-    m = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            m[i * d + i, j * d + j] = 1.0
-    return Operator(m)
-
-
 # The gate of ``SuperMap.is_hp``, ``is_cp`` and ``is_tp``: the one tolerance of the map predicates.
 HP_TOL = 1e-8
 
@@ -64,25 +56,32 @@ HP_TOL = 1e-8
 class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
-    Give either the Choi, or for a covariant map d -> d^2 the six
-    coefficients ``coeffs`` of the table elements, kept as a tuple of
-    Python complex numbers; a dense map has ``coeffs`` None.  A covariant
-    map fills its Choi from ``covariant_entries`` on the first read of
-    ``choi`` and keeps it.
+    Give one of three forms: the Choi; for a covariant map d -> d^2 the
+    six coefficients ``coeffs`` of the table elements, a tuple of Python
+    complex numbers; or for a map d -> d^2 whose Choi entry depends only on
+    which of its six labels are equal, ``patterns``, a dict of complex
+    values from equality patterns (``equality_patterns(6)``), 0 on those it
+    leaves out.  The other forms are None.  A covariant or pattern map fills
+    its Choi on the first read of ``choi`` and keeps it.
     """
 
-    __slots__ = ("d_in", "d_out", "coeffs", "_choi")
+    __slots__ = ("d_in", "d_out", "coeffs", "patterns", "_choi")
 
-    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None):
-        if (choi is None) == (coeffs is None):
-            raise ValueError("give a SuperMap either its Choi or its six covariant coefficients")
-        if coeffs is not None:
+    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None, patterns=None):
+        if sum(form is not None for form in (choi, coeffs, patterns)) != 1:
+            raise ValueError("give a SuperMap either its Choi, its six covariant coefficients or its patterns")
+        if choi is None:
             _require_dim(d_in)
             if d_out != d_in * d_in:
-                raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
+                raise ValueError(f"a covariant or pattern map goes d -> d^2, got {d_in} -> {d_out}")
+        if coeffs is not None:
             if len(coeffs) != 6:
                 raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
             coeffs = tuple(complex(c) for c in coeffs)
+        elif patterns is not None:
+            if not set(patterns) <= set(equality_patterns(6)):
+                raise ValueError("pattern keys must be equality patterns of six labels, labelled by first occurrence")
+            patterns = {p: complex(v) for p, v in patterns.items()}
         else:
             choi = choi if isinstance(choi, Operator) else Operator(choi)
             n = d_out * d_in
@@ -93,6 +92,7 @@ class SuperMap:
         object.__setattr__(self, "d_in", int(d_in))
         object.__setattr__(self, "d_out", int(d_out))
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "_choi", choi)
 
     def __setattr__(self, name, value):
@@ -100,13 +100,18 @@ class SuperMap:
 
     @property
     def choi(self) -> Operator:
-        """The Choi operator; a covariant map fills it from ``covariant_entries`` on the first read."""
+        """The Choi, filled on the first read from ``covariant_entries`` or from the nonzero patterns."""
         if self._choi is None:
-            values, entries = covariant_entries(self.d_in, self.coeffs)
-            positions, indices = zip(*entries)
-            choi = np.zeros((self.d_out * self.d_in) ** 2, dtype=np.complex128)
-            choi[list(positions)] = np.array(values)[list(indices)]
-            object.__setattr__(self, "_choi", Operator(choi.reshape(self.d_out * self.d_in, -1)))
+            d, n = self.d_in, self.d_in**3
+            choi = np.zeros(n * n, dtype=np.complex128)
+            if self.coeffs is not None:
+                values, entries = covariant_entries(d, self.coeffs)
+                positions, indices = zip(*entries)
+                choi[list(positions)] = np.array(values)[list(indices)]
+            for pattern, value in (self.patterns or {}).items():
+                for labels in itertools.permutations(range(d), max(pattern) + 1) if value else ():  # one per group
+                    choi[sum(labels[g] * d ** (5 - k) for k, g in enumerate(pattern))] = value
+            object.__setattr__(self, "_choi", Operator(choi.reshape(n, n)))
         return self._choi
 
     def _c4(self) -> np.ndarray:
@@ -290,12 +295,14 @@ def table_entries(labels) -> tuple[int, ...]:
 
 
 @functools.cache
-def _entry_supports(d: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct sets of table elements that are 1 together at some Choi entry, at dimension d."""
-    supports = {
-        tuple(k for k, e in enumerate(table_entries(p)) if e) for p in equality_patterns(6) if max(p) < d
-    }
-    return tuple(sorted(supports))
+def _pattern_table(d: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+    """(pattern, count, support) for each equality pattern of six labels that occurs at d.
+
+    ``count`` is the number of Choi positions with that pattern, and
+    ``support`` lists the table elements that are 1 there (``table_entries``).
+    """
+    table = [(p, math.perm(d, max(p) + 1), table_entries(p)) for p in equality_patterns(6) if max(p) < d]
+    return tuple((p, count, tuple(k for k, e in enumerate(entries) if e)) for p, count, entries in table)
 
 
 def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
@@ -317,7 +324,7 @@ def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
 
 def _pattern_absmax(d: int, coeffs) -> float:
     """Largest absolute entry of  sum_k coeffs[k] P_k^T3: an entry sums the coefficients of its support."""
-    return float(max(abs(sum(coeffs[k] for k in support)) for support in _entry_supports(d)))
+    return float(max(abs(sum(coeffs[k] for k in support)) for support in {s for _, _, s in _pattern_table(d)}))
 
 
 def covariant_spectrum(d: int, coeffs) -> list[float]:

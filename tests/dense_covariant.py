@@ -15,7 +15,9 @@ import functools
 import numpy as np
 
 from vbcast.densemat import S3, Operator, identity, kron, swap
-from vbcast.supermap import _require_dim, omega
+from vbcast.supermap import _require_dim
+
+from dense_maps import omega
 
 
 @functools.cache

@@ -1,7 +1,8 @@
 """Dense map operations that only the tests use.
 
-Maps built from their action on matrix units, the identity map,
-composition, tensor products, Hilbert-Schmidt adjoints, action on the left
+The maximally entangled operator Omega, the descending-order Hermitian
+eigensolver ``eigh``, maps built from their action on matrix units, the
+identity map, composition, tensor products, Hilbert-Schmidt adjoints, action on the left
 factor of a product space, decoherence in a chosen orthonormal basis, and
 the unitarity and positivity tests of an operator.
 No ``vbcast`` command needs them, so they live here, on top of the
@@ -11,7 +12,30 @@ library's ``SuperMap`` and ``Operator``.
 import numpy as np
 
 from vbcast.densemat import DEFAULT_TOL, Operator, _raw
-from vbcast.supermap import SuperMap, omega
+from vbcast.supermap import SuperMap
+
+
+def omega(d: int) -> Operator:
+    """Unnormalized maximally entangled operator sum_ij |ii><jj| on C^d (x) C^d."""
+    m = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            m[i * d + i, j * d + j] = 1.0
+    return Operator(m)
+
+
+def eigh(h) -> tuple[np.ndarray, Operator]:
+    """Eigendecomposition of a Hermitian operator, eigenvalues descending.
+
+    Returns (values, vectors) with values real in descending order and
+    vectors unitary, columns matching values:  h = V diag(values) V^dag.
+    Raises on input that is not Hermitian within ``DEFAULT_TOL``.
+    """
+    m = _raw(h)
+    if m.shape[0] != m.shape[1] or np.abs(m - m.conj().T).max() > DEFAULT_TOL:
+        raise ValueError("eigh requires a Hermitian operator")
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1].copy(), Operator(vecs[:, ::-1])
 
 
 def from_action(d_in: int, d_out: int, action) -> SuperMap:

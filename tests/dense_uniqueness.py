@@ -15,18 +15,12 @@ same residuals on the dense orthonormal basis of the covariant span.
 
 import numpy as np
 
-from vbcast.broadcast import (
-    UniquenessCertificate,
-    _b_lambda_coeffs,
-    _classical_residual,
-    _marginal_residuals,
-    _permutation_residual,
-    canonical_b,
-)
+from vbcast.broadcast import UniquenessCertificate, _b_lambda_coeffs, canonical_b
 from vbcast.densemat import Rng, swap
-from vbcast.supermap import omega
 
+from dense_axioms import classical_residual, marginal_residuals, permutation_residual
 from dense_covariant import commutant_basis, commutant_table
+from dense_maps import omega
 from random_fixtures import haar_unitary
 
 
@@ -42,11 +36,11 @@ def residual_rows(
     c: np.ndarray, d: int, include_broadcasting: bool, include_permutation: bool, include_classical: bool
 ) -> np.ndarray:
     """The marginal, permutation and classical residuals of the Choi c that are included, as one flat vector."""
-    res = _marginal_residuals(c, d) if include_broadcasting else []
+    res = marginal_residuals(c, d) if include_broadcasting else []
     if include_permutation:
-        res.append(_permutation_residual(c, d))
+        res.append(permutation_residual(c, d))
     if include_classical:
-        res.append(_classical_residual(c, d))
+        res.append(classical_residual(c, d))
     return np.concatenate([r.ravel() for r in res]) if res else np.zeros(0)
 
 

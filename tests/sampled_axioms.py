@@ -4,7 +4,8 @@ Draws states (alternating full-rank and pure, since e.g. the optimal
 cloner's deficit peaks on pure inputs) and takes the worst trace-norm
 distance between either marginal of the output and the input.  Tests
 compare it with the exact ``vbcast.broadcast.check_axioms``, which reads
-the marginal residuals from the Choi operator.
+the marginal residuals off the Choi's equality patterns, and with the dense
+reference ``dense_axioms.dense_check_axioms`` for random channels.
 """
 
 from vbcast.densemat import Rng, partial_trace, random_density, trace_norm

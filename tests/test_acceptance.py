@@ -23,7 +23,6 @@ from vbcast.broadcast import (
 from vbcast.cli import main
 from vbcast.densemat import (
     Rng,
-    eigh,
     kron,
     partial_trace,
     random_density,
@@ -37,7 +36,7 @@ from vbcast.sot import check_sot_axioms, star
 
 from channel_scan import closest_channel_scan
 from dense_covariant import choi_projector, moment_operator
-from dense_maps import identity_map
+from dense_maps import eigh, identity_map
 from dense_mp_sampling import update_batch
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel, random_pure

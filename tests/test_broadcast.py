@@ -10,7 +10,6 @@ from pytest import mark, raises
 from vbcast.densemat import (
     Operator,
     Rng,
-    eigh,
     identity,
     kron,
     partial_trace,
@@ -19,7 +18,6 @@ from vbcast.densemat import (
     swap,
     trace_norm,
 )
-from vbcast.supermap import omega
 from vbcast.broadcast import (
     _exact_rank,
     antisym,
@@ -29,13 +27,13 @@ from vbcast.broadcast import (
     classical_bcl,
     cloner,
     commutant_gram,
-    commutant_projection,
     covariant_map,
     decoherence,
     family_b_lambda,
     verify_uniqueness,
 )
 from vbcast.hovm import depolarizing_mp, exact_mp_map
+from vbcast.supermap import SuperMap
 
 from dense_covariant import (
     choi_projector,
@@ -46,7 +44,8 @@ from dense_covariant import (
     dense_mp_choi,
     permutation_operators,
 )
-from dense_maps import compose, conjugate, dagger, decoherence_in, from_action, hs_adjoint, tensor
+from dense_axioms import commutant_projection, dense_check_axioms
+from dense_maps import compose, conjugate, dagger, decoherence_in, eigh, from_action, hs_adjoint, omega, tensor
 from dense_uniqueness import dense_basis_uniqueness, dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting
@@ -237,6 +236,13 @@ class TestCheckAxioms:
         assert not rep.passes(1e-10)
 
     @mark.parametrize("d", (2, 3))
+    def test_dense_map_raises(self, d):
+        # only the covariant and pattern forms have an exact axiom path; the dense reference lives in the tests
+        for m in (random_channel(d, d * d, Rng(d)), SuperMap(d, d * d, canonical_b(d).choi)):
+            with raises(ValueError, match="not a dense Choi"):
+                check_axioms(m)
+
+    @mark.parametrize("d", (2, 3))
     def test_cloner_deficit_detected(self, d):
         # the optimal physical broadcaster misses by (d-1)/(d+1) on pure states
         assert sampled_broadcasting(cloner(d), n_states=30, rng=Rng(d)) >= (d - 1) / (d + 1) - 1e-6
@@ -254,10 +260,9 @@ class TestCheckAxioms:
             "B_lambda:0.3": family_b_lambda(d, 0.3),
             "B+": cloner(d),
             "B_cl": classical_bcl(d),
-            "random": random_channel(d, d * d, Rng(7)),
         }
-        for name, m in maps.items():
-            exact = check_axioms(m).broadcasting
+        for name, m in {**maps, "random": random_channel(d, d * d, Rng(7))}.items():
+            exact = (check_axioms(m) if name in maps else dense_check_axioms(m)).broadcasting
             sampled = sampled_broadcasting(m, n_states=30, rng=Rng(20 + d))
             assert (exact < 1e-10 and sampled < 1e-10) or (exact > 1e-2 and sampled > 1e-2), (name, exact, sampled)
 
@@ -265,14 +270,16 @@ class TestCheckAxioms:
 class TestCheckAxiomsCovariance:
     @mark.parametrize("d", (2, 3))
     def test_non_covariant_maps_flagged(self, d):
-        for m in (classical_bcl(d), random_channel(d, d * d, Rng(40 + d))):
-            rep = check_axioms(m)
-            assert rep.covariance > 1e-2
+        assert check_axioms(classical_bcl(d)).covariance > 1e-2
+        assert dense_check_axioms(random_channel(d, d * d, Rng(40 + d))).covariance > 1e-2
 
     @mark.parametrize("d", range(2, 7))
     def test_classical_broadcaster_covariance(self, d):
-        # 1/2, 7/10, 4/5, 6/7, 25/28; the dense projection is one ulp off the correctly rounded value at d = 5, 6
-        assert check_axioms(classical_bcl(d)).covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15)
+        # 1/2, 7/10, 4/5, 6/7, 25/28, correctly rounded; the dense reference is one ulp off at d = 5, 6
+        rep = check_axioms(classical_bcl(d))
+        assert rep.covariance == (d + 4) * (d - 1) / ((d + 1) * (d + 2))
+        assert (rep.broadcasting, rep.permutation, rep.classical) == (1.0, 0.0, 0.0)
+        assert dense_check_axioms(classical_bcl(d)).covariance == pytest.approx(rep.covariance, abs=1e-15)
 
     @mark.parametrize("d", (2, 3))
     def test_classical_matches_decohered_chain(self, d):
@@ -281,7 +288,8 @@ class TestCheckAxiomsCovariance:
         for m in (canonical_b(d), cloner(d), family_b_lambda(d, 0.4), random_channel(d, d * d, Rng(d))):
             chained = compose(compose(tensor(dec, dec), m), dec)
             want = (chained.choi - classical_bcl(d).choi).absmax()
-            assert check_axioms(m).classical == pytest.approx(want, abs=1e-14)
+            exact = check_axioms(m) if m.coeffs is not None else dense_check_axioms(m)
+            assert exact.classical == pytest.approx(want, abs=1e-14)
 
 
 class TestCommutant:

@@ -24,6 +24,9 @@ from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
 
 
+PATTERNS = supermap.equality_patterns(6)
+
+
 def _reject_constant(token):
     raise ValueError(f"report holds {token}, which is not JSON")
 
@@ -76,14 +79,16 @@ class TestVerify:
         assert uniq["skipped"] is None
         assert uniq["values"]["nullity"] == 0
 
-    @pytest.mark.parametrize("d", (2, 6))
+    @pytest.mark.parametrize("d", range(2, 7))
     def test_classical_broadcaster_covariance(self, d, tmp_path):
         code, doc, _ = run(["verify", "--dim", str(d), "--target", "B_cl"], tmp_path)
         assert code == 1 and doc["pass"] is False
         checks = {c["name"]: c for c in doc["checks"]}
         for name in ("broadcast_axioms", "sot_axioms"):
-            covariance = checks[name]["values"]["covariance"]
-            assert covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15), name
+            values = checks[name]["values"]
+            assert values["covariance"] == (d + 4) * (d - 1) / ((d + 1) * (d + 2)), name
+            assert (values["permutation"], values["classical"]) == (0.0, 0.0), name
+        assert checks["broadcast_axioms"]["values"]["broadcasting"] == 1.0
 
     def test_corrupted_fixture_names_permutation(self, tmp_path, capsys):
         code, doc, _ = run(["verify", "--dim", "2", "--target", "B_lambda:0.3"], tmp_path)
@@ -141,11 +146,13 @@ class TestVerify:
             assert docs[0]["checks"][0]["values"]["permutation"] == pytest.approx(2e300)
 
     def test_one_hermiticity_gate_for_the_spectrum(self, tmp_path, monkeypatch):
-        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate and is then diagonalised under that gate too
+        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate and is then diagonalised under that gate too.
+        # The skew sits on B's pattern (0, 0, 0, 0, 0, 1), which holds C[0, 1] but not its adjoint entry.
         def skewed(d):
-            choi = canonical_b(d).choi.mat.copy()
-            choi[0, 1] += 5e-9
-            return SuperMap(d, d * d, Operator(choi))
+            coeffs = canonical_b(d).coeffs
+            patterns = {p: sum(c for c, e in zip(coeffs, supermap.table_entries(p)) if e) for p in PATTERNS}
+            patterns[0, 0, 0, 0, 0, 1] += 5e-9
+            return SuperMap(d, d * d, patterns=patterns)
 
         monkeypatch.setattr(cli, "canonical_b", skewed)
         code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
@@ -874,11 +881,15 @@ class TestBlasThreads:
         assert res.stdout == want + "\n"
 
     def test_report_does_not_depend_on_the_default(self, tmp_path):
-        # threaded BLAS sums in a core-count-dependent order; the default must be the one-thread report
+        # threaded BLAS sums in a core-count-dependent order; the default must be the one-thread report.
+        # B read back from its Choi file is dense, so diamond runs the Jordan eigh of its 216 x 216 Choi.
+        choi = tmp_path / "choi.json"
+        write_supermap(choi, canonical_b(6))
         texts = []
         for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-            out = tmp_path / f"dump{len(texts)}.json"
-            argv = [sys.executable, "-m", "vbcast.cli", "dump", "--dim", "6", "--object", "B", "--out", str(out)]
+            out = tmp_path / f"diamond{len(texts)}.json"
+            argv = [sys.executable, "-m", "vbcast.cli", "diamond", "--dim", "6", "--target", f"file:{choi}"]
+            argv += ["--out", str(out)]
             assert subprocess.run(argv, env=_child_env(**preset), timeout=120).returncode == 0
             texts.append([line for line in out.read_text().splitlines() if '"timestamp":' not in line])
         assert texts[0] == texts[1]
@@ -912,7 +923,8 @@ class TestLazyNumpy:
 
     ``verify``, ``diamond`` and ``dump`` on a covariant map (B, B+, B-, M,
     Mprime, B_lambda, B-minus-Bplus) never execute it; a ``file:`` diamond
-    target, ``sample`` and ``dump`` of a dense map (B_cl, D) do.
+    target, ``sample``, ``dump`` of B_cl and D, and the spectrum of
+    ``verify --target B_cl`` do.
     """
 
     def test_cli_import_runs_no_numpy(self):
@@ -930,6 +942,18 @@ class TestLazyNumpy:
     def test_covariant_verify_runs_no_numpy(self, argv, want, tmp_path):
         assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: False"
         assert json.loads((tmp_path / "out.json").read_text())["pass"] is (want == 0)
+
+    def test_axiom_check_of_the_classical_broadcaster_runs_no_numpy(self):
+        # B_cl's axioms are read off its one pattern: no Choi is filled and numpy's import never runs
+        code = (
+            "import sys\n"
+            "from vbcast.broadcast import check_axioms, classical_bcl\n"
+            "m = classical_bcl(6)\n"
+            "check_axioms(m)\n"
+            "sys.exit(m._choi is not None or 'numpy._core' in sys.modules)\n"
+        )
+        res = _run_child(code)
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize(
         "argv, want",

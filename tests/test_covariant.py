@@ -3,7 +3,8 @@
 Every read that a covariant map answers from its coefficients -- spectrum,
 largest entry, the HP / CP / TP tests, ``apply``, the axiom residuals and the
 diamond bracket -- is compared with the same read of a dense copy of its Choi, at
-d = 2..6.  The uniqueness certificate is compared with its dense references
+d = 2..6.  The pattern form's Choi and axiom residuals are compared with dense
+references too.  The uniqueness certificate is compared with its dense references
 in ``test_broadcast.py``.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import mark
 
-from vbcast.broadcast import antisym, canonical_b, check_axioms, cloner, family_b_lambda
+from vbcast.broadcast import antisym, canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.densemat import Rng
 from vbcast.diamond import diamond_bracket
 from vbcast.hovm import depolarizing_mp, exact_mp_map
@@ -28,6 +29,7 @@ from vbcast.supermap import (
     table_support,
 )
 
+from dense_axioms import dense_check_axioms
 from dense_covariant import commutant_table, table_sum_choi
 
 DIMS = range(2, 7)
@@ -145,6 +147,47 @@ class TestCovariantForm:
         assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
 
 
+def _random_pattern_map(d, seed):
+    """A pattern map with complex Gaussian values on a random third of the patterns that occur at d."""
+    rng = Rng(seed)
+    patterns = [p for p in equality_patterns(6) if max(p) < d and rng.gen.random() < 1 / 3]
+    return SuperMap(d, d * d, patterns=dict(zip(patterns, _complex_gaussian(rng, len(patterns)).tolist())))
+
+
+class TestPatternForm:
+    @mark.parametrize("d", DIMS)
+    def test_classical_broadcaster_choi_is_its_diagonal(self, d):
+        # 1 at (ii i, ii i) for each i, zero elsewhere: the dense array B_cl had before its pattern form
+        m = classical_bcl(d)
+        assert m.coeffs is None and m.patterns == {(0, 0, 0, 0, 0, 0): 1 + 0j}
+        want = np.zeros((d**3, d**3), dtype=complex)
+        diag = np.arange(d) * (d * d + d + 1)
+        want[diag, diag] = 1.0
+        assert m.choi.mat.tobytes() == want.tobytes()
+
+    @mark.parametrize("d", DIMS)
+    def test_covariant_values_give_the_covariant_choi(self, d):
+        # a pattern's value is the sum of the coefficients over its table support
+        for name, m in covariant_maps(d).items():
+            values = {p: sum(c for c, e in zip(m.coeffs, table_entries(p)) if e) for p in equality_patterns(6)}
+            assert_allclose(SuperMap(d, d * d, patterns=values).choi.mat, m.choi.mat, rtol=0, atol=1e-15, err_msg=name)
+
+    @mark.parametrize("d", (2, 3, 4))
+    def test_axioms_match_dense_reference(self, d):
+        for seed in range(3):
+            m = _random_pattern_map(d, 10 * d + seed)
+            got, want = check_axioms(m), dense_check_axioms(m)
+            assert got == pytest.approx(want, abs=1e-12), seed
+
+    def test_rejects_keys_that_are_not_patterns(self):
+        with pytest.raises(ValueError, match="equality patterns"):
+            SuperMap(2, 4, patterns={(0, 0, 0, 0, 0, 2): 1.0})
+        with pytest.raises(ValueError, match="d -> d\\^2"):
+            SuperMap(2, 2, patterns={(0, 0, 0, 0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            classical_bcl(1)
+
+
 class TestAgainstDense:
     @mark.parametrize("d", DIMS)
     def test_apply(self, d):
@@ -162,9 +205,9 @@ class TestAgainstDense:
 
     @mark.parametrize("d", DIMS)
     def test_axiom_residuals(self, d):
-        for name, m in covariant_maps(d).items():
-            got, want = check_axioms(m)._asdict(), check_axioms(dense(m))._asdict()
-            assert got["covariance"] == 0.0
+        for name, m in {**covariant_maps(d), "B_cl": classical_bcl(d)}.items():
+            got, want = check_axioms(m)._asdict(), dense_check_axioms(m)._asdict()
+            assert got["covariance"] == 0.0 or name == "B_cl"
             for axiom in got:
                 assert got[axiom] == pytest.approx(want[axiom], abs=1e-12), (name, axiom)
 

@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast import broadcast, densemat, sot
-from vbcast.densemat import Rng, eigh, identity, random_density, swap
+from vbcast.densemat import Rng, identity, random_density, swap
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import check_sot_axioms, star
 
-from dense_maps import apply_left, identity_map
+from dense_axioms import dense_check_axioms
+from dense_maps import apply_left, eigh, identity_map
 from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms
@@ -85,8 +86,10 @@ class TestAxioms:
 
     @mark.parametrize("d", (2, 3))
     def test_non_covariant_maps_fail_covariance(self, d):
-        assert check_sot_axioms(classical_bcl(d)).covariance == pytest.approx(1 - 6 / ((d + 1) * (d + 2)), abs=1e-15)
-        assert check_sot_axioms(random_channel(d, d * d, Rng(d))).covariance > 1e-2
+        rep = check_sot_axioms(classical_bcl(d))
+        assert rep.covariance == (d + 4) * (d - 1) / ((d + 1) * (d + 2))
+        assert (rep.broadcasting, rep.permutation, rep.classical) == (1.0, 0.0, 0.0)
+        assert dense_check_axioms(random_channel(d, d * d, Rng(d))).covariance > 1e-2
 
     @mark.parametrize("d", (2, 3))
     def test_cloner_fails_classical(self, d):
@@ -107,14 +110,19 @@ class TestAxioms:
 
     @mark.parametrize("d", (2, 3))
     def test_equals_broadcaster_choi_residuals(self, d):
-        for m in reference_maps(d).values():
-            assert check_sot_axioms(m) == check_axioms(m)
+        for name, m in reference_maps(d).items():
+            if name == "random":
+                for check in (check_sot_axioms, check_axioms):
+                    with raises(ValueError, match="not a dense Choi"):
+                        check(m)
+            else:
+                assert check_sot_axioms(m) == check_axioms(m)
 
     @mark.parametrize("d", (2, 3))
     def test_matches_sampled_reference(self, d):
         # exact and sampled residuals agree on which axioms hold
         for name, m in reference_maps(d).items():
-            exact = check_sot_axioms(m)
+            exact = dense_check_axioms(m) if name == "random" else check_sot_axioms(m)
             sampled = sampled_sot_axioms(m, n_cases=25, rng=Rng(40 + d))
             for axiom in SOT_AXIOMS:
                 a, s = getattr(exact, axiom), sampled[axiom]
