@@ -6,6 +6,10 @@ is the only field that varies between identical runs.  Exit codes:
 0 success, 1 verification failure, 2 operational error (bad arguments,
 unreadable files, solver non-convergence).
 
+A ``diamond`` report's ``witness`` is the unit input vector vec A of its
+lower bound, as two row-major lists ``re`` and ``im`` of d^2 floats each;
+the bound is the trace norm of (id (x) m)(vec A vec A^dag).
+
 This module also owns the Choi JSON layout of a map, ``{d_in, d_out, choi}``
 with the Choi as ``{rows, cols, re, im}``: ``_supermap_doc`` writes it for
 ``dump`` and ``_read_supermap`` reads it back for ``diamond --target file:``.
@@ -42,7 +46,7 @@ from .broadcast import (
     family_b_lambda,
     verify_uniqueness,
 )
-from .diamond import DiamondResult, diamond_bracket, gap_floor, hptp_upper
+from .diamond import diamond_bracket, gap_floor, hptp_upper
 from .hovm import (
     depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
 )
@@ -52,7 +56,7 @@ from .sot import check_sot_axioms
 np = _lazy_numpy()
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
-SCHEMA = 7
+SCHEMA = 8
 
 DEFAULT_TOLERANCES = {
     "axioms": 1e-10,
@@ -90,6 +94,7 @@ _INT = {"type": "integer"}
 _NUM = {"type": "number"}
 _STR = {"type": "string"}
 _NUMBERS = {"type": "object", "additionalProperties": _NUM}
+_NUMBER_LIST = {"type": "array", "items": _NUM}
 
 
 def _record(**fields) -> dict:
@@ -121,7 +126,7 @@ REPORT_SCHEMAS = {
         gap=_NUM,
         iterations=_INT,
         converged=_BOOL,
-        witness_state=_OPERATOR,
+        witness=_record(re=_NUMBER_LIST, im=_NUMBER_LIST),
     ),
     "sample": _record(**_META, object=_STR, observable=_STR, n=_INT, result=_NUMBERS),
     "dump": _record(
@@ -129,7 +134,7 @@ REPORT_SCHEMAS = {
         object=_STR,
         supermap=_record(d_in=_INT, d_out=_INT, choi=_OPERATOR),
         jamiolkowski=_OPERATOR,
-        eigenvalues={"type": "array", "items": _NUM},
+        eigenvalues=_NUMBER_LIST,
     ),
 }
 
@@ -288,22 +293,6 @@ def _read_supermap(doc) -> SuperMap:
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # Python's json loads NaN, Infinity and -Infinity
         raise ValueError("choi entries must be finite, got NaN or Infinity")
     return SuperMap(doc["d_in"], doc["d_out"], Operator(re + 1j * im))
-
-
-def _witness_doc(result: DiamondResult) -> dict:
-    """``_operator_doc`` of the witness state w w^dag of a diamond bracket.
-
-    A list w holds real floats (the covariant maximally entangled input), so
-    each entry is a product of two of them, the one ``np.outer`` forms, and
-    the imaginary part is 0.0: no numpy loads.  An ndarray w is complex and
-    goes through ``witness_state``'s ``np.outer``, because numpy's complex
-    multiply can round differently from Python's ``a * b.conjugate()``.
-    """
-    w = result.witness
-    if not isinstance(w, list):
-        return _operator_doc(result.witness_state)
-    n = len(w)
-    return {"rows": n, "cols": n, "re": [[a * b for b in w] for a in w], "im": [[0.0] * n for _ in w]}
 
 
 def _emit_json(cfg: RunConfig, doc: dict):
@@ -495,8 +484,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
     doc.update(target=target, **result._asdict(), gap=result.gap)
-    doc["witness_state"] = _witness_doc(result)
-    del doc["witness"]
+    doc["witness"] = {"re": [x.real for x in result.witness], "im": [x.imag for x in result.witness]}
     _emit_json(cfg, doc)
 
     bounds = (

@@ -94,10 +94,6 @@ def check_density(rho: Operator, d: int):
 # constructors
 
 
-def identity(d: int) -> Operator:
-    return Operator(np.eye(d))
-
-
 def swap(d: int) -> Operator:
     """SWAP on C^d (x) C^d:  sum_ij |i><j| (x) |j><i|."""
     s = np.zeros((d * d, d * d))

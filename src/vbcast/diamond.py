@@ -36,9 +36,9 @@ holds despite rounding in the eigendecompositions.  That rounding also sets
 ``diamond_bracket`` runs no ADMM.
 
 A ``DiamondResult`` carries its witness as the unit input vector vec A: a
-list of floats on the covariant path, an ndarray otherwise.  The witness
-state vec A vec A^dag is built only when ``witness_state`` is read, and
-the ``diamond`` report of ``cli`` writes it.
+list of floats on the covariant path, an ndarray otherwise.  It is the
+certificate of the lower bound, whose state vec A vec A^dag has d^2 times
+as many entries; the ``diamond`` report of ``cli`` writes vec A itself.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import sys
 from typing import NamedTuple
 
 from . import _lazy_numpy
-from .densemat import Operator, trace_norm
+from .densemat import trace_norm
 from .supermap import HP_TOL, AffineDecomposition, SuperMap
 
 np = _lazy_numpy()
@@ -86,12 +86,6 @@ class DiamondResult(NamedTuple):
     @property
     def gap(self) -> float:
         return self.upper_bound - self.lower_bound
-
-    @property
-    def witness_state(self) -> Operator:
-        """The witness state vec A vec A^dag; building it loads numpy."""
-        w = np.asarray(self.witness)
-        return Operator(np.outer(w, w.conj()))
 
 
 # ---------------------------------------------------------------------------

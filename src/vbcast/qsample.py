@@ -81,9 +81,11 @@ def estimate_with_trace(
     Each segment between checkpoints draws the uniforms that one ``choice``
     call with ``p=probs`` draws -- the stream equals a single size-n call --
     and counts them against the cumulative distribution, so value j counts
-    #(u < cdf[j]) - #(u < cdf[j-1]).  The uniforms are drawn in chunks of at
-    most ``DRAW_CHUNK``, which consecutive ``random`` calls continue as one
-    stream, so memory does not grow with n.
+    #(u < cdf[j]) - #(u < cdf[j-1]); cdf[-1] is exactly 1.0 and ``random``
+    draws from [0, 1), so the last count is the chunk size, with no pass.
+    The uniforms are drawn in chunks of at most ``DRAW_CHUNK``, which
+    consecutive ``random`` calls continue as one stream, so memory does not
+    grow with n.
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
@@ -98,7 +100,7 @@ def estimate_with_trace(
     for m in marks:
         while done < m:
             u = rng.gen.random(min(m - done, DRAW_CHUNK))
-            counts += np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
+            counts += np.diff([*(np.count_nonzero(u < c) for c in cdf[:-1]), u.size], prepend=0)
             done += u.size
         mean = counts @ vals / m
         var = counts @ (vals - mean) ** 2 / (m - 1)

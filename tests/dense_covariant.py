@@ -14,10 +14,10 @@ import functools
 
 import numpy as np
 
-from vbcast.densemat import S3, Operator, identity, kron, swap
+from vbcast.densemat import S3, Operator, kron, swap
 from vbcast.supermap import _require_dim
 
-from dense_maps import omega
+from dense_maps import identity, omega
 
 
 @functools.cache

@@ -1,7 +1,8 @@
 """Dense map operations that only the tests use.
 
-The maximally entangled operator Omega, the descending-order Hermitian
-eigensolver ``eigh``, maps built from their action on matrix units, the
+The identity operator, the maximally entangled operator Omega, the
+descending-order Hermitian eigensolver ``eigh``, the witness state of a
+diamond bracket, maps built from their action on matrix units, the
 identity map, composition, tensor products, Hilbert-Schmidt adjoints, action on the left
 factor of a product space, decoherence in a chosen orthonormal basis, and
 the unitarity and positivity tests of an operator.
@@ -13,6 +14,10 @@ import numpy as np
 
 from vbcast.densemat import DEFAULT_TOL, Operator, _raw
 from vbcast.supermap import SuperMap
+
+
+def identity(d: int) -> Operator:
+    return Operator(np.eye(d))
 
 
 def omega(d: int) -> Operator:
@@ -36,6 +41,12 @@ def eigh(h) -> tuple[np.ndarray, Operator]:
         raise ValueError("eigh requires a Hermitian operator")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), Operator(vecs[:, ::-1])
+
+
+def witness_state(result) -> Operator:
+    """The witness state vec A vec A^dag of a ``DiamondResult``, from its input vec A."""
+    w = np.asarray(result.witness)
+    return Operator(np.outer(w, w.conj()))
 
 
 def from_action(d_in: int, d_out: int, action) -> SuperMap:

@@ -10,7 +10,6 @@ from pytest import mark, raises
 from vbcast.densemat import (
     Operator,
     Rng,
-    identity,
     kron,
     partial_trace,
     random_density,
@@ -45,7 +44,7 @@ from dense_covariant import (
     permutation_operators,
 )
 from dense_axioms import commutant_projection, dense_check_axioms
-from dense_maps import compose, conjugate, dagger, decoherence_in, eigh, from_action, hs_adjoint, omega, tensor
+from dense_maps import compose, conjugate, dagger, decoherence_in, eigh, from_action, hs_adjoint, identity, omega, tensor
 from dense_uniqueness import dense_basis_uniqueness, dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
 from sampled_axioms import sampled_broadcasting

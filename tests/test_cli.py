@@ -11,14 +11,15 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import vbcast
 from vbcast import cli, densemat, sot, supermap
 from vbcast.broadcast import canonical_b, cloner, family_b_lambda
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
-from vbcast.densemat import Operator, Rng
+from vbcast.densemat import Operator, Rng, trace_norm
 from vbcast.diamond import diamond_bracket, float_slack
-from vbcast.supermap import SuperMap
+from vbcast.supermap import SuperMap, apply_right
 
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
@@ -64,7 +65,7 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
         assert doc["dim"] == 2 and doc["seed"] == 42
         assert doc["tolerances"] == DEFAULT_TOLERANCES
         names = [c["name"] for c in doc["checks"]]
@@ -310,6 +311,42 @@ class TestDiamond:
             docs.append({k: v for k, v in doc.items() if k not in ("seed", "timestamp")})
         # diamond draws no random numbers, so the seed does not reach the report
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize(
+        "target,d",
+        [("B", d) for d in range(2, 7)] + [("B-minus-Bplus", 3), ("B-minus-Bplus", 4), ("B_lambda", 4), ("diff", 2)],
+    )
+    def test_witness_certifies_lower_bound(self, target, d, tmp_path, monkeypatch):
+        # the report's witness is the bracket's input vec A, a unit vector whose state attains the lower bound
+        maps = {
+            "B_lambda": lambda: family_b_lambda(4, 0.3),
+            "diff": lambda: random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)),
+        }
+        admm = target == "diff"  # the one bracket here that the Jordan bound leaves open
+        if target in maps:
+            path = tmp_path / "target.json"
+            write_supermap(path, maps[target]())
+            target = f"file:{path}"
+        calls = []
+
+        def bracket(m, *args, **kwargs):
+            calls.append((m, diamond_bracket(m, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "diamond_bracket", bracket)
+        code, doc, _ = run(["diamond", "--dim", str(d), "--target", target], tmp_path)
+        assert code == 0
+        (m, res), = calls
+        assert (doc["iterations"] > 0) == admm
+        re, im = np.array(doc["witness"]["re"]), np.array(doc["witness"]["im"])
+        assert re.shape == im.shape == (d * d,)
+        want = np.asarray(res.witness, dtype=complex)
+        assert_array_equal(re.view(np.int64), np.ascontiguousarray(want.real).view(np.int64))
+        assert_array_equal(im.view(np.int64), np.ascontiguousarray(want.imag).view(np.int64))
+        w = re + 1j * im
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        state = Operator(np.outer(w, w.conj()))
+        assert trace_norm(apply_right(m, state, d_left=d)) >= doc["lower_bound"]
 
     def test_file_target_must_match_dim(self, tmp_path, capsys):
         path = tmp_path / "cloner_d3.json"
@@ -772,22 +809,6 @@ class TestReportWriter:
                 _dumps(doc)
         else:
             assert _dumps(doc) == want.replace("Infinity", "1e+300")
-
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_covariant_witness_lists_match_arrays(self, d):
-        # the covariant witness is expanded in Python; np.outer of the same input writes the same bytes
-        res = diamond_bracket(canonical_b(d))
-        listed = cli._witness_doc(res)
-        assert isinstance(listed["re"], list) and isinstance(listed["im"], list)
-        e = np.eye(d).reshape(-1) / np.sqrt(d)
-        arrays = cli._operator_doc(Operator(np.outer(e, e)))
-        assert _dumps({"witness_state": listed}) == _dumps({"witness_state": arrays})
-
-    def test_dense_witness_keeps_np_outer(self):
-        # numpy's complex multiply rounds this complex witness differently from Python's a * b.conjugate()
-        res = diamond_bracket(SuperMap(4, 16, family_b_lambda(4, 0.3).choi))
-        w = res.witness
-        assert _dumps(cli._witness_doc(res)) == _dumps(cli._operator_doc(Operator(np.outer(w, w.conj()))))
 
     def test_array_must_be_float64(self):
         with pytest.raises(TypeError, match="float64"):

@@ -31,6 +31,7 @@ from vbcast.supermap import (
 
 from dense_axioms import dense_check_axioms
 from dense_covariant import commutant_table, table_sum_choi
+from dense_maps import witness_state
 
 DIMS = range(2, 7)
 
@@ -220,7 +221,7 @@ class TestAgainstDense:
                 assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), (name, field)
             # the covariant witness is the maximally entangled input exactly; the dense path's is close to it
             e = np.eye(d).reshape(-1) / np.sqrt(d)
-            assert_array_equal(got.witness_state.mat, np.outer(e, e))
-            assert_allclose(want.witness_state.mat, np.outer(e, e), atol=1e-12)
+            assert_array_equal(witness_state(got).mat, np.outer(e, e))
+            assert_allclose(witness_state(want).mat, np.outer(e, e), atol=1e-12)
             # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map
             assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum() / d, abs=1e-12)

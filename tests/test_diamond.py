@@ -22,7 +22,7 @@ from vbcast.diamond import (
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
 from channel_scan import closest_channel_scan
-from dense_maps import compose, conjugate, from_action, identity_map, is_psd, tensor
+from dense_maps import compose, conjugate, from_action, identity_map, is_psd, tensor, witness_state
 from random_fixtures import haar_unitary, random_channel
 
 
@@ -127,7 +127,7 @@ class TestLowerSearch:
     def test_witness_is_density(self):
         m = _sandwich(3, 7)
         res = diamond_bracket(m)
-        w = res.witness_state
+        w = witness_state(res)
         assert is_psd(w)
         assert w.trace() == pytest.approx(1.0)
         assert trace_norm(apply_right(m, w, d_left=m.d_in)) >= res.lower_bound
@@ -190,7 +190,7 @@ def _assert_open_gap_closed(m):
     assert res.lower_bound <= res.value <= res.upper_bound
     assert res.value == (res.lower_bound + res.upper_bound) / 2
     # the witness attains the lower bound
-    assert trace_norm(apply_right(m, res.witness_state, d_left=m.d_in)) >= res.lower_bound
+    assert trace_norm(apply_right(m, witness_state(res), d_left=m.d_in)) >= res.lower_bound
 
 
 class TestBracket:
@@ -212,7 +212,7 @@ class TestBracket:
             assert res.lower_bound <= exact <= res.upper_bound
         if m.d_out == m.d_in**2:
             # the d -> d^2 maps here are U (x) U (x) conj(U)-covariant: the maximally entangled input is optimal
-            assert_array_equal(res.witness_state.mat, _max_entangled(m.d_in))
+            assert_array_equal(witness_state(res).mat, _max_entangled(m.d_in))
 
     @pytest.mark.parametrize("target", ("B", "B-minus-Bplus"))
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
@@ -226,7 +226,7 @@ class TestBracket:
         assert (res.lower_bound, res.upper_bound) == (norm - slack, norm + slack)
         assert res.value == (res.lower_bound + res.upper_bound) / 2
         assert res.witness == (np.eye(d).reshape(-1) / np.sqrt(d)).tolist()
-        assert_array_equal(res.witness_state.mat, _max_entangled(d))
+        assert_array_equal(witness_state(res).mat, _max_entangled(d))
 
     @pytest.mark.parametrize("d", (2, 4))
     def test_decomposition_bound_kept_exact(self, d):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from pytest import mark, raises
 
-from vbcast.densemat import Rng, identity, random_density, random_hermitian
+from vbcast.densemat import Rng, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
 from vbcast.diamond import hptp_upper
 from vbcast.qsample import DRAW_CHUNK, _value_table, estimate_with_trace, write_trace_csv
 
+from dense_maps import identity
 from random_fixtures import random_channel
 
 

@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast import broadcast, densemat, sot
-from vbcast.densemat import Rng, identity, random_density, swap
+from vbcast.densemat import Rng, random_density, swap
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import check_sot_axioms, star
 
 from dense_axioms import dense_check_axioms
-from dense_maps import apply_left, eigh, identity_map
+from dense_maps import apply_left, eigh, identity, identity_map
 from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, identity, kron, random_density, random_hermitian, swap
+from vbcast.densemat import Operator, Rng, kron, random_density, random_hermitian, swap
 from vbcast.supermap import AffineDecomposition, SuperMap, apply_right
 
-from dense_maps import apply_left, compose, from_action, hs_adjoint, identity_map, is_psd, omega, tensor
+from dense_maps import apply_left, compose, from_action, hs_adjoint, identity, identity_map, is_psd, omega, tensor
 from random_fixtures import _haar_qr, ginibre_columns, random_channel
 
 
