@@ -13,6 +13,9 @@ the bound is the trace norm of (id (x) m)(vec A vec A^dag).
 This module also owns the Choi JSON layout of a map, ``{d_in, d_out, choi}``
 with the Choi as ``{rows, cols, re, im}``: ``_supermap_doc`` writes it for
 ``dump`` and ``_read_supermap`` reads it back for ``diamond --target file:``.
+The reader checks the lists with the standard library and returns a Choi
+that ``match_covariant`` reproduces exactly as its six coefficients, so a
+covariant ``file:`` target takes the closed-form bracket with no numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import AffineDecomposition, SuperMap, covariant_entries
+from .supermap import AffineDecomposition, SuperMap, covariant_entries, match_covariant
 from .broadcast import (
     antisym,
     canonical_b,
@@ -276,23 +279,49 @@ def _map_operator_doc(m: SuperMap, jamiolkowski: bool = False) -> dict:
     return {"rows": n, "cols": n, "re": _Indexed(re, rows), "im": _Indexed(im, rows)}
 
 
+# The Python types of a JSON number as ``json`` loads it.
+_JSON_NUMBERS = {int, float}
+
+
 def _supermap_doc(m: SuperMap) -> dict:
     """A map as {d_in, d_out, choi}: ``dump`` writes this layout and ``diamond --target file:`` reads it back."""
     return {"d_in": m.d_in, "d_out": m.d_out, "choi": _map_operator_doc(m)}
 
 
 def _read_supermap(doc) -> SuperMap:
-    """The map of a loaded ``_supermap_doc``; a malformed document raises KeyError, TypeError or ValueError."""
+    """The map of a loaded ``_supermap_doc``; a malformed document raises KeyError, TypeError or ValueError.
+
+    The Choi's ``re`` and ``im`` are checked as lists first: ``rows`` lists
+    of ``cols`` finite JSON numbers each.  A d^3 x d^3 Choi of a map
+    d -> d^2 that ``match_covariant`` reproduces exactly comes back as its
+    six coefficients, with no ndarray and no numpy; any other Choi is built
+    as an ndarray from the checked lists.
+    """
     for field in ("d_in", "d_out"):
         if type(doc[field]) is not int or doc[field] < 1:  # a JSON true loads as a bool, which is an int
             raise ValueError(f"{field} must be a positive integer, got {json.dumps(doc[field])}")
-    choi = doc["choi"]
-    re, im = np.array(choi["re"], dtype=float), np.array(choi["im"], dtype=float)
-    if re.shape != (choi["rows"], choi["cols"]) or im.shape != re.shape:
-        raise ValueError("operator JSON has inconsistent dimensions")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # Python's json loads NaN, Infinity and -Infinity
-        raise ValueError("choi entries must be finite, got NaN or Infinity")
-    return SuperMap(doc["d_in"], doc["d_out"], Operator(re + 1j * im))
+    d_in, d_out, choi = doc["d_in"], doc["d_out"], doc["choi"]
+    re, im = choi["re"], choi["im"]
+    for part in (re, im):
+        if type(part) is not list or len(part) != choi["rows"] or any(
+            type(row) is not list or len(row) != choi["cols"] for row in part
+        ):
+            raise ValueError("operator JSON has inconsistent dimensions")
+    for row in (*re, *im):
+        if not set(map(type, row)) <= _JSON_NUMBERS:  # a JSON true is a bool, "0.5" a str: neither is a number
+            bad = next(x for x in row if type(x) not in _JSON_NUMBERS)
+            raise ValueError(f"choi entries must be JSON numbers, got {json.dumps(bad)}")
+        try:
+            finite = all(map(math.isfinite, row))  # Python's json loads NaN, Infinity and -Infinity
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise ValueError("choi entries must be finite, got NaN or Infinity")
+    if d_out == d_in * d_in and choi["rows"] == choi["cols"] == d_in**3:
+        m = match_covariant(d_in, re, im)
+        if m is not None:
+            return m
+    return SuperMap(d_in, d_out, Operator(np.array(re, dtype=float) + 1j * np.array(im, dtype=float)))
 
 
 def _emit_json(cfg: RunConfig, doc: dict):

@@ -18,7 +18,9 @@
   the maximally entangled input, so both bounds equal ||C||_1/d and are
   read off the closed-form spectrum of the six coefficients, with no
   ``eigh``, no d^3 x d^3 array and no numpy: the bounds, their slack and
-  the witness input are standard-library floats.
+  the witness input are standard-library floats.  A ``file:`` target of
+  ``cli`` whose Choi is covariant arrives as its six coefficients too, so
+  it has the same bracket as the map it was dumped from.
 * ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
   an upper bound because channels have diamond norm one; the same check,
   at the map gate ``HP_TOL``, validates the quasi-sampler's split and gives

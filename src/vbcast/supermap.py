@@ -22,8 +22,10 @@ of the d^3 x d^3 table with the elements that are 1 at each, and
 ``covariant_entries`` expands the coefficients over it with the standard
 library.  That one expansion fills the dense Choi, built only when
 something reads it, and the Choi and Jamiolkowski operators that ``dump``
-writes.  Each entry of such a Choi depends only on which of its six labels
-(out1, out2, in; out1', out2', in') are equal, so the largest entry, the
+writes; ``match_covariant`` runs it backwards, reading the six
+coefficients off a Choi's entries and keeping them only if they reproduce
+every entry.  Each entry of such a Choi depends only on which of its six
+labels (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
 Hermiticity and trace-preservation tests and the axiom residuals are read
 off the at most 203 equality patterns (``equality_patterns``, ``_pattern_table``),
 and the spectrum has the closed form of ``covariant_spectrum``.  Those reads
@@ -260,6 +262,33 @@ def covariant_entries(d: int, coeffs) -> tuple[list[complex], list[tuple[int, in
 def covariant_map(d: int, coeffs) -> SuperMap:
     """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] P_k^T3, k indexing ``S3``."""
     return SuperMap(d, d * d, coeffs=coeffs)
+
+
+def match_covariant(d: int, re: list, im: list) -> SuperMap | None:
+    """The covariant map d -> d^2 whose Choi has the rows ``re`` + i ``im``, or None when it has none.
+
+    ``re`` and ``im`` are d^3 rows of d^3 numbers each.  At d >= 3 each
+    table element k is 1 alone at some positions, so coefficient k reads off
+    the first position of ``table_support(d)`` whose mask is ``1 << k``; at
+    d = 2 two of any three labels agree, no position holds one element
+    alone, and the answer is None.  The Choi is covariant exactly when
+    ``covariant_entries`` of those six reproduces it: every support entry
+    equals its expanded value and every other entry is 0.0, compared as
+    floats with no tolerance.
+    """
+    if d < 3:
+        return None
+    n = d**3
+    first = {}
+    for pos, mask in table_support(d):
+        first.setdefault(mask, pos)
+    coeffs = [complex(re[row][col], im[row][col]) for row, col in (divmod(first[1 << k], n) for k in range(6))]
+    values, entries = covariant_entries(d, coeffs)
+    want_re, want_im = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
+    for pos, index in entries:
+        row, col = divmod(pos, n)
+        want_re[row][col], want_im[row][col] = values[index].real, values[index].imag
+    return covariant_map(d, coeffs) if re == want_re and im == want_im else None
 
 
 def _cycles(p: tuple[int, ...]) -> int:

@@ -15,10 +15,10 @@ from numpy.testing import assert_array_equal
 
 import vbcast
 from vbcast import cli, densemat, sot, supermap
-from vbcast.broadcast import canonical_b, cloner, family_b_lambda
+from vbcast.broadcast import canonical_b, classical_bcl, cloner, family_b_lambda
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng, trace_norm
-from vbcast.diamond import diamond_bracket, float_slack
+from vbcast.diamond import _covariant_bounds, diamond_bracket, float_slack
 from vbcast.supermap import SuperMap, apply_right
 
 from dense_uniqueness import table_column_uniqueness
@@ -297,20 +297,22 @@ class TestDiamond:
         assert 1.0 <= doc["upper_bound"] <= 1.0 + 2 * float_slack(4, 1.0)
 
     def test_open_gap_file_target_certified(self, tmp_path):
-        # the bracket of a channel difference stays open until ADMM certifies it
-        path = tmp_path / "diff.json"
-        write_supermap(path, random_channel(2, 2, Rng(1)) - random_channel(2, 2, Rng(2)))
-        docs = []
-        for seed in ("0", "5"):
-            args = ["diamond", "--dim", "2", "--target", f"file:{path}", "--seed", seed]
-            code, doc, _ = run(args, tmp_path, f"{seed}.json")
-            assert code == 0
-            assert doc["iterations"] > 0
-            assert doc["gap"] <= DEFAULT_TOLERANCES["sdp"]
-            assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
-            docs.append({k: v for k, v in doc.items() if k not in ("seed", "timestamp")})
-        # diamond draws no random numbers, so the seed does not reach the report
-        assert docs[0] == docs[1]
+        # the bracket of a channel difference stays open until ADMM certifies it; at d = 3 its d^3 x d^3
+        # Choi is first tested for covariance, which must fail
+        for d, d_out, seeds in ((2, 2, (1, 2)), (3, 9, (2, 3))):
+            path = tmp_path / f"diff{d}.json"
+            write_supermap(path, random_channel(d, d_out, Rng(seeds[0])) - random_channel(d, d_out, Rng(seeds[1])))
+            docs = []
+            for seed in ("0", "5"):
+                args = ["diamond", "--dim", str(d), "--target", f"file:{path}", "--seed", seed]
+                code, doc, _ = run(args, tmp_path, f"{seed}.json")
+                assert code == 0
+                assert doc["iterations"] > 0
+                assert doc["gap"] <= DEFAULT_TOLERANCES["sdp"]
+                assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+                docs.append({k: v for k, v in doc.items() if k not in ("seed", "timestamp")})
+            # diamond draws no random numbers, so the seed does not reach the report
+            assert docs[0] == docs[1]
 
     @pytest.mark.parametrize(
         "target,d",
@@ -348,6 +350,47 @@ class TestDiamond:
         state = Operator(np.outer(w, w.conj()))
         assert trace_norm(apply_right(m, state, d_left=d)) >= doc["lower_bound"]
 
+    @pytest.mark.parametrize("d", range(3, 7))
+    @pytest.mark.parametrize("name", ("B", "B+", "M", "B_lambda:0.3", "B-minus-Bplus"))
+    def test_covariant_file_target_has_the_in_memory_bracket(self, name, d, tmp_path):
+        # a covariant map read back from its dump is its six coefficients, so it takes the closed-form bracket
+        m = canonical_b(d) - cloner(d) if name == "B-minus-Bplus" else cli.build_object(name, d)
+        path = tmp_path / "target.json"
+        write_supermap(path, m)
+        code, doc, _ = run(["diamond", "--dim", str(d), "--target", f"file:{path}"], tmp_path)
+        assert code == 0
+        res = diamond_bracket(m, DEFAULT_TOLERANCES["sdp"])
+        assert doc["lower_bound"].hex() == res.lower_bound.hex()
+        assert [x.hex() for x in doc["witness"]["re"]] == [x.hex() for x in res.witness]
+        assert doc["witness"]["im"] == [0.0] * (d * d)
+        assert doc["upper_bound"].hex() == _covariant_bounds(m)[0].hex()
+        assert doc["iterations"] == 0
+        if name in ("B", "B-minus-Bplus"):
+            # the named target has the same lower bound and witness; its upper bound also takes hptp_upper,
+            # which is exactly d for B and d - 1 for B - B+
+            named_code, named, _ = run(["diamond", "--dim", str(d), "--target", name], tmp_path, "named.json")
+            assert named_code == 0
+            assert (named["lower_bound"], named["witness"]) == (doc["lower_bound"], doc["witness"])
+            assert named["upper_bound"] == min(doc["upper_bound"], d if name == "B" else d - 1)
+
+    @pytest.mark.parametrize("target", ("B_cl", "diff"))
+    def test_dense_file_target_reads_the_parsed_lists(self, target, tmp_path):
+        # a Choi that is not covariant is the ndarray of its JSON lists, so its report is the dense bracket's
+        d = 6 if target == "B_cl" else 3
+        m = classical_bcl(d) if target == "B_cl" else random_channel(d, 9, Rng(2)) - random_channel(d, 9, Rng(3))
+        path = tmp_path / "target.json"
+        write_supermap(path, m)
+        choi = json.loads(path.read_text())["choi"]
+        re, im = np.array(choi["re"], dtype=float), np.array(choi["im"], dtype=float)
+        dense = SuperMap(d, d * d, Operator(re + 1j * im))
+        code, doc, _ = run(["diamond", "--dim", str(d), "--target", f"file:{path}"], tmp_path)
+        assert code == 0
+        res = diamond_bracket(dense, DEFAULT_TOLERANCES["sdp"])
+        assert (doc["value"], doc["lower_bound"], doc["upper_bound"]) == (res.value, res.lower_bound, res.upper_bound)
+        assert doc["iterations"] == res.iterations and (res.iterations > 0) == (target == "diff")
+        assert_array_equal(np.array(doc["witness"]["re"]), res.witness.real)
+        assert_array_equal(np.array(doc["witness"]["im"]), res.witness.imag)
+
     def test_file_target_must_match_dim(self, tmp_path, capsys):
         path = tmp_path / "cloner_d3.json"
         write_supermap(path, cloner(3))
@@ -374,10 +417,11 @@ class TestDiamond:
         assert "Hermitian-preserving" in capsys.readouterr().err
 
     @pytest.mark.parametrize("part", ("re", "im"))
-    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="10**400")))
     def test_non_finite_file_target(self, part, value, tmp_path, capsys):
         # Python's json loads NaN and +-Infinity; a NaN once failed as "requires a Hermitian-preserving map",
-        # and an inf also printed numpy's RuntimeWarning
+        # and an inf also printed numpy's RuntimeWarning.  An integer past the float range once escaped as
+        # an OverflowError traceback.
         path = tmp_path / "non_finite.json"
         doc = json.loads(_dumps(cli._supermap_doc(canonical_b(2))))
         doc["choi"][part][1][2] = value
@@ -388,6 +432,20 @@ class TestDiamond:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
             f"error: cannot load supermap from {path}: choi entries must be finite, got NaN or Infinity\n"
+        )
+
+    @pytest.mark.parametrize("part", ("re", "im"))
+    @pytest.mark.parametrize("value", ('"0.5"', "true", "false", "null", "[0.5]", "{}"))
+    def test_non_number_file_target(self, part, value, tmp_path, capsys):
+        # numpy's float conversion once read "0.5" and true as numbers, and null as NaN
+        path = tmp_path / "non_number.json"
+        doc = json.loads(_dumps(cli._supermap_doc(canonical_b(2))))
+        doc["choi"][part][1][2] = json.loads(value)
+        path.write_text(json.dumps(doc))
+        code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: cannot load supermap from {path}: choi entries must be JSON numbers, got {value}\n"
         )
 
     @pytest.mark.parametrize("field", ("d_in", "d_out"))
@@ -419,7 +477,23 @@ class TestSupermapLayout:
         m = cli.build_object(name, d)
         doc = cli._supermap_doc(m)
         self.assert_bit_identical(cli._read_supermap(_as_lists(doc)), m)
-        self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(doc))), m)
+        got = cli._read_supermap(json.loads(_dumps(doc)))
+        self.assert_bit_identical(got, m)
+        # a covariant Choi comes back as its six coefficients from d = 3, where each reads off one entry
+        assert got.coeffs == (m.coeffs if d >= 3 else None)
+
+    def test_one_ulp_anywhere_reads_dense(self):
+        # recognition is exact: moving any one entry of a covariant Choi by one ulp leaves a dense map
+        m = family_b_lambda(3, 0.3)
+        doc = json.loads(_dumps(cli._supermap_doc(m)))
+        assert cli._read_supermap(doc).coeffs == m.coeffs
+        for part in ("re", "im"):
+            for row in doc["choi"][part]:
+                for col, x in enumerate(row):
+                    row[col] = math.nextafter(x, math.inf)
+                    got = cli._read_supermap(doc)
+                    row[col] = x
+                    assert got.coeffs is None
 
     def test_random_channel_round_trip(self):
         m = random_channel(2, 4, Rng(60))
@@ -428,9 +502,11 @@ class TestSupermapLayout:
     @pytest.mark.parametrize("part", ("re", "im"))
     def test_bad_shape(self, part):
         doc = json.loads(_dumps(cli._supermap_doc(random_channel(2, 2, Rng(0)))))
-        doc["choi"][part] = [[1.0]]
-        with pytest.raises(ValueError, match="inconsistent dimensions"):
-            cli._read_supermap(doc)
+        rows = doc["choi"][part]
+        for bad in ([[1.0]], [rows[0], rows[1][:-1], *rows[2:]], sum(rows, [])):  # 1 x 1, ragged, flat
+            doc["choi"][part] = bad
+            with pytest.raises(ValueError, match="inconsistent dimensions"):
+                cli._read_supermap(doc)
 
 
 class TestSample:
@@ -903,9 +979,10 @@ class TestBlasThreads:
 
     def test_report_does_not_depend_on_the_default(self, tmp_path):
         # threaded BLAS sums in a core-count-dependent order; the default must be the one-thread report.
-        # B read back from its Choi file is dense, so diamond runs the Jordan eigh of its 216 x 216 Choi.
+        # The classical broadcaster's Choi file is not covariant, so diamond runs the Jordan eigh of its
+        # 216 x 216 Choi.
         choi = tmp_path / "choi.json"
-        write_supermap(choi, canonical_b(6))
+        write_supermap(choi, classical_bcl(6))
         texts = []
         for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
             out = tmp_path / f"diamond{len(texts)}.json"
@@ -943,9 +1020,10 @@ class TestLazyNumpy:
     """numpy's import runs only when a command starts dense work.
 
     ``verify``, ``diamond`` and ``dump`` on a covariant map (B, B+, B-, M,
-    Mprime, B_lambda, B-minus-Bplus) never execute it; a ``file:`` diamond
-    target, ``sample``, ``dump`` of B_cl and D, and the spectrum of
-    ``verify --target B_cl`` do.
+    Mprime, B_lambda, B-minus-Bplus) never execute it, nor does ``diamond``
+    on a ``file:`` target that holds such a map's Choi at d >= 3; any other
+    ``file:`` target, ``sample``, ``dump`` of B_cl and D, and the spectrum
+    of ``verify --target B_cl`` do.
     """
 
     def test_cli_import_runs_no_numpy(self):
@@ -983,9 +1061,15 @@ class TestLazyNumpy:
             (["diamond", "--dim", "6", "--target", "B"], 0),
             (["diamond", "--dim", "3", "--target", "B-minus-Bplus"], 0),
             (["diamond", "--dim", "2", "--tol", "sdp=1e-20"], 2),
+            (["diamond", "--dim", "4", "--target", "file:{b_lambda}"], 0),
         ],
     )
     def test_covariant_diamond_runs_no_numpy(self, argv, want, tmp_path):
+        # the benchmark's file target: the supermap part of a B_lambda:0.3 dump, written back with json.dump
+        dump, b_lambda = tmp_path / "dump.json", tmp_path / "b_lambda.json"
+        assert main(["dump", "--dim", "4", "--object", "B_lambda:0.3", "--out", str(dump)]) == 0
+        b_lambda.write_text(json.dumps(json.loads(dump.read_text())["supermap"]))
+        argv = [a.format(b_lambda=b_lambda) for a in argv]
         out = tmp_path / "out.json"
         *lines, last = _main_in_child(argv + ["--out", str(out)])
         assert last == f"exit {want}, numpy loaded: False"
@@ -1008,16 +1092,21 @@ class TestLazyNumpy:
         "argv",
         [
             ["verify", "--dim", "2", "--target", "B_cl"],
-            ["diamond", "--dim", "2", "--target", "file:{choi}"],
+            ["diamond", "--dim", "2", "--target", "file:{channel}"],
             ["sample", "--dim", "2", "--n", "1000", "--format", "json"],
             ["dump", "--dim", "2", "--object", "B_cl"],
+            ["diamond", "--dim", "3", "--target", "file:{nudged}"],
         ],
     )
     def test_dense_commands_load_numpy(self, argv, tmp_path):
-        # B read back from its Choi file is a dense map, so the diamond bracket takes the Jordan path
-        choi = tmp_path / "choi.json"
-        write_supermap(choi, canonical_b(2))
-        argv = [a.format(choi=choi) for a in argv]
+        # a channel's Choi file and a covariant Choi with one entry moved by one ulp are dense maps,
+        # so their diamond brackets take the Jordan path
+        channel, nudged = tmp_path / "channel.json", tmp_path / "nudged.json"
+        write_supermap(channel, random_channel(2, 2, Rng(7)))
+        doc = json.loads(_dumps(cli._supermap_doc(family_b_lambda(3, 0.3))))
+        doc["choi"]["re"][0][0] = math.nextafter(doc["choi"]["re"][0][0], math.inf)
+        nudged.write_text(json.dumps(doc))
+        argv = [a.format(channel=channel, nudged=nudged) for a in argv]
         want = 1 if argv[0] == "verify" else 0  # the classical broadcaster is not covariant
         assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: True"
         assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
