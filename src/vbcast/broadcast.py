@@ -37,6 +37,7 @@ from .supermap import (
     AffineDecomposition,
     SuperMap,
     _cycles,
+    _largest,
     _pattern_table,
     _require_dim,
     covariant_map,
@@ -68,13 +69,13 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
 def cloner(d: int) -> SuperMap:
     """Optimal universal cloning channel  rho -> 2/(d+1) P+ (I (x) rho) P+."""
     _require_dim(d)
-    return covariant_map(d, [c / (2 * (d + 1)) for c in (0, 0, 1, 1, 1, 1)])
+    return covariant_map(d, (0, 0, 1, 1, 1, 1), 2 * (d + 1))
 
 
 def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
     _require_dim(d)
-    return covariant_map(d, [c / (2 * (d - 1)) for c in (0, 0, 1, 1, -1, -1)])
+    return covariant_map(d, (0, 0, 1, 1, -1, -1), 2 * (d - 1))
 
 
 def canonical_decomposition(d: int) -> AffineDecomposition:
@@ -200,18 +201,18 @@ def _axiom_patterns(d: int) -> dict[str, tuple]:
 def _exact_values(m: SuperMap) -> tuple[int, dict, dict]:
     """m's Choi on each pattern that occurs at d, as (den, re, im): integer numerators over one den.
 
-    Every float is a dyadic rational (``float.as_integer_ratio``), so a
-    power of two holds all of m's coefficients or pattern values; a
-    covariant map's value on a pattern sums its coefficients over the
-    pattern's table support.  A value that is not finite raises.
+    A covariant map's value on a pattern sums its exact coefficients over
+    the pattern's table support.  A pattern value is a float, so a dyadic
+    rational (``float.as_integer_ratio``): a power of two holds them all.
+    A value that is not finite raises.
     """
-    given = m.coeffs if m.coeffs is not None else tuple(m.patterns.values())
-    ratios = [part.as_integer_ratio() for c in given for part in (c.real, c.imag)]
+    table = _pattern_table(m.d_in)
+    if m.exact is not None:
+        den, *parts = m.exact
+        return den, *({p: sum(part[j] for j in support) for p, _, support in table} for part in parts)
+    ratios = [part.as_integer_ratio() for c in m.patterns.values() for part in (c.real, c.imag)]
     den = max((q for _, q in ratios), default=1)
     nums = [n * (den // q) for n, q in ratios]
-    table = _pattern_table(m.d_in)
-    if m.coeffs is not None:
-        return den, *({p: sum(part[j] for j in support) for p, _, support in table} for part in (nums[::2], nums[1::2]))
     return den, *({p: 0 for p, _, _ in table} | dict(zip(m.patterns, part)) for part in (nums[::2], nums[1::2]))
 
 
@@ -229,17 +230,6 @@ def _twirl_residuals(d: int, values: dict) -> list[int]:
             overlaps[j] += count * values[p]
     x = [sum(a * o for a, o in zip(row, overlaps)) for row in adj] + [0] * (6 - len(adj))
     return [det * values[p] - sum(x[j] for j in support) for p, _, support in _pattern_table(d)]
-
-
-def _largest(residuals, den: int) -> float:
-    """The largest |re + i im| / den over pairs of integer numerators, as one float; 0.0 for none.
-
-    The pair is picked exactly, on re^2 + im^2.  A real or imaginary one is
-    rounded once, by int/int true division, which raises OverflowError past
-    the float range; one with both parts is the ``math.hypot`` of the two.
-    """
-    re, im = max(residuals, key=lambda z: z[0] * z[0] + z[1] * z[1], default=(0, 0))
-    return math.hypot(re / den, im / den) if re and im else abs(re or im) / den
 
 
 def _worst(rows, den: int, re: dict, im: dict) -> float:

@@ -37,7 +37,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import AffineDecomposition, SuperMap, covariant_entries, match_covariant
+from .supermap import SuperMap, covariant_entries, match_covariant
 from .broadcast import (
     antisym,
     canonical_b,
@@ -484,13 +484,12 @@ def cmd_verify(cfg: RunConfig, target: str = "B") -> int:
 # diamond
 
 
-def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, float | None]:
+def _resolve_diamond_target(cfg: RunConfig, target: str) -> SuperMap:
     d = cfg.dim
     if target == "B":
-        return canonical_b(d), hptp_upper(canonical_decomposition(d))
+        return canonical_b(d)
     if target == "B-minus-Bplus":
-        plus, half = cloner(d), (d - 1) / 2
-        return canonical_b(d) - plus, hptp_upper(AffineDecomposition(half, half, plus, antisym(d)))
+        return canonical_b(d) - cloner(d)
     path = target.removeprefix("file:")
     if not os.path.exists(path):
         raise CliError(f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file")
@@ -501,14 +500,14 @@ def _resolve_diamond_target(cfg: RunConfig, target: str) -> tuple[SuperMap, floa
         raise CliError(f"cannot load supermap from {path}: {exc}") from None
     if m.d_in != d:
         raise CliError(f"diamond target {target!r} has input dimension {m.d_in}, but --dim is {d}")
-    return m, None
+    return m
 
 
 def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     """Certified diamond-norm bracket of a named map or a Choi JSON file."""
-    m, upper = _resolve_diamond_target(cfg, target)
+    m = _resolve_diamond_target(cfg, target)
     try:
-        result = diamond_bracket(m, cfg.tolerances["sdp"], upper=upper)
+        result = diamond_bracket(m, cfg.tolerances["sdp"])
     except ValueError as exc:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
@@ -521,7 +520,8 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        tol, floor = cfg.tolerances["sdp"], gap_floor(m, result.lower_bound, upper)
+        # a covariant bracket is exact, so its own gap is its floor
+        tol, floor = cfg.tolerances["sdp"], result.gap if m.exact is not None else gap_floor(m, result.lower_bound)
         if tol < floor:
             message = f"--tol sdp={tol:g} is below the bracket's rounding floor {floor:.3e}; no SDP run"
             print(f"{message} ({bounds})", file=sys.stderr)

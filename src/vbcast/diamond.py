@@ -15,27 +15,28 @@
   onto that eigenspace, and bounds the norm from below by
   ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For CP maps
   |J| = J and rho0 is optimal.  For covariant maps K = ||C||_1/d I and w is
-  the maximally entangled input, so both bounds equal ||C||_1/d and are
-  read off the closed-form spectrum of the six coefficients, with no
-  ``eigh``, no d^3 x d^3 array and no numpy: the bounds, their slack and
-  the witness input are standard-library floats.  A ``file:`` target of
-  ``cli`` whose Choi is covariant arrives as its six coefficients too, so
-  it has the same bracket as the map it was dumped from.
-* ``hptp_upper`` -- lambda_plus + lambda_minus of a CPTP decomposition,
-  an upper bound because channels have diamond norm one; the same check,
-  at the map gate ``HP_TOL``, validates the quasi-sampler's split and gives
-  its overhead.
+  the maximally entangled input, so both bounds equal ||C||_1/d.  It is
+  read off the exact coefficients in integers (``_covariant_bounds``), with
+  no ``eigh``, no d^3 x d^3 array, no numpy and no ADMM: the bracket is
+  exact, [d, d] for B, and one or two ulps wide where the norm is
+  irrational.  A ``file:`` target of ``cli`` whose Choi is covariant
+  arrives as its six coefficients too, so it has the bracket of the
+  coefficients it holds.
 * ``diamond_sdp`` -- the semidefinite characterization
   ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
   with R the input-first Choi operator, solved by a self-contained ADMM
   splitting (affine projection / PSD projection / dual update) that stops
   once the bracket certified by its dual variable and PSD iterate closes.
-  It serves maps the bounds above leave open, such as channel differences.
+  It serves dense maps the bounds above leave open, such as channel
+  differences.
 
-Every bound is rounded outward by ``float_slack``, so ``lower <= upper``
-holds despite rounding in the eigendecompositions.  That rounding also sets
-``gap_floor``, the narrowest bracket any certificate can reach; below it
-``diamond_bracket`` runs no ADMM.
+On a dense map every bound is rounded outward by ``float_slack``, so
+``lower <= upper`` holds despite rounding in the eigendecompositions.  That
+rounding also sets ``gap_floor``, the narrowest bracket any certificate can
+reach; below it ``diamond_bracket`` runs no ADMM.  ``hptp_upper`` --
+lambda_plus + lambda_minus of a CPTP decomposition, an upper bound because
+channels have diamond norm one -- validates the quasi-sampler's split at the
+map gate ``HP_TOL`` and gives its overhead.
 
 A ``DiamondResult`` carries its witness as the unit input vector vec A: a
 list of floats on the covariant path, an ndarray otherwise.  It is the
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 from . import _lazy_numpy
 from .densemat import trace_norm
-from .supermap import HP_TOL, AffineDecomposition, SuperMap
+from .supermap import HP_TOL, AffineDecomposition, SuperMap, covariant_blocks
 
 np = _lazy_numpy()
 
@@ -256,68 +257,84 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     return top + slack, (v @ v.conj().T) / v.shape[1], r
 
 
+def _rounded(num: int, den: int, up: bool) -> float:
+    """num / den for integers, den > 0, rounded to the nearest float at or above it (up) or at or below it."""
+    value = num / den
+    value_num, value_den = value.as_integer_ratio()
+    over = value_num * den - num * value_den  # the sign of value - num / den
+    if over and (over > 0) != up:
+        return math.nextafter(value, math.inf if up else -math.inf)
+    return value
+
+
 def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
-    """The Jordan bound, the reference-state lower bound and its input vec A of a covariant map.
+    """The exact bracket of a covariant map's diamond norm, and its input vec A.
 
     Tr_out |J| commutes with every Ubar, so it is ||C||_1 / d times I: the
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
-    lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  The
-    trace norm sums the closed-form spectrum with ``math.fsum``, both bounds
-    are rounded outward by ``float_slack``, and vec A is a list of floats:
+    lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  From
+    ``covariant_blocks``, |lambda+| + |lambda-| = max(|s|, sqrt(w)) / den, so
+    ||C||_1 / d = (K + sqrt(T)) / (d den) with the integers
+    K = m1 |a| + m2 |b|  (m1, m2 the multiplicities of a and b) and
+    T = d^2 max(s^2, w).  ``math.isqrt`` brackets sqrt(T) 2^k, with
+    2^k sqrt(T) >= 2^63, between two integers, equal when T is a square;
+    the lower end is rounded down and the upper end up to floats, so the
+    bracket holds the norm, is at most two ulps wide, and is [v, v] when
+    the norm is the float v.  vec A is a list of floats:
     1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
-    norm = math.fsum(map(abs, m.spectrum())) / d
-    slack = float_slack(d * m.d_out, norm)
+    den, a, b, s, w = covariant_blocks(d, m.exact)
+    rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
+    t = d * d * max(s * s, w)
+    k = max(0, 64 - t.bit_length() // 2)
+    root = math.isqrt(t << 2 * k)
+    lower = _rounded((rational << k) + root, (d * den) << k, up=False)
+    upper = _rounded((rational << k) + root + (root * root != t << 2 * k), (d * den) << k, up=True)
     entry = 1.0 / math.sqrt(d)
     vec_a = [0.0] * (d * d)
     vec_a[:: d + 1] = [entry] * d
-    return norm + slack, norm - slack, vec_a
+    return lower, upper, vec_a
 
 
-def gap_floor(m: SuperMap, lower: float, upper: float | None = None) -> float:
-    """The narrowest bracket of m that any certificate can reach once its lower bound is ``lower``.
+def gap_floor(m: SuperMap, lower: float) -> float:
+    """The narrowest bracket of a dense map m that any certificate can reach once its lower bound is ``lower``.
 
     Each certified lower bound is a value v' <= ||m||<> rounded down by
     ``float_slack(n, v')``, and a lower bound that improves on ``lower`` has
     v' > ``lower``, so every bracket is at least ``float_slack(n, lower)``
-    wide.  Each upper bound certified here is rounded up by as much again;
-    only a caller's proven ``upper`` carries no slack.
+    wide; each upper bound is rounded up by as much again.
     """
-    slack = float_slack(m.d_in * m.d_out, max(lower, 0.0))
-    return slack if upper is not None else 2 * slack
+    return 2 * float_slack(m.d_in * m.d_out, max(lower, 0.0))
 
 
-def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = None) -> DiamondResult:
+def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     """Certified bracket lower <= ||m||<> <= upper, reporting its midpoint.
 
-    ``upper`` is the Jordan bound, or the caller's proven bound (such as
-    ``hptp_upper``) where that is smaller.  The lower bound and its witness
-    come from the reference state on the top eigenspace of Tr_out |J|; a
-    bracket closed that way has 0 iterations.  A covariant map reads both
-    bounds off its spectrum (``_covariant_bounds``), with no ``eigh``.
-    Otherwise ``diamond_sdp`` runs, and the bracket is the larger lower and
-    the smaller upper bound of the two, with the SDP's iteration count; it
-    is ``converged`` when its gap is <= ``tolerance``.  A ``tolerance``
-    below ``gap_floor`` can never be met, so the SDP is not run and the
-    bracket is reported unconverged with 0 iterations.
+    A covariant map's bracket is exact (``_covariant_bounds``), read off its
+    coefficients with no ``eigh`` and no ADMM.  Otherwise the upper bound is
+    the Jordan bound, and the lower bound and its witness come from the
+    reference state on the top eigenspace of Tr_out |J|; a bracket closed
+    that way has 0 iterations.  If it is still open, ``diamond_sdp`` runs,
+    and the bracket is the larger lower and the smaller upper bound of the
+    two, with the SDP's iteration count.  A ``tolerance`` below ``gap_floor``
+    can never be met, so the SDP is not run.  The bracket is ``converged``
+    when its gap is <= ``tolerance``.
     """
-    if m.coeffs is not None:
-        up, lower, witness = _covariant_bounds(m)
+    iterations = 0
+    if m.exact is not None:
+        lower, up, witness = _covariant_bounds(m)
     else:
         up, rho0, r = _jordan_certificate(m)
         lower, witness = _reference_lower(r, rho0, m.d_in, m.d_out)
-    if upper is not None:
-        up = min(up, upper)
-    iterations = 0
-    if gap_floor(m, lower, upper) <= tolerance < up - lower:
-        sdp = diamond_sdp(m, tolerance)
-        if sdp.lower_bound > lower:
-            lower, witness = sdp.lower_bound, sdp.witness
-        up = min(up, sdp.upper_bound)
-        iterations = sdp.iterations
+        if gap_floor(m, lower) <= tolerance < up - lower:
+            sdp = diamond_sdp(m, tolerance)
+            if sdp.lower_bound > lower:
+                lower, witness = sdp.lower_bound, sdp.witness
+            up = min(up, sdp.upper_bound)
+            iterations = sdp.iterations
     return DiamondResult(
         value=(lower + up) / 2,
         lower_bound=lower,
@@ -331,8 +348,8 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5, upper: float | None = 
 def hptp_upper(decomposition: AffineDecomposition) -> float:
     """lambda_plus + lambda_minus of a validated split; channels have diamond norm 1.
 
-    This one check serves both the diamond bound and the quasi-sampler, whose
-    l1 overhead is the same number.  It raises ``ValueError`` unless both
+    It bounds the diamond norm of the split's map and is the quasi-sampler's
+    l1 overhead.  It raises ``ValueError`` unless both
     weights are non-negative and not both zero, the parts share their
     dimensions, and both parts are CPTP within ``HP_TOL``; covariant parts
     are tested on their closed-form spectrum.

@@ -42,18 +42,21 @@ def exact_mp_map(d: int) -> SuperMap:
     Its Jamiolkowski operator is the third Haar moment of (d+2)psi - I
     scaled by d/8, expanded into the order-0..3 moments; the order-2 terms
     on the three factor pairs sum to (3I + P_(12) + P_(13) + P_(23))/(d(d+1)).
-    Each moment weighs a cycle type alike, so the same six coefficients build the Choi.
+    Each moment weighs a cycle type alike, so the same six coefficients build
+    the Choi.  With a = d + 2, coefficient k is
+    (d/8) (a^3 / (d (d+1) (d+2)) - a^2 j_k / (d (d+1)) + (3a/d - 1) [k = id])
+    for the order-2 weights j = (3, 1, 1, 1, 0, 0): the integer
+    a^2 (1 - j_k) + 2 (d+1)(d+3) [k = id] over 8 (d+1).
     """
     a = d + 2
-    m3 = 1.0 / (d * (d + 1) * (d + 2))
-    j2 = [c / (d * (d + 1)) for c in (3, 1, 1, 1, 0, 0)]
+    j2 = (3, 1, 1, 1, 0, 0)
     e0 = (1, 0, 0, 0, 0, 0)
-    return covariant_map(d, [(d / 8.0) * (a**3 * m3 - a**2 * j + (3 * a / d - 1) * e) for j, e in zip(j2, e0)])
+    return covariant_map(d, [a * a * (1 - j) + 2 * (d + 1) * (d + 3) * e for j, e in zip(j2, e0)], 8 * (d + 1))
 
 
 def depolarizing_mp(d: int) -> SuperMap:
     """The fully depolarizing counterpart  rho -> Tr[rho] I/d (x) I/d."""
-    return covariant_map(d, [c / (d * d) for c in (1, 0, 0, 0, 0, 0)])
+    return covariant_map(d, (1, 0, 0, 0, 0, 0), d * d)
 
 
 def theorem3_weight(d: int) -> float:
@@ -62,10 +65,13 @@ def theorem3_weight(d: int) -> float:
 
 
 def verify_theorem3(b: SuperMap) -> float:
-    """Max-entry residual of  C(b) = p C(M) + (1-p) C(M')  at d = b.d_in."""
+    """Max-entry residual of  C(b) = p C(M) + (1-p) C(M')  at d = b.d_in.
+
+    The mix is formed exactly, as (4 (d+1) M + d^2 M') / (d+2)^2, since
+    p = 4(d+1)/(d+2)^2 and 1 - p = d^2/(d+2)^2.
+    """
     d = b.d_in
-    p = theorem3_weight(d)
-    mix = p * exact_mp_map(d) + (1.0 - p) * depolarizing_mp(d)
+    mix = (4 * (d + 1) * exact_mp_map(d) + d * d * depolarizing_mp(d)) / (d + 2) ** 2
     return (b - mix).choi_absmax()
 
 

@@ -15,23 +15,25 @@ when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
 (the walled Brauer algebra B_{2,1}(d); Benkart et al., J. Algebra 166
 (1994)) such Chois are the combinations  sum_k x_k P_k^T3  of the six factor
 permutations of ``S3`` transposed on the input factor, the table elements.
-``covariant_map`` keeps a map as those six coefficients, a tuple of Python
-complex numbers: sums, differences and scalar multiples stay six
-coefficients.  ``table_support`` lists the at most 6 d^3 nonzero positions
-of the d^3 x d^3 table with the elements that are 1 at each, and
-``covariant_entries`` expands the coefficients over it with the standard
-library.  That one expansion fills the dense Choi, built only when
-something reads it, and the Choi and Jamiolkowski operators that ``dump``
-writes; ``match_covariant`` runs it backwards, reading the six
+``covariant_map`` keeps a map as those six coefficients, exactly: twelve
+integer numerators, real and imaginary parts, over one positive
+denominator (``SuperMap.exact``), so sums, differences and scalar
+multiples stay six exact coefficients.  ``SuperMap.coeffs`` is their float
+view, each part rounded once.  ``table_support`` lists the at most 6 d^3
+nonzero positions of the d^3 x d^3 table with the elements that are 1 at
+each, and ``covariant_entries`` expands the float view over it with the
+standard library.  That one expansion fills the dense Choi, built only
+when something reads it, and the Choi and Jamiolkowski operators that
+``dump`` writes; ``match_covariant`` runs it backwards, reading the six
 coefficients off a Choi's entries and keeping them only if they reproduce
 every entry.  Each entry of such a Choi depends only on which of its six
 labels (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
 Hermiticity and trace-preservation tests and the axiom residuals are read
 off the at most 203 equality patterns (``equality_patterns``, ``_pattern_table``),
-and the spectrum has the closed form of ``covariant_spectrum``.  Those reads
-are standard-library arithmetic on integer tuples and touch no numpy.
-``apply`` sums the six terms' actions on a d x d input
-(``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
+and the spectrum has the closed form of ``covariant_blocks``.  Those reads
+are integer arithmetic on the exact coefficients, each result rounded to a
+float once, and touch no numpy.  ``apply`` sums the six terms' actions on a
+d x d input (``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
 value per pattern; only its axiom residuals are read off the patterns.
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
@@ -59,27 +61,34 @@ class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
     Give one of three forms: the Choi; for a covariant map d -> d^2 the
-    six coefficients ``coeffs`` of the table elements, a tuple of Python
-    complex numbers; or for a map d -> d^2 whose Choi entry depends only on
-    which of its six labels are equal, ``patterns``, a dict of complex
-    values from equality patterns (``equality_patterns(6)``), 0 on those it
-    leaves out.  The other forms are None.  A covariant or pattern map fills
+    six coefficients of the table elements, ``coeffs`` (ints, floats or
+    complex numbers, each read exactly by ``as_integer_ratio``) or
+    ``exact``, a ``(den, re, im)`` triple of six integer numerators each
+    over one nonzero integer denominator; or for a map d -> d^2 whose Choi
+    entry depends only on which of its six labels are equal, ``patterns``,
+    a dict of complex values from equality patterns
+    (``equality_patterns(6)``), 0 on those it leaves out.  A covariant map
+    keeps ``exact`` in lowest terms with ``den`` > 0, and ``coeffs`` as its
+    float view: six complex numbers, each part num/den rounded once.  The
+    forms a map was not given are None.  A covariant or pattern map fills
     its Choi on the first read of ``choi`` and keeps it.
     """
 
-    __slots__ = ("d_in", "d_out", "coeffs", "patterns", "_choi")
+    __slots__ = ("d_in", "d_out", "coeffs", "exact", "patterns", "_choi")
 
-    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None, patterns=None):
-        if sum(form is not None for form in (choi, coeffs, patterns)) != 1:
+    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None, patterns=None, exact=None):
+        if sum(form is not None for form in (choi, coeffs, patterns, exact)) != 1:
             raise ValueError("give a SuperMap either its Choi, its six covariant coefficients or its patterns")
         if choi is None:
             _require_dim(d_in)
             if d_out != d_in * d_in:
                 raise ValueError(f"a covariant or pattern map goes d -> d^2, got {d_in} -> {d_out}")
         if coeffs is not None:
-            if len(coeffs) != 6:
-                raise ValueError(f"a covariant map needs 6 coefficients, got {len(coeffs)}")
-            coeffs = tuple(complex(c) for c in coeffs)
+            exact = _ratios(coeffs)
+        if exact is not None:
+            exact = _lowest_terms(*exact)
+            den, re, im = exact
+            coeffs = tuple(complex(a / den, b / den) for a, b in zip(re, im))
         elif patterns is not None:
             if not set(patterns) <= set(equality_patterns(6)):
                 raise ValueError("pattern keys must be equality patterns of six labels, labelled by first occurrence")
@@ -94,6 +103,7 @@ class SuperMap:
         object.__setattr__(self, "d_in", int(d_in))
         object.__setattr__(self, "d_out", int(d_out))
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "_choi", choi)
 
@@ -139,16 +149,16 @@ class SuperMap:
     # -- predicates ---------------------------------------------------------
 
     def choi_absmax(self) -> float:
-        """Largest absolute entry of the Choi."""
-        if self.coeffs is None:
+        """Largest absolute entry of the Choi; a covariant map's is read off its exact coefficients."""
+        if self.exact is None:
             return self.choi.absmax()
-        return _pattern_absmax(self.d_in, self.coeffs)
+        return _exact_absmax(self.d_in, *self.exact)
 
     def spectrum(self) -> list[float]:
         """Descending eigenvalues of the Choi, taken as Hermitian (``eigvalsh`` reads its lower triangle)."""
-        if self.coeffs is None:
+        if self.exact is None:
             return np.linalg.eigvalsh(self.choi.mat)[::-1].tolist()
-        return covariant_spectrum(self.d_in, self.coeffs)
+        return covariant_spectrum(self.d_in, self.exact)
 
     def is_hp(self) -> bool:
         """Hermitian-preserving, i.e. Hermitian Choi within ``HP_TOL``.
@@ -156,11 +166,13 @@ class SuperMap:
         The Choi's adjoint has the coefficients conj(x_s^-1); only the two
         3-cycles are not their own inverses.
         """
-        if self.coeffs is None:
+        if self.exact is None:
             return bool(self.choi.is_hermitian(HP_TOL))
-        x = self.coeffs
-        adjoint = (x[0], x[1], x[2], x[3], x[5], x[4])
-        return _pattern_absmax(self.d_in, [a - b.conjugate() for a, b in zip(x, adjoint)]) <= HP_TOL
+        den, re, im = self.exact
+        inverse = (0, 1, 2, 3, 5, 4)
+        skew_re = [re[k] - re[j] for k, j in enumerate(inverse)]
+        skew_im = [im[k] + im[j] for k, j in enumerate(inverse)]
+        return _exact_absmax(self.d_in, den, skew_re, skew_im) <= HP_TOL
 
     def is_cp(self) -> bool:
         """Completely positive, i.e. PSD Choi within ``HP_TOL``."""
@@ -172,12 +184,13 @@ class SuperMap:
         A covariant Choi's Tr_out commutes with every Ubar, so it is
         Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
         """
-        if self.coeffs is None:
+        if self.exact is None:
             red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
             return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= HP_TOL)
-        d = self.d_in
-        trace = sum(c * float(d) ** _cycles(s) for c, s in zip(self.coeffs, S3))
-        return abs(trace / d - 1) <= HP_TOL
+        d, (den, re, im) = self.d_in, self.exact
+        powers = [d ** _cycles(s) for s in S3]
+        trace_re, trace_im = (sum(x * p for x, p in zip(part, powers)) for part in (re, im))
+        return _largest([(trace_re - d * den, trace_im)], d * den) <= HP_TOL
 
     # -- linear structure ---------------------------------------------------
 
@@ -185,24 +198,38 @@ class SuperMap:
         if (self.d_in, self.d_out) != (other.d_in, other.d_out):
             raise ValueError("supermap dimensions do not match")
 
-    def __add__(self, other: "SuperMap") -> "SuperMap":
+    def _combined(self, other: "SuperMap", sign: int) -> "SuperMap":
+        """self + sign * other: exact for two covariant maps, otherwise on the Choi."""
         self._check_same_dims(other)
-        if self.coeffs is not None and other.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=[a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return SuperMap(self.d_in, self.d_out, self.choi + other.choi)
+        if self.exact is None or other.exact is None:
+            return SuperMap(self.d_in, self.d_out, self.choi + other.choi * sign)
+        (p, a_re, a_im), (q, b_re, b_im) = self.exact, other.exact
+        parts = ([a * q + sign * b * p for a, b in zip(a_s, b_s)] for a_s, b_s in ((a_re, b_re), (a_im, b_im)))
+        return SuperMap(self.d_in, self.d_out, exact=(p * q, *parts))
+
+    def __add__(self, other: "SuperMap") -> "SuperMap":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "SuperMap") -> "SuperMap":
-        self._check_same_dims(other)
-        if self.coeffs is not None and other.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=[a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return SuperMap(self.d_in, self.d_out, self.choi - other.choi)
+        return self._combined(other, -1)
 
     def __mul__(self, scalar) -> "SuperMap":
-        if self.coeffs is not None:
-            return SuperMap(self.d_in, self.d_out, coeffs=[c * scalar for c in self.coeffs])
-        return SuperMap(self.d_in, self.d_out, self.choi * scalar)
+        """A scalar multiple; a covariant map reads an int, float or complex scalar exactly."""
+        if self.exact is None:
+            return SuperMap(self.d_in, self.d_out, self.choi * scalar)
+        (den, re, im), (q, (s_re,), (s_im,)) = self.exact, _ratios([scalar])
+        product_re = [a * s_re - b * s_im for a, b in zip(re, im)]
+        product_im = [a * s_im + b * s_re for a, b in zip(re, im)]
+        return SuperMap(self.d_in, self.d_out, exact=(den * q, product_re, product_im))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, divisor: int) -> "SuperMap":
+        """The map divided by a nonzero int; exact for a covariant map."""
+        if self.exact is None:
+            return SuperMap(self.d_in, self.d_out, Operator(self.choi.mat / divisor))
+        den, re, im = self.exact
+        return SuperMap(self.d_in, self.d_out, exact=(den * divisor, re, im))
 
     def __repr__(self):
         return f"SuperMap(d_in={self.d_in}, d_out={self.d_out})"
@@ -259,36 +286,80 @@ def covariant_entries(d: int, coeffs) -> tuple[list[complex], list[tuple[int, in
     return values, entries
 
 
-def covariant_map(d: int, coeffs) -> SuperMap:
-    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] P_k^T3, k indexing ``S3``."""
-    return SuperMap(d, d * d, coeffs=coeffs)
+def covariant_map(d: int, coeffs, den: int = 1) -> SuperMap:
+    """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] / den P_k^T3, k indexing ``S3``.
+
+    Each coefficient is an int, float or complex number, read exactly; the
+    nonzero int ``den`` divides them all, so a rational coefficient is exact
+    as an integer over ``den``.
+    """
+    num, re, im = _ratios(coeffs)
+    return SuperMap(d, d * d, exact=(num * den, re, im))
 
 
 def match_covariant(d: int, re: list, im: list) -> SuperMap | None:
     """The covariant map d -> d^2 whose Choi has the rows ``re`` + i ``im``, or None when it has none.
 
-    ``re`` and ``im`` are d^3 rows of d^3 numbers each.  At d >= 3 each
-    table element k is 1 alone at some positions, so coefficient k reads off
-    the first position of ``table_support(d)`` whose mask is ``1 << k``; at
-    d = 2 two of any three labels agree, no position holds one element
-    alone, and the answer is None.  The Choi is covariant exactly when
-    ``covariant_entries`` of those six reproduces it: every support entry
-    equals its expanded value and every other entry is 0.0, compared as
-    floats with no tolerance.
+    ``re`` and ``im`` are d^3 rows of d^3 numbers each, and each coefficient
+    reads off the first position of ``table_support(d)`` with a given mask.
+    At d >= 3 each table element k is 1 alone at some positions: mask
+    ``1 << k``.  At d = 2 two of any three labels agree, so each position
+    holds two elements, one of the identity and the 3-cycles and one of the
+    transpositions, or all six; the signed sum of the six vanishes, so one
+    coefficient is free.  Taking x_(12) = 0, as every named map has, x_id
+    and the 3-cycles' read off their positions with (12), and x_(13) and
+    x_(23) off their positions with the identity, less x_id, exactly.  The
+    Choi is covariant exactly when ``covariant_entries`` of the map's float
+    coefficients reproduces it: every support entry equals its expanded
+    value and every other entry is 0.0, compared as floats with no tolerance.
     """
-    if d < 3:
-        return None
     n = d**3
     first = {}
     for pos, mask in table_support(d):
         first.setdefault(mask, pos)
-    coeffs = [complex(re[row][col], im[row][col]) for row, col in (divmod(first[1 << k], n) for k in range(6))]
-    values, entries = covariant_entries(d, coeffs)
+    cells = (divmod(first[mask], n) for mask in ((1, 2, 4, 8, 16, 32) if d >= 3 else (3, 5, 9, 18, 34)))
+    read = [complex(re[row][col], im[row][col]) for row, col in cells]
+    if d >= 3:
+        m = covariant_map(d, read)
+    else:
+        den, *parts = _ratios(read)
+        m = SuperMap(d, d * d, exact=(den, *([x[0], 0, x[1] - x[0], x[2] - x[0], x[3], x[4]] for x in parts)))
+    values, entries = covariant_entries(d, m.coeffs)
     want_re, want_im = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
     for pos, index in entries:
         row, col = divmod(pos, n)
         want_re[row][col], want_im[row][col] = values[index].real, values[index].imag
-    return covariant_map(d, coeffs) if re == want_re and im == want_im else None
+    return m if re == want_re and im == want_im else None
+
+
+def _ratios(coeffs) -> tuple[int, list[int], list[int]]:
+    """Numbers as (den, re, im): integer numerators of their real and imaginary parts over one den.
+
+    A float part is a dyadic rational (``float.as_integer_ratio``), so den
+    is a power of two, or 1 when every part is an int.
+    """
+    parts = []
+    for c in coeffs:
+        if isinstance(c, int):
+            parts += [(c, 1), (0, 1)]
+            continue
+        z = complex(c)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"covariant coefficients must be finite, got {c!r}")
+        parts += [z.real.as_integer_ratio(), z.imag.as_integer_ratio()]
+    den = max(q for _, q in parts) if parts else 1
+    nums = [n * (den // q) for n, q in parts]
+    return den, nums[::2], nums[1::2]
+
+
+def _lowest_terms(den: int, re, im) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, re, im) divided by the gcd of all its integers, with den > 0; six numerators each."""
+    if len(re) != 6 or len(im) != 6:
+        raise ValueError(f"a covariant map needs 6 coefficients, got {len(re)}")
+    if not den:
+        raise ValueError("the coefficients' denominator must be nonzero")
+    g = math.gcd(den, *re, *im) * (1 if den > 0 else -1)
+    return den // g, tuple(a // g for a in re), tuple(b // g for b in im)
 
 
 def _cycles(p: tuple[int, ...]) -> int:
@@ -351,34 +422,66 @@ def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
     return left + right.reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
-def _pattern_absmax(d: int, coeffs) -> float:
-    """Largest absolute entry of  sum_k coeffs[k] P_k^T3: an entry sums the coefficients of its support."""
-    return float(max(abs(sum(coeffs[k] for k in support)) for support in {s for _, _, s in _pattern_table(d)}))
+def _largest(pairs, den: int) -> float:
+    """The largest |re + i im| / den over pairs of integer numerators, as one float; 0.0 for none.
 
-
-def covariant_spectrum(d: int, coeffs) -> list[float]:
-    """Descending eigenvalues of the Hermitian  C = sum_k coeffs[k] P_k^T3, in closed form: d^3 floats.
-
-    The four table elements that move the input factor map every vector
-    into the span of  E1 v = v (x) Omega_23  and  E2 v = (swap_12 E1) v,
-    2d dimensions with Gram matrix [[d, 1], [1, d]] (x) I.  On that span C
-    acts as a 2 x 2 block (x) I; in the orthonormal basis
-    (E1 +- E2) / sqrt(2 (d +- 1)) the block is Hermitian, with diagonal
-    p, r and lower entry q, so its two eigenvalues
-    (p + r)/2 +- sqrt(((p - r)/2)^2 + |q|^2) each have multiplicity d.
-    Modulo the span, C acts as x_id I + x_(12) SWAP_12, with eigenvalues
-    x_id +- x_(12) of multiplicities d^2 (d +- 1)/2 - d.
+    The pair is picked exactly, on re^2 + im^2.  A real or imaginary one is
+    rounded once, by int/int true division, which raises OverflowError past
+    the float range; one with both parts is the ``math.hypot`` of the two.
     """
-    x = coeffs
-    # Column a holds the (E1, E2) coordinates of C E_a.
-    b00, b01 = x[0] + d * x[3] + x[4], x[1] + x[3] + d * x[4]
-    b10, b11 = x[1] + x[2] + d * x[5], x[0] + d * x[2] + x[5]
-    # The block in the basis E1 +- E2, then scaled by sqrt(d +- 1) to the orthonormal one.
-    p = (b00 + b01 + b10 + b11).real / 2
-    r = (b00 - b01 - b10 + b11).real / 2
-    q = math.sqrt((d - 1) / (d + 1)) * abs(b00 + b01 - b10 - b11) / 2
-    root = math.hypot((p - r) / 2, q)
-    values = (x[0].real + x[1].real, x[0].real - x[1].real, (p + r) / 2 + root, (p + r) / 2 - root)
+    re, im = max(pairs, key=lambda z: z[0] * z[0] + z[1] * z[1], default=(0, 0))
+    return math.hypot(re / den, im / den) if re and im else abs(re or im) / den
+
+
+def _exact_absmax(d: int, den: int, re, im) -> float:
+    """Largest absolute entry of  sum_k (re[k] + i im[k]) / den P_k^T3: an entry sums its support's coefficients."""
+    supports = {s for _, _, s in _pattern_table(d)}
+    return _largest([(sum(re[k] for k in s), sum(im[k] for k in s)) for s in supports], den)
+
+
+def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
+    """The Choi spectrum of a covariant map as integers (den, a, b, s, w); eigenvalues in ``covariant_spectrum``.
+
+    C = sum_k x_k P_k^T3 with x_k = (re[k] + i im[k]) / den, taken as
+    Hermitian.  The four table elements that move the input factor map
+    every vector into the span of  E1 v = v (x) Omega_23  and
+    E2 v = (swap_12 E1) v, 2d dimensions with Gram matrix [[d, 1], [1, d]] (x) I.
+    On that span C acts as a 2 x 2 block (x) I, Hermitian in the orthonormal
+    basis (E1 +- E2) / sqrt(2 (d +- 1)), whose two eigenvalues
+    (s +- sqrt(w)) / (2 den) each have multiplicity d, with
+    s = Re(2 x_id + d (x_(13) + x_(23)) + x_c + x_c'),
+    t = Re(2 x_(12) + x_(13) + x_(23) + d (x_c + x_c')),
+    u = x_(23) + x_c - x_(13) - x_c'  and  w = t^2 + (d^2 - 1) |u|^2,
+    all in numerators over den (c, c' the two 3-cycles).  Modulo the span,
+    C acts as x_id I + x_(12) SWAP_12, with eigenvalues a / den and b / den,
+    a = Re(x_id + x_(12)), b = Re(x_id - x_(12)), of multiplicities
+    d^2 (d + 1)/2 - d and d^2 (d - 1)/2 - d.
+    """
+    den, re, im = exact
+    s = 2 * re[0] + d * (re[2] + re[3]) + re[4] + re[5]
+    t = 2 * re[1] + re[2] + re[3] + d * (re[4] + re[5])
+    u_re, u_im = (x[3] + x[4] - x[2] - x[5] for x in (re, im))
+    return den, re[0] + re[1], re[0] - re[1], s, t * t + (d * d - 1) * (u_re * u_re + u_im * u_im)
+
+
+def _root_ratio(s: int, sign: int, w: int, q: int) -> float:
+    """(s + sign sqrt(w)) / q for integers w >= 0, q > 0: exact when w is a square, else within an ulp.
+
+    sqrt(w) is floor(sqrt(w 4^k)) / 2^k, with 2^k sqrt(w) >= 2^63, then one
+    int/int division rounds; where s and the root have opposite signs, the
+    value is taken as (s^2 - w) / (q (s - sign sqrt(w))), which cancels nothing.
+    """
+    k = max(0, 64 - w.bit_length() // 2)
+    root = math.isqrt(w << 2 * k)
+    if sign * s >= 0:
+        return ((s << k) + sign * root) / (q << k)
+    return ((s * s - w) << k) / (q * ((s << k) - sign * root))
+
+
+def covariant_spectrum(d: int, exact) -> list[float]:
+    """Descending eigenvalues of the Hermitian  C = sum_k x_k P_k^T3, from ``covariant_blocks``: d^3 floats."""
+    den, a, b, s, w = covariant_blocks(d, exact)
+    values = (a / den, b / den, _root_ratio(s, 1, w, 2 * den), _root_ratio(s, -1, w, 2 * den))
     counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
     return [v for v, n in sorted(zip(values, counts), key=lambda vn: vn[0], reverse=True) for _ in range(n)]
 

@@ -18,8 +18,8 @@ from vbcast import cli, densemat, sot, supermap
 from vbcast.broadcast import canonical_b, classical_bcl, cloner, family_b_lambda
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng, trace_norm
-from vbcast.diamond import _covariant_bounds, diamond_bracket, float_slack
-from vbcast.supermap import SuperMap, apply_right
+from vbcast.diamond import diamond_bracket, float_slack
+from vbcast.supermap import SuperMap, apply_right, covariant_map
 
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
@@ -266,14 +266,16 @@ class TestDiamond:
         assert doc["iterations"] == 0
         assert "gap=" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ("B", "file:{channel}"))
+    @pytest.mark.parametrize("target", ("file:{b_lambda}", "file:{channel}"))
     def test_tolerance_below_rounding_floor(self, target, tmp_path, capsys):
-        # no bracket is narrower than its bounds' outward rounding; ADMM once ran 50000 iterations (9 s) here
-        channel = tmp_path / "channel.json"
+        # no bracket is narrower than its bounds' outward rounding; ADMM once ran 50000 iterations (9 s) here.
+        # The exact bracket of B_lambda:0.3 holds an irrational norm, so it is still an ulp or two wide.
+        channel, b_lambda = tmp_path / "channel.json", tmp_path / "b_lambda.json"
         write_supermap(channel, random_channel(2, 2, Rng(7)))
+        write_supermap(b_lambda, family_b_lambda(2, 0.3))
         start = time.perf_counter()
-        args = ["diamond", "--dim", "2", "--target", target.format(channel=channel), "--tol", "sdp=1e-20"]
-        code, doc, _ = run(args, tmp_path)
+        args = ["diamond", "--dim", "2", "--target", target.format(channel=channel, b_lambda=b_lambda)]
+        code, doc, _ = run(args + ["--tol", "sdp=1e-20"], tmp_path)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert doc["converged"] is False and doc["iterations"] == 0
@@ -281,6 +283,13 @@ class TestDiamond:
         err = capsys.readouterr().err
         assert err.startswith("--tol sdp=1e-20 is below the bracket's rounding floor ")
         assert "no SDP run" in err
+
+    def test_exact_bracket_meets_any_tolerance(self, tmp_path):
+        # B's bracket is [d, d] exactly, so even --tol sdp=1e-20 converges
+        code, doc, _ = run(["diamond", "--dim", "2", "--target", "B", "--tol", "sdp=1e-20"], tmp_path)
+        assert code == 0
+        assert (doc["value"], doc["lower_bound"], doc["upper_bound"], doc["gap"]) == (2.0, 2.0, 2.0, 0.0)
+        assert doc["converged"] is True and doc["iterations"] == 0
 
     def test_distance_target(self, tmp_path):
         code, doc, _ = run(["diamond", "--dim", "2", "--target", "B-minus-Bplus"], tmp_path)
@@ -348,30 +357,46 @@ class TestDiamond:
         w = re + 1j * im
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         state = Operator(np.outer(w, w.conj()))
-        assert trace_norm(apply_right(m, state, d_left=d)) >= doc["lower_bound"]
+        # a covariant lower bound is exact for the maximally entangled input, whose entries the witness rounds
+        slack = 0.0 if admm else float_slack(d**3, doc["lower_bound"])
+        assert trace_norm(apply_right(m, state, d_left=d)) >= doc["lower_bound"] - slack
 
-    @pytest.mark.parametrize("d", range(3, 7))
+    @pytest.mark.parametrize("d", range(2, 7))
     @pytest.mark.parametrize("name", ("B", "B+", "M", "B_lambda:0.3", "B-minus-Bplus"))
     def test_covariant_file_target_has_the_in_memory_bracket(self, name, d, tmp_path):
-        # a covariant map read back from its dump is its six coefficients, so it takes the closed-form bracket
+        # a covariant map read back from its dump holds its float coefficients, so it takes their exact bracket
         m = canonical_b(d) - cloner(d) if name == "B-minus-Bplus" else cli.build_object(name, d)
         path = tmp_path / "target.json"
         write_supermap(path, m)
         code, doc, _ = run(["diamond", "--dim", str(d), "--target", f"file:{path}"], tmp_path)
         assert code == 0
-        res = diamond_bracket(m, DEFAULT_TOLERANCES["sdp"])
-        assert doc["lower_bound"].hex() == res.lower_bound.hex()
+        read = covariant_map(d, m.coeffs)
+        res = diamond_bracket(read, DEFAULT_TOLERANCES["sdp"])
+        for field in ("value", "lower_bound", "upper_bound", "gap"):
+            assert doc[field].hex() == getattr(res, field).hex(), field
         assert [x.hex() for x in doc["witness"]["re"]] == [x.hex() for x in res.witness]
         assert doc["witness"]["im"] == [0.0] * (d * d)
-        assert doc["upper_bound"].hex() == _covariant_bounds(m)[0].hex()
         assert doc["iterations"] == 0
-        if name in ("B", "B-minus-Bplus"):
-            # the named target has the same lower bound and witness; its upper bound also takes hptp_upper,
-            # which is exactly d for B and d - 1 for B - B+
-            named_code, named, _ = run(["diamond", "--dim", str(d), "--target", name], tmp_path, "named.json")
-            assert named_code == 0
-            assert (named["lower_bound"], named["witness"]) == (doc["lower_bound"], doc["witness"])
-            assert named["upper_bound"] == min(doc["upper_bound"], d if name == "B" else d - 1)
+        if read.exact == m.exact:  # dyadic coefficients: the file holds the map itself
+            assert res == diamond_bracket(m, DEFAULT_TOLERANCES["sdp"])
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_named_and_file_targets_agree(self, d, tmp_path):
+        # one map, one bracket, however it arrives: B's is [d, d] exactly, named or read back from its dump
+        path = tmp_path / "target.json"
+        write_supermap(path, canonical_b(d))
+        reports = []
+        for target in ("B", f"file:{path}"):
+            code, doc, _ = run(["diamond", "--dim", str(d), "--target", target], tmp_path, f"{len(reports)}.json")
+            assert code == 0
+            reports.append({k: v for k, v in doc.items() if k not in ("target", "timestamp")})
+        assert reports[0] == reports[1]
+        assert (reports[0]["value"], reports[0]["lower_bound"], reports[0]["upper_bound"]) == (d, d, d)
+        assert reports[0]["gap"] == 0.0 and reports[0]["iterations"] == 0
+        # B - B+ holds 1/(2(d+1)) exactly in memory, and its norm is d - 1 exactly
+        code, doc, _ = run(["diamond", "--dim", str(d), "--target", "B-minus-Bplus"], tmp_path, "distance.json")
+        assert code == 0
+        assert (doc["value"], doc["lower_bound"], doc["upper_bound"], doc["gap"]) == (d - 1, d - 1, d - 1, 0.0)
 
     @pytest.mark.parametrize("target", ("B_cl", "diff"))
     def test_dense_file_target_reads_the_parsed_lists(self, target, tmp_path):
@@ -479,8 +504,9 @@ class TestSupermapLayout:
         self.assert_bit_identical(cli._read_supermap(_as_lists(doc)), m)
         got = cli._read_supermap(json.loads(_dumps(doc)))
         self.assert_bit_identical(got, m)
-        # a covariant Choi comes back as its six coefficients from d = 3, where each reads off one entry
-        assert got.coeffs == (m.coeffs if d >= 3 else None)
+        # a covariant Choi comes back as its six coefficients: from d = 3 each reads off one entry, and at d = 2,
+        # where the six elements span five dimensions, they read off pairs of entries with x_(12) = 0, as in B and M
+        assert got.coeffs == m.coeffs
 
     def test_one_ulp_anywhere_reads_dense(self):
         # recognition is exact: moving any one entry of a covariant Choi by one ulp leaves a dense map
@@ -1005,13 +1031,16 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
 def _main_in_child(argv: list[str]) -> list[str]:
     """The standard-error lines of ``main(argv)`` in a fresh interpreter.
 
-    The last line reports 'exit <code>, numpy loaded: <whether numpy._core is>'.
+    The last line reports 'exit <code>, numpy loaded: <whether numpy._core is>, fractions loaded: <whether
+    fractions or decimal is>'.
     """
     code = (
         "import sys\n"
         "from vbcast.cli import main\n"
         f"rc = main({argv!r})\n"
-        "sys.exit(f'exit {rc}, numpy loaded: {\"numpy._core\" in sys.modules}')\n"
+        "numpy = 'numpy._core' in sys.modules\n"
+        "fractions = 'fractions' in sys.modules or 'decimal' in sys.modules\n"
+        "sys.exit(f'exit {rc}, numpy loaded: {numpy}, fractions loaded: {fractions}')\n"
     )
     return _run_child(code).stderr.splitlines()
 
@@ -1021,9 +1050,10 @@ class TestLazyNumpy:
 
     ``verify``, ``diamond`` and ``dump`` on a covariant map (B, B+, B-, M,
     Mprime, B_lambda, B-minus-Bplus) never execute it, nor does ``diamond``
-    on a ``file:`` target that holds such a map's Choi at d >= 3; any other
+    on a ``file:`` target that holds such a map's Choi, at any d; any other
     ``file:`` target, ``sample``, ``dump`` of B_cl and D, and the spectrum
-    of ``verify --target B_cl`` do.
+    of ``verify --target B_cl`` do.  The covariant commands' exact
+    arithmetic is on ints, so they import neither ``fractions`` nor ``decimal``.
     """
 
     def test_cli_import_runs_no_numpy(self):
@@ -1039,7 +1069,8 @@ class TestLazyNumpy:
         ],
     )
     def test_covariant_verify_runs_no_numpy(self, argv, want, tmp_path):
-        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: False"
+        last = _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1]
+        assert last == f"exit {want}, numpy loaded: False, fractions loaded: False"
         assert json.loads((tmp_path / "out.json").read_text())["pass"] is (want == 0)
 
     def test_axiom_check_of_the_classical_broadcaster_runs_no_numpy(self):
@@ -1060,19 +1091,22 @@ class TestLazyNumpy:
             (["diamond", "--dim", "2", "--target", "B"], 0),
             (["diamond", "--dim", "6", "--target", "B"], 0),
             (["diamond", "--dim", "3", "--target", "B-minus-Bplus"], 0),
-            (["diamond", "--dim", "2", "--tol", "sdp=1e-20"], 2),
+            (["diamond", "--dim", "2", "--target", "file:{b_lambda}", "--tol", "sdp=1e-20"], 2),
             (["diamond", "--dim", "4", "--target", "file:{b_lambda}"], 0),
+            (["diamond", "--dim", "2", "--tol", "sdp=1e-20"], 0),
+            (["diamond", "--dim", "2", "--target", "file:{b_lambda}"], 0),
         ],
     )
     def test_covariant_diamond_runs_no_numpy(self, argv, want, tmp_path):
-        # the benchmark's file target: the supermap part of a B_lambda:0.3 dump, written back with json.dump
+        # the benchmark's file target: the supermap part of a B_lambda:0.3 dump, written back with json.dump;
+        # at d = 2 its coefficients are solved for on the span, at d >= 3 read off single entries
         dump, b_lambda = tmp_path / "dump.json", tmp_path / "b_lambda.json"
-        assert main(["dump", "--dim", "4", "--object", "B_lambda:0.3", "--out", str(dump)]) == 0
+        assert main(["dump", "--dim", argv[2], "--object", "B_lambda:0.3", "--out", str(dump)]) == 0
         b_lambda.write_text(json.dumps(json.loads(dump.read_text())["supermap"]))
         argv = [a.format(b_lambda=b_lambda) for a in argv]
         out = tmp_path / "out.json"
         *lines, last = _main_in_child(argv + ["--out", str(out)])
-        assert last == f"exit {want}, numpy loaded: False"
+        assert last == f"exit {want}, numpy loaded: False, fractions loaded: False"
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, REPORT_SCHEMAS["diamond"])
         assert doc["converged"] is (want == 0)
@@ -1084,7 +1118,7 @@ class TestLazyNumpy:
     def test_covariant_dump_runs_no_numpy(self, name, d, tmp_path):
         out = tmp_path / "out.json"
         argv = ["dump", "--dim", str(d), "--object", name, "--out", str(out)]
-        assert _main_in_child(argv)[-1] == "exit 0, numpy loaded: False"
+        assert _main_in_child(argv)[-1] == "exit 0, numpy loaded: False, fractions loaded: False"
         doc = json.loads(out.read_text())
         assert doc["object"] == name and doc["jamiolkowski"]["rows"] == d**3
 
@@ -1108,7 +1142,8 @@ class TestLazyNumpy:
         nudged.write_text(json.dumps(doc))
         argv = [a.format(channel=channel, nudged=nudged) for a in argv]
         want = 1 if argv[0] == "verify" else 0  # the classical broadcaster is not covariant
-        assert _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1] == f"exit {want}, numpy loaded: True"
+        last = _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1]
+        assert last.startswith(f"exit {want}, numpy loaded: True,")
         assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
     @pytest.mark.parametrize("numpy_first", [True, False])

@@ -8,6 +8,7 @@ references too.  The uniqueness certificate is compared with its dense reference
 in ``test_broadcast.py``.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -15,13 +16,22 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import mark
 
-from vbcast.broadcast import antisym, canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
+from vbcast.broadcast import (
+    antisym,
+    canonical_b,
+    canonical_decomposition,
+    check_axioms,
+    classical_bcl,
+    cloner,
+    family_b_lambda,
+)
 from vbcast.densemat import Rng
-from vbcast.diamond import diamond_bracket
+from vbcast.diamond import diamond_bracket, float_slack
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 from vbcast.supermap import (
     HP_TOL,
     SuperMap,
+    covariant_blocks,
     covariant_map,
     covariant_spectrum,
     equality_patterns,
@@ -110,6 +120,25 @@ class TestCovariantForm:
         with pytest.raises(ValueError, match="d -> d\\^2"):
             SuperMap(2, 3, coeffs=np.zeros(6))
 
+    @mark.parametrize("d", DIMS)
+    def test_rational_coefficients_are_exact(self, d):
+        # integer numerators over one positive denominator, in lowest terms; + - * / stay exact
+        zero = (0,) * 6
+        assert canonical_b(d).exact == (2, (0, 0, 0, 0, 1, 1), zero)
+        assert cloner(d).exact == (2 * (d + 1), (0, 0, 1, 1, 1, 1), zero)
+        assert (canonical_b(d) - cloner(d)).exact == (2 * (d + 1), (0, 0, -1, -1, d, d), zero)
+        assert canonical_decomposition(d).combined().exact == canonical_b(d).exact
+        # Theorem 3: (d+2)^2 B = 4(d+1) M + d^2 M'
+        mix = (4 * (d + 1) * exact_mp_map(d) + d * d * depolarizing_mp(d)) / (d + 2) ** 2
+        assert mix.exact == canonical_b(d).exact
+        den, re, im = (family_b_lambda(d, 0.3) * 1j).exact
+        assert (den, re[4], im[4]) == (2**54, 5404319552844595, 2**53) and re[5] == -re[4]
+        # the float view rounds each num / den once; a float coefficient round-trips
+        assert cloner(d).coeffs[2] == complex(1 / (2 * (d + 1)))
+        assert covariant_map(d, [0.1, -2.5, 1j, 3, 0, 1e300]).coeffs == (0.1, -2.5, 1j, 3, 0, 1e300)
+        with pytest.raises(ValueError, match="finite"):
+            covariant_map(d, [math.inf, 0, 0, 0, 0, 0])
+
     @mark.parametrize("d", (2, 4))
     def test_linear_structure_stays_covariant(self, d):
         a, b = exact_mp_map(d), family_b_lambda(d, 0.3)
@@ -129,7 +158,7 @@ class TestCovariantForm:
     def test_spectrum_matches_eigvalsh(self, d):
         for name, m in covariant_maps(d).items():
             assert_allclose(m.spectrum(), np.linalg.eigvalsh(m.choi.mat)[::-1], atol=1e-10, err_msg=name)
-            assert_allclose(m.spectrum(), covariant_spectrum(d, m.coeffs), atol=0)
+            assert_allclose(m.spectrum(), covariant_spectrum(d, m.exact), atol=0)
 
     @mark.parametrize("d", DIMS)
     def test_predicates_and_absmax_match_dense(self, d):
@@ -217,11 +246,32 @@ class TestAgainstDense:
         for name, m in covariant_maps(d).items():
             got, want = diamond_bracket(m), diamond_bracket(dense(m))
             assert got.iterations == want.iterations == 0 and got.converged
-            for field in ("value", "lower_bound", "upper_bound"):
-                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), (name, field)
+            # the exact bracket lies inside the dense path's, which is rounded outward by float_slack
+            assert want.lower_bound <= got.lower_bound <= got.value <= got.upper_bound <= want.upper_bound, name
             # the covariant witness is the maximally entangled input exactly; the dense path's is close to it
             e = np.eye(d).reshape(-1) / np.sqrt(d)
             assert_array_equal(witness_state(got).mat, np.outer(e, e))
             assert_allclose(witness_state(want).mat, np.outer(e, e), atol=1e-12)
             # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map
             assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum() / d, abs=1e-12)
+
+    @mark.parametrize("d", DIMS)
+    def test_diamond_bracket_holds_the_trace_norm(self, d):
+        # seeded Hermitian coefficients, complex 3-cycles included; B_lambda:0.3's sqrt(w) is irrational
+        maps = {f"random{i}": _random_hermitian_coeffs(d, i) for i in range(3)}
+        maps["B_lambda:0.3"] = family_b_lambda(d, 0.3)
+        for name, m in maps.items():
+            res = diamond_bracket(m)
+            n = d**3
+            dense_norm = float(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum()) / d
+            slack = float_slack(n, dense_norm)
+            assert res.lower_bound - slack <= dense_norm <= res.upper_bound + slack, name
+            # against 60 digits of the same closed form, and no wider than two ulps
+            den, a, b, s, w = covariant_blocks(d, m.exact)
+            with decimal.localcontext(decimal.Context(prec=60)):
+                rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
+                norm = (rational + decimal.Decimal(d * d * max(s * s, w)).sqrt()) / (d * den)
+            assert decimal.Decimal(res.lower_bound) <= norm <= decimal.Decimal(res.upper_bound), name
+            assert res.upper_bound - res.lower_bound <= 2 * math.ulp(res.upper_bound), name
+        w = covariant_blocks(d, maps["B_lambda:0.3"].exact)[4]
+        assert math.isqrt(w) ** 2 != w  # B_lambda:0.3's norm is irrational

@@ -1,5 +1,7 @@
 """Diamond-norm SDP, the certified bracket and its bounds, and the closest-channel scan."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -217,21 +219,18 @@ class TestBracket:
     @pytest.mark.parametrize("target", ("B", "B-minus-Bplus"))
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_covariant_bracket_pinned(self, d, target):
-        # the closed-form bracket, against numpy's sum of the spectrum and numpy's machine epsilon
+        # the exact bracket: ||B||<> = d and ||B - B+||<> = d - 1, with no rounding
         m = canonical_b(d) if target == "B" else canonical_b(d) - cloner(d)
         res = diamond_bracket(m)
-        norm = float(np.abs(np.array(m.spectrum())).sum()) / d
-        slack = float(16.0 * d**3 * np.finfo(float).eps * max(1.0, abs(norm)))
-        assert norm == pytest.approx(d if target == "B" else d - 1, abs=1e-14)
-        assert (res.lower_bound, res.upper_bound) == (norm - slack, norm + slack)
-        assert res.value == (res.lower_bound + res.upper_bound) / 2
+        want = float(d if target == "B" else d - 1)
+        assert (res.value, res.lower_bound, res.upper_bound, res.gap) == (want, want, want, 0.0)
         assert res.witness == (np.eye(d).reshape(-1) / np.sqrt(d)).tolist()
         assert_array_equal(witness_state(res).mat, _max_entangled(d))
 
     @pytest.mark.parametrize("d", (2, 4))
     def test_decomposition_bound_kept_exact(self, d):
-        res = diamond_bracket(canonical_b(d), upper=hptp_upper(canonical_decomposition(d)))
-        assert res.upper_bound == float(d)
+        # lambda_plus + lambda_minus of B's CPTP split is the exact bracket's upper bound, bit for bit
+        assert diamond_bracket(canonical_b(d)).upper_bound == hptp_upper(canonical_decomposition(d)) == float(d)
 
     def test_open_gap_falls_back_to_admm(self):
         # seeds 1, 2 draw a pair whose Jordan bound is only 0.0035 loose, short of an open gap
@@ -247,26 +246,24 @@ class TestBracket:
         _assert_open_gap_closed(m)
 
     @pytest.mark.parametrize(
-        "m,upper",
-        [
-            (canonical_b(2), None),
-            (canonical_b(2), 2.0),
-            (SuperMap(4, 16, canonical_b(4).choi), None),
-            (random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)), None),
-        ],
-        ids=["B2", "B2-proven-upper", "dense-B4", "channels2"],
+        "m",
+        [SuperMap(4, 16, canonical_b(4).choi), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))],
+        ids=["dense-B4", "channels2"],
     )
-    def test_gap_floor_bounds_every_bracket(self, m, upper):
-        # a bracket run to its tightest tolerance is still at least gap_floor wide
-        res = diamond_bracket(m, 1e-9, upper=upper)
-        assert res.gap >= gap_floor(m, res.lower_bound, upper) > 0
+    def test_gap_floor_bounds_every_bracket(self, m):
+        # a dense bracket run to its tightest tolerance is still at least gap_floor wide
+        res = diamond_bracket(m, 1e-9)
+        assert res.gap >= gap_floor(m, res.lower_bound) > 0
 
-    @pytest.mark.parametrize("m", [canonical_b(2), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))])
+    @pytest.mark.parametrize(
+        "m", [family_b_lambda(2, 0.3), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))]
+    )
     def test_tolerance_below_floor_skips_admm(self, m, monkeypatch):
+        # a covariant bracket is exact, so its floor is its own gap; a dense one's is gap_floor
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         res = diamond_bracket(m, 1e-20)
         assert res.iterations == 0 and not res.converged
-        assert 1e-20 < gap_floor(m, res.lower_bound) <= res.gap
+        assert 1e-20 < (res.gap if m.exact is not None else gap_floor(m, res.lower_bound)) <= res.gap
 
     def test_floor_doubles_without_proven_upper(self, monkeypatch):
         # both certified bounds of a dense map carry float_slack, so 1.5 slacks are out of reach too
@@ -274,9 +271,19 @@ class TestBracket:
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         lower = diamond_bracket(m, 1e-20).lower_bound
         slack = float_slack(m.d_in * m.d_out, lower)
-        assert gap_floor(m, lower) == 2 * gap_floor(m, lower, upper=1.0) == 2 * slack
+        assert gap_floor(m, lower) == 2 * slack
         res = diamond_bracket(m, 1.5 * slack)
         assert res.iterations == 0 and not res.converged
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    def test_covariant_bracket_is_exact_at_any_tolerance(self, d, monkeypatch):
+        # a covariant bracket never runs ADMM: [d, d] meets 1e-20, and B_lambda:0.3's irrational norm,
+        # one or two ulps wide, is reported unconverged with 0 iterations
+        monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
+        assert diamond_bracket(canonical_b(d), 1e-20).converged
+        res = diamond_bracket(family_b_lambda(d, 0.3), 1e-20)
+        assert res.iterations == 0 and not res.converged
+        assert 0 < res.gap <= 2 * math.ulp(res.upper_bound)
 
     def test_lower_bound_rounded_down(self):
         res = diamond_bracket(identity_map(3))
