@@ -39,6 +39,7 @@ from .supermap import (
     _cycles,
     _largest,
     _pattern_table,
+    _ratios,
     _require_dim,
     covariant_map,
     equality_patterns,
@@ -203,17 +204,15 @@ def _exact_values(m: SuperMap) -> tuple[int, dict, dict]:
 
     A covariant map's value on a pattern sums its exact coefficients over
     the pattern's table support.  A pattern value is a float, so a dyadic
-    rational (``float.as_integer_ratio``): a power of two holds them all.
-    A value that is not finite raises.
+    rational (``_ratios``): a power of two holds them all.  A value that is
+    not finite raises.
     """
     table = _pattern_table(m.d_in)
     if m.exact is not None:
         den, *parts = m.exact
         return den, *({p: sum(part[j] for j in support) for p, _, support in table} for part in parts)
-    ratios = [part.as_integer_ratio() for c in m.patterns.values() for part in (c.real, c.imag)]
-    den = max((q for _, q in ratios), default=1)
-    nums = [n * (den // q) for n, q in ratios]
-    return den, *({p: 0 for p, _, _ in table} | dict(zip(m.patterns, part)) for part in (nums[::2], nums[1::2]))
+    den, *parts = _ratios(m.patterns.values())
+    return den, *({p: 0 for p, _, _ in table} | dict(zip(m.patterns, part)) for part in parts)
 
 
 def _twirl_residuals(d: int, values: dict) -> list[int]:
@@ -260,9 +259,6 @@ class AxiomReport(NamedTuple):
 
     def max_residual(self) -> float:
         return max(self.broadcasting, self.covariance, self.permutation, self.classical)
-
-    def passes(self, tol: float) -> bool:
-        return self.max_residual() < tol
 
 
 def check_axioms(m: SuperMap) -> AxiomReport:

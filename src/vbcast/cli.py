@@ -37,7 +37,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import SuperMap, covariant_entries, match_covariant
+from .supermap import SuperMap, _root_ratio, covariant_blocks, covariant_entries, match_covariant
 from .broadcast import (
     antisym,
     canonical_b,
@@ -59,15 +59,12 @@ from .sot import check_sot_axioms
 np = _lazy_numpy()
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
-SCHEMA = 8
+SCHEMA = 9
 
-DEFAULT_TOLERANCES = {
-    "axioms": 1e-10,
-    "spectral": 1e-10,
-    "eigenvalues": 1e-8,
-    "theorem3": 1e-10,
-    "sdp": 1e-5,
-}
+# diamond's one settable tolerance (``--tol sdp=VAL``), and the gates a verify report lists:
+# every residual verify reads is exact, so each of its checks passes only at 0.0.
+DEFAULT_TOLERANCES = {"sdp": 1e-5}
+VERIFY_TOLERANCES = {"axioms": 0.0, "eigenvalues": 0.0, "spectral": 0.0, "theorem3": 0.0}
 
 
 class CliError(Exception):
@@ -79,7 +76,7 @@ class CliError(Exception):
 
 
 class RunConfig(NamedTuple):
-    """Run parameters shared by every command, as ``main`` validated them."""
+    """Run parameters shared by every command, as ``main`` validated them; ``tolerances`` are the command's gates."""
 
     dim: int
     seed: int
@@ -393,23 +390,30 @@ def build_object(name: str, d: int) -> SuperMap:
 # verify
 
 
-def _choi_spectrum(m: SuperMap) -> list[float] | None:
-    """Descending eigenvalues of m's Choi, or None when m is not Hermitian-preserving."""
+def _eigenvalue_residual(m: SuperMap) -> float:
+    """Largest |v - w| over m's descending Choi spectrum v paired with B's, w; inf when m is not Hermitian-preserving.
+
+    B's spectrum is (d+1)/2 and -(d-1)/2, d times each, and zeros.  A
+    covariant m's eigenvalues are (num + sign sqrt(w)) / (2 den) for the
+    integers of ``covariant_blocks``, so each paired difference is one such
+    number, rounded once by ``_root_ratio``: 0.0 when the two are equal.
+    """
+    d = m.d_in
     if not m.is_hp():
-        return None
-    return m.spectrum()
-
-
-def _expected_spectrum(d: int) -> list[float]:
-    """B's Choi spectrum, descending: (d+1)/2 and -(d-1)/2, d times each, and zeros."""
-    return [(d + 1) / 2] * d + [0.0] * (d**3 - 2 * d) + [-(d - 1) / 2] * d
+        return math.inf
+    want = [d + 1] * d + [0] * (d**3 - 2 * d) + [1 - d] * d  # twice B's eigenvalues
+    if m.exact is None:
+        return max(abs(v - e / 2) for v, e in zip(m.spectrum(), want))
+    den, a, b, s, w = covariant_blocks(d, m.exact)
+    mine = [(2 * a, 1, 0)] * (d * d * (d + 1) // 2 - d) + [(2 * b, 1, 0)] * (d * d * (d - 1) // 2 - d)
+    mine = sorted(mine + [(s, 1, w)] * d + [(s, -1, w)] * d, key=lambda x: _root_ratio(*x, 2 * den), reverse=True)
+    return max(abs(_root_ratio(num - e * den, sign, disc, 2 * den)) for (num, sign, disc), e in set(zip(mine, want)))
 
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):
-    rep = check_axioms(b)
-    values = rep._asdict()
+    values = check_axioms(b)._asdict()
     worst = max(values, key=values.get)
-    return rep.passes(cfg.tolerances["axioms"]), values, f"worst: {worst} = {values[worst]:.3e}"
+    return values[worst] == 0.0, values, f"worst: {worst} = {values[worst]:.3e}"
 
 
 def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
@@ -426,26 +430,22 @@ def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
 
 
 def _verify_spectral(b: SuperMap, cfg: RunConfig):
-    d = cfg.dim
-    dec_res = (b - canonical_decomposition(d).combined()).choi_absmax()
-    vals = _choi_spectrum(b)
-    eig_res = float("inf") if vals is None else max(abs(v - w) for v, w in zip(vals, _expected_spectrum(d)))
-    ok = dec_res < cfg.tolerances["spectral"] and eig_res < cfg.tolerances["eigenvalues"]
-    values = {"decomposition_residual": dec_res, "eigenvalue_residual": eig_res}
-    return ok, values, f"residual={dec_res:.3e}"
+    dec_res = (b - canonical_decomposition(cfg.dim).combined()).choi_absmax()
+    values = {"decomposition_residual": dec_res, "eigenvalue_residual": _eigenvalue_residual(b)}
+    return not any(values.values()), values, f"residual={dec_res:.3e}"
 
 
 def _verify_theorem3(b: SuperMap, cfg: RunConfig):
     t3_res = verify_theorem3(b)
     values = {"residual": t3_res, "weight": theorem3_weight(b.d_in)}
-    return t3_res < cfg.tolerances["theorem3"], values, f"residual={t3_res:.3e}"
+    return t3_res == 0.0, values, f"residual={t3_res:.3e}"
 
 
 def _verify_sot_axioms(b: SuperMap, cfg: RunConfig):
     values = check_sot_axioms(b)._asdict()
     del values["broadcasting"]  # reported once, under broadcast_axioms
     worst = max(values.values())
-    return worst < cfg.tolerances["axioms"], values, f"max={worst:.3e}"
+    return worst == 0.0, values, f"max={worst:.3e}"
 
 
 # The verification battery, in report order; each check returns (pass, values, status detail).
@@ -520,8 +520,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        # a covariant bracket is exact, so its own gap is its floor
-        tol, floor = cfg.tolerances["sdp"], result.gap if m.exact is not None else gap_floor(m, result.lower_bound)
+        tol, floor = cfg.tolerances["sdp"], gap_floor(m, result.lower_bound, result.upper_bound)
         if tol < floor:
             message = f"--tol sdp={tol:g} is below the bracket's rounding floor {floor:.3e}; no SDP run"
             print(f"{message} ({bounds})", file=sys.stderr)
@@ -612,10 +611,9 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
 def cmd_dump(cfg: RunConfig, object_name: str) -> int:
     """Write Choi/Jamiolkowski JSON of a named constructor."""
     m = build_object(object_name, cfg.dim)
-    vals = _choi_spectrum(m)
     doc = _meta(cfg, "dump")
     doc.update(object=object_name, supermap=_supermap_doc(m), jamiolkowski=_map_operator_doc(m, jamiolkowski=True))
-    doc["eigenvalues"] = [] if vals is None else vals
+    doc["eigenvalues"] = m.spectrum() if m.is_hp() else []
     _emit_json(cfg, doc)
     return 0
 
@@ -625,7 +623,7 @@ def cmd_dump(cfg: RunConfig, object_name: str) -> int:
 
 
 def _parse_tol(pairs: list[str]) -> dict:
-    """The default tolerances with each NAME=VALUE pair applied."""
+    """diamond's default tolerances with each NAME=VALUE pair applied."""
     out = dict(DEFAULT_TOLERANCES)
     for pair in pairs:
         if "=" not in pair:
@@ -653,7 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--dim", type=int, default=2, help="system dimension (2-6)")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", dest="fmt", default=None, choices=["json", "csv"])
 
@@ -664,6 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diamond", help="certified diamond-norm bracket")
     common(p)
     p.add_argument("--target", default="B", help="B, B-minus-Bplus, or a supermap JSON path")
+    p.add_argument("--tol", action="append", default=[], metavar="sdp=VAL", help="bracket gap tolerance")
 
     p = sub.add_parser("sample", help="sampling pipelines")
     common(p)
@@ -683,7 +681,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.fmt == "csv" and args.cmd != "sample":
             raise CliError(f"--format csv is only supported by sample; {args.cmd} writes JSON")
         fmt = args.fmt if args.fmt is not None else ("csv" if args.cmd == "sample" else "json")
-        tolerances = _parse_tol(args.tol)
+        tolerances = VERIFY_TOLERANCES if args.cmd == "verify" else {}
+        if args.cmd == "diamond":
+            tolerances = _parse_tol(args.tol)
         if not 2 <= args.dim <= 6:
             raise CliError(f"--dim must be between 2 and 6, got {args.dim}")
         if args.seed < 0:

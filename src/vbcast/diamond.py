@@ -299,15 +299,18 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     return lower, upper, vec_a
 
 
-def gap_floor(m: SuperMap, lower: float) -> float:
-    """The narrowest bracket of a dense map m that any certificate can reach once its lower bound is ``lower``.
+def gap_floor(m: SuperMap, lower: float, upper: float) -> float:
+    """The narrowest bracket of m that any certificate can reach from the bracket [lower, upper]: at most its gap.
 
-    Each certified lower bound is a value v' <= ||m||<> rounded down by
+    A covariant map's bracket is exact, so its floor is its gap.  On a dense
+    map each certified lower bound is a value v' <= ||m||<> rounded down by
     ``float_slack(n, v')``, and a lower bound that improves on ``lower`` has
     v' > ``lower``, so every bracket is at least ``float_slack(n, lower)``
     wide; each upper bound is rounded up by as much again.
     """
-    return 2 * float_slack(m.d_in * m.d_out, max(lower, 0.0))
+    if m.exact is not None:
+        return upper - lower
+    return min(2 * float_slack(m.d_in * m.d_out, max(lower, 0.0)), upper - lower)
 
 
 def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
@@ -329,7 +332,7 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     else:
         up, rho0, r = _jordan_certificate(m)
         lower, witness = _reference_lower(r, rho0, m.d_in, m.d_out)
-        if gap_floor(m, lower) <= tolerance < up - lower:
+        if gap_floor(m, lower, up) <= tolerance < up - lower:
             sdp = diamond_sdp(m, tolerance)
             if sdp.lower_bound > lower:
                 lower, witness = sdp.lower_bound, sdp.witness

@@ -61,12 +61,11 @@ class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
     Give one of three forms: the Choi; for a covariant map d -> d^2 the
-    six coefficients of the table elements, ``coeffs`` (ints, floats or
-    complex numbers, each read exactly by ``as_integer_ratio``) or
-    ``exact``, a ``(den, re, im)`` triple of six integer numerators each
-    over one nonzero integer denominator; or for a map d -> d^2 whose Choi
-    entry depends only on which of its six labels are equal, ``patterns``,
-    a dict of complex values from equality patterns
+    six coefficients of the table elements as ``exact``, a ``(den, re, im)``
+    triple of six integer numerators each over one nonzero integer
+    denominator (``covariant_map`` builds it from numbers); or for a map
+    d -> d^2 whose Choi entry depends only on which of its six labels are
+    equal, ``patterns``, a dict of complex values from equality patterns
     (``equality_patterns(6)``), 0 on those it leaves out.  A covariant map
     keeps ``exact`` in lowest terms with ``den`` > 0, and ``coeffs`` as its
     float view: six complex numbers, each part num/den rounded once.  The
@@ -76,15 +75,14 @@ class SuperMap:
 
     __slots__ = ("d_in", "d_out", "coeffs", "exact", "patterns", "_choi")
 
-    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, coeffs=None, patterns=None, exact=None):
-        if sum(form is not None for form in (choi, coeffs, patterns, exact)) != 1:
+    def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, patterns=None, exact=None):
+        if sum(form is not None for form in (choi, patterns, exact)) != 1:
             raise ValueError("give a SuperMap either its Choi, its six covariant coefficients or its patterns")
         if choi is None:
             _require_dim(d_in)
             if d_out != d_in * d_in:
                 raise ValueError(f"a covariant or pattern map goes d -> d^2, got {d_in} -> {d_out}")
-        if coeffs is not None:
-            exact = _ratios(coeffs)
+        coeffs = None
         if exact is not None:
             exact = _lowest_terms(*exact)
             den, re, im = exact
@@ -345,7 +343,7 @@ def _ratios(coeffs) -> tuple[int, list[int], list[int]]:
             continue
         z = complex(c)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"covariant coefficients must be finite, got {c!r}")
+            raise ValueError(f"coefficients must be finite, got {c!r}")
         parts += [z.real.as_integer_ratio(), z.imag.as_integer_ratio()]
     den = max(q for _, q in parts) if parts else 1
     nums = [n * (den // q) for n, q in parts]

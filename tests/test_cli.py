@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 import vbcast
 from vbcast import cli, densemat, sot, supermap
 from vbcast.broadcast import canonical_b, classical_bcl, cloner, family_b_lambda
-from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, CliError, _dumps, main
+from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, VERIFY_TOLERANCES, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng, trace_norm
 from vbcast.diamond import diamond_bracket, float_slack
 from vbcast.supermap import SuperMap, apply_right, covariant_map
@@ -65,9 +65,10 @@ class TestVerify:
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
         assert code == 0
         assert doc["pass"] is True
-        assert doc["schema"] == 8
+        assert doc["schema"] == 9
         assert doc["dim"] == 2 and doc["seed"] == 42
-        assert doc["tolerances"] == DEFAULT_TOLERANCES
+        gates = dict.fromkeys(("axioms", "eigenvalues", "spectral", "theorem3"), 0.0)
+        assert doc["tolerances"] == VERIFY_TOLERANCES == gates
         names = [c["name"] for c in doc["checks"]]
         assert names == [
             "broadcast_axioms",
@@ -109,7 +110,7 @@ class TestVerify:
         checks = {c["name"]: c for c in doc["checks"]}
         axioms, sot_axioms = checks["broadcast_axioms"], checks["sot_axioms"]
         assert not axioms["pass"] and not sot_axioms["pass"]
-        assert sot_axioms["values"]["permutation"] == axioms["values"]["permutation"] > DEFAULT_TOLERANCES["axioms"]
+        assert sot_axioms["values"]["permutation"] == axioms["values"]["permutation"] > doc["tolerances"]["axioms"]
 
     @pytest.mark.parametrize("command", ("verify", "dump"))
     @pytest.mark.parametrize("lam", ("nan", "inf", "-inf"))
@@ -175,29 +176,64 @@ class TestVerify:
         assert uniq["values"]["rank"] == uniq["values"]["unknowns"] == 6
         assert uniq["values"]["nullity"] == table_column_uniqueness(6).nullity
 
-    def test_tolerance_override_reaches_gates(self, tmp_path):
-        # B's axiom residuals are exactly 0, so the gate is shown on B_lambda:1e-20 (permutation residual 2e-20)
-        target = ["verify", "--dim", "2", "--target", "B_lambda:1e-20"]
-        assert run(target, tmp_path)[0] == 0
-        code, doc, _ = run(target + ["--tol", "axioms=1e-30"], tmp_path)
-        assert code == 1
-        assert doc["tolerances"]["axioms"] == 1e-30
-        assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["broadcast_axioms", "sot_axioms"]
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("lam", ("1e-20", "1e-12", "-1e-12", "5e-324"))
+    def test_any_nonzero_lambda_fails(self, lam, d, tmp_path, capsys):
+        # every residual is exact, so a deformation far below any float tolerance still fails the four checks
+        code, doc, _ = run(["verify", "--dim", str(d), "--target", f"B_lambda:{lam}"], tmp_path)
+        failing = ["broadcast_axioms", "spectral_decomposition", "theorem3", "sot_axioms"]
+        assert code == 1 and doc["pass"] is False
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == failing
+        assert capsys.readouterr().err.endswith(f"verification failed: {', '.join(failing)}\n")
+        checks = {c["name"]: c["values"] for c in doc["checks"]}
+        assert checks["broadcast_axioms"]["permutation"] == 2 * abs(float(lam))
+        assert checks["theorem3"]["residual"] == abs(float(lam))
+        assert checks["spectral_decomposition"]["decomposition_residual"] == abs(float(lam))
+        # the top eigenvalue (1 + sqrt(d^2 + 4 (d^2 - 1) lam^2)) / 2 exceeds (d + 1) / 2 by (d^2 - 1) lam^2 / d to first
+        # order; the rounded spectrum once put it at (d + 1) / 2 exactly.  At 5e-324 the difference underflows to 0.0
+        want = (d * d - 1) * float(lam) ** 2 / d
+        assert checks["spectral_decomposition"]["eigenvalue_residual"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("target", ("B", "B_lambda:0", "B_lambda:-0.0"))
+    def test_b_passes_with_every_residual_zero(self, target, d, tmp_path):
+        code, doc, _ = run(["verify", "--dim", str(d), "--target", target], tmp_path)
+        assert code == 0 and doc["pass"] is True
+        for check in doc["checks"]:
+            counts = ("rank", "unknowns", "constraint_rows", "weight")
+            assert {v for k, v in check["values"].items() if k not in counts} == {0.0}, check["name"]
+
+    @pytest.mark.parametrize("command", (["verify"], ["sample"], ["dump", "--object", "B"]), ids=lambda c: c[0])
+    def test_only_diamond_takes_tol(self, command, capsys):
+        for pair in ("sdp=1e-6", "axioms=1e-10"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--dim", "2", "--tol", pair])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_each_report_lists_its_own_gates(self, tmp_path):
+        for args, want in (
+            (["diamond"], DEFAULT_TOLERANCES),
+            (["diamond", "--tol", "sdp=1e-6"], {"sdp": 1e-6}),
+            (["sample", "--n", "100", "--format", "json"], {}),
+            (["dump", "--object", "B"], {}),
+        ):
+            code, doc, _ = run(args + ["--dim", "2"], tmp_path)
+            assert code == 0 and doc["tolerances"] == want, args
 
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf", "0", "-1e-8", "1e-400"))
-    @pytest.mark.parametrize("command", ("verify", "diamond"))
+    @pytest.mark.parametrize("command", ("diamond",))
     def test_tolerance_must_be_finite_and_positive(self, command, value, tmp_path, capsys):
-        # a NaN gate fails every check, and an infinite one passes any bracket as converged
-        name = "axioms" if command == "verify" else "sdp"
-        code, _, out = run([command, "--dim", "2", "--tol", f"{name}={value}"], tmp_path)
+        # an infinite tolerance passes any bracket as converged
+        code, _, out = run([command, "--dim", "2", "--tol", f"sdp={value}"], tmp_path)
         assert code == 2
-        assert capsys.readouterr().err == f"error: --tol {name} must be finite and positive, got {value!r}\n"
+        assert capsys.readouterr().err == f"error: --tol sdp must be finite and positive, got {value!r}\n"
         assert not out.exists()
 
     def test_unknown_tolerance_name(self, tmp_path, capsys):
-        # sot_axioms shares the axioms gate, so "sot" names no tolerance; the uniqueness gate is exact
-        for pair in ("nope=1", "sot=1e-8", "uniqueness_residual=1"):
-            code = main(["verify", "--dim", "2", "--tol", pair])
+        # verify's gates are exact and take no value, so their names are unknown to diamond too
+        for pair in ("nope=1", "axioms=1e-10", "eigenvalues=1e-8", "uniqueness_residual=1"):
+            code = main(["diamond", "--dim", "2", "--tol", pair])
             assert code == 2
             assert f"known: {sorted(DEFAULT_TOLERANCES)}" in capsys.readouterr().err
 
@@ -283,6 +319,14 @@ class TestDiamond:
         err = capsys.readouterr().err
         assert err.startswith("--tol sdp=1e-20 is below the bracket's rounding floor ")
         assert "no SDP run" in err
+
+    def test_named_floor_is_within_the_bracket(self, tmp_path, capsys, monkeypatch):
+        # B's Choi as a dense map closes at gap 1.1324e-13, below its two float slacks (1.1369e-13)
+        monkeypatch.setattr(cli, "_resolve_diamond_target", lambda cfg, target: SuperMap(2, 4, canonical_b(2).choi))
+        code, doc, _ = run(["diamond", "--dim", "2", "--tol", "sdp=1e-14"], tmp_path)
+        assert code == 2 and 2 * float_slack(8, doc["lower_bound"]) > doc["gap"] > 1e-14
+        want = f"--tol sdp=1e-14 is below the bracket's rounding floor {doc['gap']:.3e}; no SDP run"
+        assert capsys.readouterr().err.startswith(want)
 
     def test_exact_bracket_meets_any_tolerance(self, tmp_path):
         # B's bracket is [d, d] exactly, so even --tol sdp=1e-20 converges

@@ -116,9 +116,11 @@ class TestCovariantForm:
         with pytest.raises(ValueError, match="either"):
             SuperMap(2, 4)
         with pytest.raises(ValueError, match="either"):
-            SuperMap(2, 4, canonical_b(2).choi, coeffs=canonical_b(2).coeffs)
+            SuperMap(2, 4, canonical_b(2).choi, exact=canonical_b(2).exact)
         with pytest.raises(ValueError, match="d -> d\\^2"):
-            SuperMap(2, 3, coeffs=np.zeros(6))
+            SuperMap(2, 3, exact=(1, (0,) * 6, (0,) * 6))
+        with pytest.raises(TypeError, match="coeffs"):
+            SuperMap(2, 4, coeffs=canonical_b(2).coeffs)
 
     @mark.parametrize("d", DIMS)
     def test_rational_coefficients_are_exact(self, d):

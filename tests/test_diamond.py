@@ -253,27 +253,37 @@ class TestBracket:
     def test_gap_floor_bounds_every_bracket(self, m):
         # a dense bracket run to its tightest tolerance is still at least gap_floor wide
         res = diamond_bracket(m, 1e-9)
-        assert res.gap >= gap_floor(m, res.lower_bound) > 0
+        assert res.gap >= gap_floor(m, res.lower_bound, res.upper_bound) > 0
 
     @pytest.mark.parametrize(
         "m", [family_b_lambda(2, 0.3), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))]
     )
     def test_tolerance_below_floor_skips_admm(self, m, monkeypatch):
-        # a covariant bracket is exact, so its floor is its own gap; a dense one's is gap_floor
+        # a covariant bracket is exact, so its floor is its own gap
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         res = diamond_bracket(m, 1e-20)
         assert res.iterations == 0 and not res.converged
-        assert 1e-20 < (res.gap if m.exact is not None else gap_floor(m, res.lower_bound)) <= res.gap
+        assert 1e-20 < gap_floor(m, res.lower_bound, res.upper_bound) <= res.gap
+        assert (gap_floor(m, res.lower_bound, res.upper_bound) == res.gap) is (m.exact is not None)
 
     def test_floor_doubles_without_proven_upper(self, monkeypatch):
         # both certified bounds of a dense map carry float_slack, so 1.5 slacks are out of reach too
         m = random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
-        lower = diamond_bracket(m, 1e-20).lower_bound
-        slack = float_slack(m.d_in * m.d_out, lower)
-        assert gap_floor(m, lower) == 2 * slack
+        res = diamond_bracket(m, 1e-20)
+        slack = float_slack(m.d_in * m.d_out, res.lower_bound)
+        assert gap_floor(m, res.lower_bound, res.upper_bound) == 2 * slack
         res = diamond_bracket(m, 1.5 * slack)
         assert res.iterations == 0 and not res.converged
+
+    def test_floor_is_capped_at_the_gap(self, monkeypatch):
+        # B's Choi as a dense map: the Jordan value sits 4.4e-16 below the reference value, so the bracket
+        # closes at 1.1324e-13, narrower than the two slacks (1.1369e-13); the floor is the gap itself
+        m = SuperMap(2, 4, canonical_b(2).choi)
+        monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
+        res = diamond_bracket(m, 1e-14)
+        assert res.iterations == 0 and not res.converged
+        assert 2 * float_slack(8, res.lower_bound) > res.gap == gap_floor(m, res.lower_bound, res.upper_bound)
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_covariant_bracket_is_exact_at_any_tolerance(self, d, monkeypatch):

@@ -75,14 +75,14 @@ class TestAxioms:
     @mark.parametrize("d", (2, 3, 4))
     def test_canonical_broadcaster_passes(self, d):
         rep = check_sot_axioms(canonical_b(d))
-        assert rep.passes(1e-10)
+        assert rep.max_residual() == 0.0
 
     def test_family_fails_permutation(self):
         rep = check_sot_axioms(family_b_lambda(2, 0.5))
         assert rep.permutation > 0.05
         assert rep.covariance < 1e-10
         assert rep.classical < 1e-10
-        assert not rep.passes(1e-10)
+        assert rep.max_residual() == rep.permutation
 
     @mark.parametrize("d", (2, 3))
     def test_non_covariant_maps_fail_covariance(self, d):
@@ -138,8 +138,8 @@ class TestAxioms:
             monkeypatch.setattr(densemat, name, fail)
             monkeypatch.setattr(broadcast, name, fail, raising=False)
             monkeypatch.setattr(sot, name, fail, raising=False)
-        assert check_axioms(b).passes(1e-10)
-        assert check_sot_axioms(b).passes(1e-10)
+        assert check_axioms(b).max_residual() == 0.0
+        assert check_sot_axioms(b).max_residual() == 0.0
 
 
 class TestPostprocessing:
