@@ -574,10 +574,9 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
         o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
         est, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(cfg.seed, 12))
         write_csv = write_trace_csv
-        result = dict(
-            mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=hptp_upper(dec), zscore=est.zscore()
-        )
-        detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={est.zscore():.2f}"
+        z = est.zscore()
+        result = dict(mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=hptp_upper(dec), zscore=z)
+        detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={z:.2f}"
     elif object_name == "M":
         if observable is not None:
             raise CliError("--obs applies to --object B only; --object M estimates the whole output matrix")
@@ -587,8 +586,9 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
         final = rows[-1][1]
         write_csv = write_sampling_csv
         observable = "zz"  # unused by M; kept so the report layout stays fixed
-        result = {"max_zscore": final.max_zscore(), "n_blocks": float(MP_BLOCKS)}
-        detail = f"max_z={final.max_zscore():.2f} over {final.n} samples"
+        z = final.max_zscore()
+        result = {"max_zscore": z, "n_blocks": float(MP_BLOCKS)}
+        detail = f"max_z={z:.2f} over {final.n} samples"
     else:
         raise CliError(f"sampling supports --object B or M, got {object_name!r}")
 

@@ -14,14 +14,14 @@ the fully depolarizing map to I/d (x) I/d.  The integral reduces to Haar
 moment operators of order <= 3, so everything here is exact; blockwise
 Monte-Carlo sampling of the same integral (``sample_mp_blocks``) checks it.
 
-Each Monte-Carlo sample is a weight times rho_psi (x) rho_psi, and the
-Hermitian rho_psi has d^2 real coordinates (Re on i <= j, Im on i < j).  A
-block of samples is reduced to two real Gram matrices over those
-coordinates, one for the mean and one for the squared deviations, and both
-are gathered with signs into the d^2 x d^2 layout; the (count, d^2, d^2)
-sample tensor is never built.  The (ik, ik) and (ik, ki) entries of every
-sample are real, so the imaginary mean and squared deviations there are
-set to exactly zero rather than left at GEMM roundoff.
+Each Monte-Carlo sample is a weight w times rho_psi (x) rho_psi.  The draws
+are held coordinate-major, scaled so that their pair products are the d^2
+real Hermitian coordinates h of rho_psi, and w = d Tr[rho_psi rho] = d (r . h)
+reads off the same coordinates.  A chunk of at most ``MP_CHUNK`` samples
+reduces to two real Gram matrices over h, for the mean and the squared
+deviations, gathered with signs into the d^2 x d^2 layout; no per-sample
+d^2 x d^2 tensor is built.  The imaginary mean and squared deviations on the
+structurally real (ik, ik) and (ik, ki) entries are exactly zero.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap, covariant_map
 
 np = _lazy_numpy()
+MP_CHUNK = 1 << 14  # samples drawn and reduced at once: a 15 MB peak of work arrays at d = 6
 
 
 def exact_mp_map(d: int) -> SuperMap:
@@ -87,10 +88,10 @@ def _moment_layout(d: int):
     t = Im rho_psi on i < j, (p, q) the places of the pair {i, j} in them
     and s = +1, -1, 0 for i < j, i > j, i = j.  Entry (ik, jl) of the
     d^2 x d^2 layout multiplies rho_psi[i, j] by rho_psi[k, l]; for both
-    factors, per entry, the maps give the column of u in h = [u, t] and in
-    g = [u^2, t^2, u t on i < j], the column of t in both, the column of u t
-    in g, and s.  Where s = 0 the t and u t columns are 0, a valid column
-    that s multiplies away.  Also returned: the triangle indices and the
+    factors, per entry, the maps give the row of u in h = [u, t] and in
+    g = [u^2, t^2, u t on i < j], the row of t in both, the row of u t in
+    g, and s.  Where s = 0 the t and u t rows are 0, a valid row that s
+    multiplies away.  Also returned: the triangle indices and the
     mask of the 2d^2 - d structurally real entries.
     """
     nu = d * (d + 1) // 2
@@ -115,18 +116,15 @@ def _moment_layout(d: int):
 def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     """Moments (count, mean, m2_re, m2_im) of `count` samples of Tr[M_psi rho] rho_psi (x) rho_psi.
 
-    A sample is w * (rho_psi (x) rho_psi), and the Hermitian rho_psi holds d^2
-    real coordinates: u = Re rho_psi on i <= j and t = Im rho_psi on i < j,
-    taken straight from the pair products v_i conj(v_j) into one
-    preallocated h = [u, t].  Every entry of a sample is
-    w rho_psi[i, j] rho_psi[k, l], so the block sums are signed gathers
-    (``_moment_layout``) of two real Gram matrices: the mean from
-    K = (w h)^T h (d^2 columns), and the sums of (Re x)^2 and (Im x)^2 from
-    g^T g over g = [(w h) h, (w u on i < j) t] = w [u^2, t^2, u t on i < j]
-    ((3d^2 - d)/2 columns), which reuses the w h that K needs.  The weight's
-    overlap Tr[psi rho] is a row sum of (v rho^T) conj(v), the one complex
-    product, of a (count, d) by a (d, d) matrix.  No (count, d^2, d^2)
-    tensor is formed.
+    The Hermitian rho_psi has d^2 real coordinates h = [u, t], u = Re rho_psi
+    on i <= j and t = Im rho_psi on i < j (``np.triu_indices`` order).  With
+    Re v over Im v, one column per sample scaled by sqrt((d+2) / (2 |v|^2)),
+    row block i of u is vr[i:] vr[i] + vi[i:] vi[i] (less 1/2 on the diagonal)
+    and of t vr[i+1:] vi[i] - vi[i+1:] vr[i], from contiguous rows.  The weight
+    is w = Tr[M_psi rho] = d Tr[rho_psi rho] = d (r . h), r = (rho_ii;
+    2 Re rho_ij; 2 Im rho_ij).  The sums are signed gathers (``_moment_layout``)
+    of two real Gram matrices: the mean from K = (w h) h^T, and the sums of
+    (Re x)^2 and (Im x)^2 from g g^T over g = w [u^2, t^2, u t on i < j].
 
     Exact-zero rule: every sample is Hermitian and invariant under swapping
     its two outputs, so its (ik, ik) and (ik, ki) entries are real.  The
@@ -134,25 +132,28 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
     deviation scores as an infinite z-score, so ``mean.imag`` and ``m2_im``
     are set to exactly 0 on those 2d^2 - d entries.
     """
-    a = d + 2
     rows, cols, off, (u1, t1, x1, s1, u2, t2, x2, s2), real = _moment_layout(d)
     nu, dd = rows.size, d * d
-    v = rng.gen.standard_normal((count, d)) + 1j * rng.gen.standard_normal((count, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    overlap = ((v @ rho.T) * v.conj()).real.sum(axis=1)
-    weight = (d / 2.0) * (a * overlap - 1.0)
-    pair = (a / 2.0) * (v[:, rows] * v[:, cols].conj())
-    h = np.empty((count, dd))
-    u, t = h[:, :nu], h[:, nu:]
-    u[...] = pair.real
-    u[:, ~off] -= 0.5
-    t[...] = pair.imag[:, off]
-    wh = weight[:, np.newaxis] * h
-    k = wh.T @ h
-    g = np.empty((count, dd + nu - d))
-    np.multiply(wh, h, out=g[:, :dd])
-    np.multiply(wh[:, :nu][:, off], t, out=g[:, dd:])
-    gram = g.T @ g
+    v = np.empty((2 * d, count))
+    v[:d] = rng.gen.standard_normal((count, d)).T
+    v[d:] = rng.gen.standard_normal((count, d)).T
+    v *= np.sqrt((d + 2) / (2.0 * np.einsum("ij,ij->j", v, v)))
+    vr, vi = v[:d], v[d:]
+    h = np.empty((dd, count))
+    p, q = 0, nu
+    for i in range(d):
+        u, t = h[p : p + d - i], h[q : q + d - i - 1]
+        np.add(np.multiply(vr[i:], vr[i], out=u), vi[i:] * vi[i], out=u)
+        u[0] -= 0.5
+        np.subtract(np.multiply(vr[i + 1 :], vi[i], out=t), vi[i + 1 :] * vr[i], out=t)
+        p, q = p + d - i, q + d - i - 1
+    r = np.concatenate((np.where(off, 2.0, 1.0) * rho[rows, cols].real, 2.0 * rho[rows[off], cols[off]].imag))
+    g = np.empty((dd + nu - d, count))
+    wh = np.multiply(d * (r @ h), h, out=g[:dd])
+    np.multiply(wh[:nu][off], h[nu:], out=g[dd:])
+    k = wh @ h.T
+    wh *= h  # K has read w h; these rows of g become w h^2
+    gram = g @ g.T
 
     s12 = s1 * s2
     mean = np.empty((d * d, d * d), dtype=np.complex128)
@@ -171,7 +172,7 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
 def sample_mp_blocks(
     rho: Operator, d: int, n_samples: int, n_blocks: int, rng: Rng
 ) -> list[tuple[int, MatrixSamplingEstimate]]:
-    """Blockwise running estimates (for CSV traces); block index starts at 1."""
+    """Blockwise running estimates (for CSV traces), block index from 1, drawn in chunks of <= ``MP_CHUNK``."""
     check_density(rho, d)
     if n_blocks < 1 or n_samples < 2 * n_blocks:
         raise ValueError("need at least 2 samples per block")
@@ -181,11 +182,10 @@ def sample_mp_blocks(
     out = []
     for b in range(1, n_blocks + 1):
         take = per if b < n_blocks else n_samples - per * (n_blocks - 1)
-        acc.merge(*_mp_moments(rho.mat, d, take, rng))
+        for start in range(0, take, MP_CHUNK):
+            acc.merge(*_mp_moments(rho.mat, d, min(MP_CHUNK, take - start), rng))
         se_re, se_im = acc.stderr()
-        out.append(
-            (b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact))
-        )
+        out.append((b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
     return out
 
 

@@ -647,6 +647,15 @@ class TestSample:
         for key, value in zip(("mean", "stderr", "exact"), want):
             assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
 
+    # max_zscore of `sample --object M` at seed 1, recorded once; a change of the draw order or of the
+    # sampler's arithmetic beyond roundoff shows here
+    @pytest.mark.parametrize("dim,n,want", [("6", "50000", 2.793172643003167), ("3", "10000", 2.529555371116083)])
+    def test_seeded_mp_stream_pinned(self, dim, n, want, tmp_path):
+        args = ["sample", "--object", "M", "--dim", dim, "--n", n, "--seed", "1", "--format", "json"]
+        code, doc, _ = run(args, tmp_path)
+        assert code == 0
+        assert abs(doc["result"]["max_zscore"] - want) <= 1e-12, doc["result"]["max_zscore"]
+
     def test_seeded_csv_stream_pinned(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["sample", "--dim", "2", "--n", "10000", "--seed", "1", "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from pytest import mark, raises
+from vbcast import hovm
 from vbcast.broadcast import canonical_b
 
 from vbcast.densemat import (
@@ -306,3 +307,33 @@ class TestMomentSampler:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    # blocks above MP_CHUNK: 3500 samples a block, drawn and merged as chunks of 1000, 1000, 1000 and 500
+    def test_chunked_block_matches_merged_chunks(self, monkeypatch):
+        monkeypatch.setattr(hovm, "MP_CHUNK", 1000)
+        d = 6
+        rho = random_density(d, Rng(1, 10))
+        got = sample_mp_blocks(rho, d, 7000, 2, Rng(1, 12))
+        ref, rng = MatrixWelford((d * d, d * d)), Rng(1, 12)
+        for block, (_, est) in enumerate(got, 1):
+            for count in (1000, 1000, 1000, 500):
+                ref.merge(*_mp_moments(rho.mat, d, count, rng))
+            assert est.n == ref.n == 3500 * block
+            for a, b in ((est.mean.mat, ref.mean), *zip((est.stderr_re, est.stderr_im), ref.stderr())):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_chunked_memory_stays_flat(self, monkeypatch):
+        # one block of 20000 samples unchunked holds about 20 times one chunk's work arrays
+        monkeypatch.setattr(hovm, "MP_CHUNK", 1000)
+        rho = random_density(6, Rng(1, 10))
+        _mp_moments(rho.mat, 6, 1000, Rng(0))  # builds the cached layout outside the trace
+        tracemalloc.start()
+        try:
+            _mp_moments(rho.mat, 6, 1000, Rng(1))
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sample_mp_blocks(rho, 6, 40000, 2, Rng(1, 12))
+            chunked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunked < 1.5 * one
