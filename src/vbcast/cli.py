@@ -37,7 +37,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
 from .densemat import Operator, Rng, random_density, random_hermitian
-from .supermap import SuperMap, _root_ratio, covariant_blocks, covariant_entries, match_covariant
+from .supermap import SuperMap, covariant_entries, match_covariant, spectral_distance
 from .broadcast import (
     antisym,
     canonical_b,
@@ -391,23 +391,12 @@ def build_object(name: str, d: int) -> SuperMap:
 
 
 def _eigenvalue_residual(m: SuperMap) -> float:
-    """Largest |v - w| over m's descending Choi spectrum v paired with B's, w; inf when m is not Hermitian-preserving.
-
-    B's spectrum is (d+1)/2 and -(d-1)/2, d times each, and zeros.  A
-    covariant m's eigenvalues are (num + sign sqrt(w)) / (2 den) for the
-    integers of ``covariant_blocks``, so each paired difference is one such
-    number, rounded once by ``_root_ratio``: 0.0 when the two are equal.
-    """
-    d = m.d_in
+    """Largest |v - w| over m's and B's descending Choi spectra, paired (``spectral_distance``); inf if m is not HP."""
     if not m.is_hp():
         return math.inf
-    want = [d + 1] * d + [0] * (d**3 - 2 * d) + [1 - d] * d  # twice B's eigenvalues
     if m.exact is None:
-        return max(abs(v - e / 2) for v, e in zip(m.spectrum(), want))
-    den, a, b, s, w = covariant_blocks(d, m.exact)
-    mine = [(2 * a, 1, 0)] * (d * d * (d + 1) // 2 - d) + [(2 * b, 1, 0)] * (d * d * (d - 1) // 2 - d)
-    mine = sorted(mine + [(s, 1, w)] * d + [(s, -1, w)] * d, key=lambda x: _root_ratio(*x, 2 * den), reverse=True)
-    return max(abs(_root_ratio(num - e * den, sign, disc, 2 * den)) for (num, sign, disc), e in set(zip(mine, want)))
+        return max(abs(v - w) for v, w in zip(m.spectrum(), canonical_b(m.d_in).spectrum()))
+    return spectral_distance(m.d_in, m.exact, canonical_b(m.d_in).exact)
 
 
 def _verify_axioms(b: SuperMap, cfg: RunConfig):

@@ -16,10 +16,10 @@
   ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For CP maps
   |J| = J and rho0 is optimal.  For covariant maps K = ||C||_1/d I and w is
   the maximally entangled input, so both bounds equal ||C||_1/d.  It is
-  read off the exact coefficients in integers (``_covariant_bounds``), with
-  no ``eigh``, no d^3 x d^3 array, no numpy and no ADMM: the bracket is
-  exact, [d, d] for B, and one or two ulps wide where the norm is
-  irrational.  A ``file:`` target of ``cli`` whose Choi is covariant
+  read off the exact coefficients in integers and rounded down and up by
+  ``surd`` (``_covariant_bounds``), with no ``eigh``, no d^3 x d^3 array,
+  no numpy and no ADMM: the bracket is exact, [d, d] for B, and one ulp
+  wide where the norm is irrational.  A ``file:`` target of ``cli`` whose Choi is covariant
   arrives as its six coefficients too, so it has the bracket of the
   coefficients it holds.
 * ``diamond_sdp`` -- the semidefinite characterization
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from . import _lazy_numpy
 from .densemat import trace_norm
-from .supermap import HP_TOL, AffineDecomposition, SuperMap, covariant_blocks
+from .supermap import HP_TOL, AffineDecomposition, SuperMap, covariant_blocks, surd
 
 np = _lazy_numpy()
 
@@ -257,16 +257,6 @@ def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     return top + slack, (v @ v.conj().T) / v.shape[1], r
 
 
-def _rounded(num: int, den: int, up: bool) -> float:
-    """num / den for integers, den > 0, rounded to the nearest float at or above it (up) or at or below it."""
-    value = num / den
-    value_num, value_den = value.as_integer_ratio()
-    over = value_num * den - num * value_den  # the sign of value - num / den
-    if over and (over > 0) != up:
-        return math.nextafter(value, math.inf if up else -math.inf)
-    return value
-
-
 def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     """The exact bracket of a covariant map's diamond norm, and its input vec A.
 
@@ -274,25 +264,16 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
     lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  From
     ``covariant_blocks``, |lambda+| + |lambda-| = max(|s|, sqrt(w)) / den, so
-    ||C||_1 / d = (K + sqrt(T)) / (d den) with the integers
-    K = m1 |a| + m2 |b|  (m1, m2 the multiplicities of a and b) and
-    T = d^2 max(s^2, w).  ``math.isqrt`` brackets sqrt(T) 2^k, with
-    2^k sqrt(T) >= 2^63, between two integers, equal when T is a square;
-    the lower end is rounded down and the upper end up to floats, so the
-    bracket holds the norm, is at most two ulps wide, and is [v, v] when
-    the norm is the float v.  vec A is a list of floats:
-    1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
+    ||C||_1 / d = (K + d sqrt(max(s^2, w))) / (d den) with K = m1 |a| + m2 |b|
+    (m1, m2 the multiplicities of a and b), which ``surd`` rounds down and up.
+    vec A is 1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
     den, a, b, s, w = covariant_blocks(d, m.exact)
     rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
-    t = d * d * max(s * s, w)
-    k = max(0, 64 - t.bit_length() // 2)
-    root = math.isqrt(t << 2 * k)
-    lower = _rounded((rational << k) + root, (d * den) << k, up=False)
-    upper = _rounded((rational << k) + root + (root * root != t << 2 * k), (d * den) << k, up=True)
+    lower, upper = (surd(rational, d, max(s * s, w), d * den, mode) for mode in ("down", "up"))
     entry = 1.0 / math.sqrt(d)
     vec_a = [0.0] * (d * d)
     vec_a[:: d + 1] = [entry] * d

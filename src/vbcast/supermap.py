@@ -31,9 +31,10 @@ labels (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
 Hermiticity and trace-preservation tests and the axiom residuals are read
 off the at most 203 equality patterns (``equality_patterns``, ``_pattern_table``),
 and the spectrum has the closed form of ``covariant_blocks``.  Those reads
-are integer arithmetic on the exact coefficients, each result rounded to a
-float once, and touch no numpy.  ``apply`` sums the six terms' actions on a
-d x d input (``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
+are integer arithmetic on the exact coefficients and touch no numpy; each
+result is a quadratic surd (p + q sqrt(w)) / r, rounded to a float once by
+``surd``.  ``apply`` sums the six terms' actions on a d x d input
+(``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
 value per pattern; only its axiom residuals are read off the patterns.
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
@@ -421,14 +422,8 @@ def _covariant_apply(coeffs, x: np.ndarray) -> np.ndarray:
 
 
 def _largest(pairs, den: int) -> float:
-    """The largest |re + i im| / den over pairs of integer numerators, as one float; 0.0 for none.
-
-    The pair is picked exactly, on re^2 + im^2.  A real or imaginary one is
-    rounded once, by int/int true division, which raises OverflowError past
-    the float range; one with both parts is the ``math.hypot`` of the two.
-    """
-    re, im = max(pairs, key=lambda z: z[0] * z[0] + z[1] * z[1], default=(0, 0))
-    return math.hypot(re / den, im / den) if re and im else abs(re or im) / den
+    """The largest |re + i im| / den over pairs of integer numerators, picked exactly and rounded once; 0.0 for none."""
+    return surd(0, 1, max((re * re + im * im for re, im in pairs), default=0), den)
 
 
 def _exact_absmax(d: int, den: int, re, im) -> float:
@@ -462,26 +457,60 @@ def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
     return den, re[0] + re[1], re[0] - re[1], s, t * t + (d * d - 1) * (u_re * u_re + u_im * u_im)
 
 
-def _root_ratio(s: int, sign: int, w: int, q: int) -> float:
-    """(s + sign sqrt(w)) / q for integers w >= 0, q > 0: exact when w is a square, else within an ulp.
+def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest"):
+    """(p + q sqrt(w)) / r for integers, w >= 0 and r > 0, rounded once to the "nearest" float, "down" or "up".
 
-    sqrt(w) is floor(sqrt(w 4^k)) / 2^k, with 2^k sqrt(w) >= 2^63, then one
-    int/int division rounds; where s and the root have opposite signs, the
-    value is taken as (s^2 - w) / (q (s - sign sqrt(w))), which cancels nothing.
+    Mode "sign" is the exact sign of p + q sqrt(w), by squaring.  Otherwise each
+    end of n <= sqrt(w) 2^k <= n + 1, n = isqrt(w 4^k) >= 2^63, gives the value
+    by one int/int division, (p 2^k + q n) / (r 2^k), or (p^2 - q^2 w) 2^k /
+    (r (p 2^k - q n)) where p and q have opposite signs, which cancels nothing;
+    k grows by 64 until both ends round to one float.  "down" and "up" step from
+    it to the next float when the exact sign of its error says so.  Past the
+    float range, OverflowError.
     """
-    k = max(0, 64 - w.bit_length() // 2)
-    root = math.isqrt(w << 2 * k)
-    if sign * s >= 0:
-        return ((s << k) + sign * root) / (q << k)
-    return ((s * s - w) << k) / (q * ((s << k) - sign * root))
+    if mode == "sign":
+        v = p * abs(p) + q * abs(q) * w
+        return (v > 0) - (v < 0)
+    k, ends = max(0, 64 - w.bit_length() // 2) - 64, ()
+    while len(ends) != 1:
+        k += 64
+        n = math.isqrt(w << 2 * k)
+        roots = (n, n + (n * n != w << 2 * k))
+        if p * q >= 0:
+            ends = {((p << k) + q * root) / (r << k) for root in roots}
+        else:
+            ends = {((p * p - q * q * w) << k) / (r * ((p << k) - q * root)) for root in roots}
+    (value,) = ends
+    if mode != "nearest":
+        num, den = value.as_integer_ratio()
+        error = surd(p * den - num * r, q * den, w, mode="sign")  # the sign of (p + q sqrt(w)) / r - value
+        if error and (error > 0) == (mode == "up"):
+            value = math.nextafter(value, error * math.inf)
+    return value
+
+
+def _surd_spectrum(d: int, exact) -> tuple[int, int, list[tuple[int, int]]]:
+    """C's descending eigenvalues as (r, w, [(p, q), ...]), each (p + q sqrt(w)) / r, ordered by exact sign tests."""
+    den, a, b, s, w = covariant_blocks(d, exact)
+    values = [(2 * a, 0), (2 * b, 0), (s, 1), (s, -1)]
+    counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
+    order = functools.cmp_to_key(lambda x, y: surd(y[0] - x[0], y[1] - x[1], w, mode="sign"))
+    return 2 * den, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
 
 
 def covariant_spectrum(d: int, exact) -> list[float]:
     """Descending eigenvalues of the Hermitian  C = sum_k x_k P_k^T3, from ``covariant_blocks``: d^3 floats."""
-    den, a, b, s, w = covariant_blocks(d, exact)
-    values = (a / den, b / den, _root_ratio(s, 1, w, 2 * den), _root_ratio(s, -1, w, 2 * den))
-    counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
-    return [v for v, n in sorted(zip(values, counts), key=lambda vn: vn[0], reverse=True) for _ in range(n)]
+    r, w, values = _surd_spectrum(d, exact)
+    rounded = {(p, q): surd(p, q, w, r) for p, q in set(values)}
+    return [rounded[v] for v in values]
+
+
+def spectral_distance(d: int, exact, reference) -> float:
+    """Largest |v - u| over the paired descending Choi spectra of covariant ``exact`` and a rational ``reference``."""
+    (r, w, mine), (ref_r, ref_w, theirs) = _surd_spectrum(d, exact), _surd_spectrum(d, reference)
+    root = int(surd(0, 1, ref_w))  # an integer, as the reference's spectrum is rational
+    pairs = set(zip(mine, (p + q * root for p, q in theirs)))
+    return max(abs(surd(p * ref_r - e * r, q * ref_r, w, r * ref_r)) for (p, q), e in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def run(args, tmp_path, name="out.json"):
     return code, doc, out
 
 
+# verify's eigenvalue_residual at d = 2..6
+EIGENVALUE_RESIDUALS = {
+    "B_lambda:0.3": [0.1269427669584645, 0.22336879396140857, 0.3130067012440755, 0.39999999999999997, 0.48568501158667515],
+    "M": [0.4166666666666667, 1.0625, 1.95, 3.0833333333333335, 4.464285714285714],
+    "B+": [0.5, 1.0, 1.5, 2.0, 2.5],
+    "Mprime": [1.25, 1.8888888888888888, 2.4375, 2.96, 3.4722222222222223],
+}
+
+
 class TestVerify:
     def test_passes_at_dim_2(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "2", "--seed", "42"], tmp_path)
@@ -193,6 +202,13 @@ class TestVerify:
         # order; the rounded spectrum once put it at (d + 1) / 2 exactly.  At 5e-324 the difference underflows to 0.0
         want = (d * d - 1) * float(lam) ** 2 / d
         assert checks["spectral_decomposition"]["eigenvalue_residual"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("target, want", EIGENVALUE_RESIDUALS.items())
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_eigenvalue_residual_pinned(self, target, want, d, tmp_path):
+        # each value is one surd rounded once, paired with B's spectrum in exact descending order
+        _, doc, _ = run(["verify", "--dim", str(d), "--target", target], tmp_path)
+        assert doc["checks"][2]["values"]["eigenvalue_residual"] == want[d - 2]
 
     @pytest.mark.parametrize("d", range(2, 7))
     @pytest.mark.parametrize("target", ("B", "B_lambda:0", "B_lambda:-0.0"))

@@ -10,6 +10,8 @@ in ``test_broadcast.py``.
 
 import decimal
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from vbcast.hovm import depolarizing_mp, exact_mp_map
 from vbcast.supermap import (
     HP_TOL,
     SuperMap,
+    _pattern_table,
     covariant_blocks,
     covariant_map,
     covariant_spectrum,
@@ -44,6 +47,15 @@ from dense_covariant import commutant_table, table_sum_choi
 from dense_maps import witness_state
 
 DIMS = range(2, 7)
+
+# diamond_bracket(family_b_lambda(d, 0.3)) at d = 2..6, bit for bit
+B_LAMBDA_BRACKETS = [
+    [2.253885533916929, 2.2538855339169293],
+    [3.446737587922817, 3.4467375879228173],
+    [4.626013402488151, 4.626013402488152],
+    [5.8, 5.800000000000001],
+    [6.97137002317335, 6.971370023173351],
+]
 
 
 def _random_hermitian_coeffs(d, i):
@@ -178,6 +190,15 @@ class TestCovariantForm:
         assert maps["off_tp0.5"].is_tp() and not maps["off_tp2.0"].is_tp()
         assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
 
+    def test_complex_absmax_rounded_once(self):
+        # a complex largest entry is sqrt(re^2 + im^2) / den rounded once, checked against 200 bits of the root
+        random.seed(0)
+        for i in range(200):
+            m = covariant_map(3, [complex(random.gauss(0, 1), random.gauss(0, 1)) for _ in range(6)])
+            den, re, im = m.exact
+            w = max(sum(re[k] for k in s) ** 2 + sum(im[k] for k in s) ** 2 for _, _, s in _pattern_table(3))
+            assert m.choi_absmax() == float(Fraction(math.isqrt(w * 4**200), 2**200) / den), i
+
 
 def _random_pattern_map(d, seed):
     """A pattern map with complex Gaussian values on a random third of the patterns that occur at d."""
@@ -277,3 +298,5 @@ class TestAgainstDense:
             assert res.upper_bound - res.lower_bound <= 2 * math.ulp(res.upper_bound), name
         w = covariant_blocks(d, maps["B_lambda:0.3"].exact)[4]
         assert math.isqrt(w) ** 2 != w  # B_lambda:0.3's norm is irrational
+        res = diamond_bracket(maps["B_lambda:0.3"])
+        assert [res.lower_bound, res.upper_bound] == B_LAMBDA_BRACKETS[d - 2]

@@ -1,9 +1,13 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vbcast.densemat import Operator, Rng, kron, random_density, random_hermitian, swap
-from vbcast.supermap import AffineDecomposition, SuperMap, apply_right
+from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, surd
 
 from dense_maps import apply_left, compose, from_action, hs_adjoint, identity, identity_map, is_psd, omega, tensor
 from random_fixtures import _haar_qr, ginibre_columns, random_channel
@@ -178,3 +182,45 @@ def test_affine_decomposition_combined():
     got = dec.combined()
     want = 1.5 * f - 0.5 * g
     assert_allclose(got.choi.mat, want.choi.mat, atol=1e-14)
+
+
+def _surd_draw(rng, i):
+    """A seeded (p, q, w, r): both signs, square and non-square w, near-cancellation every 4th, near 2^+-1000 every 4th."""
+    p, q, r = rng.randint(-(2**60), 2**60), rng.randint(-(2**30), 2**30), rng.randint(1, 2**60)
+    w = rng.randint(0, 2**50) ** 2 if rng.random() < 0.5 else rng.randint(0, 2**100)
+    if i % 4 == 1:  # p + q sqrt(w) within a few units of 0
+        root = math.isqrt(q * q * w)
+        p = (-root if q > 0 else root) + rng.randint(-2, 2)
+    if i % 4 == 3 and p + q * math.isqrt(w):
+        shift = rng.choice((-1, 1)) * rng.randint(990, 1010) - math.frexp((p + q * math.isqrt(w)) / r)[1]
+        p, q, r = (p << shift, q << shift, r) if shift > 0 else (p, q, r << -shift)
+    return p, q, w, r
+
+
+def _surd_ends(p, q, w, r, bits=512):
+    """Two Fractions with p + q sqrt(w) over r between them, from sqrt(w) to ``bits`` bits; equal when w is a square."""
+    root = math.isqrt(w << 2 * bits)
+    ends = {(Fraction(p) + Fraction(q * n, 2**bits)) / r for n in (root, root + (root * root != w << 2 * bits))}
+    return min(ends), max(ends)
+
+
+def test_surd_rounds_once():
+    # nearest is the correctly rounded value; down and up are the floats next to it on either side, equal when it is one
+    rng = random.Random(0)
+    for i in range(20000):
+        p, q, w, r = _surd_draw(rng, i)
+        lo, hi = _surd_ends(p, q, w, r)
+        want = float(lo)
+        assert float(hi) == want, (p, q, w, r)  # the reference itself is certain
+        assert surd(p, q, w, r) == want, (p, q, w, r)
+        down, up = surd(p, q, w, r, "down"), surd(p, q, w, r, "up")
+        assert down <= lo and hi <= up and math.nextafter(down, math.inf) > hi and math.nextafter(up, -math.inf) < lo
+        assert (down == up) == (lo == hi == Fraction(want)), (p, q, w, r)
+        assert surd(p, q, w, r, "sign") == (lo > 0) - (hi < 0), (p, q, w, r)
+
+
+@pytest.mark.parametrize("p, q, w", [(2**1100, 1, 3), (0, 1, 4**1100), (-(2**1100), -1, 2**100 + 1), (3, -(2**1100), 5)])
+@pytest.mark.parametrize("mode", ("nearest", "down", "up"))
+def test_surd_past_the_float_range_overflows(p, q, w, mode):
+    with pytest.raises(OverflowError):
+        surd(p, q, w, 1, mode)
