@@ -457,36 +457,34 @@ def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
     return den, re[0] + re[1], re[0] - re[1], s, t * t + (d * d - 1) * (u_re * u_re + u_im * u_im)
 
 
-def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest"):
+def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest") -> float:
     """(p + q sqrt(w)) / r for integers, w >= 0 and r > 0, rounded once to the "nearest" float, "down" or "up".
 
-    Mode "sign" is the exact sign of p + q sqrt(w), by squaring.  Otherwise each
-    end of n <= sqrt(w) 2^k <= n + 1, n = isqrt(w 4^k) >= 2^63, gives the value
-    by one int/int division, (p 2^k + q n) / (r 2^k), or (p^2 - q^2 w) 2^k /
-    (r (p 2^k - q n)) where p and q have opposite signs, which cancels nothing;
-    k grows by 64 until both ends round to one float.  "down" and "up" step from
-    it to the next float when the exact sign of its error says so.  Past the
-    float range, OverflowError.
+    Each end of n <= sqrt(w) 2^k <= n + 1, n = isqrt(w 4^k) >= 2^63, gives the
+    value by one int/int division, (p 2^k + q n) / (r 2^k); k grows by 64 until
+    both ends round to one float of one sign, which ends cancellation too, as
+    a nonzero |p + q sqrt(w)| >= 1 / (|p| + |q| sqrt(w)).  "down" and "up" step
+    from it to the next float when the exact sign of its error says so.  Past
+    the float range, OverflowError.
     """
-    if mode == "sign":
-        v = p * abs(p) + q * abs(q) * w
-        return (v > 0) - (v < 0)
+    step = {"nearest": 0, "down": -1, "up": 1}[mode]
     k, ends = max(0, 64 - w.bit_length() // 2) - 64, ()
     while len(ends) != 1:
         k += 64
         n = math.isqrt(w << 2 * k)
-        roots = (n, n + (n * n != w << 2 * k))
-        if p * q >= 0:
-            ends = {((p << k) + q * root) / (r << k) for root in roots}
-        else:
-            ends = {((p * p - q * q * w) << k) / (r * ((p << k) - q * root)) for root in roots}
-    (value,) = ends
-    if mode != "nearest":
+        ends = {(x / (r << k), x < 0) for x in ((p << k) + q * root for root in (n, n + (n * n != w << 2 * k)))}
+    ((value, _),) = ends
+    if step:
         num, den = value.as_integer_ratio()
-        error = surd(p * den - num * r, q * den, w, mode="sign")  # the sign of (p + q sqrt(w)) / r - value
-        if error and (error > 0) == (mode == "up"):
-            value = math.nextafter(value, error * math.inf)
+        if surd_sign(p * den - num * r, q * den, w) == step:  # the sign of (p + q sqrt(w)) / r - value
+            value = math.nextafter(value, step * math.inf)
     return value
+
+
+def surd_sign(p: int, q: int, w: int) -> int:
+    """The exact sign of p + q sqrt(w) for integers, w >= 0, by squaring: -1, 0 or 1."""
+    v = p * abs(p) + q * abs(q) * w
+    return (v > 0) - (v < 0)
 
 
 def _surd_spectrum(d: int, exact) -> tuple[int, int, list[tuple[int, int]]]:
@@ -494,7 +492,7 @@ def _surd_spectrum(d: int, exact) -> tuple[int, int, list[tuple[int, int]]]:
     den, a, b, s, w = covariant_blocks(d, exact)
     values = [(2 * a, 0), (2 * b, 0), (s, 1), (s, -1)]
     counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
-    order = functools.cmp_to_key(lambda x, y: surd(y[0] - x[0], y[1] - x[1], w, mode="sign"))
+    order = functools.cmp_to_key(lambda x, y: surd_sign(y[0] - x[0], y[1] - x[1], w))
     return 2 * den, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
 
 
@@ -508,7 +506,9 @@ def covariant_spectrum(d: int, exact) -> list[float]:
 def spectral_distance(d: int, exact, reference) -> float:
     """Largest |v - u| over the paired descending Choi spectra of covariant ``exact`` and a rational ``reference``."""
     (r, w, mine), (ref_r, ref_w, theirs) = _surd_spectrum(d, exact), _surd_spectrum(d, reference)
-    root = int(surd(0, 1, ref_w))  # an integer, as the reference's spectrum is rational
+    root = int(surd(0, 1, ref_w))
+    if root * root != ref_w:
+        raise ValueError("the reference spectrum must be rational")
     pairs = set(zip(mine, (p + q * root for p, q in theirs)))
     return max(abs(surd(p * ref_r - e * r, q * ref_r, w, r * ref_r)) for (p, q), e in pairs)
 

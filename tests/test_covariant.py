@@ -38,6 +38,7 @@ from vbcast.supermap import (
     covariant_map,
     covariant_spectrum,
     equality_patterns,
+    spectral_distance,
     table_entries,
     table_support,
 )
@@ -198,6 +199,14 @@ class TestCovariantForm:
             den, re, im = m.exact
             w = max(sum(re[k] for k in s) ** 2 + sum(im[k] for k in s) ** 2 for _, _, s in _pattern_table(3))
             assert m.choi_absmax() == float(Fraction(math.isqrt(w * 4**200), 2**200) / den), i
+
+    @mark.parametrize("d", DIMS)
+    def test_spectral_distance_needs_a_rational_reference(self, d):
+        # B's spectrum is rational and B_lambda:0.3's is not, so only the one order is defined
+        b, b_lam = canonical_b(d).exact, family_b_lambda(d, 0.3).exact
+        assert spectral_distance(d, b_lam, b) > 0 == spectral_distance(d, b, b)
+        with pytest.raises(ValueError, match="rational"):
+            spectral_distance(d, b, b_lam)
 
 
 def _random_pattern_map(d, seed):

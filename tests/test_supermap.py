@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vbcast.densemat import Operator, Rng, kron, random_density, random_hermitian, swap
-from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, surd
+from vbcast.supermap import AffineDecomposition, SuperMap, apply_right, surd, surd_sign
 
 from dense_maps import apply_left, compose, from_action, hs_adjoint, identity, identity_map, is_psd, omega, tensor
 from random_fixtures import _haar_qr, ginibre_columns, random_channel
@@ -216,7 +216,22 @@ def test_surd_rounds_once():
         down, up = surd(p, q, w, r, "down"), surd(p, q, w, r, "up")
         assert down <= lo and hi <= up and math.nextafter(down, math.inf) > hi and math.nextafter(up, -math.inf) < lo
         assert (down == up) == (lo == hi == Fraction(want)), (p, q, w, r)
-        assert surd(p, q, w, r, "sign") == (lo > 0) - (hi < 0), (p, q, w, r)
+        assert surd_sign(p, q, w) == (lo > 0) - (hi < 0), (p, q, w, r)
+
+
+@pytest.mark.parametrize("digits", (50, 300, 600, 601))
+def test_surd_below_the_float_range_keeps_its_sign(digits):
+    # p + q sqrt(2) cancels to a tiny nonzero value, which over 2^1100 rounds to a zero of its own sign
+    q = 10**digits
+    p = -math.isqrt(2 * q * q)
+    for sign in (1, -1):
+        value = surd(sign * p, sign * q, 2, 2**1100)
+        assert value == 0.0 and math.copysign(1.0, value) == sign == surd_sign(sign * p, sign * q, 2)
+
+
+def test_surd_rejects_an_unknown_mode():
+    with pytest.raises(KeyError):
+        surd(1, 1, 2, 1, "dwon")
 
 
 @pytest.mark.parametrize("p, q, w", [(2**1100, 1, 3), (0, 1, 4**1100), (-(2**1100), -1, 2**100 + 1), (3, -(2**1100), 5)])
