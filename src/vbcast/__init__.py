@@ -15,11 +15,12 @@ measure-and-prepare map), ``sot`` (states over time), ``qsample``
 so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.
 
 The submodules bind ``np`` through ``_lazy_numpy``, so numpy loads only
-when a command starts dense work (a dense Choi, ADMM, ``sample``).  A
-covariant map's axiom residuals, spectrum, uniqueness certificate, diamond
-bracket and Choi and Jamiolkowski entries are standard-library arithmetic
-on its six coefficients, so ``verify`` and ``dump`` on a covariant object
-and ``diamond`` on ``B`` and ``B-minus-Bplus`` never execute numpy.
+when a command starts dense work (a dense Choi, ADMM, ``sample --object
+M``).  A covariant map's axiom residuals, spectrum, uniqueness certificate,
+diamond bracket and Choi and Jamiolkowski entries are standard-library
+arithmetic on its six coefficients, so ``verify`` and ``dump`` on a
+covariant object, ``diamond`` on ``B`` and ``B-minus-Bplus`` and ``sample
+--object B`` never execute numpy.
 """
 
 import importlib.util

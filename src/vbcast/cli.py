@@ -36,7 +36,7 @@ from typing import NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy_numpy
-from .densemat import Operator, Rng, random_density, random_hermitian
+from .densemat import Operator, Rng, random_density_rows, random_hermitian_rows
 from .supermap import SuperMap, covariant_entries, match_covariant, spectral_distance
 from .broadcast import (
     antisym,
@@ -532,13 +532,13 @@ _PAULI = {
 }
 
 
-def _parse_observables(obs: str, d: int, rng: Rng) -> tuple[Operator, Operator]:
+def _parse_observables(obs: str, d: int, rng: Rng) -> tuple[list, list]:
     if obs == "random":
-        return random_hermitian(d, rng), random_hermitian(d, rng)
+        return random_hermitian_rows(d, rng), random_hermitian_rows(d, rng)
     if len(obs) == 2 and all(c in _PAULI for c in obs):
         if d != 2:
             raise CliError(f"Pauli observable {obs!r} needs --dim 2, got {d}")
-        return Operator(_PAULI[obs[0]]), Operator(_PAULI[obs[1]])
+        return _PAULI[obs[0]], _PAULI[obs[1]]
     raise CliError(f"--obs must be two of i/x/y/z or 'random', got {obs!r}")
 
 
@@ -555,7 +555,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
     if n < 2:
         raise CliError(f"--n must be at least 2, got {n}")
     d = cfg.dim
-    rho = random_density(d, Rng(cfg.seed, 10))
+    rho = random_density_rows(d, Rng(cfg.seed, 10))
 
     if object_name == "B":
         observable = "zz" if observable is None else observable
@@ -571,7 +571,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
             raise CliError("--obs applies to --object B only; --object M estimates the whole output matrix")
         if n < 2 * MP_BLOCKS:
             raise CliError(f"--object M needs --n of at least {2 * MP_BLOCKS} ({MP_BLOCKS} blocks of 2), got {n}")
-        rows = sample_mp_blocks(rho, d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
+        rows = sample_mp_blocks(Operator(rho), d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
         final = rows[-1][1]
         write_csv = write_sampling_csv
         observable = "zz"  # unused by M; kept so the report layout stays fixed

@@ -26,11 +26,9 @@ def basis_state(d: int, i: int) -> Operator:
 
 def substream(rng: Rng, i: int) -> Rng:
     """Independent child stream of ``rng``, deterministic in (seed, stream, i)."""
-    child = Rng.__new__(Rng)
-    child.seed = rng.seed
-    child.stream = rng.stream
+    child = Rng(rng.seed, rng.stream)
     ss = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, int(i)))
-    child.gen = np.random.Generator(np.random.PCG64(ss))
+    child._gen = np.random.Generator(np.random.PCG64(ss))
     return child
 
 

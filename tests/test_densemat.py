@@ -159,6 +159,16 @@ class TestRandom:
         assert_allclose(a, b)
         assert np.abs(a - c).max() > 1e-3
 
+    @mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-5, -5)])
+    def test_rng_rejects_negative_seed_or_stream(self, seed, stream):
+        # random.Random takes any int, so Rng keeps the non-negative rule numpy's SeedSequence enforced
+        with pytest.raises(ValueError, match="non-negative"):
+            Rng(seed, stream)
+
+    def test_rng_streams_differ(self):
+        draws = {(seed, stream): Rng(seed, stream).random() for seed in (0, 1, 10) for stream in (0, 1, 10)}
+        assert len(set(draws.values())) == len(draws)
+
     def test_substream_independent(self):
         r = Rng(9)
         a = substream(r, 0).gen.standard_normal(4)

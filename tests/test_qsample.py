@@ -1,5 +1,5 @@
 import io
-from types import SimpleNamespace
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from vbcast.densemat import Rng, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
 from vbcast.diamond import hptp_upper
-from vbcast.qsample import DRAW_CHUNK, _value_table, estimate_with_trace, write_trace_csv
+from vbcast.qsample import _multinomial, _value_table, estimate_with_trace, write_trace_csv
 
 from dense_maps import identity
 from random_fixtures import random_channel
@@ -132,80 +132,99 @@ def test_trace_rows():
     assert abs(est.zscore()) < 5.0
 
 
-@mark.parametrize("shot_noise", (False, True))
-def test_trace_matches_materialised_draws(shot_noise):
-    # one size-n draw and its running mean/stderr, the pre-count formulation
-    d = 2
-    dec = canonical_decomposition(d)
-    rng = Rng(38)
-    rho = random_density(d, rng)
-    o1 = random_hermitian(d, rng)
-    o2 = random_hermitian(d, rng)
-    n = 3000
-    est, rows = estimate_with_trace(
-        dec, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
-    )
-    assert len(rows) == 7 and rows[-1][0] == n
+# (n, p, seed): the geometric branch (n p < 10), BTRS (n p >= 10), p > 1/2 through the failures, and the edges
+BINOMIAL_CASES = [
+    (1, 0.3, 50), (7, 0.2, 51), (40, 0.1, 52), (30, 0.5, 53), (60, 0.8, 54), (200, 0.35, 55), (25, 0.97, 56),
+]
 
-    weights = np.array([dec.lambda_plus, -dec.lambda_minus])
-    l1 = np.abs(weights).sum()
-    obs = np.kron(o1.mat, o2.mat)
-    outs = [ch.apply(rho).mat for ch in (dec.map_plus, dec.map_minus)]
-    gen = Rng(39).gen
-    if shot_noise:
-        evals, evecs = np.linalg.eigh(obs)
-        born = np.array([np.real(np.diag(evecs.conj().T @ o @ evecs)) for o in outs])
-        born = np.clip(born, 0.0, None)
-        born /= born.sum(axis=1, keepdims=True)
-        joint = (np.abs(weights)[:, None] / l1 * born).reshape(-1)
-        comp, eig = np.divmod(gen.choice(joint.size, size=n, p=joint / joint.sum()), evals.size)
-        draws = l1 * np.sign(weights)[comp] * evals[eig]
-    else:
-        vals = l1 * np.sign(weights) * np.array([np.real(np.trace(o @ obs)) for o in outs])
-        draws = vals[gen.choice(vals.size, size=n, p=np.abs(weights) / l1)]
-    for m, mean, stderr in rows:
-        assert mean == pytest.approx(draws[:m].mean(), abs=1e-12)
-        assert stderr == pytest.approx(draws[:m].std(ddof=1) / np.sqrt(m), abs=1e-12)
-    final = estimate(dec, rho, o1, o2, n, Rng(39), shot_noise=shot_noise)
-    assert (final.mean, final.stderr, final.n) == (est.mean, est.stderr, n)
+
+@mark.parametrize("n, p, seed", BINOMIAL_CASES)
+def test_binomial_frequencies_match_pmf(n, p, seed):
+    # chi-square of 20000 draws against the math.comb pmf, cells with expected count >= 5 kept, the rest pooled
+    rng, draws = Rng(seed), 20000
+    seen = [0] * (n + 1)
+    for _ in range(draws):
+        seen[rng.binomial(n, p)] += 1
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    cells, pooled = [], [0, 0.0]
+    for k in range(n + 1):
+        if pmf[k] * draws >= 5:
+            cells.append((seen[k], pmf[k] * draws))
+        else:
+            pooled[0] += seen[k]
+            pooled[1] += pmf[k] * draws
+    if pooled[1] > 0:
+        cells.append(tuple(pooled))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    dof = len(cells) - 1
+    assert chi2 < dof + 6 * math.sqrt(2 * dof), (chi2, dof)
+    mean = sum(k * c for k, c in enumerate(seen)) / draws
+    assert abs(mean - n * p) < 6 * math.sqrt(n * p * (1 - p) / draws)
+
+
+@mark.parametrize("n", (0, 1, 5, 10**12))
+def test_binomial_edges(n):
+    rng = Rng(57)
+    assert rng.binomial(n, 0.0) == 0
+    assert rng.binomial(n, 1.0) == n
+    assert 0 <= rng.binomial(n, 0.5) <= n
+    assert 0 <= rng.binomial(n, 1e-30) <= n
+
+
+def test_multinomial_sums_and_skips_empty_values():
+    rng = Rng(59)
+    for k in (0, 1, 17, 10**9):
+        counts = _multinomial(rng, k, [0.5, 0.0, 0.25, 0.25, 0.0])
+        assert sum(counts) == k and counts[1] == counts[4] == 0
 
 
 @mark.parametrize("d", (2, 6))
 @mark.parametrize("shot_noise", (False, True))
-def test_counts_match_choice_bincount(d, shot_noise):
-    # the cdf counts of each segment against Generator.choice's indices reduced by bincount
+def test_rows_recomputed_from_segment_counts(d, shot_noise):
+    # each checkpoint's mean and stderr are those of the draws so far, rebuilt from the per-segment counts
     dec = canonical_decomposition(d)
     rng = Rng(41)
     rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
-    _, rows = estimate_with_trace(dec, rho, o1, o2, 20000, Rng(42), n_checkpoints=5, shot_noise=shot_noise)
+    n = 20001
+    _, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(42), n_checkpoints=5, shot_noise=shot_noise)
     _, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
-    assert vals.size == (2 * d * d if shot_noise else 2)
-    gen = Rng(42).gen
-    counts = np.zeros(vals.size)
+    assert len(vals) == (2 * d * d if shot_noise else 2)
+    replay = Rng(42)
+    counts = np.zeros(len(vals))
     done = 0
-    for m, mean, _ in rows:
-        counts += np.bincount(gen.choice(vals.size, size=m - done, p=probs), minlength=vals.size)
+    for m, mean, stderr in rows:
+        counts += _multinomial(replay, m - done, probs)
         done = m
-        assert mean == counts @ vals / m
+        draws = np.repeat(vals, counts.astype(int))
+        assert draws.size == m
+        assert mean == pytest.approx(draws.mean(), abs=1e-12)
+        assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(m), abs=1e-12)
+    assert [m for m, _, _ in rows] == [4000, 8000, 12000, 16000, 20001]
 
 
-def test_segments_drawn_in_bounded_chunks():
-    # a segment once drew all of its uniforms at once: 197.5 MB peak RSS for sample --n 2e8
-    dec = canonical_decomposition(2)
-    rng = Rng(43)
-    rho, o1, o2 = random_density(2, rng), random_hermitian(2, rng), random_hermitian(2, rng)
-    n = 2 * DRAW_CHUNK + 3
-    sizes = []
-    recorded = Rng(44)
-    gen = recorded.gen
-    recorded.gen = SimpleNamespace(random=lambda size: (sizes.append(size), gen.random(size))[1])
-    _, rows = estimate_with_trace(dec, rho, o1, o2, n, recorded, n_checkpoints=1)
-    assert max(sizes) == DRAW_CHUNK and sum(sizes) == n
-    # consecutive draws continue one stream, so the chunks count what one size-n choice draws
-    _, vals, probs = _value_table(dec, rho, o1, o2, False)
-    counts = np.zeros(vals.size)
-    counts += np.bincount(Rng(44).gen.choice(vals.size, size=n, p=probs), minlength=vals.size)
-    assert len(rows) == 1 and rows[0][1] == counts @ vals / n
+@mark.parametrize("shot_noise", (False, True))
+def test_same_seed_and_stream_same_rows(shot_noise):
+    dec = canonical_decomposition(3)
+    rng = Rng(45)
+    rho, o1, o2 = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
+    a = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9, shot_noise=shot_noise)[1]
+    b = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9, shot_noise=shot_noise)[1]
+    c = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 3), n_checkpoints=9, shot_noise=shot_noise)[1]
+    assert a == b and a != c
+
+
+def test_rows_match_dense_value_table():
+    # the six trace invariants give each component's value as the dense Tr[C(rho) (O1 (x) O2)] does
+    for d in (2, 3, 6):
+        dec = canonical_decomposition(d)
+        rng = Rng(47 + d)
+        rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
+        exact, vals, probs = _value_table(dec, rho, o1, o2, False)
+        obs = np.kron(o1.mat, o2.mat)
+        dense = [np.real(np.trace(ch.apply(rho).mat @ obs)) for ch in (dec.map_plus, dec.map_minus)]
+        assert vals == pytest.approx([d * dense[0], -d * dense[1]], abs=1e-12)
+        assert probs == [(d + 1) / (2 * d), (d - 1) / (2 * d)]
+        assert exact == pytest.approx(np.real(np.trace(rho.mat @ o1.mat @ o2.mat)), abs=1e-13)
 
 
 def test_trace_csv():
