@@ -178,6 +178,52 @@ def test_multinomial_sums_and_skips_empty_values():
         assert sum(counts) == k and counts[1] == counts[4] == 0
 
 
+@mark.parametrize("shot_noise", (False, True))
+def test_trace_matches_materialised_draws(shot_noise):
+    # the value table rebuilt from the dense channels, the segments laid out as one draw per shot
+    d = 2
+    dec = canonical_decomposition(d)
+    rng = Rng(38)
+    rho = random_density(d, rng)
+    o1 = random_hermitian(d, rng)
+    o2 = random_hermitian(d, rng)
+    n = 3000
+    est, rows = estimate_with_trace(
+        dec, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
+    )
+    assert len(rows) == 7 and rows[-1][0] == n
+
+    weights = np.array([dec.lambda_plus, -dec.lambda_minus])
+    l1 = np.abs(weights).sum()
+    obs = np.kron(o1.mat, o2.mat)
+    outs = [ch.apply(rho).mat for ch in (dec.map_plus, dec.map_minus)]
+    if shot_noise:
+        evals, evecs = np.linalg.eigh(obs)
+        born = np.array([np.real(np.diag(evecs.conj().T @ o @ evecs)) for o in outs])
+        born = np.clip(born, 0.0, None)
+        born /= born.sum(axis=1, keepdims=True)
+        probs = (np.abs(weights)[:, None] / l1 * born).reshape(-1)
+        vals = np.outer(l1 * np.sign(weights), evals).reshape(-1)
+    else:
+        probs = np.abs(weights) / l1
+        vals = l1 * np.sign(weights) * np.array([np.real(np.trace(o @ obs)) for o in outs])
+    _, table_vals, table_probs = _value_table(dec, rho, o1, o2, shot_noise)
+    assert table_vals == pytest.approx(vals.tolist(), abs=1e-12)
+    assert table_probs == pytest.approx(probs.tolist(), abs=1e-12)
+    # replay the segments from the same stream, in order, as one array of n draws
+    replay = Rng(39)
+    draws, done = [], 0
+    for m, _, _ in rows:
+        draws.extend(np.repeat(vals, _multinomial(replay, m - done, table_probs)))
+        done = m
+    draws = np.array(draws)
+    assert draws.size == n
+    for m, mean, stderr in rows:
+        assert mean == pytest.approx(draws[:m].mean(), abs=1e-12)
+        assert stderr == pytest.approx(draws[:m].std(ddof=1) / np.sqrt(m), abs=1e-12)
+    assert (est.mean, est.stderr, est.n) == (rows[-1][1], rows[-1][2], n)
+
+
 @mark.parametrize("d", (2, 6))
 @mark.parametrize("shot_noise", (False, True))
 def test_rows_recomputed_from_segment_counts(d, shot_noise):
@@ -200,6 +246,44 @@ def test_rows_recomputed_from_segment_counts(d, shot_noise):
         assert mean == pytest.approx(draws.mean(), abs=1e-12)
         assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(m), abs=1e-12)
     assert [m for m, _, _ in rows] == [4000, 8000, 12000, 16000, 20001]
+
+
+@mark.parametrize("d", (2, 6))
+@mark.parametrize("shot_noise", (False, True))
+def test_counts_match_choice_bincount(d, shot_noise):
+    # a segment's per-value counts have the law of Generator.choice's indices reduced by bincount
+    dec = canonical_decomposition(d)
+    rng = Rng(41)
+    rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
+    _, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
+    segments, m = 2000, 50
+    drawn, gen = Rng(42), Rng(43).gen
+    ours = np.array([_multinomial(drawn, m, probs) for _ in range(segments)])
+    theirs = np.array(
+        [np.bincount(gen.choice(len(vals), size=m, p=probs), minlength=len(vals)) for _ in range(segments)]
+    )
+    assert (ours.sum(axis=1) == m).all() and (ours >= 0).all()
+
+    # pooled over the segments: two-sample chi-square, cells with expected count < 5 pooled into one
+    keep = segments * m * np.array(probs) >= 5
+    table = np.array([ours.sum(axis=0), theirs.sum(axis=0)])
+    table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    expected = table.sum(axis=0) / 2
+    chi2 = ((table - expected) ** 2 / expected).sum()
+    dof = table.shape[1] - 1
+    assert chi2 < dof + 6 * math.sqrt(2 * dof), (chi2, dof)
+
+    # per segment: the mean value of each source has the table's mean and variance / m
+    v = np.array(vals)
+    mu = np.dot(probs, v)
+    var = np.dot(probs, (v - mu) ** 2)
+    kurt = np.dot(probs, (v - mu) ** 4) / var**2 - 3
+    for counts in (ours, theirs):
+        means = counts @ v / m
+        assert abs(means.mean() - mu) < 6 * math.sqrt(var / m / segments)
+        spread = math.sqrt(2 / (segments - 1) + kurt / m / segments)
+        assert abs(means.var(ddof=1) / (var / m) - 1) < 6 * spread
 
 
 @mark.parametrize("shot_noise", (False, True))
