@@ -9,7 +9,8 @@ The package exports nothing but ``__version__``; import the submodules:
 ``densemat`` (operators, spectra, seeded randomness), ``supermap`` (maps
 by their Choi operator), ``broadcast`` (B, its relatives and axioms),
 ``diamond`` (certified diamond-norm brackets), ``hovm`` (the virtual
-measure-and-prepare map), ``sot`` (states over time), ``qsample``
+measure-and-prepare map), ``sot`` (states over time E * rho, whose axioms
+are the broadcaster's own, read by ``broadcast.check_axioms``), ``qsample``
 (quasi-probability sampling), ``mcstats`` (streaming statistics) and
 ``cli`` (the ``vbcast`` command).  Importing the package imports no numpy,
 so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.

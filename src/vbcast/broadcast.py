@@ -39,6 +39,7 @@ from .supermap import (
     _cycles,
     _largest,
     _pattern_table,
+    _pattern_values,
     _ratios,
     _require_dim,
     covariant_map,
@@ -202,17 +203,16 @@ def _axiom_patterns(d: int) -> dict[str, tuple]:
 def _exact_values(m: SuperMap) -> tuple[int, dict, dict]:
     """m's Choi on each pattern that occurs at d, as (den, re, im): integer numerators over one den.
 
-    A covariant map's value on a pattern sums its exact coefficients over
-    the pattern's table support.  A pattern value is a float, so a dyadic
-    rational (``_ratios``): a power of two holds them all.  A value that is
-    not finite raises.
+    A covariant map's values are ``_pattern_values`` of its exact
+    coefficients.  A pattern value is a float, so a dyadic rational
+    (``_ratios``): a power of two holds them all.  A value that is not
+    finite raises.
     """
-    table = _pattern_table(m.d_in)
     if m.exact is not None:
-        den, *parts = m.exact
-        return den, *({p: sum(part[j] for j in support) for p, _, support in table} for part in parts)
+        den, re, im = m.exact
+        return den, *_pattern_values(m.d_in, re, im)
     den, *parts = _ratios(m.patterns.values())
-    return den, *({p: 0 for p, _, _ in table} | dict(zip(m.patterns, part)) for part in parts)
+    return den, *({p: 0 for p, _, _ in _pattern_table(m.d_in)} | dict(zip(m.patterns, part)) for part in parts)
 
 
 def _twirl_residuals(d: int, values: dict) -> list[int]:

@@ -12,6 +12,8 @@ JSON layout belongs to ``cli``.
 
 from __future__ import annotations
 
+import math
+
 from . import _lazy_numpy
 
 np = _lazy_numpy()
@@ -77,6 +79,15 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"
+
+
+def _csum(values) -> complex:
+    """A sum of complex numbers, real and imaginary parts each by ``math.fsum``: correctly rounded on every Python.
+
+    The builtin ``sum`` of floats compensates its rounding from Python 3.12 on, so it differs across versions.
+    """
+    values = list(values)
+    return complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
 
 
 def _raw(x) -> np.ndarray:
@@ -195,8 +206,6 @@ class Rng:
 
         p > 1/2 counts failures; below n p = 10 Devroye's geometric skips, above it Hormann's BTRS.
         """
-        import math
-
         if p > 0.5:
             return n - self.binomial(n, 1.0 - p)
         if n * p < 10.0:
@@ -229,8 +238,6 @@ class Rng:
 
 def _ginibre_rows(d: int, rng: Rng) -> list[list[complex]]:
     """A d x d complex Ginibre matrix as rows, E|g_ij|^2 = 1: Box-Muller, each entry sqrt(-ln(1 - u)) e^(2 pi i v)."""
-    import math
-
     polar = ((math.sqrt(-math.log(1.0 - rng.random())), 2.0 * math.pi * rng.random()) for _ in range(d * d))
     g = [complex(r * math.cos(t), r * math.sin(t)) for r, t in polar]
     return [g[i * d : i * d + d] for i in range(d)]
@@ -239,8 +246,8 @@ def _ginibre_rows(d: int, rng: Rng) -> list[list[complex]]:
 def random_density_rows(d: int, rng: Rng) -> list[list[complex]]:
     """Trace-normalized Wishart state G G^dag / Tr[G G^dag] as rows, full rank a.s. and exactly Hermitian."""
     g = _ginibre_rows(d, rng)
-    w = [[sum(a * b.conjugate() for a, b in zip(gi, gj)) for gj in g] for gi in g]
-    t = sum(w[i][i].real for i in range(d))
+    w = [[_csum(a * b.conjugate() for a, b in zip(gi, gj)) for gj in g] for gi in g]
+    t = math.fsum(w[i][i].real for i in range(d))
     return [[x / t for x in row] for row in w]
 
 

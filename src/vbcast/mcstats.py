@@ -10,12 +10,16 @@ check them separately.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import _lazy_numpy
 from .densemat import Operator
 
 np = _lazy_numpy()
+
+# A deviation from the exact value with zero standard error scores inf above this and 0 at or below it.
+ZERO_DEVIATION = 1e-12
 
 
 class MatrixWelford:
@@ -59,14 +63,12 @@ class SamplingEstimate(NamedTuple):
     exact: float | None = None
 
     def zscore(self) -> float:
-        """|mean - exact| in units of stderr (0 when both deviations vanish)."""
+        """|mean - exact| in units of stderr; with zero stderr, inf or 0 by ``ZERO_DEVIATION``."""
         if self.exact is None:
             raise ValueError("no exact reference recorded")
         delta = abs(self.mean - self.exact)
         if self.stderr == 0.0:
-            import math
-
-            return 0.0 if delta < 1e-12 else math.inf
+            return math.inf if delta > ZERO_DEVIATION else 0.0
         return delta / self.stderr
 
 
@@ -93,5 +95,5 @@ def _z(delta: np.ndarray, stderr: np.ndarray) -> np.ndarray:
     z = np.zeros_like(delta)
     live = stderr > 0
     z[live] = delta[live] / stderr[live]
-    z[~live & (delta > 1e-12)] = np.inf
+    z[~live & (delta > ZERO_DEVIATION)] = np.inf
     return z

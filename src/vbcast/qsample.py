@@ -12,8 +12,10 @@ CPTP and returns L, which also bounds the map's diamond norm.
 
 from __future__ import annotations
 
+import math
+
 from . import _lazy_numpy
-from .densemat import Rng, check_density, is_hermitian_rows, kron, rows_of
+from .densemat import Rng, _csum, check_density, is_hermitian_rows, kron, rows_of
 from .mcstats import SamplingEstimate
 from .supermap import AffineDecomposition, SuperMap
 
@@ -23,8 +25,8 @@ np = _lazy_numpy()
 def _trace(a: list, b: list | None = None) -> complex:
     """Tr a, or Tr ab, for matrices as rows."""
     if b is None:
-        return sum(row[i] for i, row in enumerate(a))
-    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
+        return _csum(row[i] for i, row in enumerate(a))
+    return _csum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
 
 
 def _invariants(rho: list, o1: list, o2: list) -> list[complex]:
@@ -33,7 +35,7 @@ def _invariants(rho: list, o1: list, o2: list) -> list[complex]:
     The terms send rho to Tr[rho] I, Tr[rho] SWAP, rho (x) I, I (x) rho, (I (x) rho) SWAP and (rho (x) I) SWAP,
     so the six are Tr rho Tr O1 Tr O2, Tr rho Tr O1O2, Tr rhoO1 Tr O2, Tr O1 Tr rhoO2, Tr rhoO1O2, Tr rhoO2O1.
     """
-    r1, r2 = ([[sum(x * y for x, y in zip(row, col)) for col in zip(*o)] for row in rho] for o in (o1, o2))
+    r1, r2 = ([[_csum(x * y for x, y in zip(row, col)) for col in zip(*o)] for row in rho] for o in (o1, o2))
     t, t1, t2 = _trace(rho), _trace(o1), _trace(o2)
     return [t * t1 * t2, t * _trace(o1, o2), _trace(r1) * t2, t1 * _trace(r2), _trace(r1, o2), _trace(r2, o1)]
 
@@ -41,7 +43,7 @@ def _invariants(rho: list, o1: list, o2: list) -> list[complex]:
 def _expectation(m: SuperMap, rho: list, o1: list, o2: list, invariants: list[complex]) -> float:
     """Re Tr[m(rho) (O1 (x) O2)]: a covariant m's coefficients against ``invariants``, a dense m through ``apply``."""
     if m.coeffs is not None:
-        return sum(x * t for x, t in zip(m.coeffs, invariants)).real
+        return math.fsum((x * t).real for x, t in zip(m.coeffs, invariants))
     return float(np.real(np.trace(m.apply(rho).mat @ kron(o1, o2).mat)))
 
 
@@ -111,8 +113,8 @@ def estimate_with_trace(
     for m in marks:
         counts = [c + new for c, new in zip(counts, _multinomial(rng, m - done, probs))]
         done = m
-        mean = sum(c * v for c, v in zip(counts, vals)) / m
-        var = sum(c * (v - mean) ** 2 for c, v in zip(counts, vals)) / (m - 1)
+        mean = math.fsum(c * v for c, v in zip(counts, vals)) / m
+        var = math.fsum(c * (v - mean) ** 2 for c, v in zip(counts, vals)) / (m - 1)
         rows.append((m, mean, (var / m) ** 0.5))
     final = SamplingEstimate(mean=rows[-1][1], stderr=rows[-1][2], n=n, exact=exact)
     return final, rows

@@ -151,7 +151,9 @@ class SuperMap:
         """Largest absolute entry of the Choi; a covariant map's is read off its exact coefficients."""
         if self.exact is None:
             return self.choi.absmax()
-        return _exact_absmax(self.d_in, *self.exact)
+        den, re, im = self.exact
+        values_re, values_im = _pattern_values(self.d_in, re, im)
+        return _largest(zip(values_re.values(), values_im.values()), den)
 
     def spectrum(self) -> list[float]:
         """Descending eigenvalues of the Choi, taken as Hermitian (``eigvalsh`` reads its lower triangle)."""
@@ -171,7 +173,8 @@ class SuperMap:
         inverse = (0, 1, 2, 3, 5, 4)
         skew_re = [re[k] - re[j] for k, j in enumerate(inverse)]
         skew_im = [im[k] + im[j] for k, j in enumerate(inverse)]
-        return _exact_absmax(self.d_in, den, skew_re, skew_im) <= HP_TOL
+        values_re, values_im = _pattern_values(self.d_in, skew_re, skew_im)
+        return _largest(zip(values_re.values(), values_im.values()), den) <= HP_TOL
 
     def is_cp(self) -> bool:
         """Completely positive, i.e. PSD Choi within ``HP_TOL``."""
@@ -426,10 +429,13 @@ def _largest(pairs, den: int) -> float:
     return surd(0, 1, max((re * re + im * im for re, im in pairs), default=0), den)
 
 
-def _exact_absmax(d: int, den: int, re, im) -> float:
-    """Largest absolute entry of  sum_k (re[k] + i im[k]) / den P_k^T3: an entry sums its support's coefficients."""
-    supports = {s for _, _, s in _pattern_table(d)}
-    return _largest([(sum(re[k] for k in s), sum(im[k] for k in s)) for s in supports], den)
+def _pattern_values(d: int, re, im) -> tuple[dict, dict]:
+    """sum_k (re[k] + i im[k]) P_k^T3 on each pattern that occurs at d: (re, im) dicts of its entries there.
+
+    An entry sums the numerators over its pattern's table support.
+    """
+    table = _pattern_table(d)
+    return tuple({p: sum(part[k] for k in support) for p, _, support in table} for part in (re, im))
 
 
 def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
@@ -511,22 +517,6 @@ def spectral_distance(d: int, exact, reference) -> float:
         raise ValueError("the reference spectrum must be rational")
     pairs = set(zip(mine, (p + q * root for p, q in theirs)))
     return max(abs(surd(p * ref_r - e * r, q * ref_r, w, r * ref_r)) for (p, q), e in pairs)
-
-
-# ---------------------------------------------------------------------------
-# acting on one factor of a larger space
-
-
-def apply_right(m: SuperMap, x, d_left: int) -> Operator:
-    """(id_left (x) m)(x) for x on C^d_left (x) C^d_in."""
-    xm = _raw(x)
-    n = d_left * m.d_in
-    if xm.shape != (n, n):
-        raise ValueError(f"input must be {n}x{n}, got {xm.shape}")
-    x4 = xm.reshape(d_left, m.d_in, d_left, m.d_in)
-    out4 = np.einsum("uivj,aibj->aubv", m._c4(), x4)
-    k = d_left * m.d_out
-    return Operator(out4.reshape(k, k))
 
 
 class AffineDecomposition(NamedTuple):

@@ -4,7 +4,7 @@ The identity operator, the maximally entangled operator Omega, the
 descending-order Hermitian eigensolver ``eigh``, the witness state of a
 diamond bracket, maps built from their action on matrix units, the
 identity map, composition, tensor products, Hilbert-Schmidt adjoints, action on the left
-factor of a product space, decoherence in a chosen orthonormal basis, and
+or right factor of a product space, decoherence in a chosen orthonormal basis, and
 the unitarity and positivity tests of an operator.
 No ``vbcast`` command needs them, so they live here, on top of the
 library's ``SuperMap`` and ``Operator``.
@@ -91,6 +91,18 @@ def hs_adjoint(m: SuperMap) -> SuperMap:
     c4 = m._c4().conj().transpose(1, 0, 3, 2)
     n = m.d_in * m.d_out
     return SuperMap(m.d_out, m.d_in, Operator(c4.reshape(n, n)))
+
+
+def apply_right(m: SuperMap, x, d_left: int) -> Operator:
+    """(id_left (x) m)(x) for x on C^d_left (x) C^d_in."""
+    xm = _raw(x)
+    n = d_left * m.d_in
+    if xm.shape != (n, n):
+        raise ValueError(f"input must be {n}x{n}, got {xm.shape}")
+    x4 = xm.reshape(d_left, m.d_in, d_left, m.d_in)
+    out4 = np.einsum("uivj,aibj->aubv", m._c4(), x4)
+    k = d_left * m.d_out
+    return Operator(out4.reshape(k, k))
 
 
 def apply_left(m: SuperMap, x, d_right: int) -> Operator:

@@ -2,7 +2,7 @@
 
 For every star of the form E * rho = (id (x) E)(b(rho)),
 (F . E) * rho = (id (x) F)(E * rho) holds by construction, whatever b is,
-so these residuals test ``compose``, ``apply_right`` and ``hs_adjoint``
+so these residuals test ``star``, ``compose``, ``apply_right`` and ``hs_adjoint``
 rather than the broadcaster.  A custom ``star_fn`` probes constructions
 that break the property.
 """
@@ -13,9 +13,9 @@ import numpy as np
 
 from vbcast.densemat import Operator, Rng, partial_trace, random_density, random_hermitian
 from vbcast.sot import star
-from vbcast.supermap import SuperMap, apply_right
+from vbcast.supermap import SuperMap
 
-from dense_maps import compose, hs_adjoint
+from dense_maps import apply_right, compose, hs_adjoint
 from random_fixtures import random_channel
 
 
@@ -48,7 +48,7 @@ def check_postprocessing_equivalence(
         rng = Rng(0)
     d = b.d_in
     if star_fn is None:
-        star_fn = lambda e, rho: star(e, rho, b).operator  # noqa: E731
+        star_fn = lambda e, rho: star(e, rho, b)  # noqa: E731
 
     r_comp = 0.0
     r_heis = 0.0

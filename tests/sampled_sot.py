@@ -2,9 +2,9 @@
 
 Each case draws a state, Haar unitaries U and V and a random channel E,
 builds Ad_U, Ad_U+ and Ad_V as Choi operators and checks the three axioms
-of E * rho directly.  Tests compare its residuals with the exact
-``vbcast.sot.check_sot_axioms``, which reads them from the broadcaster's
-Choi operator.
+of E * rho directly.  Tests compare its residuals with the broadcaster's
+own exact axioms, ``vbcast.broadcast.check_axioms``: each axiom of * holds
+exactly when b has it (``vbcast.sot``).
 """
 
 import numpy as np
@@ -12,9 +12,9 @@ import numpy as np
 from vbcast.broadcast import classical_bcl, decoherence
 from vbcast.densemat import Rng, random_density, swap
 from vbcast.sot import star
-from vbcast.supermap import SuperMap, apply_right
+from vbcast.supermap import SuperMap
 
-from dense_maps import compose, conjugate, dagger, from_action, identity_map, tensor
+from dense_maps import apply_right, compose, conjugate, dagger, from_action, identity_map, tensor
 from random_fixtures import haar_unitary, random_channel
 
 
@@ -37,19 +37,19 @@ def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:
         ad_udag = from_action(d, d, lambda x, u=u: conjugate(dagger(u), x))
         ad_v = from_action(d, d, lambda x, v=v: conjugate(v, x))
         uv = np.kron(u.mat, v.mat)
-        lhs = uv @ star(e, rho, b).operator.mat @ uv.conj().T
+        lhs = uv @ star(e, rho, b).mat @ uv.conj().T
         e_rot = compose(compose(ad_v, e), ad_udag)
-        rhs = star(e_rot, ad_u.apply(rho), b).operator.mat
+        rhs = star(e_rot, ad_u.apply(rho), b).mat
         r_cov = max(r_cov, float(np.abs(lhs - rhs).max()))
 
         # permutation symmetry at E = id
-        t = star(identity_map(d), rho, b).operator.mat
+        t = star(identity_map(d), rho, b).mat
         sw = swap(d).mat
         r_perm = max(r_perm, float(np.abs(sw @ t @ sw - t).max()))
 
         # classical consistency for decohered channels
         e_cl = compose(compose(dec, e), dec)
-        lhs_cl = tensor(dec, dec).apply(star(e_cl, dec.apply(rho), b).operator)
+        lhs_cl = tensor(dec, dec).apply(star(e_cl, dec.apply(rho), b))
         rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
         r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
 

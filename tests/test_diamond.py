@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import vbcast.diamond
 from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
-from vbcast.supermap import AffineDecomposition, SuperMap, apply_right
+from vbcast.supermap import AffineDecomposition, SuperMap
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
     _dual_upper,
@@ -24,7 +24,7 @@ from vbcast.diamond import (
 from vbcast.hovm import depolarizing_mp, exact_mp_map
 
 from channel_scan import closest_channel_scan
-from dense_maps import compose, conjugate, from_action, identity_map, is_psd, tensor, witness_state
+from dense_maps import apply_right, compose, conjugate, from_action, identity_map, is_psd, tensor, witness_state
 from random_fixtures import haar_unitary, random_channel
 
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vbcast.densemat import Operator, Rng
-from vbcast.mcstats import MatrixSamplingEstimate, MatrixWelford, SamplingEstimate
+from vbcast.mcstats import ZERO_DEVIATION, MatrixSamplingEstimate, MatrixWelford, SamplingEstimate
 
 from dense_mp_sampling import update_batch
 
@@ -65,6 +67,19 @@ def test_matrix_zero_stderr_handling():
         mean=mean, stderr_re=se, stderr_im=se, n=5, exact=Operator(np.zeros((2, 2)))
     )
     assert other.max_zscore() == np.inf
+
+
+@pytest.mark.parametrize(
+    "delta, want", ((ZERO_DEVIATION, 0.0), (math.nextafter(ZERO_DEVIATION, math.inf), math.inf))
+)
+def test_zero_stderr_boundary_agrees(delta, want):
+    # a deviation with zero stderr scores the same in the scalar and the entrywise z-score, at the threshold too
+    assert SamplingEstimate(mean=delta, stderr=0.0, n=5, exact=0.0).zscore() == want
+    zero = np.zeros((1, 1))
+    est = MatrixSamplingEstimate(Operator([[delta]]), zero, zero, n=5, exact=Operator(zero))
+    assert est.max_zscore() == want
+    est = MatrixSamplingEstimate(Operator([[1j * delta]]), zero, zero, n=5, exact=Operator(zero))
+    assert est.max_zscore() == want
 
 
 def test_merge_halves_matches_update_batch():

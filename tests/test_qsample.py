@@ -1,15 +1,18 @@
 import io
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from pytest import mark, raises
 
-from vbcast.densemat import Rng, random_density, random_hermitian
+from vbcast import qsample
+from vbcast.densemat import Rng, _csum, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
 from vbcast.diamond import hptp_upper
-from vbcast.qsample import _multinomial, _value_table, estimate_with_trace, write_trace_csv
+from vbcast.qsample import _multinomial, _trace, _value_table, estimate_with_trace, write_trace_csv
 
 from dense_maps import identity
 from random_fixtures import random_channel
@@ -330,3 +333,33 @@ def test_general_decomposition_sampler():
     rho = random_density(d, Rng(36))
     est = estimate(dec, rho, identity(d), identity(d), 100, Rng(37))
     assert est.mean == pytest.approx(1.0)  # TP target, identity observable
+
+
+def _rounded_sum(values) -> complex:
+    """The exact sum of complex floats, each part summed as Fractions and rounded once."""
+    return complex(*(float(sum(Fraction(getattr(z, part)) for z in values)) for part in ("real", "imag")))
+
+
+def test_sums_are_correctly_rounded():
+    # the builtin sum compensates float rounding only from Python 3.12 on; each of these sums is rounded once
+    gen = random.Random(5)
+    cancelling = [1e16 + 1e16j, 1.0 - 1.0j, -1e16 - 1e16j, 1e-3 + 3e-17j]
+    assert _csum(cancelling) == _rounded_sum(cancelling) == 1.001 - 1j
+    for n in (1, 7, 50):
+        values = [complex(gen.uniform(-1, 1) * 10 ** gen.randint(-20, 20), gen.gauss(0, 1e8)) for _ in range(n)]
+        assert _csum(values) == _rounded_sum(values)
+        a = [[complex(gen.gauss(0, 1e9), gen.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
+        b = [[complex(gen.gauss(0, 1), gen.gauss(0, 1e-9)) for _ in range(n)] for _ in range(n)]
+        assert _trace(a) == _rounded_sum([a[i][i] for i in range(n)])
+        assert _trace(a, b) == _rounded_sum([a[i][j] * b[j][i] for i in range(n) for j in range(n)])
+
+
+def test_running_moments_are_correctly_rounded(monkeypatch):
+    # counts (1, 2, 2) of the values (2e16, 1, -1e16): the weighted sum is exactly 2, which plain summation loses
+    vals = [2e16, 1.0, -1e16]
+    monkeypatch.setattr(qsample, "_value_table", lambda *args: (0.0, vals, [0.2, 0.4, 0.4]))
+    monkeypatch.setattr(qsample, "_multinomial", lambda rng, k, probs: [1, 2, 2])
+    est, _ = estimate_with_trace(None, None, None, None, 5, Rng(0), n_checkpoints=1)
+    assert est.mean == 2.0 / 5
+    terms = [c * (v - est.mean) ** 2 for c, v in zip((1, 2, 2), vals)]
+    assert est.stderr == (float(sum(map(Fraction, terms))) / 4 / 5) ** 0.5
