@@ -15,36 +15,63 @@ are the broadcaster's own, read by ``broadcast.check_axioms``), ``qsample``
 ``cli`` (the ``vbcast`` command).  Importing the package imports no numpy,
 so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.
 
-The submodules bind ``np`` through ``_lazy_numpy``, so numpy loads only
-when a command starts dense work (a dense Choi, ADMM, ``sample --object
-M``).  A covariant map's axiom residuals, spectrum, uniqueness certificate,
-diamond bracket and Choi and Jamiolkowski entries are standard-library
-arithmetic on its six coefficients, so ``verify`` and ``dump`` on a
-covariant object, ``diamond`` on ``B`` and ``B-minus-Bplus`` and ``sample
---object B`` never execute numpy.
+``cli`` binds the library modules, ``hovm`` binds ``mcstats`` and every
+module binds ``np`` through ``_lazy``: the module is registered at once,
+and its code runs on the first attribute read.  So ``import vbcast.cli``
+executes only ``vbcast`` and ``vbcast.cli``, and each command executes the
+layers it calls: ``verify`` runs densemat, supermap, broadcast and hovm;
+``diamond`` densemat, supermap and diamond, and broadcast for a named map;
+``sample --object M`` densemat, supermap, hovm and mcstats; ``sample
+--object B`` densemat, supermap, broadcast, qsample, mcstats and diamond;
+``dump`` densemat, supermap and the layer that builds its object.
+
+numpy loads only when a command starts dense work (a dense Choi, ADMM,
+``sample --object M``).  A covariant map's axiom residuals, spectrum,
+uniqueness certificate, diamond bracket and Choi and Jamiolkowski entries
+are standard-library arithmetic on its six coefficients, so ``verify`` and
+``dump`` on a covariant object, ``diamond`` on ``B`` and ``B-minus-Bplus``
+and ``sample --object B`` never execute numpy, and they run where numpy is
+not installed; a command that reaches numpy there exits 2.
 """
 
 import importlib.util
 import sys
+import types
 
 __version__ = "0.1.0"
 
 
-def _lazy_numpy():
-    """numpy as a module whose import runs on its first attribute read.
+class _Absent(types.ModuleType):
+    """A module that is not installed: reading any attribute it does not have raises ``ModuleNotFoundError``."""
 
-    The module goes into ``sys.modules`` at once, and ``LazyLoader`` loads
-    it in place, so later ``import numpy`` statements get the same object.
-    If numpy is already imported, that module is returned; if it is not
-    installed, this raises the usual ``ModuleNotFoundError``.
+    def __getattr__(self, attr):
+        raise ModuleNotFoundError(f"No module named {self.__name__!r}", name=self.__name__)
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module ``name``, whose code runs on its first attribute read.
+
+    An imported module is returned as it is.  Otherwise a ``LazyLoader``
+    module goes into ``sys.modules`` at once and is bound on its parent
+    package, as an import binds it, so later ``import`` statements get the
+    same object and it loads in place.  A module that is not installed
+    comes back as an ``_Absent`` placeholder, kept out of ``sys.modules``,
+    so the error arrives on first use, not at import.
     """
-    np = sys.modules.get("numpy")
-    if np is None:
-        spec = importlib.util.find_spec("numpy")
-        if spec is None:
-            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        np = importlib.util.module_from_spec(spec)
-        sys.modules["numpy"] = np
-        spec.loader.exec_module(np)
-    return np
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    try:
+        spec = importlib.util.find_spec(name)
+    except ModuleNotFoundError:  # a finder on sys.meta_path may refuse the name instead of passing it on
+        spec = None
+    if spec is None:
+        return _Absent(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module

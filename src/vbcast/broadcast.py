@@ -31,7 +31,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import S3, Operator
 from .supermap import (
     AffineDecomposition,
@@ -46,7 +46,7 @@ from .supermap import (
     equality_patterns,
 )
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 
 def canonical_b(d: int) -> SuperMap:

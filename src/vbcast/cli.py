@@ -4,7 +4,8 @@ Reports are single JSON documents with a versioned schema (``SCHEMA``),
 deterministic for a fixed (flags, seed) pair -- the wall-clock timestamp
 is the only field that varies between identical runs.  Exit codes:
 0 success, 1 verification failure, 2 operational error (bad arguments,
-unreadable files, solver non-convergence).
+unreadable files, solver non-convergence, or numpy missing where a command
+reaches dense work).
 
 A ``diamond`` report's ``witness`` is the unit input vector vec A of its
 lower bound, as two row-major lists ``re`` and ``im`` of d^2 floats each;
@@ -35,28 +36,19 @@ from typing import NamedTuple
 # reductions.  Set before numpy loads BLAS; a thread count the caller chose wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, _lazy_numpy
-from .densemat import Operator, Rng, random_density_rows, random_hermitian_rows
-from .supermap import SuperMap, covariant_entries, match_covariant, spectral_distance
-from .broadcast import (
-    antisym,
-    canonical_b,
-    canonical_decomposition,
-    check_axioms,
-    classical_bcl,
-    cloner,
-    decoherence,
-    family_b_lambda,
-    verify_uniqueness,
-)
-from .diamond import diamond_bracket, gap_floor, hptp_upper
-from .hovm import (
-    depolarizing_mp, exact_mp_map, sample_mp_blocks, theorem3_weight, verify_theorem3, write_sampling_csv
-)
-from .qsample import estimate_with_trace, write_trace_csv
-from . import sot  # noqa: F401  -- no command uses it, but the benchmark's span tracer reads it from sys.modules
+from . import __version__, _lazy
 
-np = _lazy_numpy()
+# Each layer runs its code when a command first reads from it (``vbcast._lazy``);
+# sot and mcstats are bound so that the benchmark's span tracer finds them.
+np = _lazy("numpy")
+densemat = _lazy("vbcast.densemat")
+supermap = _lazy("vbcast.supermap")
+broadcast = _lazy("vbcast.broadcast")
+diamond = _lazy("vbcast.diamond")
+hovm = _lazy("vbcast.hovm")
+qsample = _lazy("vbcast.qsample")
+mcstats = _lazy("vbcast.mcstats")
+sot = _lazy("vbcast.sot")
 
 # Report schema version; bumped whenever a report's fields or the verify battery change.
 SCHEMA = 10
@@ -246,12 +238,12 @@ def _finite(x):
     return math.copysign(_UNBOUNDED, x)
 
 
-def _operator_doc(op: Operator) -> dict:
+def _operator_doc(op: densemat.Operator) -> dict:
     """An operator as {rows, cols, re, im}, its row-major real and imaginary parts left as arrays for ``_dumps``."""
     return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
 
 
-def _map_operator_doc(m: SuperMap, jamiolkowski: bool = False) -> dict:
+def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
     """m's Choi, or its Jamiolkowski operator, as an ``_operator_doc``.
 
     A covariant m's operator is laid out from ``covariant_entries``, with
@@ -264,7 +256,7 @@ def _map_operator_doc(m: SuperMap, jamiolkowski: bool = False) -> dict:
         return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
     d, d_out = m.d_in, m.d_out
     n = d * d_out
-    values, entries = covariant_entries(d, m.coeffs)
+    values, entries = supermap.covariant_entries(d, m.coeffs)
     rows = [[0] * n for _ in range(n)]
     for pos, index in entries:
         row, col = divmod(pos, n)
@@ -280,12 +272,12 @@ def _map_operator_doc(m: SuperMap, jamiolkowski: bool = False) -> dict:
 _JSON_NUMBERS = {int, float}
 
 
-def _supermap_doc(m: SuperMap) -> dict:
+def _supermap_doc(m: supermap.SuperMap) -> dict:
     """A map as {d_in, d_out, choi}: ``dump`` writes this layout and ``diamond --target file:`` reads it back."""
     return {"d_in": m.d_in, "d_out": m.d_out, "choi": _map_operator_doc(m)}
 
 
-def _read_supermap(doc) -> SuperMap:
+def _read_supermap(doc) -> supermap.SuperMap:
     """The map of a loaded ``_supermap_doc``; a malformed document raises KeyError, TypeError or ValueError.
 
     The Choi's ``re`` and ``im`` are checked as lists first: ``rows`` lists
@@ -315,10 +307,11 @@ def _read_supermap(doc) -> SuperMap:
         if not finite:
             raise ValueError("choi entries must be finite, got NaN or Infinity")
     if d_out == d_in * d_in and choi["rows"] == choi["cols"] == d_in**3:
-        m = match_covariant(d_in, re, im)
+        m = supermap.match_covariant(d_in, re, im)
         if m is not None:
             return m
-    return SuperMap(d_in, d_out, Operator(np.array(re, dtype=float) + 1j * np.array(im, dtype=float)))
+    choi = densemat.Operator(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    return supermap.SuperMap(d_in, d_out, choi)
 
 
 def _emit_json(cfg: RunConfig, doc: dict):
@@ -363,26 +356,27 @@ def _parse_lambda(name: str) -> float:
     return lam
 
 
-# The named constructors of dump, sample and verify.  Each entry reads the
-# module-level name when called, so a wrapper bound over that name (the
-# benchmark's span tracer) sees the construction.
+# The named constructors of dump, sample and verify.  Each entry reads its
+# constructor from the layer when called, so the registry runs no layer's code
+# and a wrapper bound over that name (the benchmark's span tracer) sees the
+# construction.
 OBJECTS = {
-    "B": lambda d: canonical_b(d),
-    "B+": lambda d: cloner(d),
-    "B-": lambda d: antisym(d),
-    "B_cl": lambda d: classical_bcl(d),
-    "D": lambda d: decoherence(d),
-    "M": lambda d: exact_mp_map(d),
-    "Mprime": lambda d: depolarizing_mp(d),
+    "B": lambda d: broadcast.canonical_b(d),
+    "B+": lambda d: broadcast.cloner(d),
+    "B-": lambda d: broadcast.antisym(d),
+    "B_cl": lambda d: broadcast.classical_bcl(d),
+    "D": lambda d: broadcast.decoherence(d),
+    "M": lambda d: hovm.exact_mp_map(d),
+    "Mprime": lambda d: hovm.depolarizing_mp(d),
 }
 
 
-def build_object(name: str, d: int) -> SuperMap:
+def build_object(name: str, d: int) -> supermap.SuperMap:
     """The map ``name`` at dimension d: a key of ``OBJECTS`` or ``B_lambda:<x>``."""
     if name in OBJECTS:
         return OBJECTS[name](d)
     if name.startswith("B_lambda:"):
-        return family_b_lambda(d, _parse_lambda(name))
+        return broadcast.family_b_lambda(d, _parse_lambda(name))
     raise CliError(f"unknown object {name!r}; valid names: {', '.join(OBJECTS)}, B_lambda:<x>")
 
 
@@ -390,23 +384,23 @@ def build_object(name: str, d: int) -> SuperMap:
 # verify
 
 
-def _eigenvalue_residual(m: SuperMap) -> float:
+def _eigenvalue_residual(m: supermap.SuperMap) -> float:
     """Largest |v - w| over m's and B's descending Choi spectra, paired (``spectral_distance``); inf if m is not HP."""
     if not m.is_hp():
         return math.inf
     if m.exact is None:
-        return max(abs(v - w) for v, w in zip(m.spectrum(), canonical_b(m.d_in).spectrum()))
-    return spectral_distance(m.d_in, m.exact, canonical_b(m.d_in).exact)
+        return max(abs(v - w) for v, w in zip(m.spectrum(), broadcast.canonical_b(m.d_in).spectrum()))
+    return supermap.spectral_distance(m.d_in, m.exact, broadcast.canonical_b(m.d_in).exact)
 
 
-def _verify_axioms(b: SuperMap, cfg: RunConfig):
-    values = check_axioms(b)._asdict()
+def _verify_axioms(b: supermap.SuperMap, cfg: RunConfig):
+    values = broadcast.check_axioms(b)._asdict()
     worst = max(values, key=values.get)
     return values[worst] == 0.0, values, f"worst: {worst} = {values[worst]:.3e}"
 
 
-def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
-    cert = verify_uniqueness(cfg.dim)
+def _verify_uniqueness(b: supermap.SuperMap, cfg: RunConfig):
+    cert = broadcast.verify_uniqueness(cfg.dim)
     ok = cert.nullity == 0 and cert.candidate_residual == 0.0
     values = {
         "nullity": float(cert.nullity),
@@ -418,15 +412,15 @@ def _verify_uniqueness(b: SuperMap, cfg: RunConfig):
     return ok, values, f"nullity={cert.nullity} residual={cert.candidate_residual:.3e}"
 
 
-def _verify_spectral(b: SuperMap, cfg: RunConfig):
-    dec_res = (b - canonical_decomposition(cfg.dim).combined()).choi_absmax()
+def _verify_spectral(b: supermap.SuperMap, cfg: RunConfig):
+    dec_res = (b - broadcast.canonical_decomposition(cfg.dim).combined()).choi_absmax()
     values = {"decomposition_residual": dec_res, "eigenvalue_residual": _eigenvalue_residual(b)}
     return not any(values.values()), values, f"residual={dec_res:.3e}"
 
 
-def _verify_theorem3(b: SuperMap, cfg: RunConfig):
-    t3_res = verify_theorem3(b)
-    values = {"residual": t3_res, "weight": theorem3_weight(b.d_in)}
+def _verify_theorem3(b: supermap.SuperMap, cfg: RunConfig):
+    t3_res = hovm.verify_theorem3(b)
+    values = {"residual": t3_res, "weight": hovm.theorem3_weight(b.d_in)}
     return t3_res == 0.0, values, f"residual={t3_res:.3e}"
 
 
@@ -465,12 +459,12 @@ def cmd_verify(cfg: RunConfig, target: str = "B") -> int:
 # diamond
 
 
-def _resolve_diamond_target(cfg: RunConfig, target: str) -> SuperMap:
+def _resolve_diamond_target(cfg: RunConfig, target: str) -> supermap.SuperMap:
     d = cfg.dim
     if target == "B":
-        return canonical_b(d)
+        return broadcast.canonical_b(d)
     if target == "B-minus-Bplus":
-        return canonical_b(d) - cloner(d)
+        return broadcast.canonical_b(d) - broadcast.cloner(d)
     path = target.removeprefix("file:")
     if not os.path.exists(path):
         raise CliError(f"diamond target {target!r} is neither B, B-minus-Bplus, nor a readable file")
@@ -488,7 +482,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
     """Certified diamond-norm bracket of a named map or a Choi JSON file."""
     m = _resolve_diamond_target(cfg, target)
     try:
-        result = diamond_bracket(m, cfg.tolerances["sdp"])
+        result = diamond.diamond_bracket(m, cfg.tolerances["sdp"])
     except ValueError as exc:
         raise CliError(f"diamond target {target!r}: {exc}") from None
     doc = _meta(cfg, "diamond")
@@ -501,7 +495,7 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        tol, floor = cfg.tolerances["sdp"], gap_floor(m, result.lower_bound, result.upper_bound)
+        tol, floor = cfg.tolerances["sdp"], diamond.gap_floor(m, result.lower_bound, result.upper_bound)
         if tol < floor:
             message = f"--tol sdp={tol:g} is below the bracket's rounding floor {floor:.3e}; no SDP run"
             print(f"{message} ({bounds})", file=sys.stderr)
@@ -524,9 +518,9 @@ _PAULI = {
 }
 
 
-def _parse_observables(obs: str, d: int, rng: Rng) -> tuple[list, list]:
+def _parse_observables(obs: str, d: int, rng: densemat.Rng) -> tuple[list, list]:
     if obs == "random":
-        return random_hermitian_rows(d, rng), random_hermitian_rows(d, rng)
+        return densemat.random_hermitian_rows(d, rng), densemat.random_hermitian_rows(d, rng)
     if len(obs) == 2 and all(c in _PAULI for c in obs):
         if d != 2:
             raise CliError(f"Pauli observable {obs!r} needs --dim 2, got {d}")
@@ -547,25 +541,27 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
     if n < 2:
         raise CliError(f"--n must be at least 2, got {n}")
     d = cfg.dim
-    rho = random_density_rows(d, Rng(cfg.seed, 10))
+    rho = densemat.random_density_rows(d, densemat.Rng(cfg.seed, 10))
 
     if object_name == "B":
         observable = "zz" if observable is None else observable
-        dec = canonical_decomposition(d)
-        o1, o2 = _parse_observables(observable, d, Rng(cfg.seed, 11))
-        est, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(cfg.seed, 12))
-        write_csv = write_trace_csv
+        dec = broadcast.canonical_decomposition(d)
+        o1, o2 = _parse_observables(observable, d, densemat.Rng(cfg.seed, 11))
+        est, rows = qsample.estimate_with_trace(dec, rho, o1, o2, n, densemat.Rng(cfg.seed, 12))
+        write_csv = qsample.write_trace_csv
         z = est.zscore()
-        result = dict(mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=hptp_upper(dec), zscore=z)
+        l1_overhead = diamond.hptp_upper(dec)
+        result = dict(mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=l1_overhead, zscore=z)
         detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={z:.2f}"
     elif object_name == "M":
         if observable is not None:
             raise CliError("--obs applies to --object B only; --object M estimates the whole output matrix")
         if n < 2 * MP_BLOCKS:
             raise CliError(f"--object M needs --n of at least {2 * MP_BLOCKS} ({MP_BLOCKS} blocks of 2), got {n}")
-        rows = sample_mp_blocks(Operator(rho), d, n, n_blocks=MP_BLOCKS, rng=Rng(cfg.seed, 12))
+        rng = densemat.Rng(cfg.seed, 12)
+        rows = hovm.sample_mp_blocks(densemat.Operator(rho), d, n, n_blocks=MP_BLOCKS, rng=rng)
         final = rows[-1][1]
-        write_csv = write_sampling_csv
+        write_csv = hovm.write_sampling_csv
         observable = "zz"  # unused by M; kept so the report layout stays fixed
         z = final.max_zscore()
         result = {"max_zscore": z, "n_blocks": float(MP_BLOCKS)}
@@ -682,6 +678,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ModuleNotFoundError as exc:  # a dense path reached numpy where it is not installed (``vbcast._lazy``)
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.cmd} needs numpy here, which is not installed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 
-from . import _lazy_numpy
+from . import _lazy
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 # Gate of ``is_hermitian`` and the input checks (``check_density``).
 DEFAULT_TOL = 1e-9

@@ -50,11 +50,11 @@ import math
 import sys
 from typing import NamedTuple
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import trace_norm
 from .supermap import HP_TOL, AffineDecomposition, SuperMap, covariant_blocks, surd
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 # ADMM step: penalty sigma of the augmented Lagrangian and over-relaxation alpha in [1, 2).
 ADMM_PENALTY = 1.0

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import functools
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import Operator, Rng, check_density, swap
-from .mcstats import MatrixSamplingEstimate, MatrixWelford
 from .supermap import SuperMap, covariant_map
 
-np = _lazy_numpy()
+np = _lazy("numpy")
+mcstats = _lazy("vbcast.mcstats")  # only sample_mp_blocks reads it
 MP_CHUNK = 1 << 14  # samples drawn and reduced at once: a 15 MB peak of work arrays at d = 6
 
 
@@ -171,13 +171,13 @@ def _mp_moments(rho: np.ndarray, d: int, count: int, rng: Rng):
 
 def sample_mp_blocks(
     rho: Operator, d: int, n_samples: int, n_blocks: int, rng: Rng
-) -> list[tuple[int, MatrixSamplingEstimate]]:
+) -> list[tuple[int, mcstats.MatrixSamplingEstimate]]:
     """Blockwise running estimates (for CSV traces), block index from 1, drawn in chunks of <= ``MP_CHUNK``."""
     check_density(rho, d)
     if n_blocks < 1 or n_samples < 2 * n_blocks:
         raise ValueError("need at least 2 samples per block")
     exact = exact_mp_map(d).apply(rho)
-    acc = MatrixWelford((d * d, d * d))
+    acc = mcstats.MatrixWelford((d * d, d * d))
     per = n_samples // n_blocks
     out = []
     for b in range(1, n_blocks + 1):
@@ -185,11 +185,11 @@ def sample_mp_blocks(
         for start in range(0, take, MP_CHUNK):
             acc.merge(*_mp_moments(rho.mat, d, min(MP_CHUNK, take - start), rng))
         se_re, se_im = acc.stderr()
-        out.append((b, MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
+        out.append((b, mcstats.MatrixSamplingEstimate(Operator(acc.mean), se_re, se_im, acc.n, exact)))
     return out
 
 
-def write_sampling_csv(fp, blocks: list[tuple[int, MatrixSamplingEstimate]]):
+def write_sampling_csv(fp, blocks: list[tuple[int, mcstats.MatrixSamplingEstimate]]):
     """CSV rows (sample_block, entry_row, entry_col, re_mean, im_mean, re_stderr, im_stderr).
 
     Each block's four matrices are converted to Python floats once, and its

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import Operator
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 # A deviation from the exact value with zero standard error scores inf above this and 0 at or below it.
 ZERO_DEVIATION = 1e-12

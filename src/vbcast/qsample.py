@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import Rng, _csum, check_density, is_hermitian_rows, kron, rows_of
 from .mcstats import SamplingEstimate
 from .supermap import AffineDecomposition, SuperMap
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 
 def _trace(a: list, b: list | None = None) -> complex:

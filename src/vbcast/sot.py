@@ -34,11 +34,11 @@ construction for every b.
 
 from __future__ import annotations
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import Operator
 from .supermap import SuperMap
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 
 def star(e: SuperMap, rho: Operator, b: SuperMap) -> Operator:

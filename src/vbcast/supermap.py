@@ -48,10 +48,10 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import _lazy_numpy
+from . import _lazy
 from .densemat import S3, Operator, _raw, partial_trace
 
-np = _lazy_numpy()
+np = _lazy("numpy")
 
 
 # The gate of ``SuperMap.is_hp``, ``is_cp`` and ``is_tp``: the one tolerance of the map predicates.

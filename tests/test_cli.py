@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import vbcast
-from vbcast import cli, densemat, supermap
+from vbcast import broadcast, cli, densemat, diamond, supermap
 from vbcast.broadcast import canonical_b, classical_bcl, cloner, family_b_lambda
 from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, VERIFY_TOLERANCES, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng, trace_norm
@@ -162,7 +162,7 @@ class TestVerify:
             patterns[0, 0, 0, 0, 0, 1] += 5e-9
             return SuperMap(d, d * d, patterns=patterns)
 
-        monkeypatch.setattr(cli, "canonical_b", skewed)
+        monkeypatch.setattr(broadcast, "canonical_b", skewed)
         code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
         assert code == 0
         np.testing.assert_allclose(doc["eigenvalues"], [1.5, 1.5, 0, 0, 0, 0, -0.5, -0.5], atol=1e-8)
@@ -286,7 +286,7 @@ class TestVerify:
         for module in (densemat, supermap, cli):
             for name in ("random_channel", "random_density", "random_hermitian"):
                 monkeypatch.setattr(module, name, fail, raising=False)
-        monkeypatch.setattr(cli, "Rng", fail)
+        monkeypatch.setattr(densemat, "Rng", fail)
         docs = [
             run(["verify", "--dim", "2", "--target", target, "--seed", seed], tmp_path, f"{seed}.json")[1]
             for seed in ("0", "5")
@@ -401,7 +401,7 @@ class TestDiamond:
             calls.append((m, diamond_bracket(m, *args, **kwargs)))
             return calls[-1][1]
 
-        monkeypatch.setattr(cli, "diamond_bracket", bracket)
+        monkeypatch.setattr(diamond, "diamond_bracket", bracket)
         code, doc, _ = run(["diamond", "--dim", str(d), "--target", target], tmp_path)
         assert code == 0
         (m, res), = calls
@@ -1261,15 +1261,18 @@ class TestLazyNumpy:
         assert res.returncode == 0, res.stderr
 
     def test_missing_numpy_raises_module_not_found(self):
-        # None in sys.modules hides an installed numpy from find_spec and from the import system alike
+        # None in sys.modules hides an installed numpy from find_spec and from the import system alike.
+        # The import goes through, and the error arrives on numpy's first use, from a placeholder kept out of
+        # sys.modules
         code = "\n".join(
             [
                 "import sys",
                 "sys.modules['numpy'] = None",
+                "import vbcast.cli",
                 "try:",
-                "    import vbcast.cli",
+                "    vbcast.cli.np.ndarray",
                 "except ModuleNotFoundError as exc:",
-                "    sys.exit(exc.name != 'numpy')",
+                "    sys.exit(exc.name != 'numpy' or sys.modules['numpy'] is not None)",
                 "sys.exit(2)",
             ]
         )
