@@ -30,10 +30,12 @@ import sys
 from datetime import datetime, timezone
 from typing import NamedTuple
 
-# No CLI operand exceeds d^3 x d^3 = 216 x 216 (--dim <= 6).  At that size a
-# second BLAS thread saves no wall time, spins CPU after every call, and makes
-# seeded reports depend on the core count through the order of threaded
-# reductions.  Set before numpy loads BLAS; a thread count the caller chose wins.
+# One BLAS thread.  No matrix a command decomposes exceeds d^3 x d^3 = 216 x 216
+# (--dim <= 6; the dense diamond ADMM works on three such blocks).  A second
+# thread can shorten the larger products, such as the d = 6 moment blocks of
+# sample --object M, but it spends CPU time spinning after every call, and the
+# order of threaded reductions would make seeded reports depend on the core
+# count.  Set before numpy loads BLAS; a thread count the caller chose wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, _lazy

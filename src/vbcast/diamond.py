@@ -1,19 +1,22 @@
 """Diamond-norm computation for Hermitian-preserving maps.
 
 ``diamond_bracket`` is the entry point.  It closes a certified bracket
-``lower <= ||m||<> <= upper`` and reports its midpoint:
+``lower <= ||m||<> <= upper`` and reports its midpoint.  With J the
+input-first Choi and n = d_in d_out, the norm is the value of the SDP
 
-* the Jordan upper bound (``_jordan_certificate``) -- with the Jordan
-  split J = P - N of the input-first Choi, Y0 = Y1 = P + N = |J| is
-  feasible for the dual SDP of Watrous (arXiv:1207.5726), since
-  [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]],
-  so ``||K||_inf`` with K = Tr_out |J| bounds the norm from above.  One
-  ``eigh`` of J gives it.  It is tight for B, B - B+ and B_lambda.
+    max <J, Q0 - Q1>  s.t.  n x n Q0, Q1, S >= 0,  Q0 + Q1 + S = rho (x) I,  Tr rho = 1.
+
+* one certificate, ``_dual_upper``, gives every upper bound: for any
+  Hermitian Z shifted by t I so that Z - J >= 0 and Z + J >= 0,
+  <J, Q0 - Q1> <= <Z, Q0 + Q1 + S> = Tr[rho Tr_out Z], so
+  lambda_max(Tr_out Z) + t d_out bounds the norm.  The Jordan bound
+  (``_jordan_certificate``) is Z = |J| = P + N for the split J = P - N,
+  where t is rounding alone; it is tight for B, B - B+ and B_lambda.
 * the reference-state lower bound -- when the Jordan bound is tight,
   complementary slackness puts an optimal primal reference state on the
-  top eigenspace of K, so the bracket takes rho0, the normalised projector
-  onto that eigenspace, and bounds the norm from below by
-  ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For CP maps
+  top eigenspace of K = Tr_out |J|, so the bracket takes rho0, the
+  normalised projector onto that eigenspace, and bounds the norm from below
+  by ``||(id (x) m)(w w^dag)||_1`` with w = vec sqrt(rho0).  For CP maps
   |J| = J and rho0 is optimal.  For covariant maps K = ||C||_1/d I and w is
   the maximally entangled input, so both bounds equal ||C||_1/d.  It is
   read off the exact coefficients in integers and rounded down and up by
@@ -22,15 +25,13 @@
   wide where the norm is irrational.  A ``file:`` target of ``cli`` whose Choi is covariant
   arrives as its six coefficients too, so it has the bracket of the
   coefficients it holds.
-* ``diamond_sdp`` -- the semidefinite characterization
-  ``max Re<R, X>  s.t.  [[rho0 (x) I, X], [X^dag, rho1 (x) I]] >= 0``
-  with R the input-first Choi operator, solved by a self-contained ADMM
-  splitting (affine projection / PSD projection / dual update) that stops
-  once the bracket certified by its dual variable and PSD iterate closes.
-  It serves dense maps the bounds above leave open, such as channel
-  differences.
+* ``diamond_sdp`` -- the SDP above, solved by a self-contained ADMM
+  splitting (affine projection / PSD projection / dual update) on the three
+  blocks, which stops once the bracket certified by its dual variable and
+  PSD iterate closes.  It serves dense maps the bounds above leave open,
+  such as channel differences.
 
-On a dense map every bound is rounded outward by ``float_slack``, so
+On a dense map every bound is rounded outward by ``float_slack`` of n, so
 ``lower <= upper`` holds despite rounding in the eigendecompositions.  That
 rounding also sets ``gap_floor``, the narrowest bracket any certificate can
 reach; below it ``diamond_bracket`` runs no ADMM.  ``hptp_upper`` --
@@ -67,6 +68,8 @@ ADMM_CERTIFY_EVERY = 8
 def float_slack(n: int, value: float) -> float:
     """Rounding allowance of a norm ``value`` computed from n x n eigendecompositions.
 
+    Every dense bound is one, with n = d_in d_out: the lower bounds, and the
+    Jordan and ADMM upper bounds alike, whose certificate is n x n.
     Backward-stable ``eigh`` and the sums after it are exact for a matrix
     within O(n eps ||.||) of the true one; 16 n eps max(1, |value|) covers
     that with room to spare (5e-12 at n = 216, value = 6).  The machine
@@ -104,50 +107,48 @@ def _input_first_choi(m: SuperMap) -> np.ndarray:
 
 
 def _trace_out(blk: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Partial trace over the output factor of a (d_in d_out)-square block."""
-    return np.einsum("iuju->ij", blk.reshape(d_in, d_out, d_in, d_out))
+    """Partial trace over the output factor of a (d_in d_out)-square block, or a stack of them."""
+    return np.einsum("...iuju->...ij", blk.reshape(*blk.shape[:-2], d_in, d_out, d_in, d_out))
+
+
+def _hermitian(v: np.ndarray) -> np.ndarray:
+    return (v + v.conj().swapaxes(-1, -2)) / 2
 
 
 def _project_affine(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Orthogonal projection onto Hermitian block matrices with diagonal
-    blocks of the form rho (x) I_out, Tr[rho] = 1."""
-    n = d_in * d_out
-    v = (v + v.conj().T) / 2
-    out = v.copy()
-    for b in (0, 1):
-        blk = v[b * n : (b + 1) * n, b * n : (b + 1) * n]
-        rho = _trace_out(blk, d_in, d_out) / d_out
-        rho = rho + np.eye(d_in) * ((1.0 - np.trace(rho).real) / d_in)
-        out[b * n : (b + 1) * n, b * n : (b + 1) * n] = np.einsum(
-            "ij,uv->iujv", rho, np.eye(d_out)
-        ).reshape(n, n)
-    return out
+    """Orthogonal projection of Hermitian blocks (Q0, Q1, S) onto Q0 + Q1 + S = rho (x) I_out, Tr[rho] = 1.
+
+    The nearest admissible sum is the projection of the blocks' sum, and the
+    residual between the two is spread equally over the three blocks.
+    """
+    v = _hermitian(v)
+    total = v.sum(axis=0)
+    rho = _trace_out(total, d_in, d_out) / d_out
+    rho = rho + np.eye(d_in) * ((1.0 - np.trace(rho).real) / d_in)
+    return v + (np.kron(rho, np.eye(d_out)) - total) / 3
 
 
 def _project_psd(v: np.ndarray) -> np.ndarray:
-    v = (v + v.conj().T) / 2
+    """Nearest PSD blocks of a stack of Hermitian blocks: one batched ``eigh``."""
     vals, vecs = np.linalg.eigh(v)
     pos = np.clip(vals, 0.0, None)
-    return (vecs * pos[np.newaxis, :]) @ vecs.conj().T
+    return (vecs * pos[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _dual_upper(r: np.ndarray, u: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
-    """Upper bound on the SDP, and its dual point Z, from any Hermitian u.
+def _dual_upper(r: np.ndarray, z: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Upper bound on the norm from any Hermitian Z, and the eigenpairs of Tr_out(Z + t I).
 
-    Z = -sigma u with its off-diagonal blocks set to -R/2, -R^dag/2 and
-    shifted by t I, t = max(0, -lambda_min), is PSD.  For every feasible M,
-    <Q, M> <= <Q + Z, M> = Tr[(Tr_out Z00) rho0] + Tr[(Tr_out Z11) rho1],
-    so the sum of the top eigenvalues of the two reduced diagonal blocks
-    bounds the norm; the Jordan bound is Z = [[|J|, -J], [-J, |J|]] / 2.
+    Z + t I with t = max(0, -lambda_min(Z - R), -lambda_min(Z + R)) is dual
+    feasible, so lambda_max(Tr_out Z) + t d_out, rounded up by
+    ``float_slack``, bounds the norm.  The eigenvalues returned are those of
+    Tr_out Z shifted by t d_out, in ascending order.
     """
-    n = d_in * d_out
-    z = -ADMM_PENALTY * (u + u.conj().T) / 2
-    z[:n, n:] = -r / 2
-    z[n:, :n] = -r.conj().T / 2
-    z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * np.eye(2 * n)
-    blocks = (z[:n, :n], z[n:, n:])
-    value = sum(float(np.linalg.eigvalsh(_trace_out(b, d_in, d_out))[-1]) for b in blocks)
-    return value + float_slack(2 * n, value), z
+    z = _hermitian(z)
+    t = max(0.0, -float(np.linalg.eigvalsh(np.stack((z - r, z + r)))[:, 0].min()))
+    vals, vecs = np.linalg.eigh(_trace_out(z, d_in, d_out))
+    vals = vals + t * d_out
+    value = float(vals[-1])
+    return value + float_slack(d_in * d_out, value), vals, vecs
 
 
 def _reference_lower(r: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> tuple[float, np.ndarray]:
@@ -168,14 +169,15 @@ def _reference_lower(r: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> t
 def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     """Certified diamond-norm bracket of a Hermitian-preserving map via ADMM.
 
-    Splits the SDP into an affine part (block structure, unit-trace
-    reference states, linear objective) and a PSD cone part, coupled by a
-    scaled dual variable.  Every ``ADMM_CERTIFY_EVERY`` steps certify an
-    upper bound from the dual variable (``_dual_upper``) and a lower bound
-    with its witness from the reference state Tr_out(s00 + s11) of the PSD
-    iterate (``_reference_lower``).  The best bracket is reported by its
-    midpoint once its gap is <= ``tolerance``, or with ``converged=False``
-    after ``ADMM_MAX_ITERATIONS`` steps.
+    Splits the SDP on the blocks (Q0, Q1, S) into an affine part (their sum
+    is rho (x) I with Tr rho = 1, plus the linear objective <R, Q0 - Q1>)
+    and a PSD cone part, coupled by a scaled dual variable u.  Every
+    ``ADMM_CERTIFY_EVERY`` steps certify an upper bound from the dual point
+    Z = -sigma u_S (``_dual_upper``) and a lower bound with its witness from
+    the reference state Tr_out(Q0 + Q1 + S) of the PSD iterate
+    (``_reference_lower``).  The best bracket is reported by its midpoint
+    once its gap is <= ``tolerance``, or with ``converged=False`` after
+    ``ADMM_MAX_ITERATIONS`` steps.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -183,19 +185,14 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
         raise ValueError("diamond_sdp requires a Hermitian-preserving map")
 
     d_in, d_out = m.d_in, m.d_out
-    n = d_in * d_out
-    big = 2 * n
-
     r = _input_first_choi(m)
-    q = np.zeros((big, big), dtype=np.complex128)
-    q[:n, n:] = r / 2
-    q[n:, :n] = r.conj().T / 2
+    q = np.stack((r, -r, np.zeros_like(r)))
 
     sigma = ADMM_PENALTY
     alpha = ADMM_OVER_RELAXATION
 
-    s = np.zeros((big, big), dtype=np.complex128)
-    u = np.zeros((big, big), dtype=np.complex128)
+    s = np.zeros_like(q)
+    u = np.zeros_like(q)
 
     lower, upper, witness = -np.inf, np.inf, None
     iterations = 0
@@ -207,11 +204,12 @@ def diamond_sdp(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
             u = u + m_relaxed - s
         iterations += ADMM_CERTIFY_EVERY
 
-        upper = min(upper, _dual_upper(r, u, d_in, d_out)[0])
-        rho = _trace_out(s[:n, :n] + s[n:, n:], d_in, d_out)
-        low, vec_a = _reference_lower(r, rho, d_in, d_out)
-        if low > lower:
-            lower, witness = low, vec_a
+        upper = min(upper, _dual_upper(r, -sigma * u[2], d_in, d_out)[0])
+        rho = _trace_out(s.sum(axis=0), d_in, d_out)
+        if np.trace(rho).real > 0:  # the PSD iterate of an oscillating ADMM can vanish
+            low, vec_a = _reference_lower(r, rho, d_in, d_out)
+            if low > lower:
+                lower, witness = low, vec_a
 
     return DiamondResult(
         value=(lower + upper) / 2,
@@ -242,19 +240,19 @@ def _jordan_abs(r: np.ndarray) -> np.ndarray:
 def _jordan_certificate(m: SuperMap) -> tuple[float, np.ndarray, np.ndarray]:
     """The Jordan upper bound, the reference state it suggests, and R.
 
-    K = Tr_out |J| is reduced from one ``eigh`` of the input-first Choi R = J;
-    one ``eigh`` of K gives the bound lambda_max(K), rounded up by
-    ``float_slack``, and rho0, the normalised projector onto the eigenvectors
-    of K within that slack of lambda_max.
+    ``_dual_upper`` at Z = |J|, with |J| from one ``eigh`` of the
+    input-first Choi R = J, gives the bound and the eigenpairs of
+    K = Tr_out |J| (shifted by the rounding t d_out); rho0 is the normalised
+    projector onto the eigenvectors of K within ``float_slack`` of its top
+    eigenvalue.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     r = _input_first_choi(m)
-    vals, vecs = np.linalg.eigh(_trace_out(_jordan_abs(r), m.d_in, m.d_out))
+    upper, vals, vecs = _dual_upper(r, _jordan_abs(r), m.d_in, m.d_out)
     top = float(vals[-1])
-    slack = float_slack(m.d_in * m.d_out, top)
-    v = vecs[:, vals >= top - slack]
-    return top + slack, (v @ v.conj().T) / v.shape[1], r
+    v = vecs[:, vals >= top - float_slack(m.d_in * m.d_out, top)]
+    return upper, (v @ v.conj().T) / v.shape[1], r
 
 
 def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
@@ -287,7 +285,8 @@ def gap_floor(m: SuperMap, lower: float, upper: float) -> float:
     map each certified lower bound is a value v' <= ||m||<> rounded down by
     ``float_slack(n, v')``, and a lower bound that improves on ``lower`` has
     v' > ``lower``, so every bracket is at least ``float_slack(n, lower)``
-    wide; each upper bound is rounded up by as much again.
+    wide; every upper bound, Jordan or ADMM, comes from the one n x n
+    certificate and is rounded up by at least as much again.
     """
     if m.exact is not None:
         return upper - lower

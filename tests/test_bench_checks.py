@@ -8,12 +8,14 @@ once here through ``vbcast.cli.main``, so such a change fails the tests
 first.  The harness file is read as it is, by path.
 
 The commands that never execute numpy also run in a child interpreter whose
-``sys.meta_path`` refuses numpy, and must write the same bytes there.
+``sys.meta_path`` refuses numpy, and must write the same bytes there; so
+they must under every other Python 3.10-3.13 on ``PATH`` that starts.
 """
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -74,7 +76,8 @@ def _report_lines(path):
         return [line for line in fp.read().splitlines() if '"timestamp":' not in line]
 
 
-def test_numpy_free_commands_run_without_numpy(tmp_path):
+def _check_numpy_free(python, tmp_path):
+    """Run the numpy-free commands under interpreter ``python`` with numpy refused, and match their bytes here."""
     # every benchmark command but sample --object M is exact arithmetic on a covariant map's coefficients
     out_dir = str(tmp_path)
     setup = workloads.file_target_setup_argv(out_dir, SEED)
@@ -90,7 +93,7 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     dense = ["sample", "--dim", "2", "--object", "M", "--out", os.path.join(out_dir, "dense.csv")]
     src = os.path.join(os.path.dirname(BENCH), "src")
     res = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([*argvs, dense])],
+        [python, "-c", _WITHOUT_NUMPY, json.dumps([*argvs, dense])],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
@@ -103,3 +106,24 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     without = [_report_lines(out) for out in outs]
     assert [main(argv) for argv in argvs] == codes
     assert [_report_lines(out) for out in outs] == without
+
+
+def test_numpy_free_commands_run_without_numpy(tmp_path):
+    _check_numpy_free(sys.executable, tmp_path)
+
+
+@pytest.mark.parametrize("version", ("3.10", "3.11", "3.12", "3.13"))
+def test_numpy_free_reports_match_other_interpreters(version, tmp_path):
+    # README promises the same seeded report bytes on Python 3.10-3.13; check each one installed here
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"no python{version} on PATH")
+    probe = subprocess.run(
+        [python, "-c", "import os, sys; print(os.path.realpath(sys.executable))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if probe.returncode != 0:
+        pytest.skip(f"python{version} does not start (exit {probe.returncode})")
+    if probe.stdout.strip() == os.path.realpath(sys.executable):
+        pytest.skip(f"python{version} is the running interpreter")
+    _check_numpy_free(python, tmp_path)

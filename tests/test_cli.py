@@ -334,12 +334,26 @@ class TestDiamond:
         assert "no SDP run" in err
 
     def test_named_floor_is_within_the_bracket(self, tmp_path, capsys, monkeypatch):
-        # B's Choi as a dense map closes at gap 1.1324e-13, below its two float slacks (1.1369e-13)
+        # B's Choi as a dense map closes at gap 1.1680e-13, above its two float slacks (1.1369e-13): the floor
         monkeypatch.setattr(cli, "_resolve_diamond_target", lambda cfg, target: SuperMap(2, 4, canonical_b(2).choi))
         code, doc, _ = run(["diamond", "--dim", "2", "--tol", "sdp=1e-14"], tmp_path)
-        assert code == 2 and 2 * float_slack(8, doc["lower_bound"]) > doc["gap"] > 1e-14
-        want = f"--tol sdp=1e-14 is below the bracket's rounding floor {doc['gap']:.3e}; no SDP run"
+        floor = 2 * float_slack(8, doc["lower_bound"])
+        assert code == 2 and doc["gap"] > floor > 1e-14
+        want = f"--tol sdp=1e-14 is below the bracket's rounding floor {floor:.3e}; no SDP run"
         assert capsys.readouterr().err.startswith(want)
+
+    def test_tolerance_between_two_and_three_slacks_converges(self, tmp_path):
+        # every dense bound is rounded by one float slack, so a tolerance of 2.5 slacks is met, and quickly
+        m = random_channel(2, 4, Rng(1)) - random_channel(2, 4, Rng(2))
+        path = tmp_path / "difference.json"
+        write_supermap(path, m)
+        tolerance = 2.5 * float_slack(8, diamond_bracket(m, 1e-20).lower_bound)
+        start = time.perf_counter()
+        args = ["diamond", "--dim", "2", "--target", f"file:{path}", "--tol", f"sdp={tolerance!r}"]
+        code, doc, _ = run(args, tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and doc["converged"] is True and doc["iterations"] > 0
+        assert doc["gap"] <= tolerance
 
     def test_exact_bracket_meets_any_tolerance(self, tmp_path):
         # B's bracket is [d, d] exactly, so even --tol sdp=1e-20 converges

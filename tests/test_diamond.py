@@ -1,6 +1,7 @@
 """Diamond-norm SDP, the certified bracket and its bounds, and the closest-channel scan."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
 from vbcast.supermap import AffineDecomposition, SuperMap
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
+    ADMM_MAX_ITERATIONS,
     _dual_upper,
     _input_first_choi,
     _jordan_abs,
     _jordan_certificate,
+    _trace_out,
     diamond_bracket,
     diamond_sdp,
     float_slack,
@@ -31,9 +34,9 @@ from random_fixtures import haar_unitary, random_channel
 def jordan_upper(m):
     """||Tr_out |J|||_inf rounded up by ``float_slack``: an upper bound on ||m||<>.
 
-    Y0 = Y1 = |J| is feasible for the dual SDP, since
-    [[|J|, -J], [-J, |J|]] = P (x) [[1, -1], [-1, 1]] + N (x) [[1, 1], [1, 1]] >= 0,
-    and its objective is ||Tr_out Y0||_inf.
+    Z = |J| is feasible for the dual SDP, since |J| - J = 2N >= 0 and
+    |J| + J = 2P >= 0 for the Jordan split J = P - N, and its objective is
+    ||Tr_out Z||_inf.
     """
     return _jordan_certificate(m)[0]
 
@@ -150,21 +153,22 @@ class TestJordanUpper:
         m = _random_hp_map(*dims, seed)
         j = _input_first_choi(m)
         y = _jordan_abs(j)
-        block = np.block([[y, -j], [-j.conj().T, y]])
-        assert np.linalg.eigvalsh(block)[0] >= -1e-10
+        assert np.linalg.eigvalsh(y - j)[0] >= -1e-10
+        assert np.linalg.eigvalsh(y + j)[0] >= -1e-10
         assert jordan_upper(m) >= diamond_sdp(m).value - 1e-4
 
     @pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 2), 2), ((2, 4), 3)])
     def test_admm_dual_point_feasible_and_above_ascent(self, dims, seed):
-        # the certificate holds for any Hermitian dual variable, not only ADMM's
+        # the certificate holds for any Hermitian Z, not only ADMM's or the Jordan point
         m = _random_hp_map(*dims, seed)
         n = m.d_in * m.d_out
         r = _input_first_choi(m)
-        u = random_hermitian(2 * n, Rng(seed + 10)).mat
-        bound, z = _dual_upper(r, u, m.d_in, m.d_out)
-        assert np.linalg.eigvalsh(z)[0] >= -1e-10
-        assert_allclose(z[:n, n:], -r / 2, atol=0)
-        assert_allclose(z[n:, :n], -r.conj().T / 2, atol=0)
+        z = random_hermitian(n, Rng(seed + 10)).mat
+        bound, vals, _ = _dual_upper(r, z, m.d_in, m.d_out)
+        t = (vals[-1] - np.linalg.eigvalsh(_trace_out(z, m.d_in, m.d_out))[-1]) / m.d_out
+        assert t > 0
+        assert np.linalg.eigvalsh(z + t * np.eye(n) - r)[0] >= -1e-10
+        assert np.linalg.eigvalsh(z + t * np.eye(n) + r)[0] >= -1e-10
         assert bound >= diamond_bracket(m).lower_bound
         assert bound >= diamond_sdp(m).lower_bound
 
@@ -245,6 +249,27 @@ class TestBracket:
     def test_closes_open_gaps(self, m):
         _assert_open_gap_closed(m)
 
+    def test_tolerance_between_two_and_three_slacks_converges(self):
+        # every dense bound is rounded by float_slack(n), as gap_floor assumes: 2.5 slacks are within reach
+        m = random_channel(2, 4, Rng(1)) - random_channel(2, 4, Rng(2))
+        tolerance = 2.5 * float_slack(8, diamond_bracket(m, 1e-20).lower_bound)
+        start = time.perf_counter()
+        res = diamond_bracket(m, tolerance)
+        assert time.perf_counter() - start < 1.0
+        assert res.converged and 0 < res.iterations < ADMM_MAX_ITERATIONS
+        assert res.gap <= tolerance and res.lower_bound <= res.value <= res.upper_bound
+
+    @pytest.mark.parametrize(
+        "d,seeds,parent_iterations", [(2, (1, 2), 128), (2, (3, 4), 160), (3, (1, 2), 312), (3, (3, 4), 144)]
+    )
+    def test_channel_differences_converge_faster_than_the_2n_splitting(self, d, seeds, parent_iterations):
+        # the iteration counts of the 2n x 2n ADMM on the same seeded d -> d^2 differences
+        a, b = seeds
+        res = diamond_bracket(random_channel(d, d * d, Rng(a)) - random_channel(d, d * d, Rng(b)), 1e-5)
+        assert res.converged and 0 < res.iterations < parent_iterations
+        assert 0 <= res.gap <= 1e-5
+        assert res.lower_bound <= res.value <= res.upper_bound
+
     @pytest.mark.parametrize(
         "m",
         [SuperMap(4, 16, canonical_b(4).choi), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))],
@@ -277,13 +302,16 @@ class TestBracket:
         assert res.iterations == 0 and not res.converged
 
     def test_floor_is_capped_at_the_gap(self, monkeypatch):
-        # B's Choi as a dense map: the Jordan value sits 4.4e-16 below the reference value, so the bracket
-        # closes at 1.1324e-13, narrower than the two slacks (1.1369e-13); the floor is the gap itself
+        # B's Choi as a dense map: the shifted Jordan point leaves the bracket at 1.1680e-13, just above the
+        # two slacks (1.1369e-13), so that is its floor; a bracket narrower than two slacks is its own floor
         m = SuperMap(2, 4, canonical_b(2).choi)
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         res = diamond_bracket(m, 1e-14)
         assert res.iterations == 0 and not res.converged
-        assert 2 * float_slack(8, res.lower_bound) > res.gap == gap_floor(m, res.lower_bound, res.upper_bound)
+        slack = float_slack(8, res.lower_bound)
+        assert res.gap > gap_floor(m, res.lower_bound, res.upper_bound) == 2 * slack
+        upper = res.lower_bound + 1.5 * slack
+        assert gap_floor(m, res.lower_bound, upper) == upper - res.lower_bound < 2 * slack
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_covariant_bracket_is_exact_at_any_tolerance(self, d, monkeypatch):
