@@ -44,6 +44,7 @@ from .supermap import (
     _require_dim,
     covariant_map,
     equality_patterns,
+    pattern_of,
 )
 
 np = _lazy("numpy")
@@ -162,12 +163,6 @@ def _gram_inverse(d: int) -> tuple[int, list[list[int]]]:
     return prev, [row[k:] for row in m]
 
 
-def _canonical(labels) -> tuple[int, ...]:
-    """The equality pattern of a label tuple: its labels renumbered by first occurrence."""
-    first = {}
-    return tuple(first.setdefault(v, len(first)) for v in labels)
-
-
 @functools.cache
 def _axiom_patterns(d: int) -> dict[str, tuple]:
     """Each axiom residual of a Choi as (row, target, count) triples over the patterns that occur at d.
@@ -189,11 +184,11 @@ def _axiom_patterns(d: int) -> dict[str, tuple]:
         first = [(p, x, y, p, u, v) for p in range(k + 1)]
         second = [(x, p, y, u, p, v) for p in range(k + 1)]
         for name, labels in (("marginal1", first), ("marginal2", second)):
-            row = tuple((_canonical(lab), w) for lab, w in zip(labels, weights) if w)
+            row = tuple((pattern_of(lab), w) for lab, w in zip(labels, weights) if w)
             systems[name].append((row, int(x == y and u == v), math.perm(d, k)))
     for six, count, _ in _pattern_table(d):
         o1, o2, i, o1p, o2p, ip = six
-        swapped = _canonical((o2, o1, i, o2p, o1p, ip))
+        swapped = pattern_of((o2, o1, i, o2p, o1p, ip))
         systems["permutation"].append((((swapped, 1), (six, -1)) if swapped != six else (), 0, count))
     for a, b, i in equality_patterns(3):
         systems["classical"].append(((((a, b, i, a, b, i), 1),), int(a == b == i), math.perm(d, max(a, b, i) + 1)))

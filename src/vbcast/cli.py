@@ -17,6 +17,9 @@ with the Choi as ``{rows, cols, re, im}``: ``_supermap_doc`` writes it for
 The reader checks the lists with the standard library and returns a Choi
 that ``match_covariant`` reproduces exactly as its six coefficients, so a
 covariant ``file:`` target takes the closed-form bracket with no numpy.
+The writer lays a covariant or pattern map out by equality pattern
+(``supermap.pattern_positions``), with no ndarray; the report writer
+``_dumps`` is standard library only.
 """
 
 from __future__ import annotations
@@ -151,15 +154,16 @@ _NAN_ERROR = "the report holds a NaN, which JSON cannot represent; no report wri
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` with each ndarray taken as its ``.tolist()``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, with each ``_Indexed`` taken as its values.
 
     The indented layout is written here, and the document's parts are
-    gathered in one list and joined once.  An array is written from its
-    ``_Indexed`` form: each distinct value is formatted once, and each
-    innermost row of their strings is joined, so a covariant Choi, with at
-    most 203 distinct entries, costs 203 ``repr`` calls, not one per entry.
+    gathered in one list and joined once.  An ``_Indexed`` part is written
+    from its values: each is formatted once, and each innermost row of their
+    strings is joined, so a covariant Choi, with at most 203 nonzero
+    patterns, costs at most 204 ``repr`` calls, not one per entry.
     No report holds a token that is not JSON: +-inf is written as +-1e300,
-    and a NaN raises CliError.
+    and a NaN raises CliError.  The writer is standard library only; an
+    ndarray raises TypeError, as in ``json.dumps``.
     """
     parts = []
     _write(obj, "", parts)
@@ -167,11 +171,12 @@ def _dumps(obj) -> str:
 
 
 class _Indexed(NamedTuple):
-    """An array of floats as its distinct values and nested rows of indices into them.
+    """An array of floats as its values and nested rows of indices into them.
 
     ``_dumps`` writes it as the nested list of the values the rows index.
-    ``_indexed`` takes a float64 ndarray to this form; ``_map_operator_doc``
-    lays a covariant Choi out in it directly.
+    ``_map_operator_doc`` lays a covariant or pattern map out in it, one
+    value per nonzero pattern, and ``_operator_doc`` a dense one, one value
+    per entry.
     """
 
     values: list
@@ -196,23 +201,8 @@ def _write(obj, pad: str, parts: list):
             _write(value, inner, parts)
             sep = ",\n" + inner
         parts.append("\n" + pad + "]")
-    elif obj is None or isinstance(obj, (str, int, float, dict, list, tuple)) or not isinstance(obj, np.ndarray):
-        parts.append(json.dumps(_finite(obj)))  # np is read last, so a document of plain values loads no numpy
     else:
-        _write(_indexed(obj), pad, parts)
-
-
-def _indexed(arr: np.ndarray) -> _Indexed:
-    """A float64 array as its ``_Indexed`` form.
-
-    ``np.unique`` runs on the int64 view of the bits, which keeps -0.0 apart
-    from 0.0, so each distinct value is one entry of ``values``.
-    """
-    if arr.dtype != np.float64:
-        raise TypeError(f"the report writer takes float64 arrays, got {arr.dtype}")
-    bits = np.ascontiguousarray(arr).view(np.int64).ravel()
-    keys, inverse = np.unique(bits, return_inverse=True)
-    return _Indexed(keys.view(np.float64).tolist(), inverse.reshape(arr.shape).tolist())
+        parts.append(json.dumps(_finite(obj)))
 
 
 def _write_rows(rows: list, tokens: list[str], pad: str, parts: list):
@@ -241,31 +231,32 @@ def _finite(x):
 
 
 def _operator_doc(op: densemat.Operator) -> dict:
-    """An operator as {rows, cols, re, im}, its row-major real and imaginary parts left as arrays for ``_dumps``."""
-    return {"rows": op.rows, "cols": op.cols, "re": op.mat.real, "im": op.mat.imag}
+    """An operator as {rows, cols, re, im}, its row-major parts ``_Indexed`` with one index per entry."""
+    flat = op.mat.ravel().tolist()
+    rows = [list(range(r * op.cols, (r + 1) * op.cols)) for r in range(op.rows)]
+    re, im = [z.real for z in flat], [z.imag for z in flat]
+    return {"rows": op.rows, "cols": op.cols, "re": _Indexed(re, rows), "im": _Indexed(im, rows)}
 
 
 def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
     """m's Choi, or its Jamiolkowski operator, as an ``_operator_doc``.
 
-    A covariant m's operator is laid out from ``covariant_entries``, with
-    no ndarray: its parts are ``_Indexed`` over the distinct entries, 0j at
-    index 0, and each nonzero position takes its own index.  The
-    Jamiolkowski operator moves each position, by
-    J[(in', out), (in, out')] = C[(out, in), (out', in')].
+    A covariant or pattern m is laid out from ``pattern_floats`` with no
+    ndarray: index 0 is 0j, and the ``pattern_positions`` of each nonzero
+    pattern take that pattern's own index.  J's labels are
+    (in', out1, out2; in, out1', out2'), so the Jamiolkowski operator holds
+    each value at the positions of the rotated pattern, renumbered.
     """
-    if m.coeffs is None:
+    if m.coeffs is None and m.patterns is None:
         return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
-    d, d_out = m.d_in, m.d_out
-    n = d * d_out
-    values, entries = supermap.covariant_entries(d, m.coeffs)
-    rows = [[0] * n for _ in range(n)]
-    for pos, index in entries:
-        row, col = divmod(pos, n)
+    n = m.d_in * m.d_out
+    values, rows = [0j], [[0] * n for _ in range(n)]
+    for pattern, value in supermap.pattern_floats(m).items():
         if jamiolkowski:
-            (out, inp), (out_p, inp_p) = divmod(row, d), divmod(col, d)
-            row, col = inp_p * d_out + out, inp * d_out + out_p
-        rows[row][col] = index
+            pattern = supermap.pattern_of(pattern[5:] + pattern[:5])
+        for pos in supermap.pattern_positions(m.d_in, pattern):
+            rows[pos // n][pos % n] = len(values)
+        values.append(value)
     re, im = [v.real for v in values], [v.imag for v in values]
     return {"rows": n, "cols": n, "re": _Indexed(re, rows), "im": _Indexed(im, rows)}
 
@@ -284,9 +275,9 @@ def _read_supermap(doc) -> supermap.SuperMap:
 
     The Choi's ``re`` and ``im`` are checked as lists first: ``rows`` lists
     of ``cols`` finite JSON numbers each.  A d^3 x d^3 Choi of a map
-    d -> d^2 that ``match_covariant`` reproduces exactly comes back as its
-    six coefficients, with no ndarray and no numpy; any other Choi is built
-    as an ndarray from the checked lists.
+    d -> d^2, d >= 2, that ``match_covariant`` reproduces exactly comes back
+    as its six coefficients, with no ndarray and no numpy; any other Choi is
+    built as an ndarray from the checked lists.
     """
     for field in ("d_in", "d_out"):
         if type(doc[field]) is not int or doc[field] < 1:  # a JSON true loads as a bool, which is an int
@@ -308,7 +299,7 @@ def _read_supermap(doc) -> supermap.SuperMap:
             finite = False
         if not finite:
             raise ValueError("choi entries must be finite, got NaN or Infinity")
-    if d_out == d_in * d_in and choi["rows"] == choi["cols"] == d_in**3:
+    if d_in >= 2 and d_out == d_in * d_in and choi["rows"] == choi["cols"] == d_in**3:
         m = supermap.match_covariant(d_in, re, im)
         if m is not None:
             return m

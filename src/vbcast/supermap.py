@@ -19,23 +19,24 @@ permutations of ``S3`` transposed on the input factor, the table elements.
 integer numerators, real and imaginary parts, over one positive
 denominator (``SuperMap.exact``), so sums, differences and scalar
 multiples stay six exact coefficients.  ``SuperMap.coeffs`` is their float
-view, each part rounded once.  ``table_support`` lists the at most 6 d^3
-nonzero positions of the d^3 x d^3 table with the elements that are 1 at
-each, and ``covariant_entries`` expands the float view over it with the
-standard library.  That one expansion fills the dense Choi, built only
-when something reads it, and the Choi and Jamiolkowski operators that
-``dump`` writes; ``match_covariant`` runs it backwards, reading the six
-coefficients off a Choi's entries and keeping them only if they reproduce
-every entry.  Each entry of such a Choi depends only on which of its six
-labels (out1, out2, in; out1', out2', in') are equal, so the largest entry, the
-Hermiticity and trace-preservation tests and the axiom residuals are read
-off the at most 203 equality patterns (``equality_patterns``, ``_pattern_table``),
-and the spectrum has the closed form of ``covariant_blocks``.  Those reads
-are integer arithmetic on the exact coefficients and touch no numpy; each
-result is a quadratic surd (p + q sqrt(w)) / r, rounded to a float once by
-``surd``.  ``apply`` sums the six terms' actions on a d x d input
-(``_covariant_apply``) in O(d^4).  A pattern map keeps any such Choi as one
-value per pattern; only its axiom residuals are read off the patterns.
+view, each part rounded once.  Each entry of such a Choi depends only on
+which of its six labels (out1, out2, in; out1', out2', in') are equal, its
+equality pattern (``equality_patterns``, at most 203), and so does each
+entry of a pattern map, which keeps one value per pattern.  That pattern is
+the one layout of both: ``pattern_positions`` lists a pattern's Choi
+positions and ``pattern_floats`` its float entry, the covariant one summed
+over the pattern's table support (``_pattern_table``).  The dense Choi,
+built only when something reads it, and the Choi and Jamiolkowski
+operators that ``dump`` writes are filled from those two;
+``match_covariant`` runs them backwards, reading the six coefficients off
+a Choi's entries and keeping them only if they reproduce every entry.  A
+covariant map's largest entry, Hermiticity and trace-preservation tests and
+axiom residuals are read off the patterns in integers, and its spectrum
+has the closed form of ``covariant_blocks``.  Those reads touch no numpy;
+each result is a quadratic surd (p + q sqrt(w)) / r, rounded to a float
+once by ``surd``.  ``apply`` sums the six terms' actions on a d x d input
+(``_covariant_apply``) in O(d^4).  A pattern map's axiom residuals are read
+off the patterns too; its other methods read its dense Choi.
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
 the map predicates; a map's Choi JSON layout belongs to ``cli``.
@@ -111,17 +112,12 @@ class SuperMap:
 
     @property
     def choi(self) -> Operator:
-        """The Choi, filled on the first read from ``covariant_entries`` or from the nonzero patterns."""
+        """The Choi, filled on the first read with each ``pattern_floats`` value at its ``pattern_positions``."""
         if self._choi is None:
             d, n = self.d_in, self.d_in**3
             choi = np.zeros(n * n, dtype=np.complex128)
-            if self.coeffs is not None:
-                values, entries = covariant_entries(d, self.coeffs)
-                positions, indices = zip(*entries)
-                choi[list(positions)] = np.array(values)[list(indices)]
-            for pattern, value in (self.patterns or {}).items():
-                for labels in itertools.permutations(range(d), max(pattern) + 1) if value else ():  # one per group
-                    choi[sum(labels[g] * d ** (5 - k) for k, g in enumerate(pattern))] = value
+            for pattern, value in pattern_floats(self).items():
+                choi[list(pattern_positions(d, pattern))] = value
             object.__setattr__(self, "_choi", Operator(choi.reshape(n, n)))
         return self._choi
 
@@ -246,48 +242,6 @@ def _require_dim(d: int):
         raise ValueError(f"maps d -> d^2 need dimension >= 2, got {d}")
 
 
-@functools.cache
-def table_support(d: int) -> tuple[tuple[int, int], ...]:
-    """Each nonzero position of the d^3 x d^3 table with the bit mask of the elements that are 1 there.
-
-    Positions are row-major flat indices, in ascending order; bit k of a
-    mask stands for ``S3[k]``.  Element s is 1 at row (i_s0, i_s1, i_2) and
-    column (i_0, i_1, i_s2) for each of the d^3 label triples (i_0, i_1, i_2).
-    """
-    _require_dim(d)
-    n = d**3
-    masks = {}
-    for i in itertools.product(range(d), repeat=3):
-        col = (i[0] * d + i[1]) * d
-        for k, s in enumerate(S3):
-            pos = ((i[s[0]] * d + i[s[1]]) * d + i[2]) * n + col + i[s[2]]
-            masks[pos] = masks.get(pos, 0) | 1 << k
-    return tuple(sorted(masks.items()))
-
-
-def covariant_entries(d: int, coeffs) -> tuple[list[complex], list[tuple[int, int]]]:
-    """The Choi  sum_k coeffs[k] P_k^T3  as its distinct entries and its nonzero positions.
-
-    Returns (values, entries): ``values[0]`` is the 0j of every position
-    that ``table_support`` leaves out, one value follows per distinct mask,
-    and ``entries`` pairs each position of ``table_support(d)`` with the
-    index of its value.  A mask's value is 0j plus its coefficients, added
-    left to right in ``S3`` order: bit for bit the entry that adding each
-    coeffs[k] P_k^T3 in turn into a zero complex array forms.
-    """
-    values, index, entries = [0j], {}, []
-    for pos, mask in table_support(d):
-        if mask not in index:
-            value = 0j
-            for k in range(6):
-                if mask >> k & 1:
-                    value += coeffs[k]
-            index[mask] = len(values)
-            values.append(value)
-        entries.append((pos, index[mask]))
-    return values, entries
-
-
 def covariant_map(d: int, coeffs, den: int = 1) -> SuperMap:
     """The covariant map d -> d^2 whose Choi is  sum_k coeffs[k] / den P_k^T3, k indexing ``S3``.
 
@@ -303,34 +257,34 @@ def match_covariant(d: int, re: list, im: list) -> SuperMap | None:
     """The covariant map d -> d^2 whose Choi has the rows ``re`` + i ``im``, or None when it has none.
 
     ``re`` and ``im`` are d^3 rows of d^3 numbers each, and each coefficient
-    reads off the first position of ``table_support(d)`` with a given mask.
-    At d >= 3 each table element k is 1 alone at some positions: mask
-    ``1 << k``.  At d = 2 two of any three labels agree, so each position
-    holds two elements, one of the identity and the 3-cycles and one of the
-    transpositions, or all six; the signed sum of the six vanishes, so one
-    coefficient is free.  Taking x_(12) = 0, as every named map has, x_id
-    and the 3-cycles' read off their positions with (12), and x_(13) and
-    x_(23) off their positions with the identity, less x_id, exactly.  The
-    Choi is covariant exactly when ``covariant_entries`` of the map's float
-    coefficients reproduces it: every support entry equals its expanded
-    value and every other entry is 0.0, compared as floats with no tolerance.
+    reads off the first position of the first pattern with a given table
+    support (``_pattern_table``).  At d >= 3 each table element k is 1 alone
+    on some pattern: support (k,).  At d = 2 two of any three labels agree,
+    so each pattern holds two elements, one of the identity and the 3-cycles
+    and one of the transpositions, or all six; the signed sum of the six
+    vanishes, so one coefficient is free.  Taking x_(12) = 0, as every named
+    map has, x_id and the 3-cycles' read off their patterns with (12), and
+    x_(13) and x_(23) off their patterns with the identity, less x_id,
+    exactly.  The Choi is covariant exactly when ``pattern_floats`` of the
+    map reproduces it: every entry of a pattern equals its value and every
+    other entry is 0.0, compared as floats with no tolerance.
     """
-    n = d**3
-    first = {}
-    for pos, mask in table_support(d):
-        first.setdefault(mask, pos)
-    cells = (divmod(first[mask], n) for mask in ((1, 2, 4, 8, 16, 32) if d >= 3 else (3, 5, 9, 18, 34)))
+    n, first = d**3, {}
+    for pattern, _, support in _pattern_table(d):
+        first.setdefault(support, pattern)
+    supports = [(k,) for k in range(6)] if d >= 3 else [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
+    cells = (divmod(pattern_positions(d, first[s])[0], n) for s in supports)
     read = [complex(re[row][col], im[row][col]) for row, col in cells]
     if d >= 3:
         m = covariant_map(d, read)
     else:
         den, *parts = _ratios(read)
         m = SuperMap(d, d * d, exact=(den, *([x[0], 0, x[1] - x[0], x[2] - x[0], x[3], x[4]] for x in parts)))
-    values, entries = covariant_entries(d, m.coeffs)
     want_re, want_im = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
-    for pos, index in entries:
-        row, col = divmod(pos, n)
-        want_re[row][col], want_im[row][col] = values[index].real, values[index].imag
+    for pattern, value in pattern_floats(m).items():
+        for pos in pattern_positions(d, pattern):
+            row, col = divmod(pos, n)
+            want_re[row][col], want_im[row][col] = value.real, value.imag
     return m if re == want_re and im == want_im else None
 
 
@@ -382,6 +336,26 @@ def equality_patterns(n: int) -> tuple[tuple[int, ...], ...]:
     for _ in range(n):
         patterns = [p + (v,) for p in patterns for v in range(max(p, default=-1) + 2)]
     return tuple(patterns)
+
+
+def pattern_of(labels) -> tuple[int, ...]:
+    """The equality pattern of a label tuple: its labels renumbered by first occurrence."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
+
+
+@functools.cache
+def pattern_positions(d: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major flat positions in the d^3 x d^3 Choi of the label tuples with an equality pattern of six labels.
+
+    One label tuple per injective labelling of the pattern's groups, so
+    ``math.perm(d, max(pattern) + 1)`` positions; none when it has more
+    groups than d.
+    """
+    return tuple(
+        sum(labels[g] * d ** (5 - k) for k, g in enumerate(pattern))
+        for labels in itertools.permutations(range(d), max(pattern) + 1)
+    )
 
 
 def table_entries(labels) -> tuple[int, ...]:
@@ -436,6 +410,26 @@ def _pattern_values(d: int, re, im) -> tuple[dict, dict]:
     """
     table = _pattern_table(d)
     return tuple({p: sum(part[k] for k in support) for p, _, support in table} for part in (re, im))
+
+
+def pattern_floats(m: SuperMap) -> dict[tuple[int, ...], complex]:
+    """Each nonzero Choi entry of a covariant or pattern map d -> d^2 by its pattern, as a complex float.
+
+    A pattern map's entry is its own value.  A covariant map's is 0j plus
+    the float coefficients on the pattern's table support, added left to
+    right in ``S3`` order: bit for bit the entry that adding each
+    coeffs[k] P_k^T3 in turn into a zero complex array forms.
+    """
+    if m.patterns is not None:
+        return {p: v for p, v in m.patterns.items() if v}
+    values = {}
+    for pattern, _, support in _pattern_table(m.d_in):
+        value = 0j
+        for k in support:
+            value += m.coeffs[k]
+        if value:
+            values[pattern] = value
+    return values
 
 
 def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:

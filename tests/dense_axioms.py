@@ -13,8 +13,9 @@ import numpy as np
 
 from vbcast.broadcast import AxiomReport, _exact_rank, commutant_gram
 from vbcast.densemat import Operator
-from vbcast.supermap import SuperMap, covariant_map, table_support
+from vbcast.supermap import SuperMap, covariant_map
 
+from dense_covariant import commutant_table
 from dense_maps import omega
 
 
@@ -29,8 +30,7 @@ def commutant_projection(choi: Operator, d: int) -> Operator:
     rest of x is zero.
     """
     flat = choi.mat.ravel()
-    support = table_support(d)
-    overlaps = np.array([flat[[pos for pos, mask in support if mask >> j & 1]].sum() for j in range(6)])
+    overlaps = np.array([flat[term.ravel().astype(bool)].sum() for term in commutant_table(d)])
     gram = commutant_gram(d)
     k = _exact_rank(gram)
     x = np.zeros(6, dtype=complex)

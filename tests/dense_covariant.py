@@ -1,8 +1,9 @@
 """Dense references for the covariant Chois, written as the paper's formulas.
 
 The library builds every U (x) U (x) Ubar-covariant Choi from six
-coefficients over the partially transposed factor permutations, expanded
-over ``vbcast.supermap.table_support``; the tests compare those against
+coefficients over the partially transposed factor permutations, laid out
+by equality pattern (``vbcast.supermap.pattern_positions`` and
+``pattern_floats``); the tests compare those against
 ``commutant_table``, the dense int8 table of the six, and against the
 products and moment sums below, which are built from the dense factor
 permutations and Haar moment operators defined here.  The dense orthonormal

@@ -9,7 +9,8 @@ first.  The harness file is read as it is, by path.
 
 The commands that never execute numpy also run in a child interpreter whose
 ``sys.meta_path`` refuses numpy, and must write the same bytes there; so
-they must under every other Python 3.10-3.13 on ``PATH`` that starts.
+they must under every other Python 3.10-3.13 on ``PATH`` that starts, or
+that pyenv names where its shim does not start.
 """
 
 import importlib.util
@@ -112,16 +113,35 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     _check_numpy_free(sys.executable, tmp_path)
 
 
-@pytest.mark.parametrize("version", ("3.10", "3.11", "3.12", "3.13"))
-def test_numpy_free_reports_match_other_interpreters(version, tmp_path):
-    # README promises the same seeded report bytes on Python 3.10-3.13; check each one installed here
-    python = shutil.which(f"python{version}")
-    if python is None:
-        pytest.skip(f"no python{version} on PATH")
-    probe = subprocess.run(
+def _probe(python):
+    return subprocess.run(
         [python, "-c", "import os, sys; print(os.path.realpath(sys.executable))"],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def _pyenv_python(version):
+    """The python{version} of the latest pyenv install of that version, or None without pyenv or such an install."""
+    if shutil.which("pyenv") is None:
+        return None
+    latest = subprocess.run(["pyenv", "latest", version], capture_output=True, text=True, timeout=60)
+    prefix = subprocess.run(["pyenv", "prefix", latest.stdout.strip()], capture_output=True, text=True, timeout=60)
+    if latest.returncode or prefix.returncode:
+        return None
+    return os.path.join(prefix.stdout.strip(), "bin", f"python{version}")
+
+
+@pytest.mark.parametrize("version", ("3.10", "3.11", "3.12", "3.13"))
+def test_numpy_free_reports_match_other_interpreters(version, tmp_path):
+    # README promises the same seeded report bytes on Python 3.10-3.13; check each one installed here.
+    # A pyenv shim of a version that is installed but not selected refuses to start; pyenv names that install
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"no python{version} on PATH")
+    probe = _probe(python)
+    pyenv = _pyenv_python(version) if probe.returncode else None
+    if pyenv is not None:
+        python, probe = pyenv, _probe(pyenv)
     if probe.returncode != 0:
         pytest.skip(f"python{version} does not start (exit {probe.returncode})")
     if probe.stdout.strip() == os.path.realpath(sys.executable):

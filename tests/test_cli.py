@@ -496,6 +496,16 @@ class TestDiamond:
         assert err.startswith("error: ") and "input dimension 3" in err and "--dim is 2" in err
         assert not out.exists()
 
+    def test_one_dimensional_file_target_reads_dense(self, tmp_path, capsys):
+        # a 1 -> 1 map has d_out = d_in^2 and a d^3 x d^3 Choi, but no covariant form: it reads as a dense map
+        path = tmp_path / "one.json"
+        choi = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
+        path.write_text(json.dumps({"d_in": 1, "d_out": 1, "choi": choi}))
+        code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: diamond target 'file:{path}' has input dimension 1, but --dim is 2\n"
+        assert not out.exists()
+
     def test_missing_file_target(self, tmp_path):
         assert main(["diamond", "--dim", "2", "--target", str(tmp_path / "nope.json")]) == 2
 
@@ -768,17 +778,21 @@ class TestDump:
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
 
     @pytest.mark.parametrize("d", range(2, 7))
-    @pytest.mark.parametrize("name", COVARIANT_OBJECTS)
+    @pytest.mark.parametrize("name", (*COVARIANT_OBJECTS, "B_cl"))
     def test_covariant_dump_matches_dense_choi(self, name, d):
-        # the expansion's operators write the bytes of the ndarray Choi and its jamiolkowski()
+        # a covariant or pattern map's operators, laid out by pattern with no dense Choi, write the bytes of
+        # the ndarray Choi and its jamiolkowski(), entry by entry
         m = cli.build_object(name, d)
+        got = {"supermap": cli._supermap_doc(m), "jamiolkowski": cli._map_operator_doc(m, jamiolkowski=True)}
+        assert m._choi is None
+        for op in (got["supermap"]["choi"], got["jamiolkowski"]):
+            assert isinstance(op["re"], cli._Indexed) and len(op["re"].values) <= 1 + len(PATTERNS)
         want = {
             "supermap": {"d_in": m.d_in, "d_out": m.d_out, "choi": cli._operator_doc(m.choi)},
             "jamiolkowski": cli._operator_doc(m.jamiolkowski()),
         }
-        got = {"supermap": cli._supermap_doc(m), "jamiolkowski": cli._map_operator_doc(m, jamiolkowski=True)}
-        assert isinstance(got["jamiolkowski"]["re"], cli._Indexed)
-        assert _dumps(got) == _dumps(want)
+        assert len(want["jamiolkowski"]["re"].values) == d**6
+        assert _dumps(got).splitlines() == _dumps(want).splitlines()  # a list compare names the first differing line
 
     @pytest.mark.parametrize("name", COVARIANT_OBJECTS)
     def test_covariant_dump_reads_no_choi(self, name, tmp_path, monkeypatch):
@@ -924,12 +938,7 @@ class TestReadme:
 
 
 def _as_lists(obj):
-    """obj with every ndarray replaced by its ``.tolist()``, and every ``_Indexed`` by the values its rows pick.
-
-    The result is the document json.dumps can write.
-    """
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """obj with every ``_Indexed`` replaced by the values its rows pick: the document json.dumps can write."""
     if isinstance(obj, cli._Indexed):
         return _picked(obj.rows, obj.values)
     if isinstance(obj, dict):
@@ -941,6 +950,12 @@ def _as_lists(obj):
 
 def _picked(rows, values):
     return [values[r] if isinstance(r, int) else _picked(r, values) for r in rows]
+
+
+def _indexed(arr):
+    """A float64 array as an ``_Indexed`` of its distinct values, told apart by their bits so that -0.0 is not 0.0."""
+    keys, inverse = np.unique(arr.view(np.int64).ravel(), return_inverse=True)
+    return cli._Indexed(keys.view(np.float64).tolist(), inverse.reshape(arr.shape).tolist())
 
 
 def _random_array(rng, shape, kind):
@@ -988,7 +1003,7 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_arrays_match_json_dumps(self, seed):
-        # seeded documents of arrays in nested dicts and lists, against json.dumps of their .tolist()
+        # seeded documents of _Indexed arrays in nested dicts and lists, against json.dumps of the values they pick
         rng = np.random.default_rng(seed)
         shapes = [(0,), (1,), (7,), (0, 3), (3, 0), (1, 1), (4, 5), (2, 3, 2)]
         kinds = ["few", "distinct", "special", "inf"] + ["nan"] * (seed % 4 == 3)
@@ -996,8 +1011,8 @@ class TestReportWriter:
         for i in range(6):
             shape = shapes[rng.integers(len(shapes))]
             kind = kinds[rng.integers(len(kinds))]
-            arr = _random_array(rng, shape, kind)
-            doc[f"a{i}"] = {"re": arr, "size": arr.size}
+            arr = _indexed(_random_array(rng, shape, kind))
+            doc[f"a{i}"] = {"re": arr, "size": len(arr.values)}
             doc["rows"].append([arr, float(i)])
         want = json.dumps(_as_lists(doc), sort_keys=True, indent=2)
         if "NaN" in want:
@@ -1006,9 +1021,11 @@ class TestReportWriter:
         else:
             assert _dumps(doc) == want.replace("Infinity", "1e+300")
 
-    def test_array_must_be_float64(self):
-        with pytest.raises(TypeError, match="float64"):
-            _dumps({"a": np.arange(3)})
+    def test_array_is_refused(self):
+        # the writer is standard library only: an ndarray is not JSON, as in json.dumps
+        for arr in (np.arange(3), np.zeros((2, 2)), np.float64(0.5) * np.ones(0)):
+            with pytest.raises(TypeError, match="ndarray"):
+                _dumps({"a": [arr]})
 
     @pytest.mark.parametrize(
         "obj",

@@ -38,9 +38,9 @@ from vbcast.supermap import (
     covariant_map,
     covariant_spectrum,
     equality_patterns,
+    pattern_positions,
     spectral_distance,
     table_entries,
-    table_support,
 )
 
 from dense_axioms import dense_check_axioms
@@ -103,11 +103,17 @@ class TestPatterns:
 
     @mark.parametrize("d", DIMS)
     def test_table_support_matches_table(self, d):
-        support = table_support(d)
-        positions = [pos for pos, _ in support]
-        assert positions == sorted(set(positions)) and len(support) <= 6 * d**3
-        for k, term in enumerate(commutant_table(d).reshape(6, -1)):
-            assert [pos for pos, mask in support if mask >> k & 1] == np.flatnonzero(term).tolist()
+        # the positions of the patterns that occur at d cover the table once, and each pattern's support
+        # lists exactly the elements that are 1 at its positions
+        table = commutant_table(d).reshape(6, -1)
+        seen = np.zeros(d**6, dtype=int)
+        for pattern, count, support in _pattern_table(d):
+            positions = list(pattern_positions(d, pattern))
+            assert len(positions) == count
+            np.add.at(seen, positions, 1)
+            assert table[:, positions].tolist() == [[int(k in support)] * count for k in range(6)]
+        assert seen.tolist() == [1] * d**6
+        assert all(pattern_positions(d, p) == () for p in equality_patterns(6) if max(p) >= d)
 
 
 class TestCovariantForm:

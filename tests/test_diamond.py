@@ -12,7 +12,9 @@ from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
 from vbcast.supermap import AffineDecomposition, SuperMap
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
 from vbcast.diamond import (
+    ADMM_CERTIFY_EVERY,
     ADMM_MAX_ITERATIONS,
+    ADMM_STALL_CERTIFICATES,
     _dual_upper,
     _input_first_choi,
     _jordan_abs,
@@ -312,6 +314,16 @@ class TestBracket:
         assert res.gap > gap_floor(m, res.lower_bound, res.upper_bound) == 2 * slack
         upper = res.lower_bound + 1.5 * slack
         assert gap_floor(m, res.lower_bound, upper) == upper - res.lower_bound < 2 * slack
+
+    def test_stalled_bracket_stops_admm(self):
+        # the same map just above its floor: ADMM's best bracket last narrows at step 368, to 1.1502e-13, which
+        # each upper bound's shift keeps from 1.15e-13; the run ends there, unconverged, not at ADMM_MAX_ITERATIONS
+        m = SuperMap(2, 4, canonical_b(2).choi)
+        start = time.perf_counter()
+        res = diamond_bracket(m, 1.15e-13)
+        assert time.perf_counter() - start < 1.0
+        assert not res.converged and res.iterations == 368 + ADMM_STALL_CERTIFICATES * ADMM_CERTIFY_EVERY
+        assert 1.15e-13 < res.gap < 1.151e-13 and res.lower_bound <= res.value <= res.upper_bound
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
     def test_covariant_bracket_is_exact_at_any_tolerance(self, d, monkeypatch):
