@@ -16,14 +16,15 @@ are the broadcaster's own, read by ``broadcast.check_axioms``), ``qsample``
 so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.
 
 ``cli`` binds the library modules, ``hovm`` binds ``mcstats`` and every
-module binds ``np`` through ``_lazy``: the module is registered at once,
-and its code runs on the first attribute read.  So ``import vbcast.cli``
-executes only ``vbcast`` and ``vbcast.cli``, and each command executes the
-layers it calls: ``verify`` runs densemat, supermap, broadcast and hovm;
-``diamond`` densemat, supermap and diamond, and broadcast for a named map;
-``sample --object M`` densemat, supermap, hovm and mcstats; ``sample
---object B`` densemat, supermap, broadcast, qsample, mcstats and diamond;
-``dump`` densemat, supermap and the layer that builds its object.
+module that reads numpy binds ``np`` through ``_lazy``: the module is
+registered at once, and its code runs on the first attribute read.  So
+``import vbcast.cli`` executes only ``vbcast`` and ``vbcast.cli``, and each
+command executes the layers it calls: ``verify`` runs densemat, supermap,
+broadcast and hovm; ``diamond`` densemat, supermap and diamond, and
+broadcast for a named map; ``sample --object M`` densemat, supermap, hovm
+and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample,
+mcstats and diamond; ``dump`` densemat, supermap and the layer that builds
+its object.
 
 numpy loads only when a command starts dense work (a dense Choi, ADMM,
 ``sample --object M``).  A covariant map's axiom residuals, spectrum,

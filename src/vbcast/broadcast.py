@@ -7,11 +7,12 @@ The canonical broadcaster is the HPTP map
 whose two marginals both reproduce rho.  This module constructs B, the
 optimal-cloner and antisymmetric channels whose affine combination it is,
 the decohered/classical variants, and the one-parameter commutator family
-B_lambda, all from closed-form Choi operators.
+B_lambda, all from closed-form Choi operators, none of them dense.
 
 Covariant maps are six coefficients over the table of partially
 transposed factor permutations (``vbcast.supermap``); the classical
-broadcaster is a pattern map, 1 where its six Choi labels are all equal.
+broadcaster is a pattern map, 1 where its six Choi labels are all equal,
+and the decoherence D one with four labels, 1 where they are all equal.
 The covariant span is described by one integer Gram matrix,
 Tr[P_s^T P_t] = d^c(t s^-1) with c counting cycles; its rank k (5 at
 d = 2, 6 above) is the dimension of the span.  ``check_axioms`` reads the
@@ -31,8 +32,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from . import _lazy
-from .densemat import S3, Operator
+from .densemat import S3
 from .supermap import (
     AffineDecomposition,
     SuperMap,
@@ -46,8 +46,6 @@ from .supermap import (
     equality_patterns,
     pattern_of,
 )
-
-np = _lazy("numpy")
 
 
 def canonical_b(d: int) -> SuperMap:
@@ -87,11 +85,11 @@ def canonical_decomposition(d: int) -> AffineDecomposition:
 
 
 def decoherence(d: int) -> SuperMap:
-    """Full decoherence in the computational basis:  Choi  sum_i |i><i| (x) |i><i|."""
-    choi = np.zeros((d * d, d * d))
-    diag = np.arange(d) * (d + 1)
-    choi[diag, diag] = 1.0
-    return SuperMap(d, d, Operator(choi))
+    """Full decoherence in the computational basis:  Choi  sum_i |i><i| (x) |i><i|.
+
+    A pattern map of four labels (out, in; out', in'), 1 where all four are equal.
+    """
+    return SuperMap(d, d, patterns={(0, 0, 0, 0): 1.0})
 
 
 def classical_bcl(d: int) -> SuperMap:
@@ -244,16 +242,13 @@ class AxiomReport(NamedTuple):
     ``Tr_out1[C] - Omega`` and ``Tr_out2[C] - Omega``, covariance is
     ``C - Pi(C)`` for the projection Pi onto the covariant span, permutation
     symmetry is ``S_12 C S_12 - C``, and classical consistency compares the
-    Choi diagonal with the classical broadcaster's.
+    Choi diagonal with the classical broadcaster's.  ``max(report)`` is the worst.
     """
 
     broadcasting: float
     covariance: float
     permutation: float
     classical: float
-
-    def max_residual(self) -> float:
-        return max(self.broadcasting, self.covariance, self.permutation, self.classical)
 
 
 def check_axioms(m: SuperMap) -> AxiomReport:

@@ -5,7 +5,8 @@ deterministic for a fixed (flags, seed) pair -- the wall-clock timestamp
 is the only field that varies between identical runs.  Exit codes:
 0 success, 1 verification failure, 2 operational error (bad arguments,
 unreadable files, solver non-convergence, or numpy missing where a command
-reaches dense work).
+reaches dense work).  The JSON Schema of each report is in
+``tests/report_schemas.py``.
 
 A ``diamond`` report's ``witness`` is the unit input vector vec A of its
 lower bound, as two row-major lists ``re`` and ``im`` of d^2 floats each;
@@ -65,11 +66,7 @@ VERIFY_TOLERANCES = {"axioms": 0.0, "eigenvalues": 0.0, "spectral": 0.0, "theore
 
 
 class CliError(Exception):
-    """Operational error; carries the process exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Operational error: ``main`` prints its message and exits 2."""
 
 
 class RunConfig(NamedTuple):
@@ -80,60 +77,6 @@ class RunConfig(NamedTuple):
     tolerances: dict
     out: str | None
     fmt: str
-
-
-# ---------------------------------------------------------------------------
-# report schemas (JSON Schema; the tests validate reports against them)
-
-
-_BOOL = {"type": "boolean"}
-_INT = {"type": "integer"}
-_NUM = {"type": "number"}
-_STR = {"type": "string"}
-_NUMBERS = {"type": "object", "additionalProperties": _NUM}
-_NUMBER_LIST = {"type": "array", "items": _NUM}
-
-
-def _record(**fields) -> dict:
-    """JSON Schema of an object that holds exactly ``fields``, each required."""
-    return {"type": "object", "properties": fields, "required": list(fields), "additionalProperties": False}
-
-
-_OPERATOR = _record(rows=_INT, cols=_INT, re={"type": "array"}, im={"type": "array"})
-_META = dict(
-    schema={"const": SCHEMA}, version=_STR, command=_STR, dim=_INT, seed=_INT, tolerances=_NUMBERS, timestamp=_STR
-)
-
-REPORT_SCHEMAS = {
-    "verify": _record(
-        **_META,
-        target=_STR,
-        **{"pass": _BOOL},
-        checks={
-            "type": "array",
-            "items": _record(name=_STR, **{"pass": _BOOL}, skipped={"type": "null"}, values=_NUMBERS),
-        },
-    ),
-    "diamond": _record(
-        **_META,
-        target=_STR,
-        value=_NUM,
-        lower_bound=_NUM,
-        upper_bound=_NUM,
-        gap=_NUM,
-        iterations=_INT,
-        converged=_BOOL,
-        witness=_record(re=_NUMBER_LIST, im=_NUMBER_LIST),
-    ),
-    "sample": _record(**_META, object=_STR, observable=_STR, n=_INT, result=_NUMBERS),
-    "dump": _record(
-        **_META,
-        object=_STR,
-        supermap=_record(d_in=_INT, d_out=_INT, choi=_OPERATOR),
-        jamiolkowski=_OPERATOR,
-        eigenvalues=_NUMBER_LIST,
-    ),
-}
 
 
 def _meta(cfg: RunConfig, command: str) -> dict:
@@ -243,9 +186,10 @@ def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
 
     A covariant or pattern m is laid out from ``pattern_floats`` with no
     ndarray: index 0 is 0j, and the ``pattern_positions`` of each nonzero
-    pattern take that pattern's own index.  J's labels are
-    (in', out1, out2; in, out1', out2'), so the Jamiolkowski operator holds
-    each value at the positions of the rotated pattern, renumbered.
+    pattern take that pattern's own index.  J's labels are the Choi's with
+    the last one first, (in', out1, out2; in, out1', out2') for six, so the
+    Jamiolkowski operator holds each value at the positions of the rotated
+    pattern, renumbered.
     """
     if m.coeffs is None and m.patterns is None:
         return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
@@ -253,7 +197,7 @@ def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
     values, rows = [0j], [[0] * n for _ in range(n)]
     for pattern, value in supermap.pattern_floats(m).items():
         if jamiolkowski:
-            pattern = supermap.pattern_of(pattern[5:] + pattern[:5])
+            pattern = supermap.pattern_of(pattern[-1:] + pattern[:-1])
         for pos in supermap.pattern_positions(m.d_in, pattern):
             rows[pos // n][pos % n] = len(values)
         values.append(value)
@@ -670,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         raise CliError(f"unknown command {args.cmd!r}")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except ModuleNotFoundError as exc:  # a dense path reached numpy where it is not installed (``vbcast._lazy``)
         if exc.name != "numpy":
             raise

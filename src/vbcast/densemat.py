@@ -1,9 +1,9 @@
-"""Dense complex linear algebra: operators, tensor calculus, the trace norm, seeded randomness.
+"""Dense complex linear algebra: operators, the trace norm, seeded randomness.
 
 Everything downstream is built on the small vocabulary defined here: an
-immutable :class:`Operator` wrapper around a complex matrix, Kronecker
-products and partial traces for two-factor tensor spaces, the trace norm,
-and a seeded :class:`Rng` that is the only stateful object in the library.
+immutable :class:`Operator` wrapper around a complex matrix, the SWAP and
+the factor permutations ``S3`` of three tensor factors, the trace norm, and
+a seeded :class:`Rng` that is the only stateful object in the library.
 
 The Hermitian predicates ``is_hermitian`` and ``is_hermitian_rows`` and
 the input check ``check_density`` gate at ``DEFAULT_TOL``; an operator's
@@ -130,36 +130,6 @@ def swap(d: int) -> Operator:
 # then the two mutually inverse 3-cycles.  Entry k names the factor whose
 # index lands in slot k.
 S3 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
-
-
-# ---------------------------------------------------------------------------
-# tensor calculus
-
-
-def kron(a, b) -> Operator:
-    """Kronecker product, first factor slowest (row-major convention)."""
-    return Operator(np.kron(_raw(a), _raw(b)))
-
-
-def partial_trace(o, dims: tuple[int, int], keep: str) -> Operator:
-    """Trace out one factor of a two-factor tensor space.
-
-    Parameters
-    ----------
-    o : Operator on C^(d1*d2)
-    dims : (d1, d2) factor dimensions
-    keep : "first" keeps factor 1 (traces out 2), "second" keeps factor 2.
-    """
-    d1, d2 = dims
-    m = _raw(o)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        return Operator(np.einsum("ikjk->ij", t))
-    if keep == "second":
-        return Operator(np.einsum("kikj->ij", t))
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ denominator (``SuperMap.exact``), so sums, differences and scalar
 multiples stay six exact coefficients.  ``SuperMap.coeffs`` is their float
 view, each part rounded once.  Each entry of such a Choi depends only on
 which of its six labels (out1, out2, in; out1', out2', in') are equal, its
-equality pattern (``equality_patterns``, at most 203), and so does each
-entry of a pattern map, which keeps one value per pattern.  That pattern is
-the one layout of both: ``pattern_positions`` lists a pattern's Choi
+equality pattern (``equality_patterns``, at most 203).  A pattern map
+d -> d^(n-1) keeps one value per equality pattern of its Choi's 2n labels,
+the n - 1 outputs and the input, then their primed copies: six for the
+classical broadcaster, four for the decoherence.  That pattern is the one
+layout of both: ``pattern_positions`` lists a pattern's Choi
 positions and ``pattern_floats`` its float entry, the covariant one summed
 over the pattern's table support (``_pattern_table``).  The dense Choi,
 built only when something reads it, and the Choi and Jamiolkowski
@@ -50,7 +52,7 @@ import math
 from typing import NamedTuple
 
 from . import _lazy
-from .densemat import S3, Operator, _raw, partial_trace
+from .densemat import S3, Operator, _raw
 
 np = _lazy("numpy")
 
@@ -66,9 +68,10 @@ class SuperMap:
     six coefficients of the table elements as ``exact``, a ``(den, re, im)``
     triple of six integer numerators each over one nonzero integer
     denominator (``covariant_map`` builds it from numbers); or for a map
-    d -> d^2 whose Choi entry depends only on which of its six labels are
-    equal, ``patterns``, a dict of complex values from equality patterns
-    (``equality_patterns(6)``), 0 on those it leaves out.  A covariant map
+    d -> d^(n-1) whose Choi entry depends only on which of its 2n labels
+    are equal, ``patterns``, a dict of complex values from equality
+    patterns (``equality_patterns(2n)``, all of one length), 0 on those it
+    leaves out.  A covariant map
     keeps ``exact`` in lowest terms with ``den`` > 0, and ``coeffs`` as its
     float view: six complex numbers, each part num/den rounded once.  The
     forms a map was not given are None.  A covariant or pattern map fills
@@ -82,16 +85,20 @@ class SuperMap:
             raise ValueError("give a SuperMap either its Choi, its six covariant coefficients or its patterns")
         if choi is None:
             _require_dim(d_in)
-            if d_out != d_in * d_in:
-                raise ValueError(f"a covariant or pattern map goes d -> d^2, got {d_in} -> {d_out}")
         coeffs = None
         if exact is not None:
+            if d_out != d_in * d_in:
+                raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
             exact = _lowest_terms(*exact)
             den, re, im = exact
             coeffs = tuple(complex(a / den, b / den) for a, b in zip(re, im))
         elif patterns is not None:
-            if not set(patterns) <= set(equality_patterns(6)):
-                raise ValueError("pattern keys must be equality patterns of six labels, labelled by first occurrence")
+            labels = {len(p) for p in patterns} or {6}
+            if len(labels) > 1 or min(labels) % 2 or any(pattern_of(p) != p for p in patterns):
+                raise ValueError("pattern keys must be equality patterns of one even length, labelled by first use")
+            n = labels.pop() // 2
+            if d_out != d_in ** (n - 1):
+                raise ValueError(f"pattern keys of {2 * n} labels make a map d -> d^{n - 1}, got {d_in} -> {d_out}")
             patterns = {p: complex(v) for p, v in patterns.items()}
         else:
             choi = choi if isinstance(choi, Operator) else Operator(choi)
@@ -114,10 +121,10 @@ class SuperMap:
     def choi(self) -> Operator:
         """The Choi, filled on the first read with each ``pattern_floats`` value at its ``pattern_positions``."""
         if self._choi is None:
-            d, n = self.d_in, self.d_in**3
+            n = self.d_out * self.d_in
             choi = np.zeros(n * n, dtype=np.complex128)
             for pattern, value in pattern_floats(self).items():
-                choi[list(pattern_positions(d, pattern))] = value
+                choi[list(pattern_positions(self.d_in, pattern))] = value
             object.__setattr__(self, "_choi", Operator(choi.reshape(n, n)))
         return self._choi
 
@@ -183,8 +190,8 @@ class SuperMap:
         Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
         """
         if self.exact is None:
-            red = partial_trace(self.choi, (self.d_out, self.d_in), keep="second")
-            return bool(np.abs(red.mat - np.eye(self.d_in)).max() <= HP_TOL)
+            red = np.einsum("kikj->ij", self._c4())
+            return bool(np.abs(red - np.eye(self.d_in)).max() <= HP_TOL)
         d, (den, re, im) = self.d_in, self.exact
         powers = [d ** _cycles(s) for s in S3]
         trace_re, trace_im = (sum(x * p for x, p in zip(part, powers)) for part in (re, im))
@@ -346,14 +353,15 @@ def pattern_of(labels) -> tuple[int, ...]:
 
 @functools.cache
 def pattern_positions(d: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major flat positions in the d^3 x d^3 Choi of the label tuples with an equality pattern of six labels.
+    """Row-major flat positions in the d^n x d^n Choi of the label tuples with an equality pattern of 2n labels.
 
     One label tuple per injective labelling of the pattern's groups, so
     ``math.perm(d, max(pattern) + 1)`` positions; none when it has more
     groups than d.
     """
+    top = len(pattern) - 1
     return tuple(
-        sum(labels[g] * d ** (5 - k) for k, g in enumerate(pattern))
+        sum(labels[g] * d ** (top - k) for k, g in enumerate(pattern))
         for labels in itertools.permutations(range(d), max(pattern) + 1)
     )
 
@@ -413,7 +421,7 @@ def _pattern_values(d: int, re, im) -> tuple[dict, dict]:
 
 
 def pattern_floats(m: SuperMap) -> dict[tuple[int, ...], complex]:
-    """Each nonzero Choi entry of a covariant or pattern map d -> d^2 by its pattern, as a complex float.
+    """Each nonzero Choi entry of a covariant or pattern map by its pattern, as a complex float.
 
     A pattern map's entry is its own value.  A covariant map's is 0j plus
     the float coefficients on the pattern's table support, added left to

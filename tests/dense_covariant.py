@@ -15,10 +15,10 @@ import functools
 
 import numpy as np
 
-from vbcast.densemat import S3, Operator, kron, swap
+from vbcast.densemat import S3, Operator, swap
 from vbcast.supermap import _require_dim
 
-from dense_maps import identity, omega
+from dense_maps import identity, kron, omega
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Dense map operations that only the tests use.
 
-The identity operator, the maximally entangled operator Omega, the
+The identity operator, the maximally entangled operator Omega, Kronecker
+products and partial traces on two-factor tensor spaces, the
 descending-order Hermitian eigensolver ``eigh``, the witness state of a
 diamond bracket, maps built from their action on matrix units, the
 identity map, composition, tensor products, Hilbert-Schmidt adjoints, action on the left
@@ -27,6 +28,32 @@ def omega(d: int) -> Operator:
         for j in range(d):
             m[i * d + i, j * d + j] = 1.0
     return Operator(m)
+
+
+def kron(a, b) -> Operator:
+    """Kronecker product, first factor slowest (row-major convention)."""
+    return Operator(np.kron(_raw(a), _raw(b)))
+
+
+def partial_trace(o, dims: tuple[int, int], keep: str) -> Operator:
+    """Trace out one factor of a two-factor tensor space.
+
+    Parameters
+    ----------
+    o : Operator on C^(d1*d2)
+    dims : (d1, d2) factor dimensions
+    keep : "first" keeps factor 1 (traces out 2), "second" keeps factor 2.
+    """
+    d1, d2 = dims
+    m = _raw(o)
+    if m.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
+    t = m.reshape(d1, d2, d1, d2)
+    if keep == "first":
+        return Operator(np.einsum("ikjk->ij", t))
+    if keep == "second":
+        return Operator(np.einsum("kikj->ij", t))
+    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def eigh(h) -> tuple[np.ndarray, Operator]:

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vbcast.densemat import DEFAULT_TOL, Operator, kron
+from vbcast.densemat import DEFAULT_TOL, Operator
 from vbcast.supermap import SuperMap
 
-from dense_maps import from_action
+from dense_maps import from_action, kron
 
 
 def _check_pure(psi: Operator, d: int, tol: float = DEFAULT_TOL):

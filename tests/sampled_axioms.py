@@ -8,9 +8,10 @@ the marginal residuals off the Choi's equality patterns, and with the dense
 reference ``dense_axioms.dense_check_axioms`` for random channels.
 """
 
-from vbcast.densemat import Rng, partial_trace, random_density, trace_norm
+from vbcast.densemat import Rng, random_density, trace_norm
 from vbcast.supermap import SuperMap
 
+from dense_maps import partial_trace
 from random_fixtures import random_pure
 
 

@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 import vbcast
 from vbcast import broadcast, cli, densemat, diamond, supermap
 from vbcast.broadcast import canonical_b, classical_bcl, cloner, family_b_lambda
-from vbcast.cli import DEFAULT_TOLERANCES, REPORT_SCHEMAS, VERIFY_TOLERANCES, CliError, _dumps, main
+from vbcast.cli import DEFAULT_TOLERANCES, VERIFY_TOLERANCES, CliError, _dumps, main
 from vbcast.densemat import Operator, Rng, trace_norm
 from vbcast.diamond import diamond_bracket, float_slack
 from vbcast.supermap import SuperMap, covariant_map
@@ -24,6 +24,7 @@ from vbcast.supermap import SuperMap, covariant_map
 from dense_maps import apply_right
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
+from report_schemas import REPORT_SCHEMAS
 
 
 PATTERNS = supermap.equality_patterns(6)
@@ -778,10 +779,10 @@ class TestDump:
         assert main(["dump", "--object", "B_lambda:abc", "--dim", "2"]) == 2
 
     @pytest.mark.parametrize("d", range(2, 7))
-    @pytest.mark.parametrize("name", (*COVARIANT_OBJECTS, "B_cl"))
+    @pytest.mark.parametrize("name", (*COVARIANT_OBJECTS, "B_cl", "D"))
     def test_covariant_dump_matches_dense_choi(self, name, d):
         # a covariant or pattern map's operators, laid out by pattern with no dense Choi, write the bytes of
-        # the ndarray Choi and its jamiolkowski(), entry by entry
+        # the ndarray Choi and its jamiolkowski(), entry by entry; D is a pattern map of four labels
         m = cli.build_object(name, d)
         got = {"supermap": cli._supermap_doc(m), "jamiolkowski": cli._map_operator_doc(m, jamiolkowski=True)}
         assert m._choi is None
@@ -791,7 +792,7 @@ class TestDump:
             "supermap": {"d_in": m.d_in, "d_out": m.d_out, "choi": cli._operator_doc(m.choi)},
             "jamiolkowski": cli._operator_doc(m.jamiolkowski()),
         }
-        assert len(want["jamiolkowski"]["re"].values) == d**6
+        assert len(want["jamiolkowski"]["re"].values) == (m.d_in * m.d_out) ** 2
         assert _dumps(got).splitlines() == _dumps(want).splitlines()  # a list compare names the first differing line
 
     @pytest.mark.parametrize("name", COVARIANT_OBJECTS)

@@ -252,6 +252,13 @@ class TestPatternForm:
             SuperMap(2, 4, patterns={(0, 0, 0, 0, 0, 2): 1.0})
         with pytest.raises(ValueError, match="d -> d\\^2"):
             SuperMap(2, 2, patterns={(0, 0, 0, 0, 0, 0): 1.0})
+        assert SuperMap(3, 3, patterns={(0, 0, 0, 0): 1.0}).choi.mat.shape == (9, 9)  # the decoherence's key
+        with pytest.raises(ValueError, match="d -> d\\^1"):
+            SuperMap(3, 9, patterns={(0, 0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="one even length"):
+            SuperMap(2, 4, patterns={(0, 0, 0, 0): 1.0, (0, 0, 0, 0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="one even length"):
+            SuperMap(2, 2, patterns={(0, 0, 0): 1.0})
         with pytest.raises(ValueError, match="dimension >= 2"):
             classical_bcl(1)
 

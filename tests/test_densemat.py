@@ -6,8 +6,6 @@ from pytest import mark, raises
 from vbcast.densemat import (
     Operator,
     Rng,
-    kron,
-    partial_trace,
     random_density,
     random_hermitian,
     swap,
@@ -15,7 +13,7 @@ from vbcast.densemat import (
 )
 
 from dense_covariant import antisym_projector, sym_projector
-from dense_maps import conjugate, dagger, eigh, identity, is_psd, is_unitary
+from dense_maps import conjugate, dagger, eigh, identity, is_psd, is_unitary, kron, partial_trace
 from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros
 
 dims = (2, 3, 4, 5)

@@ -11,7 +11,6 @@ from vbcast.broadcast import canonical_b
 from vbcast.densemat import (
     Operator,
     Rng,
-    partial_trace,
     random_density,
     swap,
 )
@@ -27,7 +26,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
-from dense_maps import eigh, identity, is_psd
+from dense_maps import eigh, identity, is_psd, partial_trace
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector

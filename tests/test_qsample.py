@@ -18,9 +18,9 @@ from dense_maps import identity
 from random_fixtures import random_channel
 
 
-def estimate(dec, rho, o1, o2, n, rng, shot_noise=False):
+def estimate(dec, rho, o1, o2, n, rng):
     """The final estimate of a one-checkpoint run."""
-    return estimate_with_trace(dec, rho, o1, o2, n, rng, n_checkpoints=1, shot_noise=shot_noise)[0]
+    return estimate_with_trace(dec, rho, o1, o2, n, rng, n_checkpoints=1)[0]
 
 
 @mark.parametrize("d", (2, 3, 4, 5))
@@ -50,6 +50,37 @@ def test_rejects_dim_mismatch():
         estimate_with_trace(dec, rho, identity(2), identity(2), 100, Rng(0))
 
 
+def test_rejects_component_that_is_not_covariant():
+    # a dense channel has no six coefficients to read, so the sampler names it instead of sampling it
+    d = 2
+    rho = random_density(d, Rng(0))
+    for dec, name in (
+        (AffineDecomposition(1.0, 0.0, cloner(d), random_channel(d, d * d, Rng(1))), "map_minus"),
+        (AffineDecomposition(1.0, 0.0, random_channel(d, d * d, Rng(1)), cloner(d)), "map_plus"),
+    ):
+        with raises(ValueError, match=f"{name} is not covariant"):
+            estimate_with_trace(dec, rho, identity(d), identity(d), 100, Rng(0))
+
+
+def test_rejects_observables_of_the_wrong_size():
+    # O1 and O2 act on the two d-dimensional outputs; rows of another size are not truncated into a value
+    d = 2
+    dec = canonical_decomposition(d)
+    rng = Rng(1)
+    rho, o = random_density(d, rng), random_hermitian(d, rng)
+    for o1, o2 in ((identity(3), o), (o, identity(3)), (identity(1), identity(1))):
+        with raises(ValueError, match="Hermitian 2x2"):
+            estimate_with_trace(dec, rho, o1, o2, 100, Rng(2))
+
+
+@mark.parametrize("n_checkpoints", (0, -3))
+def test_rejects_fewer_than_one_checkpoint(n_checkpoints):
+    dec = canonical_decomposition(2)
+    rho = random_density(2, Rng(0))
+    with raises(ValueError, match="1 checkpoint"):
+        estimate_with_trace(dec, rho, identity(2), identity(2), 100, Rng(0), n_checkpoints=n_checkpoints)
+
+
 def test_estimator_unbiased():
     d = 2
     dec = canonical_decomposition(d)
@@ -64,30 +95,20 @@ def test_estimator_unbiased():
     assert est.exact == pytest.approx(want, abs=1e-12)
 
 
-def test_shot_noise_mode_unbiased():
-    d = 2
-    dec = canonical_decomposition(d)
-    rng = Rng(23)
-    rho = random_density(d, rng)
-    o1 = random_hermitian(d, rng)
-    o2 = random_hermitian(d, rng)
-    est = estimate(dec, rho, o1, o2, 40000, Rng(24), shot_noise=True)
-    assert abs(est.zscore()) < 5.0
-
-
 def test_single_shot_values_bounded_by_overhead():
-    # |estimate per draw| <= L * ||O1 (x) O2||_inf, so the sample stderr
-    # after n draws is at most L*||O||/sqrt(n-1)
+    # each draw is L times a channel's exact expectation, so |draw| <= L * ||O1 (x) O2||_inf, and the sample
+    # stderr after n draws is at most L*||O||/sqrt(n-1)
     d = 2
     dec = canonical_decomposition(d)
     rng = Rng(25)
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    norm = np.abs(np.linalg.eigvalsh(np.kron(o1.mat, o2.mat))).max()
+    bound = hptp_upper(dec) * np.abs(np.linalg.eigvalsh(np.kron(o1.mat, o2.mat))).max()
+    assert max(map(abs, _value_table(dec, rho, o1, o2)[1])) <= bound + 1e-12
     n = 2000
-    est = estimate(dec, rho, o1, o2, n, Rng(26), shot_noise=True)
-    assert est.stderr <= hptp_upper(dec) * norm / np.sqrt(n - 1) + 1e-12
+    est = estimate(dec, rho, o1, o2, n, Rng(26))
+    assert est.stderr <= bound / np.sqrt(n - 1) + 1e-12
 
 
 def test_stderr_scales_as_inverse_sqrt_n():
@@ -181,8 +202,7 @@ def test_multinomial_sums_and_skips_empty_values():
         assert sum(counts) == k and counts[1] == counts[4] == 0
 
 
-@mark.parametrize("shot_noise", (False, True))
-def test_trace_matches_materialised_draws(shot_noise):
+def test_trace_matches_materialised_draws():
     # the value table rebuilt from the dense channels, the segments laid out as one draw per shot
     d = 2
     dec = canonical_decomposition(d)
@@ -191,26 +211,16 @@ def test_trace_matches_materialised_draws(shot_noise):
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
     n = 3000
-    est, rows = estimate_with_trace(
-        dec, rho, o1, o2, n, Rng(39), n_checkpoints=7, shot_noise=shot_noise
-    )
+    est, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(39), n_checkpoints=7)
     assert len(rows) == 7 and rows[-1][0] == n
 
     weights = np.array([dec.lambda_plus, -dec.lambda_minus])
     l1 = np.abs(weights).sum()
     obs = np.kron(o1.mat, o2.mat)
     outs = [ch.apply(rho).mat for ch in (dec.map_plus, dec.map_minus)]
-    if shot_noise:
-        evals, evecs = np.linalg.eigh(obs)
-        born = np.array([np.real(np.diag(evecs.conj().T @ o @ evecs)) for o in outs])
-        born = np.clip(born, 0.0, None)
-        born /= born.sum(axis=1, keepdims=True)
-        probs = (np.abs(weights)[:, None] / l1 * born).reshape(-1)
-        vals = np.outer(l1 * np.sign(weights), evals).reshape(-1)
-    else:
-        probs = np.abs(weights) / l1
-        vals = l1 * np.sign(weights) * np.array([np.real(np.trace(o @ obs)) for o in outs])
-    _, table_vals, table_probs = _value_table(dec, rho, o1, o2, shot_noise)
+    probs = np.abs(weights) / l1
+    vals = l1 * np.sign(weights) * np.array([np.real(np.trace(o @ obs)) for o in outs])
+    _, table_vals, table_probs = _value_table(dec, rho, o1, o2)
     assert table_vals == pytest.approx(vals.tolist(), abs=1e-12)
     assert table_probs == pytest.approx(probs.tolist(), abs=1e-12)
     # replay the segments from the same stream, in order, as one array of n draws
@@ -228,16 +238,15 @@ def test_trace_matches_materialised_draws(shot_noise):
 
 
 @mark.parametrize("d", (2, 6))
-@mark.parametrize("shot_noise", (False, True))
-def test_rows_recomputed_from_segment_counts(d, shot_noise):
+def test_rows_recomputed_from_segment_counts(d):
     # each checkpoint's mean and stderr are those of the draws so far, rebuilt from the per-segment counts
     dec = canonical_decomposition(d)
     rng = Rng(41)
     rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
     n = 20001
-    _, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(42), n_checkpoints=5, shot_noise=shot_noise)
-    _, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
-    assert len(vals) == (2 * d * d if shot_noise else 2)
+    _, rows = estimate_with_trace(dec, rho, o1, o2, n, Rng(42), n_checkpoints=5)
+    _, vals, probs = _value_table(dec, rho, o1, o2)
+    assert len(vals) == 2
     replay = Rng(42)
     counts = np.zeros(len(vals))
     done = 0
@@ -252,13 +261,12 @@ def test_rows_recomputed_from_segment_counts(d, shot_noise):
 
 
 @mark.parametrize("d", (2, 6))
-@mark.parametrize("shot_noise", (False, True))
-def test_counts_match_choice_bincount(d, shot_noise):
+def test_counts_match_choice_bincount(d):
     # a segment's per-value counts have the law of Generator.choice's indices reduced by bincount
     dec = canonical_decomposition(d)
     rng = Rng(41)
     rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
-    _, vals, probs = _value_table(dec, rho, o1, o2, shot_noise)
+    _, vals, probs = _value_table(dec, rho, o1, o2)
     segments, m = 2000, 50
     drawn, gen = Rng(42), Rng(43).gen
     ours = np.array([_multinomial(drawn, m, probs) for _ in range(segments)])
@@ -289,14 +297,13 @@ def test_counts_match_choice_bincount(d, shot_noise):
         assert abs(means.var(ddof=1) / (var / m) - 1) < 6 * spread
 
 
-@mark.parametrize("shot_noise", (False, True))
-def test_same_seed_and_stream_same_rows(shot_noise):
+def test_same_seed_and_stream_same_rows():
     dec = canonical_decomposition(3)
     rng = Rng(45)
     rho, o1, o2 = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
-    a = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9, shot_noise=shot_noise)[1]
-    b = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9, shot_noise=shot_noise)[1]
-    c = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 3), n_checkpoints=9, shot_noise=shot_noise)[1]
+    a = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9)[1]
+    b = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 2), n_checkpoints=9)[1]
+    c = estimate_with_trace(dec, rho, o1, o2, 10**6, Rng(46, 3), n_checkpoints=9)[1]
     assert a == b and a != c
 
 
@@ -306,7 +313,7 @@ def test_rows_match_dense_value_table():
         dec = canonical_decomposition(d)
         rng = Rng(47 + d)
         rho, o1, o2 = random_density(d, rng), random_hermitian(d, rng), random_hermitian(d, rng)
-        exact, vals, probs = _value_table(dec, rho, o1, o2, False)
+        exact, vals, probs = _value_table(dec, rho, o1, o2)
         obs = np.kron(o1.mat, o2.mat)
         dense = [np.real(np.trace(ch.apply(rho).mat @ obs)) for ch in (dec.map_plus, dec.map_minus)]
         assert vals == pytest.approx([d * dense[0], -d * dense[1]], abs=1e-12)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, kron, random_density, random_hermitian, swap
+from vbcast.densemat import Operator, Rng, random_density, random_hermitian, swap
 from vbcast.supermap import AffineDecomposition, SuperMap, surd, surd_sign
 
 from dense_maps import (
-    apply_left, apply_right, compose, from_action, hs_adjoint, identity, identity_map, is_psd, omega, tensor
+    apply_left, apply_right, compose, from_action, hs_adjoint, identity, identity_map, is_psd, kron, omega, tensor
 )
 from random_fixtures import _haar_qr, ginibre_columns, random_channel
 
