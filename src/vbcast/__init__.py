@@ -26,13 +26,11 @@ and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample,
 mcstats and diamond; ``dump`` densemat, supermap and the layer that builds
 its object.
 
-numpy loads only when a command starts dense work (a dense Choi, ADMM,
-``sample --object M``).  A covariant map's axiom residuals, spectrum,
-uniqueness certificate, diamond bracket and Choi and Jamiolkowski entries
-are standard-library arithmetic on its six coefficients, so ``verify`` and
-``dump`` on a covariant object, ``diamond`` on ``B`` and ``B-minus-Bplus``
-and ``sample --object B`` never execute numpy, and they run where numpy is
-not installed; a command that reaches numpy there exits 2.
+numpy loads only for ``sample --object M`` and dense ``file:`` targets of
+``diamond``.  ``verify`` and ``dump`` of every named object are exact and
+never import numpy, nor do ``diamond`` on ``B``, ``B-minus-Bplus`` and a
+covariant ``file:`` target, and ``sample --object B``; they run where
+numpy is not installed, and a command that reaches numpy there exits 2.
 """
 
 import importlib.util

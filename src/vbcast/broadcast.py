@@ -18,7 +18,7 @@ Tr[P_s^T P_t] = d^c(t s^-1) with c counting cycles; its rank k (5 at
 d = 2, 6 above) is the dimension of the span.  ``check_axioms`` reads the
 four axioms of a covariant or pattern map exactly, with no sampling and no
 numpy: the Choi's value on each equality pattern of its labels is an
-integer over one power-of-two denominator, each linear residual is a set
+integer over one denominator (``exact_values``), each linear residual is a set
 of integer rows over the patterns (``_axiom_patterns``), and covariance is
 the distance to the span, projected by the Gram's leading block in
 integers.  A dense map has no exact path; its residuals are the tests'
@@ -39,11 +39,10 @@ from .supermap import (
     _cycles,
     _largest,
     _pattern_table,
-    _pattern_values,
-    _ratios,
     _require_dim,
     covariant_map,
     equality_patterns,
+    exact_values,
     pattern_of,
 )
 
@@ -193,21 +192,6 @@ def _axiom_patterns(d: int) -> dict[str, tuple]:
     return {name: tuple(t for t in triples if t[2]) for name, triples in systems.items()}  # count 0: k > d
 
 
-def _exact_values(m: SuperMap) -> tuple[int, dict, dict]:
-    """m's Choi on each pattern that occurs at d, as (den, re, im): integer numerators over one den.
-
-    A covariant map's values are ``_pattern_values`` of its exact
-    coefficients.  A pattern value is a float, so a dyadic rational
-    (``_ratios``): a power of two holds them all.  A value that is not
-    finite raises.
-    """
-    if m.exact is not None:
-        den, re, im = m.exact
-        return den, *_pattern_values(m.d_in, re, im)
-    den, *parts = _ratios(m.patterns.values())
-    return den, *({p: 0 for p, _, _ in _pattern_table(m.d_in)} | dict(zip(m.patterns, part)) for part in parts)
-
-
 def _twirl_residuals(d: int, values: dict) -> list[int]:
     """det (C - Pi(C)) on each pattern that occurs at d, for one real part of C, Pi the projection onto the span.
 
@@ -219,15 +203,17 @@ def _twirl_residuals(d: int, values: dict) -> list[int]:
     overlaps = [0] * 6
     for p, count, support in _pattern_table(d):
         for j in support:
-            overlaps[j] += count * values[p]
+            overlaps[j] += count * values.get(p, 0)
     x = [sum(a * o for a, o in zip(row, overlaps)) for row in adj] + [0] * (6 - len(adj))
-    return [det * values[p] - sum(x[j] for j in support) for p, _, support in _pattern_table(d)]
+    return [det * values.get(p, 0) - sum(x[j] for j in support) for p, _, support in _pattern_table(d)]
 
 
 def _worst(rows, den: int, re: dict, im: dict) -> float:
-    """Largest  |sum weight * C[pattern] - target|  over (row, target, count) triples, C from ``_exact_values``."""
-    pairs = ((sum(w * re[p] for p, w in row) - t * den, sum(w * im[p] for p, w in row)) for row, t, _ in rows)
-    return _largest(pairs, den)
+    """Largest  |sum weight * C[pattern] - target|  over (row, target, count) triples, C from ``exact_values``."""
+    def entry(part, row):  # a pattern that ``exact_values`` leaves out holds 0
+        return sum(w * part.get(p, 0) for p, w in row)
+
+    return _largest(((entry(re, row) - t * den, entry(im, row)) for row, t, _ in rows), den)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,9 @@ def check_axioms(m: SuperMap) -> AxiomReport:
     d = m.d_in
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
-    if m.coeffs is None and m.patterns is None:
+    if m.exact is None:
         raise ValueError("check_axioms reads a covariant or pattern map, not a dense Choi")
-    den, re, im = _exact_values(m)
+    den, re, im = exact_values(m)
     systems = _axiom_patterns(d)
     return AxiomReport(
         broadcasting=max(_worst(systems["marginal1"], den, re, im), _worst(systems["marginal2"], den, re, im)),
@@ -338,5 +324,5 @@ def verify_uniqueness(
         unknowns=unknowns,
         rank=rank,
         nullity=unknowns - rank,
-        candidate_residual=_worst(triples, *_exact_values(canonical_b(d))),
+        candidate_residual=_worst(triples, *exact_values(canonical_b(d))),
     )

@@ -191,7 +191,7 @@ def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
     Jamiolkowski operator holds each value at the positions of the rotated
     pattern, renumbered.
     """
-    if m.coeffs is None and m.patterns is None:
+    if m.exact is None:
         return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
     n = m.d_in * m.d_out
     values, rows = [0j], [[0] * n for _ in range(n)]
@@ -323,11 +323,7 @@ def build_object(name: str, d: int) -> supermap.SuperMap:
 
 def _eigenvalue_residual(m: supermap.SuperMap) -> float:
     """Largest |v - w| over m's and B's descending Choi spectra, paired (``spectral_distance``); inf if m is not HP."""
-    if not m.is_hp():
-        return math.inf
-    if m.exact is None:
-        return max(abs(v - w) for v, w in zip(m.spectrum(), broadcast.canonical_b(m.d_in).spectrum()))
-    return supermap.spectral_distance(m.d_in, m.exact, broadcast.canonical_b(m.d_in).exact)
+    return supermap.spectral_distance(m, broadcast.canonical_b(m.d_in)) if m.is_hp() else math.inf
 
 
 def _verify_axioms(b: supermap.SuperMap, cfg: RunConfig):

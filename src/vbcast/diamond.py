@@ -294,7 +294,7 @@ def gap_floor(m: SuperMap, lower: float, upper: float) -> float:
     wide; every upper bound, Jordan or ADMM, comes from the one n x n
     certificate and is rounded up by at least as much again.
     """
-    if m.exact is not None:
+    if m.coeffs is not None:
         return upper - lower
     return min(2 * float_slack(m.d_in * m.d_out, max(lower, 0.0)), upper - lower)
 
@@ -313,7 +313,7 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     when its gap is <= ``tolerance``.
     """
     iterations = 0
-    if m.exact is not None:
+    if m.coeffs is not None:
         lower, up, witness = _covariant_bounds(m)
     else:
         up, rho0, r = _jordan_certificate(m)

@@ -15,30 +15,31 @@ when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
 (the walled Brauer algebra B_{2,1}(d); Benkart et al., J. Algebra 166
 (1994)) such Chois are the combinations  sum_k x_k P_k^T3  of the six factor
 permutations of ``S3`` transposed on the input factor, the table elements.
-``covariant_map`` keeps a map as those six coefficients, exactly: twelve
-integer numerators, real and imaginary parts, over one positive
-denominator (``SuperMap.exact``), so sums, differences and scalar
-multiples stay six exact coefficients.  ``SuperMap.coeffs`` is their float
-view, each part rounded once.  Each entry of such a Choi depends only on
-which of its six labels (out1, out2, in; out1', out2', in') are equal, its
-equality pattern (``equality_patterns``, at most 203).  A pattern map
-d -> d^(n-1) keeps one value per equality pattern of its Choi's 2n labels,
-the n - 1 outputs and the input, then their primed copies: six for the
-classical broadcaster, four for the decoherence.  That pattern is the one
-layout of both: ``pattern_positions`` lists a pattern's Choi
-positions and ``pattern_floats`` its float entry, the covariant one summed
-over the pattern's table support (``_pattern_table``).  The dense Choi,
-built only when something reads it, and the Choi and Jamiolkowski
-operators that ``dump`` writes are filled from those two;
-``match_covariant`` runs them backwards, reading the six coefficients off
-a Choi's entries and keeping them only if they reproduce every entry.  A
-covariant map's largest entry, Hermiticity and trace-preservation tests and
-axiom residuals are read off the patterns in integers, and its spectrum
-has the closed form of ``covariant_blocks``.  Those reads touch no numpy;
-each result is a quadratic surd (p + q sqrt(w)) / r, rounded to a float
-once by ``surd``.  ``apply`` sums the six terms' actions on a d x d input
-(``_covariant_apply``) in O(d^4).  A pattern map's axiom residuals are read
-off the patterns too; its other methods read its dense Choi.
+``covariant_map`` keeps a map as those six coefficients.  Each entry of
+such a Choi depends only on which of its six labels (out1, out2, in;
+out1', out2', in') are equal, its equality pattern (``equality_patterns``,
+at most 203).  A pattern map d -> d^(n-1) keeps one value per equality
+pattern of its Choi's 2n labels, the n - 1 outputs and the input, then
+their primed copies: six for the classical broadcaster, four for the
+decoherence.  ``SuperMap.exact`` holds either form in integer numerators
+over one positive denominator, so sums, differences and a covariant map's
+scalar multiples stay exact; ``coeffs`` and ``patterns`` are its float
+views.  A structured map's largest entry, Hermiticity test and axiom
+residuals are read off ``exact_values``, its Choi by pattern in integers.
+A covariant map's spectrum has the closed form of ``covariant_blocks``,
+and a diagonal pattern map's (B_cl, D) is its diagonal.  Those reads touch
+no numpy; each result is a quadratic surd (p + q sqrt(w)) / r, rounded to
+a float once by ``surd``.  The dense Choi serves dense maps and the
+spectrum of a pattern map that is not diagonal, which no named map is.
+The pattern is also the one layout of both forms: ``pattern_positions``
+lists a pattern's Choi positions and ``pattern_floats`` its float entry,
+the covariant one summed over the pattern's table support
+(``_pattern_table``).  The dense Choi, built only when something reads it,
+and the Choi and Jamiolkowski operators that ``dump`` writes are filled
+from those two; ``match_covariant`` runs them backwards, reading the six
+coefficients off a Choi's entries and keeping them only if they reproduce
+every entry.  ``apply`` sums a covariant map's six terms' actions on a
+d x d input (``_covariant_apply``) in O(d^4).
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
 the map predicates; a map's Choi JSON layout belongs to ``cli``.
@@ -64,18 +65,17 @@ HP_TOL = 1e-8
 class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
 
-    Give one of three forms: the Choi; for a covariant map d -> d^2 the
-    six coefficients of the table elements as ``exact``, a ``(den, re, im)``
-    triple of six integer numerators each over one nonzero integer
-    denominator (``covariant_map`` builds it from numbers); or for a map
-    d -> d^(n-1) whose Choi entry depends only on which of its 2n labels
-    are equal, ``patterns``, a dict of complex values from equality
-    patterns (``equality_patterns(2n)``, all of one length), 0 on those it
-    leaves out.  A covariant map
-    keeps ``exact`` in lowest terms with ``den`` > 0, and ``coeffs`` as its
-    float view: six complex numbers, each part num/den rounded once.  The
-    forms a map was not given are None.  A covariant or pattern map fills
-    its Choi on the first read of ``choi`` and keeps it.
+    Give one of three forms: the Choi; ``exact``, a ``(den, re, im)``
+    triple of integer numerators over one nonzero integer denominator, six
+    each for a covariant map d -> d^2 (``covariant_map`` builds it from
+    numbers) or dicts by pattern for a pattern map; or ``patterns``, finite
+    numbers, read exactly, by equality pattern (``equality_patterns(2n)``,
+    all of one length) for a map d -> d^(n-1) whose Choi entry depends only
+    on which of its 2n labels are equal, 0 on those it leaves out.  A
+    structured map keeps ``exact`` in lowest terms with ``den`` > 0, less
+    the patterns of more groups than d, which hold no entry, and its float
+    view ``coeffs`` (covariant) or ``patterns``, each part num/den rounded
+    once.  Forms not given are None.  The Choi is filled on its first read.
     """
 
     __slots__ = ("d_in", "d_out", "coeffs", "exact", "patterns", "_choi")
@@ -83,23 +83,35 @@ class SuperMap:
     def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, patterns=None, exact=None):
         if sum(form is not None for form in (choi, patterns, exact)) != 1:
             raise ValueError("give a SuperMap either its Choi, its six covariant coefficients or its patterns")
-        if choi is None:
-            _require_dim(d_in)
-        coeffs = None
+        coeffs = keys = None
+        if patterns is not None:
+            den, *parts = _ratios(patterns.values())
+            exact = den, *(dict(zip(patterns, part)) for part in parts)
         if exact is not None:
-            if d_out != d_in * d_in:
-                raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
-            exact = _lowest_terms(*exact)
+            _require_dim(d_in)
             den, re, im = exact
-            coeffs = tuple(complex(a / den, b / den) for a, b in zip(re, im))
-        elif patterns is not None:
-            labels = {len(p) for p in patterns} or {6}
-            if len(labels) > 1 or min(labels) % 2 or any(pattern_of(p) != p for p in patterns):
-                raise ValueError("pattern keys must be equality patterns of one even length, labelled by first use")
-            n = labels.pop() // 2
-            if d_out != d_in ** (n - 1):
-                raise ValueError(f"pattern keys of {2 * n} labels make a map d -> d^{n - 1}, got {d_in} -> {d_out}")
-            patterns = {p: complex(v) for p, v in patterns.items()}
+            if isinstance(re, dict):
+                labels = {len(p) for p in re} or {6}
+                if len(labels) > 1 or min(labels) % 2 or any(pattern_of(p) != p for p in re):
+                    raise ValueError("pattern keys must be equality patterns of one even length, labelled by first use")
+                n = labels.pop() // 2
+                if d_out != d_in ** (n - 1):
+                    raise ValueError(f"pattern keys of {2 * n} labels make a map d -> d^{n - 1}, got {d_in} -> {d_out}")
+                keys = [p for p in re if max(p) < d_in]
+                re, im = [re[p] for p in keys], [im[p] for p in keys]
+            elif d_out != d_in * d_in:
+                raise ValueError(f"a covariant map goes d -> d^2, got {d_in} -> {d_out}")
+            elif len(re) != 6 or len(im) != 6:
+                raise ValueError(f"a covariant map needs 6 coefficients, got {len(re)}")
+            if not den:
+                raise ValueError("the coefficients' denominator must be nonzero")
+            g = math.gcd(den, *re, *im) * (1 if den > 0 else -1)
+            den, re, im = den // g, tuple(a // g for a in re), tuple(b // g for b in im)
+            view = [complex(a / den, b / den) for a, b in zip(re, im)]
+            if keys is None:
+                exact, coeffs = (den, re, im), tuple(view)
+            else:
+                exact, patterns = (den, dict(zip(keys, re)), dict(zip(keys, im))), dict(zip(keys, view))
         else:
             choi = choi if isinstance(choi, Operator) else Operator(choi)
             n = d_out * d_in
@@ -151,33 +163,29 @@ class SuperMap:
     # -- predicates ---------------------------------------------------------
 
     def choi_absmax(self) -> float:
-        """Largest absolute entry of the Choi; a covariant map's is read off its exact coefficients."""
+        """Largest absolute entry of the Choi; a structured map's is read off ``exact_values``."""
         if self.exact is None:
             return self.choi.absmax()
-        den, re, im = self.exact
-        values_re, values_im = _pattern_values(self.d_in, re, im)
-        return _largest(zip(values_re.values(), values_im.values()), den)
+        den, re, im = exact_values(self)
+        return _largest(zip(re.values(), im.values()), den)
 
     def spectrum(self) -> list[float]:
-        """Descending eigenvalues of the Choi, taken as Hermitian (``eigvalsh`` reads its lower triangle)."""
-        if self.exact is None:
-            return np.linalg.eigvalsh(self.choi.mat)[::-1].tolist()
-        return covariant_spectrum(self.d_in, self.exact)
+        """Descending eigenvalues of the Choi, taken as Hermitian (``_surd_spectrum``), each rounded once."""
+        r, w, values = _surd_spectrum(self)
+        rounded = {(p, q): surd(p, q, w, r) for p, q in set(values)}
+        return [rounded[v] for v in values]
 
     def is_hp(self) -> bool:
         """Hermitian-preserving, i.e. Hermitian Choi within ``HP_TOL``.
 
-        The Choi's adjoint has the coefficients conj(x_s^-1); only the two
-        3-cycles are not their own inverses.
+        A structured map compares its value on each pattern with the
+        conjugate of its value on the ``_adjoint`` pattern, in integers.
         """
         if self.exact is None:
             return bool(self.choi.is_hermitian(HP_TOL))
-        den, re, im = self.exact
-        inverse = (0, 1, 2, 3, 5, 4)
-        skew_re = [re[k] - re[j] for k, j in enumerate(inverse)]
-        skew_im = [im[k] + im[j] for k, j in enumerate(inverse)]
-        values_re, values_im = _pattern_values(self.d_in, skew_re, skew_im)
-        return _largest(zip(values_re.values(), values_im.values()), den) <= HP_TOL
+        den, re, im = exact_values(self)
+        skew = ((re[p] - re.get(q, 0), im[p] + im.get(q, 0)) for p, q in zip(re, map(_adjoint, re)))
+        return _largest(skew, den) <= HP_TOL
 
     def is_cp(self) -> bool:
         """Completely positive, i.e. PSD Choi within ``HP_TOL``."""
@@ -189,7 +197,7 @@ class SuperMap:
         A covariant Choi's Tr_out commutes with every Ubar, so it is
         Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
         """
-        if self.exact is None:
+        if self.coeffs is None:
             red = np.einsum("kikj->ij", self._c4())
             return bool(np.abs(red - np.eye(self.d_in)).max() <= HP_TOL)
         d, (den, re, im) = self.d_in, self.exact
@@ -204,12 +212,16 @@ class SuperMap:
             raise ValueError("supermap dimensions do not match")
 
     def _combined(self, other: "SuperMap", sign: int) -> "SuperMap":
-        """self + sign * other: exact for two covariant maps, otherwise on the Choi."""
+        """self + sign * other: exact for two structured maps, covariant if both are, otherwise on the Choi."""
         self._check_same_dims(other)
         if self.exact is None or other.exact is None:
             return SuperMap(self.d_in, self.d_out, self.choi + other.choi * sign)
-        (p, a_re, a_im), (q, b_re, b_im) = self.exact, other.exact
-        parts = ([a * q + sign * b * p for a, b in zip(a_s, b_s)] for a_s, b_s in ((a_re, b_re), (a_im, b_im)))
+        if self.coeffs is not None and other.coeffs is not None:
+            (p, *a), (q, *b) = self.exact, other.exact
+            parts = ([x * q + sign * y * p for x, y in zip(a_s, b_s)] for a_s, b_s in zip(a, b))
+        else:  # a pattern map, on the union of both maps' patterns
+            (p, *a), (q, *b) = exact_values(self), exact_values(other)
+            parts = ({k: a_s.get(k, 0) * q + sign * b_s.get(k, 0) * p for k in a_s | b_s} for a_s, b_s in zip(a, b))
         return SuperMap(self.d_in, self.d_out, exact=(p * q, *parts))
 
     def __add__(self, other: "SuperMap") -> "SuperMap":
@@ -220,7 +232,7 @@ class SuperMap:
 
     def __mul__(self, scalar) -> "SuperMap":
         """A scalar multiple; a covariant map reads an int, float or complex scalar exactly."""
-        if self.exact is None:
+        if self.coeffs is None:
             return SuperMap(self.d_in, self.d_out, self.choi * scalar)
         (den, re, im), (q, (s_re,), (s_im,)) = self.exact, _ratios([scalar])
         product_re = [a * s_re - b * s_im for a, b in zip(re, im)]
@@ -230,7 +242,7 @@ class SuperMap:
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: int) -> "SuperMap":
-        """The map divided by a nonzero int; exact for a covariant map."""
+        """The map divided by a nonzero int; exact for a structured map."""
         if self.exact is None:
             return SuperMap(self.d_in, self.d_out, Operator(self.choi.mat / divisor))
         den, re, im = self.exact
@@ -313,16 +325,6 @@ def _ratios(coeffs) -> tuple[int, list[int], list[int]]:
     den = max(q for _, q in parts) if parts else 1
     nums = [n * (den // q) for n, q in parts]
     return den, nums[::2], nums[1::2]
-
-
-def _lowest_terms(den: int, re, im) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(den, re, im) divided by the gcd of all its integers, with den > 0; six numerators each."""
-    if len(re) != 6 or len(im) != 6:
-        raise ValueError(f"a covariant map needs 6 coefficients, got {len(re)}")
-    if not den:
-        raise ValueError("the coefficients' denominator must be nonzero")
-    g = math.gcd(den, *re, *im) * (1 if den > 0 else -1)
-    return den // g, tuple(a // g for a in re), tuple(b // g for b in im)
 
 
 def _cycles(p: tuple[int, ...]) -> int:
@@ -411,13 +413,22 @@ def _largest(pairs, den: int) -> float:
     return surd(0, 1, max((re * re + im * im for re, im in pairs), default=0), den)
 
 
-def _pattern_values(d: int, re, im) -> tuple[dict, dict]:
-    """sum_k (re[k] + i im[k]) P_k^T3 on each pattern that occurs at d: (re, im) dicts of its entries there.
+def exact_values(m: SuperMap) -> tuple[int, dict, dict]:
+    """A structured map's Choi by pattern: (den, re, im), integer numerators over den by pattern, 0 where missing.
 
-    An entry sums the numerators over its pattern's table support.
+    A covariant map's sum its numerators over each pattern's table support.
     """
-    table = _pattern_table(d)
-    return tuple({p: sum(part[k] for k in support) for p, _, support in table} for part in (re, im))
+    if m.coeffs is None:
+        return m.exact
+    den, re, im = m.exact
+    table = _pattern_table(m.d_in)
+    return den, *({p: sum(part[k] for k in support) for p, _, support in table} for part in (re, im))
+
+
+@functools.cache
+def _adjoint(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """The pattern of the adjoint entry: the column labels first, then the row labels, renumbered."""
+    return pattern_of(pattern[len(pattern) // 2 :] + pattern[: len(pattern) // 2])
 
 
 def pattern_floats(m: SuperMap) -> dict[tuple[int, ...], complex]:
@@ -428,7 +439,7 @@ def pattern_floats(m: SuperMap) -> dict[tuple[int, ...], complex]:
     right in ``S3`` order: bit for bit the entry that adding each
     coeffs[k] P_k^T3 in turn into a zero complex array forms.
     """
-    if m.patterns is not None:
+    if m.coeffs is None:
         return {p: v for p, v in m.patterns.items() if v}
     values = {}
     for pattern, _, support in _pattern_table(m.d_in):
@@ -441,7 +452,7 @@ def pattern_floats(m: SuperMap) -> dict[tuple[int, ...], complex]:
 
 
 def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
-    """The Choi spectrum of a covariant map as integers (den, a, b, s, w); eigenvalues in ``covariant_spectrum``.
+    """The Choi spectrum of a covariant map as integers (den, a, b, s, w); eigenvalues in ``_surd_spectrum``.
 
     C = sum_k x_k P_k^T3 with x_k = (re[k] + i im[k]) / den, taken as
     Hermitian.  The four table elements that move the input factor map
@@ -495,25 +506,32 @@ def surd_sign(p: int, q: int, w: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _surd_spectrum(d: int, exact) -> tuple[int, int, list[tuple[int, int]]]:
-    """C's descending eigenvalues as (r, w, [(p, q), ...]), each (p + q sqrt(w)) / r, ordered by exact sign tests."""
-    den, a, b, s, w = covariant_blocks(d, exact)
-    values = [(2 * a, 0), (2 * b, 0), (s, 1), (s, -1)]
-    counts = (d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d)
+def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[int, int]]]:
+    """m's descending Choi eigenvalues, taken as Hermitian, as (r, w, [(p, q), ...]), each (p + q sqrt(w)) / r.
+
+    A covariant map's come from ``covariant_blocks``.  A diagonal pattern map, whose nonzero patterns repeat
+    their row labels as their column labels, has its real values, each once per position, and 0 elsewhere.
+    Both are ordered by exact sign tests; any other map's are ``eigvalsh``'s floats, as dyadic rationals.
+    """
+    d = m.d_in
+    if m.coeffs is not None:
+        den, a, b, s, w = covariant_blocks(d, m.exact)
+        r, values = 2 * den, [(2 * a, 0), (2 * b, 0), (s, 1), (s, -1)]
+        counts = [d * d * (d + 1) // 2 - d, d * d * (d - 1) // 2 - d, d, d]
+    elif m.exact is not None and all(p[: len(p) // 2] == p[len(p) // 2 :] for p in pattern_floats(m)):
+        (r, re, _), w = m.exact, 0
+        counts = [math.perm(d, max(p) + 1) for p in re]
+        values, counts = [*((v, 0) for v in re.values()), (0, 0)], [*counts, m.d_out * d - sum(counts)]
+    else:
+        r, values, _ = _ratios(np.linalg.eigvalsh(m.choi.mat)[::-1].tolist())
+        return r, 0, [(v, 0) for v in values]
     order = functools.cmp_to_key(lambda x, y: surd_sign(y[0] - x[0], y[1] - x[1], w))
-    return 2 * den, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
+    return r, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
 
 
-def covariant_spectrum(d: int, exact) -> list[float]:
-    """Descending eigenvalues of the Hermitian  C = sum_k x_k P_k^T3, from ``covariant_blocks``: d^3 floats."""
-    r, w, values = _surd_spectrum(d, exact)
-    rounded = {(p, q): surd(p, q, w, r) for p, q in set(values)}
-    return [rounded[v] for v in values]
-
-
-def spectral_distance(d: int, exact, reference) -> float:
-    """Largest |v - u| over the paired descending Choi spectra of covariant ``exact`` and a rational ``reference``."""
-    (r, w, mine), (ref_r, ref_w, theirs) = _surd_spectrum(d, exact), _surd_spectrum(d, reference)
+def spectral_distance(m: SuperMap, reference: SuperMap) -> float:
+    """Largest |v - u| over the paired descending Choi spectra (``_surd_spectrum``) of m and a rational reference."""
+    (r, w, mine), (ref_r, ref_w, theirs) = _surd_spectrum(m), _surd_spectrum(reference)
     root = int(surd(0, 1, ref_w))
     if root * root != ref_w:
         raise ValueError("the reference spectrum must be rational")

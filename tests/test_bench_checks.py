@@ -7,10 +7,11 @@ reads, counts as a failed operation of a benchmark run.  Each command runs
 once here through ``vbcast.cli.main``, so such a change fails the tests
 first.  The harness file is read as it is, by path.
 
-The commands that never execute numpy also run in a child interpreter whose
-``sys.meta_path`` refuses numpy, and must write the same bytes there; so
-they must under every other Python 3.10-3.13 on ``PATH`` that starts, or
-that pyenv names where its shim does not start.
+The commands that never execute numpy -- the benchmark's, and ``verify``
+and ``dump`` of every named object at d = 2 and 6 -- also run in a child
+interpreter whose ``sys.meta_path`` refuses numpy, and must write the same
+bytes there; so they must under every other Python 3.10-3.13 on ``PATH``
+that starts, or that pyenv names where its shim does not start.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ import sys
 
 import pytest
 
-from vbcast.cli import main
+from vbcast.cli import OBJECTS, main
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SEED = 1
@@ -77,9 +78,22 @@ def _report_lines(path):
         return [line for line in fp.read().splitlines() if '"timestamp":' not in line]
 
 
+def _named_runs(out_dir):
+    """(argv, exit code) of verify and dump of every named object at d = 2 and 6: exact arithmetic on their forms."""
+    runs = []
+    for d in ("2", "6"):
+        for name in (*OBJECTS, "B_lambda:0.3"):
+            runs.append((["dump", "--dim", d, "--object", name, "--out", os.path.join(out_dir, f"dump-{d}-{name}")], 0))
+            if name != "D":  # D maps d -> d, no broadcaster
+                out = os.path.join(out_dir, f"verify-{d}-{name}")
+                runs.append((["verify", "--dim", d, "--target", name, "--out", out], int(name != "B")))
+    return runs
+
+
 def _check_numpy_free(python, tmp_path):
     """Run the numpy-free commands under interpreter ``python`` with numpy refused, and match their bytes here."""
-    # every benchmark command but sample --object M is exact arithmetic on a covariant map's coefficients
+    # every benchmark command but sample --object M, and verify and dump of every named object, is exact
+    # arithmetic on a covariant or pattern map
     out_dir = str(tmp_path)
     setup = workloads.file_target_setup_argv(out_dir, SEED)
     assert main(setup) == 0
@@ -90,7 +104,8 @@ def _check_numpy_free(python, tmp_path):
         for cmd in workloads.commands(workload, SEED, out_dir)
         if cmd.argv[:1] != ("sample",) or "M" not in cmd.argv
     ]
-    argvs = [setup, *(list(cmd.argv) for cmd in cmds)]
+    named = _named_runs(out_dir)
+    argvs = [setup, *(list(cmd.argv) for cmd in cmds), *(argv for argv, _ in named)]
     dense = ["sample", "--dim", "2", "--object", "M", "--out", os.path.join(out_dir, "dense.csv")]
     src = os.path.join(os.path.dirname(BENCH), "src")
     res = subprocess.run(
@@ -99,11 +114,11 @@ def _check_numpy_free(python, tmp_path):
     )
     assert res.returncode == 0, res.stderr
     *codes, dense_code = json.loads(res.stdout)
-    assert codes == [0, *(cmd.expect_rc for cmd in cmds)]
+    assert codes == [0, *(cmd.expect_rc for cmd in cmds), *(code for _, code in named)]
     assert dense_code == 2 and not os.path.exists(dense[-1])
     assert res.stderr.splitlines()[-1] == "error: sample needs numpy here, which is not installed"
 
-    outs = [setup[-1], *(cmd.out for cmd in cmds)]
+    outs = [setup[-1], *(cmd.out for cmd in cmds), *(argv[-1] for argv, _ in named)]
     without = [_report_lines(out) for out in outs]
     assert [main(argv) for argv in argvs] == codes
     assert [_report_lines(out) for out in outs] == without

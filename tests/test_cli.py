@@ -1158,15 +1158,14 @@ def _main_in_child(argv: list[str]) -> list[str]:
 
 
 class TestLazyNumpy:
-    """numpy's import runs only when a command starts dense work.
+    """numpy's import runs only for ``sample --object M`` and dense ``file:`` targets.
 
-    ``verify``, ``diamond`` and ``dump`` on a covariant map (B, B+, B-, M,
-    Mprime, B_lambda, B-minus-Bplus) never execute it, nor does ``diamond``
-    on a ``file:`` target that holds such a map's Choi, nor ``sample
-    --object B``, at any d; any other ``file:`` target, ``sample --object
-    M``, ``dump`` of B_cl and D, and the spectrum of ``verify --target
-    B_cl`` do.  The covariant commands' exact arithmetic is on ints, so they
-    import neither ``fractions`` nor ``decimal``.
+    ``verify`` and ``dump`` of every named object (B, B+, B-, B_cl, D, M,
+    Mprime, B_lambda), ``diamond`` on B, on B-minus-Bplus and on a
+    ``file:`` target that holds a covariant map's Choi, and ``sample
+    --object B`` never execute it, at any d; any other ``file:`` target
+    and ``sample --object M`` do.  The exact arithmetic is on ints, so those
+    commands import neither ``fractions`` nor ``decimal``.
     """
 
     def test_cli_import_runs_no_numpy(self):
@@ -1179,9 +1178,16 @@ class TestLazyNumpy:
             (["verify", "--dim", "2", "--target", "B"], 0),
             (["verify", "--dim", "6", "--target", "B"], 0),
             (["verify", "--dim", "2", "--target", "B_lambda:0.3"], 1),
+            (["verify", "--dim", "2", "--target", "B+"], 1),
+            (["verify", "--dim", "2", "--target", "B-"], 1),
+            (["verify", "--dim", "2", "--target", "B_cl"], 1),
+            (["verify", "--dim", "6", "--target", "B_cl"], 1),
+            (["verify", "--dim", "2", "--target", "M"], 1),
+            (["verify", "--dim", "2", "--target", "Mprime"], 1),
         ],
     )
     def test_covariant_verify_runs_no_numpy(self, argv, want, tmp_path):
+        # every named broadcaster, the classical one's pattern form included
         last = _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1]
         assert last == f"exit {want}, numpy loaded: False, fractions loaded: False"
         assert json.loads((tmp_path / "out.json").read_text())["pass"] is (want == 0)
@@ -1242,36 +1248,39 @@ class TestLazyNumpy:
         assert n == 2000000
 
     @pytest.mark.parametrize("d", (2, 6))
-    @pytest.mark.parametrize("name", ("B", "M", "B_lambda:0.3"))
+    @pytest.mark.parametrize("name", ("B", "M", "B_lambda:0.3", "B+", "B-", "B_cl", "D", "Mprime"))
     def test_covariant_dump_runs_no_numpy(self, name, d, tmp_path):
+        # every named object, the pattern maps B_cl and D included
         out = tmp_path / "out.json"
         argv = ["dump", "--dim", str(d), "--object", name, "--out", str(out)]
         assert _main_in_child(argv)[-1] == "exit 0, numpy loaded: False, fractions loaded: False"
         doc = json.loads(out.read_text())
-        assert doc["object"] == name and doc["jamiolkowski"]["rows"] == d**3
+        assert doc["object"] == name and doc["jamiolkowski"]["rows"] == (d**2 if name == "D" else d**3)
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--dim", "2", "--target", "B_cl"],
+            ["diamond", "--dim", "2", "--target", "file:{b_cl}"],
             ["diamond", "--dim", "2", "--target", "file:{channel}"],
             ["sample", "--dim", "2", "--object", "M", "--n", "1000", "--format", "json"],
-            ["dump", "--dim", "2", "--object", "B_cl"],
+            ["diamond", "--dim", "3", "--target", "file:{decoherence}"],
             ["diamond", "--dim", "3", "--target", "file:{nudged}"],
         ],
     )
     def test_dense_commands_load_numpy(self, argv, tmp_path):
-        # a channel's Choi file and a covariant Choi with one entry moved by one ulp are dense maps,
-        # so their diamond brackets take the Jordan path
+        # a channel's Choi file, the dumps of the pattern maps B_cl and D, and a covariant Choi with one entry
+        # moved by one ulp are dense maps, so their diamond brackets take the Jordan path
         channel, nudged = tmp_path / "channel.json", tmp_path / "nudged.json"
+        b_cl, decoherence = tmp_path / "b_cl.json", tmp_path / "decoherence.json"
         write_supermap(channel, random_channel(2, 2, Rng(7)))
+        write_supermap(b_cl, classical_bcl(2))
+        write_supermap(decoherence, broadcast.decoherence(3))
         doc = json.loads(_dumps(cli._supermap_doc(family_b_lambda(3, 0.3))))
         doc["choi"]["re"][0][0] = math.nextafter(doc["choi"]["re"][0][0], math.inf)
         nudged.write_text(json.dumps(doc))
-        argv = [a.format(channel=channel, nudged=nudged) for a in argv]
-        want = 1 if argv[0] == "verify" else 0  # the classical broadcaster is not covariant
+        argv = [a.format(channel=channel, nudged=nudged, b_cl=b_cl, decoherence=decoherence) for a in argv]
         last = _main_in_child(argv + ["--out", str(tmp_path / "out.json")])[-1]
-        assert last.startswith(f"exit {want}, numpy loaded: True,")
+        assert last.startswith("exit 0, numpy loaded: True,")
         assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
     @pytest.mark.parametrize("numpy_first", [True, False])

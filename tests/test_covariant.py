@@ -25,6 +25,7 @@ from vbcast.broadcast import (
     check_axioms,
     classical_bcl,
     cloner,
+    decoherence,
     family_b_lambda,
 )
 from vbcast.densemat import Rng
@@ -36,7 +37,6 @@ from vbcast.supermap import (
     _pattern_table,
     covariant_blocks,
     covariant_map,
-    covariant_spectrum,
     equality_patterns,
     pattern_positions,
     spectral_distance,
@@ -179,21 +179,27 @@ class TestCovariantForm:
     def test_spectrum_matches_eigvalsh(self, d):
         for name, m in covariant_maps(d).items():
             assert_allclose(m.spectrum(), np.linalg.eigvalsh(m.choi.mat)[::-1], atol=1e-10, err_msg=name)
-            assert_allclose(m.spectrum(), covariant_spectrum(d, m.exact), atol=0)
 
     @mark.parametrize("d", DIMS)
     def test_predicates_and_absmax_match_dense(self, d):
         # on either side of the one gate HP_TOL: skew's 3-cycle coefficients miss conjugacy by
-        # t HP_TOL in C - C^dag (their sum, at the all-equal entry), and off_tp has Tr_out C = (1 + t HP_TOL) I
+        # t HP_TOL in C - C^dag (their sum, at the all-equal entry), and off_tp has Tr_out C = (1 + t HP_TOL) I.
+        # The pattern maps: B_cl, D, B_cl - B+ (a pattern map minus a covariant one), and pattern_skew, whose
+        # entries at (0, 0, 0, 0, 0, 1) and at its adjoint pattern (0, 0, 1, 0, 0, 0) miss conjugacy by t HP_TOL
         maps = covariant_maps(d)
+        maps.update({"B_cl": classical_bcl(d), "D": decoherence(d), "B_cl-B+": classical_bcl(d) - cloner(d)})
         for t in (0.5, 2.0):
             maps[f"skew{t}"] = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 0.5j * t * HP_TOL])
             maps[f"off_tp{t}"] = covariant_map(d, [t * HP_TOL / d**2, 0, 0, 0, 0.5, 0.5])
+            skew = {(0,) * 6: 1, (0, 0, 0, 0, 0, 1): 0.5, (0, 0, 1, 0, 0, 0): 0.5 + 1j * t * HP_TOL}
+            maps[f"pattern_skew{t}"] = SuperMap(d, d * d, patterns=skew)
         for name, m in maps.items():
             ref = dense(m)
             assert m.choi_absmax() == pytest.approx(ref.choi_absmax(), abs=1e-14), name
             assert (m.is_hp(), m.is_cp(), m.is_tp()) == (ref.is_hp(), ref.is_cp(), ref.is_tp()), name
         assert maps["skew0.5"].is_hp() and not maps["skew2.0"].is_hp()
+        assert maps["pattern_skew0.5"].is_hp() and not maps["pattern_skew2.0"].is_hp()
+        assert maps["B_cl-B+"].coeffs is None and maps["B_cl-B+"].patterns is not None
         assert maps["off_tp0.5"].is_tp() and not maps["off_tp2.0"].is_tp()
         assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
 
@@ -209,10 +215,10 @@ class TestCovariantForm:
     @mark.parametrize("d", DIMS)
     def test_spectral_distance_needs_a_rational_reference(self, d):
         # B's spectrum is rational and B_lambda:0.3's is not, so only the one order is defined
-        b, b_lam = canonical_b(d).exact, family_b_lambda(d, 0.3).exact
-        assert spectral_distance(d, b_lam, b) > 0 == spectral_distance(d, b, b)
+        b, b_lam = canonical_b(d), family_b_lambda(d, 0.3)
+        assert spectral_distance(b_lam, b) > 0 == spectral_distance(b, b)
         with pytest.raises(ValueError, match="rational"):
-            spectral_distance(d, b, b_lam)
+            spectral_distance(b, b_lam)
 
 
 def _random_pattern_map(d, seed):
@@ -246,6 +252,39 @@ class TestPatternForm:
             m = _random_pattern_map(d, 10 * d + seed)
             got, want = check_axioms(m), dense_check_axioms(m)
             assert got == pytest.approx(want, abs=1e-12), seed
+
+    @mark.parametrize("d", DIMS)
+    def test_diagonal_spectrum_is_eigvalsh_bit_for_bit(self, d):
+        # B_cl's and D's Chois are diagonal: their spectra are their pattern values, each once per position
+        for m in (classical_bcl(d), decoherence(d)):
+            want = np.linalg.eigvalsh(m.choi.mat)[::-1].tolist()
+            assert [x.hex() for x in m.spectrum()] == [x.hex() for x in want]
+            assert m.spectrum() == [1.0] * d + [0.0] * (m.d_out * d - d)
+
+    @mark.parametrize("d", DIMS)
+    def test_pattern_minus_covariant_is_exact(self, d):
+        # B_cl - B+ is a pattern map in integers: its largest entry is the fractions reference rounded once,
+        # where the dense float difference rounds twice (0.33333333333333337 at d = 2)
+        got = classical_bcl(d) - cloner(d)
+        plus = cloner(d)
+        den = 2 * (d + 1)
+        entries = [
+            Fraction(int(p == (0,) * 6)) - Fraction(sum(plus.exact[1][k] for k in support), den)
+            for p, _, support in _pattern_table(d)
+        ]
+        assert got.choi_absmax() == float(max(map(abs, entries)))
+        assert (classical_bcl(2) - cloner(2)).choi_absmax() == 1 / 3
+        assert (dense(classical_bcl(2)) - cloner(2)).choi_absmax() == 0.33333333333333337
+        # division by an int stays exact too, and a map's exact form is in lowest terms
+        assert (classical_bcl(d) / 6).exact == (6, {(0,) * 6: 1}, {(0,) * 6: 0})
+        zero = {p: 0 for p, _, _ in _pattern_table(d)}
+        assert (got + plus - classical_bcl(d)).exact == (1, zero, zero)
+
+    def test_values_must_be_finite(self):
+        # a pattern value is read exactly once, at construction, so a NaN or an infinity never reaches the Choi
+        for bad in (math.nan, math.inf, complex(0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                SuperMap(2, 4, patterns={(0,) * 6: bad})
 
     def test_rejects_keys_that_are_not_patterns(self):
         with pytest.raises(ValueError, match="equality patterns"):

@@ -10,7 +10,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 import vbcast.diamond
 from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
 from vbcast.supermap import AffineDecomposition, SuperMap
-from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner, family_b_lambda
+from vbcast.broadcast import (
+    antisym,
+    canonical_b,
+    canonical_decomposition,
+    classical_bcl,
+    cloner,
+    decoherence,
+    family_b_lambda,
+)
 from vbcast.diamond import (
     ADMM_CERTIFY_EVERY,
     ADMM_MAX_ITERATIONS,
@@ -291,7 +299,18 @@ class TestBracket:
         res = diamond_bracket(m, 1e-20)
         assert res.iterations == 0 and not res.converged
         assert 1e-20 < gap_floor(m, res.lower_bound, res.upper_bound) <= res.gap
-        assert (gap_floor(m, res.lower_bound, res.upper_bound) == res.gap) is (m.exact is not None)
+        assert (gap_floor(m, res.lower_bound, res.upper_bound) == res.gap) is (m.coeffs is not None)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("build", (classical_bcl, decoherence))
+    def test_pattern_map_takes_the_dense_bracket(self, build, d):
+        # a pattern map is not covariant: its bracket and floor are those of the same map held as its Choi
+        m = build(d)
+        ref = SuperMap(m.d_in, m.d_out, m.choi)
+        got, want = diamond_bracket(m), diamond_bracket(ref)
+        assert got._replace(witness=None) == want._replace(witness=None)
+        assert_array_equal(got.witness, want.witness)
+        assert gap_floor(m, got.lower_bound, got.upper_bound) == gap_floor(ref, want.lower_bound, want.upper_bound)
 
     def test_floor_doubles_without_proven_upper(self, monkeypatch):
         # both certified bounds of a dense map carry float_slack, so 1.5 slacks are out of reach too

@@ -45,6 +45,9 @@ NOT_REACHED = {
     "vbcast.supermap.SuperMap._c4": "the 4-tensor Choi that jamiolkowski, a dense apply and the tests' maps read",
     "vbcast.densemat.Operator.trace": "dense-map vocabulary of the tests' references",
     "vbcast.densemat.Operator.__sub__": "dense-map vocabulary of the tests' references",
+    "vbcast.densemat.Operator.__add__": "dense-map vocabulary of the tests' references",
+    "vbcast.densemat.Operator.__mul__": "dense-map vocabulary of the tests' references",
+    "vbcast.densemat.Operator.absmax": "dense-map vocabulary of the tests' references",
 }
 
 # Child code: record (file, first line, name) of every Python call while the argv lists in sys.argv[1] run
