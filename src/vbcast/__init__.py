@@ -22,9 +22,9 @@ registered at once, and its code runs on the first attribute read.  So
 command executes the layers it calls: ``verify`` runs densemat, supermap,
 broadcast and hovm; ``diamond`` densemat, supermap and diamond, and
 broadcast for a named map; ``sample --object M`` densemat, supermap, hovm
-and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample,
-mcstats and diamond; ``dump`` densemat, supermap and the layer that builds
-its object.
+and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample
+and mcstats; ``dump`` densemat, supermap and the layer that builds its
+object.
 
 numpy loads only for ``sample --object M`` and dense ``file:`` targets of
 ``diamond``.  ``verify`` and ``dump`` of every named object are exact and

@@ -36,7 +36,6 @@ from .densemat import S3
 from .supermap import (
     AffineDecomposition,
     SuperMap,
-    _cycles,
     _largest,
     _pattern_table,
     _require_dim,
@@ -98,6 +97,11 @@ def classical_bcl(d: int) -> SuperMap:
 
 # ---------------------------------------------------------------------------
 # the commutant core
+
+
+def _cycles(p: tuple[int, ...]) -> int:
+    """Number of cycles of a permutation of three factors."""
+    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
 
 
 def commutant_gram(d: int) -> tuple[tuple[int, ...], ...]:

@@ -483,7 +483,7 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
         est, rows = qsample.estimate_with_trace(dec, rho, o1, o2, n, densemat.Rng(cfg.seed, 12))
         write_csv = qsample.write_trace_csv
         z = est.zscore()
-        l1_overhead = diamond.hptp_upper(dec)
+        l1_overhead = float(dec.lambda_plus) + float(dec.lambda_minus)
         result = dict(mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=l1_overhead, zscore=z)
         detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={z:.2f}"
     elif object_name == "M":

@@ -175,7 +175,10 @@ class Rng:
         """A Binomial(n, p) count, 0 <= p <= 1, as CPython 3.12's ``random.binomialvariate`` draws it.
 
         p > 1/2 counts failures; below n p = 10 Devroye's geometric skips, above it Hormann's BTRS.
+        A p outside [0, 1], NaN included, raises ValueError.
         """
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"binomial needs 0 <= p <= 1, got {p!r}")
         if p > 0.5:
             return n - self.binomial(n, 1.0 - p)
         if n * p < 10.0:

@@ -34,10 +34,7 @@ input-first Choi and n = d_in d_out, the norm is the value of the SDP
 On a dense map every bound is rounded outward by ``float_slack`` of n, so
 ``lower <= upper`` holds despite rounding in the eigendecompositions.  That
 rounding also sets ``gap_floor``, the narrowest bracket any certificate can
-reach; below it ``diamond_bracket`` runs no ADMM.  ``hptp_upper`` --
-lambda_plus + lambda_minus of a CPTP decomposition, an upper bound because
-channels have diamond norm one -- validates the quasi-sampler's split at the
-map gate ``HP_TOL`` and gives its overhead.
+reach; below it ``diamond_bracket`` runs no ADMM.
 
 A ``DiamondResult`` carries its witness as the unit input vector vec A: a
 list of floats on the covariant path, an ndarray otherwise.  It is the
@@ -53,7 +50,7 @@ from typing import NamedTuple
 
 from . import _lazy
 from .densemat import trace_norm
-from .supermap import HP_TOL, AffineDecomposition, SuperMap, covariant_blocks, surd
+from .supermap import SuperMap, covariant_blocks, surd
 
 np = _lazy("numpy")
 
@@ -333,25 +330,3 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
         converged=up - lower <= tolerance,
     )
 
-
-def hptp_upper(decomposition: AffineDecomposition) -> float:
-    """lambda_plus + lambda_minus of a validated split; channels have diamond norm 1.
-
-    It bounds the diamond norm of the split's map and is the quasi-sampler's
-    l1 overhead.  It raises ``ValueError`` unless both
-    weights are non-negative and not both zero, the parts share their
-    dimensions, and both parts are CPTP within ``HP_TOL``; covariant parts
-    are tested on their closed-form spectrum.
-    """
-    lp, lm = float(decomposition.lambda_plus), float(decomposition.lambda_minus)
-    if not (lp >= 0 and lm >= 0):
-        raise ValueError(f"decomposition weights must be non-negative, got {lp} and {lm}")
-    if lp + lm == 0:
-        raise ValueError("all-zero weights cannot represent a map")
-    plus, minus = decomposition.map_plus, decomposition.map_minus
-    if (plus.d_in, plus.d_out) != (minus.d_in, minus.d_out):
-        raise ValueError("decomposition parts have different dimensions")
-    for part, name in ((plus, "plus"), (minus, "minus")):
-        if not (part.is_cp() and part.is_tp()):
-            raise ValueError(f"decomposition {name}-part is not CPTP within HP_TOL = {HP_TOL:g}")
-    return lp + lm

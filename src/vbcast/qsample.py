@@ -6,10 +6,12 @@ i with probability |w_i| / L, L = lambda_plus + lambda_minus, and
 reweighting its exact expectation by L * sign(w_i) estimates
 Tr[m(rho) (O1 (x) O2)]  without bias, each draw bounded by
 L * ||O1 (x) O2||_inf -- so L (the "overhead") is the simulation cost of
-virtuality.  ``diamond.hptp_upper`` checks that both parts are CPTP and
-returns L, which also bounds the map's diamond norm.  Both parts must be
-covariant: each expectation is read off their six coefficients against six
-trace invariants of (rho, O1, O2), in standard-library arithmetic.
+virtuality, and it bounds the map's diamond norm, as channels have norm
+one.  The sampler accepts a split only when both weights are non-negative
+and not both zero, and both parts share their dimensions and are covariant
+and CPTP within ``HP_TOL``.  Each expectation is read off a part's six
+coefficients against six trace invariants of (rho, O1, O2), in
+standard-library arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 from .densemat import Rng, _csum, check_density, is_hermitian_rows, rows_of
 from .mcstats import SamplingEstimate
-from .supermap import AffineDecomposition, SuperMap
+from .supermap import HP_TOL, AffineDecomposition, SuperMap
 
 
 def _trace(a: list, b: list | None = None) -> complex:
@@ -49,31 +51,31 @@ def _value_table(dec: AffineDecomposition, rho, o1, o2) -> tuple[float, list[flo
 
     rho, O1 and O2 are Operators or rows, rho a state and O1, O2 Hermitian,
     all d x d.  A draw picks component i with probability |w_i| / L and
-    contributes L sign(w_i) times its exact expectation.  A component that
-    is not covariant raises ValueError.
+    contributes L sign(w_i) times its exact expectation.  A split the
+    sampler does not accept (see the module docstring) raises ValueError.
     """
-    for name in ("map_plus", "map_minus"):
-        if getattr(dec, name).coeffs is None:
-            raise ValueError(f"the sampler reads covariant components, but {name} is not covariant")
+    lp, lm = float(dec.lambda_plus), float(dec.lambda_minus)
+    if not (lp >= 0 and lm >= 0):
+        raise ValueError(f"decomposition weights must be non-negative, got {lp} and {lm}")
+    if lp + lm == 0:
+        raise ValueError("all-zero weights cannot represent a map")
+    plus, minus = dec.map_plus, dec.map_minus
+    if (plus.d_in, plus.d_out) != (minus.d_in, minus.d_out):
+        raise ValueError("decomposition parts have different dimensions")
+    for part, name in ((plus, "plus"), (minus, "minus")):
+        if part.coeffs is None:
+            raise ValueError(f"the sampler reads covariant components, but map_{name} is not covariant")
+        if not (part.is_cp() and part.is_tp()):
+            raise ValueError(f"decomposition {name}-part is not CPTP within HP_TOL = {HP_TOL:g}")
     target = dec.combined()
     d, rho, o1, o2 = target.d_in, rows_of(rho), rows_of(o1), rows_of(o2)
     check_density(rho, d)
     if not all(len(o) == d and is_hermitian_rows(o) for o in (o1, o2)):
         raise ValueError(f"observables must be Hermitian {d}x{d} matrices")
     invariants = _invariants(rho, o1, o2)
-    lp, lm = float(dec.lambda_plus), float(dec.lambda_minus)
     l1 = lp + lm
-    plus, minus = (_expectation(ch, invariants) for ch in (dec.map_plus, dec.map_minus))
-    return _expectation(target, invariants), [l1 * plus, -l1 * minus], [lp / l1, lm / l1]
-
-
-def _multinomial(rng: Rng, k: int, probs: list[float]) -> list[int]:
-    """A Multinomial(k, probs) draw as chained binomials: each value's count among the draws still unassigned."""
-    counts, rest = [], 1.0
-    for p in probs[:-1]:
-        counts.append(rng.binomial(k, p / rest if p < rest else 1.0))
-        k, rest = k - counts[-1], rest - p
-    return counts + [k]
+    values = [l1 * _expectation(plus, invariants), -l1 * _expectation(minus, invariants)]
+    return _expectation(target, invariants), values, [lp / l1, lm / l1]
 
 
 def estimate_with_trace(
@@ -85,21 +87,21 @@ def estimate_with_trace(
     the only sampling noise is that of the signed mixture.  Also returns
     running (n, mean, stderr) rows at ``n_checkpoints`` evenly spaced draw
     counts.  The components are (lambda_plus, plus) and (-lambda_minus,
-    minus), in that order; ``diamond.hptp_upper`` validates ``dec`` beforehand.
+    minus), in that order, and a split the sampler does not accept raises
+    ValueError before any draw.
 
-    The draws take two values, so a segment between checkpoints is drawn as
-    its count of each value (``_multinomial``), and the running mean and
-    stderr are read off the counts: the cost does not grow with n.
+    A segment between checkpoints is drawn as its count of the first value,
+    one ``Rng.binomial`` draw, and the running mean and stderr are read off
+    the counts: the cost does not grow with n.
     """
     if n < 2 or n_checkpoints < 1:
         raise ValueError(f"need at least 2 draws and 1 checkpoint, got {n} and {n_checkpoints}")
     exact, vals, probs = _value_table(dec, rho, o1, o2)
     marks = sorted({max(2, (n * (k + 1)) // n_checkpoints) for k in range(n_checkpoints)})
-    counts = [0] * len(vals)
-    rows, done = [], 0
+    rows, done, first = [], 0, 0
     for m in marks:
-        counts = [c + new for c, new in zip(counts, _multinomial(rng, m - done, probs))]
-        done = m
+        first += rng.binomial(m - done, probs[0])
+        done, counts = m, (first, m - first)
         mean = math.fsum(c * v for c, v in zip(counts, vals)) / m
         var = math.fsum(c * (v - mean) ** 2 for c, v in zip(counts, vals)) / (m - 1)
         rows.append((m, mean, (var / m) ** 0.5))

@@ -22,9 +22,9 @@ at most 203).  A pattern map d -> d^(n-1) keeps one value per equality
 pattern of its Choi's 2n labels, the n - 1 outputs and the input, then
 their primed copies: six for the classical broadcaster, four for the
 decoherence.  ``SuperMap.exact`` holds either form in integer numerators
-over one positive denominator, so sums, differences and a covariant map's
-scalar multiples stay exact; ``coeffs`` and ``patterns`` are its float
-views.  A structured map's largest entry, Hermiticity test and axiom
+over one positive denominator, so sums, differences and scalar multiples
+stay exact; ``coeffs`` and ``patterns`` are its float views.  A structured
+map's largest entry, Hermiticity and trace-preservation tests and axiom
 residuals are read off ``exact_values``, its Choi by pattern in integers.
 A covariant map's spectrum has the closed form of ``covariant_blocks``,
 and a diagonal pattern map's (B_cl, D) is its diagonal.  Those reads touch
@@ -194,16 +194,25 @@ class SuperMap:
     def is_tp(self) -> bool:
         """Trace-preserving:  Tr_out[choi] = I_in within ``HP_TOL``.
 
-        A covariant Choi's Tr_out commutes with every Ubar, so it is
-        Tr[choi]/d times I; Tr[P_s^T3] = d^c(s), c counting cycles.
+        A structured map reads Tr_out C off ``exact_values``: each pattern
+        whose outputs repeat as its primed outputs, with k groups, adds its
+        value perm(d - 1, k - 1) times to each diagonal entry when its two
+        input labels agree, and perm(d - 2, k - 2) times to each
+        off-diagonal entry when they differ.
         """
-        if self.coeffs is None:
+        if self.exact is None:
             red = np.einsum("kikj->ij", self._c4())
             return bool(np.abs(red - np.eye(self.d_in)).max() <= HP_TOL)
-        d, (den, re, im) = self.d_in, self.exact
-        powers = [d ** _cycles(s) for s in S3]
-        trace_re, trace_im = (sum(x * p for x, p in zip(part, powers)) for part in (re, im))
-        return _largest([(trace_re - d * den, trace_im)], d * den) <= HP_TOL
+        d, (den, re, im) = self.d_in, exact_values(self)
+        residual = {True: [-den, 0], False: [0, 0]}  # Tr_out C - I on and off the diagonal, numerators over den
+        for p in re:
+            half = len(p) // 2
+            if p[: half - 1] == p[half:-1]:
+                same = p[half - 1] == p[-1]
+                count = math.perm(d - 2 + same, max(p) - 1 + same)
+                residual[same][0] += re[p] * count
+                residual[same][1] += im[p] * count
+        return _largest(residual.values(), den) <= HP_TOL
 
     # -- linear structure ---------------------------------------------------
 
@@ -231,12 +240,15 @@ class SuperMap:
         return self._combined(other, -1)
 
     def __mul__(self, scalar) -> "SuperMap":
-        """A scalar multiple; a covariant map reads an int, float or complex scalar exactly."""
-        if self.coeffs is None:
+        """A scalar multiple; a structured map reads an int, float or complex scalar exactly."""
+        if self.exact is None:
             return SuperMap(self.d_in, self.d_out, self.choi * scalar)
         (den, re, im), (q, (s_re,), (s_im,)) = self.exact, _ratios([scalar])
-        product_re = [a * s_re - b * s_im for a, b in zip(re, im)]
-        product_im = [a * s_im + b * s_re for a, b in zip(re, im)]
+        keys = list(re) if self.coeffs is None else range(6)
+        product_re = [re[k] * s_re - im[k] * s_im for k in keys]
+        product_im = [re[k] * s_im + im[k] * s_re for k in keys]
+        if self.coeffs is None:
+            product_re, product_im = dict(zip(keys, product_re)), dict(zip(keys, product_im))
         return SuperMap(self.d_in, self.d_out, exact=(den * q, product_re, product_im))
 
     __rmul__ = __mul__
@@ -325,11 +337,6 @@ def _ratios(coeffs) -> tuple[int, list[int], list[int]]:
     den = max(q for _, q in parts) if parts else 1
     nums = [n * (den // q) for n, q in parts]
     return den, nums[::2], nums[1::2]
-
-
-def _cycles(p: tuple[int, ...]) -> int:
-    """Number of cycles of a permutation of three factors."""
-    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
 
 
 @functools.cache

@@ -26,7 +26,7 @@ from vbcast.densemat import (
     random_density,
     random_hermitian,
 )
-from vbcast.diamond import diamond_bracket, diamond_sdp, hptp_upper
+from vbcast.diamond import diamond_bracket, diamond_sdp
 from vbcast.hovm import depolarizing_mp, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_with_trace
@@ -284,7 +284,11 @@ def test_criterion_08_states_over_time():
 def test_criterion_09_quasi_sampler():
     bad = []
     for d in (2, 3, 4, 5):
-        if hptp_upper(canonical_decomposition(d)) != float(d):
+        # the overhead lambda_plus + lambda_minus of B's split, which the sampler accepts (else ValueError)
+        dec = canonical_decomposition(d)
+        rho, o = random_density(d, Rng(899)), random_hermitian(d, Rng(899, 1))
+        estimate_with_trace(dec, rho, o, o, 100, Rng(899, 2))
+        if float(dec.lambda_plus) + float(dec.lambda_minus) != float(d):
             bad.append(f"overhead d={d}")
     d = 2
     dec = canonical_decomposition(d)

@@ -96,6 +96,7 @@ _UNRUN = [
     (["verify", "--dim", "3", "--target", "B"], {"diamond", "qsample", "sot", "mcstats"}),
     (["diamond", "--dim", "3", "--target", "B"], {"hovm", "qsample", "mcstats", "sot"}),
     (["diamond", "--dim", "3", "--target", "B-minus-Bplus"], {"hovm", "qsample", "mcstats", "sot"}),
+    (["sample", "--dim", "2", "--object", "B", "--n", "100"], {"diamond", "hovm", "sot"}),
     (["sample", "--dim", "2", "--object", "M", "--n", "100"], {"broadcast", "diamond", "qsample", "sot"}),
     (["dump", "--dim", "2", "--object", "B"], {"diamond", "hovm", "qsample", "mcstats", "sot"}),
 ]

@@ -1204,6 +1204,18 @@ class TestLazyNumpy:
         res = _run_child(code)
         assert res.returncode == 0, res.stderr
 
+    def test_pattern_scaling_and_trace_preservation_run_no_numpy(self):
+        # a pattern map's scalar multiple is one numerator per pattern, and its Tr_out is read by pattern
+        code = (
+            "import sys\n"
+            "from vbcast.broadcast import classical_bcl, decoherence\n"
+            "m = classical_bcl(6) * 2\n"
+            "ok = m.exact == (1, {(0,) * 6: 2}, {(0,) * 6: 0}) and decoherence(6).is_tp() and not m.is_tp()\n"
+            "sys.exit(not ok or m._choi is not None or 'numpy._core' in sys.modules)\n"
+        )
+        res = _run_child(code)
+        assert res.returncode == 0, res.stderr
+
     @pytest.mark.parametrize(
         "argv, want",
         [

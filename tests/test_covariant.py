@@ -280,6 +280,36 @@ class TestPatternForm:
         zero = {p: 0 for p, _, _ in _pattern_table(d)}
         assert (got + plus - classical_bcl(d)).exact == (1, zero, zero)
 
+    @mark.parametrize("d", DIMS)
+    def test_scalar_multiple_stays_exact(self, d):
+        # one numerator per pattern, scaled exactly, with the Choi of the dense multiple
+        for m in (classical_bcl(d), decoherence(d), _random_pattern_map(d, 30 + d)):
+            for scalar in (2, 0.1, 0.5 - 0.25j):
+                got = m * scalar
+                assert got.coeffs is None and got.patterns is not None
+                assert_allclose(got.choi.mat, m.choi.mat * scalar, rtol=0, atol=1e-15)
+        assert (2 * classical_bcl(d)).exact == (1, {(0,) * 6: 2}, {(0,) * 6: 0})
+        num, den = (0.1).as_integer_ratio()
+        assert (decoherence(d) * 0.1).exact == (den, {(0,) * 4: num}, {(0,) * 4: 0})
+
+    @mark.parametrize("d", DIMS)
+    def test_trace_preservation_matches_dense(self, d):
+        # Tr_out C read by pattern, against the dense einsum on either side of the gate HP_TOL: the off_tp maps
+        # add t HP_TOL to each off-diagonal entry of Tr_out C, as an output-repeating pattern whose inputs differ
+        maps = {"B_cl": classical_bcl(d), "D": decoherence(d), "B_cl-B": classical_bcl(d) - canonical_b(d)}
+        maps["D_mixed"] = SuperMap(d, d, patterns={(0, 0, 0, 0): 0.5, (0, 1, 0, 1): 0.5 / (d - 1)})
+        for t in (0.5, 2.0):
+            maps[f"off_tp_D{t}"] = SuperMap(d, d, patterns={(0, 0, 0, 0): 1, (0, 1, 0, 0): t * HP_TOL})
+            maps[f"off_tp_B_cl{t}"] = SuperMap(d, d * d, patterns={(0,) * 6: 1, (0, 0, 1, 0, 0, 0): t * HP_TOL})
+        maps.update({f"random{i}": _random_pattern_map(d, 40 + 10 * d + i) for i in range(3)})
+        maps.update(covariant_maps(d))
+        rng = Rng(60 + d)
+        maps.update({f"gaussian{i}": covariant_map(d, _complex_gaussian(rng, 6).tolist()) for i in range(10)})
+        for name, m in maps.items():
+            assert m.is_tp() == dense(m).is_tp(), name
+        assert maps["D_mixed"].is_tp() and maps["off_tp_D0.5"].is_tp() and not maps["off_tp_D2.0"].is_tp()
+        assert maps["off_tp_B_cl0.5"].is_tp() and not maps["off_tp_B_cl2.0"].is_tp()
+
     def test_values_must_be_finite(self):
         # a pattern value is read exactly once, at construction, so a NaN or an infinity never reaches the Choi
         for bad in (math.nan, math.inf, complex(0, -math.inf)):

@@ -11,8 +11,7 @@ from vbcast import qsample
 from vbcast.densemat import Rng, _csum, random_density, random_hermitian
 from vbcast.supermap import AffineDecomposition
 from vbcast.broadcast import antisym, canonical_b, canonical_decomposition, cloner
-from vbcast.diamond import hptp_upper
-from vbcast.qsample import _multinomial, _trace, _value_table, estimate_with_trace, write_trace_csv
+from vbcast.qsample import _trace, _value_table, estimate_with_trace, write_trace_csv
 
 from dense_maps import identity
 from random_fixtures import random_channel
@@ -23,31 +22,44 @@ def estimate(dec, rho, o1, o2, n, rng):
     return estimate_with_trace(dec, rho, o1, o2, n, rng, n_checkpoints=1)[0]
 
 
+def sample_split(dec, n=100, rng=None):
+    """The final estimate of n draws of a split at a fixed state, identity observables; rng None draws nothing."""
+    d = dec.map_plus.d_in
+    return estimate(dec, random_density(d, Rng(0)), identity(d), identity(d), n, rng)
+
+
 @mark.parametrize("d", (2, 3, 4, 5))
 def test_overhead_is_exactly_d(d):
-    assert hptp_upper(canonical_decomposition(d)) == pytest.approx(d, abs=1e-14)
+    # the overhead of a split the sampler accepts
+    dec = canonical_decomposition(d)
+    sample_split(dec, rng=Rng(1))
+    assert float(dec.lambda_plus) + float(dec.lambda_minus) == pytest.approx(d, abs=1e-14)
 
 
 def test_rejects_non_cptp_component():
     d = 2
-    with raises(ValueError):
-        hptp_upper(AffineDecomposition(1.0, 0.0, canonical_b(d), cloner(d)))
+    with raises(ValueError, match="plus-part is not CPTP"):
+        sample_split(AffineDecomposition(1.0, 0.0, canonical_b(d), cloner(d)))
 
 
 def test_rejects_empty_and_zero():
     # a split always has two parts, so the empty mixture is the all-zero one
     dec = canonical_decomposition(2)
-    with raises(ValueError):
-        hptp_upper(AffineDecomposition(0.0, 0.0, dec.map_plus, dec.map_minus))
+    with raises(ValueError, match="all-zero"):
+        sample_split(AffineDecomposition(0.0, 0.0, dec.map_plus, dec.map_minus))
 
 
 def test_rejects_dim_mismatch():
     dec = AffineDecomposition(1.0, 0.0, cloner(2), random_channel(3, 9, Rng(0)))
-    with raises(ValueError):
-        hptp_upper(dec)
-    rho = random_density(2, Rng(0))
-    with raises(ValueError):
-        estimate_with_trace(dec, rho, identity(2), identity(2), 100, Rng(0))
+    with raises(ValueError, match="dimensions"):
+        sample_split(dec)
+
+
+def test_rejects_negative_weight_before_any_draw():
+    # probabilities of -1 and 2 once sent the binomial draw into an endless loop; the split is checked
+    # first, and with no generator (rng None) any draw would raise AttributeError instead
+    with raises(ValueError, match="non-negative"):
+        sample_split(AffineDecomposition(-1.0, 2.0, cloner(2), antisym(2)), n=10**6)
 
 
 def test_rejects_component_that_is_not_covariant():
@@ -104,7 +116,7 @@ def test_single_shot_values_bounded_by_overhead():
     rho = random_density(d, rng)
     o1 = random_hermitian(d, rng)
     o2 = random_hermitian(d, rng)
-    bound = hptp_upper(dec) * np.abs(np.linalg.eigvalsh(np.kron(o1.mat, o2.mat))).max()
+    bound = (dec.lambda_plus + dec.lambda_minus) * np.abs(np.linalg.eigvalsh(np.kron(o1.mat, o2.mat))).max()
     assert max(map(abs, _value_table(dec, rho, o1, o2)[1])) <= bound + 1e-12
     n = 2000
     est = estimate(dec, rho, o1, o2, n, Rng(26))
@@ -195,11 +207,11 @@ def test_binomial_edges(n):
     assert 0 <= rng.binomial(n, 1e-30) <= n
 
 
-def test_multinomial_sums_and_skips_empty_values():
-    rng = Rng(59)
-    for k in (0, 1, 17, 10**9):
-        counts = _multinomial(rng, k, [0.5, 0.0, 0.25, 0.25, 0.0])
-        assert sum(counts) == k and counts[1] == counts[4] == 0
+@mark.parametrize("p", (-5e-324, 1 + 2**-52, math.nan, -0.5, 1.5))
+def test_binomial_rejects_p_outside_the_unit_interval(p):
+    # such a p once sent the geometric skips backwards, and the draw never returned
+    with raises(ValueError, match="0 <= p <= 1"):
+        Rng(58).binomial(10, p)
 
 
 def test_trace_matches_materialised_draws():
@@ -227,7 +239,8 @@ def test_trace_matches_materialised_draws():
     replay = Rng(39)
     draws, done = [], 0
     for m, _, _ in rows:
-        draws.extend(np.repeat(vals, _multinomial(replay, m - done, table_probs)))
+        first = replay.binomial(m - done, table_probs[0])
+        draws.extend(np.repeat(vals, [first, m - done - first]))
         done = m
     draws = np.array(draws)
     assert draws.size == n
@@ -251,7 +264,8 @@ def test_rows_recomputed_from_segment_counts(d):
     counts = np.zeros(len(vals))
     done = 0
     for m, mean, stderr in rows:
-        counts += _multinomial(replay, m - done, probs)
+        first = replay.binomial(m - done, probs[0])
+        counts += [first, m - done - first]
         done = m
         draws = np.repeat(vals, counts.astype(int))
         assert draws.size == m
@@ -269,7 +283,7 @@ def test_counts_match_choice_bincount(d):
     _, vals, probs = _value_table(dec, rho, o1, o2)
     segments, m = 2000, 50
     drawn, gen = Rng(42), Rng(43).gen
-    ours = np.array([_multinomial(drawn, m, probs) for _ in range(segments)])
+    ours = np.array([[c, m - c] for c in (drawn.binomial(m, probs[0]) for _ in range(segments))])
     theirs = np.array(
         [np.bincount(gen.choice(len(vals), size=m, p=probs), minlength=len(vals)) for _ in range(segments)]
     )
@@ -336,7 +350,6 @@ def test_general_decomposition_sampler():
     # sampler built from any valid two-channel split, not just the canonical one
     d = 2
     dec = AffineDecomposition(1.0, 0.0, cloner(d), antisym(d))
-    assert hptp_upper(dec) == pytest.approx(1.0)
     rho = random_density(d, Rng(36))
     est = estimate(dec, rho, identity(d), identity(d), 100, Rng(37))
     assert est.mean == pytest.approx(1.0)  # TP target, identity observable
@@ -362,11 +375,11 @@ def test_sums_are_correctly_rounded():
 
 
 def test_running_moments_are_correctly_rounded(monkeypatch):
-    # counts (1, 2, 2) of the values (2e16, 1, -1e16): the weighted sum is exactly 2, which plain summation loses
-    vals = [2e16, 1.0, -1e16]
-    monkeypatch.setattr(qsample, "_value_table", lambda *args: (0.0, vals, [0.2, 0.4, 0.4]))
-    monkeypatch.setattr(qsample, "_multinomial", lambda rng, k, probs: [1, 2, 2])
+    # counts (1, 4) of the values (2e16 + 4, -5e15): the weighted sum cancels to exactly 4
+    vals = [2e16 + 4, -5e15]
+    monkeypatch.setattr(qsample, "_value_table", lambda *args: (0.0, vals, [0.2, 0.8]))
+    monkeypatch.setattr(Rng, "binomial", lambda self, k, p: 1)
     est, _ = estimate_with_trace(None, None, None, None, 5, Rng(0), n_checkpoints=1)
-    assert est.mean == 2.0 / 5
-    terms = [c * (v - est.mean) ** 2 for c, v in zip((1, 2, 2), vals)]
+    assert est.mean == 4.0 / 5
+    terms = [c * (v - est.mean) ** 2 for c, v in zip((1, 4), vals)]
     assert est.stderr == (float(sum(map(Fraction, terms))) / 4 / 5) ** 0.5
