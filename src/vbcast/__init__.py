@@ -6,14 +6,16 @@ uniqueness certificates, diamond-norm bounds, Haar-moment machinery,
 states over time, and quasi-probability sampling.
 
 The package exports nothing but ``__version__``; import the submodules:
-``densemat`` (operators, spectra, seeded randomness), ``supermap`` (maps
-by their Choi operator), ``broadcast`` (B, its relatives and axioms),
-``diamond`` (certified diamond-norm brackets), ``hovm`` (the virtual
+``densemat`` (dense operators, the trace norm, seeded randomness),
+``supermap`` (maps, held exactly by the symmetry of their Choi or as a
+dense Choi), ``broadcast`` (B, its relatives and axioms), ``diamond``
+(certified diamond-norm brackets), ``hovm`` (the virtual
 measure-and-prepare map), ``sot`` (states over time E * rho, whose axioms
-are the broadcaster's own, read by ``broadcast.check_axioms``), ``qsample``
-(quasi-probability sampling), ``mcstats`` (streaming statistics) and
-``cli`` (the ``vbcast`` command).  Importing the package imports no numpy,
-so ``vbcast.cli`` can fix the BLAS thread count before numpy loads.
+are the broadcaster's own, read by ``broadcast.check_axioms``),
+``qsample`` (quasi-probability sampling), ``mcstats`` (streaming
+statistics) and ``cli`` (the ``vbcast`` command).  Importing the package
+imports no numpy, so ``vbcast.cli`` can fix the BLAS thread count before
+numpy loads.
 
 ``cli`` binds the library modules, ``hovm`` binds ``mcstats`` and every
 module that reads numpy binds ``np`` through ``_lazy``: the module is
@@ -26,8 +28,8 @@ and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample
 and mcstats; ``dump`` densemat, supermap and the layer that builds its
 object.
 
-numpy loads only for ``sample --object M`` and dense ``file:`` targets of
-``diamond``.  ``verify`` and ``dump`` of every named object are exact and
+numpy, the optional ``dense`` extra, loads only for ``sample --object M``
+and dense ``file:`` targets of ``diamond``.  ``verify`` and ``dump`` of every named object are exact and
 never import numpy, nor do ``diamond`` on ``B``, ``B-minus-Bplus`` and a
 covariant ``file:`` target, and ``sample --object B``; they run where
 numpy is not installed, and a command that reaches numpy there exits 2.

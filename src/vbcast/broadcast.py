@@ -245,13 +245,11 @@ def check_axioms(m: SuperMap) -> AxiomReport:
     """Measure a candidate broadcaster d -> d^2 exactly against the four defining axioms.
 
     m must be a covariant or a pattern map, whose Choi is read off its
-    equality patterns; a dense map raises ValueError.
+    equality patterns; a dense map raises ValueError (``exact_values``).
     """
     d = m.d_in
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
-    if m.exact is None:
-        raise ValueError("check_axioms reads a covariant or pattern map, not a dense Choi")
     den, re, im = exact_values(m)
     systems = _axiom_patterns(d)
     return AxiomReport(

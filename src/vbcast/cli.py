@@ -17,8 +17,9 @@ with the Choi as ``{rows, cols, re, im}``: ``_supermap_doc`` writes it for
 ``dump`` and ``_read_supermap`` reads it back for ``diamond --target file:``.
 The reader checks the lists with the standard library and returns a Choi
 that ``match_covariant`` reproduces exactly as its six coefficients, so a
-covariant ``file:`` target takes the closed-form bracket with no numpy.
-The writer lays a covariant or pattern map out by equality pattern
+covariant ``file:`` target takes the closed-form bracket with no numpy;
+any other Choi comes back dense.  The writer takes the covariant and
+pattern maps that ``dump`` names and lays them out by equality pattern
 (``supermap.pattern_positions``), with no ndarray; the report writer
 ``_dumps`` is standard library only.
 """
@@ -118,8 +119,7 @@ class _Indexed(NamedTuple):
 
     ``_dumps`` writes it as the nested list of the values the rows index.
     ``_map_operator_doc`` lays a covariant or pattern map out in it, one
-    value per nonzero pattern, and ``_operator_doc`` a dense one, one value
-    per entry.
+    value per nonzero pattern.
     """
 
     values: list
@@ -173,26 +173,16 @@ def _finite(x):
     return math.copysign(_UNBOUNDED, x)
 
 
-def _operator_doc(op: densemat.Operator) -> dict:
-    """An operator as {rows, cols, re, im}, its row-major parts ``_Indexed`` with one index per entry."""
-    flat = op.mat.ravel().tolist()
-    rows = [list(range(r * op.cols, (r + 1) * op.cols)) for r in range(op.rows)]
-    re, im = [z.real for z in flat], [z.imag for z in flat]
-    return {"rows": op.rows, "cols": op.cols, "re": _Indexed(re, rows), "im": _Indexed(im, rows)}
-
-
 def _map_operator_doc(m: supermap.SuperMap, jamiolkowski: bool = False) -> dict:
-    """m's Choi, or its Jamiolkowski operator, as an ``_operator_doc``.
+    """The Choi of a covariant or pattern m, or its Jamiolkowski operator, as {rows, cols, re, im}.
 
-    A covariant or pattern m is laid out from ``pattern_floats`` with no
+    Each part is ``_Indexed``, laid out from ``pattern_floats`` with no
     ndarray: index 0 is 0j, and the ``pattern_positions`` of each nonzero
     pattern take that pattern's own index.  J's labels are the Choi's with
     the last one first, (in', out1, out2; in, out1', out2') for six, so the
     Jamiolkowski operator holds each value at the positions of the rotated
     pattern, renumbered.
     """
-    if m.exact is None:
-        return _operator_doc(m.jamiolkowski() if jamiolkowski else m.choi)
     n = m.d_in * m.d_out
     values, rows = [0j], [[0] * n for _ in range(n)]
     for pattern, value in supermap.pattern_floats(m).items():
@@ -614,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModuleNotFoundError as exc:  # a dense path reached numpy where it is not installed (``vbcast._lazy``)
         if exc.name != "numpy":
             raise
-        print(f"error: {args.cmd} needs numpy here, which is not installed", file=sys.stderr)
+        print(f"error: {args.cmd} needs numpy here, which is not installed; install vbcast[dense]", file=sys.stderr)
         return 2
 
 

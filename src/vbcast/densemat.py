@@ -25,9 +25,8 @@ DEFAULT_TOL = 1e-9
 class Operator:
     """Immutable dense complex matrix with dimension metadata.
 
-    Thin wrapper over a read-only ``complex128`` ndarray.  Arithmetic
-    (``+``, ``-``, scalar ``*``) returns new operators; the raw
-    array is available as ``.mat`` for numerics-heavy code.
+    Thin wrapper over a read-only ``complex128`` ndarray, the raw array
+    ``.mat``, with its shape and a Hermiticity test.
     """
 
     __slots__ = ("_mat",)
@@ -54,28 +53,8 @@ class Operator:
     def cols(self) -> int:
         return self._mat.shape[1]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self._mat))
-
-    def absmax(self) -> float:
-        """Largest absolute entry."""
-        return float(np.abs(self._mat).max())
-
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.rows == self.cols and np.abs(self._mat - self._mat.conj().T).max() <= tol
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return Operator(self._mat + _raw(other))
-
-    def __sub__(self, other):
-        return Operator(self._mat - _raw(other))
-
-    def __mul__(self, scalar):
-        return Operator(self._mat * scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Operator({self.rows}x{self.cols})"

@@ -31,6 +31,9 @@ input-first Choi and n = d_in d_out, the norm is the value of the SDP
   PSD iterate closes, or stops narrowing.  It serves dense maps the bounds
   above leave open, such as channel differences.
 
+Every bound but the covariant one reads a dense Choi, so a pattern map
+raises ValueError.
+
 On a dense map every bound is rounded outward by ``float_slack`` of n, so
 ``lower <= upper`` holds despite rounding in the eigendecompositions.  That
 rounding also sets ``gap_floor``, the narrowest bracket any certificate can
@@ -99,7 +102,9 @@ class DiamondResult(NamedTuple):
 
 
 def _input_first_choi(m: SuperMap) -> np.ndarray:
-    """sum_ij E_ij (x) m(E_ij) -- the Choi with the input factor first."""
+    """sum_ij E_ij (x) m(E_ij) -- the Choi with the input factor first -- of a dense map."""
+    if m.choi is None:
+        raise ValueError("the dense bracket reads a dense Choi, which a covariant or pattern map does not hold")
     c4 = m.choi.mat.reshape(m.d_out, m.d_in, m.d_out, m.d_in)
     r4 = c4.transpose(1, 0, 3, 2)
     n = m.d_in * m.d_out
@@ -307,7 +312,8 @@ def diamond_bracket(m: SuperMap, tolerance: float = 1e-5) -> DiamondResult:
     and the bracket is the larger lower and the smaller upper bound of the
     two, with the SDP's iteration count.  A ``tolerance`` below ``gap_floor``
     can never be met, so the SDP is not run.  The bracket is ``converged``
-    when its gap is <= ``tolerance``.
+    when its gap is <= ``tolerance``.  A pattern map, which holds no dense
+    Choi, raises ValueError.
     """
     iterations = 0
     if m.coeffs is not None:

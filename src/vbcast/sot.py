@@ -42,7 +42,10 @@ np = _lazy("numpy")
 
 
 def star(e: SuperMap, rho: Operator, b: SuperMap) -> Operator:
-    """E * rho = (id (x) E)(b(rho)) for a broadcaster b: d -> d*d, on (input system, output system)."""
+    """E * rho = (id (x) E)(b(rho)) for a broadcaster b: d -> d*d, on (input system, output system).
+
+    E is a dense map, read off its Choi, and b a covariant one (``SuperMap.apply``).
+    """
     d = b.d_in
     if b.d_out != d * d:
         raise ValueError("broadcaster must map d -> d^2")

@@ -1,4 +1,4 @@
-"""Linear maps on operators, stored through their Choi representation.
+"""Linear maps on operators, held as a dense Choi or exactly by the Choi's symmetry.
 
 Conventions (fixed across the library):
 
@@ -8,7 +8,8 @@ Conventions (fixed across the library):
   maximally entangled ``Omega = sum_ij |ii><jj|``.  Output factor first.
 * The Jamiolkowski form lives on ``C^d_in (x) C^d_out`` and equals
   ``sum_ij E_ij (x) m(E_ji)``, i.e. ``(id (x) m)`` applied to the SWAP of the
-  doubled input space.  For the identity map it *is* SWAP.
+  doubled input space.  For the identity map it *is* SWAP.  ``cli`` writes
+  it for ``dump``, by pattern.
 
 A map d -> d^2 is covariant, (U (x) U) m(rho) (U (x) U)+ = m(U rho U+), exactly
 when its Choi commutes with U (x) U (x) Ubar.  By mixed Schur-Weyl duality
@@ -29,17 +30,21 @@ residuals are read off ``exact_values``, its Choi by pattern in integers.
 A covariant map's spectrum has the closed form of ``covariant_blocks``,
 and a diagonal pattern map's (B_cl, D) is its diagonal.  Those reads touch
 no numpy; each result is a quadratic surd (p + q sqrt(w)) / r, rounded to
-a float once by ``surd``.  The dense Choi serves dense maps and the
-spectrum of a pattern map that is not diagonal, which no named map is.
+a float once by ``surd``.  A structured map holds no dense Choi.
 The pattern is also the one layout of both forms: ``pattern_positions``
 lists a pattern's Choi positions and ``pattern_floats`` its float entry,
 the covariant one summed over the pattern's table support
-(``_pattern_table``).  The dense Choi, built only when something reads it,
-and the Choi and Jamiolkowski operators that ``dump`` writes are filled
-from those two; ``match_covariant`` runs them backwards, reading the six
-coefficients off a Choi's entries and keeping them only if they reproduce
-every entry.  ``apply`` sums a covariant map's six terms' actions on a
-d x d input (``_covariant_apply``) in O(d^4).
+(``_pattern_table``).  The Choi and Jamiolkowski operators that ``dump``
+writes are filled from those two; ``match_covariant`` runs them
+backwards, reading the six coefficients off a Choi's entries and keeping
+them only if they reproduce every entry.  ``apply`` sums a covariant
+map's six terms' actions on a d x d input (``_covariant_apply``) in
+O(d^4).
+
+A dense map, one built from its Choi, serves ``is_hp`` and the dense
+diamond bracket, and nothing else: the exact reads above raise
+ValueError on it, as ``spectrum`` does on a pattern map that is not
+diagonal, which no named map is.
 
 ``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
 the map predicates; a map's Choi JSON layout belongs to ``cli``.
@@ -63,7 +68,7 @@ HP_TOL = 1e-8
 
 
 class SuperMap:
-    """Linear map Lin(C^d_in) -> Lin(C^d_out), represented by its Choi operator.
+    """Linear map Lin(C^d_in) -> Lin(C^d_out), held as its Choi operator or exactly, by symmetry.
 
     Give one of three forms: the Choi; ``exact``, a ``(den, re, im)``
     triple of integer numerators over one nonzero integer denominator, six
@@ -75,10 +80,10 @@ class SuperMap:
     structured map keeps ``exact`` in lowest terms with ``den`` > 0, less
     the patterns of more groups than d, which hold no entry, and its float
     view ``coeffs`` (covariant) or ``patterns``, each part num/den rounded
-    once.  Forms not given are None.  The Choi is filled on its first read.
+    once.  Forms not given are None: a structured map's ``choi`` is None.
     """
 
-    __slots__ = ("d_in", "d_out", "coeffs", "exact", "patterns", "_choi")
+    __slots__ = ("d_in", "d_out", "coeffs", "exact", "patterns", "choi")
 
     def __init__(self, d_in: int, d_out: int, choi: Operator | None = None, patterns=None, exact=None):
         if sum(form is not None for form in (choi, patterns, exact)) != 1:
@@ -124,48 +129,26 @@ class SuperMap:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "_choi", choi)
+        object.__setattr__(self, "choi", choi)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMap is immutable")
 
-    @property
-    def choi(self) -> Operator:
-        """The Choi, filled on the first read with each ``pattern_floats`` value at its ``pattern_positions``."""
-        if self._choi is None:
-            n = self.d_out * self.d_in
-            choi = np.zeros(n * n, dtype=np.complex128)
-            for pattern, value in pattern_floats(self).items():
-                choi[list(pattern_positions(self.d_in, pattern))] = value
-            object.__setattr__(self, "_choi", Operator(choi.reshape(n, n)))
-        return self._choi
-
-    def _c4(self) -> np.ndarray:
-        """Choi as a 4-tensor indexed [out, in, out', in']."""
-        return self.choi.mat.reshape(self.d_out, self.d_in, self.d_out, self.d_in)
-
     # -- action -------------------------------------------------------------
 
     def apply(self, x) -> Operator:
-        """Evaluate the map:  Tr_in[choi (I_out (x) x^T)]; a covariant map reads its six coefficients."""
+        """Evaluate a covariant map on a d x d input from its six coefficients (``_covariant_apply``)."""
+        if self.coeffs is None:
+            raise ValueError("apply reads a covariant map's six coefficients")
         xm = _raw(x)
         if xm.shape != (self.d_in, self.d_in):
             raise ValueError(f"input must be {self.d_in}x{self.d_in}, got {xm.shape}")
-        if self.coeffs is not None:
-            return Operator(_covariant_apply(self.coeffs, xm))
-        return Operator(np.einsum("uivj,ij->uv", self._c4(), xm))
-
-    def jamiolkowski(self) -> Operator:
-        j4 = self._c4().transpose(3, 0, 1, 2)
-        n = self.d_in * self.d_out
-        return Operator(j4.reshape(n, n))
+        return Operator(_covariant_apply(self.coeffs, xm))
 
     # -- predicates ---------------------------------------------------------
 
     def choi_absmax(self) -> float:
-        """Largest absolute entry of the Choi; a structured map's is read off ``exact_values``."""
-        if self.exact is None:
-            return self.choi.absmax()
+        """Largest absolute entry of a structured map's Choi, read off ``exact_values``."""
         den, re, im = exact_values(self)
         return _largest(zip(re.values(), im.values()), den)
 
@@ -192,17 +175,14 @@ class SuperMap:
         return bool(self.is_hp() and self.spectrum()[-1] >= -HP_TOL)
 
     def is_tp(self) -> bool:
-        """Trace-preserving:  Tr_out[choi] = I_in within ``HP_TOL``.
+        """Trace-preserving:  Tr_out[choi] = I_in within ``HP_TOL``, for a structured map.
 
-        A structured map reads Tr_out C off ``exact_values``: each pattern
+        Tr_out C is read off ``exact_values``: each pattern
         whose outputs repeat as its primed outputs, with k groups, adds its
         value perm(d - 1, k - 1) times to each diagonal entry when its two
         input labels agree, and perm(d - 2, k - 2) times to each
         off-diagonal entry when they differ.
         """
-        if self.exact is None:
-            red = np.einsum("kikj->ij", self._c4())
-            return bool(np.abs(red - np.eye(self.d_in)).max() <= HP_TOL)
         d, (den, re, im) = self.d_in, exact_values(self)
         residual = {True: [-den, 0], False: [0, 0]}  # Tr_out C - I on and off the diagonal, numerators over den
         for p in re:
@@ -221,10 +201,8 @@ class SuperMap:
             raise ValueError("supermap dimensions do not match")
 
     def _combined(self, other: "SuperMap", sign: int) -> "SuperMap":
-        """self + sign * other: exact for two structured maps, covariant if both are, otherwise on the Choi."""
+        """self + sign * other for two structured maps, exactly: covariant if both are, else by pattern."""
         self._check_same_dims(other)
-        if self.exact is None or other.exact is None:
-            return SuperMap(self.d_in, self.d_out, self.choi + other.choi * sign)
         if self.coeffs is not None and other.coeffs is not None:
             (p, *a), (q, *b) = self.exact, other.exact
             parts = ([x * q + sign * y * p for x, y in zip(a_s, b_s)] for a_s, b_s in zip(a, b))
@@ -240,10 +218,9 @@ class SuperMap:
         return self._combined(other, -1)
 
     def __mul__(self, scalar) -> "SuperMap":
-        """A scalar multiple; a structured map reads an int, float or complex scalar exactly."""
-        if self.exact is None:
-            return SuperMap(self.d_in, self.d_out, self.choi * scalar)
-        (den, re, im), (q, (s_re,), (s_im,)) = self.exact, _ratios([scalar])
+        """A structured map times an int, float or complex scalar, read exactly."""
+        # a dense map has no exact form, and exact_values refuses it
+        (den, re, im), (q, (s_re,), (s_im,)) = self.exact or exact_values(self), _ratios([scalar])
         keys = list(re) if self.coeffs is None else range(6)
         product_re = [re[k] * s_re - im[k] * s_im for k in keys]
         product_im = [re[k] * s_im + im[k] * s_re for k in keys]
@@ -254,10 +231,8 @@ class SuperMap:
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: int) -> "SuperMap":
-        """The map divided by a nonzero int; exact for a structured map."""
-        if self.exact is None:
-            return SuperMap(self.d_in, self.d_out, Operator(self.choi.mat / divisor))
-        den, re, im = self.exact
+        """A structured map divided by a nonzero int, exactly."""
+        den, re, im = self.exact or exact_values(self)  # a dense map raises there
         return SuperMap(self.d_in, self.d_out, exact=(den * divisor, re, im))
 
     def __repr__(self):
@@ -423,8 +398,10 @@ def _largest(pairs, den: int) -> float:
 def exact_values(m: SuperMap) -> tuple[int, dict, dict]:
     """A structured map's Choi by pattern: (den, re, im), integer numerators over den by pattern, 0 where missing.
 
-    A covariant map's sum its numerators over each pattern's table support.
+    A covariant map's sum its numerators over each pattern's table support.  A dense map has none: ValueError.
     """
+    if m.exact is None:
+        raise ValueError("this reads a covariant or pattern map's exact values, not a dense Choi")
     if m.coeffs is None:
         return m.exact
     den, re, im = m.exact
@@ -518,7 +495,8 @@ def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[int, int]]]:
 
     A covariant map's come from ``covariant_blocks``.  A diagonal pattern map, whose nonzero patterns repeat
     their row labels as their column labels, has its real values, each once per position, and 0 elsewhere.
-    Both are ordered by exact sign tests; any other map's are ``eigvalsh``'s floats, as dyadic rationals.
+    Both are ordered by exact sign tests.  Any other map, dense or a pattern map that is not diagonal, raises
+    ValueError.
     """
     d = m.d_in
     if m.coeffs is not None:
@@ -530,8 +508,7 @@ def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[int, int]]]:
         counts = [math.perm(d, max(p) + 1) for p in re]
         values, counts = [*((v, 0) for v in re.values()), (0, 0)], [*counts, m.d_out * d - sum(counts)]
     else:
-        r, values, _ = _ratios(np.linalg.eigvalsh(m.choi.mat)[::-1].tolist())
-        return r, 0, [(v, 0) for v in values]
+        raise ValueError("the spectrum is read off a covariant map or a diagonal pattern map")
     order = functools.cmp_to_key(lambda x, y: surd_sign(y[0] - x[0], y[1] - x[1], w))
     return r, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
 

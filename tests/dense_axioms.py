@@ -16,7 +16,7 @@ from vbcast.densemat import Operator
 from vbcast.supermap import SuperMap, covariant_map
 
 from dense_covariant import commutant_table
-from dense_maps import omega
+from dense_maps import absmax, dense_choi, omega
 
 
 def commutant_projection(choi: Operator, d: int) -> Operator:
@@ -35,7 +35,7 @@ def commutant_projection(choi: Operator, d: int) -> Operator:
     k = _exact_rank(gram)
     x = np.zeros(6, dtype=complex)
     x[:k] = np.linalg.solve(np.array(gram, dtype=float)[:k, :k], overlaps[:k])
-    return covariant_map(d, x).choi
+    return dense_choi(covariant_map(d, x))
 
 
 def permutation_residual(c: np.ndarray, d: int) -> np.ndarray:
@@ -68,10 +68,11 @@ def dense_check_axioms(m: SuperMap) -> AxiomReport:
     d = m.d_in
     if m.d_out != d * d:
         raise ValueError(f"broadcaster must map d -> d^2, got {m.d_in} -> {m.d_out}")
-    c = m.choi.mat
+    choi = dense_choi(m)
+    c = choi.mat
     return AxiomReport(
         broadcasting=max(float(np.abs(r).max()) for r in marginal_residuals(c, d)),
-        covariance=(m.choi - commutant_projection(m.choi, d)).absmax(),
+        covariance=absmax(c - commutant_projection(choi, d).mat),
         permutation=float(np.abs(permutation_residual(c, d)).max()),
         classical=float(np.abs(classical_residual(c, d)).max()),
     )

@@ -20,7 +20,7 @@ from vbcast.densemat import Rng, swap
 
 from dense_axioms import classical_residual, marginal_residuals, permutation_residual
 from dense_covariant import commutant_basis, commutant_table
-from dense_maps import omega
+from dense_maps import dense_choi, omega
 from random_fixtures import haar_unitary
 
 
@@ -176,7 +176,7 @@ def dense_verify_uniqueness(
         at += m_out
 
     rank = svd_rank(a)
-    c_b = _coeffs_from_hermitian(canonical_b(d).choi.mat)
+    c_b = _coeffs_from_hermitian(dense_choi(canonical_b(d)).mat)
     residual = float(np.abs(a @ c_b - b_vec).max())
 
     return UniquenessCertificate(
@@ -201,7 +201,7 @@ def dense_basis_uniqueness(
     offset = rows(np.zeros_like(basis[0]))
     a = np.stack([rows(e) - offset for e in basis], axis=1)
     rank = svd_rank(a)
-    coeffs = np.einsum("kij,ji->k", basis, canonical_b(d).choi.mat).real
+    coeffs = np.einsum("kij,ji->k", basis, dense_choi(canonical_b(d)).mat).real
     return UniquenessCertificate(
         constraint_rows=a.shape[0],
         unknowns=a.shape[1],

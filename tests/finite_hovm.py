@@ -13,7 +13,7 @@ import numpy as np
 from vbcast.densemat import DEFAULT_TOL, Operator
 from vbcast.supermap import SuperMap
 
-from dense_maps import from_action, kron
+from dense_maps import from_action, kron, trace
 
 
 def _check_pure(psi: Operator, d: int, tol: float = DEFAULT_TOL):
@@ -21,7 +21,7 @@ def _check_pure(psi: Operator, d: int, tol: float = DEFAULT_TOL):
         raise ValueError(f"psi must be {d}x{d}, got {psi.rows}x{psi.cols}")
     if not psi.is_hermitian(tol):
         raise ValueError("psi must be Hermitian")
-    if abs(psi.trace() - 1.0) > tol or np.abs(psi.mat @ psi.mat - psi.mat).max() > tol:
+    if abs(trace(psi) - 1.0) > tol or np.abs(psi.mat @ psi.mat - psi.mat).max() > tol:
         raise ValueError("psi must be a rank-1 projector")
 
 
@@ -61,7 +61,7 @@ class FiniteHOVM:
         if np.abs(total - np.eye(d)).max() > 1e-10:
             raise ValueError("effects must sum to the identity within 1e-10")
         for p in self.preparations:
-            if not p.is_hermitian(1e-10) or abs(p.trace() - 1.0) > 1e-10:
+            if not p.is_hermitian(1e-10) or abs(trace(p) - 1.0) > 1e-10:
                 raise ValueError("preparations must be Hermitian with unit trace")
 
     @classmethod

@@ -11,7 +11,7 @@ reference ``dense_axioms.dense_check_axioms`` for random channels.
 from vbcast.densemat import Rng, random_density, trace_norm
 from vbcast.supermap import SuperMap
 
-from dense_maps import partial_trace
+from dense_maps import apply, partial_trace
 from random_fixtures import random_pure
 
 
@@ -21,8 +21,8 @@ def sampled_broadcasting(m: SuperMap, n_states: int, rng: Rng) -> float:
     worst = 0.0
     for k in range(n_states):
         rho = random_pure(d, rng) if k % 2 else random_density(d, rng)
-        out = m.apply(rho)
+        out = apply(m, rho)
         m1 = partial_trace(out, (d, d), keep="first")
         m2 = partial_trace(out, (d, d), keep="second")
-        worst = max(worst, trace_norm(m1 - rho), trace_norm(m2 - rho))
+        worst = max(worst, trace_norm(m1.mat - rho.mat), trace_norm(m2.mat - rho.mat))
     return float(worst)

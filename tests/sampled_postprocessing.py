@@ -15,7 +15,7 @@ from vbcast.densemat import Operator, Rng, random_density, random_hermitian
 from vbcast.sot import star
 from vbcast.supermap import SuperMap
 
-from dense_maps import apply_right, compose, hs_adjoint, partial_trace
+from dense_maps import apply, apply_right, compose, hs_adjoint, partial_trace
 from random_fixtures import random_channel
 
 
@@ -64,7 +64,7 @@ def check_postprocessing_equivalence(
         rhs = apply_right(f, mid, d_left=d)
         r_comp = max(r_comp, float(np.abs(lhs.mat - rhs.mat).max()))
 
-        fstar_p = hs_adjoint(f).apply(p)
+        fstar_p = apply(hs_adjoint(f), p)
         heis = partial_trace(
             Operator(mid.mat @ np.kron(np.eye(d), fstar_p.mat)), (d, d), keep="first"
         )

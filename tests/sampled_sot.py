@@ -14,8 +14,13 @@ from vbcast.densemat import Rng, random_density, swap
 from vbcast.sot import star
 from vbcast.supermap import SuperMap
 
-from dense_maps import apply_right, compose, conjugate, dagger, from_action, identity_map, tensor
+from dense_maps import apply, apply_right, compose, conjugate, dagger, from_action, identity_map, tensor
 from random_fixtures import haar_unitary, random_channel
+
+
+def _star(e: SuperMap, rho, b: SuperMap):
+    """``star`` for a covariant b; for any other b the same (id (x) E)(b(rho)), on b's dense Choi."""
+    return star(e, rho, b) if b.coeffs is not None else apply_right(e, apply(b, rho), d_left=b.d_in)
 
 
 def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:
@@ -37,20 +42,20 @@ def sampled_sot_axioms(b: SuperMap, n_cases: int, rng: Rng) -> dict[str, float]:
         ad_udag = from_action(d, d, lambda x, u=u: conjugate(dagger(u), x))
         ad_v = from_action(d, d, lambda x, v=v: conjugate(v, x))
         uv = np.kron(u.mat, v.mat)
-        lhs = uv @ star(e, rho, b).mat @ uv.conj().T
+        lhs = uv @ _star(e, rho, b).mat @ uv.conj().T
         e_rot = compose(compose(ad_v, e), ad_udag)
-        rhs = star(e_rot, ad_u.apply(rho), b).mat
+        rhs = _star(e_rot, apply(ad_u, rho), b).mat
         r_cov = max(r_cov, float(np.abs(lhs - rhs).max()))
 
         # permutation symmetry at E = id
-        t = star(identity_map(d), rho, b).mat
+        t = _star(identity_map(d), rho, b).mat
         sw = swap(d).mat
         r_perm = max(r_perm, float(np.abs(sw @ t @ sw - t).max()))
 
         # classical consistency for decohered channels
         e_cl = compose(compose(dec, e), dec)
-        lhs_cl = tensor(dec, dec).apply(star(e_cl, dec.apply(rho), b))
-        rhs_cl = apply_right(e_cl, bcl.apply(rho), d_left=d)
+        lhs_cl = apply(tensor(dec, dec), _star(e_cl, apply(dec, rho), b))
+        rhs_cl = apply_right(e_cl, apply(bcl, rho), d_left=d)
         r_cl = max(r_cl, float(np.abs(lhs_cl.mat - rhs_cl.mat).max()))
 
     return {"covariance": r_cov, "permutation": r_perm, "classical": r_cl}

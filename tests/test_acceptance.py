@@ -34,7 +34,7 @@ from vbcast.sot import star
 
 from channel_scan import closest_channel_scan
 from dense_covariant import choi_projector, moment_operator
-from dense_maps import eigh, identity_map, kron, partial_trace
+from dense_maps import absmax, apply, dense, dense_choi, eigh, identity_map, kron, partial_trace
 from dense_mp_sampling import update_batch
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel, random_pure
@@ -55,8 +55,8 @@ def test_criterion_01_broadcasting_marginals():
         for _ in range(100):
             rho = random_density(d, rng)
             out = b.apply(rho)
-            r1 = (partial_trace(out, (d, d), keep="first") - rho).absmax()
-            r2 = (partial_trace(out, (d, d), keep="second") - rho).absmax()
+            r1 = absmax(partial_trace(out, (d, d), keep="first").mat - rho.mat)
+            r2 = absmax(partial_trace(out, (d, d), keep="second").mat - rho.mat)
             worst = max(worst, r1, r2)
     dt = time.monotonic() - t0
     _finish(
@@ -115,10 +115,10 @@ def test_criterion_04_spectral_decomposition():
     for d in range(2, 7):
         b = canonical_b(d)
         combo = (d + 1) / 2 * cloner(d) - (d - 1) / 2 * antisym(d)
-        res = (b.choi - combo.choi).absmax()
+        res = absmax(dense_choi(b).mat - dense_choi(combo).mat)
         if res >= 1e-10:
             bad.append(f"d={d} decomposition {res:.2e}")
-        vals, _ = eigh(b.choi)
+        vals, _ = eigh(dense_choi(b))
         want = np.array(
             sorted([(d + 1) / 2] * d + [0.0] * (d**3 - 2 * d) + [-(d - 1) / 2] * d, reverse=True)
         )
@@ -146,12 +146,12 @@ def test_criterion_05_diamond_norms():
     times = []
     for d in (2, 3):
         t0 = time.monotonic()
-        res = diamond_sdp(canonical_b(d))
+        res = diamond_sdp(dense(canonical_b(d)))
         dt = time.monotonic() - t0
         times.append(dt)
         if not res.converged or abs(res.value - d) >= 1e-4 or dt >= 120.0:
             bad.append(f"|B| d={d}: {res.value:.6f} in {dt:.1f}s")
-        dist = diamond_sdp(canonical_b(d) - cloner(d))
+        dist = diamond_sdp(dense(canonical_b(d) - cloner(d)))
         if not dist.converged or abs(dist.value - (d - 1)) >= 1e-4:
             bad.append(f"|B-B+| d={d}: {dist.value:.6f}")
     d = 2
@@ -257,8 +257,8 @@ def test_criterion_08_states_over_time():
             left, right = (partial_trace(out, (d, d), keep=keep) for keep in ("first", "second"))
             marg = max(
                 marg,
-                (left - rho).absmax(),
-                (right - e.apply(rho)).absmax(),
+                absmax(left.mat - rho.mat),
+                absmax(right.mat - apply(e, rho).mat),
             )
         if marg >= 1e-10:
             bad.append(f"marginals d={d}: {marg:.2e}")

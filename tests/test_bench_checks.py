@@ -8,7 +8,7 @@ once here through ``vbcast.cli.main``, so such a change fails the tests
 first.  The harness file is read as it is, by path.
 
 The commands that never execute numpy -- the benchmark's, and ``verify``
-and ``dump`` of every named object at d = 2 and 6 -- also run in a child
+and ``dump`` of every named object at d = 2..6 -- also run in a child
 interpreter whose ``sys.meta_path`` refuses numpy, and must write the same
 bytes there; so they must under every other Python 3.10-3.13 on ``PATH``
 that starts, or that pyenv names where its shim does not start.
@@ -79,9 +79,9 @@ def _report_lines(path):
 
 
 def _named_runs(out_dir):
-    """(argv, exit code) of verify and dump of every named object at d = 2 and 6: exact arithmetic on their forms."""
+    """(argv, exit code) of verify and dump of every named object at d = 2..6: exact arithmetic on their forms."""
     runs = []
-    for d in ("2", "6"):
+    for d in ("2", "3", "4", "5", "6"):
         for name in (*OBJECTS, "B_lambda:0.3"):
             runs.append((["dump", "--dim", d, "--object", name, "--out", os.path.join(out_dir, f"dump-{d}-{name}")], 0))
             if name != "D":  # D maps d -> d, no broadcaster
@@ -116,7 +116,8 @@ def _check_numpy_free(python, tmp_path):
     *codes, dense_code = json.loads(res.stdout)
     assert codes == [0, *(cmd.expect_rc for cmd in cmds), *(code for _, code in named)]
     assert dense_code == 2 and not os.path.exists(dense[-1])
-    assert res.stderr.splitlines()[-1] == "error: sample needs numpy here, which is not installed"
+    want = "error: sample needs numpy here, which is not installed; install vbcast[dense]"
+    assert res.stderr.splitlines()[-1] == want
 
     outs = [setup[-1], *(cmd.out for cmd in cmds), *(argv[-1] for argv, _ in named)]
     without = [_report_lines(out) for out in outs]

@@ -43,7 +43,21 @@ from dense_covariant import (
 )
 from dense_axioms import commutant_projection, dense_check_axioms
 from dense_maps import (
-    compose, conjugate, dagger, decoherence_in, eigh, from_action, hs_adjoint, identity, kron, omega, partial_trace, tensor
+    absmax,
+    apply,
+    compose,
+    conjugate,
+    dagger,
+    decoherence_in,
+    dense_choi,
+    eigh,
+    from_action,
+    hs_adjoint,
+    identity,
+    kron,
+    omega,
+    partial_trace,
+    tensor,
 )
 from dense_uniqueness import dense_basis_uniqueness, dense_verify_uniqueness, table_column_uniqueness
 from random_fixtures import basis_state, haar_unitary, random_channel, random_pure
@@ -87,7 +101,7 @@ class TestCanonicalB:
         # C(B) = (1/2){SWAP (x) I, I (x) Omega}
         s12 = np.kron(swap(d).mat, np.eye(d))
         om23 = np.kron(np.eye(d), omega(d).mat)
-        assert_allclose(canonical_b(d).choi.mat, 0.5 * (s12 @ om23 + om23 @ s12), atol=1e-13)
+        assert_allclose(dense_choi(canonical_b(d)).mat, 0.5 * (s12 @ om23 + om23 @ s12), atol=1e-13)
 
     @mark.parametrize("d", (2, 3, 4))
     def test_hp_tp_not_cp(self, d):
@@ -106,7 +120,7 @@ class TestCanonicalB:
 
 class TestFamily:
     def test_lambda_zero_is_canonical(self):
-        assert_allclose(family_b_lambda(3, 0.0).choi.mat, canonical_b(3).choi.mat)
+        assert_allclose(dense_choi(family_b_lambda(3, 0.0)).mat, dense_choi(canonical_b(3)).mat)
 
     @mark.parametrize("lam", (-0.4, 0.3, 1.1))
     def test_trace_preserving_and_marginals(self, lam):
@@ -130,14 +144,14 @@ class TestClonerAntisym:
         # Tr_2[B+(psi)] = (I + (d+2) psi) / (2(d+1)) for pure psi
         psi = random_pure(d, Rng(d))
         marg = partial_trace(cloner(d).apply(psi), (d, d), keep="first")
-        want = (identity(d) + (d + 2) * psi) * (1.0 / (2 * (d + 1)))
-        assert_allclose(marg.mat, want.mat, atol=1e-12)
+        want = (identity(d).mat + (d + 2) * psi.mat) * (1.0 / (2 * (d + 1)))
+        assert_allclose(marg.mat, want, atol=1e-12)
 
     @mark.parametrize("d", (2, 3, 4, 5))
     def test_cloner_broadcast_deficit(self, d):
         psi = random_pure(d, Rng(d + 9))
         marg = partial_trace(cloner(d).apply(psi), (d, d), keep="first")
-        diff = marg - psi
+        diff = marg.mat - psi.mat
         vals, _ = eigh(diff)
         assert np.abs(vals).max() == pytest.approx((d - 1) / (2 * (d + 1)), abs=1e-12)
         assert trace_norm(diff) == pytest.approx((d - 1) / (d + 1), abs=1e-12)
@@ -157,11 +171,11 @@ class TestDecomposition:
         dec = canonical_decomposition(d)
         assert dec.lambda_plus == pytest.approx((d + 1) / 2)
         assert dec.lambda_minus == pytest.approx((d - 1) / 2)
-        assert_allclose(dec.combined().choi.mat, canonical_b(d).choi.mat, atol=1e-13)
+        assert_allclose(dense_choi(dec.combined()).mat, dense_choi(canonical_b(d)).mat, atol=1e-13)
 
     @mark.parametrize("d", (2, 3, 4))
     def test_choi_spectrum(self, d):
-        vals, _ = eigh(canonical_b(d).choi)
+        vals, _ = eigh(dense_choi(canonical_b(d)))
         want = np.array(
             sorted([(d + 1) / 2] * d + [0.0] * (d**3 - 2 * d) + [-(d - 1) / 2] * d, reverse=True)
         )
@@ -171,33 +185,33 @@ class TestDecomposition:
     def test_projector_identities(self, d):
         bp = choi_projector(d, +1)
         bm = choi_projector(d, -1)
-        assert_allclose(bp.mat @ bp.mat, ((d + 1) / 2 * bp).mat, atol=1e-12)
-        assert_allclose(bm.mat @ bm.mat, ((d - 1) / 2 * bm).mat, atol=1e-12)
+        assert_allclose(bp.mat @ bp.mat, (d + 1) / 2 * bp.mat, atol=1e-12)
+        assert_allclose(bm.mat @ bm.mat, (d - 1) / 2 * bm.mat, atol=1e-12)
         assert np.abs(bp.mat @ bm.mat).max() < 1e-12
         # rescaled projectors are exactly the cloner/antisymmetrizer Chois
-        assert_allclose((2.0 / (d + 1) * bp).mat, cloner(d).choi.mat, atol=1e-12)
-        assert_allclose((2.0 / (d - 1) * bm).mat, antisym(d).choi.mat, atol=1e-12)
+        assert_allclose(2.0 / (d + 1) * bp.mat, dense_choi(cloner(d)).mat, atol=1e-12)
+        assert_allclose(2.0 / (d - 1) * bm.mat, dense_choi(antisym(d)).mat, atol=1e-12)
 
 
 class TestDecoherence:
     def test_kills_off_diagonals(self):
         rho = random_density(3, Rng(2))
-        out = decoherence(3).apply(rho)
+        out = apply(decoherence(3), rho)
         assert_allclose(out.mat, np.diag(np.diag(rho.mat)), atol=1e-14)
 
     def test_idempotent_self_adjoint(self):
         m = decoherence(4)
-        assert_allclose(compose(m, m).choi.mat, m.choi.mat, atol=1e-13)
-        assert_allclose(hs_adjoint(m).choi.mat, m.choi.mat, atol=1e-13)
+        assert_allclose(compose(m, m).choi.mat, dense_choi(m).mat, atol=1e-13)
+        assert_allclose(hs_adjoint(m).choi.mat, dense_choi(m).mat, atol=1e-13)
 
     def test_rotated_basis(self):
-        assert np.array_equal(decoherence_in(identity(3)).choi.mat, decoherence(3).choi.mat)
+        assert np.array_equal(decoherence_in(identity(3)).choi.mat, dense_choi(decoherence(3)).mat)
         u = haar_unitary(3, Rng(5))
         m = decoherence_in(u)
         rho = random_density(3, Rng(6))
         conj = conjugate(dagger(u), rho)
         want = u.mat @ np.diag(np.diag(conj.mat)) @ u.mat.conj().T
-        assert_allclose(m.apply(rho).mat, want, atol=1e-13)
+        assert_allclose(apply(m, rho).mat, want, atol=1e-13)
 
     def test_rejects_nonunitary_basis(self):
         with raises(ValueError):
@@ -208,7 +222,7 @@ class TestClassicalBcl:
     @mark.parametrize("d", (2, 3))
     def test_diagonal_copy(self, d):
         rho = random_density(d, Rng(d))
-        out = classical_bcl(d).apply(rho)
+        out = apply(classical_bcl(d), rho)
         want = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d):
             want[i * d + i, i * d + i] = rho.mat[i, i]
@@ -233,7 +247,7 @@ class TestCheckAxioms:
     @mark.parametrize("d", (2, 3))
     def test_dense_map_raises(self, d):
         # only the covariant and pattern forms have an exact axiom path; the dense reference lives in the tests
-        for m in (random_channel(d, d * d, Rng(d)), SuperMap(d, d * d, canonical_b(d).choi)):
+        for m in (random_channel(d, d * d, Rng(d)), SuperMap(d, d * d, dense_choi(canonical_b(d)))):
             with raises(ValueError, match="not a dense Choi"):
                 check_axioms(m)
 
@@ -282,7 +296,7 @@ class TestCheckAxiomsCovariance:
         dec = decoherence(d)
         for m in (canonical_b(d), cloner(d), family_b_lambda(d, 0.4), random_channel(d, d * d, Rng(d))):
             chained = compose(compose(tensor(dec, dec), m), dec)
-            want = (chained.choi - classical_bcl(d).choi).absmax()
+            want = absmax(chained.choi.mat - dense_choi(classical_bcl(d)).mat)
             exact = check_axioms(m) if m.coeffs is not None else dense_check_axioms(m)
             assert exact.classical == pytest.approx(want, abs=1e-14)
 
@@ -326,13 +340,13 @@ class TestCommutant:
             (canonical_b(d), dense_b_lambda(d, 0.0)),
             (family_b_lambda(d, 0.3), dense_b_lambda(d, 0.3)),
             (family_b_lambda(d, -0.7), dense_b_lambda(d, -0.7)),
-            (cloner(d), (2 / (d + 1) * choi_projector(d, +1)).mat),
-            (antisym(d), (2 / (d - 1) * choi_projector(d, -1)).mat),
+            (cloner(d), 2 / (d + 1) * choi_projector(d, +1).mat),
+            (antisym(d), 2 / (d - 1) * choi_projector(d, -1).mat),
             (depolarizing_mp(d), np.eye(d**3) / d**2),
         )
         for m, ref in pairs:
-            assert np.array_equal(m.choi.mat, ref)
-        assert np.abs(exact_mp_map(d).choi.mat - dense_mp_choi(d)).max() <= 1e-15
+            assert np.array_equal(dense_choi(m).mat, ref)
+        assert np.abs(dense_choi(exact_mp_map(d)).mat - dense_mp_choi(d)).max() <= 1e-15
 
     @mark.parametrize("d", range(2, 7))
     def test_gram_closed_form_matches_table(self, d):
@@ -345,10 +359,10 @@ class TestCommutant:
     @mark.parametrize("d", range(2, 7))
     def test_projection_matches_dense_basis(self, d):
         maps = [canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d), depolarizing_mp(d)]
-        chois = [m.choi for m in maps] + [classical_bcl(d).choi, random_hermitian(d**3, Rng(80 + d))]
+        chois = [dense_choi(m) for m in maps] + [dense_choi(classical_bcl(d)), random_hermitian(d**3, Rng(80 + d))]
         chois.append(random_channel(d, d * d, Rng(80 + d)).choi)
         for choi in chois:
-            assert (commutant_projection(choi, d) - dense_commutant_projection(choi, d)).absmax() <= 1e-13
+            assert absmax(commutant_projection(choi, d).mat - dense_commutant_projection(choi, d).mat) <= 1e-13
 
     @mark.parametrize("coeffs", ([], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]))
     def test_covariant_map_needs_six_coefficients(self, coeffs):
@@ -361,7 +375,7 @@ class TestCommutant:
         for m in (
             canonical_b(d), cloner(d), antisym(d), family_b_lambda(d, 0.3), exact_mp_map(d), depolarizing_mp(d)
         ):
-            assert (m.choi - commutant_projection(m.choi, d)).absmax() < 1e-13
+            assert absmax(dense_choi(m).mat - commutant_projection(dense_choi(m), d).mat) < 1e-13
         proj = commutant_projection(random_channel(d, d * d, Rng(d)).choi, d).mat
         u = haar_unitary(d, Rng(70 + d)).mat
         w = np.kron(np.kron(u, u), u.conj())
@@ -379,7 +393,7 @@ class TestCommutant:
             return Operator((a @ s + s @ a) / 2 + 1j * lam * (a @ s - s @ a))
 
         ref = from_action(d, d * d, action)
-        assert_allclose(family_b_lambda(d, lam).choi.mat, ref.choi.mat, atol=1e-14)
+        assert_allclose(dense_choi(family_b_lambda(d, lam)).mat, ref.choi.mat, atol=1e-14)
 
 
 # nullity over the covariant span of each subset of the broadcasting (B), permutation (P) and classical (C) axioms

@@ -21,7 +21,7 @@ from vbcast.densemat import Operator, Rng, trace_norm
 from vbcast.diamond import diamond_bracket, float_slack
 from vbcast.supermap import SuperMap, covariant_map
 
-from dense_maps import apply_right
+from dense_maps import apply_right, dense, dense_choi, dense_sub, jamiolkowski, operator_doc
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel
 from report_schemas import REPORT_SCHEMAS
@@ -50,9 +50,16 @@ def _child_env(**preset):
     return {**env, "PYTHONPATH": src, **preset}
 
 
+def supermap_doc(m):
+    """m in the Choi JSON layout: a structured map by pattern, as ``dump`` writes it, a dense one entry by entry."""
+    if m.exact is not None:
+        return cli._supermap_doc(m)
+    return {"d_in": m.d_in, "d_out": m.d_out, "choi": operator_doc(m.choi)}
+
+
 def write_supermap(path, m):
     """Write m to path in the Choi JSON layout that ``dump`` writes and ``diamond --target file:`` reads."""
-    path.write_text(_dumps(cli._supermap_doc(m)))
+    path.write_text(_dumps(supermap_doc(m)))
 
 
 def run(args, tmp_path, name="out.json"):
@@ -155,15 +162,12 @@ class TestVerify:
             assert docs[0]["checks"][0]["values"]["permutation"] == pytest.approx(2e300)
 
     def test_one_hermiticity_gate_for_the_spectrum(self, tmp_path, monkeypatch):
-        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate and is then diagonalised under that gate too.
-        # The skew sits on B's pattern (0, 0, 0, 0, 0, 1), which holds C[0, 1] but not its adjoint entry.
+        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate, and its spectrum is then read as Hermitian too.
+        # The skew is on B's second 3-cycle coefficient: C - C^dag is 5e-9 i at the all-equal entry.
         def skewed(d):
-            coeffs = canonical_b(d).coeffs
-            patterns = {p: sum(c for c, e in zip(coeffs, supermap.table_entries(p)) if e) for p in PATTERNS}
-            patterns[0, 0, 0, 0, 0, 1] += 5e-9
-            return SuperMap(d, d * d, patterns=patterns)
+            return covariant_map(d, [0, 0, 0, 0, 0.5, 0.5 + 2.5e-9j])
 
-        monkeypatch.setattr(broadcast, "canonical_b", skewed)
+        monkeypatch.setitem(cli.OBJECTS, "B", skewed)
         code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
         assert code == 0
         np.testing.assert_allclose(doc["eigenvalues"], [1.5, 1.5, 0, 0, 0, 0, -0.5, -0.5], atol=1e-8)
@@ -336,7 +340,7 @@ class TestDiamond:
 
     def test_named_floor_is_within_the_bracket(self, tmp_path, capsys, monkeypatch):
         # B's Choi as a dense map closes at gap 1.1680e-13, above its two float slacks (1.1369e-13): the floor
-        monkeypatch.setattr(cli, "_resolve_diamond_target", lambda cfg, target: SuperMap(2, 4, canonical_b(2).choi))
+        monkeypatch.setattr(cli, "_resolve_diamond_target", lambda cfg, target: dense(canonical_b(2)))
         code, doc, _ = run(["diamond", "--dim", "2", "--tol", "sdp=1e-14"], tmp_path)
         floor = 2 * float_slack(8, doc["lower_bound"])
         assert code == 2 and doc["gap"] > floor > 1e-14
@@ -345,7 +349,7 @@ class TestDiamond:
 
     def test_tolerance_between_two_and_three_slacks_converges(self, tmp_path):
         # every dense bound is rounded by one float slack, so a tolerance of 2.5 slacks is met, and quickly
-        m = random_channel(2, 4, Rng(1)) - random_channel(2, 4, Rng(2))
+        m = dense_sub(random_channel(2, 4, Rng(1)), random_channel(2, 4, Rng(2)))
         path = tmp_path / "difference.json"
         write_supermap(path, m)
         tolerance = 2.5 * float_slack(8, diamond_bracket(m, 1e-20).lower_bound)
@@ -382,7 +386,8 @@ class TestDiamond:
         # Choi is first tested for covariance, which must fail
         for d, d_out, seeds in ((2, 2, (1, 2)), (3, 9, (2, 3))):
             path = tmp_path / f"diff{d}.json"
-            write_supermap(path, random_channel(d, d_out, Rng(seeds[0])) - random_channel(d, d_out, Rng(seeds[1])))
+            a, b = (random_channel(d, d_out, Rng(seed)) for seed in seeds)
+            write_supermap(path, dense_sub(a, b))
             docs = []
             for seed in ("0", "5"):
                 args = ["diamond", "--dim", str(d), "--target", f"file:{path}", "--seed", seed]
@@ -403,7 +408,7 @@ class TestDiamond:
         # the report's witness is the bracket's input vec A, a unit vector whose state attains the lower bound
         maps = {
             "B_lambda": lambda: family_b_lambda(4, 0.3),
-            "diff": lambda: random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)),
+            "diff": lambda: dense_sub(random_channel(2, 2, Rng(2)), random_channel(2, 2, Rng(3))),
         }
         admm = target == "diff"  # the one bracket here that the Jordan bound leaves open
         if target in maps:
@@ -474,7 +479,10 @@ class TestDiamond:
     def test_dense_file_target_reads_the_parsed_lists(self, target, tmp_path):
         # a Choi that is not covariant is the ndarray of its JSON lists, so its report is the dense bracket's
         d = 6 if target == "B_cl" else 3
-        m = classical_bcl(d) if target == "B_cl" else random_channel(d, 9, Rng(2)) - random_channel(d, 9, Rng(3))
+        if target == "B_cl":
+            m = classical_bcl(d)
+        else:
+            m = dense_sub(random_channel(d, 9, Rng(2)), random_channel(d, 9, Rng(3)))
         path = tmp_path / "target.json"
         write_supermap(path, m)
         choi = json.loads(path.read_text())["choi"]
@@ -560,7 +568,7 @@ class TestDiamond:
     def test_file_target_dimensions_are_positive_integers(self, field, value, tmp_path, capsys):
         # "d_in": 2.5 once got as far as the shape check: "choi must be 10.0x10.0 for d_in=2.5"
         path = tmp_path / "bad.json"
-        doc = json.loads(_dumps(cli._supermap_doc(random_channel(2, 2, Rng(7)))))
+        doc = json.loads(_dumps(supermap_doc(random_channel(2, 2, Rng(7)))))
         doc[field] = json.loads(value)
         path.write_text(json.dumps(doc))
         code, _, out = run(["diamond", "--dim", "2", "--target", f"file:{path}"], tmp_path)
@@ -576,7 +584,7 @@ class TestSupermapLayout:
     @staticmethod
     def assert_bit_identical(got, m):
         assert (got.d_in, got.d_out) == (m.d_in, m.d_out)
-        assert got.choi.mat.tobytes() == m.choi.mat.tobytes()
+        assert dense_choi(got).mat.tobytes() == dense_choi(m).mat.tobytes()
 
     @pytest.mark.parametrize("d", range(2, 7))
     @pytest.mark.parametrize("name", ("B", "B_cl", "D", "M"))
@@ -605,11 +613,11 @@ class TestSupermapLayout:
 
     def test_random_channel_round_trip(self):
         m = random_channel(2, 4, Rng(60))
-        self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(cli._supermap_doc(m)))), m)
+        self.assert_bit_identical(cli._read_supermap(json.loads(_dumps(supermap_doc(m)))), m)
 
     @pytest.mark.parametrize("part", ("re", "im"))
     def test_bad_shape(self, part):
-        doc = json.loads(_dumps(cli._supermap_doc(random_channel(2, 2, Rng(0)))))
+        doc = json.loads(_dumps(supermap_doc(random_channel(2, 2, Rng(0)))))
         rows = doc["choi"][part]
         for bad in ([[1.0]], [rows[0], rows[1][:-1], *rows[2:]], sum(rows, [])):  # 1 x 1, ragged, flat
             doc["choi"][part] = bad
@@ -782,15 +790,15 @@ class TestDump:
     @pytest.mark.parametrize("name", (*COVARIANT_OBJECTS, "B_cl", "D"))
     def test_covariant_dump_matches_dense_choi(self, name, d):
         # a covariant or pattern map's operators, laid out by pattern with no dense Choi, write the bytes of
-        # the ndarray Choi and its jamiolkowski(), entry by entry; D is a pattern map of four labels
+        # the tests' dense Choi and its Jamiolkowski operator, entry by entry; D is a pattern map of four labels
         m = cli.build_object(name, d)
         got = {"supermap": cli._supermap_doc(m), "jamiolkowski": cli._map_operator_doc(m, jamiolkowski=True)}
-        assert m._choi is None
+        assert m.choi is None
         for op in (got["supermap"]["choi"], got["jamiolkowski"]):
             assert isinstance(op["re"], cli._Indexed) and len(op["re"].values) <= 1 + len(PATTERNS)
         want = {
-            "supermap": {"d_in": m.d_in, "d_out": m.d_out, "choi": cli._operator_doc(m.choi)},
-            "jamiolkowski": cli._operator_doc(m.jamiolkowski()),
+            "supermap": {"d_in": m.d_in, "d_out": m.d_out, "choi": operator_doc(dense_choi(m))},
+            "jamiolkowski": operator_doc(jamiolkowski(m)),
         }
         assert len(want["jamiolkowski"]["re"].values) == (m.d_in * m.d_out) ** 2
         assert _dumps(got).splitlines() == _dumps(want).splitlines()  # a list compare names the first differing line
@@ -800,7 +808,7 @@ class TestDump:
         def fail(m):
             raise AssertionError("dump read a dense Choi")
 
-        monkeypatch.setattr(SuperMap, "choi", property(fail))
+        monkeypatch.setattr(SuperMap, "choi", property(fail, SuperMap.choi.__set__))
         assert run(["dump", "--object", name, "--dim", "3"], tmp_path)[0] == 0
 
 
@@ -1094,7 +1102,7 @@ class TestMemory:
         def fail(m):
             raise AssertionError("sample read a dense Choi")
 
-        monkeypatch.setattr(SuperMap, "choi", property(fail))
+        monkeypatch.setattr(SuperMap, "choi", property(fail, SuperMap.choi.__set__))
         argv = ["sample", "--n", "1000", "--format", "json", "--out", str(tmp_path / "out.json")]
         assert main(argv + args) == 0
 
@@ -1199,7 +1207,7 @@ class TestLazyNumpy:
             "from vbcast.broadcast import check_axioms, classical_bcl\n"
             "m = classical_bcl(6)\n"
             "check_axioms(m)\n"
-            "sys.exit(m._choi is not None or 'numpy._core' in sys.modules)\n"
+            "sys.exit(m.choi is not None or 'numpy._core' in sys.modules)\n"
         )
         res = _run_child(code)
         assert res.returncode == 0, res.stderr
@@ -1211,7 +1219,7 @@ class TestLazyNumpy:
             "from vbcast.broadcast import classical_bcl, decoherence\n"
             "m = classical_bcl(6) * 2\n"
             "ok = m.exact == (1, {(0,) * 6: 2}, {(0,) * 6: 0}) and decoherence(6).is_tp() and not m.is_tp()\n"
-            "sys.exit(not ok or m._choi is not None or 'numpy._core' in sys.modules)\n"
+            "sys.exit(not ok or m.choi is not None or 'numpy._core' in sys.modules)\n"
         )
         res = _run_child(code)
         assert res.returncode == 0, res.stderr

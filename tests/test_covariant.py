@@ -45,7 +45,7 @@ from vbcast.supermap import (
 
 from dense_axioms import dense_check_axioms
 from dense_covariant import commutant_table, table_sum_choi
-from dense_maps import witness_state
+from dense_maps import absmax, dense, dense_add, dense_choi, dense_sub, is_cp, is_tp, witness_state
 
 DIMS = range(2, 7)
 
@@ -83,11 +83,6 @@ def _complex_gaussian(rng, *shape):
     return rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
 
 
-def dense(m):
-    """The same map held as its Choi."""
-    return SuperMap(m.d_in, m.d_out, m.choi)
-
-
 class TestPatterns:
     def test_bell_numbers(self):
         assert [len(equality_patterns(n)) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
@@ -117,11 +112,11 @@ class TestPatterns:
 
 
 class TestCovariantForm:
-    def test_choi_built_once_on_first_read(self):
+    def test_structured_maps_hold_no_choi(self):
         m = canonical_b(3)
-        assert m._choi is None and isinstance(m.coeffs, tuple)
+        assert m.choi is None and isinstance(m.coeffs, tuple)
         assert all(type(c) is complex for c in m.coeffs)
-        assert m.choi is m.choi
+        assert classical_bcl(3).choi is None and decoherence(3).choi is None
 
     @mark.parametrize("d", DIMS)
     def test_choi_is_the_table_sum_bit_for_bit(self, d):
@@ -129,13 +124,13 @@ class TestCovariantForm:
         maps = covariant_maps(d)
         maps.update({f"B_lambda:{lam}": family_b_lambda(d, lam) for lam in (1e300, -1e300, -1e-12, -0.0)})
         for name, m in maps.items():
-            assert m.choi.mat.tobytes() == table_sum_choi(d, m.coeffs).tobytes(), name
+            assert dense_choi(m).mat.tobytes() == table_sum_choi(d, m.coeffs).tobytes(), name
 
     def test_needs_exactly_one_form(self):
         with pytest.raises(ValueError, match="either"):
             SuperMap(2, 4)
         with pytest.raises(ValueError, match="either"):
-            SuperMap(2, 4, canonical_b(2).choi, exact=canonical_b(2).exact)
+            SuperMap(2, 4, dense_choi(canonical_b(2)), exact=canonical_b(2).exact)
         with pytest.raises(ValueError, match="d -> d\\^2"):
             SuperMap(2, 3, exact=(1, (0,) * 6, (0,) * 6))
         with pytest.raises(TypeError, match="coeffs"):
@@ -164,21 +159,25 @@ class TestCovariantForm:
     def test_linear_structure_stays_covariant(self, d):
         a, b = exact_mp_map(d), family_b_lambda(d, 0.3)
         for got, want in (
-            (a + b, a.choi.mat + b.choi.mat),
-            (a - b, a.choi.mat - b.choi.mat),
-            (2.5 * a, 2.5 * a.choi.mat),
-            (a * 1j, a.choi.mat * 1j),
+            (a + b, dense_choi(a).mat + dense_choi(b).mat),
+            (a - b, dense_choi(a).mat - dense_choi(b).mat),
+            (2.5 * a, 2.5 * dense_choi(a).mat),
+            (a * 1j, dense_choi(a).mat * 1j),
         ):
             assert got.coeffs is not None
-            assert_allclose(got.choi.mat, want, atol=1e-14)
-        mixed = a + dense(b)
+            assert_allclose(dense_choi(got).mat, want, atol=1e-14)
+        # a dense operand has no exact values: the sum of a covariant and a dense map is the tests' dense sum
+        for combine in (lambda: a + dense(b), lambda: a - dense(b), lambda: 2.5 * dense(b), lambda: dense(b) / 2):
+            with pytest.raises(ValueError, match="not a dense Choi"):
+                combine()
+        mixed = dense_add(a, dense(b))
         assert mixed.coeffs is None
-        assert_allclose(mixed.choi.mat, a.choi.mat + b.choi.mat, atol=1e-14)
+        assert_allclose(mixed.choi.mat, dense_choi(a).mat + dense_choi(b).mat, atol=1e-14)
 
     @mark.parametrize("d", DIMS)
     def test_spectrum_matches_eigvalsh(self, d):
         for name, m in covariant_maps(d).items():
-            assert_allclose(m.spectrum(), np.linalg.eigvalsh(m.choi.mat)[::-1], atol=1e-10, err_msg=name)
+            assert_allclose(m.spectrum(), np.linalg.eigvalsh(dense_choi(m).mat)[::-1], atol=1e-10, err_msg=name)
 
     @mark.parametrize("d", DIMS)
     def test_predicates_and_absmax_match_dense(self, d):
@@ -195,8 +194,13 @@ class TestCovariantForm:
             maps[f"pattern_skew{t}"] = SuperMap(d, d * d, patterns=skew)
         for name, m in maps.items():
             ref = dense(m)
-            assert m.choi_absmax() == pytest.approx(ref.choi_absmax(), abs=1e-14), name
-            assert (m.is_hp(), m.is_cp(), m.is_tp()) == (ref.is_hp(), ref.is_cp(), ref.is_tp()), name
+            assert m.choi_absmax() == pytest.approx(absmax(ref.choi), abs=1e-14), name
+            assert (m.is_hp(), m.is_tp()) == (ref.is_hp(), is_tp(ref)), name
+            if m.patterns is not None and name not in ("B_cl", "D") and m.is_hp():
+                with pytest.raises(ValueError, match="spectrum"):  # only a diagonal pattern map has an exact spectrum
+                    m.is_cp()
+            else:
+                assert m.is_cp() == is_cp(ref), name
         assert maps["skew0.5"].is_hp() and not maps["skew2.0"].is_hp()
         assert maps["pattern_skew0.5"].is_hp() and not maps["pattern_skew2.0"].is_hp()
         assert maps["B_cl-B+"].coeffs is None and maps["B_cl-B+"].patterns is not None
@@ -237,14 +241,15 @@ class TestPatternForm:
         want = np.zeros((d**3, d**3), dtype=complex)
         diag = np.arange(d) * (d * d + d + 1)
         want[diag, diag] = 1.0
-        assert m.choi.mat.tobytes() == want.tobytes()
+        assert dense_choi(m).mat.tobytes() == want.tobytes()
 
     @mark.parametrize("d", DIMS)
     def test_covariant_values_give_the_covariant_choi(self, d):
         # a pattern's value is the sum of the coefficients over its table support
         for name, m in covariant_maps(d).items():
             values = {p: sum(c for c, e in zip(m.coeffs, table_entries(p)) if e) for p in equality_patterns(6)}
-            assert_allclose(SuperMap(d, d * d, patterns=values).choi.mat, m.choi.mat, rtol=0, atol=1e-15, err_msg=name)
+            got = dense_choi(SuperMap(d, d * d, patterns=values))
+            assert_allclose(got.mat, dense_choi(m).mat, rtol=0, atol=1e-15, err_msg=name)
 
     @mark.parametrize("d", (2, 3, 4))
     def test_axioms_match_dense_reference(self, d):
@@ -257,7 +262,7 @@ class TestPatternForm:
     def test_diagonal_spectrum_is_eigvalsh_bit_for_bit(self, d):
         # B_cl's and D's Chois are diagonal: their spectra are their pattern values, each once per position
         for m in (classical_bcl(d), decoherence(d)):
-            want = np.linalg.eigvalsh(m.choi.mat)[::-1].tolist()
+            want = np.linalg.eigvalsh(dense_choi(m).mat)[::-1].tolist()
             assert [x.hex() for x in m.spectrum()] == [x.hex() for x in want]
             assert m.spectrum() == [1.0] * d + [0.0] * (m.d_out * d - d)
 
@@ -274,7 +279,7 @@ class TestPatternForm:
         ]
         assert got.choi_absmax() == float(max(map(abs, entries)))
         assert (classical_bcl(2) - cloner(2)).choi_absmax() == 1 / 3
-        assert (dense(classical_bcl(2)) - cloner(2)).choi_absmax() == 0.33333333333333337
+        assert absmax(dense_sub(dense(classical_bcl(2)), cloner(2)).choi) == 0.33333333333333337
         # division by an int stays exact too, and a map's exact form is in lowest terms
         assert (classical_bcl(d) / 6).exact == (6, {(0,) * 6: 1}, {(0,) * 6: 0})
         zero = {p: 0 for p, _, _ in _pattern_table(d)}
@@ -287,7 +292,7 @@ class TestPatternForm:
             for scalar in (2, 0.1, 0.5 - 0.25j):
                 got = m * scalar
                 assert got.coeffs is None and got.patterns is not None
-                assert_allclose(got.choi.mat, m.choi.mat * scalar, rtol=0, atol=1e-15)
+                assert_allclose(dense_choi(got).mat, dense_choi(m).mat * scalar, rtol=0, atol=1e-15)
         assert (2 * classical_bcl(d)).exact == (1, {(0,) * 6: 2}, {(0,) * 6: 0})
         num, den = (0.1).as_integer_ratio()
         assert (decoherence(d) * 0.1).exact == (den, {(0,) * 4: num}, {(0,) * 4: 0})
@@ -306,7 +311,7 @@ class TestPatternForm:
         rng = Rng(60 + d)
         maps.update({f"gaussian{i}": covariant_map(d, _complex_gaussian(rng, 6).tolist()) for i in range(10)})
         for name, m in maps.items():
-            assert m.is_tp() == dense(m).is_tp(), name
+            assert m.is_tp() == is_tp(dense(m)), name
         assert maps["D_mixed"].is_tp() and maps["off_tp_D0.5"].is_tp() and not maps["off_tp_D2.0"].is_tp()
         assert maps["off_tp_B_cl0.5"].is_tp() and not maps["off_tp_B_cl2.0"].is_tp()
 
@@ -321,7 +326,7 @@ class TestPatternForm:
             SuperMap(2, 4, patterns={(0, 0, 0, 0, 0, 2): 1.0})
         with pytest.raises(ValueError, match="d -> d\\^2"):
             SuperMap(2, 2, patterns={(0, 0, 0, 0, 0, 0): 1.0})
-        assert SuperMap(3, 3, patterns={(0, 0, 0, 0): 1.0}).choi.mat.shape == (9, 9)  # the decoherence's key
+        assert dense_choi(SuperMap(3, 3, patterns={(0, 0, 0, 0): 1.0})).mat.shape == (9, 9)  # the decoherence's key
         with pytest.raises(ValueError, match="d -> d\\^1"):
             SuperMap(3, 9, patterns={(0, 0, 0, 0): 1.0})
         with pytest.raises(ValueError, match="one even length"):
@@ -342,7 +347,7 @@ class TestAgainstDense:
         x = _complex_gaussian(rng, d, d)
         inputs = {"hermitian": x + x.conj().T, "non-hermitian": x}
         for name, m in maps.items():
-            c4 = m.choi.mat.reshape(d * d, d, d * d, d)
+            c4 = dense_choi(m).mat.reshape(d * d, d, d * d, d)
             for kind, xm in inputs.items():
                 want = np.einsum("uivj,ij->uv", c4, xm)
                 assert_allclose(m.apply(xm).mat, want, rtol=0, atol=1e-12, err_msg=f"{name} {kind}")
@@ -367,7 +372,7 @@ class TestAgainstDense:
             assert_array_equal(witness_state(got).mat, np.outer(e, e))
             assert_allclose(witness_state(want).mat, np.outer(e, e), atol=1e-12)
             # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map
-            assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum() / d, abs=1e-12)
+            assert got.value == pytest.approx(np.abs(np.linalg.eigvalsh(dense_choi(m).mat)).sum() / d, abs=1e-12)
 
     @mark.parametrize("d", DIMS)
     def test_diamond_bracket_holds_the_trace_norm(self, d):
@@ -377,7 +382,7 @@ class TestAgainstDense:
         for name, m in maps.items():
             res = diamond_bracket(m)
             n = d**3
-            dense_norm = float(np.abs(np.linalg.eigvalsh(m.choi.mat)).sum()) / d
+            dense_norm = float(np.abs(np.linalg.eigvalsh(dense_choi(m).mat)).sum()) / d
             slack = float_slack(n, dense_norm)
             assert res.lower_bound - slack <= dense_norm <= res.upper_bound + slack, name
             # against 60 digits of the same closed form, and no wider than two ulps

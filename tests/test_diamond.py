@@ -37,7 +37,19 @@ from vbcast.hovm import depolarizing_mp, exact_mp_map
 from vbcast.qsample import estimate_with_trace
 
 from channel_scan import closest_channel_scan
-from dense_maps import apply_right, compose, conjugate, from_action, identity_map, is_psd, tensor, witness_state
+from dense_maps import (
+    apply_right,
+    compose,
+    conjugate,
+    dense,
+    dense_sub,
+    from_action,
+    identity_map,
+    is_psd,
+    tensor,
+    trace,
+    witness_state,
+)
 from random_fixtures import haar_unitary, random_channel
 
 
@@ -83,14 +95,14 @@ class TestSdp:
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_canonical_broadcaster(self, d):
-        res = diamond_sdp(canonical_b(d))
+        res = diamond_sdp(dense(canonical_b(d)))
         assert res.converged
         assert res.value == pytest.approx(d, abs=1e-4)
         _assert_certified(res, float(d))
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_distance_to_cloner(self, d):
-        res = diamond_sdp(canonical_b(d) - cloner(d))
+        res = diamond_sdp(dense(canonical_b(d) - cloner(d)))
         assert res.converged
         assert res.value == pytest.approx(d - 1, abs=1e-4)
         _assert_certified(res, float(d - 1))
@@ -100,7 +112,7 @@ class TestSdp:
         m = canonical_b(2) - depolarizing_mp(2)
         closed = diamond_bracket(m, 1e-5)
         assert closed.iterations == 0 and closed.value == pytest.approx(2.5, abs=1e-12)
-        _assert_certified(diamond_sdp(m), 2.5)
+        _assert_certified(diamond_sdp(dense(m)), 2.5)
 
     def test_unitary_conjugation_invariance(self):
         m = canonical_b(2)
@@ -108,7 +120,7 @@ class TestSdp:
         v = haar_unitary(4, Rng(3))
         pre = from_action(2, 2, lambda x: conjugate(u, x))
         post = from_action(4, 4, lambda x: conjugate(v, x))
-        a = diamond_sdp(m).value
+        a = diamond_sdp(dense(m)).value
         b = diamond_sdp(compose(compose(post, m), pre)).value
         assert a == pytest.approx(b, abs=5e-4)
 
@@ -146,7 +158,7 @@ class TestLowerSearch:
     def test_lower_bounds_the_sdp(self):
         m = canonical_b(2) - cloner(2)
         low = diamond_bracket(m).lower_bound
-        up = diamond_sdp(m).value
+        up = diamond_sdp(dense(m)).value
         assert low <= up + 1e-4
 
     def test_witness_is_density(self):
@@ -154,7 +166,7 @@ class TestLowerSearch:
         res = diamond_bracket(m)
         w = witness_state(res)
         assert is_psd(w)
-        assert w.trace() == pytest.approx(1.0)
+        assert trace(w) == pytest.approx(1.0)
         assert trace_norm(apply_right(m, w, d_left=m.d_in)) >= res.lower_bound
 
     def test_rejects_non_hp(self):
@@ -258,12 +270,12 @@ class TestBracket:
 
     def test_open_gap_falls_back_to_admm(self):
         # seeds 1, 2 draw a pair whose Jordan bound is only 0.0035 loose, short of an open gap
-        _assert_open_gap_closed(random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3)))
+        _assert_open_gap_closed(dense_sub(random_channel(2, 2, Rng(2)), random_channel(2, 2, Rng(3))))
 
     @pytest.mark.parametrize(
         "m",
-        [random_channel(d, d, Rng(1)) - random_channel(d, d, Rng(2)) for d in (3, 4)]
-        + [canonical_b(2) - random_channel(2, 4, Rng(500))],
+        [dense_sub(random_channel(d, d, Rng(1)), random_channel(d, d, Rng(2))) for d in (3, 4)]
+        + [dense_sub(canonical_b(2), random_channel(2, 4, Rng(500)))],
         ids=["channels3", "channels4", "BmScan0"],
     )
     def test_closes_open_gaps(self, m):
@@ -271,7 +283,7 @@ class TestBracket:
 
     def test_tolerance_between_two_and_three_slacks_converges(self):
         # every dense bound is rounded by float_slack(n), as gap_floor assumes: 2.5 slacks are within reach
-        m = random_channel(2, 4, Rng(1)) - random_channel(2, 4, Rng(2))
+        m = dense_sub(random_channel(2, 4, Rng(1)), random_channel(2, 4, Rng(2)))
         tolerance = 2.5 * float_slack(8, diamond_bracket(m, 1e-20).lower_bound)
         start = time.perf_counter()
         res = diamond_bracket(m, tolerance)
@@ -285,14 +297,14 @@ class TestBracket:
     def test_channel_differences_converge_faster_than_the_2n_splitting(self, d, seeds, parent_iterations):
         # the iteration counts of the 2n x 2n ADMM on the same seeded d -> d^2 differences
         a, b = seeds
-        res = diamond_bracket(random_channel(d, d * d, Rng(a)) - random_channel(d, d * d, Rng(b)), 1e-5)
+        res = diamond_bracket(dense_sub(random_channel(d, d * d, Rng(a)), random_channel(d, d * d, Rng(b))), 1e-5)
         assert res.converged and 0 < res.iterations < parent_iterations
         assert 0 <= res.gap <= 1e-5
         assert res.lower_bound <= res.value <= res.upper_bound
 
     @pytest.mark.parametrize(
         "m",
-        [SuperMap(4, 16, canonical_b(4).choi), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))],
+        [dense(canonical_b(4)), dense_sub(random_channel(2, 2, Rng(2)), random_channel(2, 2, Rng(3)))],
         ids=["dense-B4", "channels2"],
     )
     def test_gap_floor_bounds_every_bracket(self, m):
@@ -301,7 +313,7 @@ class TestBracket:
         assert res.gap >= gap_floor(m, res.lower_bound, res.upper_bound) > 0
 
     @pytest.mark.parametrize(
-        "m", [family_b_lambda(2, 0.3), random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))]
+        "m", [family_b_lambda(2, 0.3), dense_sub(random_channel(2, 2, Rng(2)), random_channel(2, 2, Rng(3)))]
     )
     def test_tolerance_below_floor_skips_admm(self, m, monkeypatch):
         # a covariant bracket is exact, so its floor is its own gap
@@ -314,17 +326,22 @@ class TestBracket:
     @pytest.mark.parametrize("d", (2, 3))
     @pytest.mark.parametrize("build", (classical_bcl, decoherence))
     def test_pattern_map_takes_the_dense_bracket(self, build, d):
-        # a pattern map is not covariant: its bracket and floor are those of the same map held as its Choi
+        # a pattern map is not covariant and holds no dense Choi, so diamond_bracket refuses it; the same map held
+        # as its Choi takes the dense bracket, reproducibly, around the norm 1 of a channel, with the dense floor
         m = build(d)
-        ref = SuperMap(m.d_in, m.d_out, m.choi)
-        got, want = diamond_bracket(m), diamond_bracket(ref)
+        with pytest.raises(ValueError, match="dense Choi"):
+            diamond_bracket(m)
+        ref = dense(m)
+        got, want = diamond_bracket(ref), diamond_bracket(dense(m))
         assert got._replace(witness=None) == want._replace(witness=None)
         assert_array_equal(got.witness, want.witness)
-        assert gap_floor(m, got.lower_bound, got.upper_bound) == gap_floor(ref, want.lower_bound, want.upper_bound)
+        assert got.converged and got.lower_bound <= 1.0 <= got.upper_bound
+        floor = gap_floor(ref, got.lower_bound, got.upper_bound)
+        assert floor == min(2 * float_slack(d * ref.d_out, got.lower_bound), got.gap)
 
     def test_floor_doubles_without_proven_upper(self, monkeypatch):
         # both certified bounds of a dense map carry float_slack, so 1.5 slacks are out of reach too
-        m = random_channel(2, 2, Rng(2)) - random_channel(2, 2, Rng(3))
+        m = dense_sub(random_channel(2, 2, Rng(2)), random_channel(2, 2, Rng(3)))
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         res = diamond_bracket(m, 1e-20)
         slack = float_slack(m.d_in * m.d_out, res.lower_bound)
@@ -335,7 +352,7 @@ class TestBracket:
     def test_floor_is_capped_at_the_gap(self, monkeypatch):
         # B's Choi as a dense map: the shifted Jordan point leaves the bracket at 1.1680e-13, just above the
         # two slacks (1.1369e-13), so that is its floor; a bracket narrower than two slacks is its own floor
-        m = SuperMap(2, 4, canonical_b(2).choi)
+        m = dense(canonical_b(2))
         monkeypatch.setattr(vbcast.diamond, "diamond_sdp", _no_admm)
         res = diamond_bracket(m, 1e-14)
         assert res.iterations == 0 and not res.converged
@@ -347,7 +364,7 @@ class TestBracket:
     def test_stalled_bracket_stops_admm(self):
         # the same map just above its floor: ADMM's best bracket last narrows at step 368, to 1.1502e-13, which
         # each upper bound's shift keeps from 1.15e-13; the run ends there, unconverged, not at ADMM_MAX_ITERATIONS
-        m = SuperMap(2, 4, canonical_b(2).choi)
+        m = dense(canonical_b(2))
         start = time.perf_counter()
         res = diamond_bracket(m, 1.15e-13)
         assert time.perf_counter() - start < 1.0
@@ -424,7 +441,7 @@ def test_pinching_contracts_diamond_distance():
     from vbcast.broadcast import decoherence
 
     d = 2
-    diff = canonical_b(d) - cloner(d)
+    diff = dense(canonical_b(d) - cloner(d))
     pinch = tensor(decoherence(d), decoherence(d))
     before = diamond_sdp(diff).value
     after = diamond_sdp(compose(pinch, diff)).value
@@ -435,7 +452,7 @@ def test_triangle_inequality():
     b = canonical_b(2)
     f = cloner(2)
     g = antisym(2)
-    ab = diamond_sdp(b - f).value
-    bc = diamond_sdp(f - g).value
-    ac = diamond_sdp(b - g).value
+    ab = diamond_sdp(dense(b - f)).value
+    bc = diamond_sdp(dense(f - g)).value
+    ac = diamond_sdp(dense(b - g)).value
     assert ac <= ab + bc + 1e-3

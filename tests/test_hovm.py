@@ -26,7 +26,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
-from dense_maps import eigh, identity, is_psd, partial_trace
+from dense_maps import absmax, dense_choi, eigh, identity, is_psd, jamiolkowski, partial_trace, trace
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
@@ -69,7 +69,7 @@ class TestMomentOperators:
     def test_second(self, d):
         mom2 = moment_operator(d, 2)
         assert_allclose(mom2.mat, (np.eye(d * d) + swap(d).mat) / (d * (d + 1)))
-        assert mom2.trace() == pytest.approx(1.0)
+        assert trace(mom2) == pytest.approx(1.0)
         assert is_psd(mom2)
         p = sym_projector(d).mat
         assert_allclose(p @ mom2.mat @ p, mom2.mat, atol=1e-13)
@@ -121,7 +121,7 @@ class TestVirtualStates:
     def test_rho_psi_spectrum(self, d):
         psi = random_pure(d, Rng(d))
         r = rho_psi(psi, d)
-        assert r.trace() == pytest.approx(1.0)
+        assert trace(r) == pytest.approx(1.0)
         vals, _ = eigh(r)
         assert vals[0] == pytest.approx((d + 1) / 2)
         assert_allclose(vals[1:], -0.5 * np.ones(d - 1), atol=1e-12)
@@ -133,7 +133,7 @@ class TestVirtualStates:
 
     def test_rejects_mixed_state(self):
         with raises(ValueError):
-            rho_psi(identity(2) * 0.5, 2)
+            rho_psi(Operator(np.eye(2) * 0.5), 2)
         with raises(ValueError):
             rho_psi(basis_state(3, 0), 2)
 
@@ -144,7 +144,7 @@ class TestExactMpMap:
         m = exact_mp_map(d)
         assert m.is_hp() and m.is_tp()
         assert not m.is_cp()
-        vals, _ = eigh(m.choi)
+        vals, _ = eigh(dense_choi(m))
         assert vals[-1] < -0.1
 
     @mark.parametrize("d", (2, 3, 4, 5))
@@ -161,7 +161,7 @@ class TestExactMpMap:
         assert m.is_cp() and m.is_tp()
         rho = random_density(d, Rng(1))
         assert_allclose(m.apply(rho).mat, np.eye(d * d) / (d * d), atol=1e-13)
-        assert_allclose(m.jamiolkowski().mat, np.eye(d**3) / (d * d), atol=1e-13)
+        assert_allclose(jamiolkowski(m).mat, np.eye(d**3) / (d * d), atol=1e-13)
 
 
 class TestFiniteHOVM:
@@ -176,23 +176,24 @@ class TestFiniteHOVM:
         # six stabilizer states are a 3-design, so the finite average
         # coincides with the Haar integral exactly
         hovm = FiniteHOVM.from_pure_states(2, STABILIZER)
-        assert (hovm.as_supermap().choi - exact_mp_map(2).choi).absmax() < 1e-12
+        assert absmax(hovm.as_supermap().choi.mat - dense_choi(exact_mp_map(2)).mat) < 1e-12
 
     def test_tetrahedron_is_not_a_3_design(self):
         hovm = FiniteHOVM.from_pure_states(2, TETRAHEDRON)
-        assert (hovm.as_supermap().choi - exact_mp_map(2).choi).absmax() > 1e-3
+        assert absmax(hovm.as_supermap().choi.mat - dense_choi(exact_mp_map(2)).mat) > 1e-3
 
     def test_rejects_non_1_design(self):
         with raises(ValueError):
             FiniteHOVM.from_pure_states(2, [basis_state(2, 0), basis_state(2, 0)])
 
     def test_rejects_bad_effects(self):
+        half = Operator(np.eye(2) * 0.5)
         with raises(ValueError):
-            FiniteHOVM((identity(2) * 0.5,), (identity(2) * 0.5,))
+            FiniteHOVM((half,), (half,))
         with raises(ValueError):
             FiniteHOVM((identity(2),), (identity(2),))  # prep trace 2
         with raises(ValueError):
-            FiniteHOVM((identity(2),), (identity(2) * 0.5, identity(2) * 0.5))
+            FiniteHOVM((identity(2),), (half, half))
         with raises(ValueError):
             FiniteHOVM((), ())
 

@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast import broadcast, densemat
-from vbcast.densemat import Rng, random_density, swap
+from vbcast.densemat import Operator, Rng, random_density, swap
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
 from vbcast.sot import star
 
 from dense_axioms import dense_check_axioms
-from dense_maps import apply_left, apply_right, eigh, identity, identity_map, partial_trace
+from dense_maps import apply, apply_left, apply_right, eigh, identity_map, jamiolkowski, partial_trace, trace
 from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms
@@ -18,7 +18,7 @@ from sampled_sot import sampled_sot_axioms
 class TestStar:
     def test_identity_on_maximally_mixed(self):
         # id * (I/2) is the qubit pseudo-density operator SWAP/2
-        out = star(identity_map(2), identity(2) * 0.5, canonical_b(2))
+        out = star(identity_map(2), Operator(np.eye(2) * 0.5), canonical_b(2))
         assert_allclose(out.mat, swap(2).mat / 2, atol=1e-14)
 
     @mark.parametrize("d", (2, 3, 4))
@@ -28,8 +28,8 @@ class TestStar:
         rho = random_density(d, Rng(d + 1))
         out = star(e, rho, b)
         assert_allclose(partial_trace(out, (d, d), keep="first").mat, rho.mat, atol=1e-12)
-        assert_allclose(partial_trace(out, (d, d), keep="second").mat, e.apply(rho).mat, atol=1e-12)
-        assert out.trace() == pytest.approx(1.0)
+        assert_allclose(partial_trace(out, (d, d), keep="second").mat, apply(e, rho).mat, atol=1e-12)
+        assert trace(out) == pytest.approx(1.0)
         assert out.is_hermitian()
 
     @mark.parametrize("d", (2, 3, 4))
@@ -39,7 +39,7 @@ class TestStar:
             rng = Rng(50 + d, k)
             e, rho = random_channel(d, d, rng), random_density(d, rng)
             jam = apply_right(e, swap(d), d_left=d).mat
-            assert_allclose(jam, e.jamiolkowski().mat, atol=1e-14)
+            assert_allclose(jam, jamiolkowski(e).mat, atol=1e-14)
             rho_i = np.kron(rho.mat, np.eye(d))
             assert_allclose(star(e, rho, canonical_b(d)).mat, (rho_i @ jam + jam @ rho_i) / 2, rtol=0, atol=1e-12)
 
