@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from .densemat import S3
 from .supermap import (
-    AffineDecomposition,
     SuperMap,
     _largest,
     _pattern_table,
@@ -75,11 +74,6 @@ def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
     _require_dim(d)
     return covariant_map(d, (0, 0, 1, 1, -1, -1), 2 * (d - 1))
-
-
-def canonical_decomposition(d: int) -> AffineDecomposition:
-    """B = (d+1)/2 * cloner - (d-1)/2 * antisym, both parts CPTP."""
-    return AffineDecomposition((d + 1) / 2, (d - 1) / 2, cloner(d), antisym(d))
 
 
 def decoherence(d: int) -> SuperMap:

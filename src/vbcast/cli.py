@@ -336,7 +336,8 @@ def _verify_uniqueness(b: supermap.SuperMap, cfg: RunConfig):
 
 
 def _verify_spectral(b: supermap.SuperMap, cfg: RunConfig):
-    dec_res = (b - broadcast.canonical_decomposition(cfg.dim).combined()).choi_absmax()
+    d = cfg.dim  # the paper's form of B: ((d + 1) B+ - (d - 1) B-) / 2
+    dec_res = (b - (broadcast.cloner(d) * (d + 1) - broadcast.antisym(d) * (d - 1)) / 2).choi_absmax()
     values = {"decomposition_residual": dec_res, "eigenvalue_residual": _eigenvalue_residual(b)}
     return not any(values.values()), values, f"residual={dec_res:.3e}"
 
@@ -418,12 +419,11 @@ def cmd_diamond(cfg: RunConfig, target: str = "B") -> int:
         f"upper={result.upper_bound:.6f} gap={result.gap:.3e}"
     )
     if not result.converged:
-        tol, floor = cfg.tolerances["sdp"], diamond.gap_floor(m, result.lower_bound, result.upper_bound)
-        if tol < floor:
+        message = f"SDP did not converge within {result.iterations} iterations"
+        if result.iterations == 0:  # no ADMM ran: the tolerance is below what any certificate can reach
+            tol, floor = cfg.tolerances["sdp"], diamond.gap_floor(m, result.lower_bound, result.upper_bound)
             message = f"--tol sdp={tol:g} is below the bracket's rounding floor {floor:.3e}; no SDP run"
-            print(f"{message} ({bounds})", file=sys.stderr)
-        else:
-            print(f"SDP did not converge within {result.iterations} iterations ({bounds})", file=sys.stderr)
+        print(f"{message} ({bounds})", file=sys.stderr)
         return 2
     _status(True, "diamond", bounds)
     return 0
@@ -468,12 +468,11 @@ def cmd_sample(cfg: RunConfig, n: int = 10000, observable: str | None = None, ob
 
     if object_name == "B":
         observable = "zz" if observable is None else observable
-        dec = broadcast.canonical_decomposition(d)
         o1, o2 = _parse_observables(observable, d, densemat.Rng(cfg.seed, 11))
-        est, rows = qsample.estimate_with_trace(dec, rho, o1, o2, n, densemat.Rng(cfg.seed, 12))
+        b, rng = broadcast.canonical_b(d), densemat.Rng(cfg.seed, 12)
+        est, rows, l1_overhead = qsample.estimate_with_trace(b, rho, o1, o2, n, rng)
         write_csv = qsample.write_trace_csv
         z = est.zscore()
-        l1_overhead = float(dec.lambda_plus) + float(dec.lambda_minus)
         result = dict(mean=est.mean, stderr=est.stderr, exact=est.exact, l1_overhead=l1_overhead, zscore=z)
         detail = f"mean={est.mean:.6f} exact={est.exact:.6f} z={z:.2f}"
     elif object_name == "M":

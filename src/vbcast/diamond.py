@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from . import _lazy
 from .densemat import trace_norm
-from .supermap import SuperMap, covariant_blocks, surd
+from .supermap import SuperMap, covariant_norm, surd
 
 np = _lazy("numpy")
 
@@ -268,18 +268,14 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
 
     Tr_out |J| commutes with every Ubar, so it is ||C||_1 / d times I: the
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
-    lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well.  From
-    ``covariant_blocks``, |lambda+| + |lambda-| = max(|s|, sqrt(w)) / den, so
-    ||C||_1 / d = (K + d sqrt(max(s^2, w))) / (d den) with K = m1 |a| + m2 |b|
-    (m1, m2 the multiplicities of a and b), which ``surd`` rounds down and up.
+    lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well, the
+    surd of ``covariant_norm``, which ``surd`` rounds down and up.
     vec A is 1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d = m.d_in
-    den, a, b, s, w = covariant_blocks(d, m.exact)
-    rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
-    lower, upper = (surd(rational, d, max(s * s, w), d * den, mode) for mode in ("down", "up"))
+    lower, upper = (surd(*covariant_norm(d, m.exact), mode) for mode in ("down", "up"))
     entry = 1.0 / math.sqrt(d)
     vec_a = [0.0] * (d * d)
     vec_a[:: d + 1] = [entry] * d

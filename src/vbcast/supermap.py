@@ -46,8 +46,9 @@ diamond bracket, and nothing else: the exact reads above raise
 ValueError on it, as ``spectrum`` does on a pattern map that is not
 diagonal, which no named map is.
 
-``is_hp``, ``is_cp`` and ``is_tp`` gate at ``HP_TOL``, the one tolerance of
-the map predicates; a map's Choi JSON layout belongs to ``cli``.
+``is_hp`` and ``is_tp`` of a structured map compare its exact residual with
+0; ``HP_TOL`` gates ``is_hp`` of a dense map alone.  A map's Choi JSON
+layout belongs to ``cli``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 from . import _lazy
 from .densemat import S3, Operator, _raw
@@ -63,7 +63,7 @@ from .densemat import S3, Operator, _raw
 np = _lazy("numpy")
 
 
-# The gate of ``SuperMap.is_hp``, ``is_cp`` and ``is_tp``: the one tolerance of the map predicates.
+# The gate of ``SuperMap.is_hp`` on a dense map; a structured map's predicates are exact.
 HP_TOL = 1e-8
 
 
@@ -159,23 +159,18 @@ class SuperMap:
         return [rounded[v] for v in values]
 
     def is_hp(self) -> bool:
-        """Hermitian-preserving, i.e. Hermitian Choi within ``HP_TOL``.
+        """Hermitian-preserving, i.e. Hermitian Choi: exactly for a structured map, within ``HP_TOL`` for a dense one.
 
         A structured map compares its value on each pattern with the
         conjugate of its value on the ``_adjoint`` pattern, in integers.
         """
         if self.exact is None:
             return bool(self.choi.is_hermitian(HP_TOL))
-        den, re, im = exact_values(self)
-        skew = ((re[p] - re.get(q, 0), im[p] + im.get(q, 0)) for p, q in zip(re, map(_adjoint, re)))
-        return _largest(skew, den) <= HP_TOL
-
-    def is_cp(self) -> bool:
-        """Completely positive, i.e. PSD Choi within ``HP_TOL``."""
-        return bool(self.is_hp() and self.spectrum()[-1] >= -HP_TOL)
+        _, re, im = exact_values(self)
+        return all(re[p] == re.get(q, 0) and im[p] == -im.get(q, 0) for p, q in zip(re, map(_adjoint, re)))
 
     def is_tp(self) -> bool:
-        """Trace-preserving:  Tr_out[choi] = I_in within ``HP_TOL``, for a structured map.
+        """Trace-preserving:  Tr_out[choi] = I_in exactly, for a structured map.
 
         Tr_out C is read off ``exact_values``: each pattern
         whose outputs repeat as its primed outputs, with k groups, adds its
@@ -192,7 +187,7 @@ class SuperMap:
                 count = math.perm(d - 2 + same, max(p) - 1 + same)
                 residual[same][0] += re[p] * count
                 residual[same][1] += im[p] * count
-        return _largest(residual.values(), den) <= HP_TOL
+        return not any(residual[True] + residual[False])
 
     # -- linear structure ---------------------------------------------------
 
@@ -460,6 +455,20 @@ def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
     return den, re[0] + re[1], re[0] - re[1], s, t * t + (d * d - 1) * (u_re * u_re + u_im * u_im)
 
 
+def covariant_norm(d: int, exact) -> tuple[int, int, int, int]:
+    """||C||_1 / d of a covariant map as integers (p, q, w, r): the surd (p + q sqrt(w)) / r that ``surd`` rounds.
+
+    From ``covariant_blocks``, the 2 x 2 block's eigenvalues have
+    |lambda+| + |lambda-| = max(|s|, sqrt(w)) / den, so
+    ||C||_1 / d = (m1 |a| + m2 |b| + d sqrt(max(s^2, w))) / (d den), m1 and m2
+    the multiplicities of a and b.  It is the diamond norm of a covariant HP
+    map (``diamond``) and the overhead of its Jordan split (``qsample``).
+    """
+    den, a, b, s, w = covariant_blocks(d, exact)
+    rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
+    return rational, d, max(s * s, w), d * den
+
+
 def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest") -> float:
     """(p + q sqrt(w)) / r for integers, w >= 0 and r > 0, rounded once to the "nearest" float, "down" or "up".
 
@@ -521,16 +530,3 @@ def spectral_distance(m: SuperMap, reference: SuperMap) -> float:
         raise ValueError("the reference spectrum must be rational")
     pairs = set(zip(mine, (p + q * root for p, q in theirs)))
     return max(abs(surd(p * ref_r - e * r, q * ref_r, w, r * ref_r)) for (p, q), e in pairs)
-
-
-class AffineDecomposition(NamedTuple):
-    """HPTP map written as lambda_plus * plus - lambda_minus * minus with CPTP parts."""
-
-    lambda_plus: float
-    lambda_minus: float
-    map_plus: SuperMap
-    map_minus: SuperMap
-
-    def combined(self) -> SuperMap:
-        """The map this decomposition represents."""
-        return self.lambda_plus * self.map_plus - self.lambda_minus * self.map_minus

@@ -3,7 +3,8 @@
 The dense Choi of any map (``dense_choi``, filled by pattern for a
 covariant or pattern map, which holds none), its 4-tensor, Jamiolkowski
 operator and action, sums, differences and scalar multiples of maps on
-their dense Chois, and the dense CP and TP tests; the largest entry and
+their dense Chois, the dense CP and TP tests and the exact CP test of a
+structured map (``exact_cp``); the largest entry and
 the trace of an operator, the identity operator, the maximally entangled
 operator Omega, Kronecker products and partial traces on two-factor
 tensor spaces, the descending-order Hermitian eigensolver ``eigh``, the
@@ -21,7 +22,7 @@ import numpy as np
 
 from vbcast.cli import _Indexed
 from vbcast.densemat import DEFAULT_TOL, Operator, _raw
-from vbcast.supermap import HP_TOL, SuperMap, pattern_floats, pattern_positions
+from vbcast.supermap import HP_TOL, SuperMap, _surd_spectrum, pattern_floats, pattern_positions, surd_sign
 
 
 def dense_choi(m: SuperMap) -> Operator:
@@ -77,6 +78,17 @@ def dense_scale(m: SuperMap, scalar) -> SuperMap:
 def is_cp(m: SuperMap, tol: float = HP_TOL) -> bool:
     """Completely positive: ``is_psd`` of the dense Choi."""
     return is_psd(dense_choi(m), tol)
+
+
+def exact_cp(m: SuperMap) -> bool:
+    """Completely positive, exactly: m is HP and its smallest ``_surd_spectrum`` entry is >= 0 by ``surd_sign``.
+
+    A map without an exact spectrum, dense or a pattern map that is not diagonal, raises ValueError.
+    """
+    if not m.is_hp():
+        return False
+    _, w, values = _surd_spectrum(m)
+    return surd_sign(*values[-1], w) >= 0
 
 
 def is_tp(m: SuperMap, tol: float = HP_TOL) -> bool:

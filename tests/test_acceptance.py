@@ -14,7 +14,6 @@ import numpy as np
 from vbcast.broadcast import (
     antisym,
     canonical_b,
-    canonical_decomposition,
     check_axioms,
     cloner,
     family_b_lambda,
@@ -284,14 +283,12 @@ def test_criterion_08_states_over_time():
 def test_criterion_09_quasi_sampler():
     bad = []
     for d in (2, 3, 4, 5):
-        # the overhead lambda_plus + lambda_minus of B's split, which the sampler accepts (else ValueError)
-        dec = canonical_decomposition(d)
+        # the overhead lambda_plus + lambda_minus of B's Jordan split, which the sampler derives
         rho, o = random_density(d, Rng(899)), random_hermitian(d, Rng(899, 1))
-        estimate_with_trace(dec, rho, o, o, 100, Rng(899, 2))
-        if float(dec.lambda_plus) + float(dec.lambda_minus) != float(d):
+        if estimate_with_trace(canonical_b(d), rho, o, o, 100, Rng(899, 2))[2] != float(d):
             bad.append(f"overhead d={d}")
     d = 2
-    dec = canonical_decomposition(d)
+    target = canonical_b(d)
     rng = Rng(900)
     states = [random_density(d, rng) for _ in range(3)]
     obs = [(random_hermitian(d, rng), random_hermitian(d, rng)) for _ in range(3)]
@@ -299,11 +296,11 @@ def test_criterion_09_quasi_sampler():
     for rho in states:
         for o1, o2 in obs:
             stream += 1
-            est = estimate_with_trace(dec, rho, o1, o2, 100000, Rng(901, stream=stream), n_checkpoints=1)[0]
+            est = estimate_with_trace(target, rho, o1, o2, 100000, Rng(901, stream=stream), n_checkpoints=1)[0]
             if abs(est.zscore()) >= 5.0:
                 bad.append(f"grid z={est.zscore():.2f}")
-    a = estimate_with_trace(dec, states[0], obs[0][0], obs[0][1], 100000, Rng(902), n_checkpoints=1)[0]
-    b = estimate_with_trace(dec, states[0], obs[0][0], obs[0][1], 400000, Rng(903), n_checkpoints=1)[0]
+    a = estimate_with_trace(target, states[0], obs[0][0], obs[0][1], 100000, Rng(902), n_checkpoints=1)[0]
+    b = estimate_with_trace(target, states[0], obs[0][0], obs[0][1], 400000, Rng(903), n_checkpoints=1)[0]
     ratio = a.stderr / b.stderr
     if not (2.0 * 0.85 < ratio < 2.0 * 1.15):
         bad.append(f"scaling ratio {ratio:.3f}")

@@ -19,7 +19,6 @@ from vbcast.broadcast import (
     _exact_rank,
     antisym,
     canonical_b,
-    canonical_decomposition,
     check_axioms,
     classical_bcl,
     cloner,
@@ -51,6 +50,7 @@ from dense_maps import (
     decoherence_in,
     dense_choi,
     eigh,
+    exact_cp,
     from_action,
     hs_adjoint,
     identity,
@@ -107,7 +107,7 @@ class TestCanonicalB:
     def test_hp_tp_not_cp(self, d):
         b = canonical_b(d)
         assert b.is_hp() and b.is_tp()
-        assert not b.is_cp()
+        assert not exact_cp(b)
 
     def test_rejects_dim_one(self):
         # the dimension is checked before any coefficient arithmetic can divide by d - 1
@@ -136,8 +136,8 @@ class TestFamily:
 class TestClonerAntisym:
     @mark.parametrize("d", (2, 3, 4, 5))
     def test_cptp(self, d):
-        assert cloner(d).is_cp() and cloner(d).is_tp()
-        assert antisym(d).is_cp() and antisym(d).is_tp()
+        assert exact_cp(cloner(d)) and cloner(d).is_tp()
+        assert exact_cp(antisym(d)) and antisym(d).is_tp()
 
     @mark.parametrize("d", (2, 3, 4, 5))
     def test_cloner_marginal_formula(self, d):
@@ -168,10 +168,9 @@ class TestClonerAntisym:
 class TestDecomposition:
     @mark.parametrize("d", (2, 3, 4))
     def test_combination_is_exact(self, d):
-        dec = canonical_decomposition(d)
-        assert dec.lambda_plus == pytest.approx((d + 1) / 2)
-        assert dec.lambda_minus == pytest.approx((d - 1) / 2)
-        assert_allclose(dense_choi(dec.combined()).mat, dense_choi(canonical_b(d)).mat, atol=1e-13)
+        # the paper's form of B, ((d + 1) B+ - (d - 1) B-) / 2, on the dense Chois
+        combo = (d + 1) / 2 * dense_choi(cloner(d)).mat - (d - 1) / 2 * dense_choi(antisym(d)).mat
+        assert_allclose(combo, dense_choi(canonical_b(d)).mat, atol=1e-13)
 
     @mark.parametrize("d", (2, 3, 4))
     def test_choi_spectrum(self, d):
@@ -230,7 +229,7 @@ class TestClassicalBcl:
 
     def test_cptp(self):
         m = classical_bcl(3)
-        assert m.is_cp() and m.is_tp()
+        assert exact_cp(m) and m.is_tp()
 
 
 class TestCheckAxioms:

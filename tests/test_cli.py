@@ -162,19 +162,19 @@ class TestVerify:
             assert docs[0]["checks"][0]["values"]["permutation"] == pytest.approx(2e300)
 
     def test_one_hermiticity_gate_for_the_spectrum(self, tmp_path, monkeypatch):
-        # a Choi 5e-9 away from Hermitian passes the 1e-8 gate, and its spectrum is then read as Hermitian too.
-        # The skew is on B's second 3-cycle coefficient: C - C^dag is 5e-9 i at the all-equal entry.
+        # a covariant map's is_hp is exact, so a Choi 5e-9 away from Hermitian is not HP, and no command reads
+        # its spectrum: dump prints none and verify an unbounded eigenvalue residual.  The skew is on B's second
+        # 3-cycle coefficient: C - C^dag is 5e-9 i at the all-equal entry.
         def skewed(d):
             return covariant_map(d, [0, 0, 0, 0, 0.5, 0.5 + 2.5e-9j])
 
         monkeypatch.setitem(cli.OBJECTS, "B", skewed)
         code, doc, _ = run(["dump", "--object", "B", "--dim", "2"], tmp_path)
-        assert code == 0
-        np.testing.assert_allclose(doc["eigenvalues"], [1.5, 1.5, 0, 0, 0, 0, -0.5, -0.5], atol=1e-8)
+        assert code == 0 and doc["eigenvalues"] == []
         code, doc, _ = run(["verify", "--dim", "2"], tmp_path)
         spectral = doc["checks"][2]
         assert code == 1 and spectral["name"] == "spectral_decomposition" and not spectral["pass"]
-        assert spectral["values"]["eigenvalue_residual"] < 1e-8
+        assert spectral["values"]["eigenvalue_residual"] == cli._UNBOUNDED
 
     def test_dim_6_certifies_uniqueness(self, tmp_path):
         code, doc, _ = run(["verify", "--dim", "6", "--seed", "0"], tmp_path)
@@ -359,6 +359,17 @@ class TestDiamond:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and doc["converged"] is True and doc["iterations"] > 0
         assert doc["gap"] <= tolerance
+
+    def test_unconverged_admm_is_not_called_a_skipped_sdp(self, tmp_path, capsys):
+        # ADMM runs (the tolerance is above the floor before it) and stops short of 6e-14; the floor of its
+        # tighter final bracket is above the tolerance, which once printed "no SDP run" after 1336 iterations
+        path = tmp_path / "difference.json"
+        write_supermap(path, dense_sub(random_channel(2, 4, Rng(1)), random_channel(2, 4, Rng(2))))
+        code, doc, _ = run(["diamond", "--dim", "2", "--target", f"file:{path}", "--tol", "sdp=6e-14"], tmp_path)
+        assert code == 2 and doc["converged"] is False and doc["iterations"] > 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"SDP did not converge within {doc['iterations']} iterations (")
+        assert "no SDP run" not in err
 
     def test_exact_bracket_meets_any_tolerance(self, tmp_path):
         # B's bracket is [d, d] exactly, so even --tol sdp=1e-20 converges

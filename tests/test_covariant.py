@@ -21,7 +21,6 @@ from pytest import mark
 from vbcast.broadcast import (
     antisym,
     canonical_b,
-    canonical_decomposition,
     check_axioms,
     classical_bcl,
     cloner,
@@ -45,7 +44,7 @@ from vbcast.supermap import (
 
 from dense_axioms import dense_check_axioms
 from dense_covariant import commutant_table, table_sum_choi
-from dense_maps import absmax, dense, dense_add, dense_choi, dense_sub, is_cp, is_tp, witness_state
+from dense_maps import absmax, dense, dense_add, dense_choi, dense_sub, exact_cp, is_cp, is_tp, witness_state
 
 DIMS = range(2, 7)
 
@@ -143,7 +142,7 @@ class TestCovariantForm:
         assert canonical_b(d).exact == (2, (0, 0, 0, 0, 1, 1), zero)
         assert cloner(d).exact == (2 * (d + 1), (0, 0, 1, 1, 1, 1), zero)
         assert (canonical_b(d) - cloner(d)).exact == (2 * (d + 1), (0, 0, -1, -1, d, d), zero)
-        assert canonical_decomposition(d).combined().exact == canonical_b(d).exact
+        assert ((d + 1) * cloner(d) - (d - 1) * antisym(d)).exact == (2 * canonical_b(d)).exact
         # Theorem 3: (d+2)^2 B = 4(d+1) M + d^2 M'
         mix = (4 * (d + 1) * exact_mp_map(d) + d * d * depolarizing_mp(d)) / (d + 2) ** 2
         assert mix.exact == canonical_b(d).exact
@@ -181,31 +180,38 @@ class TestCovariantForm:
 
     @mark.parametrize("d", DIMS)
     def test_predicates_and_absmax_match_dense(self, d):
-        # on either side of the one gate HP_TOL: skew's 3-cycle coefficients miss conjugacy by
-        # t HP_TOL in C - C^dag (their sum, at the all-equal entry), and off_tp has Tr_out C = (1 + t HP_TOL) I.
-        # The pattern maps: B_cl, D, B_cl - B+ (a pattern map minus a covariant one), and pattern_skew, whose
-        # entries at (0, 0, 0, 0, 0, 1) and at its adjoint pattern (0, 0, 1, 0, 0, 0) miss conjugacy by t HP_TOL
+        # The named maps and B_cl - B+ (a pattern map minus a covariant one) are exactly HP and TP or far from it,
+        # so the exact predicates agree with the dense ones at HP_TOL, and exact_cp with the dense PSD test.
+        # The skews and off_tp maps sit on either side of HP_TOL: skew's 3-cycle coefficients miss conjugacy by
+        # t HP_TOL in C - C^dag (their sum, at the all-equal entry), pattern_skew's entries at (0, 0, 0, 0, 0, 1)
+        # and at its adjoint pattern (0, 0, 1, 0, 0, 0) miss it by t HP_TOL, and off_tp has
+        # Tr_out C = (1 + t HP_TOL) I.  A structured map's predicates compare with 0, so they no longer match the
+        # dense gate there: both skews and both off_tp maps are rejected, where the dense test accepts t = 0.5.
         maps = covariant_maps(d)
         maps.update({"B_cl": classical_bcl(d), "D": decoherence(d), "B_cl-B+": classical_bcl(d) - cloner(d)})
+        near = {}
         for t in (0.5, 2.0):
-            maps[f"skew{t}"] = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 0.5j * t * HP_TOL])
-            maps[f"off_tp{t}"] = covariant_map(d, [t * HP_TOL / d**2, 0, 0, 0, 0.5, 0.5])
+            near[f"skew{t}"] = covariant_map(d, [1, 0, 0, 0, 0.5, 0.5 + 0.5j * t * HP_TOL])
+            near[f"off_tp{t}"] = covariant_map(d, [t * HP_TOL / d**2, 0, 0, 0, 0.5, 0.5])
             skew = {(0,) * 6: 1, (0, 0, 0, 0, 0, 1): 0.5, (0, 0, 1, 0, 0, 0): 0.5 + 1j * t * HP_TOL}
-            maps[f"pattern_skew{t}"] = SuperMap(d, d * d, patterns=skew)
-        for name, m in maps.items():
+            near[f"pattern_skew{t}"] = SuperMap(d, d * d, patterns=skew)
+        for name, m in {**maps, **near}.items():
             ref = dense(m)
             assert m.choi_absmax() == pytest.approx(absmax(ref.choi), abs=1e-14), name
+            if name in near:
+                continue
             assert (m.is_hp(), m.is_tp()) == (ref.is_hp(), is_tp(ref)), name
             if m.patterns is not None and name not in ("B_cl", "D") and m.is_hp():
                 with pytest.raises(ValueError, match="spectrum"):  # only a diagonal pattern map has an exact spectrum
-                    m.is_cp()
+                    exact_cp(m)
             else:
-                assert m.is_cp() == is_cp(ref), name
-        assert maps["skew0.5"].is_hp() and not maps["skew2.0"].is_hp()
-        assert maps["pattern_skew0.5"].is_hp() and not maps["pattern_skew2.0"].is_hp()
+                assert exact_cp(m) == is_cp(ref), name
+        for t in (0.5, 2.0):
+            assert not near[f"skew{t}"].is_hp() and not near[f"pattern_skew{t}"].is_hp()
+            assert near[f"off_tp{t}"].is_hp() and not near[f"off_tp{t}"].is_tp()
+        assert dense(near["skew0.5"]).is_hp() and is_tp(dense(near["off_tp0.5"]))
         assert maps["B_cl-B+"].coeffs is None and maps["B_cl-B+"].patterns is not None
-        assert maps["off_tp0.5"].is_tp() and not maps["off_tp2.0"].is_tp()
-        assert cloner(d).is_cp() and cloner(d).is_tp() and not canonical_b(d).is_cp()
+        assert exact_cp(cloner(d)) and cloner(d).is_tp() and not exact_cp(canonical_b(d))
 
     def test_complex_absmax_rounded_once(self):
         # a complex largest entry is sqrt(re^2 + im^2) / den rounded once, checked against 200 bits of the root
@@ -299,21 +305,26 @@ class TestPatternForm:
 
     @mark.parametrize("d", DIMS)
     def test_trace_preservation_matches_dense(self, d):
-        # Tr_out C read by pattern, against the dense einsum on either side of the gate HP_TOL: the off_tp maps
-        # add t HP_TOL to each off-diagonal entry of Tr_out C, as an output-repeating pattern whose inputs differ
+        # Tr_out C read by pattern, against the dense einsum.  The off_tp maps add t HP_TOL to each off-diagonal
+        # entry of Tr_out C, as an output-repeating pattern whose inputs differ; the exact test rejects both,
+        # where the dense test at HP_TOL accepts t = 0.5.  D_mixed holds 1 / (2 (d - 1)) exactly, so it is TP.
         maps = {"B_cl": classical_bcl(d), "D": decoherence(d), "B_cl-B": classical_bcl(d) - canonical_b(d)}
-        maps["D_mixed"] = SuperMap(d, d, patterns={(0, 0, 0, 0): 0.5, (0, 1, 0, 1): 0.5 / (d - 1)})
-        for t in (0.5, 2.0):
-            maps[f"off_tp_D{t}"] = SuperMap(d, d, patterns={(0, 0, 0, 0): 1, (0, 1, 0, 0): t * HP_TOL})
-            maps[f"off_tp_B_cl{t}"] = SuperMap(d, d * d, patterns={(0,) * 6: 1, (0, 0, 1, 0, 0, 0): t * HP_TOL})
+        mixed = {(0, 0, 0, 0): d - 1, (0, 1, 0, 1): 1}
+        maps["D_mixed"] = SuperMap(d, d, exact=(2 * (d - 1), mixed, dict.fromkeys(mixed, 0)))
         maps.update({f"random{i}": _random_pattern_map(d, 40 + 10 * d + i) for i in range(3)})
         maps.update(covariant_maps(d))
         rng = Rng(60 + d)
         maps.update({f"gaussian{i}": covariant_map(d, _complex_gaussian(rng, 6).tolist()) for i in range(10)})
         for name, m in maps.items():
             assert m.is_tp() == is_tp(dense(m)), name
-        assert maps["D_mixed"].is_tp() and maps["off_tp_D0.5"].is_tp() and not maps["off_tp_D2.0"].is_tp()
-        assert maps["off_tp_B_cl0.5"].is_tp() and not maps["off_tp_B_cl2.0"].is_tp()
+        assert maps["D_mixed"].is_tp()
+        for t in (0.5, 2.0):
+            off_tp = [
+                SuperMap(d, d, patterns={(0, 0, 0, 0): 1, (0, 1, 0, 0): t * HP_TOL}),
+                SuperMap(d, d * d, patterns={(0,) * 6: 1, (0, 0, 1, 0, 0, 0): t * HP_TOL}),
+            ]
+            for m in off_tp:
+                assert not m.is_tp() and is_tp(dense(m)) == (t < 1)
 
     def test_values_must_be_finite(self):
         # a pattern value is read exactly once, at construction, so a NaN or an infinity never reaches the Choi

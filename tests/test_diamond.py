@@ -9,11 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import vbcast.diamond
 from vbcast.densemat import Operator, Rng, random_hermitian, trace_norm
-from vbcast.supermap import AffineDecomposition, SuperMap
+from vbcast.supermap import SuperMap
 from vbcast.broadcast import (
     antisym,
     canonical_b,
-    canonical_decomposition,
     classical_bcl,
     cloner,
     decoherence,
@@ -63,14 +62,13 @@ def jordan_upper(m):
     return _jordan_certificate(m)[0]
 
 
-def sampled_overhead(dec):
-    """lambda_plus + lambda_minus of a split that the quasi-sampler accepts; one it rejects raises ValueError.
+def sampled_overhead(m):
+    """lambda_plus + lambda_minus of the quasi-sampler's Jordan split of m; a map it refuses raises ValueError.
 
-    Channels have diamond norm one, so the overhead of an accepted split bounds the norm of its map.
+    Channels have diamond norm one, so the overhead of a split into channels bounds the norm of its map.
     """
-    eye = np.eye(dec.map_plus.d_in)
-    estimate_with_trace(dec, eye / len(eye), eye, eye, 100, Rng(0))
-    return float(dec.lambda_plus) + float(dec.lambda_minus)
+    eye = np.eye(m.d_in)
+    return estimate_with_trace(m, eye / len(eye), eye, eye, 100, Rng(0))[2]
 
 
 def _assert_certified(res, exact):
@@ -266,7 +264,7 @@ class TestBracket:
     @pytest.mark.parametrize("d", (2, 4))
     def test_decomposition_bound_kept_exact(self, d):
         # lambda_plus + lambda_minus of B's CPTP split is the exact bracket's upper bound, bit for bit
-        assert diamond_bracket(canonical_b(d)).upper_bound == sampled_overhead(canonical_decomposition(d)) == float(d)
+        assert diamond_bracket(canonical_b(d)).upper_bound == sampled_overhead(canonical_b(d)) == float(d)
 
     def test_open_gap_falls_back_to_admm(self):
         # seeds 1, 2 draw a pair whose Jordan bound is only 0.0035 loose, short of an open gap
@@ -391,27 +389,7 @@ class TestBracket:
 class TestUpperAndScan:
     @pytest.mark.parametrize("d", (2, 3, 4))
     def test_hptp_upper_on_canonical(self, d):
-        assert sampled_overhead(canonical_decomposition(d)) == pytest.approx(d)
-
-    def test_hptp_upper_rejects_non_cptp(self):
-        b = canonical_b(2)
-        dec = AffineDecomposition(1.0, 0.0, b, cloner(2))
-        with pytest.raises(ValueError, match="not CPTP"):
-            sampled_overhead(dec)
-
-    @pytest.mark.parametrize("weights", [(1.0, -0.5), (-0.5, 1.0), (-1.5, -0.5), (float("nan"), 0.5)])
-    def test_hptp_upper_rejects_negative_weights(self, weights):
-        # a negative weight makes lambda_plus + lambda_minus no upper bound: B+ - 0.5 B- has norm 1.5
-        with pytest.raises(ValueError, match="non-negative"):
-            sampled_overhead(AffineDecomposition(*weights, cloner(2), antisym(2)))
-
-    def test_hptp_upper_rejects_all_zero_weights(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            sampled_overhead(AffineDecomposition(0.0, 0.0, cloner(2), antisym(2)))
-
-    def test_hptp_upper_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            sampled_overhead(AffineDecomposition(1.0, 1.0, cloner(2), random_channel(3, 9, Rng(0))))
+        assert sampled_overhead(canonical_b(d)) == pytest.approx(d)
 
     def test_scan_ranks_cloner_first(self):
         d = 2

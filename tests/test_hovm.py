@@ -26,7 +26,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
-from dense_maps import absmax, dense_choi, eigh, identity, is_psd, jamiolkowski, partial_trace, trace
+from dense_maps import absmax, dense_choi, eigh, exact_cp, identity, is_psd, jamiolkowski, partial_trace, trace
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector
@@ -143,7 +143,7 @@ class TestExactMpMap:
     def test_hp_tp_not_cp(self, d):
         m = exact_mp_map(d)
         assert m.is_hp() and m.is_tp()
-        assert not m.is_cp()
+        assert not exact_cp(m)
         vals, _ = eigh(dense_choi(m))
         assert vals[-1] < -0.1
 
@@ -158,7 +158,7 @@ class TestExactMpMap:
     def test_depolarizing_counterpart(self):
         d = 3
         m = depolarizing_mp(d)
-        assert m.is_cp() and m.is_tp()
+        assert exact_cp(m) and m.is_tp()
         rho = random_density(d, Rng(1))
         assert_allclose(m.apply(rho).mat, np.eye(d * d) / (d * d), atol=1e-13)
         assert_allclose(jamiolkowski(m).mat, np.eye(d**3) / (d * d), atol=1e-13)

@@ -45,9 +45,9 @@ EXEMPT = {
     "__init__.py:68": "_lazy: a finder that refuses the name; test_bench_checks installs one for numpy",
     "__init__.py:70": "_lazy: a module that is not installed; test_bench_checks refuses numpy",
     "cli.py:155": "_write_rows of an empty list, as json.dumps writes one; every operator a command writes has rows",
-    "cli.py:605": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
+    "cli.py:604": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
+    "cli.py:606": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
     "cli.py:607": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
-    "cli.py:608": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
     "densemat.py:60": "Operator.__repr__: repr for a reader of the library; no report prints it",
     "densemat.py:179": "Rng.binomial: BTRS draws a k outside [0, n] far less often than once per command",
     "densemat.py:188": "Rng.__repr__: repr for a reader of the library; no report prints it",
@@ -62,8 +62,8 @@ EXEMPT = {
     "sot.py:57": "star: bench/spans.py lists sot among the layers it traces",
     "sot.py:58": "star: bench/spans.py lists sot among the layers it traces",
     "sot.py:59": "star: bench/spans.py lists sot among the layers it traces",
-    "supermap.py:228": "SuperMap.__mul__ of a pattern map: no command scales one; test_covariant checks it",
-    "supermap.py:239": "SuperMap.__repr__: repr for a reader of the library; no report prints it",
+    "supermap.py:223": "SuperMap.__mul__ of a pattern map: no command scales one; test_covariant checks it",
+    "supermap.py:234": "SuperMap.__repr__: repr for a reader of the library; no report prints it",
 }
 
 # Child code: trace line events in the frames of the directory sys.argv[2] while the argv lists in

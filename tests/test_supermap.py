@@ -7,15 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vbcast.densemat import Operator, Rng, random_density, random_hermitian, swap
-from vbcast.broadcast import antisym, cloner
-from vbcast.supermap import AffineDecomposition, SuperMap, surd, surd_sign
+from vbcast.supermap import SuperMap, surd, surd_sign
 
 from dense_maps import (
     apply,
     apply_left,
     apply_right,
     compose,
-    dense_choi,
     dense_scale,
     dense_sub,
     from_action,
@@ -194,15 +192,6 @@ def test_arithmetic_dim_mismatch():
 def test_choi_shape_validation():
     with pytest.raises(ValueError):
         SuperMap(2, 2, identity(5))
-
-
-def test_affine_decomposition_combined():
-    # combined() is exact on structured parts; the reference combines their dense Chois
-    f, g = cloner(2), antisym(2)
-    dec = AffineDecomposition(1.5, 0.5, f, g)
-    got = dec.combined()
-    want = dense_sub(dense_scale(f, 1.5), dense_scale(g, 0.5))
-    assert_allclose(dense_choi(got).mat, want.choi.mat, atol=1e-14)
 
 
 def _surd_draw(rng, i):
