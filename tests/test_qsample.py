@@ -106,19 +106,27 @@ def test_overhead_is_exactly_d(d):
     assert estimate_with_trace(canonical_b(d), random_density(d, Rng(0)), identity(d), identity(d), 100, Rng(1))[2] == d
 
 
-def test_rejects_before_any_draw():
-    # each refusal comes before any draw: with no generator (rng None) a draw would raise AttributeError instead.
-    # B_lambda:0.3's split holds an irrational root; a dense or pattern map has no six coefficients to read;
-    # a skewed 3-cycle breaks HP and a scaled B breaks TP, each by one exact rational step
+def test_rejects_negative_weight_before_any_draw():
+    # probabilities of -1 and 2 once sent the binomial draw into an endless loop; a map whose split cannot be
+    # drawn is refused first, and with no generator (rng None) any draw would raise AttributeError instead.
+    # B_lambda:0.3's split holds an irrational root; a skewed 3-cycle breaks HP and a scaled B breaks TP,
+    # each by one exact rational step
     d = 2
     for m, match in (
         (family_b_lambda(d, 0.3), "irrational"),
-        (dense(canonical_b(d)), "not covariant"),
-        (classical_bcl(d), "not covariant"),
         (covariant_map(d, [0, 0, 0, 0, 0.5, 0.5 + 1j]), "Hermitian-preserving"),
         (canonical_b(d) * 2, "trace-preserving"),
     ):
         with raises(ValueError, match=match):
+            sample_map(m, n=10**6)
+
+
+def test_rejects_component_that_is_not_covariant():
+    # a dense or pattern map has no six coefficients to read, so the sampler names it instead of sampling it;
+    # with no generator (rng None) a draw would raise AttributeError instead
+    d = 2
+    for m in (dense(canonical_b(d)), classical_bcl(d)):
+        with raises(ValueError, match="not covariant"):
             sample_map(m, n=10**6)
 
 
