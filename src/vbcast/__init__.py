@@ -10,8 +10,8 @@ The package exports nothing but ``__version__``; import the submodules:
 ``supermap`` (maps, held exactly by the symmetry of their Choi or as a
 dense Choi), ``broadcast`` (B, its relatives and axioms), ``diamond``
 (certified diamond-norm brackets), ``hovm`` (the virtual
-measure-and-prepare map), ``sot`` (states over time E * rho, whose axioms
-are the broadcaster's own, read by ``broadcast.check_axioms``),
+measure-and-prepare map), ``sot`` (no code: the axioms of states over time
+E * rho are the broadcaster's own, which ``broadcast.check_axioms`` reads),
 ``qsample`` (quasi-probability sampling), ``mcstats`` (streaming
 statistics) and ``cli`` (the ``vbcast`` command).  Importing the package
 imports no numpy, so ``vbcast.cli`` can fix the BLAS thread count before

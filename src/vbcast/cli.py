@@ -312,8 +312,9 @@ def build_object(name: str, d: int) -> supermap.SuperMap:
 
 
 def _eigenvalue_residual(m: supermap.SuperMap) -> float:
-    """Largest |v - w| over m's and B's descending Choi spectra, paired (``spectral_distance``); inf if m is not HP."""
-    return supermap.spectral_distance(m, broadcast.canonical_b(m.d_in)) if m.is_hp() else math.inf
+    """Largest |v - w| over m's descending Choi spectrum and the paper's for B, paired; inf if m is not HP."""
+    d = m.d_in  # B's Choi has (d + 1)/2 d times, 0 d^3 - 2d times and -(d - 1)/2 d times (arXiv:2310.13049)
+    return supermap.spectral_distance(m, [(d + 1, d), (0, d**3 - 2 * d), (1 - d, d)], 2) if m.is_hp() else math.inf
 
 
 def _verify_axioms(b: supermap.SuperMap, cfg: RunConfig):

@@ -1,8 +1,8 @@
 """Dense complex linear algebra: operators, the trace norm, seeded randomness.
 
 Everything downstream is built on the small vocabulary defined here: an
-immutable :class:`Operator` wrapper around a complex matrix, the SWAP and
-the factor permutations ``S3`` of three tensor factors, the trace norm, and
+immutable :class:`Operator` wrapper around a complex matrix, the factor
+permutations ``S3`` of three tensor factors, the trace norm, and
 a seeded :class:`Rng` that is the only stateful object in the library.
 
 The Hermitian predicates ``is_hermitian`` and ``is_hermitian_rows`` and
@@ -90,19 +90,6 @@ def check_density(rho, d: int):
     m = rows_of(rho)
     if len(m) != d or not is_hermitian_rows(m) or abs(sum(m[i][i] for i in range(d)) - 1.0) > DEFAULT_TOL:
         raise ValueError(f"rho must be a unit-trace Hermitian {d}x{d} matrix")
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def swap(d: int) -> Operator:
-    """SWAP on C^d (x) C^d:  sum_ij |i><j| (x) |j><i|."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return Operator(s)
 
 
 # The six permutations of three tensor factors: identity, (12), (13), (23),

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from . import _lazy
 from .densemat import trace_norm
-from .supermap import SuperMap, covariant_norm, surd
+from .supermap import SuperMap, choi_norm, surd
 
 np = _lazy("numpy")
 
@@ -269,13 +269,13 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     Tr_out |J| commutes with every Ubar, so it is ||C||_1 / d times I: the
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
     lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well, the
-    surd of ``covariant_norm``, which ``surd`` rounds down and up.
+    surd of ``choi_norm`` over d, which ``surd`` rounds down and up.
     vec A is 1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
-    d = m.d_in
-    lower, upper = (surd(*covariant_norm(d, m.exact), mode) for mode in ("down", "up"))
+    d, (p, q, w, r) = m.d_in, choi_norm(m)
+    lower, upper = (surd(p, q, w, d * r, mode) for mode in ("down", "up"))
     entry = 1.0 / math.sqrt(d)
     vec_a = [0.0] * (d * d)
     vec_a[:: d + 1] = [entry] * d

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 
 from . import _lazy
-from .densemat import Operator, Rng, check_density, swap
+from .densemat import Operator, Rng, check_density
 from .supermap import SuperMap, covariant_map
 
 np = _lazy("numpy")
@@ -107,7 +107,7 @@ def _moment_layout(d: int):
     i, k, j, l = np.indices((d,) * 4).reshape(4, d * d, d * d)
     per_factor = (ucol, tcol, xcol, sign)
     maps = tuple(m[i, j] for m in per_factor) + tuple(m[k, l] for m in per_factor)
-    real = np.eye(d * d, dtype=bool) | (swap(d).mat.real != 0)
+    real = ((i == j) & (k == l)) | ((i == l) & (k == j))  # the identity's and SWAP's entries
     for arr in (rows, cols, off, real, *maps):
         arr.flags.writeable = False
     return rows, cols, off, maps, real

@@ -20,7 +20,7 @@ import math
 from .broadcast import antisym, cloner
 from .densemat import Rng, _csum, check_density, is_hermitian_rows, rows_of
 from .mcstats import SamplingEstimate
-from .supermap import SuperMap, covariant_blocks, covariant_map, covariant_norm
+from .supermap import SuperMap, choi_norm, covariant_blocks, covariant_map
 
 
 def _trace(a: list, b: list | None = None) -> complex:
@@ -53,20 +53,22 @@ def _jordan_split(m: SuperMap) -> tuple[int, int, int, SuperMap, SuperMap]:
     Q the Choi of ``cloner`` or ``antisym``.  On E = Q_sym + Q_anti, den C has the eigenvalues
     (s +- sqrt(w)) / 2 (``covariant_blocks``), so by Cayley-Hamilton, with x = s^2 - w,
     den |C_E| = (s den C_E + ((|x| - x) / 4) E) / sqrt(max(s^2, w)), or 0 where that root is.  Then
-    P, N = (|C| +- C) / 2 and lambda_plus, lambda_minus = (||C||_1 / d +- 1) / 2 (``covariant_norm``);
-    a CP map has lambda_minus = 0 and both parts m.  The split is irrational, and raises ValueError,
-    where max(s^2, w) is not a square.
+    P, N = (|C| +- C) / 2 and lambda_plus, lambda_minus = (||C||_1 / d +- 1) / 2 (``choi_norm``, whose
+    sqrt(w) term vanishes unless w > s^2 or w is a square); a CP map has lambda_minus = 0 and both parts m.
+    The split is irrational, and raises ValueError, where max(s^2, w) is not a square.
     """
     d, (den, a, b, s, w) = m.d_in, covariant_blocks(m.d_in, m.exact)
-    p, q, top, r = covariant_norm(d, m.exact)
+    top = max(s * s, w)
     root = math.isqrt(top)
     if root * root != top:
         raise ValueError(f"the Jordan split of this map is irrational: its weights hold sqrt({top})")
+    p, q, _, r = choi_norm(m)
+    r *= d
     sym = covariant_map(d, (1, 1, 0, 0, 0, 0), 2) - cloner(d)
     anti = covariant_map(d, (1, -1, 0, 0, 0, 0), 2) - antisym(d)
     block, x = m * den - sym * a - anti * b, s * s - w  # den C_E
     on_e = (block * s + (cloner(d) + antisym(d)) * (abs(x) - x) / 4) / (root or 1)
-    absolute, norm = (sym * abs(a) + anti * abs(b) + on_e) / den, p + q * root  # |C|, and ||C||_1 / d = norm / r
+    absolute, norm = (sym * abs(a) + anti * abs(b) + on_e) / den, p + q * math.isqrt(w)  # |C|; ||C||_1 / d = norm / r
     plus, minus = ((absolute + m) * r / (norm + r), (absolute - m) * r / (norm - r)) if norm > r else (m, m)
     return norm + r, norm - r, 2 * r, plus, minus
 

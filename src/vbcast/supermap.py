@@ -53,6 +53,7 @@ layout belongs to ``cli``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -153,10 +154,9 @@ class SuperMap:
         return _largest(zip(re.values(), im.values()), den)
 
     def spectrum(self) -> list[float]:
-        """Descending eigenvalues of the Choi, taken as Hermitian (``_surd_spectrum``), each rounded once."""
-        r, w, values = _surd_spectrum(self)
-        rounded = {(p, q): surd(p, q, w, r) for p, q in set(values)}
-        return [rounded[v] for v in values]
+        """Descending eigenvalues of the Choi, as Hermitian: each ``_surd_spectrum`` pair, rounded once, n times."""
+        r, w, pairs = _surd_spectrum(self)
+        return [x for (p, q), n in pairs for x in [surd(p, q, w, r)] * n]
 
     def is_hp(self) -> bool:
         """Hermitian-preserving, i.e. Hermitian Choi: exactly for a structured map, within ``HP_TOL`` for a dense one.
@@ -445,28 +445,14 @@ def covariant_blocks(d: int, exact) -> tuple[int, int, int, int, int]:
     u = x_(23) + x_c - x_(13) - x_c'  and  w = t^2 + (d^2 - 1) |u|^2,
     all in numerators over den (c, c' the two 3-cycles).  Modulo the span,
     C acts as x_id I + x_(12) SWAP_12, with eigenvalues a / den and b / den,
-    a = Re(x_id + x_(12)), b = Re(x_id - x_(12)), of multiplicities
-    d^2 (d + 1)/2 - d and d^2 (d - 1)/2 - d.
+    a = Re(x_id + x_(12)), b = Re(x_id - x_(12)), on Sym^2(C^d) (x) C^d and
+    Anti^2(C^d) (x) C^d less d dimensions each (``_surd_spectrum`` counts them).
     """
     den, re, im = exact
     s = 2 * re[0] + d * (re[2] + re[3]) + re[4] + re[5]
     t = 2 * re[1] + re[2] + re[3] + d * (re[4] + re[5])
     u_re, u_im = (x[3] + x[4] - x[2] - x[5] for x in (re, im))
     return den, re[0] + re[1], re[0] - re[1], s, t * t + (d * d - 1) * (u_re * u_re + u_im * u_im)
-
-
-def covariant_norm(d: int, exact) -> tuple[int, int, int, int]:
-    """||C||_1 / d of a covariant map as integers (p, q, w, r): the surd (p + q sqrt(w)) / r that ``surd`` rounds.
-
-    From ``covariant_blocks``, the 2 x 2 block's eigenvalues have
-    |lambda+| + |lambda-| = max(|s|, sqrt(w)) / den, so
-    ||C||_1 / d = (m1 |a| + m2 |b| + d sqrt(max(s^2, w))) / (d den), m1 and m2
-    the multiplicities of a and b.  It is the diamond norm of a covariant HP
-    map (``diamond``) and the overhead of its Jordan split (``qsample``).
-    """
-    den, a, b, s, w = covariant_blocks(d, exact)
-    rational = (d * d * (d + 1) // 2 - d) * abs(a) + (d * d * (d - 1) // 2 - d) * abs(b)
-    return rational, d, max(s * s, w), d * den
 
 
 def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest") -> float:
@@ -499,13 +485,13 @@ def surd_sign(p: int, q: int, w: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[int, int]]]:
-    """m's descending Choi eigenvalues, taken as Hermitian, as (r, w, [(p, q), ...]), each (p + q sqrt(w)) / r.
+def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[tuple[int, int], int]]]:
+    """m's distinct Choi eigenvalues, taken as Hermitian, as (r, w, [((p, q), n), ...]): (p + q sqrt(w)) / r, n times.
 
-    A covariant map's come from ``covariant_blocks``.  A diagonal pattern map, whose nonzero patterns repeat
+    A covariant map's four come from ``covariant_blocks``.  A diagonal pattern map, whose nonzero patterns repeat
     their row labels as their column labels, has its real values, each once per position, and 0 elsewhere.
-    Both are ordered by exact sign tests.  Any other map, dense or a pattern map that is not diagonal, raises
-    ValueError.
+    Both are ordered descending by exact sign tests, equal values merged and none with n = 0.  Any other map,
+    dense or a pattern map that is not diagonal, raises ValueError.
     """
     d = m.d_in
     if m.coeffs is not None:
@@ -518,15 +504,30 @@ def _surd_spectrum(m: SuperMap) -> tuple[int, int, list[tuple[int, int]]]:
         values, counts = [*((v, 0) for v in re.values()), (0, 0)], [*counts, m.d_out * d - sum(counts)]
     else:
         raise ValueError("the spectrum is read off a covariant map or a diagonal pattern map")
-    order = functools.cmp_to_key(lambda x, y: surd_sign(y[0] - x[0], y[1] - x[1], w))
-    return r, w, [v for v, n in sorted(zip(values, counts), key=lambda vn: order(vn[0])) for _ in range(n)]
+    order = functools.cmp_to_key(lambda x, y: surd_sign(y[0][0] - x[0][0], y[0][1] - x[0][1], w))  # on (value, n)
+    runs = [[*run] for _, run in itertools.groupby(sorted(zip(values, counts), key=order), order)]  # equal values
+    return r, w, [(run[0][0], n) for run in runs if (n := sum(k for _, k in run))]
 
 
-def spectral_distance(m: SuperMap, reference: SuperMap) -> float:
-    """Largest |v - u| over the paired descending Choi spectra (``_surd_spectrum``) of m and a rational reference."""
-    (r, w, mine), (ref_r, ref_w, theirs) = _surd_spectrum(m), _surd_spectrum(reference)
-    root = int(surd(0, 1, ref_w))
-    if root * root != ref_w:
-        raise ValueError("the reference spectrum must be rational")
-    pairs = set(zip(mine, (p + q * root for p, q in theirs)))
-    return max(abs(surd(p * ref_r - e * r, q * ref_r, w, r * ref_r)) for (p, q), e in pairs)
+def choi_norm(m: SuperMap) -> tuple[int, int, int, int]:
+    """||C||_1 of m's Choi as integers (p, q, w, r): the surd (p + q sqrt(w)) / r that ``surd`` rounds.
+
+    The sum of n |lambda| over the pairs of ``_surd_spectrum``, each sign exact by ``surd_sign``.  ||C||_1 / d
+    is the diamond norm of a covariant HP map (``diamond``) and the overhead of its Jordan split (``qsample``).
+    """
+    r, w, pairs = _surd_spectrum(m)
+    signed = [(surd_sign(p, q, w) * n, p, q) for (p, q), n in pairs]
+    return sum(k * p for k, p, _ in signed), sum(k * q for k, _, q in signed), w, r
+
+
+def spectral_distance(m: SuperMap, reference, den: int) -> float:
+    """Largest |v - u| over m's descending Choi spectrum (``_surd_spectrum``) and a rational one, paired in order.
+
+    ``reference`` lists the other spectrum as (numerator, multiplicity) pairs over the positive int ``den``, in
+    descending order, its multiplicities adding up to m's Choi dimension.
+    """
+    r, w, mine = _surd_spectrum(m)
+    ends = [list(itertools.accumulate(n for _, n in spectrum)) for spectrum in (mine, reference)]
+    starts = {0, *ends[0][:-1], *ends[1][:-1]}  # each run of positions where both spectra hold one value
+    pairs = {(mine[bisect.bisect_right(ends[0], k)][0], reference[bisect.bisect_right(ends[1], k)][0]) for k in starts}
+    return max(abs(surd(p * den - e * r, q * den, w, r * den)) for (p, q), e in pairs)

@@ -15,10 +15,10 @@ import functools
 
 import numpy as np
 
-from vbcast.densemat import S3, Operator, swap
+from vbcast.densemat import S3, Operator
 from vbcast.supermap import _require_dim
 
-from dense_maps import identity, kron, omega
+from dense_maps import identity, kron, omega, swap
 
 
 @functools.cache

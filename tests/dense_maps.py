@@ -7,12 +7,14 @@ their dense Chois, the dense CP and TP tests and the exact CP test of a
 structured map (``exact_cp``); the largest entry and
 the trace of an operator, the identity operator, the maximally entangled
 operator Omega, Kronecker products and partial traces on two-factor
-tensor spaces, the descending-order Hermitian eigensolver ``eigh``, the
+tensor spaces, SWAP, the descending-order Hermitian eigensolver ``eigh``, the
 witness state of a diamond bracket, maps built from their action on
 matrix units, the identity map, composition, tensor products,
 Hilbert-Schmidt adjoints, action on the left or right factor of a product
 space, decoherence in a chosen orthonormal basis, the unitarity and
-positivity tests of an operator, and the dense Choi JSON layout that
+positivity tests of an operator, the state over time E * rho of a
+broadcaster (``star``; ``vbcast.sot`` states its reduction to the
+broadcaster's axioms), and the dense Choi JSON layout that
 ``diamond --target file:`` reads (``operator_doc``).
 No ``vbcast`` command needs them, so they live here, on top of the
 library's ``SuperMap`` and ``Operator``.
@@ -81,14 +83,14 @@ def is_cp(m: SuperMap, tol: float = HP_TOL) -> bool:
 
 
 def exact_cp(m: SuperMap) -> bool:
-    """Completely positive, exactly: m is HP and its smallest ``_surd_spectrum`` entry is >= 0 by ``surd_sign``.
+    """Completely positive, exactly: m is HP and its smallest ``_surd_spectrum`` pair is >= 0 by ``surd_sign``.
 
     A map without an exact spectrum, dense or a pattern map that is not diagonal, raises ValueError.
     """
     if not m.is_hp():
         return False
-    _, w, values = _surd_spectrum(m)
-    return surd_sign(*values[-1], w) >= 0
+    _, w, pairs = _surd_spectrum(m)
+    return surd_sign(*pairs[-1][0], w) >= 0
 
 
 def is_tp(m: SuperMap, tol: float = HP_TOL) -> bool:
@@ -119,6 +121,15 @@ def operator_doc(op) -> dict:
 
 def identity(d: int) -> Operator:
     return Operator(np.eye(d))
+
+
+def swap(d: int) -> Operator:
+    """SWAP on C^d (x) C^d:  sum_ij |i><j| (x) |j><i|."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return Operator(s)
 
 
 def omega(d: int) -> Operator:
@@ -262,6 +273,24 @@ def is_unitary(o: Operator, tol: float = DEFAULT_TOL) -> bool:
 def is_psd(o: Operator, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian with spectrum bounded below by ``-tol``."""
     return bool(o.is_hermitian(tol) and np.linalg.eigvalsh(o.mat).min() >= -tol)
+
+
+def star(e: SuperMap, rho: Operator, b: SuperMap) -> Operator:
+    """E * rho = (id (x) E)(b(rho)) for a broadcaster b: d -> d*d, on (input system, output system).
+
+    E is a dense map, read off its Choi, and b a covariant one (``SuperMap.apply``).
+    """
+    d = b.d_in
+    if b.d_out != d * d:
+        raise ValueError("broadcaster must map d -> d^2")
+    if e.d_in != d:
+        raise ValueError(f"channel input dim {e.d_in} does not match state dim {d}")
+    if rho.rows != d or rho.cols != d:
+        raise ValueError(f"rho must be {d}x{d}")
+    c4 = e.choi.mat.reshape(e.d_out, d, e.d_out, d)  # [out, in, out', in']
+    x4 = b.apply(rho).mat.reshape(d, d, d, d)
+    n = d * e.d_out
+    return Operator(np.einsum("uivj,aibj->aubv", c4, x4).reshape(n, n))
 
 
 def decoherence_in(basis: Operator) -> SuperMap:

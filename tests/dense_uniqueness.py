@@ -16,11 +16,11 @@ same residuals on the dense orthonormal basis of the covariant span.
 import numpy as np
 
 from vbcast.broadcast import UniquenessCertificate, _b_lambda_coeffs, canonical_b
-from vbcast.densemat import Rng, swap
+from vbcast.densemat import Rng
 
 from dense_axioms import classical_residual, marginal_residuals, permutation_residual
 from dense_covariant import commutant_basis, commutant_table
-from dense_maps import dense_choi, omega
+from dense_maps import dense_choi, omega, swap
 from random_fixtures import haar_unitary
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from vbcast.densemat import Operator, Rng, random_density, random_hermitian
-from vbcast.sot import star
 from vbcast.supermap import SuperMap
 
-from dense_maps import apply, apply_right, compose, hs_adjoint, partial_trace
+from dense_maps import apply, apply_right, compose, hs_adjoint, partial_trace, star
 from random_fixtures import random_channel
 
 

@@ -10,11 +10,10 @@ exactly when b has it (``vbcast.sot``).
 import numpy as np
 
 from vbcast.broadcast import classical_bcl, decoherence
-from vbcast.densemat import Rng, random_density, swap
-from vbcast.sot import star
+from vbcast.densemat import Rng, random_density
 from vbcast.supermap import SuperMap
 
-from dense_maps import apply, apply_right, compose, conjugate, dagger, from_action, identity_map, tensor
+from dense_maps import apply, apply_right, compose, conjugate, dagger, from_action, identity_map, star, swap, tensor
 from random_fixtures import haar_unitary, random_channel
 
 

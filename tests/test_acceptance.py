@@ -29,11 +29,10 @@ from vbcast.diamond import diamond_bracket, diamond_sdp
 from vbcast.hovm import depolarizing_mp, theorem3_weight, verify_theorem3
 from vbcast.mcstats import MatrixWelford
 from vbcast.qsample import estimate_with_trace
-from vbcast.sot import star
 
 from channel_scan import closest_channel_scan
 from dense_covariant import choi_projector, moment_operator
-from dense_maps import absmax, apply, dense, dense_choi, eigh, identity_map, kron, partial_trace
+from dense_maps import absmax, apply, dense, dense_choi, eigh, identity_map, kron, partial_trace, star
 from dense_mp_sampling import update_batch
 from dense_uniqueness import table_column_uniqueness
 from random_fixtures import random_channel, random_pure

@@ -12,7 +12,6 @@ from vbcast.densemat import (
     Rng,
     random_density,
     random_hermitian,
-    swap,
     trace_norm,
 )
 from vbcast.broadcast import (
@@ -57,6 +56,7 @@ from dense_maps import (
     kron,
     omega,
     partial_trace,
+    swap,
     tensor,
 )
 from dense_uniqueness import dense_basis_uniqueness, dense_verify_uniqueness, table_column_uniqueness

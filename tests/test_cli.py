@@ -212,6 +212,21 @@ class TestVerify:
         _, doc, _ = run(["verify", "--dim", str(d), "--target", target], tmp_path)
         assert doc["checks"][2]["values"]["eigenvalue_residual"] == want[d - 2]
 
+    def test_spectral_check_reads_the_papers_spectrum(self, tmp_path, monkeypatch):
+        # eigenvalue_residual compares with the paper's closed form, not with the spectrum this code computes for B:
+        # a closed form with s one too large moves B's top and bottom eigenvalues by 1/4 at d = 3, and verify fails
+        blocks = supermap.covariant_blocks
+
+        def shifted(d, exact):
+            den, a, b, s, w = blocks(d, exact)
+            return den, a, b, s + 1, w
+
+        monkeypatch.setattr(supermap, "covariant_blocks", shifted)
+        code, doc, _ = run(["verify", "--dim", "3", "--target", "B"], tmp_path)
+        spectral = doc["checks"][2]
+        assert code == 1 and spectral["name"] == "spectral_decomposition" and not spectral["pass"]
+        assert spectral["values"]["eigenvalue_residual"] == 0.25
+
     @pytest.mark.parametrize("d", range(2, 7))
     @pytest.mark.parametrize("target", ("B", "B_lambda:0", "B_lambda:-0.0"))
     def test_b_passes_with_every_residual_zero(self, target, d, tmp_path):
@@ -813,6 +828,17 @@ class TestDump:
         }
         assert len(want["jamiolkowski"]["re"].values) == (m.d_in * m.d_out) ** 2
         assert _dumps(got).splitlines() == _dumps(want).splitlines()  # a list compare names the first differing line
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("name", (*cli.OBJECTS, "B_lambda:0.3", "B_lambda:1e-9", "B_lambda:-2.5"))
+    def test_dump_entries_are_exact_values_rounded_once(self, name, d):
+        # each Choi entry that dump writes, a covariant map's float sum of coefficients included, is its pattern's
+        # exact value num / den rounded once
+        m = cli.build_object(name, d)
+        den, re, im = supermap.exact_values(m)
+        floats = supermap.pattern_floats(m)
+        assert set(floats) <= set(re)
+        assert [p for p in re if floats.get(p, 0j) != complex(re[p] / den, im[p] / den)] == []
 
     @pytest.mark.parametrize("name", COVARIANT_OBJECTS)
     def test_covariant_dump_reads_no_choi(self, name, tmp_path, monkeypatch):

@@ -34,11 +34,15 @@ from vbcast.supermap import (
     HP_TOL,
     SuperMap,
     _pattern_table,
+    _surd_spectrum,
+    choi_norm,
     covariant_blocks,
     covariant_map,
     equality_patterns,
     pattern_positions,
     spectral_distance,
+    surd,
+    surd_sign,
     table_entries,
 )
 
@@ -224,11 +228,33 @@ class TestCovariantForm:
 
     @mark.parametrize("d", DIMS)
     def test_spectral_distance_needs_a_rational_reference(self, d):
-        # B's spectrum is rational and B_lambda:0.3's is not, so only the one order is defined
-        b, b_lam = canonical_b(d), family_b_lambda(d, 0.3)
-        assert spectral_distance(b_lam, b) > 0 == spectral_distance(b, b)
-        with pytest.raises(ValueError, match="rational"):
-            spectral_distance(b, b_lam)
+        # the reference is rational by its form, (numerator, multiplicity) pairs over one den: the paper's spectrum
+        # of B, (d + 1)/2 d times, 0 d^3 - 2d times and -(d - 1)/2 d times, is B's and not B_lambda:0.3's
+        b, b_lam, paper = canonical_b(d), family_b_lambda(d, 0.3), [(d + 1, d), (0, d**3 - 2 * d), (1 - d, d)]
+        assert spectral_distance(b_lam, paper, 2) > 0 == spectral_distance(b, paper, 2)
+        # over another den, or with a value's run split in two, it is the same spectrum
+        split = [(3 * (d + 1), d), (0, d), (0, d**3 - 3 * d), (3 * (1 - d), d)]
+        assert spectral_distance(b_lam, split, 6) == spectral_distance(b_lam, paper, 2)
+        # B's top eigenvalue paired with 0 from a reference that starts one place later
+        shifted = [(d + 1, d - 1), (0, d**3 - 2 * d + 1), (1 - d, d)]
+        assert spectral_distance(b, shifted, 2) == (d + 1) / 2
+
+    @mark.parametrize("d", DIMS)
+    def test_spectrum_pairs_are_distinct_and_descending(self, d):
+        # each distinct eigenvalue once, with its multiplicity: at most four for a covariant map, and B's are the
+        # paper's three; the pairs' trace norm is that of the dense Choi
+        maps = {**covariant_maps(d), "B_cl": classical_bcl(d), "D": decoherence(d)}
+        for name, m in maps.items():
+            r, w, pairs = _surd_spectrum(m)
+            values, counts = zip(*pairs)
+            assert all(n > 0 for n in counts) and sum(counts) == m.d_in * m.d_out, name
+            assert all(surd_sign(p - u, q - v, w) > 0 for (p, q), (u, v) in zip(values, values[1:])), name
+            assert m.coeffs is None or len(pairs) <= 4, name
+            trace_norm = np.abs(np.linalg.eigvalsh(dense_choi(m).mat)).sum()
+            assert surd(*choi_norm(m)) == pytest.approx(trace_norm, rel=1e-12), name
+        r, w, pairs = _surd_spectrum(canonical_b(d))
+        paper = [(Fraction(d + 1, 2), d), (0, d**3 - 2 * d), (Fraction(1 - d, 2), d)]
+        assert [(Fraction(p, r) + q * Fraction(math.isqrt(w), r), n) for (p, q), n in pairs] == paper
 
 
 def _random_pattern_map(d, seed):

@@ -8,7 +8,6 @@ from vbcast.densemat import (
     Rng,
     random_density,
     random_hermitian,
-    swap,
     trace_norm,
 )
 from vbcast.supermap import SuperMap
@@ -27,6 +26,7 @@ from dense_maps import (
     is_unitary,
     kron,
     partial_trace,
+    swap,
     trace,
 )
 from random_fixtures import basis_state, haar_unitary, random_pure, random_pure_vector, substream, zeros

@@ -12,7 +12,6 @@ from vbcast.densemat import (
     Operator,
     Rng,
     random_density,
-    swap,
 )
 from vbcast.hovm import (
     _mp_moments,
@@ -26,7 +25,7 @@ from vbcast.hovm import (
 from vbcast.mcstats import MatrixWelford
 
 from dense_covariant import moment_operator, sym_projector
-from dense_maps import absmax, dense_choi, eigh, exact_cp, identity, is_psd, jamiolkowski, partial_trace, trace
+from dense_maps import absmax, dense_choi, eigh, exact_cp, identity, is_psd, jamiolkowski, partial_trace, swap, trace
 from dense_mp_sampling import dense_sample_chunk, dense_sample_mp_blocks, entrywise_sampling_csv, update_batch
 from finite_hovm import FiniteHOVM, m_psi, rho_psi
 from random_fixtures import basis_state, random_pure, random_pure_vector

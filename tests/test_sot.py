@@ -4,12 +4,22 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast import broadcast, densemat
-from vbcast.densemat import Operator, Rng, random_density, swap
+from vbcast.densemat import Operator, Rng, random_density
 from vbcast.broadcast import canonical_b, check_axioms, classical_bcl, cloner, family_b_lambda
-from vbcast.sot import star
 
 from dense_axioms import dense_check_axioms
-from dense_maps import apply, apply_left, apply_right, eigh, identity_map, jamiolkowski, partial_trace, trace
+from dense_maps import (
+    apply,
+    apply_left,
+    apply_right,
+    eigh,
+    identity_map,
+    jamiolkowski,
+    partial_trace,
+    star,
+    swap,
+    trace,
+)
 from random_fixtures import basis_state, random_channel, random_pure
 from sampled_postprocessing import check_postprocessing_equivalence
 from sampled_sot import sampled_sot_axioms

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vbcast.densemat import Operator, Rng, random_density, random_hermitian, swap
+from vbcast.densemat import Operator, Rng, random_density, random_hermitian
 from vbcast.supermap import SuperMap, surd, surd_sign
 
 from dense_maps import (
@@ -26,6 +26,7 @@ from dense_maps import (
     jamiolkowski,
     kron,
     omega,
+    swap,
     tensor,
     trace,
 )
