@@ -19,20 +19,20 @@ numpy loads.
 
 ``cli`` binds the library modules, ``hovm`` binds ``mcstats`` and every
 module that reads numpy binds ``np`` through ``_lazy``: the module is
-registered at once, and its code runs on the first attribute read.  So
-``import vbcast.cli`` executes only ``vbcast`` and ``vbcast.cli``, and each
-command executes the layers it calls: ``verify`` runs densemat, supermap,
-broadcast and hovm; ``diamond`` densemat, supermap and diamond, and
-broadcast for a named map; ``sample --object M`` densemat, supermap, hovm
-and mcstats; ``sample --object B`` densemat, supermap, broadcast, qsample
-and mcstats; ``dump`` densemat, supermap and the layer that builds its
-object.
+registered at once, and its code runs on the first attribute read.  So a
+fresh process executes only the layers its command reads, besides
+``vbcast`` and ``vbcast.cli`` (at any ``--dim``; numpy, the ``dense``
+extra, only for ``sample --object M`` and a dense Choi at ``file:PATH``):
 
-numpy, the optional ``dense`` extra, loads only for ``sample --object M``
-and dense ``file:`` targets of ``diamond``.  ``verify`` and ``dump`` of every named object are exact and
-never import numpy, nor do ``diamond`` on ``B``, ``B-minus-Bplus`` and a
-covariant ``file:`` target, and ``sample --object B``; they run where
-numpy is not installed, and a command that reaches numpy there exits 2.
+    import vbcast.cli:               none
+    verify:                          broadcast densemat hovm supermap
+    diamond --target B:              broadcast densemat diamond supermap
+    diamond --target B-minus-Bplus:  broadcast densemat diamond supermap
+    diamond --target file:PATH:      densemat diamond supermap
+    sample --object B --obs random:  broadcast densemat mcstats qsample supermap
+    sample --object M:               densemat hovm mcstats supermap
+    dump --object B:                 broadcast densemat supermap
+    dump --object M:                 densemat hovm supermap
 """
 
 import importlib.util

@@ -32,7 +32,6 @@ import functools
 import math
 from typing import NamedTuple
 
-from .densemat import S3
 from .supermap import (
     SuperMap,
     _largest,
@@ -93,19 +92,18 @@ def classical_bcl(d: int) -> SuperMap:
 # the commutant core
 
 
-def _cycles(p: tuple[int, ...]) -> int:
-    """Number of cycles of a permutation of three factors."""
-    return len({frozenset((i, p[i], p[p[i]])) for i in range(3)})
-
-
 def commutant_gram(d: int) -> tuple[tuple[int, ...], ...]:
     """Gram matrix  Tr[P_s^T P_t] = d^c(t s^-1)  of the table elements, c counting cycles: 6 x 6 ints.
 
     Partial transposition preserves the Hilbert-Schmidt product, and
-    P_s^T P_t fixes the basis states whose labels agree on each cycle.
+    P_s^T P_t fixes the basis states whose labels agree on each cycle.  The
+    elements are 0/1 matrices, so the product counts the Choi positions where
+    both are 1: the sum of ``count`` over the patterns of ``_pattern_table``
+    whose support holds s and t.
     """
     _require_dim(d)
-    return tuple(tuple(d ** _cycles(tuple(t[s.index(i)] for i in range(3))) for t in S3) for s in S3)
+    table = _pattern_table(d)
+    return tuple(tuple(sum(n for _, n, sup in table if s in sup and t in sup) for t in range(6)) for s in range(6))
 
 
 def _primitive(row) -> tuple[int, ...] | None:

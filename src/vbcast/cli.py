@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__, _lazy
 
 # Each layer runs its code when a command first reads from it (``vbcast._lazy``);
-# sot and mcstats are bound so that the benchmark's span tracer finds them.
+# sot and mcstats are bound so that the benchmark's span tracer finds them; its vars() read runs each layer.
 np = _lazy("numpy")
 densemat = _lazy("vbcast.densemat")
 supermap = _lazy("vbcast.supermap")

@@ -119,7 +119,7 @@ class Rng:
     States, observables and ``binomial`` use ``random()`` alone, the one method
     of ``random.Random`` whose stream Python keeps across versions, seeded with
     "seed:stream"; ``gen``, numpy's PCG64 Generator of the pair, is built on
-    first read (the Haar draws of ``hovm``).
+    first read (the Haar draws of ``hovm``).  A negative seed or stream raises ValueError.
     """
 
     def __init__(self, seed: int, stream: int = 0):

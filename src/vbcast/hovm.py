@@ -20,8 +20,9 @@ real Hermitian coordinates h of rho_psi, and w = d Tr[rho_psi rho] = d (r . h)
 reads off the same coordinates.  A chunk of at most ``MP_CHUNK`` samples
 reduces to two real Gram matrices over h, for the mean and the squared
 deviations, gathered with signs into the d^2 x d^2 layout; no per-sample
-d^2 x d^2 tensor is built.  The imaginary mean and squared deviations on the
-structurally real (ik, ik) and (ik, ki) entries are exactly zero.
+d^2 x d^2 tensor is built, and memory does not grow with n.  The imaginary
+mean and squared deviations on the structurally real (ik, ik) and (ik, ki)
+entries are exactly zero.
 """
 
 from __future__ import annotations

@@ -91,10 +91,9 @@ def _value_table(m: SuperMap, rho, o1, o2) -> tuple[float, list[float], list[flo
     if not all(len(o) == d and is_hermitian_rows(o) for o in (o1, o2)):
         raise ValueError(f"observables must be Hermitian {d}x{d} matrices")
     invariants = _invariants(rho, o1, o2)
-    lp, lm = lp / den, lm / den
-    l1 = lp + lm
+    l1 = (lp + lm) / den  # each an int/int division, rounded once
     values = [l1 * _expectation(plus, invariants), -l1 * _expectation(minus, invariants)]
-    return _expectation(m, invariants), values, [lp / l1, lm / l1], l1
+    return _expectation(m, invariants), values, [lp / (lp + lm), lm / (lp + lm)], l1
 
 
 def estimate_with_trace(

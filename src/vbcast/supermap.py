@@ -71,7 +71,7 @@ HP_TOL = 1e-8
 class SuperMap:
     """Linear map Lin(C^d_in) -> Lin(C^d_out), held as its Choi operator or exactly, by symmetry.
 
-    Give one of three forms: the Choi; ``exact``, a ``(den, re, im)``
+    Give exactly one of three forms: the Choi; ``exact``, a ``(den, re, im)``
     triple of integer numerators over one nonzero integer denominator, six
     each for a covariant map d -> d^2 (``covariant_map`` builds it from
     numbers) or dicts by pattern for a pattern map; or ``patterns``, finite
@@ -463,7 +463,7 @@ def surd(p: int, q: int, w: int, r: int = 1, mode: str = "nearest") -> float:
     both ends round to one float of one sign, which ends cancellation too, as
     a nonzero |p + q sqrt(w)| >= 1 / (|p| + |q| sqrt(w)).  "down" and "up" step
     from it to the next float when the exact sign of its error says so.  Past
-    the float range, OverflowError.
+    the float range, OverflowError; an unknown mode, KeyError.
     """
     step = {"nearest": 0, "down": -1, "up": 1}[mode]
     k, ends = max(0, 64 - w.bit_length() // 2) - 64, ()
@@ -524,7 +524,8 @@ def spectral_distance(m: SuperMap, reference, den: int) -> float:
     """Largest |v - u| over m's descending Choi spectrum (``_surd_spectrum``) and a rational one, paired in order.
 
     ``reference`` lists the other spectrum as (numerator, multiplicity) pairs over the positive int ``den``, in
-    descending order, its multiplicities adding up to m's Choi dimension.
+    descending order, its multiplicities adding up to m's Choi dimension.  Each gap is rounded once, by ``surd``,
+    so a gap below the smallest float reads 0.0.
     """
     r, w, mine = _surd_spectrum(m)
     ends = [list(itertools.accumulate(n for _, n in spectrum)) for spectrum in (mine, reference)]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from pytest import mark, raises
 
 from vbcast.densemat import (
+    S3,
     Operator,
     Rng,
     random_density,
@@ -347,12 +348,24 @@ class TestCommutant:
             assert np.array_equal(dense_choi(m).mat, ref)
         assert np.abs(dense_choi(exact_mp_map(d)).mat - dense_mp_choi(d)).max() <= 1e-15
 
-    @mark.parametrize("d", range(2, 7))
+    @mark.parametrize("d", range(2, 31))
     def test_gram_closed_form_matches_table(self, d):
-        # Tr[P_s^T P_t] = d^c(t s^-1) against the count of shared nonzero entries
-        flat = commutant_table(d).reshape(6, -1).astype(np.int64)
+        # Tr[P_s^T P_t] = d^c(t s^-1), c the number of cycles, counted here; at d <= 6 also against the count of
+        # shared nonzero entries of the dense table
+        def cycles(p):
+            seen, count = set(), 0
+            for i in range(3):
+                count += i not in seen
+                while i not in seen:
+                    seen.add(i)
+                    i = p[i]
+            return count
+
         gram = commutant_gram(d)
-        assert np.array_equal(gram, flat @ flat.T)
+        assert gram == tuple(tuple(d ** cycles([t[s.index(i)] for i in range(3)]) for t in S3) for s in S3)
+        if d <= 6:
+            flat = commutant_table(d).reshape(6, -1).astype(np.int64)
+            assert np.array_equal(gram, flat @ flat.T)
         assert np.linalg.matrix_rank(gram) == (5 if d == 2 else 6)
 
     @mark.parametrize("d", range(2, 7))

@@ -982,6 +982,63 @@ class TestReadme:
         with open(README) as fp:
             assert {int(n) for n in re.findall(r'"schema": (\d+)', fp.read())} == {cli.SCHEMA}
 
+    def test_report_field_table_covers_every_numeric_field(self, tmp_path):
+        # one row per numeric field of each report at d = 2, in one of the four classes; the "every report" rows
+        # hold the fields that each JSON report shares, and a CSV report's fields are its header's columns
+        with open(README) as fp:
+            section = fp.read().split("\n## Report fields\n", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| ([^|`]+?) \| `([^`]+)` \| ([^|]+?) \|$", section, re.M)
+        assert {cls for _, _, cls in rows} <= FIELD_CLASSES
+        listed = [(report, field) for report, field, _ in rows]
+        assert len(listed) == len(set(listed))
+        channel = tmp_path / "channel.json"
+        write_supermap(channel, random_channel(2, 2, Rng(7)))
+        runs = {
+            "verify": ["verify"],
+            "diamond, covariant map": ["diamond", "--target", "B"],
+            "diamond, dense map": ["diamond", "--target", f"file:{channel}"],
+            "sample B": ["sample", "--format", "json"],
+            "sample M": ["sample", "--object", "M", "--n", "100", "--format", "json"],
+            "dump": ["dump", "--object", "B"],
+            "sample B, CSV": ["sample", "--n", "100"],
+            "sample M, CSV": ["sample", "--object", "M", "--n", "100"],
+        }
+        assert {report for report, _ in listed} == {*runs, "every report"}
+        common = [field for report, field in listed if report == "every report"]
+        for report, args in runs.items():
+            out = tmp_path / "out"
+            assert main(args + ["--dim", "2", "--out", str(out)]) == 0
+            own = [field for name, field in listed if name == report]
+            if report.endswith("CSV"):
+                found = out.read_text().split("\n", 1)[0].split(",")
+            else:
+                doc = strict_loads(out.read_text())
+                if report == "verify":
+                    doc["checks"] = {check["name"]: check["values"] for check in doc["checks"]}
+                found = list(_numeric_fields(doc))
+                assert not set(common) & set(own), report
+                own += common
+            assert sorted(own) == sorted(found), report
+
+
+# The classes of README's report-field table: how far a reported number can be trusted.
+FIELD_CLASSES = {"exact, rounded once", "certified bracket", "statistical", "no stated bound"}
+
+
+def _numeric_fields(doc, path=""):
+    """The dotted path of each numeric field of a report: a number, or nested lists of numbers."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_fields(value, f"{path}{key}.")
+    elif _is_numeric(doc):
+        yield path[:-1]
+
+
+def _is_numeric(x) -> bool:
+    if isinstance(x, list):
+        return bool(x) and all(map(_is_numeric, x))
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
 
 def _as_lists(obj):
     """obj with every ``_Indexed`` replaced by the values its rows pick: the document json.dumps can write."""
@@ -1376,3 +1433,35 @@ class TestLazyNumpy:
         )
         res = _run_child(code)
         assert res.returncode == 0, res.stderr
+
+
+# The package docstring's layer list, one "command: layers" line per command (``vbcast.__doc__``).
+LAYER_LIST = re.findall(r"^    (\S.*?):\s+(.+)$", vbcast.__doc__, re.M)
+
+
+class TestLazyLayers:
+    """A fresh process executes exactly the layers that the package docstring lists for its command."""
+
+    def test_layer_list_names_every_command(self):
+        assert {command.split()[0] for command, _ in LAYER_LIST} == {"import", "verify", "diamond", "sample", "dump"}
+
+    @pytest.mark.parametrize("command, layers", LAYER_LIST)
+    def test_command_executes_the_listed_layers(self, command, layers, tmp_path):
+        # a layer bound through vbcast._lazy but not yet read is a LazyLoader module, whose type is not
+        # ModuleType; numpy is always registered, so membership in sys.modules says nothing
+        dense, covariant = tmp_path / "dense.json", tmp_path / "covariant.json"
+        write_supermap(dense, random_channel(2, 2, Rng(7)))
+        write_supermap(covariant, canonical_b(2))
+        want = {"vbcast.cli", *(f"vbcast.{name}" for name in layers.split() if layers != "none")}
+        for path in (dense, covariant) if "PATH" in command else (None,):
+            code = "import json, sys, types\nimport vbcast.cli\n"
+            if command != "import vbcast.cli":
+                argv = [*command.replace("PATH", str(path)).split(), "--dim", "2", "--out", str(tmp_path / "out")]
+                code += f"assert vbcast.cli.main({argv!r}) == 0\n"
+            code += (
+                "run = [n for n, m in sys.modules.items() if n.startswith('vbcast.') and type(m) is types.ModuleType]\n"
+                "print(json.dumps(run))\n"
+            )
+            res = _run_child(code)
+            assert res.returncode == 0, res.stderr
+            assert set(json.loads(res.stdout)) == want, path

@@ -106,6 +106,20 @@ def test_overhead_is_exactly_d(d):
     assert estimate_with_trace(canonical_b(d), random_density(d, Rng(0)), identity(d), identity(d), 100, Rng(1))[2] == d
 
 
+@mark.parametrize("d", (2, 3, 4))
+def test_overhead_is_rounded_once(d):
+    # ((7 + k) B+ - k B-) / 7 has the overhead (7 + 2k) / 7; it and the two draw probabilities are each the
+    # nearest float to an exact ratio, which lp/den + lm/den is not for 24 of these maps
+    rho = random_density(d, Rng(0))
+    for k in range(1, 60):
+        m = (cloner(d) * (7 + k) - antisym(d) * k) / 7
+        lp, lm, den, _, _ = _jordan_split(m)
+        _, _, probs, l1 = _value_table(m, rho, identity(d), identity(d))
+        assert Fraction(lp + lm, den) == Fraction(7 + 2 * k, 7)
+        assert l1 == float(Fraction(lp + lm, den))
+        assert probs == [float(Fraction(lp, lp + lm)), float(Fraction(lm, lp + lm))]
+
+
 def test_rejects_negative_weight_before_any_draw():
     # probabilities of -1 and 2 once sent the binomial draw into an endless loop; a map whose split cannot be
     # drawn is refused first, and with no generator (rng None) any draw would raise AttributeError instead.
