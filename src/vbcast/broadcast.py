@@ -23,7 +23,8 @@ of integer rows over the patterns (``_axiom_patterns``), and covariance is
 the distance to the span, projected by the Gram's leading block in
 integers.  A dense map has no exact path; its residuals are the tests'
 reference.  ``verify_uniqueness`` ranks the same pattern rows, taken on
-the six coefficients, by fraction-free integer elimination.
+the six coefficients.  One fraction-free elimination, ``_bareiss``, gives
+every rank here and the Gram block's determinant and adjugate, exactly.
 """
 
 from __future__ import annotations
@@ -65,13 +66,11 @@ def family_b_lambda(d: int, lam: float) -> SuperMap:
 
 def cloner(d: int) -> SuperMap:
     """Optimal universal cloning channel  rho -> 2/(d+1) P+ (I (x) rho) P+."""
-    _require_dim(d)
     return covariant_map(d, (0, 0, 1, 1, 1, 1), 2 * (d + 1))
 
 
 def antisym(d: int) -> SuperMap:
     """Antisymmetric counterpart  rho -> 2/(d-1) P- (I (x) rho) P-."""
-    _require_dim(d)
     return covariant_map(d, (0, 0, 1, 1, -1, -1), 2 * (d - 1))
 
 
@@ -106,54 +105,42 @@ def commutant_gram(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(n for _, n, sup in table if s in sup and t in sup) for t in range(6)) for s in range(6))
 
 
-def _primitive(row) -> tuple[int, ...] | None:
-    """The integer row divided by the gcd of its entries, leading entry positive; None for a zero row."""
-    lead = next((v for v in row if v), 0)
-    if not lead:
-        return None
-    g = math.gcd(*row) * (1 if lead > 0 else -1)
-    return tuple(v // g for v in row)
+def _bareiss(rows) -> tuple[int, int, list[list[int]]]:
+    """(rank, last pivot, reduced rows) of integer rows, by fraction-free Gauss-Jordan elimination (Bareiss).
 
-
-def _exact_rank(rows) -> int:
-    """Rank over the rationals of integer rows, by fraction-free Gaussian elimination.
-
-    Row operations  pivot[col] * row - row[col] * pivot  keep the rows
-    integer and the rank exact.  Rows are kept primitive in a set, so
-    repeated and parallel rows are eliminated once, and each step updates
-    only the rows that have an entry in the pivot's column.
+    In each of the first six columns, one per table element, the first row
+    below the pivots with an entry there is the next pivot row, and every
+    other row becomes (p * row - row[col] * pivot) // prev, p the pivot
+    entry and prev the one before: exact divisions (Sylvester's identity),
+    so every entry is an integer minor.  Pivot rows come first, each with
+    the last pivot at its own column and 0 at the others'; on a square
+    block of full rank, no rows exchanged, that pivot is its determinant.
     """
-    rest = {_primitive(row) for row in rows} - {None}
-    rank = 0
-    while rest:
-        pivot = rest.pop()
-        col = next(j for j, v in enumerate(pivot) if v)
-        rest = {
-            _primitive([pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]) if row[col] else row
-            for row in rest
-        }
-        rest.discard(None)
-        rank += 1
-    return rank
+    m, prev, rank = [list(row) for row in rows], 1, 0
+    for col in range(6):
+        i = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        pivot = m[rank]
+        m = [r if r is pivot else [(pivot[col] * a - r[col] * b) // prev for a, b in zip(r, pivot)] for r in m]
+        prev, rank = pivot[col], rank + 1
+    return rank, prev, m
 
 
 @functools.cache
-def _gram_inverse(d: int) -> tuple[int, list[list[int]]]:
-    """(det, adj) of the leading k x k block of ``commutant_gram``, k its rank.
+def _gram_inverse(d: int) -> tuple[int, int, list[list[int]]]:
+    """(k, det, adj): the rank k of ``commutant_gram``, and the determinant and adjugate of its leading k x k block.
 
     The first k table elements are independent (at d = 2 the one
     dependency, the antisymmetrizer, has six nonzero signs), so the block is
-    positive definite: fraction-free Gauss-Jordan (Bareiss) elimination of
-    [block | I] needs no pivot search, divides exactly and ends at [det I | adj].
+    positive definite: ``_bareiss`` of [Gram | I] pivots down its diagonal
+    in the six Gram columns, and the first k rows end at det I on the block
+    and adj under the block's columns of I.
     """
     gram = commutant_gram(d)
-    k = _exact_rank(gram)
-    m, prev = [list(row[:k]) + [int(i == j) for j in range(k)] for i, row in enumerate(gram[:k])], 1
-    for i in range(k):
-        pivot = m[i]
-        m = [row if row is pivot else [(pivot[i] * a - row[i] * b) // prev for a, b in zip(row, pivot)] for row in m]
-        prev = m[i][i]
-    return prev, [row[k:] for row in m]
+    k, det, rows = _bareiss([[*row, *(int(i == j) for j in range(6))] for i, row in enumerate(gram)])
+    return k, det, [row[6 : 6 + k] for row in rows[:k]]
 
 
 @functools.cache
@@ -195,7 +182,7 @@ def _twirl_residuals(d: int, values: dict) -> list[int]:
     sums C over the entries where table element j is 1.  Only the leading
     k x k block is solved and the rest of x is zero, so det x = adj . overlaps.
     """
-    det, adj = _gram_inverse(d)
+    _, det, adj = _gram_inverse(d)
     overlaps = [0] * 6
     for p, count, support in _pattern_table(d):
         for j in support:
@@ -246,7 +233,7 @@ def check_axioms(m: SuperMap) -> AxiomReport:
     systems = _axiom_patterns(d)
     return AxiomReport(
         broadcasting=max(_worst(systems["marginal1"], den, re, im), _worst(systems["marginal2"], den, re, im)),
-        covariance=_largest(zip(_twirl_residuals(d, re), _twirl_residuals(d, im)), _gram_inverse(d)[0] * den),
+        covariance=_largest(zip(_twirl_residuals(d, re), _twirl_residuals(d, im)), _gram_inverse(d)[1] * den),
         permutation=_worst(systems["permutation"], den, re, im),
         classical=_worst(systems["classical"], den, re, im),
     )
@@ -284,18 +271,18 @@ def verify_uniqueness(
     Takes the included axioms' pattern rows (``_axiom_patterns``) on the
     six table elements: each gives a row r of six ints, and r . x is one
     residual entry of the Choi  sum_j x_j P_j^T3.  The span has dimension
-    k = rank(``commutant_gram``), and its homogeneous solutions have
-    dimension  nullity = k - rank(rows).  Two facts make this the count
-    over Hermitian Chois.  The 6 - k coefficient vectors that give the zero
-    operator lie in the null space of the rows, because each row evaluates
-    an entry of that operator.  And the solutions are closed under the
-    adjoint, because every axiom target is Hermitian, so their complex
-    dimension is the real dimension of their Hermitian part.  Both ranks
-    are exact, by fraction-free integer elimination.  ``constraint_rows``
-    counts the rows of the full real system, 2 (2d^4 + d^6 + d^3) with
-    every axiom included; ``candidate_residual`` evaluates the rows on B,
-    exactly.  The ``include_*`` switches drop axiom groups to exhibit the
-    solution families that appear without them.
+    k = rank(``commutant_gram``), read from ``_gram_inverse``, and its
+    homogeneous solutions have dimension  nullity = k - rank(rows).  Two
+    facts make this the count over Hermitian Chois.  The 6 - k coefficient
+    vectors that give the zero operator lie in the null space of the rows,
+    because each row evaluates an entry of that operator.  And the
+    solutions are closed under the adjoint, because every axiom target is
+    Hermitian, so their complex dimension is the real dimension of their
+    Hermitian part.  Both ranks are exact, by ``_bareiss``.
+    ``constraint_rows`` counts the rows of the full real system,
+    2 (2d^4 + d^6 + d^3) with every axiom included; ``candidate_residual``
+    evaluates the rows on B, exactly.  The ``include_*`` switches drop
+    axiom groups to exhibit the solution families that appear without them.
     """
     systems = _axiom_patterns(d)
     names = (
@@ -304,7 +291,6 @@ def verify_uniqueness(
         + ["classical"] * include_classical
     )
     triples = [t for name in names for t in systems[name]]
-    unknowns = _exact_rank(commutant_gram(d))
     supports, rows = {p: support for p, _, support in _pattern_table(d)}, set()
     for row, _, _ in triples:  # the pattern row on the table: sum weight * table_entries(pattern)
         on_table = [0] * 6
@@ -312,7 +298,7 @@ def verify_uniqueness(
             for j in supports[p]:
                 on_table[j] += w
         rows.add(tuple(on_table))
-    rank = _exact_rank(rows)
+    unknowns, rank = _gram_inverse(d)[0], _bareiss(rows)[0]
     return UniquenessCertificate(
         constraint_rows=2 * sum(count for _, _, count in triples),
         unknowns=unknowns,

@@ -47,7 +47,6 @@ as many entries; the ``diamond`` report of ``cli`` writes vec A itself.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import NamedTuple
 
@@ -270,13 +269,14 @@ def _covariant_bounds(m: SuperMap) -> tuple[float, float, list[float]]:
     Jordan bound is ||C||_1 / d, rho0 is I/d, and A = I/sqrt(d) gives the
     lower bound ||(A (x) I) R (A (x) I)||_1 = ||C||_1 / d as well, the
     surd of ``choi_norm`` over d, which ``surd`` rounds down and up.
-    vec A is 1/sqrt(d) at the diagonal positions i (d + 1), 0.0 elsewhere.
+    vec A is 1/sqrt(d), rounded once by ``surd``, at the diagonal positions
+    i (d + 1), 0.0 elsewhere.
     """
     if not m.is_hp():
         raise ValueError("the Jordan bound requires a Hermitian-preserving map")
     d, (p, q, w, r) = m.d_in, choi_norm(m)
     lower, upper = (surd(p, q, w, d * r, mode) for mode in ("down", "up"))
-    entry = 1.0 / math.sqrt(d)
+    entry = surd(0, 1, d, d)
     vec_a = [0.0] * (d * d)
     vec_a[:: d + 1] = [entry] * d
     return lower, upper, vec_a

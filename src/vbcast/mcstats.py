@@ -60,12 +60,10 @@ class SamplingEstimate(NamedTuple):
     mean: float
     stderr: float
     n: int
-    exact: float | None = None
+    exact: float
 
     def zscore(self) -> float:
         """|mean - exact| in units of stderr; with zero stderr, inf or 0 by ``ZERO_DEVIATION``."""
-        if self.exact is None:
-            raise ValueError("no exact reference recorded")
         delta = abs(self.mean - self.exact)
         if self.stderr == 0.0:
             return math.inf if delta > ZERO_DEVIATION else 0.0
@@ -79,12 +77,10 @@ class MatrixSamplingEstimate(NamedTuple):
     stderr_re: np.ndarray
     stderr_im: np.ndarray
     n: int
-    exact: Operator | None = None
+    exact: Operator
 
     def max_zscore(self) -> float:
         """Worst entrywise deviation from ``exact`` in standard-error units."""
-        if self.exact is None:
-            raise ValueError("no exact reference recorded")
         delta = self.mean.mat - self.exact.mat
         z_re = _z(np.abs(delta.real), self.stderr_re)
         z_im = _z(np.abs(delta.imag), self.stderr_im)

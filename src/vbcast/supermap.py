@@ -524,9 +524,11 @@ def spectral_distance(m: SuperMap, reference, den: int) -> float:
     """Largest |v - u| over m's descending Choi spectrum (``_surd_spectrum``) and a rational one, paired in order.
 
     ``reference`` lists the other spectrum as (numerator, multiplicity) pairs over the positive int ``den``, in
-    descending order, its multiplicities adding up to m's Choi dimension.  Each gap is rounded once, by ``surd``,
-    so a gap below the smallest float reads 0.0.
+    descending order, its multiplicities adding up to m's Choi dimension, or ValueError.  Each gap is rounded once,
+    by ``surd``, so a gap below the smallest float reads 0.0.
     """
+    if sum(n for _, n in reference) != m.d_in * m.d_out:
+        raise ValueError(f"reference multiplicities must add up to the Choi dimension {m.d_in * m.d_out}")
     r, w, mine = _surd_spectrum(m)
     ends = [list(itertools.accumulate(n for _, n in spectrum)) for spectrum in (mine, reference)]
     starts = {0, *ends[0][:-1], *ends[1][:-1]}  # each run of positions where both spectra hold one value

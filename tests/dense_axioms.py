@@ -11,7 +11,7 @@ two on every named map and use this one for random channels.
 
 import numpy as np
 
-from vbcast.broadcast import AxiomReport, _exact_rank, commutant_gram
+from vbcast.broadcast import AxiomReport, _bareiss, commutant_gram
 from vbcast.densemat import Operator
 from vbcast.supermap import SuperMap, covariant_map
 
@@ -32,7 +32,7 @@ def commutant_projection(choi: Operator, d: int) -> Operator:
     flat = choi.mat.ravel()
     overlaps = np.array([flat[term.ravel().astype(bool)].sum() for term in commutant_table(d)])
     gram = commutant_gram(d)
-    k = _exact_rank(gram)
+    k = _bareiss(gram)[0]
     x = np.zeros(6, dtype=complex)
     x[:k] = np.linalg.solve(np.array(gram, dtype=float)[:k, :k], overlaps[:k])
     return dense_choi(covariant_map(d, x))

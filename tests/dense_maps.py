@@ -8,8 +8,9 @@ structured map (``exact_cp``); the largest entry and
 the trace of an operator, the identity operator, the maximally entangled
 operator Omega, Kronecker products and partial traces on two-factor
 tensor spaces, SWAP, the descending-order Hermitian eigensolver ``eigh``, the
-witness state of a diamond bracket, maps built from their action on
-matrix units, the identity map, composition, tensor products,
+witness state of a diamond bracket and the maximally entangled input
+vec(I / sqrt(d)) that is a covariant bracket's witness, maps built from
+their action on matrix units, the identity map, composition, tensor products,
 Hilbert-Schmidt adjoints, action on the left or right factor of a product
 space, decoherence in a chosen orthonormal basis, the unitarity and
 positivity tests of an operator, the state over time E * rho of a
@@ -19,6 +20,8 @@ broadcaster's axioms), and the dense Choi JSON layout that
 No ``vbcast`` command needs them, so they live here, on top of the
 library's ``SuperMap`` and ``Operator``.
 """
+
+import decimal
 
 import numpy as np
 
@@ -185,6 +188,13 @@ def witness_state(result) -> Operator:
     """The witness state vec A vec A^dag of a ``DiamondResult``, from its input vec A."""
     w = np.asarray(result.witness)
     return Operator(np.outer(w, w.conj()))
+
+
+def max_entangled_vec(d: int) -> np.ndarray:
+    """vec(I / sqrt(d)), its entry the float nearest to 1/sqrt(d): 60 correct digits, rounded once by ``float``."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        entry = float(1 / decimal.Decimal(d).sqrt())
+    return np.eye(d).reshape(-1) * entry
 
 
 def from_action(d_in: int, d_out: int, action) -> SuperMap:

@@ -16,7 +16,8 @@ from vbcast.densemat import (
     trace_norm,
 )
 from vbcast.broadcast import (
-    _exact_rank,
+    _bareiss,
+    _gram_inverse,
     antisym,
     canonical_b,
     check_axioms,
@@ -367,6 +368,11 @@ class TestCommutant:
             flat = commutant_table(d).reshape(6, -1).astype(np.int64)
             assert np.array_equal(gram, flat @ flat.T)
         assert np.linalg.matrix_rank(gram) == (5 if d == 2 else 6)
+        # the leading k x k block times its adjugate is det I, in Python ints (det passes 2^63 at d = 30)
+        k, det, adj = _gram_inverse(d)
+        assert k == (5 if d == 2 else 6) and det > 0
+        product = [[sum(a * b for a, b in zip(row[:k], col)) for col in zip(*adj)] for row in gram[:k]]
+        assert product == [[det * (i == j) for j in range(k)] for i in range(k)]
 
     @mark.parametrize("d", range(2, 7))
     def test_projection_matches_dense_basis(self, d):
@@ -429,14 +435,34 @@ class TestUniqueness:
         assert cert.nullity == table_column_uniqueness(2).nullity
 
     def test_exact_rank_matches_numerical_rank(self):
-        # integer rows spanning a random lattice of known dimension, with repeats and rational dependencies
+        # integer rows spanning a random lattice of known dimension, with rational dependencies and a repeated,
+        # a parallel and a zero row, shuffled; every division of the elimination leaves remainder 0
+        class Exact(int):
+            def __mul__(self, other):
+                return Exact(int(self) * int(other))
+
+            def __sub__(self, other):
+                return Exact(int(self) - int(other))
+
+            def __floordiv__(self, other):
+                q, r = divmod(int(self), int(other))
+                assert r == 0
+                return Exact(q)
+
         rng = np.random.default_rng(0)
-        for _ in range(200):
+        for _ in range(500):
             basis = rng.integers(-3, 4, size=(rng.integers(1, 7), 6))
             rows = (rng.integers(-4, 5, size=(rng.integers(1, 12), len(basis))) @ basis).tolist()
-            assert _exact_rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))
-        assert _exact_rank([]) == _exact_rank([[0] * 6]) == 0
-        assert _exact_rank([[2, 4, 0, 0, 0, 0], [-1, -2, 0, 0, 0, 0], [0, 0, 3, 0, 0, 1]]) == 2
+            twin, scaled, factor = *rng.integers(0, len(rows), size=2), int(rng.choice([-3, -2, 2, 3]))
+            rows += [rows[twin], [factor * v for v in rows[scaled]], [0] * 6]
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            rank, last, reduced = _bareiss([[Exact(v) for v in row] for row in rows])
+            assert rank == np.linalg.matrix_rank(np.array(rows, dtype=float))
+            # each pivot row holds the last pivot at its own leading column and 0 at the others'; the rest are 0
+            leads = [next(j for j, v in enumerate(row) if v) for row in reduced[:rank]]
+            assert all(row[j] == last * (row is pivot) for pivot, j in zip(reduced, leads) for row in reduced)
+        assert _bareiss([])[0] == _bareiss([[0] * 6])[0] == 0
+        assert _bareiss([[2, 4, 0, 0, 0, 0], [-1, -2, 0, 0, 0, 0], [0, 0, 3, 0, 0, 1]])[0] == 2
 
     def test_dropping_permutation_opens_a_direction(self):
         cert = verify_uniqueness(2, include_permutation=False)

@@ -48,7 +48,18 @@ from vbcast.supermap import (
 
 from dense_axioms import dense_check_axioms
 from dense_covariant import commutant_table, table_sum_choi
-from dense_maps import absmax, dense, dense_add, dense_choi, dense_sub, exact_cp, is_cp, is_tp, witness_state
+from dense_maps import (
+    absmax,
+    dense,
+    dense_add,
+    dense_choi,
+    dense_sub,
+    exact_cp,
+    is_cp,
+    is_tp,
+    max_entangled_vec,
+    witness_state,
+)
 
 DIMS = range(2, 7)
 
@@ -239,6 +250,12 @@ class TestCovariantForm:
         shifted = [(d + 1, d - 1), (0, d**3 - 2 * d + 1), (1 - d, d)]
         assert spectral_distance(b, shifted, 2) == (d + 1) / 2
 
+    def test_spectral_distance_needs_the_choi_dimension(self):
+        # B's Choi at d = 2 has 8 eigenvalues: a reference of 7 or 9 is refused, not paired short or long
+        for middle in (3, 5):
+            with pytest.raises(ValueError, match="Choi dimension 8"):
+                spectral_distance(canonical_b(2), [(3, 2), (0, middle), (-1, 2)], 2)
+
     @mark.parametrize("d", DIMS)
     def test_spectrum_pairs_are_distinct_and_descending(self, d):
         # each distinct eigenvalue once, with its multiplicity: at most four for a covariant map, and B's are the
@@ -405,7 +422,7 @@ class TestAgainstDense:
             # the exact bracket lies inside the dense path's, which is rounded outward by float_slack
             assert want.lower_bound <= got.lower_bound <= got.value <= got.upper_bound <= want.upper_bound, name
             # the covariant witness is the maximally entangled input exactly; the dense path's is close to it
-            e = np.eye(d).reshape(-1) / np.sqrt(d)
+            e = max_entangled_vec(d)
             assert_array_equal(witness_state(got).mat, np.outer(e, e))
             assert_allclose(witness_state(want).mat, np.outer(e, e), atol=1e-12)
             # ||m||<> = ||C||_1 / d for a covariant Hermitian-preserving map

@@ -45,6 +45,7 @@ from dense_maps import (
     from_action,
     identity_map,
     is_psd,
+    max_entangled_vec,
     tensor,
     trace,
     witness_state,
@@ -133,7 +134,7 @@ class TestSdp:
 
 
 def _max_entangled(d):
-    w = np.eye(d).reshape(-1) / np.sqrt(d)
+    w = max_entangled_vec(d)
     return np.outer(w, w)
 
 
@@ -258,7 +259,7 @@ class TestBracket:
         res = diamond_bracket(m)
         want = float(d if target == "B" else d - 1)
         assert (res.value, res.lower_bound, res.upper_bound, res.gap) == (want, want, want, 0.0)
-        assert res.witness == (np.eye(d).reshape(-1) / np.sqrt(d)).tolist()
+        assert res.witness == max_entangled_vec(d).tolist()
         assert_array_equal(witness_state(res).mat, _max_entangled(d))
 
     @pytest.mark.parametrize("d", (2, 4))

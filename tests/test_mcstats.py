@@ -44,8 +44,6 @@ def test_scalar_zscore():
     assert exactish.zscore() == 0.0
     broken = SamplingEstimate(mean=2.0, stderr=0.0, n=100, exact=1.0)
     assert broken.zscore() == np.inf
-    with pytest.raises(ValueError):
-        SamplingEstimate(mean=1.0, stderr=0.1, n=10).zscore()
 
 
 def test_matrix_max_zscore():
@@ -54,8 +52,6 @@ def test_matrix_max_zscore():
     se = 0.02 * np.ones((2, 2))
     est = MatrixSamplingEstimate(mean=mean, stderr_re=se, stderr_im=se, n=50, exact=exact)
     assert est.max_zscore() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        MatrixSamplingEstimate(mean=mean, stderr_re=se, stderr_im=se, n=50).max_zscore()
 
 
 def test_matrix_zero_stderr_handling():

@@ -17,17 +17,24 @@ function body but its docstring, nested ones included.  A statement ran
 when a line event fell on one of its own lines: all of a simple
 statement's, and a compound statement's lines before its first nested
 statement.  A ``raise`` is an error exit and needs no command.  Any other
-statement that never runs belongs in the tests, unless ``EXEMPT`` names
-its ``file:line`` with the reason it stays; an exempt line that runs, or
-that no longer starts a statement, fails the test.
+statement that never runs belongs in the tests, unless ``EXEMPT`` names it,
+with the reason it stays; an exempt statement that runs, or a key that
+names no statement, fails the test.  A key is "file:function: text": the
+function's dotted path in its file, through classes and enclosing
+functions, and the text of the statement's own lines with comments dropped
+and whitespace collapsed, " (repeat k)" added to the k-th statement of one
+function with that text.  An edit elsewhere leaves every key as it is.
 """
 
 import ast
+import collections
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import vbcast
 from vbcast.cli import OBJECTS, main
@@ -40,22 +47,30 @@ from test_cli import _child_env, write_supermap
 
 SRC = os.path.dirname(os.path.abspath(vbcast.__file__))
 
-# The statements that no command runs, by "file:line", each with the reason it stays in ``src/vbcast``.
+# The statements that no command runs, by "file:function: text", each with the reason it stays in ``src/vbcast``.
+_NO_NUMPY = "a dense path where numpy is not installed; test_bench_checks refuses it"
+_REPR = "repr for a reader of the library; no report prints it"
+_BENCH = "bench/workloads.py draws the sample inputs and observables with it"
 EXEMPT = {
-    "__init__.py:68": "_lazy: a finder that refuses the name; test_bench_checks installs one for numpy",
-    "__init__.py:70": "_lazy: a module that is not installed; test_bench_checks refuses numpy",
-    "cli.py:155": "_write_rows of an empty list, as json.dumps writes one; every operator a command writes has rows",
-    "cli.py:605": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
-    "cli.py:607": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
-    "cli.py:608": "main: a dense path where numpy is not installed; test_bench_checks refuses it",
-    "densemat.py:60": "Operator.__repr__: repr for a reader of the library; no report prints it",
-    "densemat.py:166": "Rng.binomial: BTRS draws a k outside [0, n] far less often than once per command",
-    "densemat.py:175": "Rng.__repr__: repr for a reader of the library; no report prints it",
-    "densemat.py:201": "random_density: bench/workloads.py draws the sample inputs with it",
-    "densemat.py:206": "random_hermitian: bench/workloads.py draws the sample observables with it",
-    "mcstats.py:37": "MatrixWelford.merge: the n == 0 guard; sample_mp_blocks never merges an empty chunk",
-    "supermap.py:223": "SuperMap.__mul__ of a pattern map: no command scales one; test_covariant checks it",
-    "supermap.py:234": "SuperMap.__repr__: repr for a reader of the library; no report prints it",
+    "__init__.py:_lazy: spec = None": "a finder that refuses the name; test_bench_checks installs one for numpy",
+    "__init__.py:_lazy: return _Absent(name)": "a module that is not installed; test_bench_checks refuses numpy",
+    'cli.py:_write_rows: parts.append("[]")': "an empty list, as json.dumps writes one; no operator written is empty",
+    'cli.py:main: if exc.name != "numpy":': _NO_NUMPY,
+    (
+        'cli.py:main: print(f"error: {args.cmd} needs numpy here, which is not installed; install vbcast[dense]", '
+        "file=sys.stderr)"
+    ): _NO_NUMPY,
+    "cli.py:main: return 2 (repeat 2)": _NO_NUMPY,
+    'densemat.py:Operator.__repr__: return f"Operator({self.rows}x{self.cols})"': _REPR,
+    "densemat.py:Rng.binomial: continue": "BTRS draws a k outside [0, n] far less often than once per command",
+    'densemat.py:Rng.__repr__: return f"Rng(seed={self.seed}, stream={self.stream})"': _REPR,
+    "densemat.py:random_density: return Operator(random_density_rows(d, rng))": _BENCH,
+    "densemat.py:random_hermitian: return Operator(random_hermitian_rows(d, rng))": _BENCH,
+    "mcstats.py:MatrixWelford.merge: return": "the n == 0 guard; sample_mp_blocks never merges an empty chunk",
+    (
+        "supermap.py:SuperMap.__mul__: product_re, product_im = dict(zip(keys, product_re)), dict(zip(keys, product_im))"
+    ): "a pattern map: no command scales one; test_covariant checks it",
+    'supermap.py:SuperMap.__repr__: return f"SuperMap(d_in={self.d_in}, d_out={self.d_out})"': _REPR,
 }
 
 # Child code: trace line events in the frames of the directory sys.argv[2] while the argv lists in
@@ -103,19 +118,37 @@ def _body_statements(body: list):
             yield from _body_statements(handler.body)
 
 
+def _functions(node, prefix: str = ""):
+    """(dotted path, def) of each function under an ast node, in classes and other functions too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _functions(child, f"{prefix}{child.name}." if scoped else prefix)
+
+
 def _library_statements() -> dict:
-    """"file:line" -> own lines of each statement in a src/vbcast function body, less docstrings and raises."""
-    found = {}
+    """``EXEMPT``'s key -> the (file, line) pairs of each statement's own lines in a src/vbcast function body.
+
+    Docstrings and raises are left out.
+    """
+    found, seen = {}, collections.Counter()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
         with open(path) as fp:
-            tree = ast.parse(fp.read(), path)
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+            source = fp.read()
+        lines = source.splitlines()
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        comments = {tok.start[0]: tok.start[1] for tok in tokens if tok.type == tokenize.COMMENT}
+        for function, fn in _functions(ast.parse(source, path)):
             body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
             for stmt in _body_statements(body):
-                if not isinstance(stmt, ast.Raise):
-                    found[f"{os.path.basename(path)}:{stmt.lineno}"] = _own_lines(stmt)
+                if isinstance(stmt, ast.Raise):
+                    continue
+                own = _own_lines(stmt)
+                key = f"{name}:{function}: " + " ".join(" ".join(lines[n - 1][: comments.get(n)] for n in own).split())
+                seen[key] += 1
+                found[key + f" (repeat {seen[key]})" * (seen[key] > 1)] = {(name, n) for n in own}
     return found
 
 
@@ -172,7 +205,6 @@ def test_every_statement_runs_under_a_command(tmp_path):
     assert doc["codes"] == [code for _, code in runs]
 
     ran = {(name, line) for name, line in doc["lines"]}
-    statements = _library_statements()
-    never = {key for key, lines in statements.items() if not any((key.split(":")[0], n) in ran for n in lines)}
+    never = {key for key, lines in _library_statements().items() if ran.isdisjoint(lines)}
     assert sorted(never - set(EXEMPT)) == [], "no command runs these statements: move them to the tests or exempt them"
-    assert sorted(set(EXEMPT) - never) == [], "these exempt lines run now, or start no statement: drop them from EXEMPT"
+    assert sorted(set(EXEMPT) - never) == [], "these exempt statements run now, or name none: drop them from EXEMPT"
